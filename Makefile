@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Pre-push gate: vet + full suite + race detector on the concurrent packages.
+# Pre-push gate: vet + full suite + the suite again under the race detector.
 check:
 	@sh scripts/check.sh
 

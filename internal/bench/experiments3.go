@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -67,7 +69,7 @@ func Table8(cfg Config) (*Table, error) {
 // fanout runs one publisher and nSubs draining subscribers through a real
 // broker over loopback TCP, returning the wall time per published record.
 func fanout(f *pbio.Format, record []byte, nSubs, msgs int) (time.Duration, error) {
-	broker, err := eventbus.Listen("127.0.0.1:0", eventbus.WithLogger(func(string, ...interface{}) {}))
+	broker, err := eventbus.Listen("127.0.0.1:0", eventbus.WithSlog(slog.New(slog.NewTextHandler(io.Discard, nil))))
 	if err != nil {
 		return 0, err
 	}

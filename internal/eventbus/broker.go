@@ -1,7 +1,6 @@
 package eventbus
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,10 +38,6 @@ type Broker struct {
 	m      brokerMetrics
 	tracer *trace.Tracer
 	rec    *flight.Recorder
-	// legacy makes the broker behave like a pre-hello build: frames 10+ are
-	// rejected with a frameError. Exists so interop tests can prove that a
-	// new client falls back cleanly against an old peer.
-	legacy bool
 
 	// mu guards conns/streams/scoped. Tracked (eventbus.broker_mu.wait_ns /
 	// .hold_ns) because it is the routing hot path's one global lock — the
@@ -92,19 +87,19 @@ type brokerMetrics struct {
 
 func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 	return brokerMetrics{
-		published:   s.Counter("published"),
-		delivered:   s.Counter("delivered"),
-		dropped:     s.Counter("dropped"),
-		formatsSent: s.Counter("formats_sent"),
-		slowStalls:  s.Counter("slow_subscriber_stalls"),
-		routeNS:     s.Histogram("route_ns"),
-		queueWaitNS: s.Histogram("queue_wait_ns"),
+		published:    s.Counter("published"),
+		delivered:    s.Counter("delivered"),
+		dropped:      s.Counter("dropped"),
+		formatsSent:  s.Counter("formats_sent"),
+		slowStalls:   s.Counter("slow_subscriber_stalls"),
+		routeNS:      s.Histogram("route_ns"),
+		queueWaitNS:  s.Histogram("queue_wait_ns"),
 		queueWaitVec: s.HistogramVec("subscriber.queue_wait_ns", "conn"),
-		wireRecVec:  s.CounterVec("wire.records", "stream", "format"),
-		wireByteVec: s.CounterVec("wire.bytes", "stream", "format"),
-		delRecVec:   s.CounterVec("wire.delivered.records", "stream", "format"),
-		delByteVec:  s.CounterVec("wire.delivered.bytes", "stream", "format"),
-		metaByteVec: s.CounterVec("wire.meta.bytes", "stream", "format"),
+		wireRecVec:   s.CounterVec("wire.records", "stream", "format"),
+		wireByteVec:  s.CounterVec("wire.bytes", "stream", "format"),
+		delRecVec:    s.CounterVec("wire.delivered.records", "stream", "format"),
+		delByteVec:   s.CounterVec("wire.delivered.bytes", "stream", "format"),
+		metaByteVec:  s.CounterVec("wire.meta.bytes", "stream", "format"),
 	}
 }
 
@@ -230,10 +225,11 @@ type brokerConn struct {
 	queueWait *obsv.Histogram
 }
 
-// outFrame is one queued outbound frame. The payload is owned by the queue.
+// outFrame is one queued outbound frame: the complete wire image (header
+// and payload in one buffer owned by the queue, so the writer issues a
+// single Write) plus what the dequeue side observes.
 type outFrame struct {
-	typ     byte
-	payload []byte
+	wire []byte
 	// enq stamps when the frame entered the queue; the writer loop turns it
 	// into the enqueue→wire queue-wait observation at dequeue.
 	enq time.Time
@@ -243,6 +239,10 @@ type outFrame struct {
 	parent trace.SpanID
 	stream string
 }
+
+// mustSendStall is how long a frame that may not be dropped waits for queue
+// space before its subscriber is declared too slow.
+const mustSendStall = 5 * time.Second
 
 // outQueueDepth is the default per-subscriber backlog bound (override with
 // WithQueueDepth). At 1 KB records this is a quarter-megabyte of tolerated
@@ -258,16 +258,6 @@ func WithSlog(l *slog.Logger) BrokerOption {
 	return func(b *Broker) {
 		if l != nil {
 			b.log = l
-		}
-	}
-}
-
-// WithLogger directs broker diagnostics to a printf-style sink. Retained for
-// compatibility with pre-slog callers; new code should use WithSlog.
-func WithLogger(logf func(format string, args ...interface{})) BrokerOption {
-	return func(b *Broker) {
-		if logf != nil {
-			b.log = slog.New(printfHandler{logf: logf})
 		}
 	}
 }
@@ -336,14 +326,6 @@ func WithTracer(t *trace.Tracer) BrokerOption {
 			b.tracer = t
 		}
 	}
-}
-
-// WithLegacyProtocol makes the broker speak only the base protocol,
-// rejecting frameHello and the traced frame variants exactly like a
-// pre-extension build (frameError + close). It exists so interoperability
-// tests can prove new clients fall back cleanly against old peers.
-func WithLegacyProtocol() BrokerOption {
-	return func(b *Broker) { b.legacy = true }
 }
 
 // NewBroker starts a broker on the given listener. The broker owns the
@@ -489,30 +471,28 @@ func (b *Broker) handle(bc *brokerConn) {
 	for {
 		typ, payload, newBuf, err := readFrame(bc.conn, buf)
 		if err != nil {
-			// io.EOF is a clean disconnect and net.ErrClosed our own
+			// io.EOF is a clean disconnect (at a frame boundary; a frame cut
+			// short is io.ErrUnexpectedEOF) and net.ErrClosed our own
 			// shutdown; anything else is diagnostic.
+			detail := ""
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				b.log.Warn("read failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
-				b.rec.Record(flight.KindConnClose, bc.id, "", 0, 0, err.Error())
-			} else {
-				b.rec.Record(flight.KindConnClose, bc.id, "", 0, 0, "")
+				detail = err.Error()
 			}
+			b.rec.Record(flight.KindConnClose, bc.id, "", 0, 0, detail)
 			return
 		}
 		buf = newBuf
 		if err := b.dispatch(bc, typ, payload); err != nil {
 			b.log.Warn("dispatch failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
 			b.rec.Record(flight.KindBrokerError, bc.id, "", 0, 0, err.Error())
-			_ = bc.send(frameError, []byte(err.Error()))
+			_, _ = bc.enqueue(frameError, []byte(err.Error()), droppable, nil)
 			return
 		}
 	}
 }
 
 func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
-	if b.legacy && typ >= frameHello {
-		return fmt.Errorf("%w: type %d", ErrBadFrame, typ)
-	}
 	switch typ {
 	case frameHello:
 		_, caps, err := parseHello(payload)
@@ -521,7 +501,8 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		}
 		bc.caps.Store(caps & localCaps)
 		b.rec.Record(flight.KindHello, bc.id, "", 0, int64(caps&localCaps), "negotiated")
-		return bc.sendMust(frameHello, helloPayload(localCaps))
+		_, err = bc.enqueue(frameHello, helloPayload(localCaps), mustSend, nil)
+		return err
 
 	case frameAnnounce:
 		name, _, err := getStr(payload)
@@ -604,15 +585,8 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		return b.publish(bc, payload, true)
 
 	case frameList:
-		names := b.Streams()
-		var out []byte
-		for i, n := range names {
-			if i > 0 {
-				out = append(out, 0)
-			}
-			out = append(out, n...)
-		}
-		return bc.send(frameStreams, out)
+		_, err := bc.enqueue(frameStreams, []byte(strings.Join(b.Streams(), "\x00")), droppable, nil)
+		return err
 
 	default:
 		return fmt.Errorf("%w: type %d", ErrBadFrame, typ)
@@ -796,11 +770,7 @@ func (b *Broker) deliver(sub *brokerConn, d *delivery) error {
 // sendEvent enqueues one event frame, counting delivery or the per-stream
 // drop, in both the aggregate and the labeled (stream, format) families.
 func (b *Broker) sendEvent(sub *brokerConn, d *delivery, typ byte, payload []byte) error {
-	f := outFrame{typ: typ, payload: append([]byte(nil), payload...), enq: time.Now()}
-	if d.isTraced {
-		f.tid, f.parent, f.stream = d.tid, d.parent, d.st.name
-	}
-	queued, err := sub.trySendFrame(f)
+	queued, err := sub.enqueue(typ, payload, droppable, d)
 	if err != nil {
 		return err
 	}
@@ -886,7 +856,7 @@ func (b *Broker) sendFormat(sub *brokerConn, fm formatMeta, w *streamWire) error
 	if sub.sentFormats[fm.id] {
 		return nil
 	}
-	if err := sub.sendMust(frameFormat, fm.meta); err != nil {
+	if _, err := sub.enqueue(frameFormat, fm.meta, mustSend, nil); err != nil {
 		if errors.Is(err, ErrSlowSubscriber) {
 			b.m.slowStalls.Add(1)
 			b.rec.Record(flight.KindSlowSubDrop, sub.id, "", fid64(fm.id), int64(len(fm.meta)), "format frame stalled")
@@ -904,35 +874,36 @@ func (b *Broker) sendFormat(sub *brokerConn, fm formatMeta, w *streamWire) error
 	return nil
 }
 
-// writeLoop drains the outbound queue onto the socket. On teardown it
-// flushes frames already queued (bounded by a write deadline) so error
-// frames and final events reach the peer.
+// writeLoop drains the outbound queue onto the socket, one Write per frame.
+// On teardown it flushes frames already queued (bounded by a write
+// deadline) so error frames and final events reach the peer.
 func (b *Broker) writeLoop(bc *brokerConn) {
 	defer b.wg.Done()
 	defer close(bc.writerDone)
+	draining := false
 	for {
-		select {
-		case f := <-bc.out:
-			b.observeQueueWait(bc, &f)
-			if err := writeFrame(bc.conn, f.typ, f.payload); err != nil {
-				// Socket is dead: unregister and let the reader notice.
-				b.unregister(bc)
-				_ = bc.conn.Close()
+		var f outFrame
+		if draining {
+			select {
+			case f = <-bc.out:
+			default:
 				return
 			}
-		case <-bc.outClose:
-			_ = bc.conn.SetWriteDeadline(time.Now().Add(b.writeDeadline))
-			for {
-				select {
-				case f := <-bc.out:
-					b.observeQueueWait(bc, &f)
-					if err := writeFrame(bc.conn, f.typ, f.payload); err != nil {
-						return
-					}
-				default:
-					return
-				}
+		} else {
+			select {
+			case f = <-bc.out:
+			case <-bc.outClose:
+				_ = bc.conn.SetWriteDeadline(time.Now().Add(b.writeDeadline))
+				draining = true
+				continue
 			}
+		}
+		b.observeQueueWait(bc, &f)
+		if err := writeWire(bc.conn, f.wire); err != nil {
+			// Socket is dead: unregister and let the reader notice.
+			b.unregister(bc)
+			_ = bc.conn.Close()
+			return
 		}
 	}
 }
@@ -945,56 +916,57 @@ func (b *Broker) writeLoop(bc *brokerConn) {
 // at dequeue, before the socket write, so a stalled-but-draining subscriber
 // still records its waits.
 func (b *Broker) observeQueueWait(bc *brokerConn, f *outFrame) {
-	if f.enq.IsZero() {
-		return
-	}
 	wait := time.Since(f.enq)
 	b.m.queueWaitNS.ObserveExemplar(wait.Nanoseconds(), f.tid)
 	bc.queueWait.Observe(wait.Nanoseconds())
 	b.tracer.RecordSpan(f.tid, f.parent, "broker.queue", f.stream, f.enq, wait)
 }
 
-// send enqueues a droppable frame (events, stream listings, errors). When
-// the subscriber's queue is full the frame is discarded and counted — a
-// slow consumer loses records, never stalls the bus.
-func (bc *brokerConn) send(typ byte, payload []byte) error {
-	_, err := bc.trySend(typ, payload)
-	return err
-}
+// Enqueue modes. A droppable frame (events, stream listings, errors) is
+// discarded and counted when the subscriber's queue is full — a slow
+// consumer loses records, never stalls the bus. A must-send frame (format
+// metadata, hello) waits for queue space up to mustSendStall, because later
+// frames are meaningless without it.
+const (
+	droppable = false
+	mustSend  = true
+)
 
-// trySend enqueues a droppable frame, reporting whether it was queued
-// (false: discarded on a full queue, counted in the broker's drop counter).
-func (bc *brokerConn) trySend(typ byte, payload []byte) (bool, error) {
-	return bc.trySendFrame(outFrame{typ: typ, payload: append([]byte(nil), payload...), enq: time.Now()})
-}
-
-// trySendFrame is trySend for a caller-built frame (sendEvent builds frames
-// carrying trace context for the dequeue-side broker.queue span).
-func (bc *brokerConn) trySendFrame(f outFrame) (bool, error) {
+// enqueue copies payload into a wire-ready frame, stamps it and queues it
+// for the writer loop — the one way onto a connection's outbound queue. d is
+// the delivery an event frame belongs to (nil for every other frame), whose
+// trace context rides along. It reports whether the frame was queued (false
+// with a nil error: dropped on a full queue, counted in the broker's drop
+// counter).
+func (bc *brokerConn) enqueue(typ byte, payload []byte, must bool, d *delivery) (bool, error) {
+	wire, err := newFrame(typ, payload)
+	if err != nil {
+		return false, err
+	}
+	f := outFrame{wire: wire, enq: time.Now()}
+	if d != nil && d.isTraced {
+		f.tid, f.parent, f.stream = d.tid, d.parent, d.st.name
+	}
 	select {
 	case bc.out <- f:
 		return true, nil
 	case <-bc.outClose:
 		return false, ErrClosed
 	default:
+	}
+	if !must {
 		bc.dropped.Add(1)
 		return false, nil
 	}
-}
-
-// sendMust enqueues a frame that may not be dropped (format metadata),
-// waiting for queue space up to a drop deadline.
-func (bc *brokerConn) sendMust(typ byte, payload []byte) error {
-	f := outFrame{typ: typ, payload: append([]byte(nil), payload...), enq: time.Now()}
-	t := time.NewTimer(5 * time.Second)
+	t := time.NewTimer(mustSendStall)
 	defer t.Stop()
 	select {
 	case bc.out <- f:
-		return nil
+		return true, nil
 	case <-bc.outClose:
-		return ErrClosed
+		return false, ErrClosed
 	case <-t.C:
-		return fmt.Errorf("%w: write queue stalled for 5s", ErrSlowSubscriber)
+		return false, fmt.Errorf("%w: write queue stalled for %v", ErrSlowSubscriber, mustSendStall)
 	}
 }
 
@@ -1047,8 +1019,8 @@ type BrokerStats struct {
 	SlowSubscriberStalls int64
 }
 
-// Stats reports the broker's delivery health. Unlike the pre-obsv dropped
-// counter, drop counts persist after the dropping connection closes.
+// Stats reports the broker's delivery health. Drop counts persist after the
+// dropping connection closes.
 func (b *Broker) Stats() BrokerStats {
 	s := BrokerStats{
 		Published:            b.m.published.Load(),
@@ -1071,12 +1043,6 @@ func (b *Broker) Stats() BrokerStats {
 	return s
 }
 
-// DroppedEvents reports how many event frames the broker has discarded
-// because subscriber queues were full.
-//
-// Deprecated: use Stats().Dropped, which also survives connection teardown.
-func (b *Broker) DroppedEvents() int64 { return b.m.dropped.Load() }
-
 // Healthy reports nil while the broker is accepting connections. It is shaped
 // as a readiness probe for obsv.RegisterProbe.
 func (b *Broker) Healthy() error {
@@ -1091,35 +1057,3 @@ func (b *Broker) Healthy() error {
 // PlanCacheLen reports how many scoped-conversion plans are currently
 // memoized, for bounding probes against dcg.WithMaxEntries caches.
 func (b *Broker) PlanCacheLen() int { return b.plans.Len() }
-
-// printfHandler adapts a printf-style sink to slog, backing the WithLogger
-// compatibility shim. Attributes render as trailing key=value pairs.
-type printfHandler struct {
-	logf  func(format string, args ...interface{})
-	attrs []slog.Attr
-}
-
-func (h printfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h printfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString("eventbus: ")
-	sb.WriteString(r.Message)
-	emit := func(a slog.Attr) bool {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(emit)
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h printfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return h
-}
-
-func (h printfHandler) WithGroup(string) slog.Handler { return h }

@@ -18,14 +18,21 @@ import (
 	"openmeta/internal/trace"
 )
 
-// Client-side reconnect instruments on the default registry, created at
-// init so the eventbus.pub.* / eventbus.sub.* names exist (zero-valued) in
-// openmeta.Stats() from process start.
+// clientRole is what tells a publisher's link from a subscriber's: the label
+// its errors and flight events carry, and its reconnect instruments on the
+// default registry — created at init so the eventbus.pub.* / eventbus.sub.*
+// names exist (zero-valued) in openmeta.Stats() from process start.
+type clientRole struct {
+	name         string
+	reconnects   *obsv.Counter
+	redialErrors *obsv.Counter
+}
+
 var (
-	pubReconnects   = obsv.Default().Counter("eventbus.pub.reconnects")
-	pubRedialErrors = obsv.Default().Counter("eventbus.pub.redial_errors")
-	subReconnects   = obsv.Default().Counter("eventbus.sub.reconnects")
-	subRedialErrors = obsv.Default().Counter("eventbus.sub.redial_errors")
+	rolePublisher = &clientRole{"publisher",
+		obsv.Default().Counter("eventbus.pub.reconnects"), obsv.Default().Counter("eventbus.pub.redial_errors")}
+	roleSubscriber = &clientRole{"subscriber",
+		obsv.Default().Counter("eventbus.sub.reconnects"), obsv.Default().Counter("eventbus.sub.redial_errors")}
 )
 
 // DialFunc dials the broker. Tests substitute one (via WithDialFunc) that
@@ -55,55 +62,55 @@ func defaultClientConfig() clientConfig {
 	}
 }
 
-// flightReconnect records one reconnect-path event (redial attempt outcome)
-// against the given connection id.
-func (c *clientConfig) flightReconnect(conn uint64, detail string) {
-	c.rec.Record(flight.KindReconnect, conn, "", 0, 0, detail)
-}
-
 // helloTimeout bounds how long a client waits for the broker's frameHello
-// reply before concluding the peer speaks only the base protocol.
+// reply.
 const helloTimeout = 3 * time.Second
 
 // helloExchange negotiates capabilities on a fresh connection: it sends a
-// frameHello and waits for the reply. legacy=true means the peer is an
-// old-protocol build (it answered with frameError, closed the connection,
-// or stayed silent past the hello deadline); the caller should redial and
-// speak the base protocol. A write failure is a real network error.
-func helloExchange(conn net.Conn) (caps uint32, legacy bool, err error) {
+// frameHello and waits for the broker's, returning the capabilities both
+// sides have. Anything else is a failed dial; a frameError answer is
+// returned as the *BrokerError it carries.
+func helloExchange(conn net.Conn) (caps uint32, err error) {
 	if err := writeFrame(conn, frameHello, helloPayload(localCaps)); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
-	typ, payload, _, rerr := readFrame(conn, nil)
-	if rerr != nil || typ != frameHello {
-		return 0, true, nil
+	typ, payload, _, err := readFrame(conn, nil)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("eventbus: hello: %w", err)
+	case typ == frameError:
+		return 0, &BrokerError{Msg: string(payload)}
+	case typ != frameHello:
+		return 0, fmt.Errorf("%w: frame %d answering hello", ErrBadFrame, typ)
 	}
-	if _, caps, err = parseHello(payload); err != nil {
-		return 0, true, nil
-	}
-	return caps, false, nil
+	_, caps, err = parseHello(payload)
+	return caps & localCaps, err
 }
 
-// harvestBrokerError makes a bounded attempt to read a frameError the
-// broker may have sent just before the connection died, so a rejected
-// publish surfaces as a typed *BrokerError instead of a bare write failure.
-func harvestBrokerError(conn net.Conn) *BrokerError {
+// brokerReason passes a publisher's write result through, first making a
+// bounded attempt to read the frameError the broker sends before closing on
+// a publisher it rejects — so a rejected publish surfaces as a typed
+// *BrokerError instead of a bare write failure.
+func brokerReason(conn net.Conn, err error) error {
+	if err == nil {
+		return nil
+	}
 	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 	defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
 	var buf []byte
 	for i := 0; i < 4; i++ {
-		typ, payload, newBuf, err := readFrame(conn, buf)
-		if err != nil {
-			return nil
+		typ, payload, newBuf, rerr := readFrame(conn, buf)
+		if rerr != nil {
+			break
 		}
 		buf = newBuf
 		if typ == frameError {
-			return &BrokerError{Msg: string(payload)}
+			return fmt.Errorf("%w (%w)", &BrokerError{Msg: string(payload)}, err)
 		}
 	}
-	return nil
+	return err
 }
 
 // dialContext applies the configured dial function and timeout.
@@ -138,8 +145,7 @@ func WithDialTimeout(d time.Duration) ClientOption {
 // WithClientTracer directs the client's spans (pub.publish, pbio.encode,
 // pbio.decode) into t instead of the process default tracer. While t is
 // enabled, connections negotiate the trace capability with the broker so
-// sampled records carry their trace context across the wire; against an
-// old-protocol broker the client falls back to the base protocol untraced.
+// sampled records carry their trace context across the wire.
 func WithClientTracer(t *trace.Tracer) ClientOption {
 	return func(c *clientConfig) {
 		if t != nil {
@@ -173,28 +179,167 @@ func WithReconnect(p retry.Policy) ClientOption {
 	}
 }
 
+// link is the client half of one broker connection — everything Publisher
+// and Subscriber have in common: dialing, the hello exchange, replaying the
+// owner's state onto a fresh connection, teardown, and retry under the
+// reconnect policy, with the counters and flight events that go with them.
+type link struct {
+	role *clientRole
+	addr string
+	cfg  clientConfig
+	// replay re-establishes the owner's state (announced streams,
+	// subscriptions) on a connection that has just been dialed. Called with
+	// mu held.
+	replay func(conn net.Conn) error
+
+	mu      sync.Mutex
+	conn    net.Conn
+	closed  bool
+	lastErr error
+	// caps holds the capabilities the current connection negotiated (0
+	// without a hello).
+	caps uint32
+	// connID is the flight connection id of the live conn. Atomic because a
+	// subscriber's receive loop reads it while control calls may be
+	// reconnecting.
+	connID atomic.Uint64
+}
+
+// record files one flight event against the link's current connection id.
+func (l *link) record(kind flight.Kind, stream string, format uint64, bytes int64, detail string) {
+	l.cfg.rec.Record(kind, l.connID.Load(), stream, format, bytes, detail)
+}
+
+// open configures the link and makes its first connection. With
+// WithReconnect the dial retries under the policy like any later reconnect.
+func (l *link) open(ctx context.Context, role *clientRole, addr string, opts []ClientOption, replay func(net.Conn) error) error {
+	l.role, l.addr, l.cfg, l.replay = role, addr, defaultClientConfig(), replay
+	for _, opt := range opts {
+		opt(&l.cfg)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.retry(ctx, l.connectLocked); err != nil {
+		return fmt.Errorf("eventbus: dial %s: %w", role.name, err)
+	}
+	return nil
+}
+
+// retry runs attempt once, or under the retry policy when reconnect is on.
+func (l *link) retry(ctx context.Context, attempt func(context.Context) error) error {
+	if !l.cfg.reconnect {
+		return attempt(ctx)
+	}
+	return retry.Do(ctx, l.cfg.policy, attempt)
+}
+
+// connectLocked dials a fresh broker connection, negotiates capabilities
+// when the tracer wants them, and replays the owner's state onto it. Caller
+// holds l.mu.
+func (l *link) connectLocked(ctx context.Context) error {
+	reconnecting := l.conn != nil || l.lastErr != nil
+	if l.conn != nil {
+		_ = l.conn.Close()
+		l.conn = nil
+	}
+	conn, err := l.cfg.dialContext(ctx, l.addr)
+	hello := err == nil && l.cfg.tracer.Enabled()
+	l.caps = 0
+	if hello {
+		l.caps, err = helloExchange(conn)
+	}
+	if err == nil {
+		err = l.replay(conn)
+	}
+	if err != nil {
+		if conn != nil {
+			_ = conn.Close()
+		}
+		if reconnecting {
+			l.role.redialErrors.Add(1)
+			l.record(flight.KindReconnect, "", 0, 0, l.role.name+" redial failed: "+err.Error())
+		}
+		return err
+	}
+	l.conn = conn
+	l.connID.Store(flight.NextConnID())
+	l.record(flight.KindConnOpen, "", 0, 0, l.role.name+" "+l.addr)
+	if hello {
+		l.record(flight.KindHello, "", 0, int64(l.caps), "negotiated")
+	}
+	l.lastErr = nil
+	if reconnecting {
+		l.role.reconnects.Add(1)
+		l.record(flight.KindReconnect, "", 0, 0, l.role.name+" reconnected")
+	}
+	return nil
+}
+
+// withConn runs op against a healthy connection, holding l.mu across the
+// network write (frames from concurrent calls must not interleave). On
+// failure the connection is torn down; with reconnect enabled the link
+// redials under its retry policy and re-runs op.
+func (l *link) withConn(op func(conn net.Conn) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("eventbus: %s: %w", l.role.name, ErrClosed)
+	}
+	return l.retry(context.Background(), func(ctx context.Context) error {
+		if l.conn == nil {
+			if !l.cfg.reconnect {
+				return fmt.Errorf("eventbus: %s connection lost: %w (%v)", l.role.name, ErrClosed, l.lastErr)
+			}
+			if err := l.connectLocked(ctx); err != nil {
+				return err
+			}
+		}
+		err := op(l.conn)
+		if err != nil {
+			l.teardownLocked(err)
+		}
+		return err
+	})
+}
+
+// teardownLocked abandons the current connection after a failure; a
+// partially written or read frame leaves the stream unframeable, so the
+// connection can never be reused. Caller holds l.mu.
+func (l *link) teardownLocked(err error) {
+	if l.conn != nil {
+		_ = l.conn.Close()
+		l.conn = nil
+		l.record(flight.KindConnClose, "", 0, 0, err.Error())
+	}
+	l.lastErr = err
+}
+
+// Close closes the broker connection. Further operations return ErrClosed;
+// a subscriber's blocked Next returns io.EOF.
+func (l *link) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	if l.conn == nil {
+		return nil
+	}
+	err := l.conn.Close()
+	l.conn = nil
+	l.record(flight.KindConnClose, "", 0, 0, "closed")
+	return err
+}
+
 // Publisher is a capture point: it announces streams and publishes NDR
 // records onto them. Publisher is safe for concurrent use. With
 // WithReconnect it transparently survives broken broker connections,
 // re-sending stream announcements and format metadata on the new
 // connection.
 type Publisher struct {
-	addr string
-	cfg  clientConfig
-
-	mu          sync.Mutex
-	conn        net.Conn
-	connID      uint64 // flight connection id of the live conn (guarded by mu)
-	closed      bool
-	lastErr     error
+	link
+	// Guarded by link.mu.
 	sentFormats map[pbio.FormatID]bool
 	announced   map[string]bool
 	scratch     []byte
-	// traced reports whether the current connection negotiated capTrace;
-	// peerLegacy remembers a broker that rejected the hello, so reconnects
-	// skip the doomed exchange.
-	traced     bool
-	peerLegacy bool
 }
 
 // DialPublisher connects a publisher to the broker at addr.
@@ -205,171 +350,38 @@ func DialPublisher(addr string, opts ...ClientOption) (*Publisher, error) {
 // DialPublisherContext connects a publisher to the broker at addr under
 // ctx. With WithReconnect the initial dial also retries under the policy.
 func DialPublisherContext(ctx context.Context, addr string, opts ...ClientOption) (*Publisher, error) {
-	cfg := defaultClientConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	p := &Publisher{
-		addr:        addr,
-		cfg:         cfg,
-		sentFormats: make(map[pbio.FormatID]bool),
-		announced:   make(map[string]bool),
-	}
-	dial := func(ctx context.Context) error { return p.connectLocked(ctx) }
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var err error
-	if cfg.reconnect {
-		err = retry.Do(ctx, cfg.policy, dial)
-	} else {
-		err = dial(ctx)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("eventbus: dial publisher: %w", err)
+	p := &Publisher{announced: make(map[string]bool)}
+	if err := p.open(ctx, rolePublisher, addr, opts, p.reannounce); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// connectLocked dials a fresh broker connection and replays the
-// publisher's announced streams onto it. The format-metadata dedup map is
-// reset so the next Publish of each format re-sends its metadata — the new
-// broker connection has never seen it. Caller holds p.mu.
-func (p *Publisher) connectLocked(ctx context.Context) error {
-	reconnecting := p.conn != nil || p.lastErr != nil
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-	}
-	conn, err := p.cfg.dialContext(ctx, p.addr)
-	if err != nil {
-		if reconnecting {
-			pubRedialErrors.Add(1)
-			p.cfg.flightReconnect(p.connID, "publisher redial failed: "+err.Error())
-		}
-		return err
-	}
-	p.traced = false
-	if p.cfg.tracer.Enabled() && !p.peerLegacy {
-		caps, legacy, herr := helloExchange(conn)
-		switch {
-		case herr != nil:
-			_ = conn.Close()
-			if reconnecting {
-				pubRedialErrors.Add(1)
-				p.cfg.flightReconnect(p.connID, "publisher redial failed: "+herr.Error())
-			}
-			return herr
-		case legacy:
-			// Old broker: it answered the hello with an error and closed.
-			// Remember and redial speaking the base protocol.
-			_ = conn.Close()
-			p.peerLegacy = true
-			if conn, err = p.cfg.dialContext(ctx, p.addr); err != nil {
-				if reconnecting {
-					pubRedialErrors.Add(1)
-					p.cfg.flightReconnect(p.connID, "publisher redial failed: "+err.Error())
-				}
-				return err
-			}
-		default:
-			p.traced = caps&capTrace != 0
-		}
-	}
+// reannounce replays the publisher's announced streams onto a fresh
+// connection. The format-metadata dedup map is reset so the next Publish of
+// each format re-sends its metadata — the new broker connection has never
+// seen it.
+func (p *Publisher) reannounce(conn net.Conn) error {
 	p.sentFormats = make(map[pbio.FormatID]bool)
 	for name := range p.announced {
 		if err := writeFrame(conn, frameAnnounce, putStr(nil, name)); err != nil {
-			_ = conn.Close()
-			if reconnecting {
-				pubRedialErrors.Add(1)
-				p.cfg.flightReconnect(p.connID, "publisher redial failed: "+err.Error())
-			}
 			return err
 		}
-	}
-	p.conn = conn
-	p.connID = flight.NextConnID()
-	p.cfg.rec.Record(flight.KindConnOpen, p.connID, "", 0, 0, "publisher "+p.addr)
-	if p.cfg.tracer.Enabled() && !p.peerLegacy {
-		p.cfg.rec.Record(flight.KindHello, p.connID, "", 0, boolCaps(p.traced), "negotiated")
-	}
-	p.lastErr = nil
-	if reconnecting {
-		pubReconnects.Add(1)
-		p.cfg.flightReconnect(p.connID, "publisher reconnected")
 	}
 	return nil
-}
-
-// boolCaps renders the negotiated-trace flag as the flight event's byte
-// field, matching the broker-side hello event's caps value.
-func boolCaps(traced bool) int64 {
-	if traced {
-		return int64(capTrace)
-	}
-	return 0
-}
-
-// withConn runs op against a healthy connection, holding p.mu across the
-// network write (records from concurrent Publish calls must not interleave
-// mid-frame). On failure the connection is torn down; with reconnect
-// enabled the publisher redials under its retry policy and re-runs op.
-func (p *Publisher) withConn(op func(conn net.Conn) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("eventbus: publisher: %w", ErrClosed)
-	}
-	attempt := func(ctx context.Context) error {
-		if p.conn == nil {
-			if !p.cfg.reconnect {
-				return retry.Permanent(fmt.Errorf("eventbus: publisher connection lost: %w (%v)", ErrClosed, p.lastErr))
-			}
-			if err := p.connectLocked(ctx); err != nil {
-				return err
-			}
-		}
-		if err := op(p.conn); err != nil {
-			// The broker reports why it is rejecting us before closing; fold
-			// that diagnostic into the failure as a typed *BrokerError.
-			if be := harvestBrokerError(p.conn); be != nil {
-				err = fmt.Errorf("%w (%w)", be, err)
-			}
-			p.teardownLocked(err)
-			return err
-		}
-		return nil
-	}
-	if !p.cfg.reconnect {
-		return attempt(context.Background())
-	}
-	return retry.Do(context.Background(), p.cfg.policy, attempt)
-}
-
-// teardownLocked abandons the current connection after a write failure; a
-// partially written frame leaves the stream unframeable, so the connection
-// can never be reused. Caller holds p.mu.
-func (p *Publisher) teardownLocked(err error) {
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-		p.cfg.rec.Record(flight.KindConnClose, p.connID, "", 0, 0, err.Error())
-	}
-	p.lastErr = err
 }
 
 // Announce declares a stream so it appears in broker listings before the
 // first record is published. Announced streams are re-announced
 // automatically after a reconnect.
 func (p *Publisher) Announce(streamName string) error {
-	err := p.withConn(func(conn net.Conn) error {
-		return writeFrame(conn, frameAnnounce, putStr(nil, streamName))
+	return p.withConn(func(conn net.Conn) error {
+		err := brokerReason(conn, writeFrame(conn, frameAnnounce, putStr(nil, streamName)))
+		if err == nil {
+			p.announced[streamName] = true
+		}
+		return err
 	})
-	if err == nil {
-		p.mu.Lock()
-		p.announced[streamName] = true
-		p.mu.Unlock()
-	}
-	return err
 }
 
 // Publish sends one encoded record of format f onto the stream, announcing
@@ -387,30 +399,39 @@ func (p *Publisher) Publish(streamName string, f *pbio.Format, record []byte) er
 // publish sends one publish frame under the given root span.
 func (p *Publisher) publish(tc trace.Ctx, streamName string, f *pbio.Format, record []byte) error {
 	return p.withConn(func(conn net.Conn) error {
-		if !p.sentFormats[f.ID] {
-			meta := pbio.MarshalMeta(f)
-			if err := writeFrame(conn, frameFormat, meta); err != nil {
-				return err
-			}
-			p.sentFormats[f.ID] = true
-			p.cfg.rec.Record(flight.KindFormatSend, p.connID, streamName, fid64(f.ID), int64(len(meta)), f.Name)
-		}
-		typ := framePublish
-		payload := p.scratch[:0]
-		payload = putStr(payload, streamName)
-		if tc.Sampled() && p.traced {
-			typ = framePublishTrace
-			payload = putTraceCtx(payload, tc.Trace(), tc.Span())
-		}
-		payload = append(payload, f.ID[:]...)
-		payload = append(payload, record...)
-		p.scratch = payload
-		if err := writeFrame(conn, typ, payload); err != nil {
+		return brokerReason(conn, p.send(conn, tc, streamName, f, record))
+	})
+}
+
+// send writes the format frame if this connection has not carried it, then
+// the publish frame, built in the publisher's scratch buffer behind its own
+// header so it leaves in one Write. Caller holds p.mu.
+func (p *Publisher) send(conn net.Conn, tc trace.Ctx, streamName string, f *pbio.Format, record []byte) error {
+	if !p.sentFormats[f.ID] {
+		meta := pbio.MarshalMeta(f)
+		if err := writeFrame(conn, frameFormat, meta); err != nil {
 			return err
 		}
-		p.cfg.rec.Record(flight.KindFrameSend, p.connID, streamName, fid64(f.ID), int64(len(record)), "")
-		return nil
-	})
+		p.sentFormats[f.ID] = true
+		p.record(flight.KindFormatSend, streamName, fid64(f.ID), int64(len(meta)), f.Name)
+	}
+	typ := framePublish
+	frame := putStr(pbio.BeginFrame(p.scratch[:0]), streamName)
+	if tc.Sampled() && p.caps&capTrace != 0 {
+		typ = framePublishTrace
+		frame = putTraceCtx(frame, tc.Trace(), tc.Span())
+	}
+	frame = append(frame, f.ID[:]...)
+	frame = append(frame, record...)
+	p.scratch = frame
+	if err := pbio.EndFrame(frame, typ, maxFrame); err != nil {
+		return err
+	}
+	if err := writeWire(conn, frame); err != nil {
+		return err
+	}
+	p.record(flight.KindFrameSend, streamName, fid64(f.ID), int64(len(record)), "")
+	return nil
 }
 
 // PublishRecord encodes a generic record and publishes it. A sampled record
@@ -423,20 +444,6 @@ func (p *Publisher) PublishRecord(streamName string, f *pbio.Format, rec pbio.Re
 		return err
 	}
 	return p.publish(tc, streamName, f, data)
-}
-
-// Close closes the broker connection. Further operations return ErrClosed.
-func (p *Publisher) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	if p.conn == nil {
-		return nil
-	}
-	err := p.conn.Close()
-	p.conn = nil
-	p.cfg.rec.Record(flight.KindConnClose, p.connID, "", 0, 0, "closed")
-	return err
 }
 
 // Event is one record delivered to a subscriber.
@@ -469,23 +476,11 @@ func (e *Event) Decode() (pbio.Record, error) { return e.Format.DecodeCtx(e.Trac
 // every stream (scopes intact); the broker re-sends format metadata on the
 // new connection, so Next keeps delivering decodable events.
 type Subscriber struct {
-	addr string
-	cfg  clientConfig
-	ctx  *pbio.Context
-
-	wmu     sync.Mutex
-	conn    net.Conn
-	closed  bool
-	lastErr error
-	// connID is the flight connection id of the live conn. Atomic because
-	// Next's receive loop reads it while control calls may be reconnecting.
-	connID atomic.Uint64
-	// traced reports whether the current connection negotiated capTrace;
-	// peerLegacy remembers a broker that rejected the hello.
-	traced     bool
-	peerLegacy bool
+	link
+	ctx *pbio.Context
 	// subs maps stream name to its field scope (nil = full format), the
-	// state replayed onto a fresh connection after reconnect.
+	// state replayed onto a fresh connection after reconnect. Guarded by
+	// link.mu.
 	subs map[string][]string
 
 	buf []byte
@@ -500,27 +495,9 @@ func DialSubscriber(addr string, ctx *pbio.Context, opts ...ClientOption) (*Subs
 // DialSubscriberContext connects a subscriber to the broker at addr under
 // dialCtx, adopting incoming format metadata into ctx.
 func DialSubscriberContext(dialCtx context.Context, addr string, ctx *pbio.Context, opts ...ClientOption) (*Subscriber, error) {
-	cfg := defaultClientConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	s := &Subscriber{
-		addr: addr,
-		cfg:  cfg,
-		ctx:  ctx,
-		subs: make(map[string][]string),
-	}
-	dial := func(ctx context.Context) error { return s.connectLocked(ctx) }
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	var err error
-	if cfg.reconnect {
-		err = retry.Do(dialCtx, cfg.policy, dial)
-	} else {
-		err = dial(dialCtx)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("eventbus: dial subscriber: %w", err)
+	s := &Subscriber{ctx: ctx, subs: make(map[string][]string)}
+	if err := s.open(dialCtx, roleSubscriber, addr, opts, s.resubscribe); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -528,68 +505,13 @@ func DialSubscriberContext(dialCtx context.Context, addr string, ctx *pbio.Conte
 // Context returns the pbio context formats are adopted into.
 func (s *Subscriber) Context() *pbio.Context { return s.ctx }
 
-// connectLocked dials a fresh broker connection and replays every
-// subscription (with its scope) onto it. Caller holds s.wmu.
-func (s *Subscriber) connectLocked(ctx context.Context) error {
-	reconnecting := s.conn != nil || s.lastErr != nil
-	if s.conn != nil {
-		_ = s.conn.Close()
-		s.conn = nil
-	}
-	conn, err := s.cfg.dialContext(ctx, s.addr)
-	if err != nil {
-		if reconnecting {
-			subRedialErrors.Add(1)
-			s.cfg.flightReconnect(s.connID.Load(), "subscriber redial failed: "+err.Error())
-		}
-		return err
-	}
-	s.traced = false
-	if s.cfg.tracer.Enabled() && !s.peerLegacy {
-		caps, legacy, herr := helloExchange(conn)
-		switch {
-		case herr != nil:
-			_ = conn.Close()
-			if reconnecting {
-				subRedialErrors.Add(1)
-				s.cfg.flightReconnect(s.connID.Load(), "subscriber redial failed: "+herr.Error())
-			}
-			return herr
-		case legacy:
-			// Old broker: redial speaking the base protocol.
-			_ = conn.Close()
-			s.peerLegacy = true
-			if conn, err = s.cfg.dialContext(ctx, s.addr); err != nil {
-				if reconnecting {
-					subRedialErrors.Add(1)
-					s.cfg.flightReconnect(s.connID.Load(), "subscriber redial failed: "+err.Error())
-				}
-				return err
-			}
-		default:
-			s.traced = caps&capTrace != 0
-		}
-	}
+// resubscribe replays every subscription (with its scope) onto a fresh
+// connection.
+func (s *Subscriber) resubscribe(conn net.Conn) error {
 	for name, scope := range s.subs {
 		if err := writeFrame(conn, frameSubscribe, subscribePayload(name, scope)); err != nil {
-			_ = conn.Close()
-			if reconnecting {
-				subRedialErrors.Add(1)
-				s.cfg.flightReconnect(s.connID.Load(), "subscriber redial failed: "+err.Error())
-			}
 			return err
 		}
-	}
-	s.conn = conn
-	s.connID.Store(flight.NextConnID())
-	s.cfg.rec.Record(flight.KindConnOpen, s.connID.Load(), "", 0, 0, "subscriber "+s.addr)
-	if s.cfg.tracer.Enabled() && !s.peerLegacy {
-		s.cfg.rec.Record(flight.KindHello, s.connID.Load(), "", 0, boolCaps(s.traced), "negotiated")
-	}
-	s.lastErr = nil
-	if reconnecting {
-		subReconnects.Add(1)
-		s.cfg.flightReconnect(s.connID.Load(), "subscriber reconnected")
 	}
 	return nil
 }
@@ -607,132 +529,77 @@ func subscribePayload(name string, fields []string) []byte {
 	return payload
 }
 
-// writeControl sends one control frame, redialing under the retry policy
-// when reconnect is enabled.
-func (s *Subscriber) writeControl(typ byte, payload []byte) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.closed {
-		return fmt.Errorf("eventbus: subscriber: %w", ErrClosed)
-	}
-	attempt := func(ctx context.Context) error {
-		if s.conn == nil {
-			if !s.cfg.reconnect {
-				return retry.Permanent(fmt.Errorf("eventbus: subscriber connection lost: %w (%v)", ErrClosed, s.lastErr))
-			}
-			if err := s.connectLocked(ctx); err != nil {
-				return err
-			}
+// control sends one control frame, redialing under the retry policy when
+// reconnect is enabled, and once the frame is written applies its effect on
+// the state replayed after a reconnect (under s.mu, which withConn holds).
+func (s *Subscriber) control(typ byte, payload []byte, applied func()) error {
+	return s.withConn(func(conn net.Conn) error {
+		err := writeFrame(conn, typ, payload)
+		if err == nil && applied != nil {
+			applied()
 		}
-		if err := writeFrame(s.conn, typ, payload); err != nil {
-			s.teardownLocked(err)
-			return err
-		}
-		return nil
-	}
-	if !s.cfg.reconnect {
-		return attempt(context.Background())
-	}
-	return retry.Do(context.Background(), s.cfg.policy, attempt)
-}
-
-// teardownLocked abandons the current connection. Caller holds s.wmu.
-func (s *Subscriber) teardownLocked(err error) {
-	if s.conn != nil {
-		_ = s.conn.Close()
-		s.conn = nil
-		s.cfg.rec.Record(flight.KindConnClose, s.connID.Load(), "", 0, 0, err.Error())
-	}
-	s.lastErr = err
+		return err
+	})
 }
 
 // Subscribe joins a stream. Records published after the subscription (and
 // the formats needed to decode them) will be delivered via Next.
 // Subscriptions are replayed automatically after a reconnect.
-func (s *Subscriber) Subscribe(streamName string) error {
-	err := s.writeControl(frameSubscribe, subscribePayload(streamName, nil))
-	if err == nil {
-		s.wmu.Lock()
-		s.subs[streamName] = nil
-		s.wmu.Unlock()
-	}
-	return err
-}
+func (s *Subscriber) Subscribe(streamName string) error { return s.SubscribeFields(streamName) }
 
 // SubscribeFields joins a stream scoped to a slice of its fields — the
 // paper's §4.4 format-scoping. The broker derives a subset format, converts
 // every record before delivery, and the hidden fields never reach this
 // subscriber. Count fields of kept dynamic arrays are included
-// automatically.
+// automatically. With no fields it is Subscribe.
 func (s *Subscriber) SubscribeFields(streamName string, fields ...string) error {
-	if len(fields) == 0 {
-		return s.Subscribe(streamName)
-	}
 	if len(fields) > 255 {
 		return fmt.Errorf("eventbus: scope of %d fields exceeds protocol limit", len(fields))
 	}
-	err := s.writeControl(frameSubscribe, subscribePayload(streamName, fields))
-	if err == nil {
-		s.wmu.Lock()
-		s.subs[streamName] = append([]string(nil), fields...)
-		s.wmu.Unlock()
-	}
-	return err
+	scope := append([]string(nil), fields...) // nil = the full format
+	return s.control(frameSubscribe, subscribePayload(streamName, scope), func() { s.subs[streamName] = scope })
 }
 
 // Unsubscribe leaves a stream. Records already in flight may still arrive.
 func (s *Subscriber) Unsubscribe(streamName string) error {
-	err := s.writeControl(frameUnsub, putStr(nil, streamName))
-	if err == nil {
-		s.wmu.Lock()
-		delete(s.subs, streamName)
-		s.wmu.Unlock()
-	}
-	return err
+	return s.control(frameUnsub, putStr(nil, streamName), func() { delete(s.subs, streamName) })
 }
 
-// currentConn snapshots the live connection (nil when torn down) and the
-// closed flag.
-func (s *Subscriber) currentConn() (net.Conn, bool) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.conn, s.closed
-}
-
-// reconnect redials and re-subscribes after prev broke with cause, unless
-// another goroutine already replaced it.
-func (s *Subscriber) reconnect(prev net.Conn, cause error) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+// recvConn returns the connection the receive loop should read from. If
+// broken — the connection a read just failed on, with cause — is still the
+// live one it is torn down first (another goroutine may already have
+// replaced it), and a link left without a connection is redialed and
+// re-subscribed under the retry policy. io.EOF reports a closed subscriber.
+func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		return io.EOF
+		return nil, io.EOF
 	}
-	if s.conn != nil && s.conn != prev {
-		return nil // someone else already reconnected
+	if broken != nil && s.conn == broken {
+		s.teardownLocked(cause)
 	}
-	if s.conn == prev && s.conn != nil {
-		_ = s.conn.Close()
-		s.conn = nil
-		s.lastErr = cause
-		detail := "connection lost"
-		if cause != nil {
-			detail = cause.Error()
+	if s.conn == nil {
+		if !s.cfg.reconnect {
+			return nil, fmt.Errorf("eventbus: subscriber connection lost: %w", ErrClosed)
 		}
-		s.cfg.rec.Record(flight.KindConnClose, s.connID.Load(), "", 0, 0, detail)
+		if err := retry.Do(context.Background(), s.cfg.policy, s.connectLocked); err != nil {
+			return nil, fmt.Errorf("eventbus: reconnect: %w", err)
+		}
 	}
-	return retry.Do(context.Background(), s.cfg.policy, s.connectLocked)
+	return s.conn, nil
 }
 
 // Streams asks the broker for the current stream list. It must not be
 // interleaved with Next (both read from the connection); call it before
 // entering the receive loop.
 func (s *Subscriber) Streams() ([]string, error) {
-	if err := s.writeControl(frameList, nil); err != nil {
+	if err := s.control(frameList, nil, nil); err != nil {
 		return nil, err
 	}
-	conn, closed := s.currentConn()
-	if closed || conn == nil {
-		return nil, fmt.Errorf("eventbus: subscriber: %w", ErrClosed)
+	conn, err := s.recvConn(nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	for {
 		typ, payload, buf, err := readFrame(conn, s.buf)
@@ -764,38 +631,23 @@ func (s *Subscriber) Streams() ([]string, error) {
 // reconnect enabled a broken connection is redialed under the retry policy
 // and the receive loop continues on the new connection.
 func (s *Subscriber) Next() (Event, error) {
+	var broken net.Conn
+	var cause error
 	for {
-		conn, closed := s.currentConn()
-		if closed {
-			return Event{}, io.EOF
-		}
-		if conn == nil {
-			if !s.cfg.reconnect {
-				return Event{}, fmt.Errorf("eventbus: subscriber connection lost: %w", ErrClosed)
-			}
-			if err := s.reconnect(nil, nil); err != nil {
-				return Event{}, err
-			}
-			continue
+		conn, err := s.recvConn(broken, cause)
+		if err != nil {
+			return Event{}, err
 		}
 		typ, payload, buf, err := readFrame(conn, s.buf)
 		if err != nil {
-			if _, closedNow := s.currentConn(); closedNow {
+			if s.cfg.reconnect {
+				broken, cause = conn, err // recvConn redials, or reports a Close that raced the read
+				continue
+			}
+			if _, cerr := s.recvConn(nil, nil); cerr == io.EOF || errors.Is(err, net.ErrClosed) {
 				return Event{}, io.EOF // our own Close raced the read
 			}
-			if !s.cfg.reconnect {
-				if errors.Is(err, net.ErrClosed) {
-					return Event{}, io.EOF
-				}
-				return Event{}, err
-			}
-			if rerr := s.reconnect(conn, err); rerr != nil {
-				if errors.Is(rerr, io.EOF) {
-					return Event{}, io.EOF
-				}
-				return Event{}, fmt.Errorf("eventbus: reconnect: %w", rerr)
-			}
-			continue
+			return Event{}, err
 		}
 		s.buf = buf
 		switch typ {
@@ -827,7 +679,7 @@ func (s *Subscriber) Next() (Event, error) {
 				return Event{}, fmt.Errorf("eventbus: event references unknown format %s", id)
 			}
 			data := append([]byte(nil), rest[8:]...)
-			s.cfg.rec.Record(flight.KindFrameRecv, s.connID.Load(), name, fid64(id), int64(len(data)), "")
+			s.record(flight.KindFrameRecv, name, fid64(id), int64(len(data)), "")
 			return Event{Stream: name, Format: f, Data: data, Trace: etc}, nil
 		case frameError:
 			return Event{}, &BrokerError{Msg: string(payload)}
@@ -844,21 +696,7 @@ func (s *Subscriber) adoptFormat(meta []byte) error {
 	if err != nil {
 		return err
 	}
-	s.cfg.rec.Record(flight.KindFormatRecv, s.connID.Load(), "", fid64(f.ID), int64(len(meta)), f.Name)
+	s.record(flight.KindFormatRecv, "", fid64(f.ID), int64(len(meta)), f.Name)
 	_, err = s.ctx.Adopt(f)
-	return err
-}
-
-// Close closes the broker connection; a blocked Next returns io.EOF.
-func (s *Subscriber) Close() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.closed = true
-	if s.conn == nil {
-		return nil
-	}
-	err := s.conn.Close()
-	s.conn = nil
-	s.cfg.rec.Record(flight.KindConnClose, s.connID.Load(), "", 0, 0, "closed")
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"reflect"
 	"sync"
@@ -12,14 +13,15 @@ import (
 
 	"openmeta/internal/machine"
 	"openmeta/internal/pbio"
+	"openmeta/internal/testutil"
 )
 
 // quietLogger suppresses expected disconnect noise in tests.
-func quietLogger(string, ...interface{}) {}
+var quietLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 func newBroker(t *testing.T) *Broker {
 	t.Helper()
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +373,7 @@ func TestBrokerRejectsMalformedFrames(t *testing.T) {
 }
 
 func TestBrokerCloseUnblocksClients(t *testing.T) {
+	testutil.NoGoroutineLeak(t) // nothing outlives the Close of broker, publisher, subscriber
 	b := newBroker(t)
 	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
 	if err != nil {
@@ -475,7 +478,10 @@ func TestFrameHelpers(t *testing.T) {
 	if _, _, err := getStr([]byte{0, 5, 'a'}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated getStr err = %v", err)
 	}
-	if err := writeFrame(io.Discard, 1, make([]byte, maxFrame+1)); !errors.Is(err, ErrFrameTooBig) {
+	// The encoder is pbio's; its error matches under this package's name as
+	// well as its own.
+	err = writeFrame(io.Discard, 1, make([]byte, maxFrame+1))
+	if !errors.Is(err, ErrFrameTooBig) || !errors.Is(err, pbio.ErrFrameTooBig) {
 		t.Errorf("oversize writeFrame err = %v", err)
 	}
 }

@@ -3,16 +3,20 @@ package eventbus
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"openmeta/internal/faultnet"
 	"openmeta/internal/flight"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
+	"openmeta/internal/testutil"
 )
 
 // chronological reverses a newest-first snapshot.
@@ -31,7 +35,7 @@ func chronological(evs []flight.Event) []flight.Event {
 // retrievable through the /debug/flight handler.
 func TestFlightRecordsReconnectSequence(t *testing.T) {
 	rec := flight.New(512)
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithFlightRecorder(rec))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +136,50 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 	}
 }
 
+// TestBrokerRecordsCutAfterHeader: a connection that dies right behind a
+// frame header has lost a frame, so the broker's black box must say why it
+// closed — an io.ErrUnexpectedEOF from the shared decoder — instead of the
+// empty conn_close a clean disconnect leaves.
+func TestBrokerRecordsCutAfterHeader(t *testing.T) {
+	rec := flight.New(64)
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	// A byte budget of exactly one frame header.
+	dial := faultnet.Dialer(faultnet.NewSchedule(faultnet.Fault{Kind: faultnet.DropAfter, N: pbio.FrameHeaderLen}))
+	conn, err := dial(context.Background(), "tcp", b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, frameAnnounce, putStr(nil, "flights")); !errors.Is(err, faultnet.ErrInjected) {
+		t.Fatalf("write across the budget: err = %v, want the injected fault", err)
+	}
+
+	var detail string
+	testutil.WaitFor(t, 2*time.Second, "the broker's conn_close event", func() bool {
+		for _, e := range rec.Snapshot() {
+			if e.Kind == "conn_close" {
+				detail = e.Detail
+				return true
+			}
+		}
+		return false
+	})
+	if !strings.Contains(detail, io.ErrUnexpectedEOF.Error()) {
+		t.Fatalf("conn_close detail = %q, want the cause (%v)", detail, io.ErrUnexpectedEOF)
+	}
+}
+
 // TestBrokerWireAccounting checks the labeled per-stream × per-format
 // families on the broker: published and delivered records/bytes plus
 // metadata bytes must land under {stream, format} children.
 func TestBrokerWireAccounting(t *testing.T) {
 	reg := obsv.New()
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithObserver(reg))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

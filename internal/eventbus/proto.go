@@ -15,13 +15,17 @@
 // behind an explicit capability exchange: a client that wants one sends a
 // frameHello — version(1) || caps(u32 BE) — as the first frame of the
 // connection and waits for the broker's frameHello reply before sending
-// anything else. A new broker answers with its own capabilities and
-// remembers the client's; the intersection governs the connection. An old
-// broker answers frameHello the way it answers any unknown frame type — a
-// frameError followed by connection close — which the client treats as "no
-// capabilities": it redials plain and speaks the base protocol. A client
-// that wants no extensions (or an old client) never sends a hello, so old
-// peers in either role keep working untouched.
+// anything else. The broker answers with its own capabilities and remembers
+// the client's; the intersection governs the connection. A client that
+// wants no extensions (tracing off, or a build that predates the hello)
+// never sends one and speaks the base protocol untouched.
+//
+// A hello that is not answered with a hello is a failed dial, not a cue to
+// guess at the peer: a frameError reply surfaces as a *BrokerError carrying
+// the broker's reason, a closed connection or a reply that does not arrive
+// within helloTimeout as the read error. Under WithReconnect it is retried
+// with backoff like any other dial failure; without, DialPublisher /
+// DialSubscriber return it.
 //
 // The only capability so far is capTrace: sampled records travel in
 // framePublishTrace/frameEventTrace variants that prepend a 24-byte trace
@@ -34,15 +38,18 @@
 package eventbus
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
+	"openmeta/internal/pbio"
 	"openmeta/internal/trace"
 )
 
 // Frame types of the backbone protocol. Every frame is
-// type(1) || length(u32 BE) || payload.
+// type(1) || length(u32 BE) || payload, encoded and decoded by the one
+// header codec in internal/pbio/wire.go.
 const (
 	frameAnnounce  byte = 1 // publisher -> broker: stream(str)
 	frameSubscribe byte = 2 // subscriber -> broker: stream(str)
@@ -77,7 +84,7 @@ const traceCtxLen = 16 + 8
 
 // helloPayload encodes a frameHello body.
 func helloPayload(caps uint32) []byte {
-	return []byte{protoVersion, byte(caps >> 24), byte(caps >> 16), byte(caps >> 8), byte(caps)}
+	return binary.BigEndian.AppendUint32([]byte{protoVersion}, caps)
 }
 
 // parseHello decodes a frameHello body. Unknown future versions are accepted
@@ -86,8 +93,7 @@ func parseHello(payload []byte) (version byte, caps uint32, err error) {
 	if len(payload) < 5 {
 		return 0, 0, fmt.Errorf("%w: hello of %d bytes", ErrBadFrame, len(payload))
 	}
-	caps = uint32(payload[1])<<24 | uint32(payload[2])<<16 | uint32(payload[3])<<8 | uint32(payload[4])
-	return payload[0], caps, nil
+	return payload[0], binary.BigEndian.Uint32(payload[1:]), nil
 }
 
 // putTraceCtx appends the 24-byte wire trace context.
@@ -112,7 +118,7 @@ const maxFrame = 64 << 20
 
 // Protocol errors.
 var (
-	ErrFrameTooBig = errors.New("eventbus: frame exceeds maximum size")
+	ErrFrameTooBig = pbio.ErrFrameTooBig // the shared codec's error, under this package's name
 	ErrBadFrame    = errors.New("eventbus: malformed frame")
 	ErrClosed      = errors.New("eventbus: connection closed")
 	// ErrSlowSubscriber reports a subscriber whose outbound queue stayed
@@ -140,50 +146,35 @@ func (e *BrokerError) Error() string { return "eventbus: broker: " + e.Msg }
 // Is reports ErrBroker as a match so callers can branch without the type.
 func (e *BrokerError) Is(target error) bool { return target == ErrBroker }
 
+// newFrame returns payload as one wire-ready frame: header and payload in a
+// single buffer, so it reaches the socket in a single Write.
+func newFrame(typ byte, payload []byte) ([]byte, error) {
+	return pbio.AppendFrame(nil, typ, payload, maxFrame)
+}
+
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
+	frame, err := newFrame(typ, payload)
+	if err != nil {
+		return err
 	}
-	hdr := [5]byte{typ,
-		byte(len(payload) >> 24), byte(len(payload) >> 16),
-		byte(len(payload) >> 8), byte(len(payload))}
-	if _, err := w.Write(hdr[:]); err != nil {
+	return writeWire(w, frame)
+}
+
+// writeWire sends an already-framed buffer.
+func writeWire(w io.Writer, frame []byte) error {
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("eventbus: write frame: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("eventbus: write frame: %w", err)
-		}
 	}
 	return nil
 }
 
 func readFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, buf, io.EOF
-		}
-		return 0, nil, buf, fmt.Errorf("eventbus: read frame: %w", err)
-	}
-	n := int(hdr[1])<<24 | int(hdr[2])<<16 | int(hdr[3])<<8 | int(hdr[4])
-	if n < 0 || n > maxFrame {
-		return 0, nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n+n/2)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, fmt.Errorf("eventbus: read frame: %w", err)
-	}
-	return hdr[0], payload, buf, nil
+	return pbio.ReadFrame(r, buf, maxFrame)
 }
 
 // putStr appends a length-prefixed string.
 func putStr(b []byte, s string) []byte {
-	b = append(b, byte(len(s)>>8), byte(len(s)))
-	return append(b, s...)
+	return append(binary.BigEndian.AppendUint16(b, uint16(len(s))), s...)
 }
 
 // getStr reads a length-prefixed string, returning the remainder.
@@ -191,7 +182,7 @@ func getStr(b []byte) (string, []byte, error) {
 	if len(b) < 2 {
 		return "", nil, ErrBadFrame
 	}
-	n := int(b[0])<<8 | int(b[1])
+	n := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+n {
 		return "", nil, ErrBadFrame
 	}

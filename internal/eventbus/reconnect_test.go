@@ -15,6 +15,7 @@ import (
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
 	"openmeta/internal/retry"
+	"openmeta/internal/testutil"
 )
 
 // fastReconnect keeps redial backoff negligible in tests.
@@ -69,6 +70,7 @@ func wantFlt(t *testing.T, rec pbio.Record, want int) {
 // referencing formats it has not seen on that connection, so delivery
 // proves the re-send), and the subscriber keeps decoding records.
 func TestPublisherReconnectMidStream(t *testing.T) {
+	testutil.NoGoroutineLeak(t) // nothing outlives the Close of broker, publisher, subscriber
 	before := obsv.Default().Snapshot()
 	b := newBroker(t)
 	f := flightFormat(t, machine.Sparc)
@@ -221,6 +223,7 @@ func publishUntil(t *testing.T, pub *Publisher, stream string, f *pbio.Format, r
 // the subscriber redials, replays its subscription, receives the stream's
 // format metadata again from the broker, and decodes the next record.
 func TestSubscriberReconnect(t *testing.T) {
+	testutil.NoGoroutineLeak(t) // nothing outlives the Close of broker, publisher, subscriber
 	before := obsv.Default().Snapshot()
 	b := newBroker(t)
 	f := flightFormat(t, machine.Sparc)
@@ -422,7 +425,7 @@ func TestPublisherNoReconnectStaysDown(t *testing.T) {
 // TestBrokerWriteDeadlineOption exercises the new option end to end: a
 // broker with a short flush deadline still delivers cleanly.
 func TestBrokerWriteDeadlineOption(t *testing.T) {
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithWriteDeadline(50*time.Millisecond))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithWriteDeadline(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

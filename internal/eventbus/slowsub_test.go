@@ -90,23 +90,15 @@ func TestSlowSubscriberDoesNotStallBus(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("healthy subscriber starved behind a stuck one")
 	}
-	if b.DroppedEvents() == 0 {
+	// Regression for the write-only dropped counter: the drop count must be
+	// visible through Broker.Stats, and the other delivery counters must be
+	// coherent with the run.
+	stats := b.Stats()
+	if stats.Dropped == 0 {
 		t.Error("no events dropped for the stuck subscriber (queue bound not exercised)")
 	}
 	t.Logf("published %d records in %v; dropped for stuck subscriber: %d",
-		msgs, publishTime, b.DroppedEvents())
-
-	// Regression for the write-only dropped counter: the drop count must be
-	// visible through Broker.Stats, agree with DroppedEvents, and the other
-	// delivery counters must be coherent with the run.
-	stats := b.Stats()
-	if stats.Dropped == 0 {
-		t.Error("Stats().Dropped = 0 after drops were observed")
-	}
-	if stats.Dropped != b.DroppedEvents() {
-		t.Errorf("Stats().Dropped = %d, DroppedEvents() = %d; want equal",
-			stats.Dropped, b.DroppedEvents())
-	}
+		msgs, publishTime, stats.Dropped)
 	if stats.Published < msgs {
 		t.Errorf("Stats().Published = %d, want >= %d", stats.Published, msgs)
 	}

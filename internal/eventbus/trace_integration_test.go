@@ -1,12 +1,14 @@
 package eventbus
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, 
 	tr := trace.NewTracer(1024)
 	tr.SetSampling(1)
 
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1 << 30) // enabled, but effectively never samples
 
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,58 +236,84 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestTraceInteropLegacyBroker proves the fallback: a tracing client
-// against an old-protocol broker redials, speaks the base protocol, and
-// records still flow (untraced).
-func TestTraceInteropLegacyBroker(t *testing.T) {
+// refusingDial returns a DialFunc whose first `refuse` connections land on a
+// peer that answers the hello with a frameError and closes; later dials
+// reach the address asked for. It also reports how many dials happened.
+func refusingDial(t *testing.T, refuse int64) (DialFunc, *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _, _, _ = readFrame(conn, nil) // the hello
+			_ = writeFrame(conn, frameError, []byte("hello refused"))
+			_ = conn.Close()
+		}
+	}()
+	var dials atomic.Int64
+	return func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if dials.Add(1) <= refuse {
+			addr = ln.Addr().String()
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, network, addr)
+	}, &dials
+}
+
+// TestHelloRefusedIsDialError: a hello the peer refuses is an ordinary dial
+// failure carrying the broker's reason — returned as a *BrokerError without
+// reconnect, retried under the policy with it — never a silent redial
+// speaking another protocol.
+func TestHelloRefusedIsDialError(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1)
-
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithLegacyProtocol())
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	addr := b.Addr().String()
 
-	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientTracer(tr))
-	if err != nil {
-		t.Fatal(err)
+	dial, dials := refusingDial(t, 1)
+	_, err = DialPublisher(addr, WithClientTracer(tr), WithDialFunc(dial))
+	var be *BrokerError
+	if !errors.Is(err, ErrBroker) || !errors.As(err, &be) || be.Msg != "hello refused" {
+		t.Fatalf("DialPublisher against a refusing peer: err = %v, want *BrokerError(hello refused)", err)
 	}
-	defer sub.Close()
-	if err := sub.Subscribe("flights"); err != nil {
-		t.Fatal(err)
+	dial, _ = refusingDial(t, 1)
+	if _, err = DialSubscriber(addr, subCtx(t), WithClientTracer(tr), WithDialFunc(dial)); !errors.Is(err, ErrBroker) {
+		t.Fatalf("DialSubscriber against a refusing peer: err = %v, want ErrBroker", err)
 	}
-	pub, err := DialPublisher(b.Addr().String(), WithClientTracer(tr))
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials without reconnect, want 1 (no second, hello-less dial)", n)
+	}
+
+	// With reconnect the refusals are retried like any dial failure, and the
+	// connection that finally opens has negotiated tracing.
+	dial, dials = refusingDial(t, 2)
+	pub, err := DialPublisher(addr, WithClientTracer(tr), WithDialFunc(dial), WithReconnect(fastReconnect()))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("DialPublisher with reconnect: %v", err)
 	}
 	defer pub.Close()
-	if !pub.peerLegacy || pub.traced {
-		t.Fatalf("publisher should have fallen back: peerLegacy=%v traced=%v", pub.peerLegacy, pub.traced)
+	if n := dials.Load(); n != 3 || pub.caps&capTrace == 0 {
+		t.Fatalf("dials = %d, caps = %b; want 3 dials ending in a traced connection", n, pub.caps)
 	}
-	if !sub.peerLegacy || sub.traced {
-		t.Fatalf("subscriber should have fallen back: peerLegacy=%v traced=%v", sub.peerLegacy, sub.traced)
-	}
-	waitForStream(t, b, "flights", 1)
-
-	f := flightFormat(t, machine.Sparc)
-	rec := pbio.Record{"cntrID": "ZTL", "fltNum": 9, "eta": []uint64{3}}
-	if err := pub.PublishRecord("flights", f, rec); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := sub.Next()
+	dial, dials = refusingDial(t, 2)
+	sub, err := DialSubscriber(addr, subCtx(t), WithClientTracer(tr), WithDialFunc(dial), WithReconnect(fastReconnect()))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("DialSubscriber with reconnect: %v", err)
 	}
-	if ev.Trace.Sampled() {
-		t.Fatal("legacy broker cannot carry trace context")
-	}
-	got, err := ev.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["fltNum"] != int64(9) {
-		t.Fatalf("record corrupted through legacy fallback: %v", got)
+	defer sub.Close()
+	if n := dials.Load(); n != 3 || sub.caps&capTrace == 0 {
+		t.Fatalf("dials = %d, caps = %b; want 3 dials ending in a traced connection", n, sub.caps)
 	}
 }
 
@@ -295,7 +323,7 @@ func TestTraceInteropLegacyBroker(t *testing.T) {
 func TestTraceInteropLegacyClient(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1)
-	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

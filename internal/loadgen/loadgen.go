@@ -451,7 +451,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	if broker != nil {
 		st := broker.Stats()
-		rep.Dropped = broker.DroppedEvents()
+		rep.Dropped = st.Dropped
 		rep.BrokerPublished = st.Published
 		rep.BrokerDelivered = st.Delivered
 	}

@@ -284,15 +284,7 @@ func (b *Binding) encodeDynamic(dst []byte, recBase, slotOff int, prog *fieldPro
 	if n == 0 {
 		return dst, nil
 	}
-	align := f.Arch.Align(fl.ElemSize)
-	if fl.Kind == Nested {
-		align = fl.Nested.Align
-	}
-	pad := alignUp(len(dst)-recBase, align) - (len(dst) - recBase)
-	dst = append(dst, make([]byte, pad)...)
-	ref := len(dst) - recBase
-	start := len(dst)
-	dst = append(dst, make([]byte, n*fl.ElemSize)...)
+	dst, start := f.reserveDynamic(dst, recBase, fl, n)
 	var err error
 	for i := 0; i < n; i++ {
 		dst, err = b.encodeElem(dst, recBase, start+i*fl.ElemSize, prog, fv.Index(i))
@@ -300,7 +292,7 @@ func (b *Binding) encodeDynamic(dst []byte, recBase, slotOff int, prog *fieldPro
 			return nil, err
 		}
 	}
-	machine.PutUint(dst[slotOff:], f.Arch.Order, f.Arch.PointerSize, uint64(ref))
+	machine.PutUint(dst[slotOff:], f.Arch.Order, f.Arch.PointerSize, uint64(start-recBase))
 	return dst, nil
 }
 
@@ -414,17 +406,9 @@ func (b *Binding) decodeArrayInto(data []byte, off, n int, prog *fieldProg, fv r
 }
 
 func (b *Binding) decodeDynamic(data []byte, fixedBase, slotOff int, prog *fieldProg, fv reflect.Value) error {
-	f := b.Format
-	fl := prog.fl
-	ci := f.byName[fl.CountField]
-	cf := &f.Fields[ci]
-	raw := machine.Uint(data[fixedBase+cf.Offset:], f.Arch.Order, cf.ElemSize)
-	n := machine.SignExtend(raw, cf.ElemSize)
-	if cf.Kind == Uint {
-		n = int64(raw)
-	}
-	if n < 0 {
-		return fmt.Errorf("%w: negative count %d", ErrCountMismatch, n)
+	ref, n, err := b.Format.dynamicRef(data, fixedBase, prog.fl, slotOff)
+	if err != nil {
+		return err
 	}
 	if n == 0 {
 		if fv.Kind() == reflect.Slice {
@@ -432,18 +416,7 @@ func (b *Binding) decodeDynamic(data []byte, fixedBase, slotOff int, prog *field
 		}
 		return nil
 	}
-	if n*int64(fl.ElemSize) > int64(len(data)) {
-		return fmt.Errorf("%w: count %d x %d bytes exceeds record size %d",
-			ErrBadReference, n, fl.ElemSize, len(data))
-	}
-	ref := machine.Uint(data[slotOff:], f.Arch.Order, f.Arch.PointerSize)
-	if ref == 0 {
-		return fmt.Errorf("%w: count %d but nil array pointer", ErrCountMismatch, n)
-	}
-	if ref >= uint64(len(data)) {
-		return fmt.Errorf("%w: array at %d in %d-byte record", ErrBadReference, ref, len(data))
-	}
-	return b.decodeArrayInto(data, int(ref), int(n), prog, fv)
+	return b.decodeArrayInto(data, ref, n, prog, fv)
 }
 
 // --- reflect numeric helpers ----------------------------------------------

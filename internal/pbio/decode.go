@@ -163,31 +163,46 @@ func (f *Format) decodeArray(data []byte, fl *Field, off, n int) (interface{}, e
 // decodeDynamic reads the count field, follows the pointer slot and decodes
 // the variable-region elements.
 func (f *Format) decodeDynamic(data []byte, fixedBase int, fl *Field, slotOff int) (interface{}, error) {
-	ci := f.byName[fl.CountField]
-	cf := &f.Fields[ci]
-	raw := machine.Uint(data[fixedBase+cf.Offset:], f.Arch.Order, cf.ElemSize)
-	n := machine.SignExtend(raw, cf.ElemSize)
-	if cf.Kind == Uint {
-		n = int64(raw)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("%w: negative count %d", ErrCountMismatch, n)
+	ref, n, err := f.dynamicRef(data, fixedBase, fl, slotOff)
+	if err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return f.emptyArray(fl), nil
 	}
-	if n*int64(fl.ElemSize) > int64(len(data)) {
-		return nil, fmt.Errorf("%w: count %d x %d bytes exceeds record size %d",
-			ErrBadReference, n, fl.ElemSize, len(data))
+	return f.decodeArray(data, fl, ref, n)
+}
+
+// dynamicRef is the one validation of a dynamic array's count field and
+// pointer slot, shared by the generic and the bound decoder: it returns
+// where the elements start and how many there are, or n == 0 for an empty
+// array (whose pointer slot is not consulted). Both values come off the
+// wire, so neither is believed until checked against the record.
+func (f *Format) dynamicRef(data []byte, fixedBase int, fl *Field, slotOff int) (ref, n int, err error) {
+	cf := &f.Fields[f.byName[fl.CountField]]
+	raw := machine.Uint(data[fixedBase+cf.Offset:], f.Arch.Order, cf.ElemSize)
+	count := machine.SignExtend(raw, cf.ElemSize)
+	if cf.Kind == Uint {
+		count = int64(raw)
 	}
-	ref := machine.Uint(data[slotOff:], f.Arch.Order, f.Arch.PointerSize)
-	if ref == 0 {
-		return nil, fmt.Errorf("%w: count %d but nil array pointer", ErrCountMismatch, n)
+	if count < 0 {
+		return 0, 0, fmt.Errorf("%w: negative count %d", ErrCountMismatch, count)
 	}
-	if ref >= uint64(len(data)) {
-		return nil, fmt.Errorf("%w: array at %d in %d-byte record", ErrBadReference, ref, len(data))
+	if count == 0 {
+		return 0, 0, nil
 	}
-	return f.decodeArray(data, fl, int(ref), int(n))
+	if count*int64(fl.ElemSize) > int64(len(data)) {
+		return 0, 0, fmt.Errorf("%w: count %d x %d bytes exceeds record size %d",
+			ErrBadReference, count, fl.ElemSize, len(data))
+	}
+	at := machine.Uint(data[slotOff:], f.Arch.Order, f.Arch.PointerSize)
+	if at == 0 {
+		return 0, 0, fmt.Errorf("%w: count %d but nil array pointer", ErrCountMismatch, count)
+	}
+	if at >= uint64(len(data)) {
+		return 0, 0, fmt.Errorf("%w: array at %d in %d-byte record", ErrBadReference, at, len(data))
+	}
+	return int(at), int(count), nil
 }
 
 // emptyArray returns the canonical zero-length slice for the field's kind,

@@ -237,17 +237,7 @@ func (f *Format) encodeDynamic(dst []byte, recBase, slotOff int, fl *Field, val 
 	if n == 0 {
 		return dst, nil // nil pointer slot, zero count
 	}
-	// Align the variable data for its element type so receivers can walk it
-	// the same way they would walk native memory.
-	align := f.Arch.Align(fl.ElemSize)
-	if fl.Kind == Nested {
-		align = fl.Nested.Align
-	}
-	pad := alignUp(len(dst)-recBase, align) - (len(dst) - recBase)
-	dst = append(dst, make([]byte, pad)...)
-	ref := len(dst) - recBase
-	start := len(dst)
-	dst = append(dst, make([]byte, n*fl.ElemSize)...)
+	dst, start := f.reserveDynamic(dst, recBase, fl, n)
 	if done, err := f.encodeTypedElems(dst, start, fl, val); err != nil {
 		return nil, err
 	} else if !done {
@@ -258,8 +248,24 @@ func (f *Format) encodeDynamic(dst []byte, recBase, slotOff int, fl *Field, val 
 			}
 		}
 	}
-	machine.PutUint(dst[slotOff:], f.Arch.Order, f.Arch.PointerSize, uint64(ref))
+	machine.PutUint(dst[slotOff:], f.Arch.Order, f.Arch.PointerSize, uint64(start-recBase))
 	return dst, nil
+}
+
+// reserveDynamic appends zeroed room for n elements of the dynamic array fl
+// to the variable region, aligned for the element type so receivers can
+// walk it the same way they would walk native memory. It returns the grown
+// buffer and where in it the elements start; the pointer slot holds that
+// position relative to recBase.
+func (f *Format) reserveDynamic(dst []byte, recBase int, fl *Field, n int) ([]byte, int) {
+	align := f.Arch.Align(fl.ElemSize)
+	if fl.Kind == Nested {
+		align = fl.Nested.Align
+	}
+	pad := alignUp(len(dst)-recBase, align) - (len(dst) - recBase)
+	dst = append(dst, make([]byte, pad)...)
+	start := len(dst)
+	return append(dst, make([]byte, n*fl.ElemSize)...), start
 }
 
 // encodeTypedElems writes the elements of common typed numeric slices

@@ -1,6 +1,7 @@
 package pbio
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -166,5 +167,49 @@ func TestDecodeIdempotentReencode(t *testing.T) {
 		if string(first) != string(second) {
 			t.Errorf("record %d: re-encode differs (%d vs %d bytes)", i, len(first), len(second))
 		}
+	}
+}
+
+// TestHostileDynamicArraySameVerdict feeds the same damaged records to the
+// generic and the bound decoder. Both validate a dynamic array's count and
+// pointer through Format.dynamicRef, so both must reject each record with
+// the same sentinel.
+func TestHostileDynamicArraySameVerdict(t *testing.T) {
+	f := registerB(t, machine.X86)
+	b, err := f.Bind(asdOff{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := f.Encode(sampleASDOff())
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, _ := f.FieldByName("eta_count")
+	slot, _ := f.FieldByName("eta")
+	put := func(off int, v uint64) func([]byte) {
+		return func(rec []byte) { machine.PutUint(rec[off:], machine.LittleEndian, 4, v) }
+	}
+	cases := []struct {
+		name   string
+		damage func(rec []byte)
+		want   error
+	}{
+		{"negative count", put(count.Offset, machine.TruncInt(-5, 4)), ErrCountMismatch},
+		{"count x size past the record", put(count.Offset, 1<<28), ErrBadReference},
+		{"nil pointer with non-zero count", put(slot.Offset, 0), ErrCountMismatch},
+		{"reference at len(data)", put(slot.Offset, uint64(len(good))), ErrBadReference},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			tc.damage(bad)
+			if _, err := f.Decode(bad); !errors.Is(err, tc.want) {
+				t.Errorf("Format.Decode err = %v, want %v", err, tc.want)
+			}
+			var out asdOff
+			if err := b.Decode(bad, &out); !errors.Is(err, tc.want) {
+				t.Errorf("Binding.Decode err = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

@@ -1,27 +1,47 @@
 package pbio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
-// The connection protocol frames two message types over any reliable byte
-// stream. Formats are transmitted once per connection and referenced by
-// their 8-byte ID afterwards — the format-caching optimization that lets
-// NDR's per-message metadata cost approach zero:
+// The connection protocol frames messages over any reliable byte stream.
+// Formats are transmitted once per connection and referenced by their 8-byte
+// ID afterwards — the format-caching optimization that lets NDR's
+// per-message metadata cost approach zero:
 //
 //	frame := type(1) length(u32 BE) payload
 //	type 1 (format): payload = MarshalMeta bytes
 //	type 2 (record): payload = FormatID(8) || NDR record bytes
+//
+// Connections, record files (file.go) and the event backbone
+// (internal/eventbus, which assigns its own frame types) all share the one
+// header codec below: BeginFrame/EndFrame/AppendFrame build a frame in a
+// single buffer so it leaves in one Write, and ReadFrame is the only place
+// a length field read off the wire is trusted. Its allocation rule: the
+// claimed length is never allocated up front; the buffer grows at most
+// frameChunk past the bytes that have actually arrived, and is handed back
+// to the caller so the steady state allocates nothing.
 const (
 	frameFormat byte = 1
 	frameRecord byte = 2
 )
 
-// MaxFrameSize bounds a single frame; larger frames indicate corruption.
+// FrameHeaderLen is the size of the type+length header every frame starts
+// with.
+const FrameHeaderLen = 5
+
+// MaxFrameSize bounds a single Writer/Reader frame; larger frames indicate
+// corruption.
 const MaxFrameSize = MaxRecordSize
+
+// frameChunk is how far past the bytes already received ReadFrame will
+// allocate on the word of a length field.
+const frameChunk = 64 << 10
 
 // Wire protocol errors.
 var (
@@ -29,6 +49,67 @@ var (
 	ErrUnknownFrame   = errors.New("pbio: unknown frame type")
 	ErrNoSuchFormatID = errors.New("pbio: record references unknown format ID")
 )
+
+// BeginFrame appends header room for one frame to dst. The caller appends
+// the payload behind it and seals the frame with EndFrame.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, make([]byte, FrameHeaderLen)...)
+}
+
+// EndFrame fills in the header of frame — header room from BeginFrame
+// followed by the payload — rejecting payloads over limit bytes.
+func EndFrame(frame []byte, typ byte, limit int) error {
+	n := len(frame) - FrameHeaderLen
+	if n > limit {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+	}
+	frame[0] = typ
+	binary.BigEndian.PutUint32(frame[1:], uint32(n))
+	return nil
+}
+
+// AppendFrame appends one whole frame carrying payload to dst.
+func AppendFrame(dst []byte, typ byte, payload []byte, limit int) ([]byte, error) {
+	if len(payload) > limit {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
+	}
+	at := len(dst)
+	dst = append(BeginFrame(slices.Grow(dst, FrameHeaderLen+len(payload))), payload...)
+	return dst, EndFrame(dst[at:], typ, limit)
+}
+
+// ReadFrame reads one frame of at most limit payload bytes from r into buf,
+// growing it as needed. The payload aliases the returned buffer, which the
+// caller passes back in for the next frame. io.EOF is returned verbatim only
+// at a frame boundary; a stream cut inside a frame is io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader, buf []byte, limit int) (typ byte, payload, newBuf []byte, err error) {
+	buf = slices.Grow(buf[:0], FrameHeaderLen)[:FrameHeaderLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			return 0, nil, buf, io.EOF
+		}
+		return 0, nil, buf, fmt.Errorf("pbio: read frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(buf[1:])
+	if uint64(n) > uint64(limit) {
+		return 0, nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+	}
+	for end := FrameHeaderLen + int(n); len(buf) < end; {
+		// Make room for what is still missing, but for no more than one
+		// chunk of it beyond what the peer has really sent. A buffer already
+		// big enough (the steady state) is left alone and filled in one read.
+		buf = slices.Grow(buf, min(end-len(buf), frameChunk))
+		m, err := io.ReadFull(r, buf[len(buf):min(end, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, buf, fmt.Errorf("pbio: read frame payload: %w", err)
+		}
+	}
+	return buf[0], buf[FrameHeaderLen:], buf, nil
+}
 
 // Writer sends formats and records over a byte stream. It remembers which
 // format IDs the peer has already seen so metadata travels at most once.
@@ -62,11 +143,8 @@ func (w *Writer) SetResendMetadata(resend bool) {
 func (w *Writer) WriteRecord(f *Format, record []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.resendMeta || !w.sent[f.ID] {
-		if err := w.writeFrame(frameFormat, nil, MarshalMeta(f)); err != nil {
-			return err
-		}
-		w.sent[f.ID] = true
+	if err := w.writeFormatLocked(f); err != nil {
+		return err
 	}
 	return w.writeFrame(frameRecord, f.ID[:], record)
 }
@@ -76,6 +154,10 @@ func (w *Writer) WriteRecord(f *Format, record []byte) error {
 func (w *Writer) WriteFormat(f *Format) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.writeFormatLocked(f)
+}
+
+func (w *Writer) writeFormatLocked(f *Format) error {
 	if w.sent[f.ID] && !w.resendMeta {
 		return nil
 	}
@@ -87,19 +169,20 @@ func (w *Writer) WriteFormat(f *Format) error {
 }
 
 func (w *Writer) writeFrame(typ byte, prefix, payload []byte) error {
-	total := len(prefix) + len(payload)
-	if total > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, total)
+	need := FrameHeaderLen + len(prefix) + len(payload)
+	if need > FrameHeaderLen+MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, need-FrameHeaderLen)
 	}
-	need := 5 + total
 	if cap(w.scratch) < need {
 		w.scratch = make([]byte, 0, need*2)
 	}
-	buf := w.scratch[:0]
-	buf = append(buf, typ, byte(total>>24), byte(total>>16), byte(total>>8), byte(total))
+	buf := BeginFrame(w.scratch[:0])
 	buf = append(buf, prefix...)
 	buf = append(buf, payload...)
 	w.scratch = buf
+	if err := EndFrame(buf, typ, MaxFrameSize); err != nil {
+		return err
+	}
 	if _, err := w.w.Write(buf); err != nil {
 		return fmt.Errorf("pbio: write frame: %w", err)
 	}
@@ -125,7 +208,8 @@ func NewReader(r io.Reader, ctx *Context) *Reader {
 // call. io.EOF is returned verbatim at a clean end of stream.
 func (r *Reader) ReadRecord() (*Format, []byte, error) {
 	for {
-		typ, payload, err := r.readFrame()
+		typ, payload, buf, err := ReadFrame(r.r, r.buf, MaxFrameSize)
+		r.buf = buf
 		if err != nil {
 			return nil, nil, err
 		}
@@ -153,26 +237,4 @@ func (r *Reader) ReadRecord() (*Format, []byte, error) {
 			return nil, nil, fmt.Errorf("%w: %d", ErrUnknownFrame, typ)
 		}
 	}
-}
-
-func (r *Reader) readFrame() (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("pbio: read frame header: %w", err)
-	}
-	n := int(hdr[1])<<24 | int(hdr[2])<<16 | int(hdr[3])<<8 | int(hdr[4])
-	if n < 0 || n > MaxFrameSize {
-		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n*2)
-	}
-	payload := r.buf[:n]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("pbio: read frame payload: %w", err)
-	}
-	return hdr[0], payload, nil
 }

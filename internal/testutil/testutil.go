@@ -1,10 +1,12 @@
 // Package testutil holds shared test synchronization helpers: polling with a
 // deadline instead of fixed time.Sleep calls, so e2e tests wait exactly as
 // long as the condition needs — no longer (slow suites) and no shorter
-// (flakes under -race or loaded CI hardware).
+// (flakes under -race or loaded CI hardware) — and a goroutine-leak check
+// built on the same polling.
 package testutil
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -16,6 +18,9 @@ const (
 	pollInterval = time.Millisecond
 	pollMax      = 50 * time.Millisecond
 )
+
+// leakWait is how long NoGoroutineLeak gives goroutines to wind down.
+var leakWait = 3 * time.Second
 
 // WaitFor polls cond until it holds or timeout passes, then fails the test
 // fatally, naming what it was waiting for.
@@ -53,4 +58,22 @@ func Eventually(timeout time.Duration, cond func() bool, fail func(msg string)) 
 	if !Poll(timeout, cond) {
 		fail("condition did not hold within " + timeout.String())
 	}
+}
+
+// NoGoroutineLeak notes how many goroutines are running and, once the test
+// and every cleanup registered after this call have finished, waits for the
+// count to come back down to that baseline — failing with a dump of all
+// stacks if something the test started is still running. Call it first, before
+// starting the brokers and clients whose Close it is checking.
+func NoGoroutineLeak(t testing.TB) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if Poll(leakWait, func() bool { return runtime.NumGoroutine() <= base }) {
+			return
+		}
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before the test, %d after teardown:\n%s",
+			base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	})
 }

@@ -1,6 +1,8 @@
 package testutil
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,5 +63,45 @@ func TestEventually(t *testing.T) {
 	Eventually(time.Second, func() bool { return true }, func(m string) { msg = m })
 	if msg != "" {
 		t.Fatalf("Eventually reported failure on success: %s", msg)
+	}
+}
+
+// recordingTB stands in for a test so NoGoroutineLeak's verdict can be read
+// instead of failing this one.
+type recordingTB struct {
+	testing.TB
+	cleanups []func()
+	failure  string
+}
+
+func (r *recordingTB) Helper()          {}
+func (r *recordingTB) Cleanup(f func()) { r.cleanups = append(r.cleanups, f) }
+func (r *recordingTB) Errorf(format string, args ...any) {
+	r.failure = fmt.Sprintf(format, args...)
+}
+
+func TestNoGoroutineLeak(t *testing.T) {
+	defer func(d time.Duration) { leakWait = d }(leakWait)
+	leakWait = 50 * time.Millisecond
+
+	// A goroutine that ends shortly after the test body is not a leak.
+	clean := &recordingTB{TB: t}
+	NoGoroutineLeak(clean)
+	go time.Sleep(5 * time.Millisecond)
+	clean.cleanups[0]()
+	if clean.failure != "" {
+		t.Errorf("finished goroutine reported as a leak: %s", clean.failure)
+	}
+
+	// One that is still blocked when the wait runs out is, and the report
+	// carries its stack.
+	leaky := &recordingTB{TB: t}
+	NoGoroutineLeak(leaky)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { <-stop }()
+	leaky.cleanups[0]()
+	if !strings.Contains(leaky.failure, "TestNoGoroutineLeak") {
+		t.Errorf("blocked goroutine not reported with its stack: %q", leaky.failure)
 	}
 }

@@ -61,13 +61,6 @@ func NewContext(arch *Arch) (*Context, error) { return New(WithArch(arch)) }
 // BrokerOption configures a Broker (see NewBroker and ListenBroker).
 type BrokerOption = eventbus.BrokerOption
 
-// WithBrokerLogger directs broker diagnostics to a printf-style sink.
-// Retained for compatibility with pre-slog callers; new code should use
-// WithBrokerSlog.
-func WithBrokerLogger(logf func(format string, args ...interface{})) BrokerOption {
-	return eventbus.WithLogger(logf)
-}
-
 // WithBrokerSlog directs broker diagnostics to l (default slog.Default())
 // as structured records with component, conn and stream attributes.
 func WithBrokerSlog(l *slog.Logger) BrokerOption { return eventbus.WithSlog(l) }

@@ -13,7 +13,7 @@
 #                                       # two existing result files (tests/CI)
 #   BENCH_TIME=100x scripts/bench.sh    # CI smoke mode: fixed tiny iteration count
 #   BENCH_COUNT=1 scripts/bench.sh      # single iteration per benchmark
-#   BENCH_OUT=BENCH_pr4.json scripts/bench.sh   # write results elsewhere
+#   BENCH_OUT=/tmp/bench.json scripts/bench.sh  # write results elsewhere
 #   OMLOAD_SKIP=1 scripts/bench.sh      # skip the omload E2E smoke
 #
 # The JSON output is a line-delimited array of objects parsed from `go test

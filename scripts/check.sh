@@ -1,6 +1,6 @@
 #!/bin/sh
-# Pre-push checks: vet everything, run the full suite, then re-run the
-# concurrency-heavy packages under the race detector.
+# Pre-push checks: vet everything, run the full suite, then run it again
+# under the race detector.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,7 +13,7 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (concurrent packages)"
-go test -race ./internal/obsv ./internal/eventbus ./internal/discovery
+echo "== go test -race -shuffle=on ./..."
+go test -race -shuffle=on ./...
 
 echo "check: OK"

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -193,7 +195,7 @@ func TestBrokerOptionsAndStats(t *testing.T) {
 		openmeta.WithQueueDepth(8),
 		openmeta.WithBrokerObserver(obs),
 		openmeta.WithPlanCache(openmeta.NewPlanCache()),
-		openmeta.WithBrokerLogger(func(string, ...interface{}) {}),
+		openmeta.WithBrokerSlog(slog.New(slog.NewTextHandler(io.Discard, nil))),
 	)
 	if err != nil {
 		t.Fatal(err)
