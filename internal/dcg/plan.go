@@ -18,10 +18,9 @@
 package dcg
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"math/bits"
 	"time"
 
 	"openmeta/internal/machine"
@@ -41,6 +40,9 @@ type Plan struct {
 	Identity bool
 
 	prog []op
+	// variable reports that some instruction, here or in a nested plan,
+	// writes to the destination's variable region.
+	variable bool
 }
 
 type opcode int
@@ -109,7 +111,13 @@ func Compile(src, dst *pbio.Format) (*Plan, error) {
 			p.prog = append(p.prog, *o)
 		}
 	}
-	p.coalesceCopies()
+	p.coalesce()
+	for i := range p.prog {
+		o := &p.prog[i]
+		if o.code == opDynamic || o.code == opString || o.code == opNested && o.child.variable {
+			p.variable = true
+		}
+	}
 	return p, nil
 }
 
@@ -207,18 +215,26 @@ func elementOp(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (*op, 
 	}
 }
 
-// coalesceCopies merges adjacent opCopy instructions that cover contiguous
-// ranges on both sides, so a same-representation prefix becomes one copy.
-func (p *Plan) coalesceCopies() {
+// coalesce merges adjacent instructions that do the same thing to ranges
+// contiguous on both sides: copies into one copy (a same-representation
+// prefix becomes a single memmove), and scalar conversions of one
+// representation — a run of doubles, a run of ints — into one instruction
+// with their total count, which is one kernel call for the run.
+func (p *Plan) coalesce() {
 	out := p.prog[:0]
 	for _, o := range p.prog {
-		if o.code == opCopy && len(out) > 0 {
+		if len(out) > 0 {
 			last := &out[len(out)-1]
-			if last.code == opCopy &&
-				last.srcOff+last.size == o.srcOff &&
-				last.dstOff+last.size == o.dstOff {
+			switch {
+			case o.code != last.code:
+			case o.code == opCopy && last.srcOff+last.size == o.srcOff && last.dstOff+last.size == o.dstOff:
 				last.size += o.size
 				last.dstSize = last.size
+				continue
+			case (o.code == opSwap || o.code == opInt || o.code == opFloat || o.code == opBool) &&
+				o.size == last.size && o.dstSize == last.dstSize && o.signed == last.signed &&
+				last.srcOff+last.count*last.size == o.srcOff && last.dstOff+last.count*last.dstSize == o.dstOff:
+				last.count += o.count
 				continue
 			}
 		}
@@ -232,9 +248,13 @@ func (p *Plan) coalesceCopies() {
 func (p *Plan) Ops() int { return len(p.prog) }
 
 // Convert translates one NDR record of the source format into a fresh NDR
-// record of the destination format.
+// record of the destination format, allocated at exactly its size.
 func (p *Plan) Convert(src []byte) ([]byte, error) {
-	return p.AppendConvert(make([]byte, 0, len(src)+p.Dst.Size), src)
+	size := len(src)
+	if !p.Identity && len(src) >= p.Src.Size {
+		size = p.measure(p.Dst.Size, src, 0)
+	}
+	return p.AppendConvert(make([]byte, 0, size), src)
 }
 
 // ConvertCtx is Convert with tracing: when tc is sampled the conversion is
@@ -267,7 +287,9 @@ func (p *Plan) AppendConvert(out, src []byte) ([]byte, error) {
 	return p.run(out, base, base, src, 0)
 }
 
-// run executes the program for one (possibly nested) fixed region.
+// run executes the program for one (possibly nested) fixed region. Scalar
+// conversions are one bulk kernel call per instruction: byte orders and
+// widths are decided per instruction, not per element.
 func (p *Plan) run(out []byte, recBase, dstFixed int, src []byte, srcFixed int) ([]byte, error) {
 	srcOrder := p.Src.Arch.Order
 	dstOrder := p.Dst.Arch.Order
@@ -280,20 +302,11 @@ func (p *Plan) run(out []byte, recBase, dstFixed int, src []byte, srcFixed int) 
 		case opCopy:
 			copy(out[dOff:dOff+o.size], src[sOff:sOff+o.size])
 		case opSwap:
-			swapBytes(out[dOff:dOff+o.count*o.size], src[sOff:sOff+o.count*o.size], o.size)
+			machine.SwapBytes(out[dOff:dOff+o.count*o.size], src[sOff:sOff+o.count*o.size], o.size)
 		case opInt:
-			for e := 0; e < o.count; e++ {
-				raw := machine.Uint(src[sOff+e*o.size:], srcOrder, o.size)
-				if o.signed {
-					raw = machine.TruncInt(machine.SignExtend(raw, o.size), o.dstSize)
-				}
-				machine.PutUint(out[dOff+e*o.dstSize:], dstOrder, o.dstSize, raw)
-			}
+			machine.ResizeInts(out[dOff:], dstOrder, o.dstSize, src[sOff:sOff+o.count*o.size], srcOrder, o.size, o.signed)
 		case opFloat:
-			for e := 0; e < o.count; e++ {
-				v := machine.Float(src[sOff+e*o.size:], srcOrder, o.size)
-				machine.PutFloat(out[dOff+e*o.dstSize:], dstOrder, o.dstSize, v)
-			}
+			machine.ResizeFloats(out[dOff:], dstOrder, o.dstSize, src[sOff:sOff+o.count*o.size], srcOrder, o.size)
 		case opBool:
 			for e := 0; e < o.count; e++ {
 				if src[sOff+e] != 0 {
@@ -326,71 +339,81 @@ func (p *Plan) run(out []byte, recBase, dstFixed int, src []byte, srcFixed int) 
 	return out, nil
 }
 
-func (p *Plan) convertString(out []byte, recBase, dstSlot int, src []byte, srcSlot int) ([]byte, error) {
-	ref := machine.Uint(src[srcSlot:], p.Src.Arch.Order, p.Src.Arch.PointerSize)
+// stringAt follows the string pointer slot at slot and returns the string's
+// bytes with their NUL, or nil for a NULL pointer.
+func (p *Plan) stringAt(src []byte, slot int) ([]byte, error) {
+	ref := machine.Uint(src[slot:], p.Src.Arch.Order, p.Src.Arch.PointerSize)
 	if ref == 0 {
-		return out, nil
+		return nil, nil
 	}
 	if ref >= uint64(len(src)) {
 		return nil, fmt.Errorf("dcg: string reference %d outside %d-byte record", ref, len(src))
 	}
-	start := int(ref)
-	end := -1
-	for i := start; i < len(src); i++ {
-		if src[i] == 0 {
-			end = i
-			break
-		}
-	}
+	end := bytes.IndexByte(src[ref:], 0)
 	if end < 0 {
 		return nil, fmt.Errorf("dcg: unterminated string at %d", ref)
 	}
+	return src[ref : int(ref)+end+1], nil
+}
+
+func (p *Plan) convertString(out []byte, recBase, dstSlot int, src []byte, srcSlot int) ([]byte, error) {
+	s, err := p.stringAt(src, srcSlot)
+	if s == nil {
+		return out, err
+	}
 	newRef := len(out) - recBase
-	out = append(out, src[start:end+1]...)
+	out = append(out, s...)
 	machine.PutUint(out[dstSlot:], p.Dst.Arch.Order, p.Dst.Arch.PointerSize, uint64(newRef))
 	return out, nil
 }
 
-func (p *Plan) convertDynamic(out []byte, recBase, dstFixed int, src []byte, srcFixed int, o *op) ([]byte, error) {
+// dynamicAt is the one validation of a dynamic array's count field and
+// pointer slot on the source side: it returns where the elements start and
+// how many there are, n == 0 for an empty array. Both values come off the
+// wire; the count is compared by division so that no count, however large,
+// can wrap the product past the check.
+func (p *Plan) dynamicAt(src []byte, srcFixed int, o *op) (start, n int, err error) {
 	raw := machine.Uint(src[srcFixed+o.countOff:], p.Src.Arch.Order, o.countSize)
-	n := int64(raw)
+	count := int64(raw)
 	if o.countSigned {
-		n = machine.SignExtend(raw, o.countSize)
+		count = machine.SignExtend(raw, o.countSize)
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("dcg: negative dynamic count %d", n)
+	if count < 0 {
+		return 0, 0, fmt.Errorf("dcg: negative dynamic count %d", count)
 	}
-	if n == 0 {
-		return out, nil
+	if count == 0 {
+		return 0, 0, nil
 	}
-	if n*int64(o.elem.size) > int64(len(src)) {
-		return nil, fmt.Errorf("dcg: dynamic count %d x %d exceeds record size %d",
-			n, o.elem.size, len(src))
+	if count > int64(len(src))/int64(o.elem.size) {
+		return 0, 0, fmt.Errorf("dcg: dynamic count %d x %d exceeds record size %d",
+			count, o.elem.size, len(src))
 	}
 	ref := machine.Uint(src[srcFixed+o.srcOff:], p.Src.Arch.Order, p.Src.Arch.PointerSize)
 	if ref == 0 || ref >= uint64(len(src)) {
-		return nil, fmt.Errorf("dcg: dynamic array reference %d outside %d-byte record", ref, len(src))
+		return 0, 0, fmt.Errorf("dcg: dynamic array reference %d outside %d-byte record", ref, len(src))
 	}
-	sStart := int(ref)
-	if sStart+int(n)*o.elem.size > len(src) {
-		return nil, fmt.Errorf("dcg: dynamic array escapes record")
+	if int(ref)+int(count)*o.elem.size > len(src) {
+		return 0, 0, fmt.Errorf("dcg: dynamic array escapes record")
 	}
+	return int(ref), int(count), nil
+}
 
-	pad := alignUp(len(out)-recBase, o.elemAlign) - (len(out) - recBase)
-	out = append(out, make([]byte, pad)...)
-	newRef := len(out) - recBase
-	dStart := len(out)
-	out = append(out, make([]byte, int(n)*o.elem.dstSize)...)
+func (p *Plan) convertDynamic(out []byte, recBase, dstFixed int, src []byte, srcFixed int, o *op) ([]byte, error) {
+	sStart, n, err := p.dynamicAt(src, srcFixed, o)
+	if err != nil || n == 0 {
+		return out, err
+	}
+	dStart := recBase + alignUp(len(out)-recBase, o.elemAlign)
+	out = append(out, make([]byte, dStart-len(out)+n*o.elem.dstSize)...)
 
 	elem := *o.elem
 	elem.srcOff, elem.dstOff = 0, 0
-	var err error
 	switch elem.code {
 	case opNested, opString:
 		// Reference-bearing elements need per-element variable-region work.
 		elem.count = 1
 		sub := Plan{Src: p.Src, Dst: p.Dst, prog: []op{elem}}
-		for e := 0; e < int(n); e++ {
+		for e := 0; e < n; e++ {
 			out, err = sub.run(out, recBase, dStart+e*elem.dstSize, src, sStart+e*elem.size)
 			if err != nil {
 				return nil, err
@@ -398,53 +421,54 @@ func (p *Plan) convertDynamic(out []byte, recBase, dstFixed int, src []byte, src
 		}
 	case opCopy:
 		// One bulk copy covers the whole array.
-		elem.size = int(n) * o.elem.size
-		elem.dstSize = elem.size
-		sub := Plan{Src: p.Src, Dst: p.Dst, prog: []op{elem}}
-		if out, err = sub.run(out, recBase, dStart, src, sStart); err != nil {
-			return nil, err
-		}
+		copy(out[dStart:dStart+n*elem.size], src[sStart:])
 	default:
 		// Scalar conversions run as one instruction with the array count —
-		// a single tight loop, no per-element dispatch.
-		elem.count = int(n)
+		// a single kernel call, no per-element dispatch.
+		elem.count = n
 		sub := Plan{Src: p.Src, Dst: p.Dst, prog: []op{elem}}
 		if out, err = sub.run(out, recBase, dStart, src, sStart); err != nil {
 			return nil, err
 		}
 	}
-	machine.PutUint(out[dstFixed+o.dstOff:], p.Dst.Arch.Order, p.Dst.Arch.PointerSize, uint64(newRef))
+	machine.PutUint(out[dstFixed+o.dstOff:], p.Dst.Arch.Order, p.Dst.Arch.PointerSize, uint64(dStart-recBase))
 	return out, nil
 }
 
-// swapBytes reverses the byte order of each size-byte element while copying
-// src to dst. This is the whole of an endianness conversion for fixed-width
-// integers and IEEE floats, so it is the hottest instruction in
-// heterogeneous plans; the common widths use single loads plus a reverse.
-func swapBytes(dst, src []byte, size int) {
-	switch size {
-	case 2:
-		for i := 0; i+2 <= len(src); i += 2 {
-			binary.LittleEndian.PutUint16(dst[i:],
-				bits.ReverseBytes16(binary.LittleEndian.Uint16(src[i:])))
+// measure adds to size what run will append to the variable region for the
+// fixed region at srcFixed, in run's order (alignment padding depends on
+// it), so Convert can allocate its output exactly. What it cannot follow it
+// counts as empty; run is where the record is rejected.
+func (p *Plan) measure(size int, src []byte, srcFixed int) int {
+	if !p.variable {
+		return size
+	}
+	for i := range p.prog {
+		o := &p.prog[i]
+		sOff, elem, n := srcFixed+o.srcOff, o, o.count
+		if o.code == opDynamic {
+			var err error
+			if sOff, n, err = p.dynamicAt(src, srcFixed, o); err != nil || n == 0 {
+				continue
+			}
+			elem = o.elem
+			size = alignUp(size, o.elemAlign) + n*elem.dstSize
 		}
-	case 4:
-		for i := 0; i+4 <= len(src); i += 4 {
-			binary.LittleEndian.PutUint32(dst[i:],
-				bits.ReverseBytes32(binary.LittleEndian.Uint32(src[i:])))
+		if elem.code != opString && elem.code != opNested {
+			continue
 		}
-	case 8:
-		for i := 0; i+8 <= len(src); i += 8 {
-			binary.LittleEndian.PutUint64(dst[i:],
-				bits.ReverseBytes64(binary.LittleEndian.Uint64(src[i:])))
-		}
-	default:
-		for i := 0; i+size <= len(src); i += size {
-			for k := 0; k < size; k++ {
-				dst[i+k] = src[i+size-1-k]
+		for e := 0; e < n; e++ {
+			switch elem.code {
+			case opString:
+				if s, err := p.stringAt(src, sOff+e*elem.size); err == nil {
+					size += len(s)
+				}
+			case opNested:
+				size = elem.child.measure(size, src, sOff+e*elem.size)
 			}
 		}
 	}
+	return size
 }
 
 func alignUp(n, align int) int {

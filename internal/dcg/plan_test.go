@@ -363,6 +363,44 @@ func TestConvertRejectsBadRecords(t *testing.T) {
 	}
 }
 
+// A 64-bit count of 1<<61 times 8-byte elements wraps the product to zero.
+// The plan must reject the record — not return a converted record whose
+// count says 1<<61 over no elements, which a broker projecting for a scoped
+// subscriber would forward.
+func TestConvertRejectsOverflowingCount(t *testing.T) {
+	wide := func(arch *machine.Arch) *pbio.Format {
+		ctx, err := pbio.NewContext(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ctx.RegisterSpec("Wide", []pbio.FieldSpec{
+			{Name: "n", Kind: pbio.Int, CType: machine.CLong},
+			{Name: "arr", Kind: pbio.Float, CType: machine.CDouble, Dynamic: true, CountField: "n"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	src, dst := wide(machine.X86_64), wide(machine.Sparc64)
+	p, err := Compile(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := src.Encode(pbio.Record{"arr": []float64{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := src.FieldByName("n")
+	for _, count := range []uint64{1 << 61, 1<<61 + 1} {
+		bad := append([]byte(nil), good...)
+		machine.PutUint(bad[n.Offset:], machine.LittleEndian, 8, count)
+		if out, err := p.Convert(bad); err == nil {
+			t.Errorf("count %#x: Convert returned a %d-byte record, want an error", count, len(out))
+		}
+	}
+}
+
 func TestCache(t *testing.T) {
 	src := structureB(t, machine.Sparc)
 	dst := structureB(t, machine.X86_64)

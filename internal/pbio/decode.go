@@ -2,6 +2,9 @@ package pbio
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 
 	"openmeta/internal/machine"
 )
@@ -12,216 +15,265 @@ import (
 // floats to float64, chars to int64, booleans to bool and strings to string;
 // arrays decode to typed slices of those; nested records decode to Record.
 func (f *Format) Decode(data []byte) (Record, error) {
-	if len(data) < f.Size {
-		return nil, fmt.Errorf("%w: %d bytes, fixed region needs %d", ErrTruncated, len(data), f.Size)
-	}
-	if len(data) > MaxRecordSize {
-		return nil, ErrRecordTooBig
-	}
-	rec, err := f.decodeFixed(data, 0)
-	if err == nil {
-		f.obs.decodeCalls.Add(1)
-		f.obs.decodeBytes.Add(int64(len(data)))
-		f.facct.decRecords.Add(1)
-		f.facct.decBytes.Add(int64(len(data)))
-	}
-	return rec, err
-}
-
-// decodeFixed decodes one (possibly nested) record whose fixed region starts
-// at fixedBase. Variable-region references are relative to the start of
-// data (the outermost record).
-func (f *Format) decodeFixed(data []byte, fixedBase int) (Record, error) {
-	if fixedBase < 0 || fixedBase+f.Size > len(data) {
-		return nil, fmt.Errorf("%w: nested record at %d exceeds %d bytes",
-			ErrTruncated, fixedBase, len(data))
-	}
-	rec := make(Record, len(f.Fields))
-	for i := range f.Fields {
-		fl := &f.Fields[i]
-		off := fixedBase + fl.Offset
-		var (
-			val interface{}
-			err error
-		)
-		switch {
-		case fl.Dynamic:
-			val, err = f.decodeDynamic(data, fixedBase, fl, off)
-		case fl.Count > 1:
-			val, err = f.decodeArray(data, fl, off, fl.Count)
-		default:
-			val, err = f.decodeScalar(data, fl, off)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("field %q: %w", fl.Name, err)
-		}
-		rec[fl.Name] = val
+	p := f.compiled()
+	rec := make(Record, len(p.ops))
+	if err := p.decode(data, goRecord{rec: rec}); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
 
-func (f *Format) decodeScalar(data []byte, fl *Field, off int) (interface{}, error) {
-	order := f.Arch.Order
-	switch fl.Kind {
-	case Int, Char:
-		raw := machine.Uint(data[off:], order, fl.ElemSize)
-		return machine.SignExtend(raw, fl.ElemSize), nil
-	case Uint:
-		return machine.Uint(data[off:], order, fl.ElemSize), nil
-	case Float:
-		return machine.Float(data[off:], order, fl.ElemSize), nil
-	case Bool:
-		return data[off] != 0, nil
-	case String:
-		return f.decodeString(data, off)
-	case Nested:
-		return fl.Nested.decodeFixed(data, off)
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %v", ErrBadValue, fl.Kind)
-	}
+// decoder reads one record. All of the record's strings are cut from strs,
+// which decode grows once to their total, so a record costs one string
+// allocation however many string fields it has.
+type decoder struct {
+	data []byte
+	strs strings.Builder
 }
 
-// decodeString follows the pointer slot at off into the variable region and
-// reads a NUL-terminated string. A zero reference is a NULL char* and
-// decodes as the empty string.
-func (f *Format) decodeString(data []byte, off int) (string, error) {
-	ref := machine.Uint(data[off:], f.Arch.Order, f.Arch.PointerSize)
-	if ref == 0 {
-		return "", nil
+// decode is the one decode walk, filling dst from data.
+func (p *program) decode(data []byte, dst goRecord) error {
+	if len(data) < p.size {
+		return fmt.Errorf("%w: %d bytes, fixed region needs %d", ErrTruncated, len(data), p.size)
 	}
-	if ref >= uint64(len(data)) {
-		return "", fmt.Errorf("%w: string at %d in %d-byte record", ErrBadReference, ref, len(data))
+	if len(data) > MaxRecordSize {
+		return ErrRecordTooBig
 	}
-	start := int(ref)
-	for i := start; i < len(data); i++ {
-		if data[i] == 0 {
-			return string(data[start:i]), nil
-		}
+	d := decoder{data: data}
+	if p.strings {
+		d.strs.Grow(p.stringBytes(data, 0))
 	}
-	return "", fmt.Errorf("%w: unterminated string at %d", ErrBadReference, ref)
+	if err := d.record(p, 0, dst); err != nil {
+		return err
+	}
+	p.format.noteDecode(len(data))
+	return nil
 }
 
-// decodeArray decodes n consecutive elements starting at off into a typed
-// slice.
-func (f *Format) decodeArray(data []byte, fl *Field, off, n int) (interface{}, error) {
-	if off < 0 || n < 0 || off+n*fl.ElemSize > len(data) {
-		return nil, fmt.Errorf("%w: array of %d x %d bytes at %d in %d-byte record",
-			ErrBadReference, n, fl.ElemSize, off, len(data))
-	}
-	order := f.Arch.Order
-	switch fl.Kind {
-	case Int, Char:
-		out := make([]int64, n)
-		for i := range out {
-			raw := machine.Uint(data[off+i*fl.ElemSize:], order, fl.ElemSize)
-			out[i] = machine.SignExtend(raw, fl.ElemSize)
-		}
-		return out, nil
-	case Uint:
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = machine.Uint(data[off+i*fl.ElemSize:], order, fl.ElemSize)
-		}
-		return out, nil
-	case Float:
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = machine.Float(data[off+i*fl.ElemSize:], order, fl.ElemSize)
-		}
-		return out, nil
-	case Bool:
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = data[off+i] != 0
-		}
-		return out, nil
-	case String:
-		out := make([]string, n)
-		for i := range out {
-			s, err := f.decodeString(data, off+i*fl.ElemSize)
-			if err != nil {
-				return nil, err
+// slot is where one decoded field goes: an entry of a generic Record, or a
+// field of a bound struct (fv valid).
+type slot struct {
+	rec Record // generic: the record being filled; the field is op.name
+	fv  reflect.Value
+	kid *Binding // bound nested field: the binding of the struct it holds
+}
+
+// record decodes one (possibly nested) record whose fixed region starts at
+// base. Variable-region references are relative to the start of data. A
+// format field the bound struct does not carry is skipped.
+func (d *decoder) record(p *program, base int, dst goRecord) error {
+	st := slot{rec: dst.rec}
+	for i := range p.ops {
+		op := &p.ops[i]
+		if dst.b != nil {
+			bf := dst.b.fields[i]
+			if bf.index < 0 {
+				continue
 			}
-			out[i] = s
+			st.fv, st.kid = dst.rv.Field(bf.index), bf.kid
 		}
-		return out, nil
-	case Nested:
-		out := make([]Record, n)
-		for i := range out {
-			sub, err := fl.Nested.decodeFixed(data, off+i*fl.ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = sub
+		at, n := base+int(op.off), int(op.count)
+		var err error
+		if op.dynamic {
+			at, n, err = p.dynamicRef(d.data, base, op)
 		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %v", ErrBadValue, fl.Kind)
+		switch {
+		case err != nil:
+		case op.array():
+			err = d.array(p, op, at, n, &st)
+		default:
+			err = d.scalar(p, op, at, &st)
+		}
+		if err != nil {
+			return fmt.Errorf("field %q: %w", op.name, err)
+		}
 	}
+	return nil
 }
 
-// decodeDynamic reads the count field, follows the pointer slot and decodes
-// the variable-region elements.
-func (f *Format) decodeDynamic(data []byte, fixedBase int, fl *Field, slotOff int) (interface{}, error) {
-	ref, n, err := f.dynamicRef(data, fixedBase, fl, slotOff)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return f.emptyArray(fl), nil
-	}
-	return f.decodeArray(data, fl, ref, n)
-}
-
-// dynamicRef is the one validation of a dynamic array's count field and
-// pointer slot, shared by the generic and the bound decoder: it returns
-// where the elements start and how many there are, or n == 0 for an empty
-// array (whose pointer slot is not consulted). Both values come off the
-// wire, so neither is believed until checked against the record.
-func (f *Format) dynamicRef(data []byte, fixedBase int, fl *Field, slotOff int) (ref, n int, err error) {
-	cf := &f.Fields[f.byName[fl.CountField]]
-	raw := machine.Uint(data[fixedBase+cf.Offset:], f.Arch.Order, cf.ElemSize)
-	count := machine.SignExtend(raw, cf.ElemSize)
-	if cf.Kind == Uint {
-		count = int64(raw)
-	}
-	if count < 0 {
-		return 0, 0, fmt.Errorf("%w: negative count %d", ErrCountMismatch, count)
-	}
-	if count == 0 {
-		return 0, 0, nil
-	}
-	if count*int64(fl.ElemSize) > int64(len(data)) {
-		return 0, 0, fmt.Errorf("%w: count %d x %d bytes exceeds record size %d",
-			ErrBadReference, count, fl.ElemSize, len(data))
-	}
-	at := machine.Uint(data[slotOff:], f.Arch.Order, f.Arch.PointerSize)
-	if at == 0 {
-		return 0, 0, fmt.Errorf("%w: count %d but nil array pointer", ErrCountMismatch, count)
-	}
-	if at >= uint64(len(data)) {
-		return 0, 0, fmt.Errorf("%w: array at %d in %d-byte record", ErrBadReference, at, len(data))
-	}
-	return int(at), int(count), nil
-}
-
-// emptyArray returns the canonical zero-length slice for the field's kind,
-// so callers always see the same types regardless of array length.
-func (f *Format) emptyArray(fl *Field) interface{} {
-	switch fl.Kind {
-	case Int, Char:
-		return []int64{}
-	case Uint:
-		return []uint64{}
-	case Float:
-		return []float64{}
-	case Bool:
-		return []bool{}
+func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
+	switch op.kind {
 	case String:
-		return []string{}
+		s, err := d.str(p, at)
+		if st.rec != nil {
+			st.rec[op.name] = s
+		} else {
+			st.fv.SetString(s)
+		}
+		return err
 	case Nested:
-		return []Record{}
+		return d.record(op.child, at, st.nested(op))
+	case Int, Uint, Char, Float, Bool:
+		return st.setBits(op, machine.Uint(d.data[at:], p.order, int(op.size)))
 	default:
+		return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)
+	}
+}
+
+// str reads the string whose pointer slot is at at.
+func (d *decoder) str(p *program, at int) (string, error) {
+	b, err := p.stringRef(d.data, at)
+	if len(b) == 0 {
+		return "", err
+	}
+	start := d.strs.Len()
+	d.strs.Write(b)
+	return d.strs.String()[start:], nil
+}
+
+// array decodes the n elements at at, which dynamicRef (or the fixed-region
+// check, for a static array) has shown to lie inside the record. A generic
+// record gets a fresh slice of the kind's decoded type; a bound field is cut
+// or grown to n and filled in place. A slice of a 64-bit type is filled whole
+// by a bulk kernel; a bound field of any other numeric type goes through a
+// stack buffer, so order and width are still decided per chunk.
+func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
+	size, src, fv := int(op.size), d.data[at:], st.fv
+	if st.rec != nil {
+		var x interface{}
+		switch op.kind {
+		case Int, Char:
+			s := make([]int64, n)
+			machine.Ints(s, src, p.order, size)
+			x = s
+		case Uint:
+			s := make([]uint64, n)
+			machine.Ints(s, src, p.order, size)
+			x = s
+		case Float:
+			s := make([]float64, n)
+			machine.Floats(s, src, p.order, size)
+			x = s
+		case Bool:
+			s := make([]bool, n)
+			for i := range s {
+				s[i] = src[i] != 0
+			}
+			x = s
+		case String:
+			s := make([]string, n)
+			for i := range s {
+				var err error
+				if s[i], err = d.str(p, at+i*size); err != nil {
+					return err
+				}
+			}
+			x = s
+		case Nested:
+			s := make([]Record, n)
+			for i := range s {
+				s[i] = make(Record, len(op.child.ops))
+				if err := d.record(op.child, at+i*size, goRecord{rec: s[i]}); err != nil {
+					return err
+				}
+			}
+			x = s
+		default:
+			return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)
+		}
+		st.rec[op.name] = x
 		return nil
 	}
+	switch {
+	case fv.Kind() != reflect.Slice:
+		if fv.Len() < n {
+			return fmt.Errorf("%w: %d elements into array of %d", ErrBadCount, n, fv.Len())
+		}
+	case fv.Cap() >= n:
+		fv.SetLen(n)
+	default:
+		fv.Set(reflect.MakeSlice(fv.Type(), n, n))
+	}
+	switch op.kind {
+	case String, Nested:
+		for i := 0; i < n; i++ {
+			if err := d.scalar(p, op, at+i*size, &slot{fv: fv.Index(i), kid: st.kid}); err != nil {
+				return err
+			}
+		}
+		return nil
+	case Int, Char:
+		if x, ok := typed[int64](value{fv: fv}); ok {
+			machine.Ints(x, src, p.order, size)
+			return nil
+		}
+	case Uint:
+		if x, ok := typed[uint64](value{fv: fv}); ok {
+			machine.Ints(x, src, p.order, size)
+			return nil
+		}
+	case Float:
+		if x, ok := typed[float64](value{fv: fv}); ok {
+			machine.Floats(x, src, p.order, size)
+			return nil
+		}
+	}
+	var buf [32]uint64
+	for i := 0; i < n; i += len(buf) {
+		m := min(n-i, len(buf))
+		machine.Ints(buf[:m], src[i*size:], p.order, size)
+		for k := 0; k < m; k++ {
+			if err := (&slot{fv: fv.Index(i + k)}).setBits(op, buf[k]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// nested returns the record a nested field decodes into: a fresh Record, or
+// the bound struct (allocated when the field is a nil pointer).
+func (st *slot) nested(op *fieldOp) goRecord {
+	if st.rec != nil {
+		sub := make(Record, len(op.child.ops))
+		st.rec[op.name] = sub
+		return goRecord{rec: sub}
+	}
+	fv := st.fv
+	if fv.Kind() == reflect.Ptr {
+		if fv.IsNil() {
+			fv.Set(reflect.New(fv.Type().Elem()))
+		}
+		fv = fv.Elem()
+	}
+	return goRecord{rv: fv, b: st.kid}
+}
+
+// setBits stores a numeric or boolean value given as the raw, zero-extended
+// bits read off the wire. A bound field too narrow for the value is an
+// error, never a silent wrap.
+func (st *slot) setBits(op *fieldOp, raw uint64) error {
+	bound := st.rec == nil
+	var x interface{}
+	switch op.kind {
+	case Int, Char:
+		i := machine.SignExtend(raw, int(op.size))
+		if bound {
+			return setInteger(st.fv, uint64(i), i < 0)
+		}
+		x = i
+	case Uint:
+		if bound {
+			return setInteger(st.fv, raw, false)
+		}
+		x = raw
+	case Float:
+		f := math.Float64frombits(raw)
+		if op.size == 4 {
+			f = float64(math.Float32frombits(uint32(raw)))
+		}
+		if bound {
+			st.fv.SetFloat(f)
+			return nil
+		}
+		x = f
+	case Bool:
+		if bound {
+			st.fv.SetBool(raw != 0)
+			return nil
+		}
+		x = raw != 0
+	}
+	st.rec[op.name] = x
+	return nil
 }

@@ -17,6 +17,11 @@
 //   - NDR encoding of generic records and of bound Go structs;
 //   - decoding with full byte-order / size / alignment conversion, including
 //     PBIO's restricted format evolution (receivers tolerate added fields);
+//     both directions are driven by one compiled field program per format
+//     (program.go), the only walker over a format's fields: Format.Encode,
+//     Binding.Encode, Format.Decode and Binding.Decode differ only in where
+//     the Go values come from or go to, and arrays move through the bulk
+//     kernels of internal/machine;
 //   - portable binary format metadata for transmission (meta.go) and a
 //     connection protocol that sends each format once per peer (wire.go).
 package pbio

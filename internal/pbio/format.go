@@ -48,6 +48,9 @@ type Format struct {
 	facct formatMetrics
 	// encProbes counts successful encodes to pace expansion-ratio probes.
 	encProbes atomic.Uint64
+	// prog is the compiled field program Encode, Decode and Bind run, built
+	// on first use (see compiled).
+	prog atomic.Pointer[program]
 }
 
 // FieldByName returns the field with the given name.

@@ -53,6 +53,23 @@ func (m obsMetrics) formatMetrics(name string) formatMetrics {
 	}
 }
 
+// noteEncode and noteDecode are the one accounting point of the codec: every
+// successful encode or decode, generic or bound, lands in the context's
+// aggregate counters and in the format's labeled children.
+func (f *Format) noteEncode(n int) {
+	f.obs.encodeCalls.Add(1)
+	f.obs.encodeBytes.Add(int64(n))
+	f.facct.encRecords.Add(1)
+	f.facct.encBytes.Add(int64(n))
+}
+
+func (f *Format) noteDecode(n int) {
+	f.obs.decodeCalls.Add(1)
+	f.obs.decodeBytes.Add(int64(n))
+	f.facct.decRecords.Add(1)
+	f.facct.decBytes.Add(int64(n))
+}
+
 func contextMetrics(r *obsv.Registry) obsMetrics {
 	s := r.Scope("pbio")
 	return obsMetrics{

@@ -172,8 +172,8 @@ func TestDecodeIdempotentReencode(t *testing.T) {
 
 // TestHostileDynamicArraySameVerdict feeds the same damaged records to the
 // generic and the bound decoder. Both validate a dynamic array's count and
-// pointer through Format.dynamicRef, so both must reject each record with
-// the same sentinel.
+// pointer through the program's dynamicRef, so both must reject each record
+// with the same sentinel.
 func TestHostileDynamicArraySameVerdict(t *testing.T) {
 	f := registerB(t, machine.X86)
 	b, err := f.Bind(asdOff{})
@@ -186,28 +186,61 @@ func TestHostileDynamicArraySameVerdict(t *testing.T) {
 	}
 	count, _ := f.FieldByName("eta_count")
 	slot, _ := f.FieldByName("eta")
-	put := func(off int, v uint64) func([]byte) {
-		return func(rec []byte) { machine.PutUint(rec[off:], machine.LittleEndian, 4, v) }
+
+	// The same array behind an 8-byte count: a count of 1<<61 times 8-byte
+	// elements wraps the product to zero, so only a check that does not
+	// multiply catches it.
+	type wide struct {
+		N   int64
+		Arr []float64
+	}
+	wf, err := newCtx(t, machine.X86_64).RegisterSpec("Wide", []FieldSpec{
+		{Name: "n", Kind: Int, CType: machine.CLong},
+		{Name: "arr", Kind: Float, CType: machine.CDouble, Dynamic: true, CountField: "n"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := wf.Bind(wide{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wgood, err := wf.Encode(Record{"arr": []float64{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcount, _ := wf.FieldByName("n")
+
+	put := func(off, size int, v uint64) func([]byte) {
+		return func(rec []byte) { machine.PutUint(rec[off:], machine.LittleEndian, size, v) }
 	}
 	cases := []struct {
 		name   string
+		wide   bool
 		damage func(rec []byte)
 		want   error
 	}{
-		{"negative count", put(count.Offset, machine.TruncInt(-5, 4)), ErrCountMismatch},
-		{"count x size past the record", put(count.Offset, 1<<28), ErrBadReference},
-		{"nil pointer with non-zero count", put(slot.Offset, 0), ErrCountMismatch},
-		{"reference at len(data)", put(slot.Offset, uint64(len(good))), ErrBadReference},
+		{"negative count", false, put(count.Offset, 4, machine.TruncInt(-5, 4)), ErrCountMismatch},
+		{"count x size past the record", false, put(count.Offset, 4, 1<<28), ErrBadReference},
+		{"nil pointer with non-zero count", false, put(slot.Offset, 4, 0), ErrCountMismatch},
+		{"reference at len(data)", false, put(slot.Offset, 4, uint64(len(good))), ErrBadReference},
+		{"8-byte count x size wraps to zero", true, put(wcount.Offset, 8, 1<<61), ErrBadReference},
+		{"8-byte count x size wraps to a small product", true, put(wcount.Offset, 8, 1<<61+1), ErrBadReference},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			f, good := f, good
+			decodeBound := func(data []byte) error { return b.Decode(data, new(asdOff)) }
+			if tc.wide {
+				f, good = wf, wgood
+				decodeBound = func(data []byte) error { return wb.Decode(data, new(wide)) }
+			}
 			bad := append([]byte(nil), good...)
 			tc.damage(bad)
 			if _, err := f.Decode(bad); !errors.Is(err, tc.want) {
 				t.Errorf("Format.Decode err = %v, want %v", err, tc.want)
 			}
-			var out asdOff
-			if err := b.Decode(bad, &out); !errors.Is(err, tc.want) {
+			if err := decodeBound(bad); !errors.Is(err, tc.want) {
 				t.Errorf("Binding.Decode err = %v, want %v", err, tc.want)
 			}
 		})

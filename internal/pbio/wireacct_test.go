@@ -1,6 +1,7 @@
 package pbio
 
 import (
+	"reflect"
 	"testing"
 
 	"openmeta/internal/machine"
@@ -130,5 +131,90 @@ func TestExpansionProbeDisabled(t *testing.T) {
 		t.Fatal("gauge child missing (should exist, zero-valued)")
 	} else if v != 0 {
 		t.Fatalf("gauge = %d with sizer disabled, want 0", v)
+	}
+}
+
+// Typed traffic is accounted like generic traffic: a bound encode and decode
+// move the same four labelled per-format counters, through the codec's one
+// accounting point.
+func TestPerFormatWireAccountingBound(t *testing.T) {
+	reg := obsv.New()
+	ctx, err := NewContext(machine.Native, WithObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ctx.RegisterSpec("boundPoint", []FieldSpec{
+		{Name: "x", Kind: Int, CType: machine.CInt},
+		{Name: "label", Kind: String},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		X     int32
+		Label string
+	}
+	b, err := f.Bind(point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := b.Encode(&point{X: 1, Label: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out point
+	if err := b.Decode(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Decode(data[:3], &out); err == nil { // a failed decode counts nothing
+		t.Fatal("truncated record decoded")
+	}
+	snap := reg.Snapshot()
+	for k, want := range map[string]int64{
+		`pbio.format.encoded.records{format="boundPoint"}`: 1,
+		`pbio.format.encoded.bytes{format="boundPoint"}`:   int64(len(data)),
+		`pbio.format.decoded.records{format="boundPoint"}`: 1,
+		`pbio.format.decoded.bytes{format="boundPoint"}`:   int64(len(data)),
+		"pbio.encode.calls": 1,
+		"pbio.decode.calls": 1,
+	} {
+		if snap[k] != want {
+			t.Errorf("snap[%q] = %d, want %d", k, snap[k], want)
+		}
+	}
+}
+
+// The expansion probe XML-encodes a whole record, so it runs on the first
+// encode and then only at doubling encode counts: 1024, 2048, 4096, ...
+func TestExpansionProbeSchedule(t *testing.T) {
+	old := xmlSizer.Load()
+	defer func() {
+		SetXMLTextSizer(nil)
+		if old != nil {
+			SetXMLTextSizer(*old)
+		}
+	}()
+	var probedAt []uint64
+	var f *Format
+	SetXMLTextSizer(func(pf *Format, _ Record) (int, error) {
+		if pf == f {
+			probedAt = append(probedAt, f.encProbes.Load())
+		}
+		return 700, nil
+	})
+	ctx, err := NewContext(machine.Native, WithObserver(obsv.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = ctx.RegisterSpec("probed", []FieldSpec{{Name: "v", Kind: Int, CType: machine.CInt}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if _, err := f.Encode(Record{"v": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []uint64{1, 1024, 2048, 4096}; !reflect.DeepEqual(probedAt, want) {
+		t.Errorf("probed at encodes %v, want %v", probedAt, want)
 	}
 }

@@ -21,21 +21,23 @@ func SetXMLTextSizer(fn XMLTextSizer) {
 	xmlSizer.Store(&fn)
 }
 
-// expansionProbeInterval spaces out expansion probes: the first encode of a
-// format is probed (so the gauge appears as soon as traffic flows), then one
-// in every interval encodes, keeping the text-encoding cost amortized to
-// noise on the NDR hot path.
-const expansionProbeInterval = 1024
+// expansionProbeFirst is the encode count of the second probe. The first
+// encode of a format is probed (so the gauge appears as soon as traffic
+// flows), then the 1024th, 2048th, 4096th, ...: text-encoding a record costs
+// thousands of allocations, and at doubling counts its amortized share of the
+// NDR hot path goes to zero while the gauge still follows a drifting mix.
+const expansionProbeFirst = 1024
 
 // maybeProbeExpansion updates the format's xml.expansion_pct gauge — the
 // XML-text size of this record as a percentage of its NDR size (642 = the
-// paper's 6.42x) — on the first and then every 1024th successful encode.
+// paper's 6.42x) — on the first successful encode and at doubling counts
+// from expansionProbeFirst on.
 func (f *Format) maybeProbeExpansion(rec Record, ndrBytes int) {
 	if f.facct.expansion == nil || ndrBytes <= 0 {
 		return
 	}
 	n := f.encProbes.Add(1)
-	if n != 1 && n%expansionProbeInterval != 0 {
+	if n != 1 && (n < expansionProbeFirst || n&(n-1) != 0) {
 		return
 	}
 	fn := xmlSizer.Load()

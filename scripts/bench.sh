@@ -23,7 +23,8 @@
 #
 # -compare re-runs the benchmarks (into BENCH_OUT, a temp file by default)
 # and checks ns_per_op of the Table 1 registration and Table 2 wire-format
-# codec benchmarks, plus the omload E2E p99, against the baseline: any gated
+# codec benchmarks, the five codec stages of BenchmarkCodecLarge and the bulk
+# NDR kernels, plus the omload E2E p99, against the baseline: any gated
 # benchmark more than 25% slower (override with BENCH_MAX_REGRESSION) fails
 # the script, and a gated benchmark MISSING from the baseline fails loudly
 # instead of silently passing. Other tables are reported but not gated — they
@@ -77,11 +78,14 @@ if [ "$MODE" != compare-only ]; then
     TXT="$(mktemp)"
     trap 'rm -f "$TXT"' EXIT
 
-    echo "== root benchmarks (Table 1-9) + pbio codec benchmarks"
-    go test -run xxx -bench 'BenchmarkTable|BenchmarkBindingVsGeneric' -benchmem \
+    echo "== root benchmarks (Table 1-9, codec stages on the 10 KB record) + pbio codec benchmarks"
+    go test -run xxx -bench 'BenchmarkTable|BenchmarkBindingVsGeneric|BenchmarkCodecLarge' -benchmem \
         -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" . | tee "$TXT"
     go test -run xxx -bench . -benchmem \
         -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/pbio/ | tee -a "$TXT"
+    echo "== bulk NDR kernels against the per-element helpers they replace"
+    go test -run xxx -bench BenchmarkKernels -benchmem \
+        -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/machine/ | tee -a "$TXT"
     echo "== self-monitoring sampler benchmark"
     go test -run xxx -bench BenchmarkSample -benchmem \
         -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/histdb/ | tee -a "$TXT"
@@ -148,8 +152,8 @@ MAX="${BENCH_MAX_REGRESSION:-25}"
 # independently (CI sets it high to avoid flaking on shared runners — the
 # gate logic itself is pinned by bench_gate_test.go against fixtures).
 OMAX="${OMLOAD_MAX_REGRESSION:-$MAX}"
-echo "== comparing ns/op against $BASELINE (gate: Table1 registration + Table2 codecs >$MAX%, omload p99 >$OMAX% = fail)"
-GATE='^BenchmarkTable1Registration|^BenchmarkTable2WireFormats|^omload/e2e_p99$'
+echo "== comparing ns/op against $BASELINE (gate: Table1 registration + Table2 codecs + codec stages + kernels >$MAX%, omload p99 >$OMAX% = fail)"
+GATE='^BenchmarkTable1Registration|^BenchmarkTable2WireFormats|^BenchmarkCodecLarge/|^BenchmarkKernels/[A-Za-z]+/kernel/|^omload/e2e_p99$'
 REPORT="$(jq -n -r --arg gate "$GATE" --argjson max "$MAX" --argjson omax "$OMAX" \
     --slurpfile base "$BASELINE" --slurpfile cur "$OUT" '
   ($base[0] | map({(.name): .ns_per_op}) | add) as $b
