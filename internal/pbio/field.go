@@ -149,14 +149,20 @@ func parseTypeString(typ string) (base string, count int, dynamic bool, countFie
 		if inner == "" {
 			return "", 0, false, "", fmt.Errorf("%w: %q", ErrBadFieldType, typ)
 		}
-		if n, aerr := strconv.Atoi(inner); aerr == nil {
-			if n < 1 {
-				return "", 0, false, "", fmt.Errorf("%w: %q", ErrBadFieldType, typ)
-			}
-			count = n
-		} else {
+		// Only what starts like a number is tried as one: Atoi allocates
+		// its error for every count-field name.
+		n, aerr := 0, error(strconv.ErrSyntax)
+		if c := inner[0]; c == '+' || c == '-' || (c >= '0' && c <= '9') {
+			n, aerr = strconv.Atoi(inner)
+		}
+		switch {
+		case aerr != nil:
 			dynamic = true
 			countField = inner
+		case n < 1:
+			return "", 0, false, "", fmt.Errorf("%w: %q", ErrBadFieldType, typ)
+		default:
+			count = n
 		}
 	}
 	if base == "" {

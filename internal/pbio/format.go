@@ -139,38 +139,56 @@ func (c *Context) Formats() []*Format {
 // list must be in declaration order. Nested type names must already be
 // registered, as must count fields for dynamic arrays.
 func (c *Context) Register(name string, fields []IOField) (*Format, error) {
-	if name == "" {
-		return nil, fmt.Errorf("pbio: register: empty format name")
-	}
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("pbio: register %q: no fields", name)
-	}
-	f := &Format{
-		Name:   name,
-		Arch:   c.arch,
-		Fields: make([]Field, 0, len(fields)),
-		byName: make(map[string]int, len(fields)),
-		Align:  1,
+	f, err := c.newFormat(name, len(fields))
+	if err != nil {
+		return nil, err
 	}
 	c.mu.RLock()
 	for _, io := range fields {
 		fl, err := c.resolveLocked(name, io)
+		if err == nil {
+			err = f.addField(fl)
+		}
 		if err != nil {
 			c.mu.RUnlock()
 			return nil, err
 		}
-		if _, dup := f.byName[fl.Name]; dup {
-			c.mu.RUnlock()
-			return nil, fmt.Errorf("%w: %q in format %q", ErrDuplicateField, fl.Name, name)
-		}
-		f.byName[fl.Name] = len(f.Fields)
-		f.Fields = append(f.Fields, fl)
 	}
 	c.mu.RUnlock()
 	if err := finishFormat(f); err != nil {
 		return nil, err
 	}
 	return c.adopt(f, true)
+}
+
+// newFormat starts a local format that is to hold n fields; Register and
+// RegisterSpec resolve them their own way and add them with addField.
+func (c *Context) newFormat(name string, n int) (*Format, error) {
+	if name == "" {
+		return nil, fmt.Errorf("pbio: register: empty format name")
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("pbio: register %q: no fields", name)
+	}
+	return &Format{
+		Name:   name,
+		Arch:   c.arch,
+		Fields: make([]Field, 0, n),
+		byName: make(map[string]int, n),
+		Align:  1,
+	}, nil
+}
+
+func (f *Format) addField(fl Field) error {
+	if fl.Name == "" {
+		return fmt.Errorf("pbio: format %q: field with empty name", f.Name)
+	}
+	if _, dup := f.byName[fl.Name]; dup {
+		return fmt.Errorf("%w: %q in format %q", ErrDuplicateField, fl.Name, f.Name)
+	}
+	f.byName[fl.Name] = len(f.Fields)
+	f.Fields = append(f.Fields, fl)
+	return nil
 }
 
 // resolveLocked converts one IOField; caller holds at least a read lock.
@@ -186,9 +204,6 @@ func (c *Context) resolveLocked(formatName string, io IOField) (Field, error) {
 		Dynamic:    dynamic,
 		CountField: countField,
 		Offset:     io.Offset,
-	}
-	if io.Name == "" {
-		return Field{}, fmt.Errorf("pbio: format %q: field with empty name", formatName)
 	}
 	if kind, ok := kindByName[base]; ok {
 		fl.Kind = kind

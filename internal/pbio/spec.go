@@ -32,11 +32,11 @@ type FieldSpec struct {
 // a C compiler would — computing sizeof and offsets with padding — and
 // registers the resulting format.
 func (c *Context) RegisterSpec(name string, specs []FieldSpec) (*Format, error) {
-	ios, err := c.ResolveSpecs(name, specs)
+	f, err := c.layOut(name, specs)
 	if err != nil {
 		return nil, err
 	}
-	return c.Register(name, ios)
+	return c.adopt(f, true)
 }
 
 // ResolveSpecs computes the IOField list (sizes and offsets) for the given
@@ -44,74 +44,69 @@ func (c *Context) RegisterSpec(name string, specs []FieldSpec) (*Format, error) 
 // exposed so callers can inspect or dump the metadata the way the paper's
 // figures show it.
 func (c *Context) ResolveSpecs(name string, specs []FieldSpec) ([]IOField, error) {
-	members := make([]machine.Member, len(specs))
-	elemSizes := make([]int, len(specs))
-	for i, s := range specs {
+	f, err := c.layOut(name, specs)
+	if err != nil {
+		return nil, err
+	}
+	return f.IOFields(), nil
+}
+
+// layOut builds the finished format the specs describe: each field placed at
+// the next offset aligned for it, the rule of machine.LayOut with the
+// alignments finishFormat checks every format against.
+func (c *Context) layOut(name string, specs []FieldSpec) (*Format, error) {
+	f, err := c.newFormat(name, len(specs))
+	if err != nil {
+		return nil, err
+	}
+	offset := 0
+	for _, s := range specs {
+		fl := Field{Name: s.Name, Kind: s.Kind, Count: 1, Dynamic: s.Dynamic}
+		switch {
+		case s.Dynamic:
+			fl.CountField = s.CountField
+		case s.Count < 0:
+			return nil, fmt.Errorf("pbio: format %q field %q: negative count %d", name, s.Name, s.Count)
+		case s.Count > 1:
+			fl.Count = s.Count
+		}
 		switch s.Kind {
 		case String:
 			if s.Dynamic {
 				return nil, fmt.Errorf("pbio: format %q field %q: dynamic arrays of strings are not supported",
 					name, s.Name)
 			}
-			members[i] = machine.Member{Name: s.Name, Type: machine.CPointer, Count: s.Count}
-			elemSizes[i] = c.arch.PointerSize
+			fl.ElemSize = c.arch.PointerSize
 		case Nested:
 			nested, ok := c.Lookup(s.NestedName)
 			if !ok {
 				return nil, fmt.Errorf("pbio: format %q field %q: %w: %q",
 					name, s.Name, ErrUnknownFormat, s.NestedName)
 			}
-			elemSizes[i] = nested.Size
-			if s.Dynamic {
-				members[i] = machine.Member{Name: s.Name, Type: machine.CPointer}
-			} else {
-				// machine.LayOut only needs the nested record's size, align
-				// and arch; synthesize a layout shell from the format.
-				shell := &machine.Layout{Arch: c.arch, Size: nested.Size, Align: nested.Align}
-				members[i] = machine.Member{Name: s.Name, Record: shell, Count: s.Count}
-			}
+			fl.Nested, fl.ElemSize = nested, nested.Size
 		case Int, Uint, Float, Char, Bool:
-			if s.CType == 0 {
+			if fl.ElemSize = c.arch.SizeOf(s.CType); fl.ElemSize == 0 {
 				return nil, fmt.Errorf("pbio: format %q field %q: missing C type", name, s.Name)
 			}
-			elemSizes[i] = c.arch.SizeOf(s.CType)
-			if s.Dynamic {
-				members[i] = machine.Member{Name: s.Name, Type: machine.CPointer}
-			} else {
-				members[i] = machine.Member{Name: s.Name, Type: s.CType, Count: s.Count}
+			if !validSize(s.Kind, fl.ElemSize, c.arch.PointerSize) {
+				return nil, fmt.Errorf("format %q field %q: %w: %s of size %d",
+					name, s.Name, ErrBadFieldSize, s.Kind, fl.ElemSize)
 			}
 		default:
 			return nil, fmt.Errorf("pbio: format %q field %q: invalid kind %v", name, s.Name, s.Kind)
 		}
-	}
-	layout, err := machine.LayOut(c.arch, members)
-	if err != nil {
-		return nil, fmt.Errorf("pbio: format %q: %w", name, err)
-	}
-	ios := make([]IOField, len(specs))
-	for i, s := range specs {
-		typ := specTypeString(s)
-		ios[i] = IOField{
-			Name:   s.Name,
-			Type:   typ,
-			Size:   elemSizes[i],
-			Offset: layout.Fields[i].Offset,
+		fl.Slot = fl.ElemSize * fl.Count
+		if fl.Dynamic {
+			fl.Slot = c.arch.PointerSize
+		}
+		fl.Offset = alignUp(offset, fieldAlign(c.arch, &fl))
+		offset = fl.Offset + fl.Slot
+		if err := f.addField(fl); err != nil {
+			return nil, err
 		}
 	}
-	return ios, nil
-}
-
-func specTypeString(s FieldSpec) string {
-	base := s.Kind.String()
-	if s.Kind == Nested {
-		base = s.NestedName
+	if err := finishFormat(f); err != nil {
+		return nil, err
 	}
-	switch {
-	case s.Dynamic:
-		return fmt.Sprintf("%s[%s]", base, s.CountField)
-	case s.Count > 1:
-		return fmt.Sprintf("%s[%d]", base, s.Count)
-	default:
-		return base
-	}
+	return f, nil
 }

@@ -11,157 +11,250 @@ import (
 
 // Parse reads and validates a schema document from r.
 func Parse(r io.Reader) (*Schema, error) {
-	doc, err := xmltext.Parse(r)
+	raw, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xml: read: %w", err)
 	}
-	return FromDocument(doc)
+	return ParseString(string(raw))
 }
 
-// ParseString parses a schema document held in memory.
+// ParseString parses a schema document held in memory, in one pass over its
+// tokens. A document that is not well-formed is reported as that, whatever
+// the schema reading found before the flaw.
 func ParseString(src string) (*Schema, error) {
-	doc, err := xmltext.ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	return FromDocument(doc)
-}
-
-// FromDocument validates and converts an already-parsed XML document.
-func FromDocument(doc *xmltext.Document) (*Schema, error) {
-	root := doc.Root
-	if root == nil || root.Name.Local != "schema" || !IsSchemaNamespace(root.Name.Space) {
-		got := "<nil>"
-		if root != nil {
-			got = fmt.Sprintf("<%s> in namespace %q", root.Name, root.Name.Space)
+	p := parser{tok: xmltext.NewTokenizer(src)}
+	s, err := p.schema()
+	for err != nil {
+		_, rest := p.tok.Next()
+		if rest == io.EOF {
+			return nil, err
 		}
-		return nil, fmt.Errorf("%w: got %s", ErrNotSchema, got)
-	}
-	s := &Schema{
-		byName:       make(map[string]*ComplexType),
-		simpleByName: make(map[string]*SimpleType),
-	}
-	s.TargetNamespace, _ = root.Attr("targetNamespace")
-	for _, child := range root.Elements() {
-		switch child.Name.Local {
-		case "annotation":
-			s.Doc = documentation(child)
-		case "simpleType":
-			st, err := parseSimpleType(child, s)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := s.simpleByName[st.Name]; dup {
-				return nil, fmt.Errorf("%w: %q", ErrDuplicateType, st.Name)
-			}
-			if _, dup := s.byName[st.Name]; dup {
-				return nil, fmt.Errorf("%w: %q", ErrDuplicateType, st.Name)
-			}
-			s.SimpleTypes = append(s.SimpleTypes, st)
-			s.simpleByName[st.Name] = st
-		case "complexType":
-			ct, err := parseComplexType(child, s)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := s.byName[ct.Name]; dup {
-				return nil, fmt.Errorf("%w: %q", ErrDuplicateType, ct.Name)
-			}
-			if _, dup := s.simpleByName[ct.Name]; dup {
-				return nil, fmt.Errorf("%w: %q", ErrDuplicateType, ct.Name)
-			}
-			s.Types = append(s.Types, ct)
-			s.byName[ct.Name] = ct
-		default:
-			// Unknown schema constructs (simpleType, import, ...) are
-			// outside the supported subset; reject loudly rather than
-			// silently producing a wrong wire format.
-			return nil, fmt.Errorf("xmlschema: line %d: unsupported schema construct <%s>",
-				child.Line, child.Name.Local)
+		if rest != nil {
+			return nil, rest
 		}
-	}
-	if len(s.Types) == 0 {
-		return nil, ErrNoTypes
 	}
 	return s, nil
 }
 
-func documentation(annotation *xmltext.Element) string {
-	if d, ok := annotation.First("documentation"); ok {
-		return strings.TrimSpace(d.TextContent())
-	}
-	return ""
+// parser builds a Schema from the token stream. Attribute values are read
+// off a start tag before the next token is asked for: the tokenizer reuses
+// the attribute list.
+type parser struct {
+	tok *xmltext.Tokenizer
+	s   *Schema
+	// elems and index hold the elements of the complexType being read and
+	// their positions by name; the duplicate check and the count-field
+	// lookup share the one map.
+	elems []Element
+	index map[string]int
 }
 
-func parseComplexType(el *xmltext.Element, s *Schema) (*ComplexType, error) {
-	name, ok := el.Attr("name")
+// child returns the next child start tag of the element being read; ok is
+// false once that element's end tag has been consumed.
+func (p *parser) child() (tok xmltext.Token, ok bool, err error) {
+	for {
+		tok, err = p.tok.Next()
+		if err != nil || tok.Kind == xmltext.EndTag {
+			return tok, false, err
+		}
+		if tok.Kind == xmltext.StartTag {
+			return tok, true, nil
+		}
+	}
+}
+
+// skip consumes the rest of the element whose start tag was just read,
+// appending the character data it passes to text if that is non-nil.
+func (p *parser) skip(text *string) error {
+	for depth := 1; depth > 0; {
+		tok, err := p.tok.Next()
+		if err != nil {
+			return err
+		}
+		switch {
+		case tok.Kind == xmltext.StartTag:
+			depth++
+		case tok.Kind == xmltext.EndTag:
+			depth--
+		case tok.Kind == xmltext.CharData && text != nil:
+			*text += tok.Data
+		}
+	}
+	return nil
+}
+
+func (p *parser) line(tok xmltext.Token) int {
+	line, _ := p.tok.Position(tok.Offset)
+	return line
+}
+
+func (p *parser) schema() (*Schema, error) {
+	root, ok, err := p.child()
+	if !ok {
+		return nil, err // a document without a root element is not well-formed
+	}
+	if root.Name.Local != "schema" || !IsSchemaNamespace(root.Name.Space) {
+		return nil, fmt.Errorf("%w: got <%s> in namespace %q", ErrNotSchema, root.Name, root.Name.Space)
+	}
+	p.s = &Schema{
+		byName:       make(map[string]*ComplexType),
+		simpleByName: make(map[string]*SimpleType),
+	}
+	p.s.TargetNamespace, _ = root.Attr("targetNamespace")
+	for {
+		tok, ok, err := p.child()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		switch tok.Name.Local {
+		case "annotation":
+			p.s.Doc, err = p.annotation()
+		case "simpleType":
+			err = p.simpleType(tok)
+		case "complexType":
+			err = p.complexType(tok)
+		default:
+			// Unknown schema constructs (import, attribute, ...) are
+			// outside the supported subset; reject loudly rather than
+			// silently producing a wrong wire format.
+			err = fmt.Errorf("xmlschema: line %d: unsupported schema construct <%s>",
+				p.line(tok), tok.Name.Local)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	for err == nil { // what follows the root must be well-formed too
+		_, err = p.tok.Next()
+	}
+	if err != io.EOF {
+		return nil, err
+	}
+	if len(p.s.Types) == 0 {
+		return nil, ErrNoTypes
+	}
+	return p.s, nil
+}
+
+// declare adds a type name, which simple and complex types share.
+func (p *parser) declare(name string) error {
+	_, simple := p.s.simpleByName[name]
+	if _, complex := p.s.byName[name]; simple || complex {
+		return fmt.Errorf("%w: %q", ErrDuplicateType, name)
+	}
+	return nil
+}
+
+// annotation reads an annotation element and returns the trimmed text of
+// its first documentation child.
+func (p *parser) annotation() (string, error) {
+	text, found := "", false
+	for {
+		tok, ok, err := p.child()
+		if err != nil {
+			return "", err
+		}
+		if !ok {
+			return strings.TrimSpace(text), nil
+		}
+		into := &text
+		if found || tok.Name.Local != "documentation" {
+			into = nil
+		}
+		found = found || into != nil
+		if err := p.skip(into); err != nil {
+			return "", err
+		}
+	}
+}
+
+func (p *parser) complexType(tok xmltext.Token) error {
+	name, ok := tok.Attr("name")
 	if !ok || name == "" {
-		return nil, fmt.Errorf("xmlschema: line %d: complexType missing name attribute", el.Line)
+		return fmt.Errorf("xmlschema: line %d: complexType missing name attribute", p.line(tok))
 	}
 	ct := &ComplexType{Name: name}
-	seen := make(map[string]int) // element name -> index in ct.Elements
-
-	var walk func(parent *xmltext.Element) error
-	walk = func(parent *xmltext.Element) error {
-		for _, child := range parent.Elements() {
-			switch child.Name.Local {
-			case "annotation":
-				ct.Doc = documentation(child)
-			case "sequence", "all":
-				// 2001-style content model wrappers are transparent: the
-				// paper's documents put elements directly under complexType.
-				if err := walk(child); err != nil {
-					return err
-				}
-			case "element":
-				e, err := parseElement(child, name, s)
-				if err != nil {
-					return err
-				}
-				if _, dup := seen[e.Name]; dup {
-					return fmt.Errorf("%w: %q in type %q", ErrDuplicateElement, e.Name, name)
-				}
-				seen[e.Name] = len(ct.Elements)
-				ct.Elements = append(ct.Elements, e)
-			default:
-				return fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in complexType %q",
-					child.Line, child.Name.Local, name)
-			}
-		}
-		return nil
+	p.elems = p.elems[:0]
+	if p.index == nil {
+		p.index = make(map[string]int)
 	}
-	if err := walk(el); err != nil {
-		return nil, err
+	clear(p.index)
+	if err := p.content(ct); err != nil {
+		return err
 	}
-	if len(ct.Elements) == 0 {
-		return nil, fmt.Errorf("xmlschema: complexType %q has no elements", name)
+	if len(p.elems) == 0 {
+		return fmt.Errorf("xmlschema: complexType %q has no elements", name)
 	}
-	if err := resolveCounts(ct); err != nil {
-		return nil, err
+	ct.Elements = append([]Element(nil), p.elems...)
+	if err := resolveCounts(ct, p.index); err != nil {
+		return err
 	}
-	return ct, nil
+	if err := p.declare(name); err != nil {
+		return err
+	}
+	p.s.Types = append(p.s.Types, ct)
+	p.s.byName[name] = ct
+	return nil
 }
 
-func parseElement(el *xmltext.Element, typeName string, s *Schema) (Element, error) {
+// content reads the children of a complexType, or of a sequence or all
+// inside one: 2001-style content model wrappers are transparent, the
+// paper's documents put elements directly under complexType.
+func (p *parser) content(ct *ComplexType) error {
+	for {
+		tok, ok, err := p.child()
+		if err != nil || !ok {
+			return err
+		}
+		switch tok.Name.Local {
+		case "annotation":
+			ct.Doc, err = p.annotation()
+		case "sequence", "all":
+			err = p.content(ct)
+		case "element":
+			var e Element
+			if e, err = p.element(tok, ct.Name); err != nil {
+				return err
+			}
+			if _, dup := p.index[e.Name]; dup {
+				return fmt.Errorf("%w: %q in type %q", ErrDuplicateElement, e.Name, ct.Name)
+			}
+			p.index[e.Name] = len(p.elems)
+			p.elems = append(p.elems, e)
+			err = p.skip(nil)
+		default:
+			err = fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in complexType %q",
+				p.line(tok), tok.Name.Local, ct.Name)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+func (p *parser) element(tok xmltext.Token, typeName string) (Element, error) {
 	var e Element
-	name, ok := el.Attr("name")
+	name, ok := tok.Attr("name")
 	if !ok || name == "" {
 		return e, fmt.Errorf("xmlschema: line %d: element in type %q missing name attribute",
-			el.Line, typeName)
+			p.line(tok), typeName)
 	}
 	e.Name = name
 
-	typeAttr, ok := el.Attr("type")
+	typeAttr, ok := tok.Attr("type")
 	if !ok || typeAttr == "" {
-		return e, fmt.Errorf("xmlschema: line %d: element %q missing type attribute", el.Line, name)
+		return e, fmt.Errorf("xmlschema: line %d: element %q missing type attribute", p.line(tok), name)
 	}
-	ref, err := resolveTypeRef(typeAttr, s)
+	ref, err := resolveTypeRef(typeAttr, p.s)
 	if err != nil {
 		return e, fmt.Errorf("element %q: %w", name, err)
 	}
 	e.Type = ref
 
-	if minStr, ok := el.Attr("minOccurs"); ok {
+	if minStr, ok := tok.Attr("minOccurs"); ok {
 		n, err := strconv.Atoi(minStr)
 		if err != nil || n < 0 {
 			return e, fmt.Errorf("%w: element %q minOccurs=%q", ErrBadOccurs, name, minStr)
@@ -171,7 +264,7 @@ func parseElement(el *xmltext.Element, typeName string, s *Schema) (Element, err
 		e.MinOccurs = 1
 	}
 
-	maxStr, ok := el.Attr("maxOccurs")
+	maxStr, ok := tok.Attr("maxOccurs")
 	if !ok {
 		e.Array = NoArray
 		return e, nil
@@ -236,73 +329,111 @@ func resolveTypeRef(attr string, s *Schema) (TypeRef, error) {
 		ErrUnknownType, attr)
 }
 
-// parseSimpleType handles <xsd:simpleType name="..."> with a restriction or
+// simpleType handles <xsd:simpleType name="..."> with a restriction or
 // extension of a primitive (or of an earlier simple type, which chains to
-// its primitive). Facets relevant to message tooling are retained.
-func parseSimpleType(el *xmltext.Element, s *Schema) (*SimpleType, error) {
-	name, ok := el.Attr("name")
+// its primitive). Facets relevant to message tooling are retained. What is
+// wrong with the derivation is reported only once the simpleType's other
+// children have been checked.
+func (p *parser) simpleType(tok xmltext.Token) error {
+	name, ok := tok.Attr("name")
 	if !ok || name == "" {
-		return nil, fmt.Errorf("xmlschema: line %d: simpleType missing name attribute", el.Line)
+		return fmt.Errorf("xmlschema: line %d: simpleType missing name attribute", p.line(tok))
 	}
 	st := &SimpleType{Name: name, MaxLength: -1}
-	var deriv *xmltext.Element
-	for _, child := range el.Elements() {
-		switch child.Name.Local {
+	derived := false
+	var derivErr error
+	for {
+		tok, ok, err := p.child()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		switch tok.Name.Local {
 		case "annotation":
-			st.Doc = documentation(child)
+			st.Doc, err = p.annotation()
 		case "restriction", "extension":
-			if deriv != nil {
-				return nil, fmt.Errorf("xmlschema: simpleType %q has multiple derivations", name)
+			if derived {
+				return fmt.Errorf("xmlschema: simpleType %q has multiple derivations", name)
 			}
-			deriv = child
+			derived = true
+			derivErr, err = p.derivation(tok, st)
 		default:
-			return nil, fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in simpleType %q",
-				child.Line, child.Name.Local, name)
+			err = fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in simpleType %q",
+				p.line(tok), tok.Name.Local, name)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if deriv == nil {
-		return nil, fmt.Errorf("xmlschema: simpleType %q has no restriction or extension", name)
+	if !derived {
+		return fmt.Errorf("xmlschema: simpleType %q has no restriction or extension", name)
 	}
-	baseAttr, ok := deriv.Attr("base")
-	if !ok || baseAttr == "" {
-		return nil, fmt.Errorf("xmlschema: simpleType %q: %s missing base attribute",
-			name, deriv.Name.Local)
+	if derivErr != nil {
+		return derivErr
 	}
+	if err := p.declare(name); err != nil {
+		return err
+	}
+	p.s.SimpleTypes = append(p.s.SimpleTypes, st)
+	p.s.simpleByName[name] = st
+	return nil
+}
+
+// derivation reads a restriction or extension into st. invalid is what the
+// schema got wrong, err what the document did.
+func (p *parser) derivation(tok xmltext.Token, st *SimpleType) (invalid, err error) {
+	baseAttr, ok := tok.Attr("base")
 	baseLocal := baseAttr
 	if i := strings.IndexByte(baseAttr, ':'); i >= 0 {
 		baseLocal = baseAttr[i+1:]
 	}
-	if p, ok := PrimitiveByName(baseLocal); ok {
-		st.Base = p
-	} else if prev, ok := s.simpleByName[baseLocal]; ok {
+	if !ok || baseAttr == "" {
+		invalid = fmt.Errorf("xmlschema: simpleType %q: %s missing base attribute", st.Name, tok.Name.Local)
+	} else if prim, ok := PrimitiveByName(baseLocal); ok {
+		st.Base = prim
+	} else if prev, ok := p.s.simpleByName[baseLocal]; ok {
 		st.Base = prev.Base
 	} else {
-		return nil, fmt.Errorf("%w: simpleType %q base %q", ErrUnknownType, name, baseAttr)
+		invalid = fmt.Errorf("%w: simpleType %q base %q", ErrUnknownType, st.Name, baseAttr)
 	}
-	for _, facet := range deriv.Elements() {
-		val, _ := facet.Attr("value")
-		switch facet.Name.Local {
-		case "enumeration":
-			st.Enumeration = append(st.Enumeration, val)
-		case "minInclusive":
-			st.MinInclusive = val
-		case "maxInclusive":
-			st.MaxInclusive = val
-		case "maxLength":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("xmlschema: simpleType %q: bad maxLength %q", name, val)
-			}
-			st.MaxLength = n
-		case "annotation", "pattern", "minLength", "length", "whiteSpace",
-			"minExclusive", "maxExclusive", "totalDigits", "fractionDigits":
-			// Accepted but not interpreted: they do not affect the wire.
-		default:
-			return nil, fmt.Errorf("xmlschema: simpleType %q: unsupported facet <%s>",
-				name, facet.Name.Local)
+	for {
+		facet, ok, err := p.child()
+		if err != nil || !ok {
+			return invalid, err
+		}
+		if invalid == nil {
+			invalid = applyFacet(st, facet)
+		}
+		if err := p.skip(nil); err != nil {
+			return invalid, err
 		}
 	}
-	return st, nil
+}
+
+func applyFacet(st *SimpleType, facet xmltext.Token) error {
+	val, _ := facet.Attr("value")
+	switch facet.Name.Local {
+	case "enumeration":
+		st.Enumeration = append(st.Enumeration, val)
+	case "minInclusive":
+		st.MinInclusive = val
+	case "maxInclusive":
+		st.MaxInclusive = val
+	case "maxLength":
+		n, err := strconv.Atoi(val)
+		if err != nil || n < 0 {
+			return fmt.Errorf("xmlschema: simpleType %q: bad maxLength %q", st.Name, val)
+		}
+		st.MaxLength = n
+	case "annotation", "pattern", "minLength", "length", "whiteSpace",
+		"minExclusive", "maxExclusive", "totalDigits", "fractionDigits":
+		// Accepted but not interpreted: they do not affect the wire.
+	default:
+		return fmt.Errorf("xmlschema: simpleType %q: unsupported facet <%s>", st.Name, facet.Name.Local)
+	}
+	return nil
 }
 
 func isNumeric(s string) bool {
@@ -320,31 +451,21 @@ func isNumeric(s string) bool {
 // resolveCounts validates counted arrays (their count field must be a scalar
 // integer element of the same type) and checks that synthesized dynamic
 // count names do not collide with declared elements of the wrong shape.
-func resolveCounts(ct *ComplexType) error {
-	byName := make(map[string]*Element, len(ct.Elements))
-	for i := range ct.Elements {
-		byName[ct.Elements[i].Name] = &ct.Elements[i]
-	}
+// index maps each element's name to its position.
+func resolveCounts(ct *ComplexType, index map[string]int) error {
 	for i := range ct.Elements {
 		e := &ct.Elements[i]
-		switch e.Array {
-		case CountedArray:
-			cf, ok := byName[e.CountField]
-			if !ok {
-				return fmt.Errorf("%w: element %q sized by missing element %q",
-					ErrBadCountField, e.Name, e.CountField)
-			}
-			if err := checkCountElement(cf); err != nil {
+		ci, ok := index[e.CountField]
+		switch {
+		case e.Array == CountedArray && !ok:
+			return fmt.Errorf("%w: element %q sized by missing element %q",
+				ErrBadCountField, e.Name, e.CountField)
+		case e.Array == CountedArray || (e.Array == DynamicArray && ok):
+			// A declared element with a dynamic array's synthesized name is
+			// allowed only if it is itself a valid count field (Appendix
+			// A's PBIO metadata declares eta_count explicitly).
+			if err := checkCountElement(&ct.Elements[ci]); err != nil {
 				return fmt.Errorf("element %q: %w", e.Name, err)
-			}
-		case DynamicArray:
-			if cf, ok := byName[e.CountField]; ok {
-				// A declared element with the synthesized name is allowed
-				// only if it is itself a valid count field (Appendix A's
-				// PBIO metadata declares eta_count explicitly).
-				if err := checkCountElement(cf); err != nil {
-					return fmt.Errorf("element %q: %w", e.Name, err)
-				}
 			}
 		}
 	}

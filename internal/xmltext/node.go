@@ -93,13 +93,15 @@ type Document struct {
 // Attr returns the value of the first attribute with the given local name in
 // no namespace (or in any namespace if none matches exactly — schema
 // documents in the wild are inconsistent about qualifying attributes).
-func (e *Element) Attr(local string) (string, bool) {
-	for _, a := range e.Attrs {
+func (e *Element) Attr(local string) (string, bool) { return findAttr(e.Attrs, local) }
+
+func findAttr(attrs []Attr, local string) (string, bool) {
+	for _, a := range attrs {
 		if a.Name.Local == local && a.Name.Space == "" && a.Name.Prefix != "xmlns" {
 			return a.Value, true
 		}
 	}
-	for _, a := range e.Attrs {
+	for _, a := range attrs {
 		if a.Name.Local == local && a.Name.Prefix != "xmlns" && a.Name.Local != "xmlns" {
 			return a.Value, true
 		}

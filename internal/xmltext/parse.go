@@ -3,11 +3,7 @@ package xmltext
 import (
 	"fmt"
 	"io"
-	"strings"
 )
-
-// XMLNamespace is the reserved namespace bound to the "xml" prefix.
-const XMLNamespace = "http://www.w3.org/XML/1998/namespace"
 
 // Parse reads an entire XML document from r and builds its tree, resolving
 // namespace prefixes to URIs as it goes.
@@ -19,345 +15,48 @@ func Parse(r io.Reader) (*Document, error) {
 	return ParseString(string(raw))
 }
 
-// ParseString parses a document held in memory.
+// ParseString parses a document held in memory: the tree is the Tokenizer's
+// tokens linked together. Comments and processing instructions after the
+// root element are checked and dropped.
 func ParseString(src string) (*Document, error) {
-	p := &parser{scanner: newScanner(src)}
-	p.pushScope() // document-level scope with the implicit xml prefix
-	p.bind("xml", XMLNamespace)
+	t := NewTokenizer(src)
 	doc := &Document{}
-
-	// Prolog: misc before the root element.
+	var open []*Element
 	for {
-		p.skipSpace()
-		if p.eof() {
-			return nil, p.errf("no root element")
+		tok, err := t.Next()
+		if err == io.EOF {
+			return doc, nil
 		}
-		if p.peek() != '<' {
-			return nil, p.errf("character data outside root element")
-		}
-		switch {
-		case p.hasPrefix("<?"):
-			pi, err := p.parseProcInst()
-			if err != nil {
-				return nil, err
-			}
-			doc.Prolog = append(doc.Prolog, pi)
-		case p.hasPrefix("<!--"):
-			c, err := p.parseComment()
-			if err != nil {
-				return nil, err
-			}
-			doc.Prolog = append(doc.Prolog, c)
-		case p.hasPrefix("<!DOCTYPE"):
-			if err := p.skipDoctype(); err != nil {
-				return nil, err
-			}
-		default:
-			root, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			doc.Root = root
-			// Trailing misc.
-			for {
-				p.skipSpace()
-				if p.eof() {
-					return doc, nil
-				}
-				switch {
-				case p.hasPrefix("<?"):
-					if _, err := p.parseProcInst(); err != nil {
-						return nil, err
-					}
-				case p.hasPrefix("<!--"):
-					if _, err := p.parseComment(); err != nil {
-						return nil, err
-					}
-				default:
-					return nil, p.errf("content after root element")
-				}
-			}
-		}
-	}
-}
-
-type nsScope map[string]string
-
-type parser struct {
-	*scanner
-	scopes []nsScope
-}
-
-func (p *parser) pushScope() { p.scopes = append(p.scopes, nsScope{}) }
-func (p *parser) popScope()  { p.scopes = p.scopes[:len(p.scopes)-1] }
-
-func (p *parser) bind(prefix, uri string) {
-	p.scopes[len(p.scopes)-1][prefix] = uri
-}
-
-// lookup resolves a namespace prefix ("" for the default namespace).
-func (p *parser) lookup(prefix string) (string, bool) {
-	for i := len(p.scopes) - 1; i >= 0; i-- {
-		if uri, ok := p.scopes[i][prefix]; ok {
-			return uri, true
-		}
-	}
-	return "", prefix == "" // default namespace defaults to none
-}
-
-func splitQName(q string) (prefix, local string) {
-	if i := strings.IndexByte(q, ':'); i >= 0 {
-		return q[:i], q[i+1:]
-	}
-	return "", q
-}
-
-// parseElement parses an element whose '<' is the current byte.
-func (p *parser) parseElement() (*Element, error) {
-	el := &Element{Line: p.line, Col: p.col}
-	p.next() // consume '<'
-	rawName, err := p.readName()
-	if err != nil {
-		return nil, err
-	}
-
-	// Attributes.
-	var attrs []Attr
-	selfClose := false
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return nil, p.errf("unexpected EOF in start tag <%s>", rawName)
-		}
-		c := p.peek()
-		if c == '>' {
-			p.next()
-			break
-		}
-		if c == '/' && p.peekAt(1) == '>' {
-			p.skip(2)
-			selfClose = true
-			break
-		}
-		aName, err := p.readName()
-		if err != nil {
-			return nil, p.errf("malformed attribute in <%s>", rawName)
-		}
-		p.skipSpace()
-		if p.eof() || p.peek() != '=' {
-			return nil, p.errf("attribute %q missing '='", aName)
-		}
-		p.next()
-		p.skipSpace()
-		val, err := p.readAttrValue()
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range attrs {
-			if a.Name.Prefix+":"+a.Name.Local == aName || (a.Name.Prefix == "" && a.Name.Local == aName) {
-				return nil, p.errf("duplicate attribute %q in <%s>", aName, rawName)
+		var n Node
+		switch tok.Kind {
+		case StartTag:
+			el := &Element{Name: tok.Name, Attrs: append([]Attr(nil), tok.Attrs...)}
+			el.Line, el.Col = t.Position(tok.Offset)
+			if doc.Root == nil {
+				doc.Root = el
+			} else {
+				open[len(open)-1].Children = append(open[len(open)-1].Children, el)
 			}
-		}
-		pre, loc := splitQName(aName)
-		attrs = append(attrs, Attr{Name: Name{Prefix: pre, Local: loc}, Value: val})
-	}
-
-	// Namespace scope: process xmlns declarations, then resolve names.
-	p.pushScope()
-	defer p.popScope()
-	for _, a := range attrs {
-		switch {
-		case a.Name.Prefix == "" && a.Name.Local == "xmlns":
-			p.bind("", a.Value)
-		case a.Name.Prefix == "xmlns":
-			if a.Value == "" {
-				return nil, p.errf("namespace prefix %q bound to empty URI", a.Name.Local)
-			}
-			p.bind(a.Name.Local, a.Value)
-		}
-	}
-	for i := range attrs {
-		a := &attrs[i]
-		if a.Name.Prefix == "xmlns" || (a.Name.Prefix == "" && a.Name.Local == "xmlns") {
-			continue // declarations stay prefix-only
-		}
-		if a.Name.Prefix != "" {
-			uri, ok := p.lookup(a.Name.Prefix)
-			if !ok {
-				return nil, p.errf("undeclared namespace prefix %q", a.Name.Prefix)
-			}
-			a.Name.Space = uri
-		}
-	}
-	prefix, local := splitQName(rawName)
-	uri, ok := p.lookup(prefix)
-	if !ok {
-		return nil, p.errf("undeclared namespace prefix %q", prefix)
-	}
-	el.Name = Name{Space: uri, Prefix: prefix, Local: local}
-	el.Attrs = attrs
-	if selfClose {
-		return el, nil
-	}
-
-	// Content until matching end tag.
-	for {
-		if p.eof() {
-			return nil, p.errf("unexpected EOF: unclosed element <%s>", rawName)
-		}
-		if p.peek() != '<' {
-			text, err := p.readCharData()
-			if err != nil {
-				return nil, err
-			}
-			if text != "" {
-				el.Children = append(el.Children, &Text{Data: text})
-			}
+			open = append(open, el)
 			continue
+		case EndTag:
+			open = open[:len(open)-1]
+			continue
+		case CharData:
+			n = &Text{Data: tok.Data, CDATA: tok.CDATA}
+		case CommentToken:
+			n = &Comment{Data: tok.Data}
+		case ProcInstToken:
+			n = &ProcInst{Target: tok.Name.Local, Data: tok.Data}
 		}
 		switch {
-		case p.hasPrefix("</"):
-			p.skip(2)
-			endName, err := p.readName()
-			if err != nil {
-				return nil, err
-			}
-			if endName != rawName {
-				return nil, p.errf("mismatched end tag </%s>, expected </%s>", endName, rawName)
-			}
-			p.skipSpace()
-			if p.eof() || p.peek() != '>' {
-				return nil, p.errf("malformed end tag </%s>", endName)
-			}
-			p.next()
-			return el, nil
-		case p.hasPrefix("<!--"):
-			c, err := p.parseComment()
-			if err != nil {
-				return nil, err
-			}
-			el.Children = append(el.Children, c)
-		case p.hasPrefix("<![CDATA["):
-			t, err := p.parseCDATA()
-			if err != nil {
-				return nil, err
-			}
-			el.Children = append(el.Children, t)
-		case p.hasPrefix("<?"):
-			pi, err := p.parseProcInst()
-			if err != nil {
-				return nil, err
-			}
-			el.Children = append(el.Children, pi)
-		default:
-			child, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			el.Children = append(el.Children, child)
+		case len(open) > 0:
+			open[len(open)-1].Children = append(open[len(open)-1].Children, n)
+		case doc.Root == nil:
+			doc.Prolog = append(doc.Prolog, n)
 		}
 	}
-}
-
-func (p *parser) readAttrValue() (string, error) {
-	if p.eof() {
-		return "", p.errf("unexpected EOF in attribute value")
-	}
-	quote := p.peek()
-	if quote != '"' && quote != '\'' {
-		return "", p.errf("attribute value must be quoted")
-	}
-	p.next()
-	start := p.pos
-	for !p.eof() && p.peek() != quote {
-		if p.peek() == '<' {
-			return "", p.errf("'<' in attribute value")
-		}
-		p.next()
-	}
-	if p.eof() {
-		return "", p.errf("unterminated attribute value")
-	}
-	raw := p.src[start:p.pos]
-	p.next() // closing quote
-	return p.expandEntities(raw)
-}
-
-func (p *parser) readCharData() (string, error) {
-	start := p.pos
-	for !p.eof() && p.peek() != '<' {
-		p.next()
-	}
-	raw := p.src[start:p.pos]
-	if strings.Contains(raw, "]]>") {
-		return "", p.errf("']]>' not allowed in character data")
-	}
-	return p.expandEntities(raw)
-}
-
-func (p *parser) parseComment() (*Comment, error) {
-	p.skip(4) // <!--
-	start := p.pos
-	idx := strings.Index(p.src[p.pos:], "-->")
-	if idx < 0 {
-		return nil, p.errf("unterminated comment")
-	}
-	data := p.src[start : start+idx]
-	if strings.Contains(data, "--") {
-		return nil, p.errf("'--' not allowed inside comment")
-	}
-	p.skip(idx + 3)
-	return &Comment{Data: data}, nil
-}
-
-func (p *parser) parseCDATA() (*Text, error) {
-	p.skip(9) // <![CDATA[
-	start := p.pos
-	idx := strings.Index(p.src[p.pos:], "]]>")
-	if idx < 0 {
-		return nil, p.errf("unterminated CDATA section")
-	}
-	data := p.src[start : start+idx]
-	p.skip(idx + 3)
-	return &Text{Data: data, CDATA: true}, nil
-}
-
-func (p *parser) parseProcInst() (*ProcInst, error) {
-	p.skip(2) // <?
-	target, err := p.readName()
-	if err != nil {
-		return nil, err
-	}
-	start := p.pos
-	idx := strings.Index(p.src[p.pos:], "?>")
-	if idx < 0 {
-		return nil, p.errf("unterminated processing instruction")
-	}
-	data := strings.TrimLeft(p.src[start:start+idx], " \t\r\n")
-	p.skip(idx + 2)
-	return &ProcInst{Target: target, Data: data}, nil
-}
-
-// skipDoctype consumes a DOCTYPE declaration, balancing an optional internal
-// subset in square brackets. The content is not interpreted: xml2wire uses
-// XML Schema, not DTDs (the paper discusses why DTDs are insufficient).
-func (p *parser) skipDoctype() error {
-	p.skip(len("<!DOCTYPE"))
-	depth := 0
-	for !p.eof() {
-		switch p.next() {
-		case '[':
-			depth++
-		case ']':
-			depth--
-			if depth < 0 {
-				return p.errf("unbalanced ']' in DOCTYPE")
-			}
-		case '>':
-			if depth == 0 {
-				return nil
-			}
-		}
-	}
-	return p.errf("unterminated DOCTYPE")
 }

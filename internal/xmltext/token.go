@@ -1,0 +1,505 @@
+package xmltext
+
+import (
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// XMLNamespace is the reserved namespace bound to the "xml" prefix.
+const XMLNamespace = "http://www.w3.org/XML/1998/namespace"
+
+// Kind identifies what a Token holds.
+type Kind uint8
+
+// Token kinds.
+const (
+	StartTag Kind = iota + 1
+	EndTag
+	CharData
+	CommentToken
+	ProcInstToken
+)
+
+// Token is one lexical unit of a document. Names and text are slices of the
+// source wherever no entity had to be expanded.
+type Token struct {
+	Kind Kind
+	// Name is the namespace-resolved element name of a StartTag or EndTag;
+	// for a ProcInstToken its Local part is the target.
+	Name Name
+	// Attrs are the attributes of a StartTag, prefixes resolved, xmlns
+	// declarations kept. The slice is reused by the next call to Next.
+	Attrs []Attr
+	// Data is character data with references expanded (CharData), or the
+	// body of a comment or processing instruction.
+	Data string
+	// CDATA marks character data that came from a CDATA section.
+	CDATA bool
+	// Offset is the byte offset in the source at which the token starts.
+	Offset int
+}
+
+// Attr returns the value of the start tag's attribute with the given local
+// name, by the rule of Element.Attr.
+func (t Token) Attr(local string) (string, bool) { return findAttr(t.Attrs, local) }
+
+type nsBinding struct{ prefix, uri string }
+
+// openElement is an element whose end tag has not been read.
+type openElement struct {
+	raw  string // name as written, which the end tag must repeat
+	name Name
+	ns   int // len(Tokenizer.ns) before the element's own declarations
+}
+
+// Tokenizer reads a document one token at a time and is this package's one
+// implementation of well-formedness: tags nest and match, attributes are
+// unique, prefixes are declared, references resolve, exactly one root. A
+// self-closing tag reads as a StartTag followed by an EndTag. It allocates
+// only to expand references and to report an error.
+type Tokenizer struct {
+	src  string
+	pos  int
+	err  error
+	root bool // the root element has been closed
+	self bool // the last StartTag was self-closing: its EndTag is due
+
+	attrs []Attr
+	ns    []nsBinding
+	open  []openElement
+
+	// Position's cursor: the last offset resolved, its line, and the offset
+	// at which that line begins.
+	posOff, posLine, posBOL int
+}
+
+// NewTokenizer returns a Tokenizer over a document held in memory.
+func NewTokenizer(src string) *Tokenizer {
+	t := &Tokenizer{src: src, posLine: 1,
+		attrs: make([]Attr, 0, 8), ns: make([]nsBinding, 1, 8), open: make([]openElement, 0, 16)}
+	t.ns[0] = nsBinding{"xml", XMLNamespace}
+	return t
+}
+
+// Position converts a byte offset of the source to a 1-based line and byte
+// column. Offsets that do not decrease cost one scan of the bytes between.
+func (t *Tokenizer) Position(off int) (line, col int) {
+	if off < t.posOff {
+		t.posOff, t.posLine, t.posBOL = 0, 1, 0
+	}
+	between := t.src[t.posOff:off]
+	if n := strings.Count(between, "\n"); n > 0 {
+		t.posLine += n
+		t.posBOL = t.posOff + strings.LastIndexByte(between, '\n') + 1
+	}
+	t.posOff = off
+	return t.posLine, off - t.posBOL + 1
+}
+
+// errf records a syntax error at the cursor; every later Next repeats it.
+func (t *Tokenizer) errf(format string, args ...interface{}) error {
+	line, col := t.Position(t.pos)
+	t.err = &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return t.err
+}
+
+// Next returns the next token, io.EOF after the last one, or a *SyntaxError.
+func (t *Tokenizer) Next() (Token, error) {
+	switch {
+	case t.err != nil:
+		return Token{}, t.err
+	case t.self:
+		t.self = false
+		return t.pop(t.pos), nil
+	case len(t.open) == 0:
+		return t.misc()
+	case t.pos >= len(t.src):
+		return Token{}, t.errf("unexpected EOF: unclosed element <%s>", t.open[len(t.open)-1].raw)
+	case t.src[t.pos] != '<':
+		return t.charData()
+	case t.hasPrefix("</"):
+		return t.endTag()
+	case t.hasPrefix("<!--"):
+		return t.comment()
+	case t.hasPrefix("<![CDATA["):
+		return t.cdata()
+	case t.hasPrefix("<?"):
+		return t.procInst()
+	default:
+		return t.startTag()
+	}
+}
+
+// misc reads what may stand outside the root element: the prolog before it
+// (a DOCTYPE is skipped without a token) and trailing comments and PIs.
+func (t *Tokenizer) misc() (Token, error) {
+	for {
+		t.skipSpace()
+		switch {
+		case t.pos >= len(t.src) && t.root:
+			t.err = io.EOF
+			return Token{}, io.EOF
+		case t.pos >= len(t.src):
+			return Token{}, t.errf("no root element")
+		case !t.root && t.src[t.pos] != '<':
+			return Token{}, t.errf("character data outside root element")
+		case t.hasPrefix("<?"):
+			return t.procInst()
+		case t.hasPrefix("<!--"):
+			return t.comment()
+		case t.root:
+			return Token{}, t.errf("content after root element")
+		case t.hasPrefix("<!DOCTYPE"):
+			if err := t.skipDoctype(); err != nil {
+				return Token{}, err
+			}
+		default:
+			return t.startTag()
+		}
+	}
+}
+
+func (t *Tokenizer) hasPrefix(p string) bool { return strings.HasPrefix(t.src[t.pos:], p) }
+
+// skipSpace consumes XML whitespace (space, tab, CR, LF).
+func (t *Tokenizer) skipSpace() {
+	for t.pos < len(t.src) {
+		switch t.src[t.pos] {
+		case ' ', '\t', '\r', '\n':
+			t.pos++
+		default:
+			return
+		}
+	}
+}
+
+// isNameStart reports whether b can start an XML name. Multi-byte UTF-8
+// sequences are accepted wholesale; full Unicode name validation is beyond
+// what metadata documents need.
+func isNameStart(b byte) bool {
+	return b == '_' || b == ':' ||
+		(b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b >= 0x80
+}
+
+// isNameChar reports whether b can appear inside an XML name.
+func isNameChar(b byte) bool {
+	return isNameStart(b) || b == '-' || b == '.' || (b >= '0' && b <= '9')
+}
+
+// name consumes an XML name; ok is false, and nothing consumed, if none
+// starts at the cursor.
+func (t *Tokenizer) name() (string, bool) {
+	start := t.pos
+	if start >= len(t.src) || !isNameStart(t.src[start]) {
+		return "", false
+	}
+	for t.pos < len(t.src) && isNameChar(t.src[t.pos]) {
+		t.pos++
+	}
+	return t.src[start:t.pos], true
+}
+
+func splitQName(q string) (prefix, local string) {
+	if i := strings.IndexByte(q, ':'); i >= 0 {
+		return q[:i], q[i+1:]
+	}
+	return "", q
+}
+
+// lookup resolves a namespace prefix ("" for the default namespace, which
+// defaults to none) against the innermost binding.
+func (t *Tokenizer) lookup(prefix string) (string, bool) {
+	for i := len(t.ns) - 1; i >= 0; i-- {
+		if t.ns[i].prefix == prefix {
+			return t.ns[i].uri, true
+		}
+	}
+	return "", prefix == ""
+}
+
+// sameAttr reports whether an attribute already read was written as raw.
+func sameAttr(n Name, raw string) bool {
+	if n.Prefix == "" && n.Local == raw {
+		return true
+	}
+	p := len(n.Prefix)
+	return len(raw) == p+1+len(n.Local) && raw[:p] == n.Prefix && raw[p] == ':' && raw[p+1:] == n.Local
+}
+
+// startTag reads a start tag whose '<' is at the cursor.
+func (t *Tokenizer) startTag() (Token, error) {
+	start := t.pos
+	t.pos++
+	raw, ok := t.name()
+	if !ok {
+		return Token{}, t.errf("expected name")
+	}
+	t.attrs = t.attrs[:0]
+	for {
+		t.skipSpace()
+		if t.pos >= len(t.src) {
+			return Token{}, t.errf("unexpected EOF in start tag <%s>", raw)
+		}
+		if t.src[t.pos] == '>' {
+			t.pos++
+			break
+		}
+		if t.hasPrefix("/>") {
+			t.pos += 2
+			t.self = true
+			break
+		}
+		aName, ok := t.name()
+		if !ok {
+			return Token{}, t.errf("malformed attribute in <%s>", raw)
+		}
+		t.skipSpace()
+		if t.pos >= len(t.src) || t.src[t.pos] != '=' {
+			return Token{}, t.errf("attribute %q missing '='", aName)
+		}
+		t.pos++
+		t.skipSpace()
+		val, err := t.attrValue()
+		if err != nil {
+			return Token{}, err
+		}
+		for _, a := range t.attrs {
+			if sameAttr(a.Name, aName) {
+				return Token{}, t.errf("duplicate attribute %q in <%s>", aName, raw)
+			}
+		}
+		pre, loc := splitQName(aName)
+		t.attrs = append(t.attrs, Attr{Name: Name{Prefix: pre, Local: loc}, Value: val})
+	}
+
+	// The element's own xmlns declarations are in scope for its name and
+	// its attributes; the declarations themselves stay prefix-only.
+	el := openElement{raw: raw, ns: len(t.ns)}
+	for _, a := range t.attrs {
+		switch {
+		case a.Name.Prefix == "" && a.Name.Local == "xmlns":
+			t.ns = append(t.ns, nsBinding{"", a.Value})
+		case a.Name.Prefix == "xmlns" && a.Value == "":
+			return Token{}, t.errf("namespace prefix %q bound to empty URI", a.Name.Local)
+		case a.Name.Prefix == "xmlns":
+			t.ns = append(t.ns, nsBinding{a.Name.Local, a.Value})
+		}
+	}
+	for i := range t.attrs {
+		a := &t.attrs[i]
+		if a.Name.Prefix == "" || a.Name.Prefix == "xmlns" {
+			continue
+		}
+		if a.Name.Space, ok = t.lookup(a.Name.Prefix); !ok {
+			return Token{}, t.errf("undeclared namespace prefix %q", a.Name.Prefix)
+		}
+	}
+	prefix, local := splitQName(raw)
+	uri, ok := t.lookup(prefix)
+	if !ok {
+		return Token{}, t.errf("undeclared namespace prefix %q", prefix)
+	}
+	el.name = Name{Space: uri, Prefix: prefix, Local: local}
+	t.open = append(t.open, el)
+	return Token{Kind: StartTag, Name: el.name, Attrs: t.attrs, Offset: start}, nil
+}
+
+// endTag reads an end tag whose "</" is at the cursor.
+func (t *Tokenizer) endTag() (Token, error) {
+	start := t.pos
+	t.pos += 2
+	name, ok := t.name()
+	if !ok {
+		return Token{}, t.errf("expected name")
+	}
+	if want := t.open[len(t.open)-1].raw; name != want {
+		return Token{}, t.errf("mismatched end tag </%s>, expected </%s>", name, want)
+	}
+	t.skipSpace()
+	if t.pos >= len(t.src) || t.src[t.pos] != '>' {
+		return Token{}, t.errf("malformed end tag </%s>", name)
+	}
+	t.pos++
+	return t.pop(start), nil
+}
+
+// pop closes the innermost open element and drops its namespace bindings.
+func (t *Tokenizer) pop(off int) Token {
+	el := t.open[len(t.open)-1]
+	t.open = t.open[:len(t.open)-1]
+	t.ns = t.ns[:el.ns]
+	t.root = len(t.open) == 0
+	return Token{Kind: EndTag, Name: el.name, Offset: off}
+}
+
+func (t *Tokenizer) attrValue() (string, error) {
+	if t.pos >= len(t.src) {
+		return "", t.errf("unexpected EOF in attribute value")
+	}
+	quote := t.src[t.pos]
+	if quote != '"' && quote != '\'' {
+		return "", t.errf("attribute value must be quoted")
+	}
+	t.pos++
+	start := t.pos
+	for t.pos < len(t.src) && t.src[t.pos] != quote {
+		if t.src[t.pos] == '<' {
+			return "", t.errf("'<' in attribute value")
+		}
+		t.pos++
+	}
+	if t.pos >= len(t.src) {
+		return "", t.errf("unterminated attribute value")
+	}
+	raw := t.src[start:t.pos]
+	t.pos++ // closing quote
+	return t.expand(raw)
+}
+
+func (t *Tokenizer) charData() (Token, error) {
+	start := t.pos
+	if end := strings.IndexByte(t.src[start:], '<'); end >= 0 {
+		t.pos = start + end
+	} else {
+		t.pos = len(t.src)
+	}
+	raw := t.src[start:t.pos]
+	if strings.Contains(raw, "]]>") {
+		return Token{}, t.errf("']]>' not allowed in character data")
+	}
+	text, err := t.expand(raw)
+	if err != nil {
+		return Token{}, err
+	}
+	return Token{Kind: CharData, Data: text, Offset: start}, nil
+}
+
+// delimited consumes an opening delimiter of open bytes and the body up to
+// the closing delimiter, for comments, CDATA sections and PIs.
+func (t *Tokenizer) delimited(open int, closer, what string) (string, error) {
+	t.pos += open
+	end := strings.Index(t.src[t.pos:], closer)
+	if end < 0 {
+		return "", t.errf("unterminated %s", what)
+	}
+	return t.src[t.pos : t.pos+end], nil
+}
+
+func (t *Tokenizer) comment() (Token, error) {
+	start := t.pos
+	data, err := t.delimited(4, "-->", "comment")
+	if err != nil {
+		return Token{}, err
+	}
+	if strings.Contains(data, "--") {
+		return Token{}, t.errf("'--' not allowed inside comment")
+	}
+	t.pos += len(data) + 3
+	return Token{Kind: CommentToken, Data: data, Offset: start}, nil
+}
+
+func (t *Tokenizer) cdata() (Token, error) {
+	start := t.pos
+	data, err := t.delimited(9, "]]>", "CDATA section")
+	if err != nil {
+		return Token{}, err
+	}
+	t.pos += len(data) + 3
+	return Token{Kind: CharData, Data: data, CDATA: true, Offset: start}, nil
+}
+
+func (t *Tokenizer) procInst() (Token, error) {
+	start := t.pos
+	t.pos += 2
+	target, ok := t.name()
+	if !ok {
+		return Token{}, t.errf("expected name")
+	}
+	data, err := t.delimited(0, "?>", "processing instruction")
+	if err != nil {
+		return Token{}, err
+	}
+	t.pos += len(data) + 2
+	return Token{Kind: ProcInstToken, Name: Name{Local: target},
+		Data: strings.TrimLeft(data, " \t\r\n"), Offset: start}, nil
+}
+
+// skipDoctype consumes a DOCTYPE declaration, balancing an optional internal
+// subset in square brackets. The content is not interpreted: xml2wire uses
+// XML Schema, not DTDs (the paper discusses why DTDs are insufficient).
+func (t *Tokenizer) skipDoctype() error {
+	t.pos += len("<!DOCTYPE")
+	depth := 0
+	for t.pos < len(t.src) {
+		c := t.src[t.pos]
+		t.pos++
+		switch c {
+		case '[':
+			depth++
+		case ']':
+			depth--
+			if depth < 0 {
+				return t.errf("unbalanced ']' in DOCTYPE")
+			}
+		case '>':
+			if depth == 0 {
+				return nil
+			}
+		}
+	}
+	return t.errf("unterminated DOCTYPE")
+}
+
+// expand replaces entity and character references in raw character data or
+// attribute text.
+func (t *Tokenizer) expand(raw string) (string, error) {
+	if strings.IndexByte(raw, '&') < 0 {
+		return raw, nil
+	}
+	var sb strings.Builder
+	sb.Grow(len(raw))
+	for i := 0; i < len(raw); {
+		c := raw[i]
+		if c != '&' {
+			sb.WriteByte(c)
+			i++
+			continue
+		}
+		end := strings.IndexByte(raw[i:], ';')
+		if end < 0 {
+			return "", t.errf("unterminated entity reference")
+		}
+		ref := raw[i+1 : i+end]
+		i += end + 1
+		switch {
+		case ref == "amp":
+			sb.WriteByte('&')
+		case ref == "lt":
+			sb.WriteByte('<')
+		case ref == "gt":
+			sb.WriteByte('>')
+		case ref == "apos":
+			sb.WriteByte('\'')
+		case ref == "quot":
+			sb.WriteByte('"')
+		case strings.HasPrefix(ref, "#x") || strings.HasPrefix(ref, "#X"):
+			n, err := strconv.ParseUint(ref[2:], 16, 32)
+			if err != nil || !utf8.ValidRune(rune(n)) {
+				return "", t.errf("invalid character reference &%s;", ref)
+			}
+			sb.WriteRune(rune(n))
+		case strings.HasPrefix(ref, "#"):
+			n, err := strconv.ParseUint(ref[1:], 10, 32)
+			if err != nil || !utf8.ValidRune(rune(n)) {
+				return "", t.errf("invalid character reference &%s;", ref)
+			}
+			sb.WriteRune(rune(n))
+		default:
+			return "", t.errf("unknown entity &%s;", ref)
+		}
+	}
+	return sb.String(), nil
+}
