@@ -172,11 +172,12 @@ func Table1(cfg Config) (*Table, error) {
 		Caption: "Format registration costs using xml2wire and PBIO (arch: sparc, as in the paper)",
 		Headers: []string{"Structure", "Struct Size (B)",
 			"Encoded PBIO (B)", "Encoded xml2wire (B)",
-			"Reg Time PBIO", "Reg Time xml2wire", "xml2wire/PBIO", "Live Counters Δ"},
+			"Reg Time PBIO", "Reg Time xml2wire", "xml2wire/PBIO", "Allocs PBIO / xml2wire", "Live Counters Δ"},
 		Notes: []string{
 			"paper reports 32/52/180 struct bytes and identical encoded sizes for both paths",
 			"paper's C+D row reports the unpadded extent (180); conforming sizeof is 184",
 			"expected shape: xml2wire ~2-3x PBIO registration, both growing with field count",
+			"allocations repeat exactly where times do not; TestTable1RegistrationRatio asserts their ratio",
 			"Live Counters Δ cross-checks each row against the obsv registry: pbio.formats.registered and pbio.encode.calls deltas over the row's work (timing loops included)",
 		},
 	}
@@ -213,7 +214,7 @@ func Table1(cfg Config) (*Table, error) {
 		// Native registration timing: fresh context per inner op so the
 		// catalog fast path cannot short-circuit.
 		caseCopy := c
-		tPBIO, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
+		native := func() error {
 			ctx, err := pbio.NewContext(machine.Sparc)
 			if err != nil {
 				return err
@@ -224,7 +225,8 @@ func Table1(cfg Config) (*Table, error) {
 				}
 			}
 			return nil
-		})
+		}
+		tPBIO, err := TimeOp(cfg.Trials, cfg.Inner, native)
 		if err != nil {
 			return nil, err
 		}
@@ -232,14 +234,23 @@ func Table1(cfg Config) (*Table, error) {
 		// measures ("includes the time necessary to parse the XML
 		// description of the format and register the format with PBIO").
 		doc := []byte(c.Schema)
-		tXML, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
+		viaXML := func() error {
 			ctx, err := pbio.NewContext(machine.Sparc)
 			if err != nil {
 				return err
 			}
 			_, err = core.RegisterDocument(ctx, doc)
 			return err
-		})
+		}
+		tXML, err := TimeOp(cfg.Trials, cfg.Inner, viaXML)
+		if err != nil {
+			return nil, err
+		}
+		aPBIO, err := AllocsOp(native)
+		if err != nil {
+			return nil, err
+		}
+		aXML, err := AllocsOp(viaXML)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +258,7 @@ func Table1(cfg Config) (*Table, error) {
 		statsCol := fmt.Sprintf("regs +%d, encodes +%d",
 			sd["pbio.formats.registered"], sd["pbio.encode.calls"])
 		t.AddRow(c.Name, last.Size, len(encNative), len(encXML), tPBIO, tXML,
-			Ratio(tXML, tPBIO), statsCol)
+			Ratio(tXML, tPBIO), fmt.Sprintf("%d / %d (%.1fx)", aPBIO, aXML, float64(aXML)/float64(aPBIO)), statsCol)
 	}
 	return t, nil
 }

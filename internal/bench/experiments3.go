@@ -148,7 +148,7 @@ func Table9(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "Table 9",
 		Caption: "Registration cost vs field count (xml2wire decomposed)",
-		Headers: []string{"Fields", "Schema bytes", "Parse+register", "Register only", "Parse share"},
+		Headers: []string{"Fields", "Schema bytes", "Parse+register", "Register only", "Parse share", "Allocs parse+register / register"},
 		Notes: []string{
 			"expected shape: both components linear in field count; parsing dominates xml2wire",
 		},
@@ -159,30 +159,40 @@ func Table9(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
+		viaXML := func() error {
 			ctx, err := pbio.NewContext(machine.Sparc)
 			if err != nil {
 				return err
 			}
 			_, err = core.RegisterDocument(ctx, doc)
 			return err
-		})
-		if err != nil {
-			return nil, err
 		}
-		regOnly, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
+		fromSpecs := func() error {
 			ctx, err := pbio.NewContext(machine.Sparc)
 			if err != nil {
 				return err
 			}
 			_, err = ctx.RegisterSpec("S", specs)
 			return err
-		})
+		}
+		full, err := TimeOp(cfg.Trials, cfg.Inner, viaXML)
+		if err != nil {
+			return nil, err
+		}
+		regOnly, err := TimeOp(cfg.Trials, cfg.Inner, fromSpecs)
+		if err != nil {
+			return nil, err
+		}
+		aFull, err := AllocsOp(viaXML)
+		if err != nil {
+			return nil, err
+		}
+		aReg, err := AllocsOp(fromSpecs)
 		if err != nil {
 			return nil, err
 		}
 		share := 100 * float64(full-regOnly) / float64(full)
-		t.AddRow(nFields, len(doc), full, regOnly, fmt.Sprintf("%.0f%%", share))
+		t.AddRow(nFields, len(doc), full, regOnly, fmt.Sprintf("%.0f%%", share), fmt.Sprintf("%d / %d", aFull, aReg))
 	}
 	return t, nil
 }

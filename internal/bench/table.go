@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -130,6 +131,25 @@ func TimeOp(trials, inner int, fn func() error) (time.Duration, error) {
 		samples = append(samples, time.Since(start)/time.Duration(inner))
 	}
 	return Median(samples), nil
+}
+
+// AllocsOp counts the heap allocations of one call of fn: the mean over ten
+// calls after a warm-up call, on one processor so that no other goroutine of
+// the process is counted in. Unlike a time, the count repeats exactly.
+func AllocsOp(fn func() error) (int, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if err := fn(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.Mallocs-before.Mallocs) / runs, nil
 }
 
 // Ratio formats a speedup factor ("9.8x").

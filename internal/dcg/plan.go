@@ -97,6 +97,7 @@ func Compile(src, dst *pbio.Format) (*Plan, error) {
 		return p, nil
 	}
 	sameRep := src.Arch.Order == dst.Arch.Order
+	p.prog = make([]op, 0, len(dst.Fields))
 	for di := range dst.Fields {
 		dfl := &dst.Fields[di]
 		sfl, ok := src.FieldByName(dfl.Name)
@@ -107,9 +108,7 @@ func Compile(src, dst *pbio.Format) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if o != nil {
-			p.prog = append(p.prog, *o)
-		}
+		p.prog = append(p.prog, o)
 	}
 	p.coalesce()
 	for i := range p.prog {
@@ -121,44 +120,44 @@ func Compile(src, dst *pbio.Format) (*Plan, error) {
 	return p, nil
 }
 
-func compileField(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (*op, error) {
+func compileField(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (op, error) {
 	if sfl.Kind != dfl.Kind || sfl.Dynamic != dfl.Dynamic {
-		return nil, fmt.Errorf("%w: field %q is %s/%v in source, %s/%v in destination",
+		return op{}, fmt.Errorf("%w: field %q is %s/%v in source, %s/%v in destination",
 			ErrIncompatible, dfl.Name, sfl.Kind, sfl.Dynamic, dfl.Kind, dfl.Dynamic)
 	}
 	if !sfl.Dynamic && sfl.Count != dfl.Count {
-		return nil, fmt.Errorf("%w: field %q has %d elements in source, %d in destination",
+		return op{}, fmt.Errorf("%w: field %q has %d elements in source, %d in destination",
 			ErrIncompatible, dfl.Name, sfl.Count, dfl.Count)
 	}
 
-	elem, err := elementOp(src, dst, sfl, dfl, sameRep)
+	o, err := elementOp(src, dst, sfl, dfl, sameRep)
 	if err != nil {
-		return nil, err
+		return op{}, err
 	}
 
 	if sfl.Dynamic {
 		cf, ok := src.FieldByName(sfl.CountField)
 		if !ok {
-			return nil, fmt.Errorf("%w: field %q count field %q missing in source",
+			return op{}, fmt.Errorf("%w: field %q count field %q missing in source",
 				ErrIncompatible, sfl.Name, sfl.CountField)
 		}
 		align := dst.Arch.Align(dfl.ElemSize)
 		if dfl.Kind == pbio.Nested {
 			align = dfl.Nested.Align
 		}
-		return &op{
+		elem := o // boxed here, so only a dynamic array's element is
+		return op{
 			code:        opDynamic,
 			srcOff:      sfl.Offset,
 			dstOff:      dfl.Offset,
 			countOff:    cf.Offset,
 			countSize:   cf.ElemSize,
 			countSigned: cf.Kind == pbio.Int,
-			elem:        elem,
+			elem:        &elem,
 			elemAlign:   align,
 		}, nil
 	}
 
-	o := *elem
 	o.srcOff = sfl.Offset
 	o.dstOff = dfl.Offset
 	o.count = sfl.Count
@@ -169,49 +168,49 @@ func compileField(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (*o
 		o.dstSize = o.size
 		o.count = 1
 	}
-	return &o, nil
+	return o, nil
 }
 
 // elementOp builds the per-element instruction with offsets left at zero.
-func elementOp(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (*op, error) {
+func elementOp(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (op, error) {
 	switch dfl.Kind {
 	case pbio.Int, pbio.Uint, pbio.Char:
 		if sfl.ElemSize == dfl.ElemSize {
 			if sameRep || sfl.ElemSize == 1 {
-				return &op{code: opCopy, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
+				return op{code: opCopy, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 			}
 			// Byte reversal is exactly the endianness conversion for a
 			// two's-complement integer of unchanged width.
-			return &op{code: opSwap, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
+			return op{code: opSwap, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 		}
-		return &op{
+		return op{
 			code: opInt, size: sfl.ElemSize, dstSize: dfl.ElemSize,
 			signed: dfl.Kind != pbio.Uint,
 		}, nil
 	case pbio.Float:
 		if sfl.ElemSize == dfl.ElemSize {
 			if sameRep {
-				return &op{code: opCopy, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
+				return op{code: opCopy, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 			}
 			// IEEE 754 bit patterns swap bytes like integers.
-			return &op{code: opSwap, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
+			return op{code: opSwap, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 		}
-		return &op{code: opFloat, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
+		return op{code: opFloat, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 	case pbio.Bool:
-		return &op{code: opBool, size: 1, dstSize: 1}, nil
+		return op{code: opBool, size: 1, dstSize: 1}, nil
 	case pbio.String:
-		return &op{code: opString, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
+		return op{code: opString, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 	case pbio.Nested:
 		child, err := Compile(sfl.Nested, dfl.Nested)
 		if err != nil {
-			return nil, err
+			return op{}, err
 		}
 		if child.Identity && sameRep {
-			return &op{code: opCopy, size: sfl.Nested.Size, dstSize: dfl.Nested.Size}, nil
+			return op{code: opCopy, size: sfl.Nested.Size, dstSize: dfl.Nested.Size}, nil
 		}
-		return &op{code: opNested, size: sfl.Nested.Size, dstSize: dfl.Nested.Size, child: child}, nil
+		return op{code: opNested, size: sfl.Nested.Size, dstSize: dfl.Nested.Size, child: child}, nil
 	default:
-		return nil, fmt.Errorf("%w: field %q has kind %v", ErrIncompatible, dfl.Name, dfl.Kind)
+		return op{}, fmt.Errorf("%w: field %q has kind %v", ErrIncompatible, dfl.Name, dfl.Kind)
 	}
 }
 

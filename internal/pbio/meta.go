@@ -134,8 +134,11 @@ func UnmarshalMeta(data []byte) (*Format, error) {
 		if order != machine.LittleEndian && order != machine.BigEndian {
 			return nil, fmt.Errorf("%w: bad byte order %d", ErrBadMeta, order)
 		}
-		if ptrSize <= 0 || maxAlign <= 0 {
-			return nil, fmt.Errorf("%w: bad arch sizes", ErrBadMeta)
+		// Pointer slots are read as integers of the pointer size, so only
+		// the widths machine.Uint reads may be announced.
+		if (ptrSize != 2 && ptrSize != 4 && ptrSize != 8) ||
+			maxAlign <= 0 || maxAlign > 16 || maxAlign&(maxAlign-1) != 0 {
+			return nil, fmt.Errorf("%w: bad arch sizes (pointer %d, max align %d)", ErrBadMeta, ptrSize, maxAlign)
 		}
 		f := &Format{
 			Name:   name,

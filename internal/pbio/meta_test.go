@@ -177,3 +177,34 @@ func TestSyntheticArchUsableForDecode(t *testing.T) {
 		t.Errorf("arln = %v", out["arln"])
 	}
 }
+
+func TestUnmarshalMetaRejectsUnreadableArchSizes(t *testing.T) {
+	// A peer announcing a pointer size no integer read supports used to be
+	// adopted and to panic the first Decode of one of its records; so does
+	// every pointer size but 2, 4 and 8, and a max align that is not a power
+	// of two up to 16, whatever the fields say.
+	f, err := newCtx(t, machine.Sparc).RegisterSpec("S", []FieldSpec{{Name: "s", Kind: String}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := MarshalMeta(f)
+	ptrAt := 4 + 1 + 2 + len("S") + 1                   // magic, count, name, byte order
+	fieldAt := ptrAt + 2 + 2 + len("sparc") + 4 + 2 + 2 // max align, arch name, size, align, nfields
+	elemAt := fieldAt + 2 + len("s") + 1                // field name, kind
+	slotAt := elemAt + 4 + 4 + 1 + 2 + 4                // elem size, count, flags, count field, offset
+	if good[ptrAt] != 4 || good[elemAt+3] != 4 || good[slotAt+3] != 4 {
+		t.Fatalf("metadata layout moved: % x", good)
+	}
+	for _, tc := range []struct{ ptr, maxAlign byte }{{3, 4}, {0, 4}, {1, 4}, {16, 4}, {4, 0}, {4, 3}, {4, 32}} {
+		bad := append([]byte(nil), good...)
+		bad[ptrAt], bad[ptrAt+1] = tc.ptr, tc.maxAlign
+		bad[elemAt+3], bad[slotAt+3] = tc.ptr, tc.ptr // a string is one pointer wide
+		g, err := UnmarshalMeta(bad)
+		if !errors.Is(err, ErrBadMeta) {
+			t.Errorf("pointer size %d, max align %d: err = %v, want ErrBadMeta", tc.ptr, tc.maxAlign, err)
+		}
+		if err == nil {
+			_, _ = g.Decode(make([]byte, g.Size))
+		}
+	}
+}

@@ -7,6 +7,7 @@ package testutil
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,20 +61,48 @@ func Eventually(timeout time.Duration, cond func() bool, fail func(msg string)) 
 	}
 }
 
-// NoGoroutineLeak notes how many goroutines are running and, once the test
-// and every cleanup registered after this call have finished, waits for the
-// count to come back down to that baseline — failing with a dump of all
-// stacks if something the test started is still running. Call it first, before
-// starting the brokers and clients whose Close it is checking.
+// goroutines returns the stack of every live goroutine by its ID, read off
+// the "goroutine N [state]:" headers of a full stack dump.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) { // truncated: the dump needs a larger buffer
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	out := make(map[string]string)
+	for _, stack := range strings.Split(string(buf[:n]), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(stack, "goroutine "), " "); ok {
+			out[id] = stack
+		}
+	}
+	return out
+}
+
+// NoGoroutineLeak notes which goroutines are running and, once the test and
+// every cleanup registered after this call have finished, waits for every
+// goroutine started since to end — failing with the stacks of those still
+// running. Goroutines are told apart by ID, so one from before the call that
+// happens to end meanwhile cannot hide a leak the way it did when only their
+// number was compared. Call it first, before starting the brokers and clients
+// whose Close it is checking.
 func NoGoroutineLeak(t testing.TB) {
 	t.Helper()
-	base := runtime.NumGoroutine()
+	before := goroutines()
 	t.Cleanup(func() {
-		if Poll(leakWait, func() bool { return runtime.NumGoroutine() <= base }) {
+		var leaked []string
+		if Poll(leakWait, func() bool {
+			leaked = leaked[:0]
+			for id, stack := range goroutines() {
+				if _, ok := before[id]; !ok {
+					leaked = append(leaked, stack)
+				}
+			}
+			return len(leaked) == 0
+		}) {
 			return
 		}
-		buf := make([]byte, 1<<16)
-		t.Errorf("%d goroutines before the test, %d after teardown:\n%s",
-			base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		t.Errorf("%d goroutines started during the test are running after teardown:\n%s",
+			len(leaked), strings.Join(leaked, "\n\n"))
 	})
 }

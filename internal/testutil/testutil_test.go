@@ -105,3 +105,27 @@ func TestNoGoroutineLeak(t *testing.T) {
 		t.Errorf("blocked goroutine not reported with its stack: %q", leaky.failure)
 	}
 }
+
+func TestNoGoroutineLeakIsNotHiddenByAnotherEnding(t *testing.T) {
+	defer func(d time.Duration) { leakWait = d }(leakWait)
+	leakWait = 50 * time.Millisecond
+
+	// A goroutine from before the call ends during the test while one the
+	// test started stays: as many run as before, and it is still a leak.
+	earlier, ended := make(chan struct{}), make(chan struct{})
+	go func() { <-earlier; close(ended) }()
+	tb := &recordingTB{TB: t}
+	NoGoroutineLeak(tb)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { <-stop }()
+	close(earlier)
+	<-ended
+	tb.cleanups[0]()
+	if !strings.Contains(tb.failure, "TestNoGoroutineLeakIsNotHiddenByAnotherEnding") {
+		t.Errorf("leak hidden by an unrelated goroutine ending: %q", tb.failure)
+	}
+	if !strings.HasPrefix(tb.failure, "1 goroutines") {
+		t.Errorf("report carries more than the one leaked goroutine:\n%s", tb.failure)
+	}
+}

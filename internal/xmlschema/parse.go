@@ -22,18 +22,18 @@ func Parse(r io.Reader) (*Schema, error) {
 // tokens. A document that is not well-formed is reported as that, whatever
 // the schema reading found before the flaw.
 func ParseString(src string) (*Schema, error) {
-	p := parser{tok: xmltext.NewTokenizer(src)}
+	// The element scratch is sized for a typical message format; a large one grows it.
+	p := parser{tok: xmltext.NewTokenizer(src), elems: make([]Element, 0, 16), index: make(map[string]int, 16)}
 	s, err := p.schema()
-	for err != nil {
+	for {
 		_, rest := p.tok.Next()
 		if rest == io.EOF {
-			return nil, err
+			return s, err
 		}
 		if rest != nil {
 			return nil, rest
 		}
 	}
-	return s, nil
 }
 
 // parser builds a Schema from the token stream. Attribute values are read
@@ -49,35 +49,39 @@ type parser struct {
 	index map[string]int
 }
 
-// child returns the next child start tag of the element being read; ok is
-// false once that element's end tag has been consumed.
-func (p *parser) child() (tok xmltext.Token, ok bool, err error) {
+// children calls visit with each child start tag of the element whose start
+// tag was just read, through that element's end tag. visit consumes the
+// child, by children or by skip.
+func (p *parser) children(visit func(tok xmltext.Token) error) error {
 	for {
-		tok, err = p.tok.Next()
-		if err != nil || tok.Kind == xmltext.EndTag {
-			return tok, false, err
-		}
-		if tok.Kind == xmltext.StartTag {
-			return tok, true, nil
+		tok, err := p.tok.Next()
+		switch {
+		case err != nil:
+			return err
+		case tok.Kind == xmltext.EndTag:
+			return nil
+		case tok.Kind == xmltext.StartTag:
+			if err := visit(tok); err != nil {
+				return err
+			}
 		}
 	}
 }
 
-// skip consumes the rest of the element whose start tag was just read,
-// appending the character data it passes to text if that is non-nil.
-func (p *parser) skip(text *string) error {
+// text consumes the element whose start tag was just read, appending the
+// character data at any depth inside it to into if that is non-nil.
+func (p *parser) text(into *string) error {
 	for depth := 1; depth > 0; {
 		tok, err := p.tok.Next()
-		if err != nil {
-			return err
-		}
 		switch {
+		case err != nil:
+			return err
 		case tok.Kind == xmltext.StartTag:
 			depth++
 		case tok.Kind == xmltext.EndTag:
 			depth--
-		case tok.Kind == xmltext.CharData && text != nil:
-			*text += tok.Data
+		case tok.Kind == xmltext.CharData && into != nil:
+			*into += tok.Data
 		}
 	}
 	return nil
@@ -89,9 +93,12 @@ func (p *parser) line(tok xmltext.Token) int {
 }
 
 func (p *parser) schema() (*Schema, error) {
-	root, ok, err := p.child()
-	if !ok {
-		return nil, err // a document without a root element is not well-formed
+	var root xmltext.Token
+	for root.Kind != xmltext.StartTag { // a document with no root is not well-formed
+		var err error
+		if root, err = p.tok.Next(); err != nil {
+			return nil, err
+		}
 	}
 	if root.Name.Local != "schema" || !IsSchemaNamespace(root.Name.Space) {
 		return nil, fmt.Errorf("%w: got <%s> in namespace %q", ErrNotSchema, root.Name, root.Name.Space)
@@ -101,36 +108,21 @@ func (p *parser) schema() (*Schema, error) {
 		simpleByName: make(map[string]*SimpleType),
 	}
 	p.s.TargetNamespace, _ = root.Attr("targetNamespace")
-	for {
-		tok, ok, err := p.child()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	err := p.children(func(tok xmltext.Token) error {
 		switch tok.Name.Local {
 		case "annotation":
-			p.s.Doc, err = p.annotation()
+			return p.annotation(&p.s.Doc)
 		case "simpleType":
-			err = p.simpleType(tok)
+			return p.simpleType(tok)
 		case "complexType":
-			err = p.complexType(tok)
-		default:
-			// Unknown schema constructs (import, attribute, ...) are
-			// outside the supported subset; reject loudly rather than
-			// silently producing a wrong wire format.
-			err = fmt.Errorf("xmlschema: line %d: unsupported schema construct <%s>",
-				p.line(tok), tok.Name.Local)
+			return p.complexType(tok)
 		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for err == nil { // what follows the root must be well-formed too
-		_, err = p.tok.Next()
-	}
-	if err != io.EOF {
+		// Unknown schema constructs (import, attribute, ...) are outside the
+		// supported subset; reject loudly rather than silently producing a
+		// wrong wire format.
+		return fmt.Errorf("xmlschema: line %d: unsupported schema construct <%s>", p.line(tok), tok.Name.Local)
+	})
+	if err != nil {
 		return nil, err
 	}
 	if len(p.s.Types) == 0 {
@@ -139,7 +131,7 @@ func (p *parser) schema() (*Schema, error) {
 	return p.s, nil
 }
 
-// declare adds a type name, which simple and complex types share.
+// declare checks a type name, which simple and complex types share.
 func (p *parser) declare(name string) error {
 	_, simple := p.s.simpleByName[name]
 	if _, complex := p.s.byName[name]; simple || complex {
@@ -148,27 +140,19 @@ func (p *parser) declare(name string) error {
 	return nil
 }
 
-// annotation reads an annotation element and returns the trimmed text of
-// its first documentation child.
-func (p *parser) annotation() (string, error) {
+// annotation reads an annotation element and sets doc to the trimmed text
+// of its first documentation child.
+func (p *parser) annotation(doc *string) error {
 	text, found := "", false
-	for {
-		tok, ok, err := p.child()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			return strings.TrimSpace(text), nil
-		}
-		into := &text
+	err := p.children(func(tok xmltext.Token) error {
 		if found || tok.Name.Local != "documentation" {
-			into = nil
+			return p.text(nil)
 		}
-		found = found || into != nil
-		if err := p.skip(into); err != nil {
-			return "", err
-		}
-	}
+		found = true
+		return p.text(&text)
+	})
+	*doc = strings.TrimSpace(text)
+	return err
 }
 
 func (p *parser) complexType(tok xmltext.Token) error {
@@ -178,9 +162,6 @@ func (p *parser) complexType(tok xmltext.Token) error {
 	}
 	ct := &ComplexType{Name: name}
 	p.elems = p.elems[:0]
-	if p.index == nil {
-		p.index = make(map[string]int)
-	}
 	clear(p.index)
 	if err := p.content(ct); err != nil {
 		return err
@@ -204,19 +185,15 @@ func (p *parser) complexType(tok xmltext.Token) error {
 // inside one: 2001-style content model wrappers are transparent, the
 // paper's documents put elements directly under complexType.
 func (p *parser) content(ct *ComplexType) error {
-	for {
-		tok, ok, err := p.child()
-		if err != nil || !ok {
-			return err
-		}
+	return p.children(func(tok xmltext.Token) error {
 		switch tok.Name.Local {
 		case "annotation":
-			ct.Doc, err = p.annotation()
+			return p.annotation(&ct.Doc)
 		case "sequence", "all":
-			err = p.content(ct)
+			return p.content(ct)
 		case "element":
-			var e Element
-			if e, err = p.element(tok, ct.Name); err != nil {
+			e, err := p.element(tok, ct.Name)
+			if err != nil {
 				return err
 			}
 			if _, dup := p.index[e.Name]; dup {
@@ -224,15 +201,11 @@ func (p *parser) content(ct *ComplexType) error {
 			}
 			p.index[e.Name] = len(p.elems)
 			p.elems = append(p.elems, e)
-			err = p.skip(nil)
-		default:
-			err = fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in complexType %q",
-				p.line(tok), tok.Name.Local, ct.Name)
+			return p.text(nil)
 		}
-		if err != nil {
-			return err
-		}
-	}
+		return fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in complexType %q",
+			p.line(tok), tok.Name.Local, ct.Name)
+	})
 }
 
 func (p *parser) element(tok xmltext.Token, typeName string) (Element, error) {
@@ -265,11 +238,8 @@ func (p *parser) element(tok xmltext.Token, typeName string) (Element, error) {
 	}
 
 	maxStr, ok := tok.Attr("maxOccurs")
-	if !ok {
-		e.Array = NoArray
-		return e, nil
-	}
 	switch {
+	case !ok: // a single value
 	case maxStr == "*" || maxStr == "unbounded":
 		// Dynamically allocated array; length travels in a synthesized
 		// integer field (the eta / eta_count pattern of Appendix A).
@@ -280,11 +250,8 @@ func (p *parser) element(tok xmltext.Token, typeName string) (Element, error) {
 		if err != nil || n < 1 {
 			return e, fmt.Errorf("%w: element %q maxOccurs=%q", ErrBadOccurs, name, maxStr)
 		}
-		if n == 1 {
-			e.Array = NoArray
-		} else {
-			e.Array = StaticArray
-			e.Size = n
+		if n > 1 {
+			e.Array, e.Size = StaticArray, n
 		}
 	default:
 		// A string value names an integer element holding the run-time size.
@@ -341,37 +308,29 @@ func (p *parser) simpleType(tok xmltext.Token) error {
 	}
 	st := &SimpleType{Name: name, MaxLength: -1}
 	derived := false
-	var derivErr error
-	for {
-		tok, ok, err := p.child()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	var invalid error
+	err := p.children(func(tok xmltext.Token) (err error) {
 		switch tok.Name.Local {
 		case "annotation":
-			st.Doc, err = p.annotation()
+			return p.annotation(&st.Doc)
 		case "restriction", "extension":
 			if derived {
 				return fmt.Errorf("xmlschema: simpleType %q has multiple derivations", name)
 			}
 			derived = true
-			derivErr, err = p.derivation(tok, st)
-		default:
-			err = fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in simpleType %q",
-				p.line(tok), tok.Name.Local, name)
-		}
-		if err != nil {
+			invalid, err = p.derivation(tok, st)
 			return err
 		}
-	}
-	if !derived {
+		return fmt.Errorf("xmlschema: line %d: unsupported construct <%s> in simpleType %q",
+			p.line(tok), tok.Name.Local, name)
+	})
+	switch {
+	case err != nil:
+		return err
+	case !derived:
 		return fmt.Errorf("xmlschema: simpleType %q has no restriction or extension", name)
-	}
-	if derivErr != nil {
-		return derivErr
+	case invalid != nil:
+		return invalid
 	}
 	if err := p.declare(name); err != nil {
 		return err
@@ -398,18 +357,13 @@ func (p *parser) derivation(tok xmltext.Token, st *SimpleType) (invalid, err err
 	} else {
 		invalid = fmt.Errorf("%w: simpleType %q base %q", ErrUnknownType, st.Name, baseAttr)
 	}
-	for {
-		facet, ok, err := p.child()
-		if err != nil || !ok {
-			return invalid, err
-		}
+	err = p.children(func(facet xmltext.Token) error {
 		if invalid == nil {
 			invalid = applyFacet(st, facet)
 		}
-		if err := p.skip(nil); err != nil {
-			return invalid, err
-		}
-	}
+		return p.text(nil)
+	})
+	return invalid, err
 }
 
 func applyFacet(st *SimpleType, facet xmltext.Token) error {

@@ -38,13 +38,13 @@ type Token struct {
 	Data string
 	// CDATA marks character data that came from a CDATA section.
 	CDATA bool
-	// Offset is the byte offset in the source at which the token starts.
+	// Offset is the byte offset of a StartTag in the source, for Position.
 	Offset int
 }
 
 // Attr returns the value of the start tag's attribute with the given local
 // name, by the rule of Element.Attr.
-func (t Token) Attr(local string) (string, bool) { return findAttr(t.Attrs, local) }
+func (t *Token) Attr(local string) (string, bool) { return findAttr(t.Attrs, local) }
 
 type nsBinding struct{ prefix, uri string }
 
@@ -107,57 +107,48 @@ func (t *Tokenizer) errf(format string, args ...interface{}) error {
 }
 
 // Next returns the next token, io.EOF after the last one, or a *SyntaxError.
+// Outside the root element white space and DOCTYPEs are passed over, and
+// only comments and processing instructions may stand.
 func (t *Tokenizer) Next() (Token, error) {
-	switch {
-	case t.err != nil:
+	if t.err != nil {
 		return Token{}, t.err
-	case t.self:
-		t.self = false
-		return t.pop(t.pos), nil
-	case len(t.open) == 0:
-		return t.misc()
-	case t.pos >= len(t.src):
-		return Token{}, t.errf("unexpected EOF: unclosed element <%s>", t.open[len(t.open)-1].raw)
-	case t.src[t.pos] != '<':
-		return t.charData()
-	case t.hasPrefix("</"):
-		return t.endTag()
-	case t.hasPrefix("<!--"):
-		return t.comment()
-	case t.hasPrefix("<![CDATA["):
-		return t.cdata()
-	case t.hasPrefix("<?"):
-		return t.procInst()
-	default:
-		return t.startTag()
 	}
-}
-
-// misc reads what may stand outside the root element: the prolog before it
-// (a DOCTYPE is skipped without a token) and trailing comments and PIs.
-func (t *Tokenizer) misc() (Token, error) {
+	if t.self {
+		t.self = false
+		return t.pop(), nil
+	}
+	inside := len(t.open) > 0
 	for {
-		t.skipSpace()
+		if !inside {
+			t.skipSpace()
+		}
 		switch {
+		case t.pos >= len(t.src) && inside:
+			return Token{}, t.errf("unexpected EOF: unclosed element <%s>", t.open[len(t.open)-1].raw)
 		case t.pos >= len(t.src) && t.root:
 			t.err = io.EOF
 			return Token{}, io.EOF
 		case t.pos >= len(t.src):
 			return Token{}, t.errf("no root element")
-		case !t.root && t.src[t.pos] != '<':
+		case t.src[t.pos] != '<' && inside:
+			return t.charData()
+		case t.src[t.pos] != '<' && !t.root:
 			return Token{}, t.errf("character data outside root element")
-		case t.hasPrefix("<?"):
-			return t.procInst()
+		case inside && t.hasPrefix("</"):
+			return t.endTag()
 		case t.hasPrefix("<!--"):
 			return t.comment()
+		case inside && t.hasPrefix("<![CDATA["):
+			return t.cdata()
+		case t.hasPrefix("<?"):
+			return t.procInst()
 		case t.root:
 			return Token{}, t.errf("content after root element")
-		case t.hasPrefix("<!DOCTYPE"):
-			if err := t.skipDoctype(); err != nil {
-				return Token{}, err
-			}
-		default:
+		case inside || !t.hasPrefix("<!DOCTYPE"):
 			return t.startTag()
+		}
+		if err := t.skipDoctype(); err != nil {
+			return Token{}, err
 		}
 	}
 }
@@ -309,7 +300,6 @@ func (t *Tokenizer) startTag() (Token, error) {
 
 // endTag reads an end tag whose "</" is at the cursor.
 func (t *Tokenizer) endTag() (Token, error) {
-	start := t.pos
 	t.pos += 2
 	name, ok := t.name()
 	if !ok {
@@ -323,16 +313,16 @@ func (t *Tokenizer) endTag() (Token, error) {
 		return Token{}, t.errf("malformed end tag </%s>", name)
 	}
 	t.pos++
-	return t.pop(start), nil
+	return t.pop(), nil
 }
 
 // pop closes the innermost open element and drops its namespace bindings.
-func (t *Tokenizer) pop(off int) Token {
+func (t *Tokenizer) pop() Token {
 	el := t.open[len(t.open)-1]
 	t.open = t.open[:len(t.open)-1]
 	t.ns = t.ns[:el.ns]
 	t.root = len(t.open) == 0
-	return Token{Kind: EndTag, Name: el.name, Offset: off}
+	return Token{Kind: EndTag, Name: el.name}
 }
 
 func (t *Tokenizer) attrValue() (string, error) {
@@ -374,7 +364,7 @@ func (t *Tokenizer) charData() (Token, error) {
 	if err != nil {
 		return Token{}, err
 	}
-	return Token{Kind: CharData, Data: text, Offset: start}, nil
+	return Token{Kind: CharData, Data: text}, nil
 }
 
 // delimited consumes an opening delimiter of open bytes and the body up to
@@ -389,7 +379,6 @@ func (t *Tokenizer) delimited(open int, closer, what string) (string, error) {
 }
 
 func (t *Tokenizer) comment() (Token, error) {
-	start := t.pos
 	data, err := t.delimited(4, "-->", "comment")
 	if err != nil {
 		return Token{}, err
@@ -398,21 +387,19 @@ func (t *Tokenizer) comment() (Token, error) {
 		return Token{}, t.errf("'--' not allowed inside comment")
 	}
 	t.pos += len(data) + 3
-	return Token{Kind: CommentToken, Data: data, Offset: start}, nil
+	return Token{Kind: CommentToken, Data: data}, nil
 }
 
 func (t *Tokenizer) cdata() (Token, error) {
-	start := t.pos
 	data, err := t.delimited(9, "]]>", "CDATA section")
 	if err != nil {
 		return Token{}, err
 	}
 	t.pos += len(data) + 3
-	return Token{Kind: CharData, Data: data, CDATA: true, Offset: start}, nil
+	return Token{Kind: CharData, Data: data, CDATA: true}, nil
 }
 
 func (t *Tokenizer) procInst() (Token, error) {
-	start := t.pos
 	t.pos += 2
 	target, ok := t.name()
 	if !ok {
@@ -423,8 +410,7 @@ func (t *Tokenizer) procInst() (Token, error) {
 		return Token{}, err
 	}
 	t.pos += len(data) + 2
-	return Token{Kind: ProcInstToken, Name: Name{Local: target},
-		Data: strings.TrimLeft(data, " \t\r\n"), Offset: start}, nil
+	return Token{Kind: ProcInstToken, Name: Name{Local: target}, Data: strings.TrimLeft(data, " \t\r\n")}, nil
 }
 
 // skipDoctype consumes a DOCTYPE declaration, balancing an optional internal
@@ -432,26 +418,24 @@ func (t *Tokenizer) procInst() (Token, error) {
 // XML Schema, not DTDs (the paper discusses why DTDs are insufficient).
 func (t *Tokenizer) skipDoctype() error {
 	t.pos += len("<!DOCTYPE")
-	depth := 0
-	for t.pos < len(t.src) {
+	for depth := 0; t.pos < len(t.src); {
 		c := t.src[t.pos]
 		t.pos++
-		switch c {
-		case '[':
+		switch {
+		case c == '[':
 			depth++
-		case ']':
+		case c == ']' && depth == 0:
+			return t.errf("unbalanced ']' in DOCTYPE")
+		case c == ']':
 			depth--
-			if depth < 0 {
-				return t.errf("unbalanced ']' in DOCTYPE")
-			}
-		case '>':
-			if depth == 0 {
-				return nil
-			}
+		case c == '>' && depth == 0:
+			return nil
 		}
 	}
 	return t.errf("unterminated DOCTYPE")
 }
+
+var predefined = map[string]byte{"amp": '&', "lt": '<', "gt": '>', "apos": '\'', "quot": '"'}
 
 // expand replaces entity and character references in raw character data or
 // attribute text.
@@ -475,24 +459,14 @@ func (t *Tokenizer) expand(raw string) (string, error) {
 		ref := raw[i+1 : i+end]
 		i += end + 1
 		switch {
-		case ref == "amp":
-			sb.WriteByte('&')
-		case ref == "lt":
-			sb.WriteByte('<')
-		case ref == "gt":
-			sb.WriteByte('>')
-		case ref == "apos":
-			sb.WriteByte('\'')
-		case ref == "quot":
-			sb.WriteByte('"')
-		case strings.HasPrefix(ref, "#x") || strings.HasPrefix(ref, "#X"):
-			n, err := strconv.ParseUint(ref[2:], 16, 32)
-			if err != nil || !utf8.ValidRune(rune(n)) {
-				return "", t.errf("invalid character reference &%s;", ref)
-			}
-			sb.WriteRune(rune(n))
+		case predefined[ref] != 0:
+			sb.WriteByte(predefined[ref])
 		case strings.HasPrefix(ref, "#"):
-			n, err := strconv.ParseUint(ref[1:], 10, 32)
+			digits, base := ref[1:], 10
+			if strings.HasPrefix(digits, "x") || strings.HasPrefix(digits, "X") {
+				digits, base = digits[1:], 16
+			}
+			n, err := strconv.ParseUint(digits, base, 32)
 			if err != nil || !utf8.ValidRune(rune(n)) {
 				return "", t.errf("invalid character reference &%s;", ref)
 			}

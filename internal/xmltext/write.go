@@ -7,21 +7,27 @@ import (
 
 // EscapeText escapes character data for inclusion in element content.
 func EscapeText(s string) string {
-	var sb strings.Builder
-	sb.Grow(len(s))
+	if !strings.ContainsAny(s, "&<>") {
+		return s
+	}
+	return string(AppendText(make([]byte, 0, len(s)+8), s))
+}
+
+// AppendText appends s to dst, escaped for inclusion in element content.
+func AppendText(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case '&':
-			sb.WriteString("&amp;")
+			dst = append(dst, "&amp;"...)
 		case '<':
-			sb.WriteString("&lt;")
+			dst = append(dst, "&lt;"...)
 		case '>':
-			sb.WriteString("&gt;")
+			dst = append(dst, "&gt;"...)
 		default:
-			sb.WriteByte(c)
+			dst = append(dst, c)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // EscapeAttr escapes an attribute value for inclusion in a double-quoted

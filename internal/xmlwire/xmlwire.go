@@ -37,32 +37,33 @@ var (
 // array counts are implicit in the repetition (count fields are not
 // serialized), matching how XML-RPC-era systems carried structured data.
 func EncodeRecord(f *pbio.Format, rec pbio.Record) ([]byte, error) {
-	var sb strings.Builder
-	sb.Grow(f.Size * 8)
-	if err := appendRecord(&sb, f, rec); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
+	return AppendRecord(make([]byte, 0, f.Size*8), f, rec)
 }
 
-func appendRecord(sb *strings.Builder, f *pbio.Format, rec pbio.Record) error {
-	sb.WriteByte('<')
-	sb.WriteString(f.Name)
-	sb.WriteByte('>')
+// AppendRecord appends rec's XML text message to dst. It allocates only to
+// grow dst: numbers are formatted in place and the elements of typed slices
+// are never boxed.
+func AppendRecord(dst []byte, f *pbio.Format, rec pbio.Record) ([]byte, error) {
+	dst = openTag(dst, f.Name)
 	for i := range f.Fields {
 		fl := &f.Fields[i]
 		if isCountField(f, fl) {
 			continue
 		}
-		val := rec[fl.Name]
-		if err := appendField(sb, f, fl, val); err != nil {
-			return fmt.Errorf("xmlwire: field %q: %w", fl.Name, err)
+		var err error
+		if dst, err = appendField(dst, fl, rec[fl.Name]); err != nil {
+			return nil, fmt.Errorf("xmlwire: field %q: %w", fl.Name, err)
 		}
 	}
-	sb.WriteString("</")
-	sb.WriteString(f.Name)
-	sb.WriteByte('>')
-	return nil
+	return closeTag(dst, f.Name), nil
+}
+
+func openTag(dst []byte, name string) []byte {
+	return append(append(append(dst, '<'), name...), '>')
+}
+
+func closeTag(dst []byte, name string) []byte {
+	return append(append(append(dst, "</"...), name...), '>')
 }
 
 func isCountField(f *pbio.Format, fl *pbio.Field) bool {
@@ -74,124 +75,175 @@ func isCountField(f *pbio.Format, fl *pbio.Field) bool {
 	return false
 }
 
-func appendField(sb *strings.Builder, f *pbio.Format, fl *pbio.Field, val interface{}) error {
-	if fl.Dynamic || fl.Count > 1 {
-		elems, err := sliceElements(val)
-		if err != nil {
-			return err
-		}
-		if !fl.Dynamic && len(elems) > fl.Count {
-			return fmt.Errorf("%w: %d elements for static array of %d", ErrBadCount, len(elems), fl.Count)
-		}
-		for _, e := range elems {
-			if err := appendOne(sb, f, fl, e); err != nil {
-				return err
-			}
-		}
-		// Static arrays serialize missing trailing elements as zeros so the
-		// receiver reconstructs the full extent.
-		if !fl.Dynamic {
-			for i := len(elems); i < fl.Count; i++ {
-				if err := appendOne(sb, f, fl, nil); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+func appendField(dst []byte, fl *pbio.Field, val interface{}) ([]byte, error) {
+	if !fl.Dynamic && fl.Count <= 1 {
+		return appendElem(dst, fl, val)
 	}
-	return appendOne(sb, f, fl, val)
-}
-
-func appendOne(sb *strings.Builder, f *pbio.Format, fl *pbio.Field, val interface{}) error {
-	if fl.Kind == pbio.Nested {
-		sub, ok := val.(pbio.Record)
-		if !ok {
-			if m, isMap := val.(map[string]interface{}); isMap {
-				sub = pbio.Record(m)
-			} else if val == nil {
-				sub = pbio.Record{}
-			} else {
-				return fmt.Errorf("%w: got %T, want Record", ErrBadValue, val)
-			}
-		}
-		sb.WriteByte('<')
-		sb.WriteString(fl.Name)
-		sb.WriteByte('>')
-		if err := appendRecord(sb, fl.Nested, sub); err != nil {
-			return err
-		}
-		sb.WriteString("</")
-		sb.WriteString(fl.Name)
-		sb.WriteByte('>')
-		return nil
+	var n int
+	var err error
+	switch v := val.(type) {
+	case nil:
+	case []interface{}:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendValue)
+	case []pbio.Record:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendNested)
+	case []int64:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendInt)
+	case []uint64:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendUint)
+	case []float64:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendFloat)
+	case []string:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendString)
+	case []bool:
+		n = len(v)
+		dst, err = appendEach(dst, fl, v, appendBool)
+	default:
+		return dst, fmt.Errorf("%w: got %T, want slice", ErrBadValue, val)
 	}
-	text, err := scalarText(fl, val)
 	if err != nil {
-		return err
+		return dst, err
 	}
-	sb.WriteByte('<')
-	sb.WriteString(fl.Name)
-	sb.WriteByte('>')
-	sb.WriteString(text)
-	sb.WriteString("</")
-	sb.WriteString(fl.Name)
-	sb.WriteByte('>')
-	return nil
+	if !fl.Dynamic && n > fl.Count {
+		return dst, fmt.Errorf("%w: %d elements for static array of %d", ErrBadCount, n, fl.Count)
+	}
+	// Static arrays serialize missing trailing elements as zeros so the
+	// receiver reconstructs the full extent.
+	for ; !fl.Dynamic && n < fl.Count && err == nil; n++ {
+		dst, err = appendElem(dst, fl, nil)
+	}
+	return dst, err
 }
 
-func scalarText(fl *pbio.Field, val interface{}) (string, error) {
+// appendEach writes one element of the field per value, rendered by text,
+// which takes the value in its own type.
+func appendEach[T any](dst []byte, fl *pbio.Field, vals []T, text func([]byte, *pbio.Field, T) ([]byte, error)) ([]byte, error) {
+	for _, v := range vals {
+		var err error
+		if dst, err = text(openTag(dst, fl.Name), fl, v); err != nil {
+			return dst, err
+		}
+		dst = closeTag(dst, fl.Name)
+	}
+	return dst, nil
+}
+
+func appendElem(dst []byte, fl *pbio.Field, val interface{}) ([]byte, error) {
+	dst, err := appendValue(openTag(dst, fl.Name), fl, val)
+	return closeTag(dst, fl.Name), err
+}
+
+func badValue(fl *pbio.Field, val interface{}) error {
+	return fmt.Errorf("%w: %T for %s field", ErrBadValue, val, fl.Kind)
+}
+
+// appendValue renders one value of whatever Go type Encode accepts for the
+// field; a missing value reads as the kind's zero.
+func appendValue(dst []byte, fl *pbio.Field, val interface{}) ([]byte, error) {
+	if fl.Kind == pbio.Nested {
+		switch v := val.(type) {
+		case pbio.Record:
+			return appendNested(dst, fl, v)
+		case map[string]interface{}:
+			return appendNested(dst, fl, v)
+		case nil:
+			return appendNested(dst, fl, nil)
+		}
+		return dst, fmt.Errorf("%w: got %T, want Record", ErrBadValue, val)
+	}
+	signed := fl.Kind == pbio.Int || fl.Kind == pbio.Char
+	switch v := val.(type) {
+	case nil:
+		switch fl.Kind {
+		case pbio.Int, pbio.Char, pbio.Uint, pbio.Float:
+			return append(dst, '0'), nil
+		case pbio.Bool:
+			return append(dst, "false"...), nil
+		case pbio.String:
+			return dst, nil
+		}
+	case int:
+		if signed || fl.Kind == pbio.Uint {
+			return appendInt(dst, fl, int64(v))
+		}
+	case int64:
+		return appendInt(dst, fl, v)
+	case uint64:
+		return appendUint(dst, fl, v)
+	case int32:
+		if signed {
+			return appendInt(dst, fl, int64(v))
+		}
+	case uint32:
+		if fl.Kind == pbio.Uint {
+			return appendUint(dst, fl, uint64(v))
+		}
+	case float64:
+		return appendFloat(dst, fl, v)
+	case float32:
+		if fl.Kind == pbio.Float {
+			return strconv.AppendFloat(dst, float64(v), 'g', -1, 32), nil
+		}
+	case bool:
+		return appendBool(dst, fl, v)
+	case string:
+		return appendString(dst, fl, v)
+	}
+	return dst, badValue(fl, val)
+}
+
+func appendNested(dst []byte, fl *pbio.Field, sub pbio.Record) ([]byte, error) {
+	if fl.Kind != pbio.Nested {
+		return dst, badValue(fl, sub)
+	}
+	return AppendRecord(dst, fl.Nested, sub)
+}
+
+func appendInt(dst []byte, fl *pbio.Field, v int64) ([]byte, error) {
 	switch fl.Kind {
 	case pbio.Int, pbio.Char:
-		switch v := val.(type) {
-		case nil:
-			return "0", nil
-		case int:
-			return strconv.Itoa(v), nil
-		case int64:
-			return strconv.FormatInt(v, 10), nil
-		case int32:
-			return strconv.FormatInt(int64(v), 10), nil
-		case uint64:
-			return strconv.FormatInt(int64(v), 10), nil
-		}
+		return strconv.AppendInt(dst, v, 10), nil
 	case pbio.Uint:
-		switch v := val.(type) {
-		case nil:
-			return "0", nil
-		case uint64:
-			return strconv.FormatUint(v, 10), nil
-		case uint32:
-			return strconv.FormatUint(uint64(v), 10), nil
-		case int:
-			return strconv.FormatUint(uint64(v), 10), nil
-		case int64:
-			return strconv.FormatUint(uint64(v), 10), nil
-		}
-	case pbio.Float:
-		switch v := val.(type) {
-		case nil:
-			return "0", nil
-		case float64:
-			return strconv.FormatFloat(v, 'g', -1, 64), nil
-		case float32:
-			return strconv.FormatFloat(float64(v), 'g', -1, 32), nil
-		}
-	case pbio.Bool:
-		switch v := val.(type) {
-		case nil:
-			return "false", nil
-		case bool:
-			return strconv.FormatBool(v), nil
-		}
-	case pbio.String:
-		switch v := val.(type) {
-		case nil:
-			return "", nil
-		case string:
-			return xmltext.EscapeText(v), nil
-		}
+		return strconv.AppendUint(dst, uint64(v), 10), nil
 	}
-	return "", fmt.Errorf("%w: %T for %s field", ErrBadValue, val, fl.Kind)
+	return dst, badValue(fl, v)
+}
+
+func appendUint(dst []byte, fl *pbio.Field, v uint64) ([]byte, error) {
+	switch fl.Kind {
+	case pbio.Int, pbio.Char:
+		return strconv.AppendInt(dst, int64(v), 10), nil
+	case pbio.Uint:
+		return strconv.AppendUint(dst, v, 10), nil
+	}
+	return dst, badValue(fl, v)
+}
+
+func appendFloat(dst []byte, fl *pbio.Field, v float64) ([]byte, error) {
+	if fl.Kind != pbio.Float {
+		return dst, badValue(fl, v)
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64), nil
+}
+
+func appendBool(dst []byte, fl *pbio.Field, v bool) ([]byte, error) {
+	if fl.Kind != pbio.Bool {
+		return dst, badValue(fl, v)
+	}
+	return strconv.AppendBool(dst, v), nil
+}
+
+func appendString(dst []byte, fl *pbio.Field, v string) ([]byte, error) {
+	if fl.Kind != pbio.String {
+		return dst, badValue(fl, v)
+	}
+	return xmltext.AppendText(dst, v), nil
 }
 
 // DecodeRecord parses an XML text message back into a generic record using
@@ -364,52 +416,5 @@ func decodeOne(f *pbio.Format, fl *pbio.Field, el *xmltext.Element) (interface{}
 		return text, nil
 	default:
 		return nil, fmt.Errorf("%w: kind %v", ErrBadValue, fl.Kind)
-	}
-}
-
-func sliceElements(val interface{}) ([]interface{}, error) {
-	switch v := val.(type) {
-	case nil:
-		return nil, nil
-	case []interface{}:
-		return v, nil
-	case []int64:
-		out := make([]interface{}, len(v))
-		for i := range v {
-			out[i] = v[i]
-		}
-		return out, nil
-	case []uint64:
-		out := make([]interface{}, len(v))
-		for i := range v {
-			out[i] = v[i]
-		}
-		return out, nil
-	case []float64:
-		out := make([]interface{}, len(v))
-		for i := range v {
-			out[i] = v[i]
-		}
-		return out, nil
-	case []string:
-		out := make([]interface{}, len(v))
-		for i := range v {
-			out[i] = v[i]
-		}
-		return out, nil
-	case []bool:
-		out := make([]interface{}, len(v))
-		for i := range v {
-			out[i] = v[i]
-		}
-		return out, nil
-	case []pbio.Record:
-		out := make([]interface{}, len(v))
-		for i := range v {
-			out[i] = v[i]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: got %T, want slice", ErrBadValue, val)
 	}
 }
