@@ -42,6 +42,12 @@ func fuzzSeedMetas(f *testing.F) [][]byte {
 	return [][]byte{pbio.MarshalMeta(flat), pbio.MarshalMeta(dyn), pbio.MarshalMeta(nested)}
 }
 
+// The x86-64 C types of each element size.
+var (
+	floatTypes = map[int]machine.CType{4: machine.CFloat, 8: machine.CDouble}
+	intTypes   = map[int]machine.CType{1: machine.CChar, 2: machine.CShort, 4: machine.CInt, 8: machine.CLong}
+)
+
 // specsFor describes an accepted format's fields for registration on another
 // architecture, nested formats first, the way a receiver's own schema would.
 func specsFor(ctx *pbio.Context, g *pbio.Format) ([]pbio.FieldSpec, error) {
@@ -59,9 +65,9 @@ func specsFor(ctx *pbio.Context, g *pbio.Format) ([]pbio.FieldSpec, error) {
 			}
 			specs[i].NestedName = fl.Nested.Name
 		case pbio.Float:
-			specs[i].CType = map[int]machine.CType{4: machine.CFloat, 8: machine.CDouble}[fl.ElemSize]
+			specs[i].CType = floatTypes[fl.ElemSize]
 		case pbio.Int, pbio.Uint, pbio.Char, pbio.Bool:
-			specs[i].CType = map[int]machine.CType{1: machine.CChar, 2: machine.CShort, 4: machine.CInt, 8: machine.CLong}[fl.ElemSize]
+			specs[i].CType = intTypes[fl.ElemSize]
 		}
 	}
 	return specs, nil

@@ -38,7 +38,8 @@ func ParseString(src string) (*Document, error) {
 			if doc.Root == nil {
 				doc.Root = el
 			} else {
-				open[len(open)-1].Children = append(open[len(open)-1].Children, el)
+				parent := open[len(open)-1]
+				parent.Children = append(parent.Children, el)
 			}
 			open = append(open, el)
 			continue
@@ -54,7 +55,8 @@ func ParseString(src string) (*Document, error) {
 		}
 		switch {
 		case len(open) > 0:
-			open[len(open)-1].Children = append(open[len(open)-1].Children, n)
+			parent := open[len(open)-1]
+			parent.Children = append(parent.Children, n)
 		case doc.Root == nil:
 			doc.Prolog = append(doc.Prolog, n)
 		}
