@@ -9,20 +9,10 @@ import (
 	"openmeta/internal/xmltext"
 )
 
-// Parse reads and validates a schema document from r.
-func Parse(r io.Reader) (*Schema, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xml: read: %w", err)
-	}
-	return ParseString(string(raw))
-}
-
 // ParseString parses a schema document held in memory, in one pass over its
 // tokens. A document that is not well-formed is reported as that, whatever
 // the schema reading found before the flaw.
 func ParseString(src string) (*Schema, error) {
-	// The element scratch is sized for a typical message format; a large one grows it.
 	p := parser{tok: xmltext.NewTokenizer(src), elems: make([]Element, 0, 16), index: make(map[string]int, 16)}
 	s, err := p.schema()
 	for {
@@ -44,7 +34,7 @@ type parser struct {
 	s   *Schema
 	// elems and index hold the elements of the complexType being read and
 	// their positions by name; the duplicate check and the count-field
-	// lookup share the one map.
+	// lookup share the one map. Sized for a typical format, grown by a large.
 	elems []Element
 	index map[string]int
 }

@@ -7,6 +7,9 @@
 // Both the 1999 draft type names that appear in the paper (for example
 // xsd:unsigned-long) and the final 2001 recommendation names
 // (xsd:unsignedLong) are accepted.
+//
+// ParseString is the one path from text to Schema: a single pass over
+// xmltext's tokens that keeps the six attributes it reads and builds no tree.
 package xmlschema
 
 import (

@@ -3,13 +3,17 @@
 // The paper's xml2wire tool sits on top of an XML parsing engine (expat or
 // Xerces in the original implementation) and is explicitly designed so that
 // "each module is designed to accept a different compatible parsing engine
-// ... with minimal integration effort". This package is that engine: a
-// hand-rolled, dependency-free tokenizer and DOM with namespace support,
-// covering the subset of XML needed for XML Schema metadata documents and
-// for the XML-text wire-format baseline — elements, attributes, character
-// data, CDATA sections, comments, processing instructions, the five
-// predefined entities, numeric character references, and a tolerated (but
-// not interpreted) DOCTYPE declaration.
+// ... with minimal integration effort". This package is that engine, hand
+// rolled and dependency free, in three parts: a pull Tokenizer (token.go),
+// the only code that decides what is well-formed and resolves namespaces; a
+// DOM (ParseString, a builder over the tokens) for readers that want the
+// whole tree, as the XML-text wire-format baseline does; and a Writer. A
+// reader of few names off many elements, as xmlschema is, takes the tokens
+// and builds no tree. Covered is the subset of XML that XML Schema metadata
+// and text messages need — elements, attributes, character data, CDATA
+// sections, comments, processing instructions, the five predefined entities,
+// numeric character references, and a tolerated (but not interpreted)
+// DOCTYPE declaration.
 package xmltext
 
 import (
