@@ -91,11 +91,17 @@ var (
 // left zero (format evolution), source fields absent from the destination
 // are skipped. Matched fields must have the same kind and array shape.
 func Compile(src, dst *pbio.Format) (*Plan, error) {
-	p := &Plan{Src: src, Dst: dst}
 	if src.ID == dst.ID {
-		p.Identity = true
-		return p, nil
+		return &Plan{Src: src, Dst: dst, Identity: true}, nil
 	}
+	return compileProgram(src, dst)
+}
+
+// compileProgram builds the field-by-field program, also for a pair of
+// identical formats: a nested record cannot take the identity shortcut when
+// it refers into the variable region, which belongs to the outer record.
+func compileProgram(src, dst *pbio.Format) (*Plan, error) {
+	p := &Plan{Src: src, Dst: dst}
 	sameRep := src.Arch.Order == dst.Arch.Order
 	p.prog = make([]op, 0, len(dst.Fields))
 	for di := range dst.Fields {
@@ -201,12 +207,15 @@ func elementOp(src, dst *pbio.Format, sfl, dfl *pbio.Field, sameRep bool) (op, e
 	case pbio.String:
 		return op{code: opString, size: sfl.ElemSize, dstSize: dfl.ElemSize}, nil
 	case pbio.Nested:
-		child, err := Compile(sfl.Nested, dfl.Nested)
+		// An identical nested format is one copy only if the copy is the whole
+		// of it: its string and dynamic-array slots hold offsets into the
+		// outer record, where the data they point at has to be moved too.
+		if sfl.Nested.ID == dfl.Nested.ID && sameRep && !sfl.Nested.HasVariable() {
+			return op{code: opCopy, size: sfl.Nested.Size, dstSize: dfl.Nested.Size}, nil
+		}
+		child, err := compileProgram(sfl.Nested, dfl.Nested)
 		if err != nil {
 			return op{}, err
-		}
-		if child.Identity && sameRep {
-			return op{code: opCopy, size: sfl.Nested.Size, dstSize: dfl.Nested.Size}, nil
 		}
 		return op{code: opNested, size: sfl.Nested.Size, dstSize: dfl.Nested.Size, child: child}, nil
 	default:

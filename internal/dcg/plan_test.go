@@ -488,3 +488,69 @@ func structureBQuick(arch *machine.Arch) *pbio.Format {
 	}
 	return f
 }
+
+// TestNestedVariableDataSurvivesEvolution converts between two versions of a
+// format, on one architecture, that share a nested record holding a string.
+// The nested format is byte-identical on both sides, but its string lives in
+// the outer record's variable region, which the added fields move: the
+// nested slot must be run, not copied.
+func TestNestedVariableDataSurvivesEvolution(t *testing.T) {
+	inner := []pbio.FieldSpec{
+		{Name: "n", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "s", Kind: pbio.String},
+	}
+	register := func(outer []pbio.FieldSpec) *pbio.Format {
+		ctx, err := pbio.NewContext(machine.X86_64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctx.RegisterSpec("Inner", inner); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ctx.RegisterSpec("V", outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	v1 := register([]pbio.FieldSpec{
+		{Name: "a", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "in", Kind: pbio.Nested, NestedName: "Inner"},
+	})
+	v2 := register([]pbio.FieldSpec{
+		{Name: "a", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "extra", Kind: pbio.String},
+		{Name: "in", Kind: pbio.Nested, NestedName: "Inner"},
+		{Name: "b", Kind: pbio.Float, CType: machine.CDouble},
+	})
+	rec := pbio.Record{"a": int64(7), "in": pbio.Record{"n": int64(3), "s": "hello world"}}
+	src, err := v1.Encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := v2.Encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(v1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plan.Convert(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("converted record is not the destination's own encoding:\n got %x\nwant %x", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("Convert allocated %d bytes for a %d-byte record", cap(got), len(got))
+	}
+	out, err := v2.Decode(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, _ := out["in"].(pbio.Record); in["s"] != "hello world" || in["n"] != int64(3) {
+		t.Errorf("in = %v, want n=3 s=%q", out["in"], "hello world")
+	}
+}

@@ -1,6 +1,7 @@
 package eventbus
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -202,6 +203,11 @@ type brokerConn struct {
 	outClose   chan struct{} // closed when the connection is being torn down
 	writerDone chan struct{} // closed when the writer goroutine has exited
 	dropped    *obsv.Counter // broker-wide drop counter (persists past the conn)
+	// batch is where the writer goroutine gathers frames that were queued
+	// together so they leave in one Write: frameChunk bytes, allocated the
+	// first time two frames are found queued, never grown. Only the writer
+	// goroutine touches it.
+	batch []byte
 
 	// caps holds the capabilities negotiated in the connection's hello
 	// exchange (0 until one happens). Written by the connection's reader
@@ -467,9 +473,13 @@ func (b *Broker) acceptLoop() {
 func (b *Broker) handle(bc *brokerConn) {
 	defer b.wg.Done()
 	defer b.drop(bc)
+	// Read-ahead: one Read surfaces every frame the peer has already sent, up
+	// to readAhead bytes of them. It belongs to this connection and goes with
+	// it; frame lengths are still trusted in readFrame alone.
+	rd := bufio.NewReaderSize(bc.conn, readAhead)
 	var buf []byte
 	for {
-		typ, payload, newBuf, err := readFrame(bc.conn, buf)
+		typ, payload, newBuf, err := readFrame(rd, buf)
 		if err != nil {
 			// io.EOF is a clean disconnect (at a frame boundary; a frame cut
 			// short is io.ErrUnexpectedEOF) and net.ErrClosed our own
@@ -874,9 +884,11 @@ func (b *Broker) sendFormat(sub *brokerConn, fm formatMeta, w *streamWire) error
 	return nil
 }
 
-// writeLoop drains the outbound queue onto the socket, one Write per frame.
-// On teardown it flushes frames already queued (bounded by a write
-// deadline) so error frames and final events reach the peer.
+// writeLoop drains the outbound queue onto the socket. It blocks for one
+// frame and then sends it with whatever else is already queued (see
+// writeQueued), so nothing is held back waiting for company. On teardown it
+// flushes frames already queued (bounded by a write deadline) so error
+// frames and final events reach the peer.
 func (b *Broker) writeLoop(bc *brokerConn) {
 	defer b.wg.Done()
 	defer close(bc.writerDone)
@@ -899,13 +911,48 @@ func (b *Broker) writeLoop(bc *brokerConn) {
 			}
 		}
 		b.observeQueueWait(bc, &f)
-		if err := writeWire(bc.conn, f.wire); err != nil {
+		if err := b.writeQueued(bc, f.wire); err != nil {
 			// Socket is dead: unregister and let the reader notice.
 			b.unregister(bc)
 			_ = bc.conn.Close()
 			return
 		}
 	}
+}
+
+// writeQueued sends wire, the frame just dequeued, and with it the frames
+// queued behind it right now: they are taken without blocking, copied into
+// the connection's batch buffer while they fit, and leave in one Write. A
+// frame with nothing behind it, and a frame the buffer has no room left for,
+// is written as it is — so the buffer never grows, a large frame is never
+// copied, and order on the wire is queue order.
+func (b *Broker) writeQueued(bc *brokerConn, wire []byte) error {
+	batch := bc.batch[:0]
+gather:
+	for len(batch)+len(wire) <= frameChunk {
+		select {
+		case f := <-bc.out:
+			b.observeQueueWait(bc, &f)
+			if cap(batch) == 0 {
+				batch = make([]byte, 0, frameChunk)
+				bc.batch = batch
+			}
+			batch = append(batch, wire...)
+			wire = f.wire
+		default:
+			break gather
+		}
+	}
+	if len(batch) == 0 {
+		return writeWire(bc.conn, wire)
+	}
+	if len(batch)+len(wire) <= frameChunk {
+		return writeWire(bc.conn, append(batch, wire...))
+	}
+	if err := writeWire(bc.conn, batch); err != nil {
+		return err
+	}
+	return writeWire(bc.conn, wire)
 }
 
 // observeQueueWait turns a dequeued frame's enqueue timestamp into the

@@ -1,6 +1,7 @@
 package eventbus
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -483,7 +484,11 @@ type Subscriber struct {
 	// link.mu.
 	subs map[string][]string
 
-	buf []byte
+	// Receive-side state, touched only by the goroutine that calls Streams
+	// and then Next: the frame buffer, and the read-ahead over rdConn.
+	buf    []byte
+	rd     *bufio.Reader
+	rdConn net.Conn
 }
 
 // DialSubscriber connects a subscriber to the broker at addr, adopting
@@ -590,6 +595,18 @@ func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, error) {
 	return s.conn, nil
 }
 
+// reader returns the buffered reader over conn, which Streams and Next share
+// because read-ahead fetched for one may hold the frames the other wants.
+// Read-ahead belongs to the connection it came from: when the link has
+// replaced the connection, what the old one's reader still held is dropped
+// with it, the way the kernel drops a closed socket's unread bytes.
+func (s *Subscriber) reader(conn net.Conn) *bufio.Reader {
+	if s.rdConn != conn {
+		s.rd, s.rdConn = bufio.NewReaderSize(conn, readAhead), conn
+	}
+	return s.rd
+}
+
 // Streams asks the broker for the current stream list. It must not be
 // interleaved with Next (both read from the connection); call it before
 // entering the receive loop.
@@ -602,7 +619,7 @@ func (s *Subscriber) Streams() ([]string, error) {
 		return nil, err
 	}
 	for {
-		typ, payload, buf, err := readFrame(conn, s.buf)
+		typ, payload, buf, err := readFrame(s.reader(conn), s.buf)
 		if err != nil {
 			return nil, err
 		}
@@ -638,7 +655,7 @@ func (s *Subscriber) Next() (Event, error) {
 		if err != nil {
 			return Event{}, err
 		}
-		typ, payload, buf, err := readFrame(conn, s.buf)
+		typ, payload, buf, err := readFrame(s.reader(conn), s.buf)
 		if err != nil {
 			if s.cfg.reconnect {
 				broken, cause = conn, err // recvConn redials, or reports a Close that raced the read

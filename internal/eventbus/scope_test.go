@@ -198,3 +198,64 @@ func TestScopeLimit(t *testing.T) {
 		t.Error("oversized scope accepted")
 	}
 }
+
+// TestScopedSubscriptionKeepsNestedString scopes a subscription to a nested
+// field whose record holds a string: the broker's projection must carry the
+// string's bytes, not just the slot that points at them, so the subscriber
+// gets a record it can decode with the value the publisher wrote.
+func TestScopedSubscriptionKeepsNestedString(t *testing.T) {
+	b := newBroker(t)
+	ctx, err := pbio.NewContext(machine.X86_64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.RegisterSpec("Inner", []pbio.FieldSpec{
+		{Name: "n", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "s", Kind: pbio.String},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ctx.RegisterSpec("V", []pbio.FieldSpec{
+		{Name: "a", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "secret", Kind: pbio.String},
+		{Name: "in", Kind: pbio.Nested, NestedName: "Inner"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := sub.SubscribeFields("nested", "in"); err != nil {
+		t.Fatal(err)
+	}
+	waitForStream(t, b, "nested", 1)
+
+	pub, err := DialPublisher(b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	rec := pbio.Record{"a": 7, "secret": "hidden", "in": pbio.Record{"n": 3, "s": "hello world"}}
+	if err := pub.PublishRecord("nested", f, rec); err != nil {
+		t.Fatal(err)
+	}
+
+	ev, err := sub.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ev.Decode()
+	if err != nil {
+		t.Fatalf("scoped record does not decode: %v", err)
+	}
+	if in, _ := out["in"].(pbio.Record); in["s"] != "hello world" || in["n"] != int64(3) {
+		t.Errorf("in = %v, want n=3 s=%q", out["in"], "hello world")
+	}
+	if _, present := out["secret"]; present || strings.Contains(string(ev.Data), "hidden") {
+		t.Error("a field outside the scope reached the scoped subscriber")
+	}
+}

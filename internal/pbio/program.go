@@ -52,6 +52,11 @@ func (f *Format) compiled() *program {
 	return f.prog.Load()
 }
 
+// HasVariable reports whether a record of the format can put data in the
+// variable region: a string or a dynamic array, here or in a nested record.
+// Without any, the fixed region is the whole record.
+func (f *Format) HasVariable() bool { return f.compiled().variable }
+
 func compile(f *Format) *program {
 	p := &program{
 		format: f, order: f.Arch.Order, ptr: f.Arch.PointerSize, size: f.Size,

@@ -2,6 +2,8 @@ package testutil
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,5 +129,50 @@ func TestNoGoroutineLeakIsNotHiddenByAnotherEnding(t *testing.T) {
 	}
 	if !strings.HasPrefix(tb.failure, "1 goroutines") {
 		t.Errorf("report carries more than the one leaked goroutine:\n%s", tb.failure)
+	}
+}
+
+func TestCountingListenerCountsEachConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := CountListener(ln)
+	defer cl.Close()
+	var dialed IOCounts
+	for i := 1; i <= 2; i++ {
+		raw, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		client := CountConn(raw, &dialed)
+		server, err := cl.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer server.Close()
+		for j := 0; j < i; j++ {
+			if _, err := client.Write([]byte("abc")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := io.ReadFull(server, make([]byte, 3*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dialed.Writes.Load() != 3 || dialed.WrittenBytes.Load() != 9 || dialed.Reads.Load() != 0 {
+		t.Errorf("dialed side: %d writes, %d bytes, %d reads; want 3, 9, 0",
+			dialed.Writes.Load(), dialed.WrittenBytes.Load(), dialed.Reads.Load())
+	}
+	conns := cl.Conns()
+	if len(conns) != 2 {
+		t.Fatalf("%d accepted connections counted, want 2", len(conns))
+	}
+	for i, c := range conns {
+		if got, want := c.ReadBytes.Load(), int64(3*(i+1)); got != want || c.Reads.Load() == 0 || c.Writes.Load() != 0 {
+			t.Errorf("accepted connection %d: %d reads of %d bytes, %d writes; want %d bytes read, no writes",
+				i, c.Reads.Load(), got, c.Writes.Load(), want)
+		}
 	}
 }
