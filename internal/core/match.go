@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"openmeta/internal/pbio"
@@ -39,19 +40,57 @@ func MatchXML(candidates []*pbio.Format, instance []byte) ([]MatchScore, error) 
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
 	}
-	doc, err := xmltext.ParseString(string(instance))
+	sh, err := readShape(instance)
 	if err != nil {
 		return nil, fmt.Errorf("xml2wire: match: %w", err)
 	}
 	scores := make([]MatchScore, 0, len(candidates))
 	for _, f := range candidates {
-		scores = append(scores, scoreXML(f, doc.Root, instance))
+		scores = append(scores, scoreXML(f, sh, instance))
 	}
 	sortScores(scores)
 	return scores, nil
 }
 
-func scoreXML(f *pbio.Format, root *xmltext.Element, instance []byte) MatchScore {
+// shape is what scoring reads of an instance: the root's name and how many
+// child elements of each name the root has, the names in order of first
+// appearance.
+type shape struct {
+	root   string
+	names  []string
+	counts map[string]int
+}
+
+// readShape takes an instance's shape in one pass over its tokens.
+func readShape(instance []byte) (shape, error) {
+	t := xmltext.NewTokenizer(string(instance))
+	sh := shape{counts: make(map[string]int)}
+	for depth := 0; ; {
+		tok, err := t.Next()
+		switch {
+		case err == io.EOF:
+			return sh, nil
+		case err != nil:
+			return sh, err
+		case tok.Kind == xmltext.EndTag:
+			depth--
+		case tok.Kind == xmltext.StartTag:
+			depth++
+			name := tok.Name.Local
+			switch depth {
+			case 1:
+				sh.root = name
+			case 2:
+				if sh.counts[name] == 0 {
+					sh.names = append(sh.names, name)
+				}
+				sh.counts[name]++
+			}
+		}
+	}
+}
+
+func scoreXML(f *pbio.Format, sh shape, instance []byte) MatchScore {
 	ms := MatchScore{Format: f}
 	// An exact decode is authoritative.
 	if _, err := xmlwire.DecodeRecord(f, instance); err == nil {
@@ -63,14 +102,10 @@ func scoreXML(f *pbio.Format, root *xmltext.Element, instance []byte) MatchScore
 	// multiplicity, foreign elements.
 	var earned, possible float64
 	possible++ // root name
-	if root.Name.Local == f.Name {
+	if sh.root == f.Name {
 		earned++
 	} else {
-		ms.Detail = fmt.Sprintf("root <%s> != format %q", root.Name.Local, f.Name)
-	}
-	counts := make(map[string]int)
-	for _, el := range root.Elements() {
-		counts[el.Name.Local]++
+		ms.Detail = fmt.Sprintf("root <%s> != format %q", sh.root, f.Name)
 	}
 	for i := range f.Fields {
 		fl := &f.Fields[i]
@@ -78,8 +113,7 @@ func scoreXML(f *pbio.Format, root *xmltext.Element, instance []byte) MatchScore
 			continue
 		}
 		possible++
-		n := counts[fl.Name]
-		delete(counts, fl.Name)
+		n := sh.counts[fl.Name]
 		switch {
 		case fl.Dynamic:
 			earned++ // any multiplicity fits a dynamic array
@@ -107,9 +141,13 @@ func scoreXML(f *pbio.Format, root *xmltext.Element, instance []byte) MatchScore
 			}
 		}
 	}
-	// Elements the format does not know cost a point each.
-	for name, n := range counts {
-		possible += float64(n)
+	// Elements the format does not know cost a point each, elements named
+	// for an implicit count field included.
+	for _, name := range sh.names {
+		if fl, ok := f.FieldByName(name); ok && !isImplicitCount(f, fl) {
+			continue
+		}
+		possible += float64(sh.counts[name])
 		if ms.Detail == "" {
 			ms.Detail = fmt.Sprintf("unknown element <%s>", name)
 		}

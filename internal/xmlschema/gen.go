@@ -2,100 +2,91 @@ package xmlschema
 
 import (
 	"strconv"
+	"strings"
 
 	"openmeta/internal/xmltext"
 )
 
-// The namespace URI emitted by ToDocument. We generate 1999-draft documents
-// to match the paper's appendix exactly; the parser accepts all variants.
+// The namespace URI emitted by MarshalString. We generate 1999-draft
+// documents to match the paper's appendix exactly; the parser accepts all
+// variants.
 const emitNamespace = "http://www.w3.org/1999/XMLSchema"
 
-// ToDocument renders the schema back to an XML document tree, inverse of
-// FromDocument. It lets a metadata repository generate schema documents
-// dynamically (the "server can also be extended to dynamically generate
-// metadata" behaviour of §4.4).
-func ToDocument(s *Schema) *xmltext.Document {
-	root := &xmltext.Element{
-		Name: xmltext.Name{Space: emitNamespace, Prefix: "xsd", Local: "schema"},
-		Attrs: []xmltext.Attr{
-			{Name: xmltext.Name{Prefix: "xmlns", Local: "xsd"}, Value: emitNamespace},
-		},
-	}
+// MarshalString renders the schema as XML text, indented two spaces a level.
+// It lets a metadata repository generate schema documents dynamically (the
+// "server can also be extended to dynamically generate metadata" behaviour of
+// §4.4). Simple types are not rendered: an element of one names its base
+// primitive.
+func MarshalString(s *Schema) string {
+	b := []byte(`<?xml version="1.0"?>` + "\n<xsd:schema")
+	b = appendAttr(b, "xmlns:xsd", emitNamespace)
 	if s.TargetNamespace != "" {
-		root.Attrs = append(root.Attrs, xmltext.Attr{
-			Name: xmltext.Name{Local: "targetNamespace"}, Value: s.TargetNamespace,
-		})
+		b = appendAttr(b, "targetNamespace", s.TargetNamespace)
 	}
+	if s.Doc == "" && len(s.Types) == 0 {
+		return string(b) + " />\n"
+	}
+	b = append(b, '>')
 	if s.Doc != "" {
-		root.Children = append(root.Children, annotationNode(s.Doc))
+		b = appendAnnotation(b, s.Doc, 1)
 	}
 	for _, ct := range s.Types {
-		root.Children = append(root.Children, complexTypeNode(ct))
+		b = append(b, "\n  <xsd:complexType"...)
+		b = appendAttr(b, "name", ct.Name)
+		if ct.Doc == "" && len(ct.Elements) == 0 {
+			b = append(b, " />"...)
+			continue
+		}
+		b = append(b, '>')
+		if ct.Doc != "" {
+			b = appendAnnotation(b, ct.Doc, 2)
+		}
+		for _, e := range ct.Elements {
+			b = appendElement(b, e)
+		}
+		b = append(b, "\n  </xsd:complexType>"...)
 	}
-	return &xmltext.Document{
-		Prolog: []xmltext.Node{&xmltext.ProcInst{Target: "xml", Data: `version="1.0"`}},
-		Root:   root,
-	}
+	return string(b) + "\n</xsd:schema>\n"
 }
 
-// MarshalString renders the schema as pretty-printed XML text.
-func MarshalString(s *Schema) string {
-	doc := ToDocument(s)
-	var out string
-	out = xmltext.Marshal(doc.Prolog[0], "") + "\n" + xmltext.Marshal(doc.Root, "  ") + "\n"
-	return out
+func appendAttr(b []byte, name, value string) []byte {
+	b = append(append(append(b, ' '), name...), `="`...)
+	return append(append(b, xmltext.EscapeAttr(value)...), '"')
 }
 
-func annotationNode(doc string) *xmltext.Element {
-	return &xmltext.Element{
-		Name: xmltext.Name{Space: emitNamespace, Prefix: "xsd", Local: "annotation"},
-		Children: []xmltext.Node{&xmltext.Element{
-			Name:     xmltext.Name{Space: emitNamespace, Prefix: "xsd", Local: "documentation"},
-			Children: []xmltext.Node{&xmltext.Text{Data: doc}},
-		}},
+// appendAnnotation writes doc as the annotation of an element at the given
+// depth. Documentation text stays on its tag's line; documentation that is
+// only white space is dropped, as in element-only content.
+func appendAnnotation(b []byte, doc string, depth int) []byte {
+	pad := "\n" + strings.Repeat("  ", depth)
+	b = append(b, pad+"<xsd:annotation>"+pad+"  <xsd:documentation>"...)
+	if strings.TrimSpace(doc) == "" {
+		b = append(b, pad+"  "...)
+	} else {
+		b = xmltext.AppendText(b, doc)
 	}
+	return append(b, "</xsd:documentation>"+pad+"</xsd:annotation>"...)
 }
 
-func complexTypeNode(ct *ComplexType) *xmltext.Element {
-	el := &xmltext.Element{
-		Name:  xmltext.Name{Space: emitNamespace, Prefix: "xsd", Local: "complexType"},
-		Attrs: []xmltext.Attr{{Name: xmltext.Name{Local: "name"}, Value: ct.Name}},
-	}
-	if ct.Doc != "" {
-		el.Children = append(el.Children, annotationNode(ct.Doc))
-	}
-	for _, e := range ct.Elements {
-		el.Children = append(el.Children, elementNode(e))
-	}
-	return el
-}
-
-func elementNode(e Element) *xmltext.Element {
+func appendElement(b []byte, e Element) []byte {
 	typeAttr := e.Type.Named
 	if e.Type.IsPrimitive() {
 		typeAttr = "xsd:" + e.Type.Primitive.String()
 	}
-	node := &xmltext.Element{
-		Name: xmltext.Name{Space: emitNamespace, Prefix: "xsd", Local: "element"},
-		Attrs: []xmltext.Attr{
-			{Name: xmltext.Name{Local: "name"}, Value: e.Name},
-			{Name: xmltext.Name{Local: "type"}, Value: typeAttr},
-		},
-	}
-	addOccurs := func(minV, maxV string) {
-		node.Attrs = append(node.Attrs,
-			xmltext.Attr{Name: xmltext.Name{Local: "minOccurs"}, Value: minV},
-			xmltext.Attr{Name: xmltext.Name{Local: "maxOccurs"}, Value: maxV},
-		)
+	b = append(b, "\n    <xsd:element"...)
+	b = appendAttr(b, "name", e.Name)
+	b = appendAttr(b, "type", typeAttr)
+	occurs := func(minV, maxV string) []byte {
+		return appendAttr(appendAttr(b, "minOccurs", minV), "maxOccurs", maxV)
 	}
 	switch e.Array {
 	case StaticArray:
 		n := strconv.Itoa(e.Size)
-		addOccurs(n, n)
+		b = occurs(n, n)
 	case DynamicArray:
-		addOccurs(strconv.Itoa(e.MinOccurs), "*")
+		b = occurs(strconv.Itoa(e.MinOccurs), "*")
 	case CountedArray:
-		addOccurs(strconv.Itoa(e.MinOccurs), e.CountField)
+		b = occurs(strconv.Itoa(e.MinOccurs), e.CountField)
 	}
-	return node
+	return append(b, " />"...)
 }

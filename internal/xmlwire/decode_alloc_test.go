@@ -1,0 +1,49 @@
+package xmlwire_test
+
+// An external test package: internal/bench, whose records Table 2 decodes,
+// imports xmlwire.
+
+import (
+	"testing"
+
+	"openmeta/internal/bench"
+	"openmeta/internal/machine"
+	"openmeta/internal/pbio"
+	"openmeta/internal/xmlwire"
+)
+
+// TestDecodeRecordAllocations pins the XML-text decoder on Table 2's records
+// to one pass that allocates per field, not per element: the 100 KB record
+// has ten times the 10 KB record's array elements and may cost only the
+// extra growth of that one slice. Parsing into a DOM and walking it took 81 /
+// 678 / 6,331 / 62,847.
+func TestDecodeRecordAllocations(t *testing.T) {
+	ctx, err := pbio.NewContext(machine.Native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	works, err := bench.SizeSweep(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limits := map[string]float64{"mixed100B": 25, "mixed1KB": 50, "mixed10KB": 80, "mixed100KB": 90}
+	got := map[string]float64{}
+	for _, w := range works {
+		text, err := xmlwire.EncodeRecord(w.Format, w.Record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[w.Name] = testing.AllocsPerRun(20, func() {
+			if _, err := xmlwire.DecodeRecord(w.Format, text); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations to decode %d bytes", w.Name, got[w.Name], len(text))
+		if got[w.Name] > limits[w.Name] {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", w.Name, got[w.Name], limits[w.Name])
+		}
+	}
+	if extra := got["mixed100KB"] - got["mixed10KB"]; extra > 15 {
+		t.Errorf("mixed100KB takes %.0f more allocations than mixed10KB, want at most 15", extra)
+	}
+}
