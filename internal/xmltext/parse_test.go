@@ -2,30 +2,71 @@ package xmltext
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func mustParse(t *testing.T, src string) *Document {
-	t.Helper()
-	doc, err := ParseString(src)
-	if err != nil {
-		t.Fatalf("ParseString(%q): %v", src, err)
+// tokens reads src to its end, keeping each start tag's attributes.
+func tokens(src string) ([]Token, error) {
+	t := NewTokenizer(src)
+	var out []Token
+	for {
+		tok, err := t.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		tok.Attrs = append([]Attr(nil), tok.Attrs...)
+		out = append(out, tok)
 	}
-	return doc
+}
+
+func mustTokens(t *testing.T, src string) []Token {
+	t.Helper()
+	toks, err := tokens(src)
+	if err != nil {
+		t.Fatalf("tokens(%q): %v", src, err)
+	}
+	return toks
+}
+
+// text concatenates the character data of toks: the root's DOM textContent.
+func text(toks []Token) string {
+	var sb strings.Builder
+	for _, tok := range toks {
+		if tok.Kind == CharData {
+			sb.WriteString(tok.Data)
+		}
+	}
+	return sb.String()
+}
+
+// startTags returns the start tags of toks named local, in document order.
+func startTags(toks []Token, local string) []Token {
+	var out []Token
+	for _, tok := range toks {
+		if tok.Kind == StartTag && tok.Name.Local == local {
+			out = append(out, tok)
+		}
+	}
+	return out
 }
 
 func TestParseMinimal(t *testing.T) {
-	doc := mustParse(t, `<a/>`)
-	if doc.Root == nil || doc.Root.Name.Local != "a" {
-		t.Fatalf("root = %+v", doc.Root)
+	toks := mustTokens(t, `<a/>`)
+	if len(toks) != 2 || toks[0].Kind != StartTag || toks[1].Kind != EndTag ||
+		toks[0].Name.Local != "a" || toks[1].Name.Local != "a" {
+		t.Fatalf("tokens = %+v", toks)
 	}
 }
 
 func TestParseAttributesAndText(t *testing.T) {
-	doc := mustParse(t, `<msg id="42" kind='event'>hello <b>world</b>!</msg>`)
-	r := doc.Root
+	toks := mustTokens(t, `<msg id="42" kind='event'>hello <b>world</b>!</msg>`)
+	r := toks[0]
 	if v, ok := r.Attr("id"); !ok || v != "42" {
 		t.Errorf("id = %q, %v", v, ok)
 	}
@@ -35,56 +76,54 @@ func TestParseAttributesAndText(t *testing.T) {
 	if _, ok := r.Attr("missing"); ok {
 		t.Error("missing attribute found")
 	}
-	if got := r.TextContent(); got != "hello world!" {
-		t.Errorf("TextContent = %q", got)
+	if got := text(toks); got != "hello world!" {
+		t.Errorf("text = %q", got)
 	}
-	if len(r.Elements()) != 1 || r.Elements()[0].Name.Local != "b" {
-		t.Errorf("child elements = %+v", r.Elements())
+	if n := len(startTags(toks, "b")); n != 1 || len(toks) != 7 {
+		t.Errorf("%d <b> in %d tokens: %+v", n, len(toks), toks)
 	}
 }
 
 func TestParseEntities(t *testing.T) {
-	doc := mustParse(t, `<a q="&lt;&amp;&gt;&quot;&apos;">&#65;&#x42;&amp;</a>`)
-	if v, _ := doc.Root.Attr("q"); v != `<&>"'` {
+	toks := mustTokens(t, `<a q="&lt;&amp;&gt;&quot;&apos;">&#65;&#x42;&amp;</a>`)
+	if v, _ := toks[0].Attr("q"); v != `<&>"'` {
 		t.Errorf("attr = %q", v)
 	}
-	if got := doc.Root.TextContent(); got != "AB&" {
+	if got := text(toks); got != "AB&" {
 		t.Errorf("text = %q", got)
 	}
 }
 
 func TestParseCDATA(t *testing.T) {
-	doc := mustParse(t, `<a><![CDATA[<not&parsed>]]></a>`)
-	if got := doc.Root.TextContent(); got != "<not&parsed>" {
+	toks := mustTokens(t, `<a><![CDATA[<not&parsed>]]></a>`)
+	if got := text(toks); got != "<not&parsed>" {
 		t.Errorf("CDATA text = %q", got)
 	}
-	txt, ok := doc.Root.Children[0].(*Text)
-	if !ok || !txt.CDATA {
+	if !toks[1].CDATA {
 		t.Error("CDATA flag not set")
 	}
 }
 
 func TestParseCommentsAndPIs(t *testing.T) {
-	doc := mustParse(t, `<?xml version="1.0"?><!-- top --><root><!-- in --><?pi data?></root>`)
-	if len(doc.Prolog) != 2 {
-		t.Fatalf("prolog = %d nodes", len(doc.Prolog))
+	toks := mustTokens(t, `<?xml version="1.0"?><!-- top --><root><!-- in --><?pi data?></root>`)
+	if len(toks) != 6 {
+		t.Fatalf("%d tokens: %+v", len(toks), toks)
 	}
-	pi, ok := doc.Prolog[0].(*ProcInst)
-	if !ok || pi.Target != "xml" || pi.Data != `version="1.0"` {
+	if pi := toks[0]; pi.Kind != ProcInstToken || pi.Name.Local != "xml" || pi.Data != `version="1.0"` {
 		t.Errorf("xml decl = %+v", pi)
 	}
-	c, ok := doc.Prolog[1].(*Comment)
-	if !ok || c.Data != " top " {
+	if c := toks[1]; c.Kind != CommentToken || c.Data != " top " {
 		t.Errorf("comment = %+v", c)
 	}
-	if len(doc.Root.Children) != 2 {
-		t.Fatalf("root children = %d", len(doc.Root.Children))
+	if c, pi := toks[3], toks[4]; c.Kind != CommentToken || c.Data != " in " ||
+		pi.Kind != ProcInstToken || pi.Name.Local != "pi" || pi.Data != "data" {
+		t.Errorf("root content = %+v, %+v", c, pi)
 	}
 }
 
 func TestParseDoctype(t *testing.T) {
-	doc := mustParse(t, `<!DOCTYPE root [ <!ELEMENT root (#PCDATA)> ]><root>x</root>`)
-	if doc.Root.TextContent() != "x" {
+	toks := mustTokens(t, `<!DOCTYPE root [ <!ELEMENT root (#PCDATA)> ]><root>x</root>`)
+	if toks[0].Name.Local != "root" || text(toks) != "x" {
 		t.Error("doctype parsing broke content")
 	}
 }
@@ -96,59 +135,62 @@ func TestParseNamespaces(t *testing.T) {
 	    <xsd:element name="f" type="xsd:integer"/>
 	  </xsd:complexType>
 	</xsd:schema>`
-	doc := mustParse(t, src)
-	root := doc.Root
+	toks := mustTokens(t, src)
+	root := toks[0]
 	if root.Name.Space != "http://www.w3.org/1999/XMLSchema" {
 		t.Errorf("root ns = %q", root.Name.Space)
 	}
 	if root.Name.Local != "schema" || root.Name.Prefix != "xsd" {
 		t.Errorf("root name = %+v", root.Name)
 	}
-	ct, ok := root.First("complexType")
-	if !ok {
+	ct := startTags(toks, "complexType")
+	if len(ct) != 1 {
 		t.Fatal("complexType not found")
 	}
-	if ct.Name.Space != root.Name.Space {
+	if ct[0].Name.Space != root.Name.Space {
 		t.Error("child did not inherit prefix binding")
 	}
-	el, _ := ct.First("element")
-	if v, _ := el.Attr("type"); v != "xsd:integer" {
+	if v, _ := startTags(toks, "element")[0].Attr("type"); v != "xsd:integer" {
 		t.Errorf("type attr = %q", v)
 	}
 }
 
 func TestParseDefaultNamespace(t *testing.T) {
-	doc := mustParse(t, `<a xmlns="urn:x"><b/><c xmlns=""><d/></c></a>`)
-	if doc.Root.Name.Space != "urn:x" {
-		t.Errorf("a ns = %q", doc.Root.Name.Space)
+	toks := mustTokens(t, `<a xmlns="urn:x"><b/><c xmlns=""><d/></c></a>`)
+	for _, want := range []struct{ name, space string }{{"a", "urn:x"}, {"b", "urn:x"}, {"c", ""}, {"d", ""}} {
+		if got := startTags(toks, want.name)[0].Name.Space; got != want.space {
+			t.Errorf("%s ns = %q, want %q", want.name, got, want.space)
+		}
 	}
-	b := doc.Root.Elements()[0]
-	if b.Name.Space != "urn:x" {
-		t.Errorf("b ns = %q", b.Name.Space)
-	}
-	c := doc.Root.Elements()[1]
-	if c.Name.Space != "" {
-		t.Errorf("c ns = %q (default ns should be unset)", c.Name.Space)
-	}
-	d := c.Elements()[0]
-	if d.Name.Space != "" {
-		t.Errorf("d ns = %q", d.Name.Space)
+	if end := toks[len(toks)-1]; end.Kind != EndTag || end.Name.Space != "urn:x" {
+		t.Errorf("end tag %+v", end)
 	}
 }
 
-func TestParseNamespacedAttr(t *testing.T) {
-	doc := mustParse(t, `<a xmlns:p="urn:p" p:x="1" x="2"/>`)
-	if v, ok := doc.Root.AttrNS("urn:p", "x"); !ok || v != "1" {
-		t.Errorf("AttrNS = %q, %v", v, ok)
+// attrNS returns the value of the attribute with the given namespace URI and
+// local name.
+func attrNS(tok Token, space, local string) (string, bool) {
+	for _, a := range tok.Attrs {
+		if a.Name.Space == space && a.Name.Local == local {
+			return a.Value, true
+		}
 	}
-	if v, ok := doc.Root.Attr("x"); !ok || v != "2" {
+	return "", false
+}
+
+func TestParseNamespacedAttr(t *testing.T) {
+	root := mustTokens(t, `<a xmlns:p="urn:p" p:x="1" x="2"/>`)[0]
+	if v, ok := attrNS(root, "urn:p", "x"); !ok || v != "1" {
+		t.Errorf("p:x = %q, %v", v, ok)
+	}
+	if v, ok := root.Attr("x"); !ok || v != "2" {
 		t.Errorf("Attr = %q, %v", v, ok)
 	}
 }
 
 func TestParseXMLPrefixImplicit(t *testing.T) {
-	doc := mustParse(t, `<a xml:lang="en"/>`)
-	if v, ok := doc.Root.AttrNS(XMLNamespace, "lang"); !ok || v != "en" {
+	root := mustTokens(t, `<a xml:lang="en"/>`)[0]
+	if v, ok := attrNS(root, XMLNamespace, "lang"); !ok || v != "en" {
 		t.Errorf("xml:lang = %q, %v", v, ok)
 	}
 }
@@ -183,12 +225,16 @@ func TestParseErrors(t *testing.T) {
 		{"cdata end in text", `<a>]]></a>`},
 		{"eof in start tag", `<a `},
 		{"bad end tag", `<a></a `},
+		{"empty prefix", `<:a/>`},
+		{"empty local part", `<p: xmlns:p="urn:p"/>`},
+		{"empty attr prefix", `<a :x="1"/>`},
+		{"empty attr local part", `<a xmlns:p="urn:p" p:="1"/>`},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := ParseString(tt.src)
+			_, err := tokens(tt.src)
 			if err == nil {
-				t.Errorf("ParseString(%q) succeeded, want error", tt.src)
+				t.Errorf("tokens(%q) succeeded, want error", tt.src)
 			}
 			var se *SyntaxError
 			if err != nil && !errors.As(err, &se) {
@@ -199,7 +245,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestSyntaxErrorPosition(t *testing.T) {
-	_, err := ParseString("<a>\n  <b></c>\n</a>")
+	_, err := tokens("<a>\n  <b></c>\n</a>")
 	var se *SyntaxError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v", err)
@@ -222,29 +268,9 @@ func TestDeeplyNested(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		sb.WriteString("</a>")
 	}
-	doc := mustParse(t, sb.String())
-	if doc.Root.TextContent() != "x" {
-		t.Error("deep nesting lost text")
-	}
-}
-
-func TestElementsNamedAndFirst(t *testing.T) {
-	doc := mustParse(t, `<r><x/><y/><x/></r>`)
-	if got := len(doc.Root.ElementsNamed("x")); got != 2 {
-		t.Errorf("ElementsNamed(x) = %d", got)
-	}
-	if _, ok := doc.Root.First("z"); ok {
-		t.Error("First(z) found element")
-	}
-}
-
-func TestParseReader(t *testing.T) {
-	doc, err := Parse(strings.NewReader(`<a>b</a>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Root.TextContent() != "b" {
-		t.Error("Parse via reader failed")
+	toks := mustTokens(t, sb.String())
+	if len(toks) != 2*depth+1 || text(toks) != "x" {
+		t.Errorf("deep nesting: %d tokens, text %q", len(toks), text(toks))
 	}
 }
 
@@ -259,11 +285,8 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 			return r
 		}, s)
 		clean = strings.ReplaceAll(clean, "\r", "") // parser keeps \r; writers vary
-		doc, err := ParseString("<a>" + EscapeText(clean) + "</a>")
-		if err != nil {
-			return false
-		}
-		return doc.Root.TextContent() == clean
+		toks, err := tokens("<a>" + string(AppendText(nil, clean)) + "</a>")
+		return err == nil && text(toks) == clean
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -278,11 +301,11 @@ func TestAttrEscapeRoundTripProperty(t *testing.T) {
 			}
 			return r
 		}, s)
-		doc, err := ParseString(`<a v="` + EscapeAttr(clean) + `"/>`)
+		toks, err := tokens(`<a v="` + EscapeAttr(clean) + `"/>`)
 		if err != nil {
 			return false
 		}
-		v, _ := doc.Root.Attr("v")
+		v, _ := toks[0].Attr("v")
 		return v == clean
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

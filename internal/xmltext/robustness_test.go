@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The parser consumes documents from the network (schema documents, XML
-// text messages); arbitrary bytes must produce a parse tree or an error,
-// never a panic.
+// The tokenizer consumes documents from the network (schema documents, XML
+// text messages); arbitrary bytes must produce tokens or an error, never a
+// panic.
 
 func TestParseNeverPanicsOnMutatedDocuments(t *testing.T) {
 	seeds := []string{
@@ -40,14 +40,14 @@ func TestParseNeverPanicsOnMutatedDocuments(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("ParseString(%q) panicked: %v", doc, r)
+					t.Fatalf("tokens(%q) panicked: %v", doc, r)
 				}
 			}()
-			if parsed, err := ParseString(string(doc)); err == nil && parsed.Root != nil {
-				// Whatever parsed must survive re-serialization and re-parse.
-				out := Marshal(parsed.Root, "")
-				if _, err := ParseString(out); err != nil {
-					t.Fatalf("re-parse of serialized tree failed: %v\ninput: %q\noutput: %q",
+			if toks, err := tokens(string(doc)); err == nil {
+				// Whatever was accepted must survive writing and reading again.
+				out := writeTokens(toks)
+				if _, err := tokens(out); err != nil {
+					t.Fatalf("re-read of written tokens failed: %v\ninput: %q\noutput: %q",
 						err, doc, out)
 				}
 			}
@@ -63,10 +63,10 @@ func TestParseNeverPanicsOnRandomBytes(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("ParseString panicked on random input: %v", r)
+					t.Fatalf("tokens panicked on random input: %v", r)
 				}
 			}()
-			_, _ = ParseString(string(data))
+			_, _ = tokens(string(data))
 		}()
 	}
 }

@@ -1,3 +1,18 @@
+// Package xmltext is a self-contained XML 1.0 reader, with the escaping its
+// writers need.
+//
+// The paper's xml2wire tool sits on top of an XML parsing engine (expat or
+// Xerces in the original implementation) and is explicitly designed so that
+// "each module is designed to accept a different compatible parsing engine
+// ... with minimal integration effort". This package is that engine, hand
+// rolled and dependency free: a pull Tokenizer, the only code that decides
+// what is well-formed and resolves namespaces. Its readers — the schema
+// parser, the XML-text wire-format decoder, instance matching — take what
+// they use off the tokens and build no tree, as expat's callers do. Covered
+// is the subset of XML that XML Schema metadata and text messages need —
+// elements, attributes, character data, CDATA sections, comments, processing
+// instructions, the five predefined entities, numeric character references,
+// and a tolerated (but not interpreted) DOCTYPE declaration.
 package xmltext
 
 import (
@@ -10,6 +25,41 @@ import (
 
 // XMLNamespace is the reserved namespace bound to the "xml" prefix.
 const XMLNamespace = "http://www.w3.org/XML/1998/namespace"
+
+// Name is a namespace-qualified XML name. Space holds the resolved namespace
+// URI (empty for names in no namespace), Prefix the original prefix as
+// written, and Local the local part.
+type Name struct {
+	Space  string
+	Prefix string
+	Local  string
+}
+
+// String renders the name as written in the document (prefix:local).
+func (n Name) String() string {
+	if n.Prefix != "" {
+		return n.Prefix + ":" + n.Local
+	}
+	return n.Local
+}
+
+// Attr is a single attribute. Namespace declarations (xmlns, xmlns:p) are
+// kept in the attribute list so documents round-trip, and are additionally
+// interpreted during parsing.
+type Attr struct {
+	Name  Name
+	Value string
+}
+
+// SyntaxError reports a malformed document with its position.
+type SyntaxError struct {
+	Line, Col int
+	Msg       string
+}
+
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("xml: line %d:%d: %s", e.Line, e.Col, e.Msg)
+}
 
 // Kind identifies what a Token holds.
 type Kind uint8
@@ -42,9 +92,25 @@ type Token struct {
 	Offset int
 }
 
-// Attr returns the value of the start tag's attribute with the given local
-// name, by the rule of Element.Attr.
+// Attr returns the value of the start tag's first attribute with the given
+// local name in no namespace (or in any namespace if none matches exactly —
+// schema documents in the wild are inconsistent about qualifying
+// attributes).
 func (t *Token) Attr(local string) (string, bool) { return findAttr(t.Attrs, local) }
+
+func findAttr(attrs []Attr, local string) (string, bool) {
+	for _, a := range attrs {
+		if a.Name.Local == local && a.Name.Space == "" && a.Name.Prefix != "xmlns" {
+			return a.Value, true
+		}
+	}
+	for _, a := range attrs {
+		if a.Name.Local == local && a.Name.Prefix != "xmlns" && a.Name.Local != "xmlns" {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
 
 type nsBinding struct{ prefix, uri string }
 
@@ -193,11 +259,15 @@ func (t *Tokenizer) name() (string, bool) {
 	return t.src[start:t.pos], true
 }
 
-func splitQName(q string) (prefix, local string) {
-	if i := strings.IndexByte(q, ':'); i >= 0 {
-		return q[:i], q[i+1:]
+// splitQName splits a name as written at its first colon. ok is false if the
+// prefix or the local part beside that colon is empty, which the Namespaces
+// in XML spec forbids.
+func splitQName(q string) (prefix, local string, ok bool) {
+	i := strings.IndexByte(q, ':')
+	if i < 0 {
+		return "", q, true
 	}
-	return "", q
+	return q[:i], q[i+1:], i > 0 && i < len(q)-1
 }
 
 // lookup resolves a namespace prefix ("" for the default namespace, which
@@ -228,6 +298,10 @@ func (t *Tokenizer) startTag() (Token, error) {
 	if !ok {
 		return Token{}, t.errf("expected name")
 	}
+	prefix, local, ok := splitQName(raw)
+	if !ok {
+		return Token{}, t.errf("malformed name <%s>", raw)
+	}
 	t.attrs = t.attrs[:0]
 	for {
 		t.skipSpace()
@@ -247,6 +321,10 @@ func (t *Tokenizer) startTag() (Token, error) {
 		if !ok {
 			return Token{}, t.errf("malformed attribute in <%s>", raw)
 		}
+		pre, loc, ok := splitQName(aName)
+		if !ok {
+			return Token{}, t.errf("malformed attribute name %q in <%s>", aName, raw)
+		}
 		t.skipSpace()
 		if t.pos >= len(t.src) || t.src[t.pos] != '=' {
 			return Token{}, t.errf("attribute %q missing '='", aName)
@@ -262,7 +340,6 @@ func (t *Tokenizer) startTag() (Token, error) {
 				return Token{}, t.errf("duplicate attribute %q in <%s>", aName, raw)
 			}
 		}
-		pre, loc := splitQName(aName)
 		t.attrs = append(t.attrs, Attr{Name: Name{Prefix: pre, Local: loc}, Value: val})
 	}
 
@@ -288,7 +365,6 @@ func (t *Tokenizer) startTag() (Token, error) {
 			return Token{}, t.errf("undeclared namespace prefix %q", a.Name.Prefix)
 		}
 	}
-	prefix, local := splitQName(raw)
 	uri, ok := t.lookup(prefix)
 	if !ok {
 		return Token{}, t.errf("undeclared namespace prefix %q", prefix)
