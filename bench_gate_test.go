@@ -2,9 +2,10 @@ package openmeta
 
 // Tests for the scripts/bench.sh regression gate, driven against fixture
 // JSON via the -compare-only mode (no benchmarks run). These pin the CI
-// bench-smoke failure modes: an injected omload p99 regression must fail,
-// a gated benchmark missing from the baseline must fail loudly (the silent
-// no-regression hole), and matching results must pass.
+// bench-smoke failure modes: a gated benchmark missing from the baseline
+// must fail loudly (the silent no-regression hole), a sampler over its
+// budget must fail, and results within the gate must pass, however far the
+// ungated omload percentiles move.
 
 import (
 	"os/exec"
@@ -38,46 +39,17 @@ func TestBenchGatePass(t *testing.T) {
 	if !strings.Contains(out, "RESULT: PASS") {
 		t.Fatalf("expected RESULT: PASS:\n%s", out)
 	}
-	// The non-gated Table3 blowup (9µs -> 20µs) must be reported info-only.
+	// The non-gated Table3 blowup (9µs -> 20µs) and omload p99 doubling
+	// (0.8 -> 1.6 ms) must be reported info-only.
 	if strings.Contains(out, "REGRESSED") {
 		t.Fatalf("non-gated benchmark was gated:\n%s", out)
 	}
 }
 
-func TestBenchGateP99Regression(t *testing.T) {
-	// omload/e2e_p99 doubles against the baseline: the gate must fail.
-	out, err := benchGate(t, "current_p99_regressed.json", "baseline.json")
-	if err == nil {
-		t.Fatalf("p99 regression passed the gate:\n%s", out)
-	}
-	if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "omload/e2e_p99") {
-		t.Fatalf("failure output does not name the regressed benchmark:\n%s", out)
-	}
-	if !strings.Contains(out, "regression over") {
-		t.Fatalf("missing clear regression message:\n%s", out)
-	}
-	// A generous threshold lets the same fixture pass.
-	out, err = benchGate(t, "current_p99_regressed.json", "baseline.json",
-		"BENCH_MAX_REGRESSION=200")
-	if err != nil {
-		t.Fatalf("200%% threshold should pass: %v\n%s", err, out)
-	}
-	// OMLOAD_MAX_REGRESSION loosens only the omload gate (the E2E tail is
-	// noisier than ns/op microbenchmarks), leaving Table gates strict.
-	out, err = benchGate(t, "current_p99_regressed.json", "baseline.json",
-		"OMLOAD_MAX_REGRESSION=200")
-	if err != nil {
-		t.Fatalf("loosened omload threshold should pass: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "RESULT: PASS") {
-		t.Fatalf("expected RESULT: PASS with loose omload gate:\n%s", out)
-	}
-}
-
 func TestBenchGateMissingBaselineKey(t *testing.T) {
-	// The baseline lacks omload/e2e_p99 which the current run has: the old
-	// jq path silently treated that as no-regression; now it must fail with
-	// a clear message.
+	// The baseline lacks the gated BenchmarkTable2WireFormats/pbio_encode
+	// which the current run has: the old jq path silently treated that as
+	// no-regression; now it must fail with a clear message.
 	out, err := benchGate(t, "current_pass.json", "baseline_nokey.json")
 	if err == nil {
 		t.Fatalf("missing gated baseline key passed the gate:\n%s", out)

@@ -117,7 +117,7 @@ func run() error {
 }
 
 func subscribe(addr string, streams ...string) (*openmeta.Subscriber, error) {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func capturePoints(resolver *openmeta.Resolver, brokerAddr string) error {
 		{airline.MiningStream, "LoadTrend", openmeta.NativeArch, "LoadTrend", mining.Next},
 	}
 	for _, f := range feeds {
-		pctx, err := openmeta.NewContext(f.arch)
+		pctx, err := openmeta.New(openmeta.WithArch(f.arch))
 		if err != nil {
 			return err
 		}

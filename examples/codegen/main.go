@@ -25,7 +25,7 @@ func main() {
 }
 
 func run() error {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		return err
 	}

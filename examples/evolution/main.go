@@ -77,7 +77,7 @@ func run() error {
 
 	discover := func(who string) (*openmeta.Format, error) {
 		client.Invalidate("FlightStatus") // always consult the repository
-		pctx, err := openmeta.NewContext(openmeta.NativeArch)
+		pctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 		if err != nil {
 			return nil, err
 		}

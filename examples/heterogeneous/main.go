@@ -32,7 +32,7 @@ func main() {
 
 func run() error {
 	// Sender: simulated SPARC (big-endian, 4-byte longs and pointers).
-	sparcCtx, err := openmeta.NewContext(openmeta.ArchSparc)
+	sparcCtx, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		return err
 	}
@@ -43,7 +43,7 @@ func run() error {
 	sparcFmt := sparcSet.Root()
 
 	// Receiver: this machine's profile.
-	nativeCtx, err := openmeta.NewContext(openmeta.NativeArch)
+	nativeCtx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		return err
 	}
@@ -83,7 +83,7 @@ func run() error {
 		sendErr <- w.WriteRecord(sparcFmt, wire)
 	}()
 
-	recvCatalog, err := openmeta.NewContext(openmeta.NativeArch)
+	recvCatalog, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		return err
 	}

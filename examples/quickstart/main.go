@@ -48,7 +48,7 @@ func main() {
 
 func run() error {
 	// Binding: lay the format out for this machine and register it.
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		return err
 	}

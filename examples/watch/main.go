@@ -69,7 +69,7 @@ func run() error {
 			fmt.Printf("watcher: discovery failing: %v\n", u.Err)
 			return nil
 		}
-		ctx, err := openmeta.NewContext(openmeta.NativeArch)
+		ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 		if err != nil {
 			return err
 		}

@@ -45,7 +45,7 @@ func TestFullSystemIntegration(t *testing.T) {
 	defer broker.Close()
 
 	// --- Publisher: discovers format, registers for big-endian SPARC ------
-	pubCtx, err := openmeta.NewContext(openmeta.ArchSparc)
+	pubCtx, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestFullSystemIntegration(t *testing.T) {
 
 func mustCtx(t *testing.T) *openmeta.Context {
 	t.Helper()
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // ReportSchema versions the JSON report shape for downstream consumers
-// (scripts/trajectory.sh, scripts/bench.sh).
+// (scripts/bench.sh).
 const ReportSchema = "omload/v1"
 
 // LatencySummary is the percentile digest of one latency distribution, in

@@ -13,7 +13,7 @@ import (
 )
 
 func TestFacadeRecordFiles(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.ArchSparc)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestFacadeRecordFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rctx, err := openmeta.NewContext(openmeta.NativeArch)
+	rctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFacadeRecordFiles(t *testing.T) {
 }
 
 func TestFacadeSchemaGenerationRoundTrip(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFacadeSchemaGenerationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx2, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx2, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFacadeSchemaGenerationRoundTrip(t *testing.T) {
 }
 
 func TestFacadeMatching(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFacadeMatching(t *testing.T) {
 }
 
 func TestFacadeDeriveSubset(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFacadeScopedSubscription(t *testing.T) {
 	}
 	defer broker.Close()
 
-	pctx, err := openmeta.NewContext(openmeta.ArchSparc)
+	pctx, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFacadeScopedSubscription(t *testing.T) {
 	}
 	f := set.Root()
 
-	sctx, err := openmeta.NewContext(openmeta.NativeArch)
+	sctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 const flightSchema = airline.FlightSchema
 
 func TestFacadeQuickstartFlow(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeCrossArchPlan(t *testing.T) {
-	sparc, err := openmeta.NewContext(openmeta.ArchSparc)
+	sparc, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x64, err := openmeta.NewContext(openmeta.ArchX86_64)
+	x64, err := openmeta.New(openmeta.WithArch(openmeta.ArchX86_64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFacadeDiscoveryChain(t *testing.T) {
 	}
 	resolver := openmeta.NewResolver(client, openmeta.StaticSchemas(airline.Schemas()))
 
-	pctx, err := openmeta.NewContext(openmeta.NativeArch)
+	pctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFacadeEventBackbone(t *testing.T) {
 	}
 	defer broker.Close()
 
-	pctx, err := openmeta.NewContext(openmeta.ArchSparc)
+	pctx, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFacadeEventBackbone(t *testing.T) {
 	}
 	f := set.Root()
 
-	sctx, err := openmeta.NewContext(openmeta.NativeArch)
+	sctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFacadeEventBackbone(t *testing.T) {
 }
 
 func TestFacadeBaselineCodecs(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.NativeArch)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFacadeBaselineCodecs(t *testing.T) {
 }
 
 func TestFacadeMetaRoundTripAndWire(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.ArchSparc)
+	ctx, err := openmeta.New(openmeta.WithArch(openmeta.ArchSparc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestFacadeMetaRoundTripAndWire(t *testing.T) {
 			_ = w.WriteRecord(f, data)
 		}
 	}()
-	rctx, err := openmeta.NewContext(openmeta.NativeArch)
+	rctx, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
 	}

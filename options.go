@@ -52,12 +52,6 @@ func New(opts ...Option) (*Context, error) {
 	return pbio.NewContext(cfg.arch, popts...)
 }
 
-// NewContext creates a format catalog laying formats out for arch.
-//
-// Deprecated: use New with WithArch; NewContext remains so existing callers
-// keep compiling.
-func NewContext(arch *Arch) (*Context, error) { return New(WithArch(arch)) }
-
 // BrokerOption configures a Broker (see NewBroker and ListenBroker).
 type BrokerOption = eventbus.BrokerOption
 

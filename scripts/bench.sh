@@ -24,14 +24,15 @@
 # -compare re-runs the benchmarks (into BENCH_OUT, a temp file by default)
 # and checks ns_per_op of the Table 1 registration and Table 2 wire-format
 # codec benchmarks, the five codec stages of BenchmarkCodecLarge and the bulk
-# NDR kernels, plus the omload E2E p99, against the baseline: any gated
-# benchmark more than 25% slower (override with BENCH_MAX_REGRESSION) fails
-# the script, and a gated benchmark MISSING from the baseline fails loudly
-# instead of silently passing. Other tables are reported but not gated — they
-# exercise whole pipelines whose variance on shared CI hardware would make
-# the gate flaky. Compare against a baseline produced on the same machine;
-# the committed BENCH_baseline.json documents the trajectory, it is not
-# portable across hardware. Requires jq.
+# NDR kernels against the baseline: any gated benchmark more than 25% slower
+# (override with BENCH_MAX_REGRESSION) fails the script, and a gated
+# benchmark MISSING from the baseline fails loudly instead of silently
+# passing. Other tables and the omload percentiles are reported but not
+# gated — they exercise whole pipelines whose variance on shared hardware
+# would make the gate flaky (omload's p99 read 1.28, 1.98 and 1.49 ms on
+# identical code). Compare against a baseline produced on the same machine;
+# the committed BENCH_baseline.json is not portable across hardware.
+# Requires jq.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -119,8 +120,8 @@ if [ "$MODE" != compare-only ]; then
     ' "$TXT" > "$OUT"
 
     # omload smoke: a short open-loop run against an in-process broker, its
-    # E2E percentiles folded into the results as pseudo-benchmarks so the p99
-    # rides the same compare gate as the ns/op numbers.
+    # E2E percentiles folded into the results as pseudo-benchmarks, reported
+    # by the compare but not gated.
     if [ "${OMLOAD_SKIP:-0}" != 1 ]; then
         if command -v jq >/dev/null 2>&1; then
             echo "== omload smoke (open-loop E2E latency)"
@@ -147,23 +148,17 @@ fi
 [ "$MODE" = run ] && exit 0
 
 MAX="${BENCH_MAX_REGRESSION:-25}"
-# The omload E2E p99 is a tail statistic of a short live run, far noisier
-# than ns/op microbenchmarks; OMLOAD_MAX_REGRESSION loosens its threshold
-# independently (CI sets it high to avoid flaking on shared runners — the
-# gate logic itself is pinned by bench_gate_test.go against fixtures).
-OMAX="${OMLOAD_MAX_REGRESSION:-$MAX}"
-echo "== comparing ns/op against $BASELINE (gate: Table1 registration + Table2 codecs + codec stages + kernels >$MAX%, omload p99 >$OMAX% = fail)"
-GATE='^BenchmarkTable1Registration|^BenchmarkTable2WireFormats|^BenchmarkCodecLarge/|^BenchmarkKernels/[A-Za-z]+/kernel/|^omload/e2e_p99$'
-REPORT="$(jq -n -r --arg gate "$GATE" --argjson max "$MAX" --argjson omax "$OMAX" \
+echo "== comparing ns/op against $BASELINE (gate: Table1 registration + Table2 codecs + codec stages + kernels >$MAX% = fail)"
+GATE='^BenchmarkTable1Registration|^BenchmarkTable2WireFormats|^BenchmarkCodecLarge/|^BenchmarkKernels/[A-Za-z]+/kernel/'
+REPORT="$(jq -n -r --arg gate "$GATE" --argjson max "$MAX" \
     --slurpfile base "$BASELINE" --slurpfile cur "$OUT" '
   ($base[0] | map({(.name): .ns_per_op}) | add) as $b
   | [ $cur[0][]
       | . + {base: $b[.name], gated: (.name | test($gate))}
-      | . + {max: (if (.name | startswith("omload/")) then $omax else $max end)}
       | . + {pct: (if .base != null and .base > 0
                    then ((.ns_per_op / .base - 1) * 100) else null end)} ]
   | (.[] | [ (if .gated and .base == null then "MISSING"
-              elif .gated and .pct != null and .pct > .max then "REGRESSED"
+              elif .gated and .pct != null and .pct > $max then "REGRESSED"
               elif .gated then "ok"
               elif .base == null then "new"
               else "info" end),
@@ -174,7 +169,7 @@ REPORT="$(jq -n -r --arg gate "$GATE" --argjson max "$MAX" --argjson omax "$OMAX
     "gated \(map(select(.gated)) | length) of \(length) current benchmarks",
     (if any(.gated and .base == null)
      then "RESULT: FAIL (gated benchmark missing from baseline)"
-     elif any(.gated and .pct != null and .pct > .max)
+     elif any(.gated and .pct != null and .pct > $max)
      then "RESULT: FAIL (ns/op regression over threshold)"
      else "RESULT: PASS" end)
 ')"

@@ -397,16 +397,9 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsStillWork keeps the pre-options signatures
-// compiling and behaving.
+// TestDeprecatedConstructorsStillWork keeps the pre-options signature that
+// remains, NewPlanCache without options, compiling and behaving.
 func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	ctx, err := openmeta.NewContext(openmeta.ArchSparc64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openmeta.RegisterSchemaDocument(ctx, airline.FlightSchema); err != nil {
-		t.Fatal(err)
-	}
 	if c := openmeta.NewPlanCache(); c == nil {
 		t.Fatal("NewPlanCache() = nil")
 	}
