@@ -273,7 +273,7 @@ func Table2(cfg Config) (*Table, error) {
 		ID:      "Table 2",
 		Caption: "Wire format cost per message (encode + decode) and encoded sizes",
 		Headers: []string{"Workload", "Format", "Encode", "Decode", "Total",
-			"Size (B)", "vs NDR time", "vs NDR size"},
+			"Size (B)", "vs NDR time", "vs NDR size", "Decode allocs"},
 		Notes: []string{
 			"paper claims ~an order of magnitude over text-based XML and >50% over XDR",
 			"paper cites 6-8x ASCII expansion for numeric data (mixed workloads include strings)",
@@ -342,13 +342,17 @@ func Table2(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			decA, err := AllocsOp(fc.dec)
+			if err != nil {
+				return nil, err
+			}
 			total := encT + decT
 			if fc.name == "NDR" {
 				ndrTotal = total
 			}
 			t.AddRow(w.Name, fc.name, encT, decT, total, fc.size,
 				Ratio(total, ndrTotal),
-				fmt.Sprintf("%.1fx", float64(fc.size)/float64(len(ndrData))))
+				fmt.Sprintf("%.1fx", float64(fc.size)/float64(len(ndrData))), decA)
 		}
 	}
 	return t, nil
