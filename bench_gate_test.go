@@ -3,9 +3,9 @@ package openmeta
 // Tests for the scripts/bench.sh regression gate, driven against fixture
 // JSON via the -compare-only mode (no benchmarks run). These pin the CI
 // bench-smoke failure modes: a gated benchmark missing from the baseline
-// must fail loudly (the silent no-regression hole), a sampler over its
-// budget must fail, and results within the gate must pass, however far the
-// ungated omload percentiles move.
+// must fail loudly (the silent no-regression hole), a hot path over its
+// absolute budget must fail, and results within the gate must pass, however
+// far the ungated omload percentiles move.
 
 import (
 	"os/exec"
@@ -62,19 +62,19 @@ func TestBenchGateMissingBaselineKey(t *testing.T) {
 	}
 }
 
-func TestBenchGateHistdbBudget(t *testing.T) {
-	// BenchmarkSample over its absolute ns/op budget must fail even though
-	// no relative gate tripped.
+func TestBenchGateAbsoluteBudget(t *testing.T) {
+	// BenchmarkObserveExemplar over its absolute ns/op budget must fail even
+	// though no relative gate tripped.
 	out, err := benchGate(t, "current_overbudget.json", "baseline.json")
 	if err == nil {
-		t.Fatalf("over-budget sampler passed:\n%s", out)
+		t.Fatalf("over-budget exemplar recording passed:\n%s", out)
 	}
 	if !strings.Contains(out, "exceeds budget") {
 		t.Fatalf("missing budget failure message:\n%s", out)
 	}
 	// Raising the budget clears it.
 	out, err = benchGate(t, "current_overbudget.json", "baseline.json",
-		"HISTDB_BUDGET_NS=5000000")
+		"EXEMPLAR_BUDGET_NS=5000000")
 	if err != nil {
 		t.Fatalf("raised budget should pass: %v\n%s", err, out)
 	}

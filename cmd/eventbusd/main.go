@@ -18,18 +18,6 @@
 //	curl http://127.0.0.1:8781/debug/flight?n=50
 //	curl http://127.0.0.1:8781/readyz
 //
-// With -history-interval the broker also monitors itself: metrics are
-// sampled into a fixed-memory ring (/debug/history), alert rules are
-// evaluated against it (/debug/alerts; defaults watch the outbound queue
-// backlog and plan-cache evictions, -alert-rules overrides with a rule file
-// or inline DSL), /readyz degrades while a rule fires, and rules marked
-// capture record CPU/heap/goroutine profiles into /debug/profiles:
-//
-//	eventbusd -addr :8701 -debug-addr 127.0.0.1:8781 -history-interval 5s
-//	curl 'http://127.0.0.1:8781/debug/history?key=eventbus.queue_depth'
-//	curl http://127.0.0.1:8781/debug/flight?kind=alert
-//	curl http://127.0.0.1:8781/debug/profiles/
-//
 // Runtime & contention observability is always partially on: the Go
 // runtime's GC-pause/scheduler-latency/heap/goroutine telemetry is bridged
 // into the registry (runtime.* metrics), and the broker's routing lock plus
@@ -40,14 +28,6 @@
 //	eventbusd -addr :8701 -debug-addr 127.0.0.1:8781 -contention-rate 5
 //	curl http://127.0.0.1:8781/debug/contention
 //
-// With -register <metaserver-url> the broker announces its debug listener
-// to the fleet registry (/instances/ on the metaserver, heartbeat-kept), so
-// cmd/omcollect discovers and scrapes it without static configuration; the
-// instance name defaults to eventbusd-<host>-<pid>, -instance overrides:
-//
-//	eventbusd -addr :8701 -debug-addr 127.0.0.1:8781 -trace-sample 1 \
-//	    -register http://127.0.0.1:8700 -instance broker
-//
 // Diagnostics go to stderr via log/slog; -log-format selects text or json.
 // The broker exits cleanly on SIGINT/SIGTERM.
 package main
@@ -55,7 +35,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -63,14 +42,9 @@ import (
 
 	"log/slog"
 
-	"openmeta/internal/alert"
 	"openmeta/internal/dcg"
-	"openmeta/internal/discovery"
 	"openmeta/internal/eventbus"
-	"openmeta/internal/flight"
-	"openmeta/internal/histdb"
 	"openmeta/internal/obsv"
-	"openmeta/internal/profcap"
 	"openmeta/internal/trace"
 )
 
@@ -91,12 +65,7 @@ func run(args []string) error {
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N traces (1 = all, 0 = tracing off)")
 	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (/stats?exemplars=1, OpenMetrics /metrics)")
 	planCacheMax := fs.Int("plan-cache-max", 0, "bound the scoped-conversion plan cache to this many entries (0 = unbounded)")
-	historyInterval := fs.Duration("history-interval", 0, "sample metrics into the /debug/history ring this often (0 = self-monitoring off)")
-	alertRules := fs.String("alert-rules", "", "alert rules: a rule file path or inline DSL (default: built-in queue-depth and plan-cache rules; needs -history-interval)")
-	profileDir := fs.String("profile-capture-dir", "", "also spill anomaly profile captures to this directory (captures are in-memory otherwise)")
 	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate feeding /debug/contention (N samples ~1-in-N contention events; 0 = profiles off, tracked locks stay on)")
-	register := fs.String("register", "", "metaserver base URL to self-register the debug endpoint with (fleet discovery for omcollect; needs -debug-addr)")
-	instanceName := fs.String("instance", "", "fleet instance name for -register (default eventbusd-<host>-<pid>)")
 	logFormat := fs.String("log-format", "text", "diagnostic log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,8 +79,8 @@ func run(args []string) error {
 	obsv.SetExemplars(*exemplarsOn)
 	obsv.SetContentionProfiling(*contentionRate)
 	// Runtime telemetry (GC pauses, scheduler latency, heap, goroutines)
-	// rides the same registry as the broker's own metrics, so histdb,
-	// alerts and omcollect see it with no extra wiring.
+	// rides the same registry as the broker's own metrics, so /stats and
+	// /metrics carry it with no extra wiring.
 	stopRuntime := obsv.StartRuntimeMetrics(obsv.Default(), time.Second)
 	defer stopRuntime()
 	var opts []eventbus.BrokerOption
@@ -142,77 +111,15 @@ func run(args []string) error {
 		})
 	}
 
-	// Self-monitoring: with -history-interval the broker samples its own
-	// registry into a fixed-memory ring, evaluates alert rules against it
-	// (degrading /readyz and writing flight events while one fires), and arms
-	// anomaly-triggered profile capture for rules that ask for it.
-	var histDB *histdb.DB
-	var engine *alert.Engine
-	var capt *profcap.Capturer
-	if *historyInterval > 0 {
-		histDB = histdb.New(obsv.Default(), histdb.WithInterval(*historyInterval)).Start()
-		defer histDB.Stop()
-		var copts []profcap.Option
-		if *profileDir != "" {
-			copts = append(copts, profcap.WithDir(*profileDir))
-		}
-		capt = profcap.New(append(copts, profcap.WithObserver(obsv.Default()))...)
-		rules := defaultAlertRules(*queueDepth)
-		if *alertRules != "" {
-			if rules, err = alert.LoadRules(*alertRules); err != nil {
-				return err
-			}
-		}
-		engine = alert.New(histDB,
-			alert.WithObserver(obsv.Default()),
-			alert.WithFlightRecorder(flight.Default()),
-			alert.WithHealth(obsv.DefaultHealth()),
-			alert.WithCapturer(capt),
-		).Bind()
-		if err := engine.Add(rules...); err != nil {
-			return err
-		}
-		for _, r := range rules {
-			logger.Info("alert rule armed", "component", "eventbusd",
-				"rule", r.Name, "condition", r.Condition(), "severity", r.Severity.String(), "capture", r.Capture)
-		}
-	}
-
 	if *debugAddr != "" {
 		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
 			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?since= unix-ns scrape cursor, ?format=chrome)"},
-			obsv.DebugEndpoint{Path: "/debug/history", Handler: histdb.Handler(histDB),
-				Desc: "metrics time-series ring (?key=&since=)"},
-			obsv.DebugEndpoint{Path: "/debug/alerts", Handler: alert.StatusHandler(engine),
-				Desc: "SLO alert rules and firing state"},
-			obsv.DebugEndpoint{Path: "/debug/profiles/", Handler: http.StripPrefix("/debug/profiles", profcap.Handler(capt)),
-				Desc: "anomaly-triggered pprof captures"})
+				Desc: "recent trace spans, oldest first (?since= unix-ns scrape cursor, ?format=chrome)"})
 		if err != nil {
 			return err
 		}
 		logger.Info("debug endpoints up", "component", "eventbusd",
-			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /debug/history /debug/alerts /debug/profiles /debug/contention /healthz /readyz /debug/pprof")
-		// Fleet self-registration: announce the debug endpoint to the
-		// metaserver so omcollect discovers this broker without static
-		// -targets, heartbeating until shutdown.
-		if *register != "" {
-			name := *instanceName
-			if name == "" {
-				name = discovery.DefaultInstanceName("eventbusd")
-			}
-			stopAnnounce, err := discovery.AnnounceInstance(*register, discovery.Instance{
-				Name: name, Component: "eventbusd", DebugAddr: dbg.String(),
-			}, 0)
-			if err != nil {
-				return fmt.Errorf("self-register with %s: %w", *register, err)
-			}
-			defer stopAnnounce()
-			logger.Info("registered with fleet", "component", "eventbusd",
-				"registry", *register, "instance", name)
-		}
-	} else if *register != "" {
-		return fmt.Errorf("-register needs -debug-addr (nothing to scrape otherwise)")
+			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /debug/contention /healthz /readyz /debug/pprof")
 	}
 	if *statsInterval > 0 {
 		stop := obsv.StartStatsLogger(obsv.Default(), *statsInterval, func(format string, args ...interface{}) {
@@ -226,54 +133,4 @@ func run(args []string) error {
 	<-sig
 	logger.Info("shutting down", "component", "eventbusd")
 	return broker.Close()
-}
-
-// defaultAlertRules are the rules armed when -history-interval is on and
-// -alert-rules doesn't override them: the broker's outbound backlog sitting
-// above 3/4 of its queue bound (slow subscribers about to cause drops —
-// worth a profile), any plan-cache eviction pressure, GC pauses long enough
-// to blow the routing latency budget, and sustained waits on the broker's
-// routing lock (the contention signal ROADMAP's sharding work keys off).
-// The latter two capture profiles, so the excursion arrives with evidence.
-func defaultAlertRules(queueDepth int) []alert.Rule {
-	if queueDepth <= 0 {
-		queueDepth = 256 // the broker's default per-subscriber queue bound
-	}
-	return []alert.Rule{
-		{
-			Name:      "queue-depth",
-			Metric:    "eventbus.queue_depth",
-			Op:        alert.OpGT,
-			Threshold: int64(3 * queueDepth / 4),
-			For:       30 * time.Second,
-			Severity:  alert.SevWarn,
-			Capture:   true,
-		},
-		{
-			Name:      "plan-cache-pressure",
-			Metric:    "dcg.plan_cache.evictions",
-			Op:        alert.OpGT,
-			Threshold: 0,
-			For:       60 * time.Second,
-			Severity:  alert.SevWarn,
-		},
-		{
-			Name:      "gc-pause",
-			Metric:    "runtime.gc.pause_ns.p99",
-			Op:        alert.OpGT,
-			Threshold: (50 * time.Millisecond).Nanoseconds(),
-			For:       30 * time.Second,
-			Severity:  alert.SevWarn,
-			Capture:   true,
-		},
-		{
-			Name:      "broker-lock-wait",
-			Metric:    "eventbus.broker_mu.wait_ns.p99",
-			Op:        alert.OpGT,
-			Threshold: (20 * time.Millisecond).Nanoseconds(),
-			For:       30 * time.Second,
-			Severity:  alert.SevWarn,
-			Capture:   true,
-		},
-	}
 }

@@ -10,14 +10,8 @@
 // Documents are validated on load; GET /schemas/ lists names, GET
 // /schemas/<name> returns a document with an ETag for revalidation. With
 // -debug-addr a second listener serves /stats, /metrics, /debug/flight,
-// /healthz, /readyz and pprof (GET /debug lists everything); adding
-// -history-interval enables self-monitoring — /debug/history sampling,
-// -alert-rules evaluation and /debug/profiles capture — mirroring eventbusd.
-//
-// The repository doubles as the fleet rendezvous: daemons started with
-// -register announce their debug endpoints under /instances/ (heartbeat
-// TTL via -instance-ttl), where cmd/omcollect discovers them — discovery
-// of processes rides the same server as discovery of formats.
+// /debug/trace, /debug/contention, /healthz, /readyz and pprof (GET /debug
+// lists everything).
 // Diagnostics go to stderr via log/slog; -log-format selects text or json.
 package main
 
@@ -35,12 +29,8 @@ import (
 	"log/slog"
 
 	"openmeta/internal/airline"
-	"openmeta/internal/alert"
 	"openmeta/internal/discovery"
-	"openmeta/internal/flight"
-	"openmeta/internal/histdb"
 	"openmeta/internal/obsv"
-	"openmeta/internal/profcap"
 	"openmeta/internal/trace"
 )
 
@@ -57,12 +47,7 @@ func run(args []string) error {
 	dir := fs.String("dir", "", "directory of <name>.xsd schema documents to serve")
 	builtin := fs.Bool("builtin", false, "serve the built-in airline scenario schemas")
 	writable := fs.Bool("writable", false, "accept PUT/DELETE so streams can publish their own metadata")
-	instanceTTL := fs.Duration("instance-ttl", discovery.DefaultInstanceTTL, "fleet registrations under /instances/ expire after this long without a heartbeat")
-	instanceName := fs.String("instance", "", "fleet instance name to self-register under (default metaserver-<host>-<pid>; needs -debug-addr)")
 	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/vars, /healthz, /readyz and /debug/pprof on this address")
-	historyInterval := fs.Duration("history-interval", 0, "sample metrics into the /debug/history ring this often (0 = self-monitoring off)")
-	alertRules := fs.String("alert-rules", "", "alert rules: a rule file path or inline DSL (needs -history-interval)")
-	profileDir := fs.String("profile-capture-dir", "", "also spill anomaly profile captures to this directory")
 	statsInterval := fs.Duration("stats-interval", 0, "log a one-line stats delta this often (0 = off)")
 	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (/stats?exemplars=1, OpenMetrics /metrics)")
 	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate feeding /debug/contention (0 = profiles off, tracked locks stay on)")
@@ -122,12 +107,6 @@ func run(args []string) error {
 	logger.Info("serving schemas", "component", "metaserver",
 		"count", loaded, "url", "http://"+ln.Addr().String()+discovery.SchemaPathPrefix)
 
-	// Fleet rendezvous: daemons started with -register self-announce their
-	// debug endpoints under /instances/ and omcollect discovers them there.
-	instances := discovery.NewInstanceRegistry(*instanceTTL)
-	logger.Info("fleet registry up", "component", "metaserver",
-		"url", "http://"+ln.Addr().String()+discovery.InstancePathPrefix, "ttl", *instanceTTL)
-
 	// Readiness: a read-only repository that has lost all its documents
 	// cannot answer discovery, so it must stop advertising ready.
 	canWrite := *writable
@@ -138,76 +117,15 @@ func run(args []string) error {
 		return nil
 	})
 
-	// Self-monitoring: optional metrics history, alert rules and profile
-	// capture, mirroring eventbusd (no default rules here — the repository
-	// has no queue to watch; pass -alert-rules to arm some).
-	var histDB *histdb.DB
-	var engine *alert.Engine
-	var capt *profcap.Capturer
-	if *historyInterval > 0 {
-		histDB = histdb.New(obsv.Default(), histdb.WithInterval(*historyInterval)).Start()
-		defer histDB.Stop()
-		var copts []profcap.Option
-		if *profileDir != "" {
-			copts = append(copts, profcap.WithDir(*profileDir))
-		}
-		capt = profcap.New(append(copts, profcap.WithObserver(obsv.Default()))...)
-		if *alertRules != "" {
-			rules, err := alert.LoadRules(*alertRules)
-			if err != nil {
-				return err
-			}
-			engine = alert.New(histDB,
-				alert.WithObserver(obsv.Default()),
-				alert.WithFlightRecorder(flight.Default()),
-				alert.WithHealth(obsv.DefaultHealth()),
-				alert.WithCapturer(capt),
-			).Bind()
-			if err := engine.Add(rules...); err != nil {
-				return err
-			}
-			for _, r := range rules {
-				logger.Info("alert rule armed", "component", "metaserver",
-					"rule", r.Name, "condition", r.Condition(), "severity", r.Severity.String(), "capture", r.Capture)
-			}
-		}
-	}
-
 	if *debugAddr != "" {
 		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
-			obsv.DebugEndpoint{Path: "/debug/history", Handler: histdb.Handler(histDB),
-				Desc: "metrics time-series ring (?key=&since=)"},
 			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?since= unix-ns scrape cursor, ?format=chrome)"},
-			obsv.DebugEndpoint{Path: "/debug/alerts", Handler: alert.StatusHandler(engine),
-				Desc: "SLO alert rules and firing state"},
-			obsv.DebugEndpoint{Path: "/debug/profiles/", Handler: http.StripPrefix("/debug/profiles", profcap.Handler(capt)),
-				Desc: "anomaly-triggered pprof captures"})
+				Desc: "recent trace spans, oldest first (?since= unix-ns scrape cursor, ?format=chrome)"})
 		if err != nil {
 			return err
 		}
 		logger.Info("debug endpoints up", "component", "metaserver",
-			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/trace /debug/history /debug/alerts /debug/profiles /healthz /readyz /debug/pprof")
-		// The metaserver is itself a fleet member: register its own debug
-		// endpoint in the registry it hosts so omcollect -registry scrapes it
-		// alongside the daemons.
-		name := *instanceName
-		if name == "" {
-			name = discovery.DefaultInstanceName("metaserver")
-		}
-		if err := instances.Register(discovery.Instance{
-			Name: name, Component: "metaserver", DebugAddr: dbg.String(),
-		}); err != nil {
-			return err
-		}
-		// Keep the self-registration alive past the TTL.
-		go func() {
-			for range time.Tick(*instanceTTL / 3) {
-				_ = instances.Register(discovery.Instance{
-					Name: name, Component: "metaserver", DebugAddr: dbg.String(),
-				})
-			}
-		}()
+			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /debug/contention /healthz /readyz /debug/pprof")
 	}
 	if *statsInterval > 0 {
 		stop := obsv.StartStatsLogger(obsv.Default(), *statsInterval, func(format string, args ...interface{}) {
@@ -220,7 +138,6 @@ func run(args []string) error {
 	}
 	mux := http.NewServeMux()
 	mux.Handle(discovery.SchemaPathPrefix, repo.Handler())
-	mux.Handle(discovery.InstancePathPrefix, instances.Handler())
 	srv := &http.Server{Handler: mux}
 	return srv.Serve(ln)
 }

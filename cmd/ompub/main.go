@@ -13,12 +13,10 @@
 // With -reconnect the publisher survives broker restarts: it redials with
 // backoff, re-announces its streams and re-sends format metadata before
 // continuing. Demo publishing is paced with -pace (delay between events),
-// useful for feeding a live fleet at a steady rate.
+// useful for feeding a live broker at a steady rate.
 //
 // With -debug-addr the publisher serves its own /stats, /debug/trace and
-// /debug/flight, and -register <metaserver-url> announces that listener to
-// the fleet registry so cmd/omcollect scrapes it (name via -instance,
-// default ompub-<host>-<pid>).
+// /debug/flight.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 
 	"openmeta/internal/airline"
 	"openmeta/internal/core"
-	"openmeta/internal/discovery"
 	"openmeta/internal/eventbus"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
@@ -59,8 +56,6 @@ func run(args []string) error {
 	pace := fs.Duration("pace", 0, "delay between demo events (0 = publish as fast as possible)")
 	seed := fs.Int64("seed", 1, "demo generator seed")
 	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/vars and /debug/pprof on this address")
-	register := fs.String("register", "", "metaserver base URL to self-register the debug endpoint with (fleet discovery for omcollect; needs -debug-addr)")
-	instanceName := fs.String("instance", "", "fleet instance name for -register (default ompub-<host>-<pid>)")
 	reconnect := fs.Bool("reconnect", false, "redial the broker with backoff when the connection breaks")
 	dialTimeout := fs.Duration("dial-timeout", 0, "per-attempt broker dial timeout (0 = default 10s)")
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N published records (1 = all, 0 = tracing off)")
@@ -78,21 +73,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "ompub: stats and pprof at http://%s/stats\n", dbg)
-		if *register != "" {
-			name := *instanceName
-			if name == "" {
-				name = discovery.DefaultInstanceName("ompub")
-			}
-			stopAnnounce, err := discovery.AnnounceInstance(*register, discovery.Instance{
-				Name: name, Component: "ompub", DebugAddr: dbg.String(),
-			}, 0)
-			if err != nil {
-				return fmt.Errorf("self-register with %s: %w", *register, err)
-			}
-			defer stopAnnounce()
-		}
-	} else if *register != "" {
-		return errors.New("-register needs -debug-addr (nothing to scrape otherwise)")
 	}
 
 	pctx, err := pbio.NewContext(machine.Native)

@@ -14,9 +14,7 @@
 // backoff and replays every subscription, field scopes intact.
 //
 // With -debug-addr the subscriber serves its own /stats, /debug/trace and
-// /debug/flight, and -register <metaserver-url> announces that listener to
-// the fleet registry so cmd/omcollect scrapes it (name via -instance,
-// default omsub-<host>-<pid>).
+// /debug/flight.
 package main
 
 import (
@@ -27,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"openmeta/internal/discovery"
 	"openmeta/internal/eventbus"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
@@ -55,8 +52,6 @@ func run(args []string) error {
 	reconnect := fs.Bool("reconnect", false, "redial the broker with backoff when the connection breaks, replaying subscriptions")
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N traced records received (1 = all, 0 = tracing off)")
 	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/trace, /debug/flight and /debug/pprof on this address")
-	register := fs.String("register", "", "metaserver base URL to self-register the debug endpoint with (fleet discovery for omcollect; needs -debug-addr)")
-	instanceName := fs.String("instance", "", "fleet instance name for -register (default omsub-<host>-<pid>)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,21 +66,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "omsub: stats and pprof at http://%s/stats\n", dbg)
-		if *register != "" {
-			name := *instanceName
-			if name == "" {
-				name = discovery.DefaultInstanceName("omsub")
-			}
-			stopAnnounce, err := discovery.AnnounceInstance(*register, discovery.Instance{
-				Name: name, Component: "omsub", DebugAddr: dbg.String(),
-			}, 0)
-			if err != nil {
-				return fmt.Errorf("self-register with %s: %w", *register, err)
-			}
-			defer stopAnnounce()
-		}
-	} else if *register != "" {
-		return errors.New("-register needs -debug-addr (nothing to scrape otherwise)")
 	}
 	ctx, err := pbio.NewContext(machine.Native)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,36 +12,18 @@ import (
 )
 
 // The -contention view: tracked-lock wait/hold tables plus the hottest
-// runtime mutex/block profile sites, from a daemon's /debug/contention or —
-// when -addr points at an omcollect /fleet URL — the collector's merged
-// /fleet/contention. Sources that do not serve the endpoint (an older build,
-// a daemon that is down) render a one-line notice and are skipped rather
-// than failing the whole view, so a mixed-version fleet stays watchable.
+// runtime mutex/block profile sites, from a daemon's /debug/contention. A
+// daemon that does not serve the endpoint (an older build, or one that is
+// down) renders a one-line notice instead of failing the view.
 
-// contentionSource is one place to fetch a contention snapshot from.
-type contentionSource struct {
-	name string
-	url  string
-}
-
-func runContention(targets []addrTarget, fleet bool, interval time.Duration, n int, once, clear bool, out io.Writer) error {
-	collector := fleet && len(targets) == 1
-	var sources []contentionSource
-	if collector {
-		sources = []contentionSource{{name: targets[0].name, url: targets[0].base + "/contention"}}
-	} else {
-		for _, t := range targets {
-			sources = append(sources, contentionSource{name: t.name, url: t.base + "/debug/contention"})
-		}
-	}
+func runContention(name, base string, interval time.Duration, n int, once, clear bool, out io.Writer) error {
+	url := base + "/debug/contention"
 	refresh := func() {
 		if clear && !once {
 			fmt.Fprint(out, "\x1b[2J\x1b[H")
 		}
 		fmt.Fprintf(out, "omtop -contention  %s\n", time.Now().Format("15:04:05"))
-		for _, src := range sources {
-			fmt.Fprint(out, fetchContention(src, collector))
-		}
+		fmt.Fprint(out, fetchContention(name, url))
 	}
 	refresh()
 	if once {
@@ -55,46 +36,25 @@ func runContention(targets []addrTarget, fleet bool, interval time.Duration, n i
 	return nil
 }
 
-// fetchContention fetches and renders one source, degrading to a notice line
-// on any failure (unreachable, non-200, undecodable).
-func fetchContention(src contentionSource, collector bool) string {
-	resp, err := http.Get(src.url)
+// fetchContention fetches and renders one daemon's snapshot, degrading to a
+// notice line on any failure (unreachable, non-200, undecodable).
+func fetchContention(name, url string) string {
+	resp, err := http.Get(url)
 	if err != nil {
-		return fmt.Sprintf("\n%s: contention endpoint unavailable (%v)\n", src.name, err)
+		return fmt.Sprintf("\n%s: contention endpoint unavailable (%v)\n", name, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Sprintf("\n%s: contention endpoint unavailable (HTTP %d)\n", src.name, resp.StatusCode)
-	}
-	if collector {
-		var fleet struct {
-			Instances map[string]obsv.ContentionSnapshot `json:"instances"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
-			return fmt.Sprintf("\n%s: bad contention body (%v)\n", src.name, err)
-		}
-		if len(fleet.Instances) == 0 {
-			return fmt.Sprintf("\n%s: no instances report contention yet\n", src.name)
-		}
-		names := make([]string, 0, len(fleet.Instances))
-		for name := range fleet.Instances {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var b strings.Builder
-		for _, name := range names {
-			b.WriteString(renderContention(name, fleet.Instances[name]))
-		}
-		return b.String()
+		return fmt.Sprintf("\n%s: contention endpoint unavailable (HTTP %d)\n", name, resp.StatusCode)
 	}
 	var snap obsv.ContentionSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Sprintf("\n%s: bad contention body (%v)\n", src.name, err)
+		return fmt.Sprintf("\n%s: bad contention body (%v)\n", name, err)
 	}
-	return renderContention(src.name, snap)
+	return renderContention(name, snap)
 }
 
-// renderContention formats one instance's snapshot: the tracked locks first
+// renderContention formats one daemon's snapshot: the tracked locks first
 // (always present — they need no profiling rate), then the top runtime
 // profile sites when the daemon runs with -contention-rate.
 func renderContention(name string, snap obsv.ContentionSnapshot) string {

@@ -16,8 +16,8 @@ import (
 // histograms). Every view must render them or skip them — never error.
 func TestRenderToleratesUnknownFamilies(t *testing.T) {
 	cur := map[string]int64{
-		"runtime.goroutines":       37,
-		"runtime.heap.alloc_bytes": 1 << 20,
+		"runtime.goroutines":        37,
+		"runtime.heap.alloc_bytes":  1 << 20,
 		"runtime.gc.pause_ns.count": 4, "runtime.gc.pause_ns.sum": 400000,
 		"runtime.gc.pause_ns.max": 200000, "runtime.gc.pause_ns.p50": 80000,
 		"runtime.gc.pause_ns.p95": 150000, "runtime.gc.pause_ns.p99": 190000,
@@ -32,12 +32,11 @@ func TestRenderToleratesUnknownFamilies(t *testing.T) {
 		// scalar rendering rather than failing the histogram collapse.
 		"mystery.metric.p99": 123,
 	}
-	for name, fn := range map[string]func(string, map[string]int64, history, time.Duration, exemplars) string{
-		"render":        func(s string, c map[string]int64, h history, d time.Duration, e exemplars) string { return render(s, nil, c, h, d, e) },
-		"renderFleet":   func(s string, c map[string]int64, h history, d time.Duration, e exemplars) string { return renderFleet(s, nil, c, h, d, e) },
-		"renderFormats": func(s string, c map[string]int64, h history, d time.Duration, e exemplars) string { return renderFormats(s, nil, c, h, d, e) },
+	for name, fn := range map[string]func(string, map[string]int64, map[string]int64, time.Duration, exemplars) string{
+		"render":        render,
+		"renderFormats": renderFormats,
 	} {
-		out := fn("test", cur, nil, 0, nil)
+		out := fn("test", nil, cur, 0, nil)
 		if name != "renderFormats" && !strings.Contains(out, "runtime.goroutines") {
 			t.Fatalf("%s dropped the runtime gauge:\n%s", name, out)
 		}
@@ -59,7 +58,7 @@ func TestRunContentionOnce(t *testing.T) {
 	defer srv.Close()
 
 	var buf bytes.Buffer
-	err := runContention([]addrTarget{{name: "broker", base: srv.URL}}, false, time.Second, 1, true, false, &buf)
+	err := runContention("broker", srv.URL, time.Second, 1, true, false, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestRunContentionUnreachable(t *testing.T) {
 	srv.Close() // dead target
 
 	var buf bytes.Buffer
-	err := runContention([]addrTarget{{name: "gone", base: srv.URL}}, false, time.Second, 1, true, false, &buf)
+	err := runContention("gone", srv.URL, time.Second, 1, true, false, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package main
 
 // Table-driven edge-case tests for the stats-view parsing and rendering
-// helpers: splitLabels on malformed label blocks, sparklines on degenerate
-// histories, and reset markers when a counter goes backwards mid-window.
+// helpers: splitLabels on malformed label blocks and reset markers when a
+// counter goes backwards mid-window.
 
 import (
 	"strings"
@@ -66,35 +66,6 @@ func TestSplitLabelsTable(t *testing.T) {
 	}
 }
 
-func TestSparklineTable(t *testing.T) {
-	cases := []struct {
-		name  string
-		vals  []int64
-		width int
-		want  string
-	}{
-		{name: "empty history", vals: nil, width: 20, want: ""},
-		{name: "empty slice", vals: []int64{}, width: 20, want: ""},
-		{name: "zero width", vals: []int64{1, 2}, width: 0, want: ""},
-		{name: "negative width", vals: []int64{1, 2}, width: -3, want: ""},
-		{name: "single zero sample", vals: []int64{0}, width: 20, want: "▁"},
-		{name: "single nonzero sample", vals: []int64{7}, width: 20, want: "▅"},
-		{name: "two equal samples", vals: []int64{3, 3}, width: 20, want: "▅▅"},
-		{name: "counter reset mid-window", vals: []int64{10, 20, 30, 2, 4}, width: 20, want: "▃▅█▁▁"},
-		{name: "negative deltas", vals: []int64{-4, 0, 4}, width: 20, want: "▁▄█"},
-		// A width-1 window is a flat series of its newest value, so it
-		// renders at mid height like any other flat nonzero series.
-		{name: "width one keeps newest", vals: []int64{0, 100}, width: 1, want: "▅"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := sparkline(tc.vals, tc.width); got != tc.want {
-				t.Fatalf("sparkline(%v, %d) = %q, want %q", tc.vals, tc.width, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestRateCellTable(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -134,7 +105,7 @@ func TestRenderHistogramFamilyReset(t *testing.T) {
 			"dcg.convert_ns.p99":   300,
 		}
 	}
-	out := render("test", keys(50000), keys(12), nil, 2*time.Second, nil)
+	out := render("test", keys(50000), keys(12), 2*time.Second, nil)
 	line := ""
 	for _, l := range strings.Split(out, "\n") {
 		if strings.HasPrefix(l, "dcg.convert_ns") {
@@ -149,14 +120,10 @@ func TestRenderHistogramFamilyReset(t *testing.T) {
 	}
 }
 
-// TestRenderEmptyHistory: rendering with an empty (but non-nil) history map
-// and an empty snapshot must not panic or emit sparkline glyphs.
-func TestRenderEmptyHistory(t *testing.T) {
-	out := render("test", nil, map[string]int64{"evb.published": 3}, history{}, 0, nil)
-	if strings.ContainsAny(out, "▁▂▃▄▅▆▇█") {
-		t.Fatalf("sparkline appeared with empty history:\n%s", out)
-	}
-	out = render("test", nil, map[string]int64{}, history{"orphan": {1, 2}}, 0, nil)
+// TestRenderEmptySnapshot: rendering an empty snapshot must not panic and
+// still prints the header.
+func TestRenderEmptySnapshot(t *testing.T) {
+	out := render("test", nil, map[string]int64{}, 0, nil)
 	if !strings.Contains(out, "omtop") {
 		t.Fatalf("header missing on empty snapshot:\n%s", out)
 	}

@@ -36,6 +36,19 @@ func TestFetchStats(t *testing.T) {
 	}
 }
 
+func TestBaseURL(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"single bare host:port", "127.0.0.1:8781", "http://127.0.0.1:8781"},
+		{"http URL with trailing slash", "http://127.0.0.1:8781/", "http://127.0.0.1:8781"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := baseURL(tc.in); got != tc.want {
+				t.Errorf("baseURL(%q) = %q, want %q", tc.in, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestFetchStatsErrorStatus(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	defer srv.Close()
@@ -55,7 +68,7 @@ func TestRenderRatesAndHistograms(t *testing.T) {
 		"lat.count":     20, "lat.sum": 2000, "lat.max": 256,
 		"lat.p50": 100, "lat.p95": 200, "lat.p99": 250,
 	}
-	out := render("test", prev, cur, nil, 2*time.Second, nil)
+	out := render("test", prev, cur, 2*time.Second, nil)
 
 	if !strings.Contains(out, "evb.published") || !strings.Contains(out, "25.0/s") {
 		t.Fatalf("counter rate missing from output:\n%s", out)
@@ -83,7 +96,7 @@ func TestRenderRatesAndHistograms(t *testing.T) {
 
 func TestRenderOnceUsesAbsoluteValues(t *testing.T) {
 	cur := map[string]int64{"a": 5}
-	out := render("test", nil, cur, nil, 0, nil)
+	out := render("test", nil, cur, 0, nil)
 	if !strings.Contains(out, "5") || strings.Contains(out, "/s") {
 		t.Fatalf("once mode should print absolute values only:\n%s", out)
 	}
@@ -141,7 +154,7 @@ func TestRenderFormatsAggregatesPerFormat(t *testing.T) {
 		`pbio.format.decoded.records{format="CheckinEvent"}`:     30,
 		"plain.counter": 5,
 	}
-	out := renderFormats("test", prev, cur, nil, 2*time.Second, nil)
+	out := renderFormats("test", prev, cur, 2*time.Second, nil)
 
 	line := ""
 	for _, l := range strings.Split(out, "\n") {
@@ -172,14 +185,14 @@ func TestRenderFormatsOnceShowsTotals(t *testing.T) {
 	cur := map[string]int64{
 		`pbio.format.encoded.records{format="X"}`: 7,
 	}
-	out := renderFormats("test", nil, cur, nil, 0, nil)
+	out := renderFormats("test", nil, cur, 0, nil)
 	if !strings.Contains(out, "enc total") || !strings.Contains(out, "7.0") {
 		t.Fatalf("once mode should print absolute totals:\n%s", out)
 	}
 }
 
 func TestRenderFormatsEmpty(t *testing.T) {
-	out := renderFormats("test", nil, map[string]int64{"plain": 1}, nil, 0, nil)
+	out := renderFormats("test", nil, map[string]int64{"plain": 1}, 0, nil)
 	if !strings.Contains(out, "no labeled per-format series") {
 		t.Fatalf("empty formats view should say so:\n%s", out)
 	}
@@ -212,7 +225,7 @@ func TestRunPollsForNRefreshes(t *testing.T) {
 func TestRenderCounterReset(t *testing.T) {
 	prev := map[string]int64{"evb.published": 100000, "evb.other": 10}
 	cur := map[string]int64{"evb.published": 42, "evb.other": 30}
-	out := render("test", prev, cur, nil, 2*time.Second, nil)
+	out := render("test", prev, cur, 2*time.Second, nil)
 
 	resetLine := ""
 	for _, l := range strings.Split(out, "\n") {
@@ -230,7 +243,7 @@ func TestRenderCounterReset(t *testing.T) {
 		t.Fatalf("healthy counter's rate missing:\n%s", out)
 	}
 	// Next interval the baseline is the post-restart value again.
-	out = render("test", cur, map[string]int64{"evb.published": 62, "evb.other": 50}, nil, 2*time.Second, nil)
+	out = render("test", cur, map[string]int64{"evb.published": 62, "evb.other": 50}, 2*time.Second, nil)
 	if strings.Contains(out, "reset") {
 		t.Fatalf("reset marker persisted past the restart interval:\n%s", out)
 	}
@@ -241,74 +254,12 @@ func TestRenderCounterReset(t *testing.T) {
 func TestRenderFormatsCounterReset(t *testing.T) {
 	prev := map[string]int64{`pbio.format.encoded.records{format="X"}`: 100000}
 	cur := map[string]int64{`pbio.format.encoded.records{format="X"}`: 6}
-	out := renderFormats("test", prev, cur, nil, 2*time.Second, nil)
+	out := renderFormats("test", prev, cur, 2*time.Second, nil)
 	if regexp.MustCompile(`-\d`).MatchString(out) {
 		t.Fatalf("negative rate leaked across restart:\n%s", out)
 	}
 	if !strings.Contains(out, "0.0") {
 		t.Fatalf("clamped rate missing:\n%s", out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if got := sparkline([]int64{0, 1, 2, 3, 4, 5, 6, 7}, 20); got != "▁▂▃▄▅▆▇█" {
-		t.Fatalf("ramp sparkline = %q", got)
-	}
-	if got := sparkline([]int64{5, 5, 5}, 20); got != "▅▅▅" {
-		t.Fatalf("flat nonzero sparkline = %q (want mid-height)", got)
-	}
-	if got := sparkline([]int64{0, 0}, 20); got != "▁▁" {
-		t.Fatalf("all-zero sparkline = %q", got)
-	}
-	// Window: only the last width values are drawn.
-	vals := make([]int64, 30)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	if got := sparkline(vals, 5); len([]rune(got)) != 5 {
-		t.Fatalf("windowed sparkline = %q", got)
-	}
-	if sparkline(nil, 20) != "" || sparkline([]int64{1}, 0) != "" {
-		t.Fatal("degenerate sparklines must be empty")
-	}
-}
-
-func TestRenderSparklinesFromHistory(t *testing.T) {
-	cur := map[string]int64{"evb.queue_depth": 9}
-	hist := history{"evb.queue_depth": {0, 2, 4, 9}}
-	out := render("test", nil, cur, hist, 0, nil)
-	if !strings.Contains(out, "▁") || !strings.Contains(out, "█") {
-		t.Fatalf("sparkline missing from row:\n%s", out)
-	}
-	// No history → no sparkline, and nothing breaks.
-	out = render("test", nil, cur, nil, 0, nil)
-	if strings.ContainsAny(out, "▁▂▃▄▅▆▇█") {
-		t.Fatalf("sparkline appeared without history:\n%s", out)
-	}
-}
-
-// TestFetchHistory exercises the real decode path against a fake
-// /debug/history endpoint, including the best-effort failure modes.
-func TestFetchHistory(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		_, _ = w.Write([]byte(`{"interval_ms":5000,"ticks":3,"capacity":720,
-			"series":{"evb.published":{"kind":"counter","points":[{"t":1,"v":10},{"t":2,"v":20}]}}}`))
-	}))
-	defer srv.Close()
-	h := fetchHistory(srv.URL)
-	if len(h["evb.published"]) != 2 || h["evb.published"][1] != 20 {
-		t.Fatalf("fetchHistory = %v", h)
-	}
-
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		http.Error(w, "history disabled", http.StatusServiceUnavailable)
-	}))
-	defer down.Close()
-	if h := fetchHistory(down.URL); h != nil {
-		t.Fatalf("disabled history must yield nil, got %v", h)
-	}
-	if h := fetchHistory("http://127.0.0.1:1/nope"); h != nil {
-		t.Fatalf("unreachable history must yield nil, got %v", h)
 	}
 }
 
@@ -347,7 +298,7 @@ func TestRenderExemplarColumn(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out := render("test", nil, histFam, nil, 0, tc.ex)
+			out := render("test", nil, histFam, 0, tc.ex)
 			for _, w := range tc.want {
 				if !strings.Contains(out, w) {
 					t.Errorf("output missing %q:\n%s", w, out)

@@ -2,20 +2,24 @@ package openmeta
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"openmeta/internal/eventbus"
+	"openmeta/internal/faultnet"
 	"openmeta/internal/flight"
-	"openmeta/internal/histdb"
 	"openmeta/internal/loadgen"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
-	"openmeta/internal/telemetry"
+	"openmeta/internal/testutil"
 )
 
 // TestContentionEndToEnd is the acceptance scenario for the contention
@@ -27,10 +31,8 @@ import (
 //	    wait/hold acquisitions and decodes with non-null profile site arrays
 //	(b) /stats shows a queue-wait excursion (frames aged in the stalled
 //	    subscriber's queue before hitting the wire)
-//	(c) /debug/history carries the queue-wait and lock-wait histogram series
-//	    so alert rules can watch their p99s
-//	(d) /fleet/contention (omcollect's aggregation) republishes the same
-//	    lock snapshot under the instance name
+//	(c) /stats carries the queue-wait and lock-wait histogram families, with
+//	    the queue-wait p99 showing the excursion
 //
 // Part B runs omload in-process and requires the new "queue" stage in the
 // stage-share breakdown, with shares summing to 100%.
@@ -41,12 +43,8 @@ func TestContentionEndToEnd(t *testing.T) {
 	reg := obsv.New()
 	health := obsv.NewHealth()
 	rec := flight.New(256)
-	db := histdb.New(reg, histdb.WithInterval(20*time.Millisecond), histdb.WithCapacity(512))
-	db.Start()
-	defer db.Stop()
 
-	srv := httptest.NewServer(obsv.DebugMuxFor(reg, health, rec,
-		obsv.DebugEndpoint{Path: "/debug/history", Handler: histdb.Handler(db), Desc: "history"}))
+	srv := httptest.NewServer(obsv.DebugMuxFor(reg, health, rec))
 	defer srv.Close()
 
 	// The broker under observation: small queue so frames age visibly, a long
@@ -77,7 +75,7 @@ func TestContentionEndToEnd(t *testing.T) {
 	if err := sub.Subscribe("bulk"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "subscriber registration", func() bool {
+	testutil.WaitFor(t, 5*time.Second, "subscriber registration", func() bool {
 		return broker.SubscriberCount("bulk") == 1
 	})
 
@@ -121,7 +119,7 @@ func TestContentionEndToEnd(t *testing.T) {
 	}
 
 	// (b) frames dequeued for the stalled subscriber aged in its queue.
-	waitFor(t, 15*time.Second, "queue-wait excursion in /stats", func() bool {
+	testutil.WaitFor(t, 15*time.Second, "queue-wait excursion in /stats", func() bool {
 		var snap map[string]int64
 		httpJSON(t, srv.URL+"/stats", &snap)
 		return snap["eventbus.queue_wait_ns.max"] > (10 * time.Millisecond).Nanoseconds()
@@ -129,7 +127,7 @@ func TestContentionEndToEnd(t *testing.T) {
 
 	// (a) the contention endpoint shows the tracked routing lock working.
 	var cont obsv.ContentionSnapshot
-	waitFor(t, 15*time.Second, "broker_mu acquisitions in /debug/contention", func() bool {
+	testutil.WaitFor(t, 15*time.Second, "broker_mu acquisitions in /debug/contention", func() bool {
 		httpJSON(t, srv.URL+"/debug/contention", &cont)
 		for _, l := range cont.Locks {
 			if l.Name == "eventbus.broker_mu" && l.Wait.Count > 0 && l.Hold.Count > 0 {
@@ -150,68 +148,22 @@ func TestContentionEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Let histdb take a few more samples with the excursion live, then end it.
-	time.Sleep(100 * time.Millisecond)
+	// (c) the queue-wait p99 shows the excursion, and the tracked lock-wait
+	// family sits beside it.
+	testutil.WaitFor(t, 15*time.Second, "queue-wait p99 excursion in /stats", func() bool {
+		var snap map[string]int64
+		httpJSON(t, srv.URL+"/stats", &snap)
+		return snap["eventbus.queue_wait_ns.p99"] > (10 * time.Millisecond).Nanoseconds()
+	})
+	var snap map[string]int64
+	httpJSON(t, srv.URL+"/stats", &snap)
+	if _, ok := snap["eventbus.broker_mu.wait_ns.p99"]; !ok {
+		t.Fatalf("/stats lacks eventbus.broker_mu.wait_ns.p99")
+	}
 	close(stopPub)
 	pubWG.Wait()
 	closeProxy()
 	_ = sub.Close()
-
-	// (c) the history ring carries both new histogram families: the queue-wait
-	// excursion and the tracked lock-wait series alert rules watch.
-	var hist struct {
-		Series map[string]struct {
-			Points []struct {
-				T int64 `json:"t"`
-				V int64 `json:"v"`
-			} `json:"points"`
-		} `json:"series"`
-	}
-	httpJSON(t, srv.URL+"/debug/history", &hist)
-	qw, ok := hist.Series["eventbus.queue_wait_ns.p99"]
-	if !ok {
-		t.Fatalf("history lacks eventbus.queue_wait_ns.p99; have %d series", len(hist.Series))
-	}
-	var peak int64
-	for _, p := range qw.Points {
-		if p.V > peak {
-			peak = p.V
-		}
-	}
-	if peak <= (10 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("history queue-wait p99 peak = %dns, want > 10ms", peak)
-	}
-	if _, ok := hist.Series["eventbus.broker_mu.wait_ns.p99"]; !ok {
-		t.Fatalf("history lacks eventbus.broker_mu.wait_ns.p99 (the series the default alert rule watches)")
-	}
-
-	// (d) the fleet layer: scrape the instance once, then read the same lock
-	// back through /fleet/contention.
-	col := telemetry.New(
-		telemetry.WithTargets(telemetry.Target{Name: "broker", Addr: srv.URL}),
-		telemetry.WithHTTPClient(srv.Client()))
-	if n := col.ScrapeOnce(context.Background()); n != 1 {
-		t.Fatalf("ScrapeOnce reached %d targets, want 1", n)
-	}
-	fleetSrv := httptest.NewServer(telemetry.Handler(col))
-	defer fleetSrv.Close()
-	var fleet struct {
-		Instances map[string]obsv.ContentionSnapshot `json:"instances"`
-	}
-	httpJSON(t, fleetSrv.URL+"/fleet/contention", &fleet)
-	inst, ok := fleet.Instances["broker"]
-	if !ok {
-		t.Fatalf("/fleet/contention lacks instance broker: %+v", fleet.Instances)
-	}
-	var fleetHasLock bool
-	for _, l := range inst.Locks {
-		if l.Name == "eventbus.broker_mu" && l.Wait.Count > 0 {
-			fleetHasLock = true
-		}
-	}
-	if !fleetHasLock {
-		t.Fatalf("/fleet/contention broker instance lacks eventbus.broker_mu: %+v", inst.Locks)
-	}
 
 	// Part B: an omload run's stage-share breakdown now includes the queue
 	// stage, and the shares still account for the whole traced self time.
@@ -246,5 +198,69 @@ func TestContentionEndToEnd(t *testing.T) {
 	}
 	if math.Abs(sum-100) > 0.5 {
 		t.Fatalf("stage shares sum to %.2f%%, want 100%%: %+v", sum, rep.Stages)
+	}
+}
+
+// stallingProxy forwards one TCP connection to target with faultnet latency
+// injected on the target-side conn, so everything the broker sends the
+// subscriber crawls. Returns the proxy address and an idempotent closer.
+func stallingProxy(t *testing.T, target string) (addr string, closeProxy func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		upstream, err := net.Dial("tcp", target)
+		if err != nil {
+			client.Close()
+			return
+		}
+		conns = append(conns, client, upstream)
+		// A handful of clean ops lets the hello/subscribe handshake through,
+		// then every operation eats 100ms of injected latency.
+		sched := faultnet.NewSchedule(
+			faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{},
+			faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{},
+			faultnet.Fault{Kind: faultnet.Latency, Delay: 100 * time.Millisecond},
+		).Loop()
+		slow := faultnet.Wrap(upstream, sched)
+		go func() { _, _ = io.Copy(slow, client) }()
+		_, _ = io.Copy(client, slow)
+	}()
+	var closed bool
+	return ln.Addr().String(), func() {
+		if closed {
+			return
+		}
+		closed = true
+		_ = ln.Close()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		<-done
+	}
+}
+
+// httpJSON GETs url and decodes the JSON body into v.
+func httpJSON(t *testing.T, url string, v interface{}) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: bad JSON: %v", url, err)
 	}
 }

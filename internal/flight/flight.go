@@ -36,38 +36,34 @@ type Kind uint8
 // client and the retry helper. The zero Kind marks an empty slot and is
 // never recorded.
 const (
-	KindConnOpen      Kind = iota + 1 // connection established (detail: remote addr / role)
-	KindConnClose                     // connection torn down (detail: cause)
-	KindHello                         // frameHello negotiation outcome (bytes: peer caps, detail: outcome)
-	KindFrameSend                     // event frame sent (stream, format, payload bytes)
-	KindFrameRecv                     // event frame received (stream, format, payload bytes)
-	KindFormatSend                    // format metadata sent (format, meta bytes)
-	KindFormatRecv                    // format metadata received (format, meta bytes)
-	KindBrokerError                   // broker-side protocol error (detail: error)
-	KindReconnect                     // client reconnect attempt (detail: outcome or redial error)
-	KindSlowSubDrop                   // event dropped / subscriber declared slow (stream)
-	KindDiscovery                     // discovery fetch outcome (stream: schema name, detail: outcome)
-	KindRetryGiveUp                   // retry.Do exhausted its attempts or budget (detail: last error)
-	KindAlertFired                    // alert rule began firing (stream: rule name, bytes: observed value, detail: severity + condition)
-	KindAlertResolved                 // alert rule resolved after hysteresis (stream: rule name, bytes: observed value, detail: severity + condition)
+	KindConnOpen    Kind = iota + 1 // connection established (detail: remote addr / role)
+	KindConnClose                   // connection torn down (detail: cause)
+	KindHello                       // frameHello negotiation outcome (bytes: peer caps, detail: outcome)
+	KindFrameSend                   // event frame sent (stream, format, payload bytes)
+	KindFrameRecv                   // event frame received (stream, format, payload bytes)
+	KindFormatSend                  // format metadata sent (format, meta bytes)
+	KindFormatRecv                  // format metadata received (format, meta bytes)
+	KindBrokerError                 // broker-side protocol error (detail: error)
+	KindReconnect                   // client reconnect attempt (detail: outcome or redial error)
+	KindSlowSubDrop                 // event dropped / subscriber declared slow (stream)
+	KindDiscovery                   // discovery fetch outcome (stream: schema name, detail: outcome)
+	KindRetryGiveUp                 // retry.Do exhausted its attempts or budget (detail: last error)
 	kindMax
 )
 
 var kindNames = [kindMax]string{
-	KindConnOpen:      "conn_open",
-	KindConnClose:     "conn_close",
-	KindHello:         "hello",
-	KindFrameSend:     "frame_send",
-	KindFrameRecv:     "frame_recv",
-	KindFormatSend:    "format_send",
-	KindFormatRecv:    "format_recv",
-	KindBrokerError:   "broker_error",
-	KindReconnect:     "reconnect",
-	KindSlowSubDrop:   "slow_sub_drop",
-	KindDiscovery:     "discovery",
-	KindRetryGiveUp:   "retry_giveup",
-	KindAlertFired:    "alert_fired",
-	KindAlertResolved: "alert_resolved",
+	KindConnOpen:    "conn_open",
+	KindConnClose:   "conn_close",
+	KindHello:       "hello",
+	KindFrameSend:   "frame_send",
+	KindFrameRecv:   "frame_recv",
+	KindFormatSend:  "format_send",
+	KindFormatRecv:  "format_recv",
+	KindBrokerError: "broker_error",
+	KindReconnect:   "reconnect",
+	KindSlowSubDrop: "slow_sub_drop",
+	KindDiscovery:   "discovery",
+	KindRetryGiveUp: "retry_giveup",
 }
 
 // String returns the wire-stable snake_case name used in /debug/flight JSON
@@ -90,8 +86,8 @@ func KindFromString(s string) Kind {
 }
 
 // KindsWithPrefix returns every kind whose name starts with prefix — how the
-// /debug/flight?kind= filter matches a family like "alert" (alert_fired +
-// alert_resolved) or "conn" (conn_open + conn_close) as well as exact names.
+// /debug/flight?kind= filter matches a family like "conn" (conn_open +
+// conn_close) or "format" (format_send + format_recv) as well as exact names.
 func KindsWithPrefix(prefix string) []Kind {
 	if prefix == "" {
 		return nil

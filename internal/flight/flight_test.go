@@ -212,37 +212,10 @@ func TestHandlerFilters(t *testing.T) {
 	}
 }
 
-// TestAlertEventsRoundTrip covers the alert event kinds: severity and rule
-// name ride the existing packed string slots (rule name in the stream words,
-// severity + condition in the detail words) and the observed value in bytes.
-func TestAlertEventsRoundTrip(t *testing.T) {
-	r := New(16)
-	r.Record(KindAlertFired, 0, "queue-depth", 0, 412, "critical eventbus.queue_depth > 256")
-	r.Record(KindAlertResolved, 0, "queue-depth", 0, 3, "critical eventbus.queue_depth > 256")
-
-	evs := r.Snapshot()
-	if len(evs) != 2 {
-		t.Fatalf("Snapshot len = %d, want 2", len(evs))
-	}
-	res, fired := evs[0], evs[1] // newest first
-	if fired.Kind != "alert_fired" || res.Kind != "alert_resolved" {
-		t.Fatalf("kinds = %s, %s", fired.Kind, res.Kind)
-	}
-	if fired.Stream != "queue-depth" || fired.Bytes != 412 {
-		t.Fatalf("fired event = %+v", fired)
-	}
-	if res.Detail != "critical eventbus.queue_depth > 256" {
-		t.Fatalf("resolved detail = %q", res.Detail)
-	}
-	if fired.Seq >= res.Seq {
-		t.Fatalf("fired seq %d not before resolved seq %d", fired.Seq, res.Seq)
-	}
-}
-
 func TestKindsWithPrefix(t *testing.T) {
-	got := KindsWithPrefix("alert")
-	if len(got) != 2 || got[0] != KindAlertFired || got[1] != KindAlertResolved {
-		t.Fatalf("KindsWithPrefix(alert) = %v", got)
+	got := KindsWithPrefix("format")
+	if len(got) != 2 || got[0] != KindFormatSend || got[1] != KindFormatRecv {
+		t.Fatalf("KindsWithPrefix(format) = %v", got)
 	}
 	if got := KindsWithPrefix("conn"); len(got) != 2 {
 		t.Fatalf("KindsWithPrefix(conn) = %v", got)
@@ -252,14 +225,14 @@ func TestKindsWithPrefix(t *testing.T) {
 	}
 }
 
-// TestHandlerKindFamilyFilter: ?kind=alert must select both alert kinds and
-// nothing else; exact names keep working.
+// TestHandlerKindFamilyFilter: ?kind=format must select both format kinds
+// and nothing else; exact names keep working.
 func TestHandlerKindFamilyFilter(t *testing.T) {
 	r := New(16)
 	r.Record(KindConnOpen, 1, "", 0, 0, "")
-	r.Record(KindAlertFired, 0, "rule-a", 0, 10, "warn x > 5")
+	r.Record(KindFormatSend, 1, "s", 1, 10, "")
 	r.Record(KindFrameSend, 1, "s", 1, 1, "")
-	r.Record(KindAlertResolved, 0, "rule-a", 0, 1, "warn x > 5")
+	r.Record(KindFormatRecv, 2, "s", 1, 10, "")
 
 	get := func(q string) []Event {
 		t.Helper()
@@ -278,11 +251,11 @@ func TestHandlerKindFamilyFilter(t *testing.T) {
 		return body.Events
 	}
 
-	evs := get("?kind=alert")
-	if len(evs) != 2 || evs[0].Kind != "alert_resolved" || evs[1].Kind != "alert_fired" {
-		t.Fatalf("kind=alert: %+v", evs)
+	evs := get("?kind=format")
+	if len(evs) != 2 || evs[0].Kind != "format_recv" || evs[1].Kind != "format_send" {
+		t.Fatalf("kind=format: %+v", evs)
 	}
-	if evs := get("?kind=alert_fired"); len(evs) != 1 || evs[0].Stream != "rule-a" {
-		t.Fatalf("kind=alert_fired: %+v", evs)
+	if evs := get("?kind=format_send"); len(evs) != 1 || evs[0].Conn != 1 {
+		t.Fatalf("kind=format_send: %+v", evs)
 	}
 }

@@ -12,8 +12,8 @@ import (
 //	?conn=N        only events for connection id N
 //	?stream=NAME   only events whose stream equals NAME
 //	?kind=NAME     only events of that kind (snake_case, e.g. frame_send);
-//	               a prefix matches a family: kind=alert selects both
-//	               alert_fired and alert_resolved
+//	               a prefix matches a family: kind=conn selects both
+//	               conn_open and conn_close
 //	?n=N           at most N events (default 256, capped at ring capacity)
 //	?since_seq=N   only events with a sequence number greater than N — the
 //	               incremental-scrape parameter: a collector passes the max

@@ -3,8 +3,8 @@
 // observation that arrived with a TraceID — value, TraceID and wall-clock
 // timestamp. A p99 excursion in /stats is then not just a number: the bucket
 // the p99 falls in carries the ID of an actual request that landed there,
-// resolvable through /debug/trace (one process) or /fleet/trace/<id> (the
-// whole fleet) into an assembled span tree.
+// resolvable into an assembled span tree from the /debug/trace rings of the
+// processes it crossed (trace.Assemble).
 //
 // The recording path shares the histogram hot-path contract: ObserveExemplar
 // performs no allocation after the slot array exists (it is created once, on

@@ -38,17 +38,16 @@ func (r *Registry) Handler() http.Handler {
 
 // StatsWithExemplars is the rich /stats?exemplars=1 response shape: the flat
 // snapshot plus every histogram's populated bucket exemplars, keyed the way
-// Snapshot keys histograms. It is also the wire shape telemetry scrapes and
-// re-serves fleet-wide from /fleet/stats?exemplars=1.
+// Snapshot keys histograms.
 type StatsWithExemplars struct {
 	Metrics   map[string]int64      `json:"metrics"`
 	Exemplars map[string][]Exemplar `json:"exemplars"`
 }
 
 // DebugEndpoint is an extra handler mounted onto DebugMux alongside the
-// built-in endpoints — how the facade attaches /debug/trace, /debug/history
-// and /debug/profiles without obsv importing those packages. Desc is the
-// one-line description shown on the /debug index page.
+// built-in endpoints — how the facade and the daemons attach /debug/trace
+// without obsv importing the trace package. Desc is the one-line description
+// shown on the /debug index page.
 type DebugEndpoint struct {
 	Path    string
 	Handler http.Handler
@@ -69,9 +68,8 @@ type DebugEndpoint struct {
 //	/debug/vars       expvar (includes the registry, see PublishExpvar)
 //	/debug/pprof/...  net/http/pprof profiles
 //
-// Additional endpoints (such as the tracer's /debug/trace or the
-// self-monitoring layer's /debug/history and /debug/profiles) are mounted
-// via extra. Health endpoints use the process-wide probe set and the flight
+// Additional endpoints (such as the tracer's /debug/trace) are mounted via
+// extra. Health endpoints use the process-wide probe set and the flight
 // endpoint the process-wide recorder; use DebugMuxFor to serve isolated
 // instances.
 func DebugMux(r *Registry, extra ...DebugEndpoint) *http.ServeMux {

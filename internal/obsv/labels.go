@@ -60,8 +60,8 @@ const overflowLabel = "overflow"
 const DroppedLabelsCounter = "obsv.labels.dropped"
 
 // vec is the shared child-management core of the three vector kinds. reg
-// points back at the owning registry for the cardinality bound, the
-// labels-dropped counter and the generation counter samplers watch.
+// points back at the owning registry for the cardinality bound and the
+// labels-dropped counter.
 type vec[T any] struct {
 	name     string
 	keys     []string
@@ -103,7 +103,6 @@ func (v *vec[T]) with(values []string) *T {
 					ls[i] = Label{Key: k, Value: overflowLabel}
 				}
 				v.overflow = &vecChild[T]{labels: ls, inst: new(T)}
-				v.reg.gen.Add(1)
 			}
 			v.reg.Counter(DroppedLabelsCounter).Inc()
 			return v.overflow.inst
@@ -117,7 +116,6 @@ func (v *vec[T]) with(values []string) *T {
 		}
 		c = &vecChild[T]{labels: ls, inst: new(T)}
 		v.m[key] = c
-		v.reg.gen.Add(1)
 	}
 	return c.inst
 }

@@ -165,7 +165,6 @@ func (s Scope) registerLock(name string, wait, hold, rwait *Histogram) {
 	}
 	if _, ok := r.locks[full]; !ok {
 		r.locks[full] = &lockFamily{wait: wait, hold: hold, rwait: rwait}
-		r.gen.Add(1)
 	}
 }
 

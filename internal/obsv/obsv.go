@@ -221,7 +221,6 @@ type Registry struct {
 	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
 	locks       map[string]*lockFamily // tracked locks by full name (lock.go)
-	gen         atomic.Uint64          // bumped on every instrument / labeled-child creation
 	maxVec      atomic.Int64           // max children per labeled vector (0 = unlimited)
 }
 
@@ -244,18 +243,6 @@ func New() *Registry {
 	}
 	r.maxVec.Store(DefaultMaxVecChildren)
 	return r
-}
-
-// Generation returns a counter that increases whenever a new instrument (or
-// a new child of a labeled vector) is created in the registry. Samplers that
-// cache a flattened view of the instrument set (internal/histdb) compare
-// generations to decide when to rebuild instead of re-walking the maps every
-// tick.
-func (r *Registry) Generation() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.gen.Load()
 }
 
 // SetMaxLabelChildren bounds every labeled vector in the registry to at most
@@ -295,7 +282,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if c = r.counters[name]; c == nil {
 		c = &Counter{}
 		r.counters[name] = c
-		r.gen.Add(1)
 	}
 	return c
 }
@@ -316,7 +302,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g = r.gauges[name]; g == nil {
 		g = &Gauge{}
 		r.gauges[name] = g
-		r.gen.Add(1)
 	}
 	return g
 }
@@ -337,7 +322,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h = r.hists[name]; h == nil {
 		h = &Histogram{}
 		r.hists[name] = h
-		r.gen.Add(1)
 	}
 	return h
 }
@@ -352,7 +336,6 @@ func (r *Registry) Func(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[name] = fn
-	r.gen.Add(1)
 }
 
 // Scope is a name-prefixed view of a registry: Scope("dcg").Counter("hits")
@@ -480,86 +463,5 @@ func Delta(before, after map[string]int64) map[string]int64 {
 	for n, v := range after {
 		out[n] = v - before[n]
 	}
-	return out
-}
-
-// InstrumentKind classifies an entry returned by Instruments.
-type InstrumentKind uint8
-
-const (
-	KindCounter InstrumentKind = iota + 1
-	KindGauge
-	KindHistogram
-	KindFunc
-)
-
-// InstrumentRef names one live instrument. Exactly one of Counter, Gauge,
-// Histogram and Func is non-nil, matching Kind; children of labeled vectors
-// appear as independent refs under their rendered name{k="v"} names.
-type InstrumentRef struct {
-	Name      string
-	Kind      InstrumentKind
-	Counter   *Counter
-	Gauge     *Gauge
-	Histogram *Histogram
-	Func      func() int64
-}
-
-// Instruments lists every instrument currently registered, including labeled
-// vector children. The refs point at the live instruments, so a sampler can
-// enumerate once per Generation change and read the held pointers on every
-// tick without touching registry locks (internal/histdb's sampling path).
-func (r *Registry) Instruments() []InstrumentRef {
-	if r == nil {
-		return nil
-	}
-	// Two phases, like Snapshot: copy the maps under the registry lock, walk
-	// vector children after releasing it — children() takes the vec lock,
-	// which with() holds while creating the labels-dropped counter (which
-	// takes the registry lock), so nesting the locks here would deadlock.
-	r.mu.RLock()
-	out := make([]InstrumentRef, 0,
-		len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
-	for n, c := range r.counters {
-		out = append(out, InstrumentRef{Name: n, Kind: KindCounter, Counter: c})
-	}
-	for n, g := range r.gauges {
-		out = append(out, InstrumentRef{Name: n, Kind: KindGauge, Gauge: g})
-	}
-	for n, h := range r.hists {
-		out = append(out, InstrumentRef{Name: n, Kind: KindHistogram, Histogram: h})
-	}
-	for n, f := range r.funcs {
-		out = append(out, InstrumentRef{Name: n, Kind: KindFunc, Func: f})
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
-	histVecs := make(map[string]*HistogramVec, len(r.histVecs))
-	for n, v := range r.histVecs {
-		histVecs[n] = v
-	}
-	r.mu.RUnlock()
-	for n, v := range counterVecs {
-		for _, c := range v.v.children() {
-			out = append(out, InstrumentRef{Name: n + c.labels.String(), Kind: KindCounter, Counter: c.inst})
-		}
-	}
-	for n, v := range gaugeVecs {
-		for _, c := range v.v.children() {
-			out = append(out, InstrumentRef{Name: n + c.labels.String(), Kind: KindGauge, Gauge: c.inst})
-		}
-	}
-	for n, v := range histVecs {
-		for _, c := range v.v.children() {
-			out = append(out, InstrumentRef{Name: n + c.labels.String(), Kind: KindHistogram, Histogram: c.inst})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -9,9 +9,8 @@ import (
 
 // The runtime/metrics bridge: a sampler that copies the Go runtime's own
 // telemetry into an obsv Registry, so GC pauses, scheduler latency, heap size
-// and goroutine counts ride the exact same rails as application metrics —
-// histdb samples them into /debug/history, alert rules fire on their
-// quantiles, and omcollect instance-labels them fleet-wide. The runtime
+// and goroutine counts ride the exact same rails as application metrics:
+// /stats, /metrics and omtop show them with no extra wiring. The runtime
 // exposes its histograms as cumulative bucket counts; Sample replays the
 // per-tick count deltas into the striped obsv histograms via
 // Histogram.AddSamples, using each bucket's upper bound (in nanoseconds) as

@@ -33,8 +33,7 @@ func TestRuntimeBridgeSample(t *testing.T) {
 	if snap["runtime.gc.pause_ns.count"] < 2 {
 		t.Fatalf("runtime.gc.pause_ns.count = %d, want >= 2 after two forced GCs", snap["runtime.gc.pause_ns.count"])
 	}
-	// Histograms expand with the standard six siblings, so histdb samples
-	// them and alert rules can watch runtime.gc.pause_ns.p99.
+	// Histograms expand with the standard six siblings.
 	for _, k := range []string{".count", ".sum", ".max", ".p50", ".p95", ".p99"} {
 		if _, ok := snap["runtime.gc.pause_ns"+k]; !ok {
 			t.Fatalf("snapshot lacks runtime.gc.pause_ns%s", k)
@@ -51,31 +50,25 @@ func TestRuntimeBridgeSample(t *testing.T) {
 	}
 }
 
-// TestMergeLabeledRuntimeKeys covers the fleet path: an instance's snapshot
-// containing runtime-bridge gauges and histograms must merge under instance
-// labels with the histogram suffix kept terminal — the shape omcollect's
-// /fleet/stats serves and omtop's fleet view parses back.
-func TestMergeLabeledRuntimeKeys(t *testing.T) {
+// TestRuntimeBridgeFamilies: both runtime histograms expand to the full
+// six-key family and the goroutine gauge is present, the shape /stats and
+// omtop group by suffix.
+func TestRuntimeBridgeFamilies(t *testing.T) {
 	r := New()
 	b := NewRuntimeBridge(r)
 	runtime.GC()
 	b.Sample()
+	snap := r.Snapshot()
 
-	dst := make(map[string]int64)
-	MergeLabeled(dst, r.Snapshot(), "instance", "broker")
-
-	if _, ok := dst[`runtime.goroutines{instance="broker"}`]; !ok {
-		t.Fatalf("merged snapshot lacks labeled goroutine gauge; keys: %v", keysLike(dst, "runtime."))
+	if _, ok := snap["runtime.goroutines"]; !ok {
+		t.Fatalf("snapshot lacks the goroutine gauge; keys: %v", keysLike(snap, "runtime."))
 	}
-	// Histogram family: suffix stays terminal after the label block.
-	for _, k := range []string{".count", ".p50", ".p99", ".max"} {
-		want := `runtime.gc.pause_ns{instance="broker"}` + k
-		if _, ok := dst[want]; !ok {
-			t.Fatalf("merged snapshot lacks %s; keys: %v", want, keysLike(dst, "runtime.gc"))
+	for _, h := range []string{"runtime.gc.pause_ns", "runtime.sched.latency_ns"} {
+		for _, k := range []string{".count", ".sum", ".max", ".p50", ".p95", ".p99"} {
+			if _, ok := snap[h+k]; !ok {
+				t.Fatalf("snapshot lacks %s%s; keys: %v", h, k, keysLike(snap, "runtime."))
+			}
 		}
-	}
-	if _, ok := dst[`runtime.sched.latency_ns{instance="broker"}.count`]; !ok {
-		t.Fatalf("merged snapshot lacks labeled sched-latency family; keys: %v", keysLike(dst, "runtime.sched"))
 	}
 }
 

@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-// This file is the fleet half of the tracing layer: spans scraped out of
-// several processes' rings ("fragments") are deduplicated, attributed to the
-// instance they came from, and stitched back into one parent-linked tree.
-// It is pure data assembly — the collector (internal/telemetry) does the
-// scraping, this code does the stitching — so it is directly testable with
-// hand-built fragments.
+// This file is the cross-process half of the tracing layer: spans read out
+// of several processes' /debug/trace rings ("fragments") are deduplicated,
+// attributed to the instance they came from, and stitched back into one
+// parent-linked tree. It is pure data assembly, so it is directly testable
+// with hand-built fragments; the root TestTraceAssemblyAcrossProcesses runs
+// it over three live debug listeners.
 
-// TaggedSpan is a completed span attributed to the fleet instance whose ring
-// it was scraped from.
+// TaggedSpan is a completed span attributed to the instance whose ring it was
+// read from.
 type TaggedSpan struct {
 	Span
 	Instance string
@@ -54,29 +54,13 @@ func MergeSpans(frags ...[]TaggedSpan) []TaggedSpan {
 	return out
 }
 
-// Dedup collapses duplicate (TraceID, SpanID) spans in a single snapshot,
-// keeping the first occurrence — the single-fragment form of MergeSpans.
-func Dedup(spans []Span) []Span {
-	seen := make(map[spanKey]bool, len(spans))
-	out := spans[:0:0]
-	for _, sp := range spans {
-		k := spanKey{sp.Trace, sp.ID}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, sp)
-	}
-	return out
-}
-
 // Node is one span in an assembled cross-process trace tree.
 type Node struct {
 	TaggedSpan
 	Children []*Node
-	// Orphan marks a span whose Parent ID is set but was never scraped:
-	// either the parent process is not a collection target or its ring
-	// already overwrote the parent. Orphans are treated as roots so their
+	// Orphan marks a span whose Parent ID is set but was never read: either
+	// the parent process's ring was not read or it already overwrote the
+	// parent. Orphans are treated as roots so their
 	// subtree still renders and their self time still counts.
 	Orphan bool
 }
@@ -98,7 +82,7 @@ type InstanceSkew struct {
 	Edges int
 }
 
-// Assembly is one TraceID's spans from every scraped process, stitched into
+// Assembly is one TraceID's spans from every process read, stitched into
 // parent-linked trees.
 type Assembly struct {
 	Trace     TraceID

@@ -10,7 +10,7 @@ import (
 
 // allKindsFormat exercises every field kind in scalar, static-array and
 // dynamic-array positions.
-func allKindsFormat(t *testing.T) *pbio.Format {
+func allKindsFormat(t testing.TB) *pbio.Format {
 	t.Helper()
 	ctx, err := pbio.NewContext(machine.X86_64)
 	if err != nil {

@@ -180,7 +180,10 @@ func decodeInto(d *Decoder, f *pbio.Format) (pbio.Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("xdr: field %q: %w", fl.Name, err)
 			}
-			if int(n)*4 > d.Remaining() && fl.Kind != pbio.Nested {
+			// Every element costs at least 4 bytes, nested records included:
+			// pbio rejects a format with no fields, and a skipped count field
+			// always travels inside its dynamic array's 4-byte length.
+			if int(n)*4 > d.Remaining() {
 				return nil, fmt.Errorf("xdr: field %q: %w: count %d", fl.Name, ErrBadLength, n)
 			}
 			vals, err := decodeArray(d, f, fl, int(n))

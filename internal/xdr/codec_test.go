@@ -1,7 +1,9 @@
 package xdr
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"openmeta/internal/machine"
@@ -120,6 +122,51 @@ func TestRecordNested(t *testing.T) {
 	origin := out["origin"].(pbio.Record)
 	if origin["tag"] != "o" {
 		t.Errorf("origin = %v", origin)
+	}
+}
+
+// pathFormat is Path{pts []Point (dynamic), n int}: the smallest record
+// whose only payload is a peer-sized array of nested records.
+func pathFormat(t testing.TB) *pbio.Format {
+	t.Helper()
+	ctx, err := pbio.NewContext(machine.X86_64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.RegisterSpec("Point", []pbio.FieldSpec{
+		{Name: "x", Kind: pbio.Float, CType: machine.CDouble},
+		{Name: "tag", Kind: pbio.String},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ctx.RegisterSpec("Path", []pbio.FieldSpec{
+		{Name: "pts", Kind: pbio.Nested, NestedName: "Point", Dynamic: true, CountField: "n"},
+		{Name: "n", Kind: pbio.Int, CType: machine.CInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// nestedCountInput is a Path record whose points array claims 1<<24
+// elements but carries only the 8 bytes that follow the count.
+var nestedCountInput = []byte{0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+
+// TestXDRNestedCountBounded: a peer-supplied count for an array of nested
+// records is checked against the bytes left before anything is allocated
+// for it, as it is for every other element kind.
+func TestXDRNestedCountBounded(t *testing.T) {
+	f := pathFormat(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRecord(f, nestedCountInput)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadLength) {
+		t.Errorf("err = %v, want ErrBadLength", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("decode allocated %d bytes for a 12-byte input, want under 64 KB", n)
 	}
 }
 

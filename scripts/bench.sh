@@ -87,9 +87,6 @@ if [ "$MODE" != compare-only ]; then
     echo "== bulk NDR kernels against the per-element helpers they replace"
     go test -run xxx -bench BenchmarkKernels -benchmem \
         -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/machine/ | tee -a "$TXT"
-    echo "== self-monitoring sampler benchmark"
-    go test -run xxx -bench BenchmarkSample -benchmem \
-        -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/histdb/ | tee -a "$TXT"
     echo "== exemplar hot-path benchmark"
     go test -run xxx -bench BenchmarkObserveExemplar -benchmem \
         -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/obsv/ | tee -a "$TXT"
@@ -186,31 +183,9 @@ case "$REPORT" in
     ;;
 esac
 
-# Absolute gate on the self-monitoring sampler: histdb.Sample walks the whole
-# registry on every tick, so its cost is a standing tax on any process that
-# enables -history-interval. Unlike the relative gates above this is a hard
-# ns/op budget (override with HISTDB_BUDGET_NS), generous enough to hold on
-# shared CI hardware while still catching an accidental O(n^2) rebuild.
-BUDGET="${HISTDB_BUDGET_NS:-1000000}"
-echo "== histdb sampling budget (BenchmarkSample <= $BUDGET ns/op)"
-HIST_NS="$(jq -r '[.[] | select(.name | test("^BenchmarkSample")) | .ns_per_op] | max // empty' "$OUT")"
-if [ -z "$HIST_NS" ]; then
-    if [ "$MODE" = compare-only ]; then
-        echo "bench: BenchmarkSample not in $OUT, skipping budget check (compare-only)"
-        exit 0
-    fi
-    echo "bench: BenchmarkSample missing from $OUT" >&2
-    exit 1
-fi
-if [ "$(printf '%.0f' "$HIST_NS")" -gt "$BUDGET" ]; then
-    echo "bench: histdb BenchmarkSample at $HIST_NS ns/op exceeds budget $BUDGET" >&2
-    exit 1
-fi
-echo "bench: histdb sampler at $HIST_NS ns/op (budget $BUDGET)"
-
 # Absolute gate on exemplar recording: ObserveExemplar sits on the encode /
-# decode / route hot paths, so like the sampler it gets a hard ns/op budget
-# (override with EXEMPLAR_BUDGET_NS) rather than a relative gate — the number
+# decode / route hot paths, so it gets a hard ns/op budget (override with
+# EXEMPLAR_BUDGET_NS) rather than a relative gate — the number
 # must stay in tens-of-nanoseconds territory, not merely "no worse than last
 # PR". The allocation guarantee (0 allocs/op steady state) is enforced by
 # TestExemplarHotPathAllocs; this guards the latency side.

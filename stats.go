@@ -47,9 +47,6 @@ func DefaultObserver() *Observer { return obsv.Default() }
 //	discovery.stale_served     expired schemas served during repo outages
 //	retry.attempts/.retries/.giveups  robustness-layer retry volume
 //	retry.sleep_ns.*           backoff sleep histogram
-//	alerts.active              SLO alert rules currently firing
-//	alerts.fired_total/.resolved_total  alert lifecycle counts
-//	profcap.captures_total/.skipped_total  anomaly profile captures taken/rate-limited
 //	obsv.labels.dropped        label combinations clamped into the overflow child
 func Stats() map[string]int64 { return obsv.Default().Snapshot() }
 
@@ -65,22 +62,10 @@ func StatsHandler() http.Handler { return obsv.Default().Handler() }
 
 // DebugHandler returns the full debug endpoint the daemons mount behind
 // their -debug-addr flag: /stats (JSON snapshot), /metrics (Prometheus text
-// exposition), /debug/trace (recent spans, see TraceHandler), /debug/history
-// (metrics time-series ring, see EnableHistory), /debug/alerts (SLO rule
-// state), /debug/profiles/ (anomaly profile captures), /debug/vars (expvar)
-// and /debug/pprof/... (net/http/pprof). GET /debug lists everything.
+// exposition), /debug/trace (recent spans, see TraceHandler), /debug/flight,
+// /debug/contention, /healthz, /readyz, /debug/vars (expvar) and
+// /debug/pprof/... (net/http/pprof). GET /debug lists everything.
 func DebugHandler() http.Handler {
-	return obsv.DebugMux(obsv.Default(), SelfMonEndpoints()...)
-}
-
-// SelfMonEndpoints returns the tracing and self-monitoring debug endpoints
-// as DebugMux extras — what DebugHandler and the daemons mount alongside the
-// built-in /stats, /metrics, /debug/flight and health endpoints.
-func SelfMonEndpoints() []obsv.DebugEndpoint {
-	return []obsv.DebugEndpoint{
-		{Path: "/debug/trace", Handler: TraceHandler(), Desc: "recent trace spans, newest first"},
-		{Path: "/debug/history", Handler: HistoryHandler(), Desc: "metrics time-series ring (?key=&since=)"},
-		{Path: "/debug/alerts", Handler: AlertsHandler(), Desc: "SLO alert rules and firing state"},
-		{Path: "/debug/profiles/", Handler: ProfilesHandler(), Desc: "anomaly-triggered pprof captures"},
-	}
+	return obsv.DebugMux(obsv.Default(),
+		obsv.DebugEndpoint{Path: "/debug/trace", Handler: TraceHandler(), Desc: "recent trace spans, oldest first"})
 }

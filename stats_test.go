@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,14 +150,35 @@ func TestStatsHandlerServesJSON(t *testing.T) {
 func TestDebugHandlerEndpoints(t *testing.T) {
 	srv := httptest.NewServer(openmeta.DebugHandler())
 	defer srv.Close()
-	for _, path := range []string{"/stats", "/debug/stats", "/debug/vars", "/debug/pprof/"} {
+	get := func(path string) (int, string) {
+		t.Helper()
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	_, index := get("/debug")
+	for _, path := range []string{
+		"/stats", "/stats?exemplars=1", "/debug/stats", "/metrics", "/debug/trace",
+		"/debug/flight", "/debug/contention", "/debug/vars", "/debug/pprof/",
+		"/healthz", "/readyz",
+	} {
+		if code, _ := get(path); code != 200 {
+			t.Errorf("GET %s = %d, want 200", path, code)
+		}
+		if listed, _, _ := strings.Cut(path, "?"); !strings.Contains(index, `href="`+listed+`"`) {
+			t.Errorf("/debug index does not list %s", listed)
+		}
+	}
+	for _, path := range []string{"/debug/history", "/debug/alerts", "/debug/profiles/"} {
+		if code, _ := get(path); code != 404 {
+			t.Errorf("GET %s = %d, want 404", path, code)
 		}
 	}
 }
