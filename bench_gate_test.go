@@ -5,7 +5,7 @@ package openmeta
 // bench-smoke failure modes: a gated benchmark missing from the baseline
 // must fail loudly (the silent no-regression hole), a hot path over its
 // absolute budget must fail, and results within the gate must pass, however
-// far the ungated omload percentiles move.
+// far the ungated benchmarks move.
 
 import (
 	"os/exec"
@@ -39,8 +39,7 @@ func TestBenchGatePass(t *testing.T) {
 	if !strings.Contains(out, "RESULT: PASS") {
 		t.Fatalf("expected RESULT: PASS:\n%s", out)
 	}
-	// The non-gated Table3 blowup (9µs -> 20µs) and omload p99 doubling
-	// (0.8 -> 1.6 ms) must be reported info-only.
+	// The non-gated Table3 blowup (9µs -> 20µs) must be reported info-only.
 	if strings.Contains(out, "REGRESSED") {
 		t.Fatalf("non-gated benchmark was gated:\n%s", out)
 	}
@@ -75,6 +74,24 @@ func TestBenchGateAbsoluteBudget(t *testing.T) {
 	// Raising the budget clears it.
 	out, err = benchGate(t, "current_overbudget.json", "baseline.json",
 		"EXEMPLAR_BUDGET_NS=5000000")
+	if err != nil {
+		t.Fatalf("raised budget should pass: %v\n%s", err, out)
+	}
+}
+
+func TestBenchGateTrackedMutexBudget(t *testing.T) {
+	// BenchmarkTrackedMutex over its budget must fail even when the result
+	// file has no BenchmarkObserveExemplar row: the missing exemplar check is
+	// skipped, not the checks after it.
+	out, err := benchGate(t, "current_tm_overbudget.json", "baseline.json")
+	if err == nil {
+		t.Fatalf("over-budget tracked mutex passed:\n%s", out)
+	}
+	if !strings.Contains(out, "BenchmarkTrackedMutex at 9000000 ns/op exceeds budget") {
+		t.Fatalf("missing tracked-mutex budget failure message:\n%s", out)
+	}
+	out, err = benchGate(t, "current_tm_overbudget.json", "baseline.json",
+		"TRACKEDMUTEX_BUDGET_NS=10000000")
 	if err != nil {
 		t.Fatalf("raised budget should pass: %v\n%s", err, out)
 	}

@@ -120,7 +120,7 @@ func run(args []string) error {
 	if *debugAddr != "" {
 		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
 			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?since= unix-ns scrape cursor, ?format=chrome)"})
+				Desc: "recent trace spans, oldest first (?format=chrome)"})
 		if err != nil {
 			return err
 		}

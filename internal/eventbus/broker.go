@@ -959,7 +959,7 @@ gather:
 // queue-wait observations: the broker-wide histogram (exemplar-stamped when
 // the frame is traced), the per-subscriber labeled child, and — for traced
 // event frames — a retroactive broker.queue span starting at the enqueue, so
-// omload's trace-derived stage shares gain an explicit queue stage. Measured
+// an assembled trace shows the queue as its own stage. Measured
 // at dequeue, before the socket write, so a stalled-but-draining subscriber
 // still records its waits.
 func (b *Broker) observeQueueWait(bc *brokerConn, f *outFrame) {

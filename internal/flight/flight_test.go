@@ -186,23 +186,7 @@ func TestHandlerFilters(t *testing.T) {
 		t.Fatalf("combined filters: %d events", len(evs))
 	}
 
-	// Incremental-scrape cursor: since_seq=N returns only events recorded
-	// after the cursor, so a collector never re-downloads ring contents.
-	if _, evs = get("?since_seq=2"); len(evs) != 2 || evs[len(evs)-1].Seq != 3 {
-		t.Fatalf("since_seq=2: %+v", evs)
-	}
-	if total, evs = get("?since_seq=4"); len(evs) != 0 || total != 4 {
-		t.Fatalf("since_seq=4 (caught up): total=%d %+v", total, evs)
-	}
-	r.Record(KindReconnect, 3, "", 0, 0, "redial ok")
-	if _, evs = get("?since_seq=4"); len(evs) != 1 || evs[0].Kind != "reconnect" {
-		t.Fatalf("since_seq=4 after new event: %+v", evs)
-	}
-	if _, evs = get("?since_seq=3&kind=conn_close"); len(evs) != 1 {
-		t.Fatalf("since_seq composes with kind filter: %+v", evs)
-	}
-
-	for _, bad := range []string{"?kind=bogus", "?conn=x", "?n=0", "?since_seq=x"} {
+	for _, bad := range []string{"?kind=bogus", "?conn=x", "?n=0"} {
 		req := httptest.NewRequest("GET", "/debug/flight"+bad, nil)
 		rec := httptest.NewRecorder()
 		Handler(r).ServeHTTP(rec, req)

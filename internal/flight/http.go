@@ -15,15 +15,10 @@ import (
 //	               a prefix matches a family: kind=conn selects both
 //	               conn_open and conn_close
 //	?n=N           at most N events (default 256, capped at ring capacity)
-//	?since_seq=N   only events with a sequence number greater than N — the
-//	               incremental-scrape parameter: a collector passes the max
-//	               seq of its previous scrape and never re-downloads or
-//	               double-counts ring contents
 //
 // The response object carries the filtered events plus the recorder's total
 // event count, so a caller can tell whether the ring has wrapped past the
-// history it wanted (and, after a process restart, that the sequence counter
-// reset: total below a previously seen cursor).
+// history it wanted.
 func Handler(r *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -35,15 +30,6 @@ func Handler(r *Recorder) http.Handler {
 				return
 			}
 			limit = n
-		}
-		var sinceSeq uint64
-		if v := q.Get("since_seq"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "flight: bad since_seq", http.StatusBadRequest)
-				return
-			}
-			sinceSeq = n
 		}
 		var connFilter uint64
 		hasConn := false
@@ -75,11 +61,6 @@ func Handler(r *Recorder) http.Handler {
 		all := r.Snapshot() // newest first
 		events := make([]Event, 0, min(limit, len(all)))
 		for _, ev := range all {
-			if ev.Seq <= sinceSeq {
-				// Snapshot is seq-descending: everything from here back was
-				// already scraped.
-				break
-			}
 			if hasConn && ev.Conn != connFilter {
 				continue
 			}

@@ -87,7 +87,7 @@ func DebugMuxFor(r *Registry, h *Health, rec *flight.Recorder, extra ...DebugEnd
 		{Path: "/stats", Desc: "instrument registry snapshot as flat JSON (?exemplars=1 adds per-bucket trace exemplars)"},
 		{Path: "/debug/stats", Desc: "alias of /stats"},
 		{Path: "/metrics", Desc: "Prometheus text exposition of the registry (Accept: application/openmetrics-text for exemplars)"},
-		{Path: "/debug/flight", Desc: "protocol flight recorder, newest first (?conn=&stream=&kind=&n=; ?since_seq= scrapes incrementally from a seq cursor)"},
+		{Path: "/debug/flight", Desc: "protocol flight recorder, newest first (?conn=&stream=&kind=&n=)"},
 		{Path: "/healthz", Desc: "liveness: 200 while the process serves HTTP"},
 		{Path: "/readyz", Desc: "readiness: 200 once every registered probe passes"},
 		{Path: "/debug/vars", Desc: "expvar variables (includes the registry)"},

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -35,11 +34,6 @@ type chromeEvent struct {
 // Handler serves the tracer's recorded spans:
 //
 //	GET /debug/trace                 {"spans":[...]} oldest first
-//	GET /debug/trace?since=NS        only spans starting after the unix-
-//	                                 nanosecond cursor NS — the incremental-
-//	                                 scrape parameter: a collector passes the
-//	                                 max start_unix_ns of its previous scrape
-//	                                 and never re-downloads the whole ring
 //	GET /debug/trace?format=chrome   Chrome trace_event JSON for
 //	                                 chrome://tracing / Perfetto
 //
@@ -59,21 +53,6 @@ func Handler(t *Tracer) http.Handler {
 		if req.URL.Query().Get("format") == "chrome" {
 			_ = enc.Encode(chromeTrace(spans))
 			return
-		}
-		if v := req.URL.Query().Get("since"); v != "" {
-			ns, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				http.Error(w, "trace: bad since", http.StatusBadRequest)
-				return
-			}
-			cut := time.Unix(0, ns)
-			kept := spans[:0]
-			for _, sp := range spans {
-				if sp.Start.After(cut) {
-					kept = append(kept, sp)
-				}
-			}
-			spans = kept
 		}
 		out := struct {
 			NowUnixNS int64      `json:"now_unix_ns"`

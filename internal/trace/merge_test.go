@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -186,58 +185,29 @@ func TestSelfTimesSelfParentedSpan(t *testing.T) {
 	}
 }
 
-func TestHandlerSinceCursor(t *testing.T) {
+// TestHandlerFullScrape checks the /debug/trace body: every span in the
+// ring, the server clock in now_unix_ns and the lifetime recorded count.
+func TestHandlerFullScrape(t *testing.T) {
 	tr := NewTracer(16)
 	tr.SetSampling(1)
 	for i := 0; i < 3; i++ {
 		c := tr.Start("stage")
-		time.Sleep(2 * time.Millisecond)
 		c.Finish()
 	}
-	get := func(since int64) (spans int, maxStart int64, recorded int64) {
-		t.Helper()
-		url := "/debug/trace"
-		if since > 0 {
-			url += "?since=" + strconv.FormatInt(since, 10)
-		}
-		rec := httptest.NewRecorder()
-		Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		var body struct {
-			NowUnixNS int64 `json:"now_unix_ns"`
-			Recorded  int64 `json:"recorded"`
-			Spans     []struct {
-				StartNS int64 `json:"start_unix_ns"`
-			} `json:"spans"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		if body.NowUnixNS == 0 {
-			t.Fatal("now_unix_ns missing")
-		}
-		for _, sp := range body.Spans {
-			if sp.StartNS > maxStart {
-				maxStart = sp.StartNS
-			}
-		}
-		return len(body.Spans), maxStart, body.Recorded
-	}
-	n, cursor, recorded := get(0)
-	if n != 3 || recorded != 3 {
-		t.Fatalf("full scrape: %d spans, recorded %d, want 3/3", n, recorded)
-	}
-	if n, _, _ = get(cursor); n != 0 {
-		t.Fatalf("cursor scrape returned %d spans, want 0 (nothing new)", n)
-	}
-	c := tr.Start("later")
-	c.Finish()
-	if n, _, _ = get(cursor); n != 1 {
-		t.Fatalf("cursor scrape after new span returned %d, want 1", n)
-	}
-
 	rec := httptest.NewRecorder()
-	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?since=xyz", nil))
-	if rec.Code != 400 {
-		t.Fatalf("bad since: status %d, want 400", rec.Code)
+	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	var body struct {
+		NowUnixNS int64             `json:"now_unix_ns"`
+		Recorded  int64             `json:"recorded"`
+		Spans     []json.RawMessage `json:"spans"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if body.NowUnixNS == 0 {
+		t.Fatal("now_unix_ns missing")
+	}
+	if len(body.Spans) != 3 || body.Recorded != 3 {
+		t.Fatalf("full scrape: %d spans, recorded %d, want 3/3", len(body.Spans), body.Recorded)
 	}
 }

@@ -61,16 +61,3 @@ func SelfTimes(spans []Span) map[string]time.Duration {
 	}
 	return totals
 }
-
-// SumByName aggregates completed spans into per-name totals of their raw
-// (inclusive) durations. Unlike SelfTimes, nested stages double-count.
-func SumByName(spans []Span) map[string]time.Duration {
-	if len(spans) == 0 {
-		return nil
-	}
-	totals := make(map[string]time.Duration)
-	for _, sp := range spans {
-		totals[sp.Name] += sp.Dur
-	}
-	return totals
-}

@@ -82,20 +82,3 @@ func TestSelfTimesClampAndOrphans(t *testing.T) {
 		t.Error("SelfTimes(nil) must return nil")
 	}
 }
-
-func TestSumByName(t *testing.T) {
-	tr := mkTrace(4)
-	root, child := mkSpan(1), mkSpan(2)
-	spans := []Span{
-		{Trace: tr, ID: root, Name: "pub.publish", Dur: 10 * time.Microsecond},
-		{Trace: tr, ID: child, Parent: root, Name: "pbio.encode", Dur: 4 * time.Microsecond},
-	}
-	sums := SumByName(spans)
-	// Inclusive: pub.publish keeps its full 10µs even with a child recorded.
-	if sums["pub.publish"] != 10*time.Microsecond || sums["pbio.encode"] != 4*time.Microsecond {
-		t.Errorf("SumByName = %v", sums)
-	}
-	if SumByName(nil) != nil {
-		t.Error("SumByName(nil) must return nil")
-	}
-}

@@ -287,8 +287,9 @@ func TestFleetExemplarEndToEnd(t *testing.T) {
 
 // checkAssembly requires asm to be one tree rooted at the publisher's
 // pub.publish span, reaching every span with its parent link intact, with
-// each stage on the process that runs it, clock skew anchored for every
-// other process, and stage self-time shares summing to 100%.
+// each stage on the process that runs it, the subscriber's queue wait as a
+// broker.queue span under broker.route, clock skew anchored for every other
+// process, and stage self-time shares summing to 100%.
 func checkAssembly(t *testing.T, asm *trace.Assembly) {
 	t.Helper()
 	if len(asm.Instances) != 3 || asm.Orphans != 0 {
@@ -308,11 +309,15 @@ func checkAssembly(t *testing.T, asm *trace.Assembly) {
 
 	instOf := map[string]string{}
 	var flat []trace.Span
+	queueUnderRoute := false
 	asm.Walk(func(n *trace.Node, _ int) {
 		flat = append(flat, n.Span)
 		for _, c := range n.Children {
 			if c.Parent != n.ID {
 				t.Errorf("span %s parent = %s, want %s", c.Name, c.Parent, n.ID)
+			}
+			if c.Name == "broker.queue" && n.Name == "broker.route" {
+				queueUnderRoute = true
 			}
 		}
 		if prev, seen := instOf[n.Name]; seen && prev != n.Instance {
@@ -325,11 +330,14 @@ func checkAssembly(t *testing.T, asm *trace.Assembly) {
 	}
 	for stage, want := range map[string]string{
 		"pub.publish": "pub", "pbio.encode": "pub",
-		"broker.route": "broker", "pbio.decode": "sub",
+		"broker.route": "broker", "broker.queue": "broker", "pbio.decode": "sub",
 	} {
 		if got := instOf[stage]; got != want {
 			t.Errorf("stage %s attributed to %q, want %q", stage, got, want)
 		}
+	}
+	if !queueUnderRoute {
+		t.Errorf("trace %s has no broker.queue span under broker.route", asm.Trace)
 	}
 	for _, sk := range asm.Skew {
 		if sk.Instance != "pub" && sk.Edges == 0 {
