@@ -79,24 +79,6 @@ func TestBenchGateAbsoluteBudget(t *testing.T) {
 	}
 }
 
-func TestBenchGateTrackedMutexBudget(t *testing.T) {
-	// BenchmarkTrackedMutex over its budget must fail even when the result
-	// file has no BenchmarkObserveExemplar row: the missing exemplar check is
-	// skipped, not the checks after it.
-	out, err := benchGate(t, "current_tm_overbudget.json", "baseline.json")
-	if err == nil {
-		t.Fatalf("over-budget tracked mutex passed:\n%s", out)
-	}
-	if !strings.Contains(out, "BenchmarkTrackedMutex at 9000000 ns/op exceeds budget") {
-		t.Fatalf("missing tracked-mutex budget failure message:\n%s", out)
-	}
-	out, err = benchGate(t, "current_tm_overbudget.json", "baseline.json",
-		"TRACKEDMUTEX_BUDGET_NS=10000000")
-	if err != nil {
-		t.Fatalf("raised budget should pass: %v\n%s", err, out)
-	}
-}
-
 func TestBenchGateUsageErrors(t *testing.T) {
 	if _, err := exec.LookPath("jq"); err != nil {
 		t.Skip("jq not installed")

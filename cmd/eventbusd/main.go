@@ -18,15 +18,13 @@
 //	curl http://127.0.0.1:8781/debug/flight?n=50
 //	curl http://127.0.0.1:8781/readyz
 //
-// Runtime & contention observability is always partially on: the Go
-// runtime's GC-pause/scheduler-latency/heap/goroutine telemetry is bridged
-// into the registry (runtime.* metrics), and the broker's routing lock plus
-// the plan-cache lock publish wait/hold histograms. /debug/contention serves
-// the tracked-lock snapshots together with runtime mutex/block profile
-// deltas; the profiles need a sampling rate:
+// Runtime telemetry is always on: the Go runtime's GC-pause/scheduler-
+// latency/heap/goroutine metrics are bridged into the registry (runtime.*).
+// Lock contention comes from the runtime's own mutex and block profiles,
+// which -contention-rate turns on; read them with go tool pprof:
 //
 //	eventbusd -addr :8701 -debug-addr 127.0.0.1:8781 -contention-rate 5
-//	curl http://127.0.0.1:8781/debug/contention
+//	go tool pprof -top http://127.0.0.1:8781/debug/pprof/mutex
 //
 // Diagnostics go to stderr via log/slog; -log-format selects text or json.
 // The broker exits cleanly on SIGINT/SIGTERM.
@@ -37,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -65,7 +64,7 @@ func run(args []string) error {
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N traces (1 = all, 0 = tracing off)")
 	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (/stats?exemplars=1, OpenMetrics /metrics)")
 	planCacheMax := fs.Int("plan-cache-max", 0, "bound the scoped-conversion plan cache to this many entries (0 = unbounded)")
-	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate feeding /debug/contention (N samples ~1-in-N contention events; 0 = profiles off, tracked locks stay on)")
+	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate for /debug/pprof/mutex and /debug/pprof/block (N samples ~1-in-N contention events and blocks >= N ns; 0 = off)")
 	logFormat := fs.String("log-format", "text", "diagnostic log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,7 +76,8 @@ func run(args []string) error {
 	slog.SetDefault(logger)
 	trace.Default().SetSampling(*traceSample)
 	obsv.SetExemplars(*exemplarsOn)
-	obsv.SetContentionProfiling(*contentionRate)
+	runtime.SetMutexProfileFraction(*contentionRate)
+	runtime.SetBlockProfileRate(*contentionRate)
 	// Runtime telemetry (GC pauses, scheduler latency, heap, goroutines)
 	// rides the same registry as the broker's own metrics, so /stats and
 	// /metrics carry it with no extra wiring.
@@ -119,7 +119,7 @@ func run(args []string) error {
 			return err
 		}
 		logger.Info("debug endpoints up", "component", "eventbusd",
-			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /debug/contention /healthz /readyz /debug/pprof")
+			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /healthz /readyz /debug/pprof")
 	}
 	if *statsInterval > 0 {
 		stop := obsv.StartStatsLogger(obsv.Default(), *statsInterval, func(format string, args ...interface{}) {

@@ -10,8 +10,8 @@
 // Documents are validated on load; GET /schemas/ lists names, GET
 // /schemas/<name> returns a document with an ETag for revalidation. With
 // -debug-addr a second listener serves /stats, /metrics, /debug/flight,
-// /debug/trace, /debug/contention, /healthz, /readyz and pprof (GET /debug
-// lists everything).
+// /debug/trace, /healthz, /readyz and pprof (GET /debug lists everything);
+// -contention-rate turns on the runtime's mutex and block profiles there.
 // Diagnostics go to stderr via log/slog; -log-format selects text or json.
 package main
 
@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -50,7 +51,7 @@ func run(args []string) error {
 	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/vars, /healthz, /readyz and /debug/pprof on this address")
 	statsInterval := fs.Duration("stats-interval", 0, "log a one-line stats delta this often (0 = off)")
 	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (/stats?exemplars=1, OpenMetrics /metrics)")
-	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate feeding /debug/contention (0 = profiles off, tracked locks stay on)")
+	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate for /debug/pprof/mutex and /debug/pprof/block (0 = off)")
 	logFormat := fs.String("log-format", "text", "diagnostic log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,7 +62,8 @@ func run(args []string) error {
 	}
 	slog.SetDefault(logger)
 	obsv.SetExemplars(*exemplarsOn)
-	obsv.SetContentionProfiling(*contentionRate)
+	runtime.SetMutexProfileFraction(*contentionRate)
+	runtime.SetBlockProfileRate(*contentionRate)
 	stopRuntime := obsv.StartRuntimeMetrics(obsv.Default(), time.Second)
 	defer stopRuntime()
 
@@ -125,7 +127,7 @@ func run(args []string) error {
 			return err
 		}
 		logger.Info("debug endpoints up", "component", "metaserver",
-			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /debug/contention /healthz /readyz /debug/pprof")
+			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /healthz /readyz /debug/pprof")
 	}
 	if *statsInterval > 0 {
 		stop := obsv.StartStatsLogger(obsv.Default(), *statsInterval, func(format string, args ...interface{}) {

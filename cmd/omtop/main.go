@@ -19,15 +19,12 @@
 // With -formats the display pivots to per-format wire accounting instead:
 // one row per format label found in the snapshot's labeled families
 // (pbio.format.* and eventbus.wire.*), with encode/decode rates, bus
-// record/byte rates, metadata bytes and the live NDR-to-XML-text expansion
-// ratio.
+// record/byte rates and metadata bytes.
 //
-// With -contention the display pivots to the runtime & contention view:
-// every tracked lock's acquire count and wait/hold quantiles, plus — when
-// the daemon runs with -contention-rate — the hottest mutex/block profile
-// sites with per-refresh deltas, read from the daemon's /debug/contention.
-// Metric families and endpoints omtop doesn't recognize are skipped, not
-// fatal, so it can watch daemons newer or older than itself.
+// Lock contention is not an omtop view: run the daemon with -contention-rate
+// and read /debug/pprof/mutex and /debug/pprof/block with go tool pprof.
+// Metric families omtop doesn't recognize are skipped, not fatal, so it can
+// watch daemons newer or older than itself.
 package main
 
 import (
@@ -59,22 +56,15 @@ func run(args []string, out io.Writer) error {
 	once := fs.Bool("once", false, "print one snapshot and exit (no rates)")
 	clear := fs.Bool("clear", true, "clear the terminal between refreshes")
 	formats := fs.Bool("formats", false, "show the per-format wire accounting view")
-	contention := fs.Bool("contention", false, "show the tracked-lock and runtime contention view (/debug/contention)")
 	showEx := fs.Bool("exemplars", false, "append each histogram's worst trace exemplar (short TraceID) to its row")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	base := baseURL(*addr)
-
-	if *contention {
-		return runContention(*addr, base, *interval, *n, *once, *clear, out)
-	}
-
 	view := render
 	if *formats {
 		view = renderFormats
 	}
-	url := base + "/stats"
+	url := baseURL(*addr) + "/stats"
 	getEx := func() exemplars { return nil }
 	if *showEx {
 		getEx = func() exemplars { return fetchExemplars(url) }
@@ -256,8 +246,6 @@ type fmtRow struct {
 	decRecs, decBytes int64
 	busRecs, busBytes int64
 	pbioMeta, busMeta int64
-	expansionPct      int64
-	hasExpansion      bool
 }
 
 func formatRows(snap map[string]int64) map[string]*fmtRow {
@@ -283,9 +271,6 @@ func formatRows(snap map[string]int64) map[string]*fmtRow {
 			r.decBytes += v
 		case "pbio.format.meta.bytes":
 			r.pbioMeta += v
-		case "pbio.format.xml.expansion_pct":
-			r.expansionPct = v
-			r.hasExpansion = true
 		case "eventbus.wire.records":
 			r.busRecs += v
 		case "eventbus.wire.bytes":
@@ -301,8 +286,8 @@ func formatRows(snap map[string]int64) map[string]*fmtRow {
 // format label seen in the snapshot. With prev == nil counter columns show
 // absolute totals; otherwise per-second rates over elapsed (clamped at 0
 // across a daemon restart). Metadata bytes come from the codec-side family
-// when present, falling back to the broker's wire.meta.bytes; the ndr:xml
-// column is the live expansion-ratio gauge. Exemplars are not shown here.
+// when present, falling back to the broker's wire.meta.bytes. Exemplars are
+// not shown here.
 func renderFormats(source string, prev, cur map[string]int64, elapsed time.Duration, _ exemplars) string {
 	rows := formatRows(cur)
 	var prevRows map[string]*fmtRow
@@ -325,9 +310,9 @@ func renderFormats(source string, prev, cur map[string]int64, elapsed time.Durat
 	if prevRows == nil {
 		unit = " total"
 	}
-	fmt.Fprintf(&b, "%-24s %11s %11s %11s %11s %11s %11s %8s %8s\n", "format",
+	fmt.Fprintf(&b, "%-24s %11s %11s %11s %11s %11s %11s %8s\n", "format",
 		"enc"+unit, "enc B"+unit, "dec"+unit, "dec B"+unit,
-		"bus"+unit, "bus B"+unit, "meta B", "ndr:xml")
+		"bus"+unit, "bus B"+unit, "meta B")
 	for _, name := range names {
 		r := rows[name]
 		p := &fmtRow{}
@@ -349,16 +334,12 @@ func renderFormats(source string, prev, cur map[string]int64, elapsed time.Durat
 		if meta == 0 {
 			meta = r.busMeta
 		}
-		xml := "-"
-		if r.hasExpansion {
-			xml = fmt.Sprintf("%.2fx", float64(r.expansionPct)/100)
-		}
-		fmt.Fprintf(&b, "%-24s %11.1f %11.1f %11.1f %11.1f %11.1f %11.1f %8d %8s\n",
+		fmt.Fprintf(&b, "%-24s %11.1f %11.1f %11.1f %11.1f %11.1f %11.1f %8d\n",
 			name,
 			val(r.encRecs, p.encRecs), val(r.encBytes, p.encBytes),
 			val(r.decRecs, p.decRecs), val(r.decBytes, p.decBytes),
 			val(r.busRecs, p.busRecs), val(r.busBytes, p.busBytes),
-			meta, xml)
+			meta)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package dcg
 
 import (
+	"sync"
 	"time"
 
 	"openmeta/internal/obsv"
@@ -18,10 +19,7 @@ import (
 // running brokers that see an unbounded stream of format pairs stay at a
 // fixed memory footprint and merely pay recompilation for evicted pairs.
 type Cache struct {
-	// mu guards plans/order. Tracked (dcg.plan_cache_mu.wait_ns/.hold_ns/
-	// .rwait_ns) because every scoped delivery takes the read lock and a
-	// compile storm serializes on the write lock.
-	mu    *obsv.TrackedRWMutex
+	mu    sync.RWMutex // guards plans and order
 	plans map[pairKey]*Plan
 	order []pairKey // insertion order, drives FIFO eviction
 	max   int       // 0 = unbounded
@@ -34,11 +32,8 @@ type pairKey struct {
 	dst pbio.FormatID
 }
 
-// cacheMetrics bundles the cache's instruments; zero value is no-op. reg
-// keeps the owning registry so NewCache can build the tracked lock against
-// whatever registry WithObserver selected.
+// cacheMetrics bundles the cache's instruments; zero value is no-op.
 type cacheMetrics struct {
-	reg       *obsv.Registry
 	hits      *obsv.Counter
 	misses    *obsv.Counter
 	evictions *obsv.Counter
@@ -48,7 +43,6 @@ type cacheMetrics struct {
 func newCacheMetrics(r *obsv.Registry) cacheMetrics {
 	s := r.Scope("dcg")
 	return cacheMetrics{
-		reg:       r,
 		hits:      s.Counter("plan_cache.hits"),
 		misses:    s.Counter("plan_cache.misses"),
 		evictions: s.Counter("plan_cache.evictions"),
@@ -92,10 +86,6 @@ func NewCache(opts ...CacheOption) *Cache {
 	for _, opt := range opts {
 		opt(c)
 	}
-	// Built after options so the lock's histograms land in the registry
-	// WithObserver selected. Caches sharing a registry share the histograms
-	// (first registration wins the lock-table entry), not the mutex.
-	c.mu = obsv.NewTrackedRWMutex("plan_cache_mu", c.obs.reg.Scope("dcg"))
 	return c
 }
 

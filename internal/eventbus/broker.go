@@ -40,10 +40,7 @@ type Broker struct {
 	tracer *trace.Tracer
 	rec    *flight.Recorder
 
-	// mu guards conns/streams/scoped. Tracked (eventbus.broker_mu.wait_ns /
-	// .hold_ns) because it is the routing hot path's one global lock — the
-	// contention evidence ROADMAP item 1 (broker sharding) needs.
-	mu      *obsv.TrackedMutex
+	mu      sync.Mutex // guards conns, streams and scoped
 	conns   map[*brokerConn]bool
 	streams map[string]*stream
 
@@ -356,9 +353,6 @@ func NewBroker(ln net.Listener, opts ...BrokerOption) *Broker {
 		opt(b)
 	}
 	b.log = b.log.With("component", "eventbus.broker")
-	// The tracked lock is built after options so WithObserver's registry
-	// owns the wait/hold histograms and lists the lock in /debug/contention.
-	b.mu = obsv.NewTrackedMutex("broker_mu", b.obs)
 	// Queue depth is observable at snapshot time; with a shared registry the
 	// most recent broker wins the name, which is the common one-broker case.
 	b.obs.Func("queue_depth", b.queuedFrames)
@@ -675,9 +669,7 @@ func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
 		return fmt.Errorf("eventbus: publish on %q references unannounced format %s", name, id)
 	}
 
-	// Exemplar-capable acquisition: a traced publish that suffers a long
-	// wait stamps its TraceID onto the wait histogram's bucket.
-	b.mu.LockExemplar(tid)
+	b.mu.Lock()
 	st := b.ensureStream(name)
 	if !st.hasFormat(id) {
 		st.formats = append(st.formats, formatMeta{id: id, meta: meta})

@@ -64,9 +64,9 @@ type DebugEndpoint struct {
 //	/debug/flight     flight-recorder dump (see the flight package)
 //	/healthz          liveness: 200 while the server answers
 //	/readyz           readiness: 200 once every registered probe passes
-//	/debug/contention tracked-lock snapshots + mutex/block profile deltas
 //	/debug/vars       expvar (includes the registry, see PublishExpvar)
-//	/debug/pprof/...  net/http/pprof profiles
+//	/debug/pprof/...  net/http/pprof profiles (mutex and block are populated
+//	                  once the daemon runs with -contention-rate)
 //
 // Additional endpoints (such as the tracer's /debug/trace) are mounted via
 // extra. Health endpoints use the process-wide probe set and the flight
@@ -91,8 +91,7 @@ func DebugMuxFor(r *Registry, h *Health, rec *flight.Recorder, extra ...DebugEnd
 		{Path: "/healthz", Desc: "liveness: 200 while the process serves HTTP"},
 		{Path: "/readyz", Desc: "readiness: 200 once every registered probe passes"},
 		{Path: "/debug/vars", Desc: "expvar variables (includes the registry)"},
-		{Path: "/debug/pprof/", Desc: "net/http/pprof profile index"},
-		{Path: "/debug/contention", Desc: "tracked-lock wait/hold snapshots plus mutex/block profile deltas (enable runtime profiles with -contention-rate)"},
+		{Path: "/debug/pprof/", Desc: "net/http/pprof profile index (mutex and block profiles need -contention-rate)"},
 	}
 	mux.Handle("/stats", r.Handler())
 	mux.Handle("/debug/stats", r.Handler())
@@ -100,7 +99,6 @@ func DebugMuxFor(r *Registry, h *Health, rec *flight.Recorder, extra ...DebugEnd
 	mux.Handle("/debug/flight", flight.Handler(rec))
 	mux.Handle("/healthz", h.LiveHandler())
 	mux.Handle("/readyz", h.ReadyHandler())
-	mux.Handle("/debug/contention", ContentionHandler(r))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

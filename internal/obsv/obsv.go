@@ -220,8 +220,7 @@ type Registry struct {
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
-	locks       map[string]*lockFamily // tracked locks by full name (lock.go)
-	maxVec      atomic.Int64           // max children per labeled vector (0 = unlimited)
+	maxVec      atomic.Int64 // max children per labeled vector (0 = unlimited)
 }
 
 // DefaultMaxVecChildren bounds each labeled vector to this many children

@@ -68,7 +68,8 @@ func TestVecUnlimitedWhenBoundRemoved(t *testing.T) {
 }
 
 // TestDebugIndexListsEverything: every built-in endpoint and every mounted
-// extra must appear on the /debug index page with its description.
+// extra must appear on the /debug index page with its description, and the
+// retired contention endpoint must be neither listed nor served.
 func TestDebugIndexListsEverything(t *testing.T) {
 	r := New()
 	mux := DebugMux(r,
@@ -86,11 +87,20 @@ func TestDebugIndexListsEverything(t *testing.T) {
 	body := rec.Body.String()
 	for _, want := range []string{
 		"/stats", "/debug/stats", "/metrics", "/debug/flight", "/debug/trace",
-		"/debug/contention", "/healthz", "/readyz", "/debug/vars", "/debug/pprof/",
+		"/healthz", "/readyz", "/debug/vars", "/debug/pprof/",
 		"recent spans", "Prometheus", "flight recorder", "readiness",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/debug index missing %q:\n%s", want, body)
 		}
+	}
+	retired := "/debug/" + "contention"
+	if strings.Contains(body, `href="`+retired+`"`) {
+		t.Fatalf("/debug index still lists %s:\n%s", retired, body)
+	}
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", retired, nil))
+	if rec.Code != 404 {
+		t.Fatalf("GET %s: %d, want 404", retired, rec.Code)
 	}
 }

@@ -49,7 +49,6 @@ func (f *Format) AppendEncode(dst []byte, rec Record) ([]byte, error) {
 	out, err := f.compiled().encode(dst, goRecord{rec: rec})
 	if err == nil {
 		f.noteEncode(len(out) - len(dst))
-		f.maybeProbeExpansion(rec, len(out)-len(dst))
 	}
 	return out, err
 }

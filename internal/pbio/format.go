@@ -1,9 +1,10 @@
 package pbio
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,11 +44,9 @@ type Format struct {
 	// hot path report without a context lookup. Zero (all-nil) for formats
 	// that are not adopted into a context.
 	obs obsMetrics
-	// facct holds this format's children of the labeled per-format families
-	// (wire accounting and expansion ratio), resolved once at adopt time.
+	// facct holds this format's children of the labeled wire-accounting
+	// families, resolved once at adopt time.
 	facct formatMetrics
-	// encProbes counts successful encodes to pace expansion-ratio probes.
-	encProbes atomic.Uint64
 	// prog is the compiled field program Encode, Decode and Bind run, built
 	// on first use (see compiled).
 	prog atomic.Pointer[program]
@@ -243,7 +242,7 @@ func finishFormat(f *Format) error {
 	for i := range f.Fields {
 		sorted[i] = &f.Fields[i]
 	}
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Offset < sorted[j].Offset })
+	slices.SortStableFunc(sorted, func(a, b *Field) int { return cmp.Compare(a.Offset, b.Offset) })
 	end := 0
 	for _, fl := range sorted {
 		if fl.Offset < 0 {

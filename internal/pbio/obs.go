@@ -24,11 +24,10 @@ type obsMetrics struct {
 	// Labeled per-format families. Children are resolved once per format at
 	// adopt time (see formatMetrics), so the codec hot paths never touch the
 	// vector maps.
-	encRecVec    *obsv.CounterVec // pbio.format.encoded.records{format}
-	encByteVec   *obsv.CounterVec // pbio.format.encoded.bytes{format}
-	decRecVec    *obsv.CounterVec // pbio.format.decoded.records{format}
-	decByteVec   *obsv.CounterVec // pbio.format.decoded.bytes{format}
-	expansionVec *obsv.GaugeVec   // pbio.format.xml.expansion_pct{format}
+	encRecVec  *obsv.CounterVec // pbio.format.encoded.records{format}
+	encByteVec *obsv.CounterVec // pbio.format.encoded.bytes{format}
+	decRecVec  *obsv.CounterVec // pbio.format.decoded.records{format}
+	decByteVec *obsv.CounterVec // pbio.format.decoded.bytes{format}
 }
 
 // formatMetrics is one format's resolved slice of the labeled families: the
@@ -39,7 +38,6 @@ type formatMetrics struct {
 	encBytes   *obsv.Counter
 	decRecords *obsv.Counter
 	decBytes   *obsv.Counter
-	expansion  *obsv.Gauge
 }
 
 // formatMetrics resolves the labeled children for one format name.
@@ -49,7 +47,6 @@ func (m obsMetrics) formatMetrics(name string) formatMetrics {
 		encBytes:   m.encByteVec.With(name),
 		decRecords: m.decRecVec.With(name),
 		decBytes:   m.decByteVec.With(name),
-		expansion:  m.expansionVec.With(name),
 	}
 }
 
@@ -73,19 +70,18 @@ func (f *Format) noteDecode(n int) {
 func contextMetrics(r *obsv.Registry) obsMetrics {
 	s := r.Scope("pbio")
 	return obsMetrics{
-		registered:   s.Counter("formats.registered"),
-		adopted:      s.Counter("formats.adopted"),
-		encodeCalls:  s.Counter("encode.calls"),
-		encodeBytes:  s.Counter("encode.bytes"),
-		decodeCalls:  s.Counter("decode.calls"),
-		decodeBytes:  s.Counter("decode.bytes"),
-		encNS:        s.Histogram("encode_ns"),
-		decNS:        s.Histogram("decode_ns"),
-		encRecVec:    s.CounterVec("format.encoded.records", "format"),
-		encByteVec:   s.CounterVec("format.encoded.bytes", "format"),
-		decRecVec:    s.CounterVec("format.decoded.records", "format"),
-		decByteVec:   s.CounterVec("format.decoded.bytes", "format"),
-		expansionVec: s.GaugeVec("format.xml.expansion_pct", "format"),
+		registered:  s.Counter("formats.registered"),
+		adopted:     s.Counter("formats.adopted"),
+		encodeCalls: s.Counter("encode.calls"),
+		encodeBytes: s.Counter("encode.bytes"),
+		decodeCalls: s.Counter("decode.calls"),
+		decodeBytes: s.Counter("decode.bytes"),
+		encNS:       s.Histogram("encode_ns"),
+		decNS:       s.Histogram("decode_ns"),
+		encRecVec:   s.CounterVec("format.encoded.records", "format"),
+		encByteVec:  s.CounterVec("format.encoded.bytes", "format"),
+		decRecVec:   s.CounterVec("format.decoded.records", "format"),
+		decByteVec:  s.CounterVec("format.decoded.bytes", "format"),
 	}
 }
 

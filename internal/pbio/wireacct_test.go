@@ -1,7 +1,6 @@
 package pbio
 
 import (
-	"reflect"
 	"testing"
 
 	"openmeta/internal/machine"
@@ -103,37 +102,6 @@ func TestUnadoptedFormatNoAccounting(t *testing.T) {
 	}
 }
 
-// SetXMLTextSizer(nil) disables probing without disturbing encode.
-func TestExpansionProbeDisabled(t *testing.T) {
-	old := xmlSizer.Load()
-	defer func() {
-		if old != nil {
-			SetXMLTextSizer(*old)
-		}
-	}()
-	SetXMLTextSizer(nil)
-
-	reg := obsv.New()
-	ctx, err := NewContext(machine.Native, WithObserver(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ctx.RegisterSpec("noProbe", []FieldSpec{
-		{Name: "v", Kind: Int, CType: machine.CInt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Encode(Record{"v": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := reg.Snapshot()[`pbio.format.xml.expansion_pct{format="noProbe"}`]; !ok {
-		t.Fatal("gauge child missing (should exist, zero-valued)")
-	} else if v != 0 {
-		t.Fatalf("gauge = %d with sizer disabled, want 0", v)
-	}
-}
-
 // Typed traffic is accounted like generic traffic: a bound encode and decode
 // move the same four labelled per-format counters, through the codec's one
 // accounting point.
@@ -181,40 +149,5 @@ func TestPerFormatWireAccountingBound(t *testing.T) {
 		if snap[k] != want {
 			t.Errorf("snap[%q] = %d, want %d", k, snap[k], want)
 		}
-	}
-}
-
-// The expansion probe XML-encodes a whole record, so it runs on the first
-// encode and then only at doubling encode counts: 1024, 2048, 4096, ...
-func TestExpansionProbeSchedule(t *testing.T) {
-	old := xmlSizer.Load()
-	defer func() {
-		SetXMLTextSizer(nil)
-		if old != nil {
-			SetXMLTextSizer(*old)
-		}
-	}()
-	var probedAt []uint64
-	var f *Format
-	SetXMLTextSizer(func(pf *Format, _ Record) (int, error) {
-		if pf == f {
-			probedAt = append(probedAt, f.encProbes.Load())
-		}
-		return 700, nil
-	})
-	ctx, err := NewContext(machine.Native, WithObserver(obsv.New()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, err = ctx.RegisterSpec("probed", []FieldSpec{{Name: "v", Kind: Int, CType: machine.CInt}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if _, err := f.Encode(Record{"v": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if want := []uint64{1, 1024, 2048, 4096}; !reflect.DeepEqual(probedAt, want) {
-		t.Errorf("probed at encodes %v, want %v", probedAt, want)
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"openmeta/internal/pbio"
 )
 
-// TestEncodeRecordAllocations pins the cost of pbio's expansion probe, which
-// calls EncodeRecord on a format's first Encode: on a 19-field record with
-// every construct the cold path registers — strings, static and dynamic
-// arrays, a nested record, an array of nested records — the text is built
-// in its output buffer and nowhere else. Formatting each number into a
-// string and boxing each array element took 107.
+// TestEncodeRecordAllocations pins the cost of XML-text encoding: on a
+// 19-field record with every construct the cold path registers — strings,
+// static and dynamic arrays, a nested record, an array of nested records —
+// the text is built in its output buffer and nowhere else. Formatting each
+// number into a string and boxing each array element took 107.
 func TestEncodeRecordAllocations(t *testing.T) {
 	ctx, err := pbio.NewContext(machine.X86_64)
 	if err != nil {

@@ -87,9 +87,6 @@ if [ "$MODE" != compare-only ]; then
     echo "== exemplar hot-path benchmark"
     go test -run xxx -bench BenchmarkObserveExemplar -benchmem \
         -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/obsv/ | tee -a "$TXT"
-    echo "== tracked-mutex fast-path benchmark"
-    go test -run xxx -bench BenchmarkTrackedMutex -benchmem \
-        -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/obsv/ | tee -a "$TXT"
 
     # Convert `go test -bench` lines into JSON. Benchmark lines look like:
     #   BenchmarkTable1Registration/native-8  1000  1234 ns/op  56 B/op  7 allocs/op
@@ -160,7 +157,7 @@ esac
 # budget BENCH LIMIT fails the script when BENCH's worst ns/op in $OUT is
 # over LIMIT. A result file without BENCH fails too, except under
 # -compare-only, whose fixtures carry only the rows one check needs: there
-# the missing check is skipped and the next one still runs.
+# the missing check is skipped.
 budget() {
     echo "== $1 budget (<= $2 ns/op)"
     ns="$(jq -r --arg re "^$1" '[.[] | select(.name | test($re)) | .ns_per_op] | max // empty' "$OUT")"
@@ -187,9 +184,3 @@ budget() {
 # TestExemplarHotPathAllocs; this guards the latency side.
 budget BenchmarkObserveExemplar "${EXEMPLAR_BUDGET_NS:-2000}"
 
-# Absolute gate on the tracked lock: TrackedMutex wraps the broker's routing
-# mutex permanently, so its uncontended Lock/Unlock pair (two timestamps, two
-# histogram observations) gets a hard ns/op budget like the other always-on
-# hot paths (override with TRACKEDMUTEX_BUDGET_NS). The zero-allocation
-# guarantee is enforced separately by TestTrackedMutexAllocs.
-budget BenchmarkTrackedMutex "${TRACKEDMUTEX_BUDGET_NS:-2000}"

@@ -63,8 +63,9 @@ func StatsHandler() http.Handler { return obsv.Default().Handler() }
 // DebugHandler returns the full debug endpoint the daemons mount behind
 // their -debug-addr flag: /stats (JSON snapshot), /metrics (Prometheus text
 // exposition), /debug/trace (recent spans, see TraceHandler), /debug/flight,
-// /debug/contention, /healthz, /readyz, /debug/vars (expvar) and
-// /debug/pprof/... (net/http/pprof). GET /debug lists everything.
+// /healthz, /readyz, /debug/vars (expvar) and /debug/pprof/...
+// (net/http/pprof; lock contention is its mutex and block profiles). GET
+// /debug lists everything.
 func DebugHandler() http.Handler {
 	return obsv.DebugMux(obsv.Default(),
 		obsv.DebugEndpoint{Path: "/debug/trace", Handler: TraceHandler(), Desc: "recent trace spans, oldest first"})

@@ -166,7 +166,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	_, index := get("/debug")
 	for _, path := range []string{
 		"/stats", "/stats?exemplars=1", "/debug/stats", "/metrics", "/debug/trace",
-		"/debug/flight", "/debug/contention", "/debug/vars", "/debug/pprof/",
+		"/debug/flight", "/debug/vars", "/debug/pprof/",
 		"/healthz", "/readyz",
 	} {
 		if code, _ := get(path); code != 200 {
@@ -176,9 +176,14 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 			t.Errorf("/debug index does not list %s", listed)
 		}
 	}
-	for _, path := range []string{"/debug/history", "/debug/alerts", "/debug/profiles/"} {
+	// Retired endpoints are gone from the mux and from the index.
+	for _, name := range []string{"history", "alerts", "profiles/", "contention"} {
+		path := "/debug/" + name
 		if code, _ := get(path); code != 404 {
 			t.Errorf("GET %s = %d, want 404", path, code)
+		}
+		if strings.Contains(index, `href="`+path+`"`) {
+			t.Errorf("/debug index still lists %s", path)
 		}
 	}
 }
