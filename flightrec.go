@@ -8,12 +8,14 @@ import (
 	"openmeta/internal/obsv"
 )
 
-// FlightRecorder is a fixed-capacity, lock-free ring of protocol events — a
-// black box that is always on: connection churn, hello outcomes, frame and
-// format traffic, slow-subscriber drops, reconnect attempts, discovery fetch
-// outcomes and retry give-ups. Recording is allocation-free, so every
-// component records into the process-wide default recorder unconditionally
-// unless handed its own via WithFlightRecorder or WithBusFlightRecorder.
+// FlightRecorder is a fixed-capacity ring of protocol events — a black box
+// that is always on: connection churn, hello outcomes, format metadata,
+// slow-subscriber stalls, reconnect attempts, discovery fetch outcomes and
+// retry give-ups. It keeps connection history, not traffic: no event fires
+// once per record (record counts are the eventbus.wire.* metrics), so the
+// history survives any amount of traffic. Every component records into the
+// process-wide default recorder unless handed its own via
+// WithFlightRecorder or WithBusFlightRecorder.
 type FlightRecorder = flight.Recorder
 
 // FlightEvent is one recorded protocol event, as /debug/flight serves it.

@@ -80,6 +80,7 @@ type brokerMetrics struct {
 	wireByteVec *obsv.CounterVec // wire.bytes{stream,format}: record bytes published
 	delRecVec   *obsv.CounterVec // wire.delivered.records{stream,format}
 	delByteVec  *obsv.CounterVec // wire.delivered.bytes{stream,format}
+	dropRecVec  *obsv.CounterVec // wire.dropped.records{stream,format}: dropped on full queues
 	metaByteVec *obsv.CounterVec // wire.meta.bytes{stream,format}: metadata bytes sent
 }
 
@@ -97,6 +98,7 @@ func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 		wireByteVec:  s.CounterVec("wire.bytes", "stream", "format"),
 		delRecVec:    s.CounterVec("wire.delivered.records", "stream", "format"),
 		delByteVec:   s.CounterVec("wire.delivered.bytes", "stream", "format"),
+		dropRecVec:   s.CounterVec("wire.dropped.records", "stream", "format"),
 		metaByteVec:  s.CounterVec("wire.meta.bytes", "stream", "format"),
 	}
 }
@@ -126,29 +128,23 @@ type stream struct {
 	formats []formatMeta
 	subs    map[*brokerConn]bool
 
-	// Per-stream instruments (eventbus.stream.<name>.published|delivered|
-	// dropped), resolved once when the stream is created.
-	published *obsv.Counter
-	delivered *obsv.Counter
-	dropped   *obsv.Counter
-
 	// wire resolves the labeled (stream, format) counter children once per
 	// format seen on the stream. Guarded by the broker mutex.
 	wire map[pbio.FormatID]*streamWire
 }
 
 // streamWire carries one (stream, format) pair's resolved labeled counters
-// plus the identifiers flight events need, so the fanout hot path touches no
-// maps or label vectors.
+// plus the names format_send flight events carry, so the fanout hot path
+// touches no maps or label vectors.
 type streamWire struct {
 	stream string
 	fname  string
-	id     uint64 // big-endian view of the pbio.FormatID, as flight reports it
 
 	recs      *obsv.Counter
 	bytes     *obsv.Counter
 	delRecs   *obsv.Counter
 	delBytes  *obsv.Counter
+	dropRecs  *obsv.Counter
 	metaBytes *obsv.Counter
 }
 
@@ -165,11 +161,11 @@ func (st *stream) wireFor(m *brokerMetrics, fm formatMeta) *streamWire {
 	w := &streamWire{
 		stream:    st.name,
 		fname:     name,
-		id:        fid64(fm.id),
 		recs:      m.wireRecVec.With(st.name, name),
 		bytes:     m.wireByteVec.With(st.name, name),
 		delRecs:   m.delRecVec.With(st.name, name),
 		delBytes:  m.delByteVec.With(st.name, name),
+		dropRecs:  m.dropRecVec.With(st.name, name),
 		metaBytes: m.metaByteVec.With(st.name, name),
 	}
 	st.wire[fm.id] = w
@@ -266,8 +262,8 @@ func WithSlog(l *slog.Logger) BrokerOption {
 }
 
 // WithFlightRecorder directs the broker's protocol events (connection churn,
-// hello outcomes, frame and format traffic, slow-subscriber drops, errors)
-// into r instead of the process-default recorder served at /debug/flight.
+// hello outcomes, format metadata, slow-subscriber stalls, errors) into r
+// instead of the process-default recorder served at /debug/flight.
 func WithFlightRecorder(r *flight.Recorder) BrokerOption {
 	return func(b *Broker) {
 		if r != nil {
@@ -300,8 +296,8 @@ func WithWriteDeadline(d time.Duration) BrokerOption {
 }
 
 // WithObserver directs the broker's metrics (published/delivered/dropped,
-// per-stream counters, queue depth, slow-subscriber stalls) into r instead
-// of the process default registry.
+// per-stream × per-format wire counters, queue depth, slow-subscriber
+// stalls) into r instead of the process default registry.
 func WithObserver(r *obsv.Registry) BrokerOption {
 	return func(b *Broker) {
 		b.obs = r.Scope("eventbus")
@@ -602,15 +598,7 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 func (b *Broker) ensureStream(name string) *stream {
 	st, ok := b.streams[name]
 	if !ok {
-		sc := b.obs.Counter // eventbus.stream.<name>.*
-		st = &stream{
-			name:      name,
-			subs:      make(map[*brokerConn]bool),
-			published: sc("stream." + name + ".published"),
-			delivered: sc("stream." + name + ".delivered"),
-			dropped:   sc("stream." + name + ".dropped"),
-			wire:      make(map[pbio.FormatID]*streamWire),
-		}
+		st = &stream{name: name, subs: make(map[*brokerConn]bool), wire: make(map[pbio.FormatID]*streamWire)}
 		b.streams[name] = st
 	}
 	return st
@@ -682,10 +670,8 @@ func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
 	b.mu.Unlock()
 
 	b.m.published.Add(1)
-	st.published.Add(1)
 	w.recs.Add(1)
 	w.bytes.Add(int64(len(rest) - 8))
-	b.rec.Record(flight.KindFrameRecv, bc.id, name, w.id, int64(len(rest)-8), "")
 
 	d := delivery{
 		st:       st,
@@ -717,7 +703,7 @@ func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
 		if err := b.deliver(sub, &d); err != nil {
 			b.log.Warn("dropping subscriber", "conn", sub.id,
 				"remote", sub.conn.RemoteAddr().String(), "stream", name, "err", err)
-			b.rec.Record(flight.KindBrokerError, sub.id, name, w.id, 0, err.Error())
+			b.rec.Record(flight.KindBrokerError, sub.id, name, fid64(id), 0, err.Error())
 			b.drop(sub)
 		}
 	}
@@ -769,8 +755,8 @@ func (b *Broker) deliver(sub *brokerConn, d *delivery) error {
 	return b.sendEvent(sub, d, typ, payload)
 }
 
-// sendEvent enqueues one event frame, counting delivery or the per-stream
-// drop, in both the aggregate and the labeled (stream, format) families.
+// sendEvent enqueues one event frame, counting delivery or the drop in the
+// labeled (stream, format) family; enqueue counts the aggregate drop.
 func (b *Broker) sendEvent(sub *brokerConn, d *delivery, typ byte, payload []byte) error {
 	queued, err := sub.enqueue(typ, payload, droppable, d)
 	if err != nil {
@@ -778,13 +764,10 @@ func (b *Broker) sendEvent(sub *brokerConn, d *delivery, typ byte, payload []byt
 	}
 	if queued {
 		b.m.delivered.Add(1)
-		d.st.delivered.Add(1)
 		d.w.delRecs.Add(1)
 		d.w.delBytes.Add(int64(len(payload)))
-		b.rec.Record(flight.KindFrameSend, sub.id, d.st.name, d.w.id, int64(len(payload)), "")
 	} else {
-		d.st.dropped.Add(1)
-		b.rec.Record(flight.KindSlowSubDrop, sub.id, d.st.name, d.w.id, int64(len(payload)), "queue full")
+		d.w.dropRecs.Add(1)
 	}
 	return nil
 }

@@ -156,7 +156,7 @@ func WithClientTracer(t *trace.Tracer) ClientOption {
 }
 
 // WithClientFlightRecorder directs the client's flight events (connection
-// churn, reconnect attempts, frame and format traffic) into r instead of the
+// churn, reconnect attempts, format metadata) into r instead of the
 // process-default recorder served at /debug/flight.
 func WithClientFlightRecorder(r *flight.Recorder) ClientOption {
 	return func(c *clientConfig) {
@@ -428,11 +428,7 @@ func (p *Publisher) send(conn net.Conn, tc trace.Ctx, streamName string, f *pbio
 	if err := pbio.EndFrame(frame, typ, maxFrame); err != nil {
 		return err
 	}
-	if err := writeWire(conn, frame); err != nil {
-		return err
-	}
-	p.record(flight.KindFrameSend, streamName, fid64(f.ID), int64(len(record)), "")
-	return nil
+	return writeWire(conn, frame)
 }
 
 // PublishRecord encodes a generic record and publishes it. A sampled record
@@ -695,9 +691,7 @@ func (s *Subscriber) Next() (Event, error) {
 			if !ok {
 				return Event{}, fmt.Errorf("eventbus: event references unknown format %s", id)
 			}
-			data := append([]byte(nil), rest[8:]...)
-			s.record(flight.KindFrameRecv, name, fid64(id), int64(len(data)), "")
-			return Event{Stream: name, Format: f, Data: data, Trace: etc}, nil
+			return Event{Stream: name, Format: f, Data: append([]byte(nil), rest[8:]...), Trace: etc}, nil
 		case frameError:
 			return Event{}, &BrokerError{Msg: string(payload)}
 		case frameStreams, frameHello:

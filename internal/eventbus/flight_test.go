@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -28,11 +29,11 @@ func chronological(evs []flight.Event) []flight.Event {
 	return out
 }
 
-// TestFlightRecordsReconnectSequence is the ISSUE's flight-recorder
-// acceptance scenario: a fault-injected connection dies mid-frame during a
-// publish, and the black box must show the whole recovery — connection
-// close, reconnect, metadata re-send, record re-send — as ordered events,
-// retrievable through the /debug/flight handler.
+// TestFlightRecordsReconnectSequence: a fault-injected connection dies
+// mid-frame during a publish, and the black box must show the recovery —
+// connection close, reconnect, metadata re-send — as ordered events,
+// retrievable through the /debug/flight handler. The record retry shows in
+// the records the subscriber reads, not in the ring.
 func TestFlightRecordsReconnectSequence(t *testing.T) {
 	rec := flight.New(512)
 	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
@@ -80,6 +81,17 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 	if err := pub.Publish(stream, f, encodeFlight(t, f, 2002)); err != nil {
 		t.Fatalf("Publish across the fault = %v", err)
 	}
+	for _, want := range []int{1001, 2002} {
+		ev, err := sub.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ev.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFlt(t, r, want)
+	}
 
 	// Reduce the black box to the publisher's own story: find its connection
 	// ids from the conn_open events, then keep only events on those ids.
@@ -99,10 +111,9 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 			story = append(story, e.Kind)
 		}
 	}
-	// The ordered recovery: open, metadata, record, death mid-frame,
-	// reconnect, metadata re-send, record retry.
-	want := []string{"conn_open", "format_send", "frame_send", "conn_close",
-		"conn_open", "reconnect", "format_send", "frame_send"}
+	// The ordered recovery: open, metadata, death mid-frame, reconnect,
+	// metadata re-send.
+	want := []string{"conn_open", "format_send", "conn_close", "conn_open", "reconnect", "format_send"}
 	if got := strings.Join(story, " "); got != strings.Join(want, " ") {
 		t.Fatalf("publisher flight story:\n got %s\nwant %s", got, strings.Join(want, " "))
 	}
@@ -131,8 +142,141 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 	for _, e := range chronological(resp.Events) {
 		kinds = append(kinds, e.Kind)
 	}
-	if got := strings.Join(kinds, " "); got != "conn_open reconnect format_send frame_send" {
+	if got := strings.Join(kinds, " "); got != "conn_open reconnect format_send" {
 		t.Fatalf("/debug/flight?conn=%d story = %q", newConn, got)
+	}
+}
+
+// TestFlightRecordsNoTraffic: the ring keeps connection history, not
+// traffic. Once a publisher, a plain and a scoped subscriber have exchanged
+// their first records, thousands more add no event, so every connection's
+// conn_open outlives them even in a small ring.
+func TestFlightRecordsNoTraffic(t *testing.T) {
+	rec := flight.New(256)
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	f := flightFormat(t, machine.Sparc)
+
+	var subs []*Subscriber
+	for _, scope := range [][]string{nil, {"cntrID", "eta"}} {
+		sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientFlightRecorder(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		if err := sub.SubscribeFields("flights", scope...); err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	waitForStream(t, b, "flights", 2)
+	pub, err := DialPublisher(b.Addr().String(), WithClientFlightRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	// relay publishes n records and reads them on both subscribers, in
+	// batches the subscriber queues hold, so none is dropped.
+	data := encodeFlight(t, f, 7)
+	relay := func(n int) {
+		t.Helper()
+		for ; n > 0; n -= 100 {
+			batch := min(n, 100)
+			for i := 0; i < batch; i++ {
+				if err := pub.Publish("flights", f, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, sub := range subs {
+				for i := 0; i < batch; i++ {
+					if _, err := sub.Next(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	total := func() uint64 {
+		t.Helper()
+		w := httptest.NewRecorder()
+		flight.Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/flight?n=1", nil))
+		var resp struct {
+			Total uint64 `json:"total"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Total
+	}
+	opened := func() map[uint64]bool {
+		ids := make(map[uint64]bool)
+		for _, e := range rec.Snapshot() {
+			if e.Kind == "conn_open" {
+				ids[e.Conn] = true
+			}
+		}
+		return ids
+	}
+
+	relay(10)
+	before, conns := total(), opened()
+	if len(conns) != 6 {
+		t.Fatalf("conn_open events for %d connections, want 6 (three clients, three broker sides)", len(conns))
+	}
+	relay(5000)
+	if after := total(); after != before {
+		t.Errorf("5000 records added %d flight events", after-before)
+	}
+	still := opened()
+	for id := range conns {
+		if !still[id] {
+			t.Errorf("conn_open of connection %d evicted by traffic", id)
+		}
+	}
+}
+
+// TestAnnouncedStreamsAddNoRegistryKeys: stream names come from peers, so
+// announcing one must not mint metric names. Per-stream counts live in the
+// labeled wire.* families, whose children are bounded.
+func TestAnnouncedStreamsAddNoRegistryKeys(t *testing.T) {
+	reg := obsv.New()
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	conn, err := net.Dial("tcp", b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	announce := func(name string) {
+		t.Helper()
+		if err := writeFrame(conn, frameAnnounce, putStr(nil, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	announce("first") // the connection's own keys exist once this is handled
+	testutil.WaitFor(t, 2*time.Second, "the first announce", func() bool { return len(b.Streams()) == 1 })
+	before := reg.Snapshot()
+	const n = 5000
+	for i := 0; i < n; i++ {
+		announce(fmt.Sprintf("peer.chosen.%d", i))
+	}
+	testutil.WaitFor(t, 10*time.Second, "every announce", func() bool { return len(b.Streams()) == n+1 })
+	added := 0
+	for k := range reg.Snapshot() {
+		if _, ok := before[k]; !ok {
+			added++
+		}
+	}
+	if added != 0 {
+		t.Fatalf("announcing %d streams added %d registry keys", n, added)
 	}
 }
 

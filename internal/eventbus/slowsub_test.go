@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"openmeta/internal/machine"
+	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
+	"openmeta/internal/testutil"
 )
 
 // TestSlowSubscriberDoesNotStallBus verifies the bounded outbound queue: a
@@ -111,9 +113,15 @@ func TestSlowSubscriberDoesNotStallBus(t *testing.T) {
 
 // TestDroppedCountSurvivesDisconnect verifies the obsv fold-in: drops are
 // counted broker-wide, not on the (transient) connection, so tearing the
-// stuck subscriber down must not zero the count.
+// stuck subscriber down must not zero the count. Each drop is also counted
+// against its stream and format in wire.dropped.records.
 func TestDroppedCountSurvivesDisconnect(t *testing.T) {
-	b := newBroker(t)
+	reg := obsv.New()
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
 	ctx, err := pbio.NewContext(machine.Native)
 	if err != nil {
 		t.Fatal(err)
@@ -166,4 +174,8 @@ func TestDroppedCountSurvivesDisconnect(t *testing.T) {
 	if got := b.Stats().Dropped; got < droppedWhileConnected {
 		t.Errorf("Stats().Dropped fell from %d to %d after disconnect", droppedWhileConnected, got)
 	}
+	const labeled = `eventbus.wire.dropped.records{stream="tiny",format="Tiny"}`
+	testutil.WaitFor(t, 2*time.Second, labeled+" to match Stats().Dropped", func() bool {
+		return reg.Snapshot()[labeled] == b.Stats().Dropped
+	})
 }

@@ -11,7 +11,7 @@ import (
 func TestRecordSnapshotRoundTrip(t *testing.T) {
 	r := New(16)
 	r.Record(KindConnOpen, 7, "", 0, 0, "127.0.0.1:9")
-	r.Record(KindFrameRecv, 7, "flights", 0xdeadbeef, 42, "")
+	r.Record(KindFormatRecv, 7, "flights", 0xdeadbeef, 42, "")
 	r.Record(KindConnClose, 7, "", 0, 0, "EOF")
 
 	evs := r.Snapshot()
@@ -19,12 +19,12 @@ func TestRecordSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("Snapshot len = %d, want 3", len(evs))
 	}
 	// Newest first.
-	if evs[0].Kind != "conn_close" || evs[1].Kind != "frame_recv" || evs[2].Kind != "conn_open" {
+	if evs[0].Kind != "conn_close" || evs[1].Kind != "format_recv" || evs[2].Kind != "conn_open" {
 		t.Fatalf("order = %s,%s,%s", evs[0].Kind, evs[1].Kind, evs[2].Kind)
 	}
 	fr := evs[1]
 	if fr.Conn != 7 || fr.Stream != "flights" || fr.Format != 0xdeadbeef || fr.Bytes != 42 {
-		t.Fatalf("frame_recv event = %+v", fr)
+		t.Fatalf("format_recv event = %+v", fr)
 	}
 	if evs[2].Detail != "127.0.0.1:9" {
 		t.Fatalf("detail = %q", evs[2].Detail)
@@ -37,7 +37,7 @@ func TestRecordSnapshotRoundTrip(t *testing.T) {
 func TestRingWraps(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Record(KindFrameSend, uint64(i), "s", 0, int64(i), "")
+		r.Record(KindFormatSend, uint64(i), "s", 0, int64(i), "")
 	}
 	evs := r.Snapshot()
 	if len(evs) != 4 {
@@ -58,10 +58,10 @@ func TestStringTruncation(t *testing.T) {
 	long := strings.Repeat("s", 100)
 	r.Record(KindBrokerError, 1, long, 0, 0, strings.Repeat("d", 100))
 	ev := r.Snapshot()[0]
-	if len(ev.Stream) != streamWords*8 || !strings.HasPrefix(long, ev.Stream) {
+	if len(ev.Stream) != len(slot{}.stream) || !strings.HasPrefix(long, ev.Stream) {
 		t.Fatalf("stream truncated to %d bytes: %q", len(ev.Stream), ev.Stream)
 	}
-	if len(ev.Detail) != detailWords*8 {
+	if len(ev.Detail) != len(slot{}.detail) {
 		t.Fatalf("detail truncated to %d bytes", len(ev.Detail))
 	}
 }
@@ -96,7 +96,7 @@ func TestRecordAllocationFree(t *testing.T) {
 	stream := "orders.us-east"
 	detail := "write tcp 127.0.0.1:1->127.0.0.1:2: connection reset"
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Record(KindFrameSend, 3, stream, 0x1234, 512, detail)
+		r.Record(KindFormatSend, 3, stream, 0x1234, 512, detail)
 	})
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f per call, want 0", allocs)
@@ -111,16 +111,21 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 		go func(id uint64) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
-				r.Record(KindFrameRecv, id, "stream-name-here", uint64(i), int64(i), "some detail text")
+				r.Record(KindFormatRecv, id, "stream-name-here", uint64(i), int64(i), "some detail text")
 			}
 		}(uint64(g))
 	}
 	done := make(chan struct{})
 	go func() { writers.Wait(); close(done) }()
 	for {
-		for _, ev := range r.Snapshot() {
-			if ev.Kind != "frame_recv" || ev.Stream != "stream-name-here" {
+		evs := r.Snapshot()
+		for i, ev := range evs {
+			if ev.Kind != "format_recv" || ev.Stream != "stream-name-here" || ev.Detail != "some detail text" ||
+				ev.Format != uint64(ev.Bytes) {
 				t.Fatalf("torn event: %+v", ev)
+			}
+			if i > 0 && ev.Seq != evs[i-1].Seq-1 {
+				t.Fatalf("snapshot not newest-first without gaps: seq %d after %d", ev.Seq, evs[i-1].Seq)
 			}
 		}
 		select {
@@ -141,8 +146,8 @@ func TestNextConnIDUnique(t *testing.T) {
 func TestHandlerFilters(t *testing.T) {
 	r := New(32)
 	r.Record(KindConnOpen, 1, "", 0, 0, "a")
-	r.Record(KindFrameSend, 1, "alpha", 10, 100, "")
-	r.Record(KindFrameSend, 2, "beta", 20, 200, "")
+	r.Record(KindFormatSend, 1, "alpha", 10, 100, "")
+	r.Record(KindFormatSend, 2, "beta", 20, 200, "")
 	r.Record(KindConnClose, 2, "", 0, 0, "bye")
 
 	get := func(q string) (uint64, []Event) {
@@ -176,13 +181,13 @@ func TestHandlerFilters(t *testing.T) {
 	if _, evs = get("?stream=alpha"); len(evs) != 1 || evs[0].Format != 10 {
 		t.Fatalf("stream=alpha: %+v", evs)
 	}
-	if _, evs = get("?kind=frame_send"); len(evs) != 2 {
-		t.Fatalf("kind=frame_send: %d events", len(evs))
+	if _, evs = get("?kind=format_send"); len(evs) != 2 {
+		t.Fatalf("kind=format_send: %d events", len(evs))
 	}
 	if _, evs = get("?n=1"); len(evs) != 1 || evs[0].Kind != "conn_close" {
 		t.Fatalf("n=1: %+v", evs)
 	}
-	if _, evs = get("?kind=frame_send&conn=1&stream=alpha"); len(evs) != 1 {
+	if _, evs = get("?kind=format_send&conn=1&stream=alpha"); len(evs) != 1 {
 		t.Fatalf("combined filters: %d events", len(evs))
 	}
 
@@ -215,7 +220,7 @@ func TestHandlerKindFamilyFilter(t *testing.T) {
 	r := New(16)
 	r.Record(KindConnOpen, 1, "", 0, 0, "")
 	r.Record(KindFormatSend, 1, "s", 1, 10, "")
-	r.Record(KindFrameSend, 1, "s", 1, 1, "")
+	r.Record(KindBrokerError, 1, "s", 1, 1, "")
 	r.Record(KindFormatRecv, 2, "s", 1, 10, "")
 
 	get := func(q string) []Event {

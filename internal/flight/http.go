@@ -11,7 +11,7 @@ import (
 //
 //	?conn=N        only events for connection id N
 //	?stream=NAME   only events whose stream equals NAME
-//	?kind=NAME     only events of that kind (snake_case, e.g. frame_send);
+//	?kind=NAME     only events of that kind (snake_case, e.g. format_send);
 //	               a prefix matches a family: kind=conn selects both
 //	               conn_open and conn_close
 //	?n=N           at most N events (default 256, capped at ring capacity)
@@ -84,13 +84,4 @@ func Handler(r *Recorder) http.Handler {
 			Events []Event `json:"events"`
 		}{Total: r.total(), Events: events})
 	})
-}
-
-// total reports how many events have ever been recorded (including those the
-// ring has already overwritten).
-func (r *Recorder) total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.cursor.Load()
 }

@@ -128,7 +128,7 @@ func TestBoundDecodeAllocatesOnlyStrings(t *testing.T) {
 }
 
 // Registering a spec the context already holds lays the format out, checks
-// it and hashes its metadata in 7 allocations, then adopt returns the first
+// it and hashes its metadata in 6 allocations, then adopt returns the first
 // format. Sorting the fields by offset through reflection cost two more.
 func TestRegisterSpecAllocations(t *testing.T) {
 	ctx := newCtx(t, machine.X86_64)
@@ -148,8 +148,31 @@ func TestRegisterSpecAllocations(t *testing.T) {
 			t.Fatalf("re-registration = %p, %v; want the first format", f, err)
 		}
 	})
-	if n != 7 {
-		t.Errorf("RegisterSpec = %v allocations, want 7", n)
+	if n != 6 {
+		t.Errorf("RegisterSpec = %v allocations, want 6", n)
+	}
+}
+
+// MarshalMeta of a format nesting another collects the two formats on the
+// stack and allocates only the image it returns.
+func TestMarshalMetaNestedAllocations(t *testing.T) {
+	ctx := newCtx(t, machine.X86_64)
+	if _, err := ctx.RegisterSpec("Point", []FieldSpec{
+		{Name: "x", Kind: Float, CType: machine.CDouble},
+		{Name: "y", Kind: Float, CType: machine.CDouble},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ctx.RegisterSpec("Track", []FieldSpec{
+		{Name: "start", Kind: Nested, NestedName: "Point"},
+		{Name: "n", Kind: Int, CType: machine.CInt},
+		{Name: "waypoints", Kind: Nested, NestedName: "Point", Dynamic: true, CountField: "n"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = MarshalMeta(f) }); n != 1 {
+		t.Errorf("MarshalMeta = %v allocations, want 1", n)
 	}
 }
 

@@ -235,8 +235,8 @@ func (c *Context) resolveLocked(formatName string, io IOField) (Field, error) {
 	return fl, nil
 }
 
-// finishFormat validates the layout (ordering, overlap, alignment), fills in
-// Size/Align and computes the format ID.
+// finishFormat validates the layout (ordering, overlap, alignment) and the
+// widths metadata gives it, fills in Size/Align and computes the format ID.
 func finishFormat(f *Format) error {
 	sorted := make([]*Field, len(f.Fields))
 	for i := range f.Fields {
@@ -280,6 +280,9 @@ func finishFormat(f *Format) error {
 			return fmt.Errorf("%w: format %q field %q is not a scalar integer",
 				ErrBadCountField, f.Name, cf.Name)
 		}
+	}
+	if err := checkMetaWidths(f); err != nil {
+		return err
 	}
 	f.ID = computeID(f)
 	return nil

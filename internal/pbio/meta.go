@@ -3,6 +3,7 @@ package pbio
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"openmeta/internal/machine"
 )
@@ -39,6 +40,15 @@ import (
 
 var metaMagic = [4]byte{'P', 'B', 'F', '1'}
 
+// The widths the encoding gives the values it carries. A value past one
+// would wrap silently and the metadata would not round-trip, so
+// checkMetaWidths rejects such a format when it is built.
+const (
+	maxMetaStr    = 1<<16 - 1 // u16 string lengths
+	maxMetaFields = 1<<16 - 1 // u16 field count
+	maxMetaDeps   = 255       // u8 format count; nested indices stay below 0xFF
+)
+
 // ErrBadMeta reports malformed format metadata.
 var ErrBadMeta = errors.New("pbio: malformed format metadata")
 
@@ -51,22 +61,8 @@ func MarshalMeta(f *Format) []byte {
 }
 
 func marshalMeta(f *Format) []byte {
-	var deps []*Format
-	seen := make(map[*Format]int)
-	var collect func(*Format)
-	collect = func(g *Format) {
-		if _, ok := seen[g]; ok {
-			return
-		}
-		for i := range g.Fields {
-			if n := g.Fields[i].Nested; n != nil {
-				collect(n)
-			}
-		}
-		seen[g] = len(deps)
-		deps = append(deps, g)
-	}
-	collect(f)
+	var stack [8]*Format
+	deps := appendDeps(stack[:0], f)
 
 	buf := make([]byte, 0, 64+64*len(f.Fields))
 	buf = append(buf, metaMagic[:]...)
@@ -93,13 +89,54 @@ func marshalMeta(f *Format) []byte {
 			buf = appendU32(buf, uint32(fl.Offset))
 			buf = appendU32(buf, uint32(fl.Slot))
 			if fl.Nested != nil {
-				buf = append(buf, byte(seen[fl.Nested]))
+				buf = append(buf, byte(slices.Index(deps, fl.Nested)))
 			} else {
 				buf = append(buf, 0xFF)
 			}
 		}
 	}
 	return buf
+}
+
+// appendDeps appends the formats g's nested fields refer to, each after its
+// own dependencies, then g itself, skipping any format deps already holds.
+// The result is the dependency order the metadata lists formats in.
+func appendDeps(deps []*Format, g *Format) []*Format {
+	if slices.Contains(deps, g) {
+		return deps
+	}
+	for i := range g.Fields {
+		if n := g.Fields[i].Nested; n != nil {
+			deps = appendDeps(deps, n)
+		}
+	}
+	return append(deps, g)
+}
+
+// checkMetaWidths rejects a format whose metadata would not fit the widths
+// of the encoding: such a format registers, but can never be sent.
+func checkMetaWidths(f *Format) error {
+	tooWide := func(what string, n, limit int) error {
+		return fmt.Errorf("pbio: format %.64q: %s %d exceeds the metadata limit of %d", f.Name, what, n, limit)
+	}
+	switch {
+	case len(f.Name) > maxMetaStr:
+		return tooWide("name length", len(f.Name), maxMetaStr)
+	case len(f.Arch.Name) > maxMetaStr:
+		return tooWide("architecture name length", len(f.Arch.Name), maxMetaStr)
+	case len(f.Fields) > maxMetaFields:
+		return tooWide("field count", len(f.Fields), maxMetaFields)
+	}
+	for i := range f.Fields {
+		if n := max(len(f.Fields[i].Name), len(f.Fields[i].CountField)); n > maxMetaStr {
+			return tooWide("field name length", n, maxMetaStr)
+		}
+	}
+	var stack [8]*Format
+	if n := len(appendDeps(stack[:0], f)); n > maxMetaDeps {
+		return tooWide("dependency count", n, maxMetaDeps)
+	}
+	return nil
 }
 
 // UnmarshalMeta reconstructs a format (and its dependencies) from metadata

@@ -2,7 +2,9 @@ package pbio
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"openmeta/internal/machine"
@@ -104,6 +106,94 @@ func TestMetaDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(MarshalMeta(g), m1) {
 		t.Error("re-marshaling reconstructed format changes bytes")
+	}
+}
+
+// roundTrips asserts that f's metadata reconstructs a format with f's name
+// and ID.
+func roundTrips(t *testing.T, f *Format) {
+	t.Helper()
+	g, err := UnmarshalMeta(MarshalMeta(f))
+	if err != nil {
+		t.Fatalf("%.32q: metadata does not round-trip: %v", f.Name, err)
+	}
+	if g.Name != f.Name || g.ID != f.ID {
+		t.Fatalf("%.32q: round trip changed the name or ID (%s vs %s)", f.Name, g.ID, f.ID)
+	}
+}
+
+// TestRegisterRejectsWhatMetadataCannotCarry: names carry a u16 length, the
+// field count is a u16, the format count a byte. A format at each limit
+// registers and round-trips; one past it is rejected rather than registered
+// with metadata that would wrap.
+func TestRegisterRejectsWhatMetadataCannotCarry(t *testing.T) {
+	scalar := func(name string) FieldSpec { return FieldSpec{Name: name, Kind: Char, CType: machine.CChar} }
+	chars := func(n int) []FieldSpec {
+		specs := make([]FieldSpec, n)
+		for i := range specs {
+			specs[i] = scalar(fmt.Sprint("f", i))
+		}
+		return specs
+	}
+	name := func(n int) string { return strings.Repeat("n", n) }
+	tooWide := func(err error) bool { return err != nil && strings.Contains(err.Error(), "exceeds the metadata limit") }
+	longArch := *machine.X86_64
+	longArch.Name = name(maxMetaStr + 1)
+
+	for _, tc := range []struct {
+		what     string
+		arch     *machine.Arch
+		name     string
+		at, past []FieldSpec // specs at the limit, and one past it
+	}{
+		{what: "format name", name: name(maxMetaStr), at: chars(1)},
+		{what: "format name", name: name(maxMetaStr + 1), past: chars(1)},
+		{what: "architecture name", arch: &longArch, name: "A", past: chars(1)},
+		{what: "field name", name: "F", at: []FieldSpec{scalar(name(maxMetaStr))}, past: []FieldSpec{scalar(name(maxMetaStr + 1))}},
+		{what: "field count", name: "C", at: chars(maxMetaFields), past: chars(maxMetaFields + 1)},
+	} {
+		arch := tc.arch
+		if arch == nil {
+			arch = machine.X86_64
+		}
+		if tc.at != nil {
+			f, err := newCtx(t, arch).RegisterSpec(tc.name, tc.at)
+			if err != nil {
+				t.Fatalf("%s at the limit: %v", tc.what, err)
+			}
+			roundTrips(t, f)
+		}
+		if tc.past != nil {
+			if _, err := newCtx(t, arch).RegisterSpec(tc.name, tc.past); !tooWide(err) {
+				t.Errorf("%s past the limit: err = %.200v", tc.what, err)
+			}
+		}
+	}
+
+	// A chain of formats, each nesting the one before: the 255th depends on
+	// 255 formats counting itself, the 256th on one too many.
+	ctx := newCtx(t, machine.X86_64)
+	prev, err := ctx.RegisterSpec("L0", chars(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < maxMetaDeps; i++ {
+		if prev, err = ctx.RegisterSpec(fmt.Sprint("L", i), []FieldSpec{{Name: "in", Kind: Nested, NestedName: prev.Name}}); err != nil {
+			t.Fatalf("format %d of the chain: %v", i+1, err)
+		}
+	}
+	roundTrips(t, prev)
+	if _, err := ctx.RegisterSpec("Lpast", []FieldSpec{{Name: "in", Kind: Nested, NestedName: prev.Name}}); !tooWide(err) {
+		t.Errorf("a format depending on 256 formats: err = %v", err)
+	}
+
+	// A subset's name joins the names of the fields it keeps.
+	wide, err := newCtx(t, machine.X86_64).RegisterSpec("W", []FieldSpec{scalar(name(40000)), scalar(name(40001))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DeriveSubset(wide, []string{name(40000), name(40001)}); !tooWide(err) {
+		t.Errorf("a subset named past the limit: err = %.200v", err)
 	}
 }
 

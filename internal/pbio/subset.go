@@ -59,6 +59,9 @@ func DeriveSubset(f *Format, fields []string) (*Format, error) {
 		sub.Fields = append(sub.Fields, fl)
 	}
 	sub.Size = alignUp(offset, sub.Align)
+	if err := checkMetaWidths(sub); err != nil {
+		return nil, err
+	}
 	sub.ID = computeID(sub)
 	return sub, nil
 }

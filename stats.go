@@ -39,7 +39,8 @@ func DefaultObserver() *Observer { return obsv.Default() }
 //	dcg.plan.compile_ns.*      plan-compilation latency histogram
 //	dcg.conversions            record conversions executed
 //	eventbus.published/.delivered/.dropped  backbone delivery health
-//	eventbus.stream.<name>.*   the same, per stream
+//	eventbus.wire.records/.delivered.records/.dropped.records{stream,format}
+//	                           the same, per stream and format
 //	eventbus.queue_depth       current outbound backlog across subscribers
 //	eventbus.pub.reconnects/.redial_errors  publisher reconnect outcomes
 //	eventbus.sub.reconnects/.redial_errors  subscriber reconnect outcomes

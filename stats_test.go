@@ -14,6 +14,7 @@ import (
 
 	"openmeta"
 	"openmeta/internal/airline"
+	"openmeta/internal/flight"
 	"openmeta/internal/testutil"
 )
 
@@ -273,8 +274,22 @@ func TestBrokerOptionsAndStats(t *testing.T) {
 	if snap["eventbus.delivered"] < 1 {
 		t.Errorf("private broker observer eventbus.delivered = %d, want >= 1", snap["eventbus.delivered"])
 	}
-	if snap["eventbus.stream."+airline.FlightStream+".published"] < 1 {
+	if snap[`eventbus.wire.records{stream="`+airline.FlightStream+`",format="ASDOffEvent"}`] < 1 {
 		t.Errorf("missing per-stream published counter: %v", snap)
+	}
+}
+
+// TestNewFlightRecorderDefaultCapacity: a capacity <= 0 keeps the default
+// 2048 events, as documented, not one.
+func TestNewFlightRecorderDefaultCapacity(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		r := openmeta.NewFlightRecorder(capacity)
+		for i := 0; i < 3000; i++ {
+			r.Record(flight.KindDiscovery, 0, "", 0, int64(i), "")
+		}
+		if got := r.Len(); got != 2048 {
+			t.Errorf("NewFlightRecorder(%d) keeps %d events, want 2048", capacity, got)
+		}
 	}
 }
 
