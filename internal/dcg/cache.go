@@ -56,7 +56,7 @@ var (
 	defaultCacheMetrics = newCacheMetrics(obsv.Default())
 	conversions         = obsv.Default().Counter("dcg.conversions")
 
-	// convertNS times traced conversions (Plan.ConvertCtx), stamping the
+	// convertNS times traced conversions (Plan.AppendConvertCtx), stamping the
 	// TraceID onto the bucket as its exemplar. The untraced Convert hot path
 	// stays untimed, like the other codec microbenchmark subjects.
 	convertNS = obsv.Default().Histogram("dcg.convert_ns")

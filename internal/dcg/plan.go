@@ -257,30 +257,18 @@ func (p *Plan) Ops() int { return len(p.prog) }
 
 // Convert translates one NDR record of the source format into a fresh NDR
 // record of the destination format, allocated at exactly its size.
-func (p *Plan) Convert(src []byte) ([]byte, error) {
-	size := len(src)
-	if !p.Identity && len(src) >= p.Src.Size {
-		size = p.measure(p.Dst.Size, src, 0)
-	}
-	return p.AppendConvert(make([]byte, 0, size), src)
-}
+func (p *Plan) Convert(src []byte) ([]byte, error) { return p.AppendConvert(nil, src) }
 
-// ConvertCtx is Convert with tracing: when tc is sampled the conversion is
-// recorded as a dcg.convert child span naming the format pair, timed into
-// the dcg.convert_ns histogram with the TraceID as the bucket's exemplar.
+// ConvertCtx is Convert with AppendConvertCtx's tracing.
 func (p *Plan) ConvertCtx(tc trace.Ctx, src []byte) ([]byte, error) {
-	if !tc.Sampled() {
-		return p.Convert(src)
-	}
-	sp := tc.Child("dcg.convert")
-	start := time.Now()
-	out, err := p.Convert(src)
-	convertNS.ObserveExemplar(time.Since(start).Nanoseconds(), tc.Trace())
-	sp.FinishDetail(p.Src.Name + "->" + p.Dst.Name)
-	return out, err
+	return p.AppendConvertCtx(tc, nil, src)
 }
 
-// AppendConvert appends the converted record to out for buffer reuse.
+// AppendConvert appends the converted record to out for buffer reuse. An
+// out without room for the record's fixed region is reallocated once, at
+// exactly what it holds plus the converted record, so a caller can build a
+// prefix (a frame header, say) and have prefix and record share one
+// allocation.
 func (p *Plan) AppendConvert(out, src []byte) ([]byte, error) {
 	if len(src) < p.Src.Size {
 		return nil, fmt.Errorf("dcg: record of %d bytes, source fixed region needs %d",
@@ -288,11 +276,41 @@ func (p *Plan) AppendConvert(out, src []byte) ([]byte, error) {
 	}
 	conversions.Add(1)
 	if p.Identity {
-		return append(out, src...), nil
+		return append(growBy(out, len(src)), src...), nil
 	}
 	base := len(out)
+	if cap(out)-base < p.Dst.Size {
+		out = growBy(out, p.measure(p.Dst.Size, src, 0))
+	}
 	out = append(out, make([]byte, p.Dst.Size)...)
 	return p.run(out, base, base, src, 0)
+}
+
+// AppendConvertCtx is AppendConvert with tracing: when tc is sampled the
+// conversion is recorded as a dcg.convert child span naming the format
+// pair, timed into the dcg.convert_ns histogram with the TraceID as the
+// bucket's exemplar.
+func (p *Plan) AppendConvertCtx(tc trace.Ctx, out, src []byte) ([]byte, error) {
+	if !tc.Sampled() {
+		return p.AppendConvert(out, src)
+	}
+	sp := tc.Child("dcg.convert")
+	start := time.Now()
+	out, err := p.AppendConvert(out, src)
+	convertNS.ObserveExemplar(time.Since(start).Nanoseconds(), tc.Trace())
+	sp.FinishDetail(p.Src.Name + "->" + p.Dst.Name)
+	return out, err
+}
+
+// growBy returns out with room for n more bytes, reallocated at exactly
+// that capacity when it has less.
+func growBy(out []byte, n int) []byte {
+	if cap(out)-len(out) >= n {
+		return out
+	}
+	grown := make([]byte, len(out), len(out)+n)
+	copy(grown, out)
+	return grown
 }
 
 // run executes the program for one (possibly nested) fixed region. Scalar

@@ -8,6 +8,8 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,14 +42,16 @@ type Broker struct {
 	tracer *trace.Tracer
 	rec    *flight.Recorder
 
-	mu      sync.Mutex // guards conns, streams and scoped
+	// mu is the control plane: it guards conns and streams and serializes
+	// every route rebuild. A publish to a stream and format the broker
+	// already routes does not take it.
+	mu      sync.Mutex
 	conns   map[*brokerConn]bool
 	streams map[string]*stream
 
 	// plans memoizes conversion programs for format scoping (§4.4 of the
 	// paper: exposing "slices" of a stream to particular subscribers).
-	plans  *dcg.Cache
-	scoped map[scopeKey]*scopedFormat
+	plans *dcg.Cache
 }
 
 // brokerMetrics bundles the broker-wide instruments. Brokers sharing a
@@ -59,9 +63,10 @@ type brokerMetrics struct {
 	formatsSent *obsv.Counter // format-metadata frames sent to subscribers
 	slowStalls  *obsv.Counter // must-send stalls on slow subscribers
 
-	// routeNS times publish-to-fanout routing (parse, stream bookkeeping,
-	// every subscriber delivery). Traced publishes stamp their TraceID onto
-	// the bucket as its exemplar, so a routing p99 spike names a real trace.
+	// routeNS times publish-to-fanout routing (stream and format lookup,
+	// every class's frame image, every subscriber's enqueue). Traced
+	// publishes stamp their TraceID onto the bucket as its exemplar, so a
+	// routing p99 spike names a real trace.
 	routeNS *obsv.Histogram // route_ns
 
 	// queueWaitNS times enqueue→wire per outbound frame across all
@@ -72,16 +77,6 @@ type brokerMetrics struct {
 	// bound clamps runaway cardinality onto the overflow child.
 	queueWaitNS  *obsv.Histogram    // queue_wait_ns
 	queueWaitVec *obsv.HistogramVec // subscriber.queue_wait_ns{conn}
-
-	// Labeled per-stream × per-format wire accounting. Children are resolved
-	// once per (stream, format) pair when the pair first appears (see
-	// stream.wireFor), so the routing hot path only touches counters.
-	wireRecVec  *obsv.CounterVec // wire.records{stream,format}: records published
-	wireByteVec *obsv.CounterVec // wire.bytes{stream,format}: record bytes published
-	delRecVec   *obsv.CounterVec // wire.delivered.records{stream,format}
-	delByteVec  *obsv.CounterVec // wire.delivered.bytes{stream,format}
-	dropRecVec  *obsv.CounterVec // wire.dropped.records{stream,format}: dropped on full queues
-	metaByteVec *obsv.CounterVec // wire.meta.bytes{stream,format}: metadata bytes sent
 }
 
 func newBrokerMetrics(s obsv.Scope) brokerMetrics {
@@ -94,12 +89,6 @@ func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 		routeNS:      s.Histogram("route_ns"),
 		queueWaitNS:  s.Histogram("queue_wait_ns"),
 		queueWaitVec: s.HistogramVec("subscriber.queue_wait_ns", "conn"),
-		wireRecVec:   s.CounterVec("wire.records", "stream", "format"),
-		wireByteVec:  s.CounterVec("wire.bytes", "stream", "format"),
-		delRecVec:    s.CounterVec("wire.delivered.records", "stream", "format"),
-		delByteVec:   s.CounterVec("wire.delivered.bytes", "stream", "format"),
-		dropRecVec:   s.CounterVec("wire.dropped.records", "stream", "format"),
-		metaByteVec:  s.CounterVec("wire.meta.bytes", "stream", "format"),
 	}
 }
 
@@ -107,73 +96,100 @@ func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 // metric names exist (zero-valued) in openmeta.Stats() from process start.
 var defaultBrokerMetrics = newBrokerMetrics(obsv.Default().Scope("eventbus"))
 
-// scopeKey identifies one slice of one concrete format.
-type scopeKey struct {
-	id    pbio.FormatID
-	scope string // canonical comma-joined field list
+// stream is one named stream. Its route is the one record of who gets what.
+type stream struct {
+	name  string
+	route atomic.Pointer[route]
 }
 
-// scopedFormat pairs a derived subset format with the conversion plan that
+// route is one stream's routing table: the formats seen on the stream and
+// its subscribers, grouped into classes by the bytes they receive. A stored
+// route is never changed: subscribe, unsubscribe, disconnect and the first
+// publish of a format build a new one under Broker.mu and swap it in, so
+// publish reads it without a lock.
+type route struct {
+	formats []*routeFormat // arrival order; only ever appended to
+	classes []*class
+}
+
+// class is the subscribers that share a scope, the full format being one. A
+// publish builds one frame image per (class, trace capability) pair with
+// members and queues those same bytes on each of them. A scoped class's
+// slices of the stream's formats live as long as it has members.
+type class struct {
+	scope  string // interned: the field list as subscribe frames encode it; "" is the full format
+	fields []string
+	slices []*scopedFormat // by route format index
+	subs   [2][]*member    // [1]: negotiated capTrace when subscribing
+}
+
+// scopedFormat is a derived subset format with the conversion plan that
 // projects full records onto it.
 type scopedFormat struct {
-	format *pbio.Format
-	meta   []byte
-	plan   *dcg.Plan
+	formatMeta
+	plan *dcg.Plan
+	err  error // why the scope cannot slice the format, instead
 }
 
-type stream struct {
-	name string
-	// formats holds the metadata of every format seen on the stream, in
-	// arrival order, so late subscribers receive them on subscription.
-	formats []formatMeta
-	subs    map[*brokerConn]bool
-
-	// wire resolves the labeled (stream, format) counter children once per
-	// format seen on the stream. Guarded by the broker mutex.
-	wire map[pbio.FormatID]*streamWire
+// member is one subscriber's place in a class. sent counts the route's
+// leading formats whose metadata (a scoped class's slice of them) is queued
+// to bc.
+type member struct {
+	bc   *brokerConn
+	sent atomic.Int32
 }
 
-// streamWire carries one (stream, format) pair's resolved labeled counters
-// plus the names format_send flight events carry, so the fanout hot path
-// touches no maps or label vectors.
-type streamWire struct {
-	stream string
-	fname  string
-
-	recs      *obsv.Counter
-	bytes     *obsv.Counter
-	delRecs   *obsv.Counter
-	delBytes  *obsv.Counter
-	dropRecs  *obsv.Counter
-	metaBytes *obsv.Counter
+// format returns the index of the format with the given id, or -1.
+func (r *route) format(id pbio.FormatID) int {
+	return slices.IndexFunc(r.formats, func(rf *routeFormat) bool { return rf.id == id })
 }
 
-// wireFor returns (resolving and memoizing on first use) the pair's counters.
-// Caller holds the broker mutex.
-func (st *stream) wireFor(m *brokerMetrics, fm formatMeta) *streamWire {
-	if w, ok := st.wire[fm.id]; ok {
-		return w
+// members lists the route's subscribers.
+func (r *route) members() (out []*member) {
+	for _, c := range r.classes {
+		out = append(append(out, c.subs[0]...), c.subs[1]...)
 	}
+	return out
+}
+
+// without returns a copy of r with bc in no class. A class left without
+// members is left out, and its scoped formats with it.
+func (r *route) without(bc *brokerConn) *route {
+	next := &route{formats: r.formats}
+	for _, c := range r.classes {
+		nc := *c
+		for k, ms := range c.subs {
+			nc.subs[k] = slices.DeleteFunc(slices.Clone(ms), func(m *member) bool { return m.bc == bc })
+		}
+		if len(nc.subs[0])+len(nc.subs[1]) > 0 {
+			next.classes = append(next.classes, &nc)
+		}
+	}
+	return next
+}
+
+// routeFormat is one format seen on a stream, with the names format_send
+// events carry and its wire.*{stream,format} counters (published,
+// delivered, dropped, metadata sent), resolved once for the fanout.
+type routeFormat struct {
+	formatMeta
+	stream, fname                                       string
+	recs, bytes, delRecs, delBytes, dropRecs, metaBytes *obsv.Counter
+}
+
+func newRouteFormat(s obsv.Scope, stream string, fm formatMeta) *routeFormat {
 	name, err := pbio.MetaRootName(fm.meta)
 	if err != nil || name == "" {
 		name = fm.id.String() // undecodable metadata: fall back to the hex id
 	}
-	w := &streamWire{
-		stream:    st.name,
-		fname:     name,
-		recs:      m.wireRecVec.With(st.name, name),
-		bytes:     m.wireByteVec.With(st.name, name),
-		delRecs:   m.delRecVec.With(st.name, name),
-		delBytes:  m.delByteVec.With(st.name, name),
-		dropRecs:  m.dropRecVec.With(st.name, name),
-		metaBytes: m.metaByteVec.With(st.name, name),
+	wire := func(family string) *obsv.Counter {
+		return s.CounterVec("wire."+family, "stream", "format").With(stream, name)
 	}
-	st.wire[fm.id] = w
-	return w
+	return &routeFormat{fm, stream, name, wire("records"), wire("bytes"),
+		wire("delivered.records"), wire("delivered.bytes"), wire("dropped.records"), wire("meta.bytes")}
 }
 
-// fid64 renders a format ID as the uint64 flight events and /debug/flight
-// filters use.
+// fid64 renders a format ID as the uint64 flight events and filters use.
 func fid64(id pbio.FormatID) uint64 { return binary.BigEndian.Uint64(id[:]) }
 
 type formatMeta struct {
@@ -204,7 +220,7 @@ type brokerConn struct {
 
 	// caps holds the capabilities negotiated in the connection's hello
 	// exchange (0 until one happens). Written by the connection's reader
-	// goroutine, read by publishers' fanout goroutines.
+	// goroutine, read when it subscribes.
 	caps atomic.Uint32
 
 	wmu sync.Mutex // guards sentFormats ordering decisions
@@ -212,11 +228,12 @@ type brokerConn struct {
 	// sentFormats tracks which format IDs this (subscriber) connection has
 	// already received metadata for.
 	sentFormats map[pbio.FormatID]bool
-	// knownFormats maps IDs announced by this (publisher) connection.
+
+	// Publisher side, only for the connection's reader goroutine: formats
+	// announced, streams published to, and the frame-image prefix buffer.
 	knownFormats map[pbio.FormatID][]byte
-	// scopes maps stream name to the field slice this subscriber may see
-	// (nil = the full format).
-	scopes map[string][]string
+	streams      map[string]*stream
+	prefix       []byte
 
 	// queueWait is this connection's child of the broker's
 	// subscriber.queue_wait_ns vec, resolved once at accept so the writer
@@ -225,8 +242,8 @@ type brokerConn struct {
 }
 
 // outFrame is one queued outbound frame: the complete wire image (header
-// and payload in one buffer owned by the queue, so the writer issues a
-// single Write) plus what the dequeue side observes.
+// and payload in one buffer, shared by the subscribers of its class, so the
+// writer issues a single Write) plus what the dequeue side observes.
 type outFrame struct {
 	wire []byte
 	// enq stamps when the frame entered the queue; the writer loop turns it
@@ -343,7 +360,6 @@ func NewBroker(ln net.Listener, opts ...BrokerOption) *Broker {
 		conns:         make(map[*brokerConn]bool),
 		streams:       make(map[string]*stream),
 		plans:         dcg.NewCache(),
-		scoped:        make(map[scopeKey]*scopedFormat),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -405,11 +421,10 @@ func (b *Broker) Close() error {
 func (b *Broker) SubscriberCount(name string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st, ok := b.streams[name]
-	if !ok {
-		return 0
+	if st, ok := b.streams[name]; ok {
+		return len(st.route.Load().members())
 	}
-	return len(st.subs)
+	return 0
 }
 
 // Streams lists the streams that have been announced or published to.
@@ -437,19 +452,7 @@ func (b *Broker) acceptLoop() {
 			b.log.Error("accept failed", "err", err)
 			return
 		}
-		id := flight.NextConnID()
-		bc := &brokerConn{
-			conn:         conn,
-			id:           id,
-			queueWait:    b.m.queueWaitVec.With(strconv.FormatUint(id, 10)),
-			out:          make(chan outFrame, b.queueDepth),
-			outClose:     make(chan struct{}),
-			writerDone:   make(chan struct{}),
-			dropped:      b.m.dropped,
-			sentFormats:  make(map[pbio.FormatID]bool),
-			knownFormats: make(map[pbio.FormatID][]byte),
-			scopes:       make(map[string][]string),
-		}
+		bc := b.newConn(conn)
 		b.mu.Lock()
 		b.conns[bc] = true
 		b.mu.Unlock()
@@ -457,6 +460,23 @@ func (b *Broker) acceptLoop() {
 		b.wg.Add(2)
 		go b.writeLoop(bc)
 		go b.handle(bc)
+	}
+}
+
+// newConn returns the broker's side of an accepted connection.
+func (b *Broker) newConn(conn net.Conn) *brokerConn {
+	id := flight.NextConnID()
+	return &brokerConn{
+		conn:         conn,
+		id:           id,
+		queueWait:    b.m.queueWaitVec.With(strconv.FormatUint(id, 10)),
+		out:          make(chan outFrame, b.queueDepth),
+		outClose:     make(chan struct{}),
+		writerDone:   make(chan struct{}),
+		dropped:      b.m.dropped,
+		sentFormats:  make(map[pbio.FormatID]bool),
+		knownFormats: make(map[pbio.FormatID][]byte),
+		streams:      make(map[string]*stream),
 	}
 }
 
@@ -486,7 +506,7 @@ func (b *Broker) handle(bc *brokerConn) {
 		if err := b.dispatch(bc, typ, payload); err != nil {
 			b.log.Warn("dispatch failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
 			b.rec.Record(flight.KindBrokerError, bc.id, "", 0, 0, err.Error())
-			_, _ = bc.enqueue(frameError, []byte(err.Error()), droppable, nil)
+			_, _ = bc.send(frameError, []byte(err.Error()), droppable)
 			return
 		}
 	}
@@ -501,7 +521,7 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		}
 		bc.caps.Store(caps & localCaps)
 		b.rec.Record(flight.KindHello, bc.id, "", 0, int64(caps&localCaps), "negotiated")
-		_, err = bc.enqueue(frameHello, helloPayload(localCaps), mustSend, nil)
+		_, err = bc.send(frameHello, helloPayload(localCaps), mustSend)
 		return err
 
 	case frameAnnounce:
@@ -524,44 +544,15 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		return nil
 
 	case frameSubscribe:
-		name, rest, err := getStr(payload)
+		name, scope, fields, err := parseSubscribe(payload)
 		if err != nil {
 			return err
 		}
-		var scope []string
-		if len(rest) > 0 {
-			n := int(rest[0])
-			rest = rest[1:]
-			for i := 0; i < n; i++ {
-				var field string
-				if field, rest, err = getStr(rest); err != nil {
-					return err
-				}
-				scope = append(scope, field)
-			}
-		}
 		b.mu.Lock()
-		st := b.ensureStream(name)
-		st.subs[bc] = true
-		if scope != nil {
-			bc.scopes[name] = scope
-		} else {
-			delete(bc.scopes, name)
-		}
-		formats := append([]formatMeta(nil), st.formats...)
-		wires := make([]*streamWire, len(formats))
-		for i, fm := range formats {
-			wires[i] = st.wireFor(&b.m, fm)
-		}
+		r, c, m := b.subscribe(b.ensureStream(name), bc, scope, fields)
 		b.mu.Unlock()
-		// Deliver the stream's known formats (sliced if scoped) so the
-		// subscriber can decode records that arrive immediately.
-		for i, fm := range formats {
-			if err := b.deliverFormat(bc, name, fm, wires[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		// The stream's known formats (sliced if scoped) go out at once.
+		return b.sendFormats(r, c, m)
 
 	case frameUnsub:
 		name, _, err := getStr(payload)
@@ -570,7 +561,7 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		}
 		b.mu.Lock()
 		if st, ok := b.streams[name]; ok {
-			delete(st.subs, bc)
+			st.route.Store(st.route.Load().without(bc))
 		}
 		b.mu.Unlock()
 		return nil
@@ -585,7 +576,7 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		return b.publish(bc, payload, true)
 
 	case frameList:
-		_, err := bc.enqueue(frameStreams, []byte(strings.Join(b.Streams(), "\x00")), droppable, nil)
+		_, err := bc.send(frameStreams, []byte(strings.Join(b.Streams(), "\x00")), droppable)
 		return err
 
 	default:
@@ -593,269 +584,277 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 	}
 }
 
-// ensureStream returns the stream record, creating it if new. Caller holds
-// b.mu.
+// ensureStream returns the named stream, creating it. Caller holds b.mu.
 func (b *Broker) ensureStream(name string) *stream {
 	st, ok := b.streams[name]
 	if !ok {
-		st = &stream{name: name, subs: make(map[*brokerConn]bool), wire: make(map[pbio.FormatID]*streamWire)}
+		st = &stream{name: name}
+		st.route.Store(&route{})
 		b.streams[name] = st
 	}
 	return st
 }
 
-// delivery carries one published record through the fanout loop: the parsed
-// pieces, the payload variants (built lazily, shared across subscribers) and
-// the trace context when the record arrived in a traced frame.
-type delivery struct {
-	st     *stream
-	fm     formatMeta
-	w      *streamWire
-	record []byte // NDR record bytes (after the format id)
-	plain  []byte // frameEvent payload: stream || id || record
-	traced []byte // frameEventTrace payload: stream || trace ctx || id || record
+// subscribe stores the stream's route with bc a member of the class for
+// scope, in place of any subscription it had to the stream. A new scoped
+// class is sliced from every format the stream has seen. Caller holds b.mu.
+func (b *Broker) subscribe(st *stream, bc *brokerConn, scope string, fields []string) (*route, *class, *member) {
+	r := st.route.Load().without(bc) // a fresh copy, classes and all: ours to change
+	c := &class{scope: scope, fields: fields}
+	if i := slices.IndexFunc(r.classes, func(c *class) bool { return c.scope == scope }); i >= 0 {
+		c = r.classes[i]
+	} else {
+		for _, rf := range r.formats {
+			if fields != nil {
+				c.slices = append(c.slices, b.slice(rf.formatMeta, fields, trace.Ctx{}))
+			}
+		}
+		r.classes = append(r.classes, c)
+	}
+	m := &member{bc: bc}
+	k := bc.caps.Load() & capTrace // capTrace is bit 0: 1 when traced
+	c.subs[k] = append(c.subs[k], m)
+	st.route.Store(r)
+	return r, c, m
+}
 
+// addFormat stores the stream's route with fm appended and sliced for every
+// scoped class. Caller holds b.mu.
+func (b *Broker) addFormat(st *stream, fm formatMeta, tc trace.Ctx) {
+	r := st.route.Load()
+	next := &route{formats: append(slices.Clip(r.formats), newRouteFormat(b.obs, st.name, fm))}
+	for _, c := range r.classes {
+		if c.fields != nil {
+			nc := *c
+			nc.slices = append(slices.Clip(c.slices), b.slice(fm, c.fields, tc))
+			c = &nc
+		}
+		next.classes = append(next.classes, c)
+	}
+	st.route.Store(next)
+}
+
+// slice derives fm's subset restricted to fields, with the plan that
+// projects records onto it, or else the reason the scope cannot slice fm,
+// which fails each subscriber of the scope that meets the format. A
+// first-use compilation records a dcg.compile child span of tc.
+func (b *Broker) slice(fm formatMeta, fields []string, tc trace.Ctx) *scopedFormat {
+	full, err := pbio.UnmarshalMeta(fm.meta)
+	if err == nil {
+		var subset *pbio.Format
+		if subset, err = pbio.DeriveSubset(full, fields); err == nil {
+			var plan *dcg.Plan
+			if plan, err = b.plans.PlanCtx(tc, full, subset); err == nil {
+				return &scopedFormat{formatMeta: formatMeta{id: subset.ID, meta: pbio.MarshalMeta(subset)}, plan: plan}
+			}
+		}
+	}
+	return &scopedFormat{err: fmt.Errorf("scope %v: %w", fields, err)}
+}
+
+// delivery carries one published record through the fanout, with the trace
+// context when the record arrived in a traced frame.
+type delivery struct {
+	st       *stream
+	rf       *routeFormat
+	record   []byte    // NDR record bytes (after the format id)
+	enq      time.Time // the publish's one clock reading, before routing
+	prefix   *[]byte   // the publishing connection's image-prefix buffer
 	isTraced bool
 	tid      trace.TraceID
 	parent   trace.SpanID // outgoing parent: broker route span, or upstream's
 	route    trace.Ctx    // parents dcg.compile / dcg.convert child spans
 }
 
-// tracedPayload lazily builds the frameEventTrace payload.
-func (d *delivery) tracedPayload() []byte {
-	if d.traced == nil {
-		p := putStr(nil, d.st.name)
-		p = putTraceCtx(p, d.tid, d.parent)
-		p = append(p, d.fm.id[:]...)
-		p = append(p, d.record...)
-		d.traced = p
-	}
-	return d.traced
-}
-
 func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
-	start := time.Now()
-	name, rest, err := getStr(payload)
+	name, rest, err := getBytes(payload)
 	if err != nil {
 		return err
 	}
-	var tid trace.TraceID
-	var parent trace.SpanID
+	d := delivery{isTraced: isTraced, prefix: &bc.prefix}
 	if isTraced {
-		if tid, parent, rest, err = getTraceCtx(rest); err != nil {
+		if d.tid, d.parent, rest, err = getTraceCtx(rest); err != nil {
 			return err
 		}
 	}
 	if len(rest) < 8 {
 		return fmt.Errorf("%w: publish without format id", ErrBadFrame)
 	}
-	var id pbio.FormatID
-	copy(id[:], rest)
-
+	id := pbio.FormatID(rest[:8])
 	meta, ok := bc.knownFormats[id]
 	if !ok {
 		return fmt.Errorf("eventbus: publish on %q references unannounced format %s", name, id)
 	}
-
-	b.mu.Lock()
-	st := b.ensureStream(name)
-	if !st.hasFormat(id) {
-		st.formats = append(st.formats, formatMeta{id: id, meta: meta})
-	}
-	w := st.wireFor(&b.m, formatMeta{id: id, meta: meta})
-	subs := make([]*brokerConn, 0, len(st.subs))
-	for s := range st.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
-
-	b.m.published.Add(1)
-	w.recs.Add(1)
-	w.bytes.Add(int64(len(rest) - 8))
-
-	d := delivery{
-		st:       st,
-		fm:       formatMeta{id: id, meta: meta},
-		w:        w,
-		record:   rest[8:],
-		isTraced: isTraced,
-		tid:      tid,
-		parent:   parent,
-	}
+	d.record = rest[8:]
 	if isTraced {
 		// Record this hop's routing span. If the broker's tracer is off the
 		// record still carries the upstream context downstream, so
 		// subscriber-side spans keep linking into the trace.
-		d.route = b.tracer.Join(tid, parent).Child("broker.route")
+		d.route = b.tracer.Join(d.tid, d.parent).Child("broker.route")
 		if d.route.Sampled() {
 			d.parent = d.route.Span()
 		}
-		// The incoming payload embeds the publisher's parent id; rebuild the
-		// plain variant for subscribers that did not negotiate tracing.
-		p := putStr(nil, name)
-		p = append(p, id[:]...)
-		d.plain = append(p, d.record...)
-	} else {
-		d.plain = payload
 	}
+	d.enq = time.Now()
 
-	for _, sub := range subs {
-		if err := b.deliver(sub, &d); err != nil {
-			b.log.Warn("dropping subscriber", "conn", sub.id,
-				"remote", sub.conn.RemoteAddr().String(), "stream", name, "err", err)
-			b.rec.Record(flight.KindBrokerError, sub.id, name, fid64(id), 0, err.Error())
-			b.drop(sub)
-		}
+	// Only a stream new to this connection, or a format new to the stream,
+	// takes the control-plane lock.
+	if d.st = bc.streams[string(name)]; d.st == nil {
+		b.mu.Lock()
+		d.st = b.ensureStream(string(name))
+		b.mu.Unlock()
+		bc.streams[d.st.name] = d.st
 	}
-	d.route.FinishDetail(st.name)
+	r := d.st.route.Load()
+	if r.format(id) < 0 {
+		b.mu.Lock()
+		if d.st.route.Load().format(id) < 0 {
+			b.addFormat(d.st, formatMeta{id: id, meta: meta}, d.route)
+		}
+		b.mu.Unlock()
+		r = d.st.route.Load()
+	}
+	fi := r.format(id)
+	d.rf = r.formats[fi]
+
+	b.m.published.Add(1)
+	d.rf.recs.Add(1)
+	d.rf.bytes.Add(int64(len(d.record)))
+	for _, c := range r.classes {
+		b.fanout(r, c, fi, &d)
+	}
+	d.route.FinishDetail(d.st.name)
 	// Traced publishes stamp their TraceID onto the routing histogram bucket;
 	// untraced ones still count (trace.TraceID zero value short-circuits).
-	b.m.routeNS.ObserveExemplar(time.Since(start).Nanoseconds(), tid)
+	b.m.routeNS.ObserveExemplar(time.Since(d.enq).Nanoseconds(), d.tid)
 	return nil
 }
 
-// deliver routes one record to one subscriber, projecting it onto the
-// subscriber's scope when one is set. Subscribers that negotiated capTrace
-// receive traced records as frameEventTrace with this broker's route span as
-// the parent link; everyone else receives plain frameEvent.
-func (b *Broker) deliver(sub *brokerConn, d *delivery) error {
-	b.mu.Lock()
-	scope := sub.scopes[d.st.name]
-	b.mu.Unlock()
-	subTraced := d.isTraced && sub.caps.Load()&capTrace != 0
-	if scope == nil {
-		if err := b.sendFormat(sub, d.fm, d.w); err != nil {
-			return err
+// fanout queues the record to every member of class c, preceded by the
+// metadata of any format a member has not had yet: the same bytes on every
+// queue, one image for the members that get it plain and one for those
+// that get it traced. Deliveries and drops are counted in the labeled
+// (stream, format) family; enqueue counts the aggregate drop.
+func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
+	var sf *scopedFormat
+	if c.fields != nil {
+		sf = c.slices[fi]
+	}
+	f := outFrame{enq: d.enq}
+	if d.isTraced {
+		f.tid, f.parent, f.stream = d.tid, d.parent, d.st.name
+	}
+	var plain []byte
+	for k, members := range c.subs {
+		if len(members) == 0 {
+			continue
 		}
-		if subTraced {
-			return b.sendEvent(sub, d, frameEventTrace, d.tracedPayload())
+		traced := k == 1 && d.isTraced
+		var imageErr error
+		if f.wire = plain; traced || plain == nil {
+			f.wire, imageErr = d.image(sf, traced)
 		}
-		return b.sendEvent(sub, d, frameEvent, d.plain)
+		if !traced {
+			plain = f.wire
+		}
+		for _, m := range members {
+			err, queued := imageErr, false
+			// An enqueue readies the queue's writer onto this processor, so a
+			// queue past half full may be waiting for it: yield it first.
+			if 2*len(m.bc.out) > cap(m.bc.out) {
+				runtime.Gosched()
+			}
+			if err == nil && int(m.sent.Load()) <= fi {
+				err = b.sendFormats(r, c, m)
+			}
+			if err == nil {
+				queued, err = m.bc.enqueue(f, droppable)
+			}
+			switch {
+			case err != nil:
+				b.log.Warn("dropping subscriber", "conn", m.bc.id,
+					"remote", m.bc.conn.RemoteAddr().String(), "stream", d.st.name, "err", err)
+				b.rec.Record(flight.KindBrokerError, m.bc.id, d.st.name, fid64(d.rf.id), 0, err.Error())
+				b.drop(m.bc)
+			case queued:
+				b.m.delivered.Add(1)
+				d.rf.delRecs.Add(1)
+				d.rf.delBytes.Add(int64(len(f.wire) - pbio.FrameHeaderLen))
+			default:
+				d.rf.dropRecs.Add(1)
+			}
+		}
 	}
-	sf, err := b.scopedFor(d.fm, scope, d.route)
-	if err != nil {
-		// A scope the format cannot satisfy is the subscriber's error.
-		return fmt.Errorf("scope %v: %w", scope, err)
+}
+
+// image builds a class's frame: header, stream name, the trace context when
+// traced, format id, and the record, projected onto sf for a scoped class by
+// converting it straight into the frame. It is one allocation: the prefix is
+// built in the publishing connection's buffer, and the record's append
+// moves it into a fresh one.
+func (d *delivery) image(sf *scopedFormat, traced bool) ([]byte, error) {
+	typ, id := frameEvent, d.rf.id
+	if sf != nil {
+		if id = sf.id; sf.err != nil {
+			return nil, sf.err
+		}
 	}
-	converted, err := sf.plan.ConvertCtx(d.route, d.record)
-	if err != nil {
-		return fmt.Errorf("scope projection: %w", err)
-	}
-	if err := b.sendFormat(sub, formatMeta{id: sf.format.ID, meta: sf.meta}, d.w); err != nil {
-		return err
-	}
-	payload := putStr(nil, d.st.name)
-	typ := frameEvent
-	if subTraced {
+	p := putStr(pbio.BeginFrame((*d.prefix)[:0]), d.st.name)
+	if traced {
 		typ = frameEventTrace
-		payload = putTraceCtx(payload, d.tid, d.parent)
+		p = putTraceCtx(p, d.tid, d.parent)
 	}
-	payload = append(payload, sf.format.ID[:]...)
-	payload = append(payload, converted...)
-	return b.sendEvent(sub, d, typ, payload)
-}
-
-// sendEvent enqueues one event frame, counting delivery or the drop in the
-// labeled (stream, format) family; enqueue counts the aggregate drop.
-func (b *Broker) sendEvent(sub *brokerConn, d *delivery, typ byte, payload []byte) error {
-	queued, err := sub.enqueue(typ, payload, droppable, d)
-	if err != nil {
-		return err
-	}
-	if queued {
-		b.m.delivered.Add(1)
-		d.w.delRecs.Add(1)
-		d.w.delBytes.Add(int64(len(payload)))
+	p = append(p, id[:]...)
+	*d.prefix = p
+	var wire []byte
+	if sf == nil {
+		wire = append(append(make([]byte, 0, len(p)+len(d.record)), p...), d.record...)
 	} else {
-		d.w.dropRecs.Add(1)
-	}
-	return nil
-}
-
-// deliverFormat sends a stream format (or its scoped slice) to a subscriber.
-func (b *Broker) deliverFormat(sub *brokerConn, streamName string, fm formatMeta, w *streamWire) error {
-	b.mu.Lock()
-	scope := sub.scopes[streamName]
-	b.mu.Unlock()
-	if scope == nil {
-		return b.sendFormat(sub, fm, w)
-	}
-	sf, err := b.scopedFor(fm, scope, trace.Ctx{})
-	if err != nil {
-		return fmt.Errorf("scope %v: %w", scope, err)
-	}
-	return b.sendFormat(sub, formatMeta{id: sf.format.ID, meta: sf.meta}, w)
-}
-
-// scopedFor returns (building and memoizing if needed) the slice of the
-// format fm restricted to the given fields, with its conversion plan. A
-// first-use compilation records a dcg.compile child span of tc.
-func (b *Broker) scopedFor(fm formatMeta, scope []string, tc trace.Ctx) (*scopedFormat, error) {
-	key := scopeKey{id: fm.id, scope: strings.Join(scope, ",")}
-	b.mu.Lock()
-	sf, ok := b.scoped[key]
-	b.mu.Unlock()
-	if ok {
-		return sf, nil
-	}
-	full, err := pbio.UnmarshalMeta(fm.meta)
-	if err != nil {
-		return nil, err
-	}
-	subset, err := pbio.DeriveSubset(full, scope)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := b.plans.PlanCtx(tc, full, subset)
-	if err != nil {
-		return nil, err
-	}
-	sf = &scopedFormat{format: subset, meta: pbio.MarshalMeta(subset), plan: plan}
-	b.mu.Lock()
-	if prev, ok := b.scoped[key]; ok {
-		sf = prev
-	} else {
-		b.scoped[key] = sf
-	}
-	b.mu.Unlock()
-	return sf, nil
-}
-
-func (st *stream) hasFormat(id pbio.FormatID) bool {
-	for _, fm := range st.formats {
-		if fm.id == id {
-			return true
+		var err error
+		// p is full, so the first byte appended reallocates; a conversion
+		// that appended none left the image in the shared buffer.
+		if wire, err = sf.plan.AppendConvertCtx(d.route, p[:len(p):len(p)], d.record); err != nil {
+			return nil, fmt.Errorf("scope projection: %w", err)
+		}
+		if len(wire) == len(p) {
+			wire = slices.Clone(p)
 		}
 	}
-	return false
+	return wire, pbio.EndFrame(wire, typ, maxFrame)
 }
 
-// sendFormat sends format metadata to a subscriber once. The decision and
-// the enqueue happen under one lock so the format frame is queued before
-// any event frame that needs it. Metadata bytes count against the parent
-// (stream, format) wire pair when one is known — a scoped slice's bytes are
-// attributed to the full format it was derived from.
-func (b *Broker) sendFormat(sub *brokerConn, fm formatMeta, w *streamWire) error {
+// sendFormats queues to m, in route order and once per connection, the
+// metadata of each format of r it has not had (for a scoped class, the
+// format's slice), or fails with the reason the scope cannot slice one.
+// Deciding and queueing under the connection's wmu puts a format frame
+// ahead of every event frame that needs it. Metadata bytes count against
+// the (stream, format) pair, a slice's against the format it came from.
+func (b *Broker) sendFormats(r *route, c *class, m *member) error {
+	sub := m.bc
 	sub.wmu.Lock()
 	defer sub.wmu.Unlock()
-	if sub.sentFormats[fm.id] {
-		return nil
-	}
-	if _, err := sub.enqueue(frameFormat, fm.meta, mustSend, nil); err != nil {
-		if errors.Is(err, ErrSlowSubscriber) {
-			b.m.slowStalls.Add(1)
-			b.rec.Record(flight.KindSlowSubDrop, sub.id, "", fid64(fm.id), int64(len(fm.meta)), "format frame stalled")
+	for i := int(m.sent.Load()); i < len(r.formats); i++ {
+		rf, fm := r.formats[i], r.formats[i].formatMeta
+		if c.fields != nil {
+			if fm = c.slices[i].formatMeta; c.slices[i].err != nil {
+				return c.slices[i].err
+			}
 		}
-		return err
+		if !sub.sentFormats[fm.id] {
+			if _, err := sub.send(frameFormat, fm.meta, mustSend); err != nil {
+				if errors.Is(err, ErrSlowSubscriber) {
+					b.m.slowStalls.Add(1)
+					b.rec.Record(flight.KindSlowSubDrop, sub.id, "", fid64(fm.id), int64(len(fm.meta)), "format frame stalled")
+				}
+				return err
+			}
+			b.m.formatsSent.Add(1)
+			rf.metaBytes.Add(int64(len(fm.meta)))
+			b.rec.Record(flight.KindFormatSend, sub.id, rf.stream, fid64(fm.id), int64(len(fm.meta)), rf.fname)
+			sub.sentFormats[fm.id] = true
+		}
+		m.sent.Store(int32(i + 1))
 	}
-	b.m.formatsSent.Add(1)
-	if w != nil {
-		w.metaBytes.Add(int64(len(fm.meta)))
-		b.rec.Record(flight.KindFormatSend, sub.id, w.stream, fid64(fm.id), int64(len(fm.meta)), w.fname)
-	} else {
-		b.rec.Record(flight.KindFormatSend, sub.id, "", fid64(fm.id), int64(len(fm.meta)), "")
-	}
-	sub.sentFormats[fm.id] = true
 	return nil
 }
 
@@ -954,21 +953,20 @@ const (
 	mustSend  = true
 )
 
-// enqueue copies payload into a wire-ready frame, stamps it and queues it
-// for the writer loop — the one way onto a connection's outbound queue. d is
-// the delivery an event frame belongs to (nil for every other frame), whose
-// trace context rides along. It reports whether the frame was queued (false
-// with a nil error: dropped on a full queue, counted in the broker's drop
-// counter).
-func (bc *brokerConn) enqueue(typ byte, payload []byte, must bool, d *delivery) (bool, error) {
+// send queues payload as a frame of its own, stamped now: the way hello,
+// format, stream-list and error frames reach the writer loop.
+func (bc *brokerConn) send(typ byte, payload []byte, must bool) (bool, error) {
 	wire, err := newFrame(typ, payload)
 	if err != nil {
 		return false, err
 	}
-	f := outFrame{wire: wire, enq: time.Now()}
-	if d != nil && d.isTraced {
-		f.tid, f.parent, f.stream = d.tid, d.parent, d.st.name
-	}
+	return bc.enqueue(outFrame{wire: wire, enq: time.Now()}, must)
+}
+
+// enqueue queues f for the writer loop — the one way onto a connection's
+// outbound queue. It reports whether the frame was queued (false with a nil
+// error: dropped on a full queue, counted in the broker's drop counter).
+func (bc *brokerConn) enqueue(f outFrame, must bool) (bool, error) {
 	select {
 	case bc.out <- f:
 		return true, nil
@@ -1002,7 +1000,9 @@ func (b *Broker) unregister(bc *brokerConn) bool {
 	}
 	delete(b.conns, bc)
 	for _, st := range b.streams {
-		delete(st.subs, bc)
+		if r := st.route.Load(); slices.ContainsFunc(r.members(), func(m *member) bool { return m.bc == bc }) {
+			st.route.Store(r.without(bc))
+		}
 	}
 	return true
 }
@@ -1057,8 +1057,8 @@ func (b *Broker) Stats() BrokerStats {
 	s.Streams = len(b.streams)
 	seen := make(map[*brokerConn]bool)
 	for _, st := range b.streams {
-		for c := range st.subs {
-			seen[c] = true
+		for _, m := range st.route.Load().members() {
+			seen[m.bc] = true
 		}
 	}
 	s.Subscribers = len(seen)

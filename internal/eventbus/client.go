@@ -481,10 +481,13 @@ type Subscriber struct {
 	subs map[string][]string
 
 	// Receive-side state, touched only by the goroutine that calls Streams
-	// and then Next: the frame buffer, and the read-ahead over rdConn.
+	// and then Next: the frame buffer, the read-ahead over rdConn, and the
+	// last event's stream name, which the next event reuses when it names
+	// the same stream.
 	buf    []byte
 	rd     *bufio.Reader
 	rdConn net.Conn
+	stream string
 }
 
 // DialSubscriber connects a subscriber to the broker at addr, adopting
@@ -669,9 +672,12 @@ func (s *Subscriber) Next() (Event, error) {
 				return Event{}, err
 			}
 		case frameEvent, frameEventTrace:
-			name, rest, err := getStr(payload)
+			name, rest, err := getBytes(payload)
 			if err != nil {
 				return Event{}, err
+			}
+			if string(name) != s.stream {
+				s.stream = string(name)
 			}
 			var etc trace.Ctx
 			if typ == frameEventTrace {
@@ -691,7 +697,7 @@ func (s *Subscriber) Next() (Event, error) {
 			if !ok {
 				return Event{}, fmt.Errorf("eventbus: event references unknown format %s", id)
 			}
-			return Event{Stream: name, Format: f, Data: append([]byte(nil), rest[8:]...), Trace: etc}, nil
+			return Event{Stream: s.stream, Format: f, Data: append([]byte(nil), rest[8:]...), Trace: etc}, nil
 		case frameError:
 			return Event{}, &BrokerError{Msg: string(payload)}
 		case frameStreams, frameHello:

@@ -116,7 +116,7 @@ func waitForStream(t *testing.T, b *Broker, name string, wantSubs int) {
 		st, ok := b.streams[name]
 		n := 0
 		if ok {
-			n = len(st.subs)
+			n = len(st.route.Load().members())
 		}
 		b.mu.Unlock()
 		if ok && n == wantSubs {

@@ -193,12 +193,38 @@ func putStr(b []byte, s string) []byte {
 
 // getStr reads a length-prefixed string, returning the remainder.
 func getStr(b []byte) (string, []byte, error) {
+	s, rest, err := getBytes(b)
+	return string(s), rest, err
+}
+
+// parseSubscribe decodes a frameSubscribe body: the stream name, then
+// optionally a count byte and that many field names. scope is the field
+// list as encoded, which names the scope unambiguously; "" is no scope.
+func parseSubscribe(payload []byte) (name, scope string, fields []string, err error) {
+	name, rest, err := getStr(payload)
+	if err != nil || len(rest) == 0 || rest[0] == 0 {
+		return name, "", nil, err
+	}
+	list := rest
+	rest = rest[1:]
+	for i := 0; i < int(list[0]); i++ {
+		var field string
+		if field, rest, err = getStr(rest); err != nil {
+			return "", "", nil, err
+		}
+		fields = append(fields, field)
+	}
+	return name, string(list[:len(list)-len(rest)]), fields, nil
+}
+
+// getBytes is getStr without the copy: the string's bytes alias b.
+func getBytes(b []byte) ([]byte, []byte, error) {
 	if len(b) < 2 {
-		return "", nil, ErrBadFrame
+		return nil, nil, ErrBadFrame
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+n {
-		return "", nil, ErrBadFrame
+		return nil, nil, ErrBadFrame
 	}
-	return string(b[2 : 2+n]), b[2+n:], nil
+	return b[2 : 2+n], b[2+n:], nil
 }

@@ -1,0 +1,398 @@
+package eventbus
+
+import (
+	"context"
+	"net"
+	"testing"
+
+	"openmeta/internal/dcg"
+	"openmeta/internal/machine"
+	"openmeta/internal/obsv"
+	"openmeta/internal/pbio"
+)
+
+// routeRig is a broker whose connections are driven by hand: the test calls
+// dispatch on its own goroutine and drains the queues itself, so what it
+// measures is routing alone, with no socket, reader or writer goroutine.
+type routeRig struct {
+	b   *Broker
+	pub *brokerConn
+	f   *pbio.Format
+	// publish is one framePublish payload on countedStream.
+	publish []byte
+}
+
+func newRouteRig(t *testing.T, opts ...BrokerOption) *routeRig {
+	t.Helper()
+	b, err := Listen("127.0.0.1:0", append([]BrokerOption{WithSlog(quietLogger), WithObserver(obsv.New())}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	rig := &routeRig{b: b, f: flightFormat(t, machine.X86_64)}
+	rig.pub = rig.conn(t)
+	rig.dispatch(t, rig.pub, frameFormat, pbio.MarshalMeta(rig.f))
+	p := putStr(nil, countedStream)
+	p = append(p, rig.f.ID[:]...)
+	rig.publish = append(p, encodeFlight(t, rig.f, 7)...)
+	return rig
+}
+
+// conn is a broker connection the broker never reads or writes: its peer
+// end is a pipe nobody uses.
+func (rig *routeRig) conn(t *testing.T) *brokerConn {
+	t.Helper()
+	near, far := net.Pipe()
+	t.Cleanup(func() { _ = near.Close(); _ = far.Close() })
+	return rig.b.newConn(near)
+}
+
+func (rig *routeRig) dispatch(t *testing.T, bc *brokerConn, typ byte, payload []byte) {
+	t.Helper()
+	if err := rig.b.dispatch(bc, typ, payload); err != nil {
+		t.Fatalf("dispatch of frame type %d: %v", typ, err)
+	}
+}
+
+// subscribers subscribes n fresh connections with the given scope and
+// routes one record, so every later publish finds the format known and sent.
+func (rig *routeRig) subscribers(t *testing.T, n int, scope ...string) []*brokerConn {
+	t.Helper()
+	subs := make([]*brokerConn, n)
+	for i := range subs {
+		subs[i] = rig.conn(t)
+		rig.dispatch(t, subs[i], frameSubscribe, subscribePayload(countedStream, scope))
+	}
+	rig.dispatch(t, rig.pub, framePublish, rig.publish)
+	drainQueues(subs)
+	return subs
+}
+
+// drainQueues empties every connection's outbound queue, counting frames.
+func drainQueues(conns []*brokerConn) (frames int) {
+	for _, bc := range conns {
+		for len(bc.out) > 0 {
+			<-bc.out
+			frames++
+		}
+	}
+	return frames
+}
+
+// publishAllocs is the allocations one routed publish costs, queues drained
+// between publishes.
+func (rig *routeRig) publishAllocs(t *testing.T, subs []*brokerConn) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(200, func() {
+		if err := rig.b.dispatch(rig.pub, framePublish, rig.publish); err != nil {
+			t.Fatal(err)
+		}
+		if got := drainQueues(subs); got != len(subs) {
+			t.Fatalf("%d frames queued to %d subscribers", got, len(subs))
+		}
+	})
+}
+
+// TestRoutePlainPublishAllocsFlat pins the broker's cost of a plain publish:
+// one frame image, whatever the fan-out. Before route snapshots it was
+// 2+N: the subscriber list, a frame copy per subscriber, and the stream
+// name.
+func TestRoutePlainPublishAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need a build without the race detector")
+	}
+	var first float64
+	for _, n := range []int{1, 2, 4, 8} {
+		rig := newRouteRig(t)
+		allocs := rig.publishAllocs(t, rig.subscribers(t, n))
+		t.Logf("%d plain subscribers: %.2f allocations per publish", n, allocs)
+		if allocs > 1 {
+			t.Errorf("%d plain subscribers: %.2f allocations per publish, want at most 1", n, allocs)
+		}
+		if n == 1 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("%d plain subscribers: %.2f allocations per publish, %.2f for one: not flat", n, allocs, first)
+		}
+	}
+}
+
+// TestRouteScopedClassAllocsFlat pins a scoped class at one allocation per
+// publish however many subscribers share the scope: the record is projected
+// once, straight into the frame every member is sent.
+func TestRouteScopedClassAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need a build without the race detector")
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		rig := newRouteRig(t)
+		allocs := rig.publishAllocs(t, rig.subscribers(t, n, "cntrID", "eta"))
+		t.Logf("%d subscribers of one scope: %.2f allocations per publish", n, allocs)
+		if allocs != 1 {
+			t.Errorf("%d subscribers of one scope: %.2f allocations per publish, want 1", n, allocs)
+		}
+	}
+}
+
+// TestRouteScopedImageMatchesConvert: the frame a scoped class is sent is
+// the slice's id and the plan's conversion of the record, under the same
+// header a separately built frame would have.
+func TestRouteScopedImageMatchesConvert(t *testing.T) {
+	rig := newRouteRig(t)
+	sub := rig.conn(t)
+	rig.dispatch(t, sub, frameSubscribe, subscribePayload(countedStream, []string{"fltNum", "eta"}))
+	rig.dispatch(t, rig.pub, framePublish, rig.publish)
+	var frames []outFrame
+	for len(sub.out) > 0 {
+		frames = append(frames, <-sub.out)
+	}
+	if len(frames) != 2 || frames[0].wire[0] != frameFormat || frames[1].wire[0] != frameEvent {
+		t.Fatalf("queued %d frames, want the slice's format then the event", len(frames))
+	}
+	slice, err := pbio.UnmarshalMeta(frames[0].wire[pbio.FrameHeaderLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := dcg.Compile(rig.f, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := plan.Convert(encodeFlight(t, rig.f, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newFrame(frameEvent, append(append(putStr(nil, countedStream), slice.ID[:]...), record...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frames[1].wire; string(got) != string(want) {
+		t.Errorf("scoped frame:\n got %x\nwant %x", got, want)
+	}
+}
+
+// feedConn is a subscriber's connection to a broker that has sent head and
+// then sends loop over and over; what the subscriber writes is discarded.
+type feedConn struct {
+	net.Conn
+	head, loop []byte
+	at         int
+}
+
+func (c *feedConn) Read(p []byte) (int, error) {
+	if len(c.head) > 0 {
+		n := copy(p, c.head)
+		c.head = c.head[n:]
+		return n, nil
+	}
+	n := 0
+	for n < len(p) {
+		m := copy(p[n:], c.loop[c.at:])
+		n += m
+		c.at = (c.at + m) % len(c.loop)
+	}
+	return n, nil
+}
+
+func (c *feedConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRouteSubscriberNextAllocs pins Subscriber.Next on a plain record at
+// one allocation, the caller-owned Data: the stream name of the record
+// before is reused. It was two, the name allocated again for every record.
+func TestRouteSubscriberNextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need a build without the race detector")
+	}
+	f := flightFormat(t, machine.X86_64)
+	format, err := newFrame(frameFormat, pbio.MarshalMeta(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	event, err := newFrame(frameEvent, append(append(putStr(nil, countedStream), f.ID[:]...), encodeFlight(t, f, 7)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe()
+	defer far.Close()
+	conn := &feedConn{Conn: near, head: format, loop: event}
+	sub, err := DialSubscriber("feed", subCtx(t), WithDialFunc(func(_ context.Context, network, addr string) (net.Conn, error) {
+		return conn, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := sub.Next(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		ev, err := sub.Next()
+		if err != nil || ev.Stream != countedStream {
+			t.Fatalf("Next = %q, %v", ev.Stream, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Subscriber.Next: %.2f allocations per plain record, want 1 (its Data)", allocs)
+	}
+}
+
+// TestScopeChurnHoldsOneScopedFormat: a connection that re-subscribes with
+// scope after scope leaves the broker holding only the one it subscribes
+// with now. Scoped formats used to be kept for good, one per scope ever
+// named, so a peer could grow the broker without bound.
+func TestScopeChurnHoldsOneScopedFormat(t *testing.T) {
+	const scopes = 5000
+	rig := newRouteRig(t, WithPlanCache(dcg.NewCache(dcg.WithMaxEntries(16))))
+	ctx, err := pbio.NewContext(machine.X86_64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []string{"a", "b", "c", "d", "e", "f", "g"} // 7! = 5040 orders
+	specs := make([]pbio.FieldSpec, len(fields))
+	for i, name := range fields {
+		specs[i] = pbio.FieldSpec{Name: name, Kind: pbio.Int, CType: machine.CInt}
+	}
+	wide, err := ctx.RegisterSpec("Wide", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.dispatch(t, rig.pub, frameFormat, pbio.MarshalMeta(wide))
+	data, err := wide.Encode(pbio.Record{"a": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := append(append(putStr(nil, "wide"), wide.ID[:]...), data...)
+	rig.dispatch(t, rig.pub, framePublish, publish) // the stream knows the format
+
+	sub := rig.conn(t)
+	for i := 0; i < scopes; i++ {
+		rig.dispatch(t, sub, frameSubscribe, subscribePayload("wide", permutation(fields, i)))
+		drainQueues([]*brokerConn{sub})
+	}
+	rig.dispatch(t, rig.pub, framePublish, publish)
+	if got := drainQueues([]*brokerConn{sub}); got != 1 {
+		t.Fatalf("%d frames after the last scope, want the one event", got)
+	}
+	rig.b.mu.Lock()
+	r := rig.b.streams["wide"].route.Load()
+	rig.b.mu.Unlock()
+	held := 0
+	for _, c := range r.classes {
+		held += len(c.slices)
+	}
+	if held != 1 || len(r.classes) != 1 {
+		t.Errorf("after %d scopes the stream holds %d scoped formats in %d classes, want 1 in 1", scopes, held, len(r.classes))
+	}
+	if n := rig.b.PlanCacheLen(); n > 16 {
+		t.Errorf("plan cache holds %d plans, want at most its bound of 16", n)
+	}
+}
+
+// permutation returns the i-th ordering of fields (i < len(fields)!).
+func permutation(fields []string, i int) []string {
+	rest := append([]string(nil), fields...)
+	out := make([]string, 0, len(fields))
+	for len(rest) > 0 {
+		k := i % len(rest)
+		i /= len(rest)
+		out = append(out, rest[k])
+		rest = append(rest[:k], rest[k+1:]...)
+	}
+	return out
+}
+
+// TestRouteSwapsRacePublishes runs route rebuilds against publishes: while
+// a publisher sends records in two formats, one of them new halfway through,
+// another connection subscribes, re-scopes and unsubscribes over and over.
+// A plain and a scoped subscriber of the stream get every record, in order.
+func TestRouteSwapsRacePublishes(t *testing.T) {
+	const records = 400
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(obsv.New()), WithQueueDepth(2*records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	formats := []*pbio.Format{flightFormat(t, machine.Sparc), flightFormat(t, machine.X86_64)}
+
+	var steady []*Subscriber
+	for _, scope := range [][]string{nil, {"fltNum", "eta"}} {
+		sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		if err := sub.SubscribeFields("flights", scope...); err != nil {
+			t.Fatal(err)
+		}
+		steady = append(steady, sub)
+	}
+	waitForStream(t, b, "flights", 2)
+	churner, err := DialSubscriber(b.Addr().String(), subCtx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer churner.Close()
+	pub, err := DialPublisher(b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	stop, churned, drained := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() { // the churner's reads, so its queue never stalls a format frame
+		defer close(drained)
+		for {
+			if _, err := churner.Next(); err != nil {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer close(churned)
+		scopes := [][]string{nil, {"cntrID"}, {"eta", "fltNum"}, {"fltNum"}}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var err error
+			if i%5 == 4 {
+				err = churner.Unsubscribe("flights")
+			} else {
+				err = churner.SubscribeFields("flights", scopes[i%len(scopes)]...)
+			}
+			if err != nil {
+				t.Errorf("churn %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < records; i++ {
+		f := formats[0]
+		if i >= records/2 {
+			f = formats[i%2]
+		}
+		if err := pub.Publish("flights", f, encodeFlight(t, f, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, sub := range steady {
+		for i := 0; i < records; i++ {
+			ev, err := sub.Next()
+			if err != nil {
+				t.Fatalf("steady subscriber %d, record %d: %v", n, i, err)
+			}
+			rec, err := ev.Decode()
+			if err != nil {
+				t.Fatalf("steady subscriber %d, record %d: %v", n, i, err)
+			}
+			if rec["fltNum"] != int64(i) {
+				t.Fatalf("steady subscriber %d: record %d has fltNum %v", n, i, rec["fltNum"])
+			}
+		}
+	}
+	close(stop)
+	<-churned
+	_ = churner.Close()
+	<-drained
+}

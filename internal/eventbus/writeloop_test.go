@@ -51,7 +51,7 @@ func newWriteLoopRig(t *testing.T) *writeLoopRig {
 func (rig *writeLoopRig) send(t *testing.T, payloads ...[]byte) (writes int64) {
 	t.Helper()
 	enqueue := func(p []byte) {
-		if queued, err := rig.bc.enqueue(frameEvent, p, mustSend, nil); err != nil || !queued {
+		if queued, err := rig.bc.send(frameEvent, p, mustSend); err != nil || !queued {
 			t.Fatalf("enqueue: queued %v, err %v", queued, err)
 		}
 	}

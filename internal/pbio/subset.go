@@ -17,14 +17,20 @@ var ErrEmptySubset = errors.New("pbio: subset keeps no fields")
 //
 // Field order follows the original format. The derived format's name is
 // "<name>#<field,field,...>" so different slices of one format stay
-// distinguishable in catalogs.
+// distinguishable in catalogs. A selection that names a field twice is
+// rejected: it would mint another name for the same slice.
 func DeriveSubset(f *Format, fields []string) (*Format, error) {
 	keep := make(map[string]bool, len(fields))
+	named := make(map[string]bool, len(fields))
 	for _, name := range fields {
 		fl, ok := f.FieldByName(name)
 		if !ok {
 			return nil, fmt.Errorf("pbio: subset: format %q has no field %q", f.Name, name)
 		}
+		if named[name] {
+			return nil, fmt.Errorf("pbio: subset: field %q named twice", name)
+		}
+		named[name] = true
 		keep[name] = true
 		if fl.Dynamic {
 			keep[fl.CountField] = true

@@ -83,6 +83,23 @@ func TestDeriveSubsetErrors(t *testing.T) {
 	}
 }
 
+// TestDeriveSubsetRejectsRepeatedField: a field named twice would be one
+// more name for a slice that already has one. A count field named beside
+// the dynamic array that pulls it in is not a repeat.
+func TestDeriveSubsetRejectsRepeatedField(t *testing.T) {
+	f := registerB(t, machine.X86)
+	if _, err := DeriveSubset(f, []string{"cntrID", "dest", "cntrID"}); err == nil {
+		t.Error("a field named twice was accepted")
+	}
+	sub, err := DeriveSubset(f, []string{"eta", "eta_count"})
+	if err != nil {
+		t.Fatalf("a dynamic array with its count field named: %v", err)
+	}
+	if len(sub.Fields) != 2 {
+		t.Errorf("fields = %d, want 2", len(sub.Fields))
+	}
+}
+
 func TestDeriveSubsetPreservesOriginalOrder(t *testing.T) {
 	f := registerB(t, machine.X86)
 	sub, err := DeriveSubset(f, []string{"dest", "cntrID"}) // reversed request
