@@ -192,7 +192,8 @@ func (b *Binding) Decode(data []byte, out interface{}) error {
 	if rv.Type() != b.Type {
 		return fmt.Errorf("%w: bound to %s, got %s", ErrTypeMismatch, b.Type, rv.Type())
 	}
-	return b.Format.compiled().decode(data, goRecord{rv: rv, b: b})
+	_, err := b.Format.compiled().decode(data, goRecord{rv: rv, b: b})
+	return err
 }
 
 // setInteger stores an integer read off the wire — its 64 bits of two's

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 
 	"openmeta/internal/machine"
 )
@@ -14,40 +13,45 @@ import (
 // a generic Record. Scalar integers decode to int64, unsigned to uint64,
 // floats to float64, chars to int64, booleans to bool and strings to string;
 // arrays decode to typed slices of those; nested records decode to Record.
+//
+// The record's numeric scalars are boxed from one allocation, its slab (and
+// each array of records from one more), and its strings cut from another. A
+// value kept after the record is dropped keeps what it was cut from alive:
+// one held scalar keeps its record's slab, 8 bytes per numeric scalar.
 func (f *Format) Decode(data []byte) (Record, error) {
-	p := f.compiled()
-	rec := make(Record, len(p.ops))
-	if err := p.decode(data, goRecord{rec: rec}); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return f.compiled().decode(data, goRecord{})
 }
 
-// decoder reads one record. All of the record's strings are cut from strs,
-// which decode grows once to their total, so a record costs one string
-// allocation however many string fields it has.
+// decoder reads one record. All of the record's strings are cut from the
+// builder's arena, which decode grows once to their total, so a record costs
+// one string allocation however many string fields it has.
 type decoder struct {
 	data []byte
-	strs strings.Builder
+	RecordBuilder
 }
 
-// decode is the one decode walk, filling dst from data.
-func (p *program) decode(data []byte, dst goRecord) error {
+// decode is the one decode walk, filling dst from data. A zero dst asks for
+// a generic Record, which decode makes and returns.
+func (p *program) decode(data []byte, dst goRecord) (Record, error) {
 	if len(data) < p.size {
-		return fmt.Errorf("%w: %d bytes, fixed region needs %d", ErrTruncated, len(data), p.size)
+		return nil, fmt.Errorf("%w: %d bytes, fixed region needs %d", ErrTruncated, len(data), p.size)
 	}
 	if len(data) > MaxRecordSize {
-		return ErrRecordTooBig
+		return nil, ErrRecordTooBig
 	}
 	d := decoder{data: data}
+	if dst.b == nil {
+		d.begin(p, 1)
+		dst.rec = d.Record(p.format)
+	}
 	if p.strings {
 		d.strs.Grow(p.stringBytes(data, 0))
 	}
 	if err := d.record(p, 0, dst); err != nil {
-		return err
+		return nil, err
 	}
 	p.format.noteDecode(len(data))
-	return nil
+	return dst.rec, nil
 }
 
 // slot is where one decoded field goes: an entry of a generic Record, or a
@@ -102,9 +106,14 @@ func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
 		}
 		return err
 	case Nested:
-		return d.record(op.child, at, st.nested(op))
+		return d.record(op.child, at, d.nested(st, op))
 	case Int, Uint, Char, Float, Bool:
-		return st.setBits(op, machine.Uint(d.data[at:], p.order, int(op.size)))
+		raw := machine.Uint(d.data[at:], p.order, int(op.size))
+		if st.rec == nil {
+			return setBits(st.fv, op, raw)
+		}
+		st.rec[op.name] = d.number(op, raw)
+		return nil
 	default:
 		return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)
 	}
@@ -116,9 +125,7 @@ func (d *decoder) str(p *program, at int) (string, error) {
 	if len(b) == 0 {
 		return "", err
 	}
-	start := d.strs.Len()
-	d.strs.Write(b)
-	return d.strs.String()[start:], nil
+	return d.cut(b), nil
 }
 
 // array decodes the n elements at at, which dynamicRef (or the fixed-region
@@ -161,12 +168,14 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 			x = s
 		case Nested:
 			s := make([]Record, n)
+			outer := d.begin(op.child, n)
 			for i := range s {
-				s[i] = make(Record, len(op.child.ops))
+				s[i] = d.Record(op.child.format)
 				if err := d.record(op.child, at+i*size, goRecord{rec: s[i]}); err != nil {
 					return err
 				}
 			}
+			d.End(outer)
 			x = s
 		default:
 			return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)
@@ -213,7 +222,7 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 		m := min(n-i, len(buf))
 		machine.Ints(buf[:m], src[i*size:], p.order, size)
 		for k := 0; k < m; k++ {
-			if err := (&slot{fv: fv.Index(i + k)}).setBits(op, buf[k]); err != nil {
+			if err := setBits(fv.Index(i+k), op, buf[k]); err != nil {
 				return err
 			}
 		}
@@ -223,9 +232,9 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 
 // nested returns the record a nested field decodes into: a fresh Record, or
 // the bound struct (allocated when the field is a nil pointer).
-func (st *slot) nested(op *fieldOp) goRecord {
+func (d *decoder) nested(st *slot, op *fieldOp) goRecord {
 	if st.rec != nil {
-		sub := make(Record, len(op.child.ops))
+		sub := d.Record(op.child.format)
 		st.rec[op.name] = sub
 		return goRecord{rec: sub}
 	}
@@ -239,41 +248,42 @@ func (st *slot) nested(op *fieldOp) goRecord {
 	return goRecord{rv: fv, b: st.kid}
 }
 
-// setBits stores a numeric or boolean value given as the raw, zero-extended
-// bits read off the wire. A bound field too narrow for the value is an
-// error, never a silent wrap.
-func (st *slot) setBits(op *fieldOp, raw uint64) error {
-	bound := st.rec == nil
-	var x interface{}
+// number boxes a numeric or boolean value of a generic record, given as the
+// raw, zero-extended bits read off the wire.
+func (d *decoder) number(op *fieldOp, raw uint64) interface{} {
+	switch op.kind {
+	case Int, Char:
+		return d.Int(machine.SignExtend(raw, int(op.size)))
+	case Uint:
+		return d.Uint(raw)
+	case Float:
+		return d.Float(op.float(raw))
+	}
+	return d.Bool(raw != 0)
+}
+
+// setBits stores a numeric or boolean value, given as the raw, zero-extended
+// bits read off the wire, in a bound field. A field too narrow for the value
+// is an error, never a silent wrap.
+func setBits(fv reflect.Value, op *fieldOp, raw uint64) error {
 	switch op.kind {
 	case Int, Char:
 		i := machine.SignExtend(raw, int(op.size))
-		if bound {
-			return setInteger(st.fv, uint64(i), i < 0)
-		}
-		x = i
+		return setInteger(fv, uint64(i), i < 0)
 	case Uint:
-		if bound {
-			return setInteger(st.fv, raw, false)
-		}
-		x = raw
+		return setInteger(fv, raw, false)
 	case Float:
-		f := math.Float64frombits(raw)
-		if op.size == 4 {
-			f = float64(math.Float32frombits(uint32(raw)))
-		}
-		if bound {
-			st.fv.SetFloat(f)
-			return nil
-		}
-		x = f
+		fv.SetFloat(op.float(raw))
 	case Bool:
-		if bound {
-			st.fv.SetBool(raw != 0)
-			return nil
-		}
-		x = raw != 0
+		fv.SetBool(raw != 0)
 	}
-	st.rec[op.name] = x
 	return nil
+}
+
+// float reads raw as a float of the field's size.
+func (op *fieldOp) float(raw uint64) float64 {
+	if op.size == 4 {
+		return float64(math.Float32frombits(uint32(raw)))
+	}
+	return math.Float64frombits(raw)
 }

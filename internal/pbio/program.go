@@ -17,6 +17,10 @@ type program struct {
 	ptr    int // pointer-slot size
 	size   int // fixed-region size
 	ops    []fieldOp
+	// scalars is the number of numeric scalars a generic record of the
+	// format boxes: the non-array Int, Uint, Char and Float fields, here and
+	// in non-array nested records. A decode sizes its slab by it.
+	scalars int
 	// variable: some field, here or in a nested record, puts data in the
 	// variable region; strings: one of them is a string.
 	variable, strings bool
@@ -75,6 +79,13 @@ func compile(f *Format) *program {
 			op.child = fl.Nested.compiled()
 			op.strings = op.child.strings
 			op.variable = op.variable || op.child.variable
+		}
+		switch {
+		case op.array():
+		case fl.Kind == Nested:
+			p.scalars += op.child.scalars
+		case fl.Kind == Int, fl.Kind == Uint, fl.Kind == Char, fl.Kind == Float:
+			p.scalars++
 		}
 		if fl.Dynamic {
 			op.countIdx = int32(f.byName[fl.CountField])

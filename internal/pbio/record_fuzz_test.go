@@ -127,9 +127,10 @@ func fuzzFormats(tb testing.TB) []fuzzFormat {
 
 // FuzzDecodeRecord mutates NDR bytes under valid metadata. Neither decoder
 // may panic; the generic and the bound decoder must agree on whether the
-// record is acceptable (they share the program's one validation); and a
-// record that decodes must re-encode, to a canonical form that is stable
-// under a further decode and encode.
+// record is acceptable (they share the program's one validation); a generic
+// record that decodes must match its heap-boxed copy (its scalars sit in a
+// slab); and it must re-encode, to a canonical form that is stable under a
+// further decode and encode.
 func FuzzDecodeRecord(f *testing.F) {
 	formats := fuzzFormats(f)
 	for i, ff := range formats {
@@ -153,6 +154,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkReboxed(t, ff.format.Name, rec)
 		canon, err := ff.format.Encode(rec)
 		if err != nil {
 			t.Fatalf("%s: decoded record does not re-encode: %v", ff.format.Name, err)

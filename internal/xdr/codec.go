@@ -154,10 +154,13 @@ func appendDynamic(b []byte, f *pbio.Format, fl *pbio.Field, val interface{}) ([
 }
 
 // DecodeRecord unmarshals an XDR record of format f, producing the same
-// canonical value types as pbio.Format.Decode so results are comparable.
+// canonical value types as pbio.Format.Decode so results are comparable. The
+// record is made by a pbio.RecordBuilder, as Format.Decode's is.
 func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
 	d := NewDecoder(data)
-	rec, err := decodeInto(d, f)
+	var b pbio.RecordBuilder
+	b.Begin(f, 1)
+	rec, err := decodeInto(d, &b, f)
 	if err != nil {
 		return nil, err
 	}
@@ -167,8 +170,8 @@ func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
 	return rec, nil
 }
 
-func decodeInto(d *Decoder, f *pbio.Format) (pbio.Record, error) {
-	rec := make(pbio.Record, len(f.Fields))
+func decodeInto(d *Decoder, b *pbio.RecordBuilder, f *pbio.Format) (pbio.Record, error) {
+	rec := b.Record(f)
 	for i := range f.Fields {
 		fl := &f.Fields[i]
 		if skipAsCountField(f, fl) {
@@ -186,20 +189,20 @@ func decodeInto(d *Decoder, f *pbio.Format) (pbio.Record, error) {
 			if int(n)*4 > d.Remaining() {
 				return nil, fmt.Errorf("xdr: field %q: %w: count %d", fl.Name, ErrBadLength, n)
 			}
-			vals, err := decodeArray(d, f, fl, int(n))
+			vals, err := decodeArray(d, b, fl, int(n))
 			if err != nil {
 				return nil, fmt.Errorf("xdr: field %q: %w", fl.Name, err)
 			}
 			rec[fl.Name] = vals
-			rec[fl.CountField] = int64(n)
+			rec[fl.CountField] = b.Int(int64(n))
 		case fl.Count > 1:
-			vals, err := decodeArray(d, f, fl, fl.Count)
+			vals, err := decodeArray(d, b, fl, fl.Count)
 			if err != nil {
 				return nil, fmt.Errorf("xdr: field %q: %w", fl.Name, err)
 			}
 			rec[fl.Name] = vals
 		default:
-			v, err := decodeScalar(d, f, fl)
+			v, err := decodeScalar(d, b, fl)
 			if err != nil {
 				return nil, fmt.Errorf("xdr: field %q: %w", fl.Name, err)
 			}
@@ -209,102 +212,94 @@ func decodeInto(d *Decoder, f *pbio.Format) (pbio.Record, error) {
 	return rec, nil
 }
 
-func decodeScalar(d *Decoder, f *pbio.Format, fl *pbio.Field) (interface{}, error) {
+func decodeScalar(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field) (interface{}, error) {
 	switch fl.Kind {
 	case pbio.Int, pbio.Char:
-		if fl.ElemSize == 8 {
-			return d.Int64()
-		}
-		v, err := d.Int32()
-		return int64(v), err
+		v, err := readInt(d, fl.ElemSize)
+		return b.Int(v), err
 	case pbio.Uint:
-		if fl.ElemSize == 8 {
-			return d.Uint64()
-		}
-		v, err := d.Uint32()
-		return uint64(v), err
+		v, err := readUint(d, fl.ElemSize)
+		return b.Uint(v), err
 	case pbio.Float:
-		if fl.ElemSize == 4 {
-			v, err := d.Float32()
-			return float64(v), err
-		}
-		return d.Float64()
+		v, err := readFloat(d, fl.ElemSize)
+		return b.Float(v), err
 	case pbio.Bool:
-		return d.Bool()
+		v, err := d.Bool()
+		return b.Bool(v), err
 	case pbio.String:
 		return d.String()
 	case pbio.Nested:
-		return decodeInto(d, fl.Nested)
+		return decodeInto(d, b, fl.Nested)
 	default:
 		return nil, fmt.Errorf("unsupported kind %v", fl.Kind)
 	}
 }
 
-func decodeArray(d *Decoder, f *pbio.Format, fl *pbio.Field, n int) (interface{}, error) {
+// decodeArray reads n elements straight into the typed slice of the field's
+// kind; an array of records takes one slab for all of its elements.
+func decodeArray(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field, n int) (interface{}, error) {
 	switch fl.Kind {
 	case pbio.Int, pbio.Char:
-		out := make([]int64, n)
-		for i := range out {
-			v, err := decodeScalar(d, f, fl)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(int64)
-		}
-		return out, nil
+		return decodeEach(d, fl.ElemSize, n, readInt)
 	case pbio.Uint:
-		out := make([]uint64, n)
-		for i := range out {
-			v, err := decodeScalar(d, f, fl)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(uint64)
-		}
-		return out, nil
+		return decodeEach(d, fl.ElemSize, n, readUint)
 	case pbio.Float:
-		out := make([]float64, n)
-		for i := range out {
-			v, err := decodeScalar(d, f, fl)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(float64)
-		}
-		return out, nil
+		return decodeEach(d, fl.ElemSize, n, readFloat)
 	case pbio.Bool:
-		out := make([]bool, n)
-		for i := range out {
-			v, err := decodeScalar(d, f, fl)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(bool)
-		}
-		return out, nil
+		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (bool, error) { return d.Bool() })
 	case pbio.String:
-		out := make([]string, n)
-		for i := range out {
-			v, err := decodeScalar(d, f, fl)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(string)
-		}
-		return out, nil
+		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (string, error) { return d.String() })
 	case pbio.Nested:
+		outer := b.Begin(fl.Nested, n)
 		out := make([]pbio.Record, n)
 		for i := range out {
-			v, err := decodeInto(d, fl.Nested)
-			if err != nil {
+			var err error
+			if out[i], err = decodeInto(d, b, fl.Nested); err != nil {
 				return nil, err
 			}
-			out[i] = v
 		}
+		b.End(outer)
 		return out, nil
 	default:
 		return nil, fmt.Errorf("unsupported kind %v", fl.Kind)
 	}
+}
+
+func decodeEach[T any](d *Decoder, size, n int, read func(*Decoder, int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	for i := range out {
+		var err error
+		if out[i], err = read(d, size); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// readInt, readUint and readFloat read one number of a field whose elements
+// are size bytes.
+func readInt(d *Decoder, size int) (int64, error) {
+	if size == 8 {
+		return d.Int64()
+	}
+	v, err := d.Int32()
+	return int64(v), err
+}
+
+func readUint(d *Decoder, size int) (uint64, error) {
+	if size == 8 {
+		return d.Uint64()
+	}
+	v, err := d.Uint32()
+	return uint64(v), err
+}
+
+func readFloat(d *Decoder, size int) (float64, error) {
+	if size == 4 {
+		v, err := d.Float32()
+		return float64(v), err
+	}
+	return d.Float64()
 }
 
 // --- coercion (mirrors the NDR encoder's tolerance) ------------------------

@@ -1,0 +1,47 @@
+package xdr_test
+
+// An external test package: internal/bench, whose records Table 2 decodes,
+// imports xdr.
+
+import (
+	"testing"
+
+	"openmeta/internal/bench"
+	"openmeta/internal/machine"
+	"openmeta/internal/pbio"
+	"openmeta/internal/xdr"
+)
+
+// TestXDRDecodeAllocations pins the XDR decoder on Table 2's records, the
+// ones xmlwire's TestDecodeRecordAllocations and pbio's
+// TestFormatDecodeAllocations pin. Its record is made by the same
+// pbio.RecordBuilder as Format.Decode's, so it differs from NDR only in its
+// strings: two allocations each (the opaque bytes, then the string) where NDR
+// cuts all of a record's from one.
+func TestXDRDecodeAllocations(t *testing.T) {
+	ctx, err := pbio.NewContext(machine.Native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	works, err := bench.SizeSweep(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Boxing every array element through interface{} took 18 / 138 / 1,271 /
+	// 12,571.
+	want := map[string]float64{"mixed100B": 11, "mixed1KB": 19, "mixed10KB": 31, "mixed100KB": 31}
+	for _, w := range works {
+		data, err := xdr.EncodeRecord(w.Format, w.Record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := xdr.DecodeRecord(w.Format, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want[w.Name] {
+			t.Errorf("%s: xdr.DecodeRecord = %v allocations, want %v", w.Name, got, want[w.Name])
+		}
+	}
+}

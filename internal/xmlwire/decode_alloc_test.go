@@ -15,8 +15,10 @@ import (
 // TestDecodeRecordAllocations pins the XML-text decoder on Table 2's records
 // to one pass that allocates per field, not per element: the 100 KB record
 // has ten times the 10 KB record's array elements and may cost only the
-// extra growth of that one slice. Parsing into a DOM and walking it took 81 /
-// 678 / 6,331 / 62,847.
+// extra growth of that one slice. Its record is made by pbio.RecordBuilder,
+// so its numeric scalars share one slab; boxing each took 19 / 42 / 71 / 80,
+// and parsing into a DOM and walking it 81 / 678 / 6,331 / 62,847. The 100 KB
+// count reads 39 or 40 from run to run.
 func TestDecodeRecordAllocations(t *testing.T) {
 	ctx, err := pbio.NewContext(machine.Native)
 	if err != nil {
@@ -26,7 +28,7 @@ func TestDecodeRecordAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limits := map[string]float64{"mixed100B": 25, "mixed1KB": 50, "mixed10KB": 80, "mixed100KB": 90}
+	limits := map[string]float64{"mixed100B": 12, "mixed1KB": 23, "mixed10KB": 31, "mixed100KB": 40}
 	got := map[string]float64{}
 	for _, w := range works {
 		text, err := xmlwire.EncodeRecord(w.Format, w.Record)
@@ -43,7 +45,7 @@ func TestDecodeRecordAllocations(t *testing.T) {
 			t.Errorf("%s: %.0f allocations, want at most %.0f", w.Name, got[w.Name], limits[w.Name])
 		}
 	}
-	if extra := got["mixed100KB"] - got["mixed10KB"]; extra > 15 {
-		t.Errorf("mixed100KB takes %.0f more allocations than mixed10KB, want at most 15", extra)
+	if extra := got["mixed100KB"] - got["mixed10KB"]; extra > 9 {
+		t.Errorf("mixed100KB takes %.0f more allocations than mixed10KB, want at most 9", extra)
 	}
 }

@@ -254,7 +254,8 @@ func appendString(dst []byte, fl *pbio.Field, v string) ([]byte, error) {
 // matched to fields by name as their start tags arrive, scalars are parsed
 // from the token text and array elements appended to typed slices. The count
 // fields of dynamic arrays are reconstructed from the number of repeated
-// elements. Decoded strings may share one copy of data, never data itself.
+// elements. The record is made by a pbio.RecordBuilder, as Format.Decode's
+// is. Decoded strings may share one copy of data, never data itself.
 //
 // A document that is not well-formed is reported as that, whatever else is
 // wrong with it. Otherwise the first of these is: a root that is not the
@@ -263,7 +264,8 @@ func appendString(dst []byte, fl *pbio.Field, v string) ([]byte, error) {
 // field's first value that does not parse. A nested record is held to the
 // same order at its field's turn.
 func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
-	d := decoder{xmltext.NewTokenizer(string(data))}
+	d := decoder{xmltext.NewTokenizer(string(data)), new(pbio.RecordBuilder)}
+	d.b.Begin(f, 1)
 	var rec pbio.Record
 	var bad error
 	for {
@@ -282,7 +284,10 @@ func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
 // decoder reads one message. Each method consumes the element whose start
 // tag was just read, through its end tag; at a syntax error it stops early,
 // and the tokenizer repeats the error to DecodeRecord.
-type decoder struct{ tok *xmltext.Tokenizer }
+type decoder struct {
+	tok *xmltext.Tokenizer
+	b   *pbio.RecordBuilder
+}
 
 // children calls visit with the name of each child element, which visit
 // consumes.
@@ -358,7 +363,7 @@ func (d decoder) record(f *pbio.Format, name string) (pbio.Record, error) {
 	if unknown != nil {
 		return nil, unknown
 	}
-	rec := make(pbio.Record, len(f.Fields))
+	rec := d.b.Record(f)
 	for i := range f.Fields {
 		fl, el := &f.Fields[i], &fields[i]
 		if isCountField(f, fl) {
@@ -371,7 +376,7 @@ func (d decoder) record(f *pbio.Format, name string) (pbio.Record, error) {
 		case el.bad != nil:
 			return nil, el.bad
 		case fl.Dynamic:
-			rec[fl.CountField] = int64(el.n)
+			rec[fl.CountField] = d.b.Int(int64(el.n))
 			fallthrough
 		case fl.Count > 1:
 			rec[fl.Name] = el.array(fl.Kind)
@@ -402,7 +407,8 @@ func (d decoder) nested(fl *pbio.Field) (pbio.Record, error) {
 }
 
 // elems gathers the elements of one field as they arrive: a scalar field's
-// value boxed, an array field's in the typed slice of its kind.
+// value boxed by the builder, an array field's in the typed slice of its
+// kind.
 type elems struct {
 	n   int   // elements read
 	bad error // the first whose content did not decode
@@ -420,8 +426,17 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 	e.n++
 	array := fl.Dynamic || fl.Count > 1
 	if fl.Kind == pbio.Nested {
+		// An element of an array of records takes a slab of its own: the
+		// array's length is known only at its end.
+		var outer pbio.Slab
+		if array {
+			outer = d.b.Begin(fl.Nested, 1)
+		}
 		rec, err := d.nested(fl)
-		put(e, &e.recs, array, rec)
+		if array {
+			d.b.End(outer)
+		}
+		put(e, &e.recs, array, rec, record)
 		e.keep(err)
 		return
 	}
@@ -432,21 +447,21 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 	case pbio.Int, pbio.Char:
 		var v int64
 		v, err = strconv.ParseInt(s, 10, 64)
-		put(e, &e.ints, array, v)
+		put(e, &e.ints, array, v, d.b.Int)
 	case pbio.Uint:
 		var v uint64
 		v, err = strconv.ParseUint(s, 10, 64)
-		put(e, &e.uints, array, v)
+		put(e, &e.uints, array, v, d.b.Uint)
 	case pbio.Float:
 		var v float64
 		v, err = strconv.ParseFloat(s, 64)
-		put(e, &e.floats, array, v)
+		put(e, &e.floats, array, v, d.b.Float)
 	case pbio.Bool:
 		var v bool
 		v, err = strconv.ParseBool(s)
-		put(e, &e.bools, array, v)
+		put(e, &e.bools, array, v, d.b.Bool)
 	case pbio.String:
-		put(e, &e.strs, array, text)
+		put(e, &e.strs, array, text, str)
 	default:
 		e.keep(fmt.Errorf("%w: kind %v", ErrBadValue, fl.Kind))
 	}
@@ -455,13 +470,19 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 	}
 }
 
-func put[T any](e *elems, vals *[]T, array bool, v T) {
+// put appends v to an array field's values, or keeps a scalar field's v
+// boxed by box.
+func put[T any](e *elems, vals *[]T, array bool, v T, box func(T) interface{}) {
 	if array {
 		*vals = append(*vals, v)
 	} else {
-		e.val = v
+		e.val = box(v)
 	}
 }
+
+func str(s string) interface{} { return s }
+
+func record(r pbio.Record) interface{} { return r }
 
 func (e *elems) keep(err error) {
 	if e.bad == nil {
