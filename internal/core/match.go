@@ -109,7 +109,7 @@ func scoreXML(f *pbio.Format, sh shape, instance []byte) MatchScore {
 	}
 	for i := range f.Fields {
 		fl := &f.Fields[i]
-		if isImplicitCount(f, fl) {
+		if fl.IsCount() {
 			continue
 		}
 		possible++
@@ -144,7 +144,7 @@ func scoreXML(f *pbio.Format, sh shape, instance []byte) MatchScore {
 	// Elements the format does not know cost a point each, elements named
 	// for an implicit count field included.
 	for _, name := range sh.names {
-		if fl, ok := f.FieldByName(name); ok && !isImplicitCount(f, fl) {
+		if fl, ok := f.FieldByName(name); ok && !fl.IsCount() {
 			continue
 		}
 		possible += float64(sh.counts[name])
@@ -156,15 +156,6 @@ func scoreXML(f *pbio.Format, sh shape, instance []byte) MatchScore {
 		ms.Score = earned / possible
 	}
 	return ms
-}
-
-func isImplicitCount(f *pbio.Format, fl *pbio.Field) bool {
-	for i := range f.Fields {
-		if f.Fields[i].Dynamic && f.Fields[i].CountField == fl.Name {
-			return true
-		}
-	}
-	return false
 }
 
 // MatchBinary scores a raw NDR record against candidate formats: a

@@ -176,9 +176,11 @@ func TestMarshalMetaNestedAllocations(t *testing.T) {
 	}
 }
 
-// Format.Decode cuts every string of a record from one allocation: beyond the
-// header a generic Record boxes per string value, the bytes of one string or
-// of all eight cost one allocation.
+// Format.Decode cuts every string of a record from one allocation, and boxes
+// every string header from one slab whose size the format fixes: the bytes of
+// one string or of all eight cost one allocation, and their headers none
+// beyond what a record with no string set pays. With a header box per string
+// value, one and eight strings cost n+1+1 and n+8+1.
 func TestDecodeStringsShareOneAllocation(t *testing.T) {
 	ctx := newCtx(t, machine.X86)
 	var specs []FieldSpec
@@ -201,7 +203,7 @@ func TestDecodeStringsShareOneAllocation(t *testing.T) {
 		return testing.AllocsPerRun(100, func() { _, _ = f.Decode(data) })
 	}
 	none, one, all := allocs(0), allocs(1), allocs(8)
-	if one != none+1+1 || all != none+8+1 {
-		t.Errorf("Decode allocations with 0/1/8 strings set = %v/%v/%v, want n, n+1+1, n+8+1 (headers + one for all bytes)", none, one, all)
+	if one != none+1 || all != none+1 {
+		t.Errorf("Decode allocations with 0/1/8 strings set = %v/%v/%v, want n, n+1, n+1 (one for all bytes)", none, one, all)
 	}
 }

@@ -14,10 +14,16 @@ import (
 // floats to float64, chars to int64, booleans to bool and strings to string;
 // arrays decode to typed slices of those; nested records decode to Record.
 //
-// The record's numeric scalars are boxed from one allocation, its slab (and
-// each array of records from one more), and its strings cut from another. A
-// value kept after the record is dropped keeps what it was cut from alive:
-// one held scalar keeps its record's slab, 8 bytes per numeric scalar.
+// The record's values are boxed from one slab per kind: its numeric
+// scalars from one, its string headers from another and its array headers
+// from a third (and each array of records takes one more of each). Its
+// string bytes are cut from one arena. A value kept after the record is
+// dropped keeps what it was cut from alive:
+//   - a held number keeps the numeric slab, 8 bytes per numeric scalar;
+//   - a held string keeps the string-header slab, 16 bytes per string, and
+//     the arena;
+//   - a held array keeps the slice-header slab, 24 bytes per array, and the
+//     backing arrays of all of the record's arrays.
 func (f *Format) Decode(data []byte) (Record, error) {
 	return f.compiled().decode(data, goRecord{})
 }
@@ -45,7 +51,7 @@ func (p *program) decode(data []byte, dst goRecord) (Record, error) {
 		dst.rec = d.Record(p.format)
 	}
 	if p.strings {
-		d.strs.Grow(p.stringBytes(data, 0))
+		d.arena.Grow(p.stringBytes(data, 0))
 	}
 	if err := d.record(p, 0, dst); err != nil {
 		return nil, err
@@ -100,7 +106,7 @@ func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
 	case String:
 		s, err := d.str(p, at)
 		if st.rec != nil {
-			st.rec[op.name] = s
+			st.rec[op.name] = d.Str(s)
 		} else {
 			st.fv.SetString(s)
 		}
@@ -142,21 +148,21 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 		case Int, Char:
 			s := make([]int64, n)
 			machine.Ints(s, src, p.order, size)
-			x = s
+			x = d.Ints(s)
 		case Uint:
 			s := make([]uint64, n)
 			machine.Ints(s, src, p.order, size)
-			x = s
+			x = d.Uints(s)
 		case Float:
 			s := make([]float64, n)
 			machine.Floats(s, src, p.order, size)
-			x = s
+			x = d.Floats(s)
 		case Bool:
 			s := make([]bool, n)
 			for i := range s {
 				s[i] = src[i] != 0
 			}
-			x = s
+			x = d.Bools(s)
 		case String:
 			s := make([]string, n)
 			for i := range s {
@@ -165,7 +171,7 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 					return err
 				}
 			}
-			x = s
+			x = d.Strings(s)
 		case Nested:
 			s := make([]Record, n)
 			outer := d.begin(op.child, n)
@@ -176,7 +182,7 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 				}
 			}
 			d.End(outer)
-			x = s
+			x = d.Records(s)
 		default:
 			return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)
 		}

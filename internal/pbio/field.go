@@ -91,6 +91,9 @@ type Field struct {
 	// Dynamic marks a dynamically sized array; its length is carried by the
 	// integer field named CountField.
 	Dynamic bool
+	// isCount marks a field that some dynamic array of the format names as
+	// its CountField. Registration, UnmarshalMeta and DeriveSubset set it.
+	isCount bool
 	// CountField names the length-carrying field for dynamic arrays.
 	CountField string
 	// Nested is the element format for Kind == Nested.
@@ -102,6 +105,11 @@ type Field struct {
 	// (which live in the variable region behind a pointer slot).
 	Slot int
 }
+
+// IsCount reports whether the field carries the length of a dynamic array
+// of its format. XDR and XML text leave such a field off the wire, since
+// their arrays carry their own length.
+func (f *Field) IsCount() bool { return f.isCount }
 
 // Reference reports whether the field's fixed-region slot holds a reference
 // into the variable region rather than the data itself.

@@ -280,6 +280,7 @@ func finishFormat(f *Format) error {
 			return fmt.Errorf("%w: format %q field %q is not a scalar integer",
 				ErrBadCountField, f.Name, cf.Name)
 		}
+		cf.isCount = true
 	}
 	if err := checkMetaWidths(f); err != nil {
 		return err

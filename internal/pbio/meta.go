@@ -318,6 +318,7 @@ func validateRemote(f *Format) error {
 			if (cf.Kind != Int && cf.Kind != Uint) || cf.Count != 1 || cf.Dynamic {
 				return fmt.Errorf("%w: count field %q is not a scalar integer", ErrBadMeta, cf.Name)
 			}
+			cf.isCount = true
 		}
 		if fl.Kind == String && fl.Dynamic {
 			return fmt.Errorf("%w: field %q: dynamic string arrays unsupported", ErrBadMeta, fl.Name)

@@ -17,10 +17,11 @@ type program struct {
 	ptr    int // pointer-slot size
 	size   int // fixed-region size
 	ops    []fieldOp
-	// scalars is the number of numeric scalars a generic record of the
-	// format boxes: the non-array Int, Uint, Char and Float fields, here and
-	// in non-array nested records. A decode sizes its slab by it.
-	scalars int
+	// scalars, strs and slices are the numeric scalars, strings and arrays
+	// a generic record of the format boxes: the non-array Int, Uint, Char
+	// and Float fields, the non-array String fields and the array fields,
+	// here and in non-array nested records. A decode sizes its slabs by them.
+	scalars, strs, slices int
 	// variable: some field, here or in a nested record, puts data in the
 	// variable region; strings: one of them is a string.
 	variable, strings bool
@@ -82,8 +83,13 @@ func compile(f *Format) *program {
 		}
 		switch {
 		case op.array():
+			p.slices++
 		case fl.Kind == Nested:
 			p.scalars += op.child.scalars
+			p.strs += op.child.strs
+			p.slices += op.child.slices
+		case fl.Kind == String:
+			p.strs++
 		case fl.Kind == Int, fl.Kind == Uint, fl.Kind == Char, fl.Kind == Float:
 			p.scalars++
 		}

@@ -154,7 +154,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkReboxed(t, ff.format.Name, rec)
+		testutil.CheckReboxed(t, ff.format.Name, rec)
 		canon, err := ff.format.Encode(rec)
 		if err != nil {
 			t.Fatalf("%s: decoded record does not re-encode: %v", ff.format.Name, err)

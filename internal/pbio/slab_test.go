@@ -1,11 +1,9 @@
 package pbio_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -15,53 +13,6 @@ import (
 	"openmeta/internal/xdr"
 	"openmeta/internal/xmlwire"
 )
-
-// reboxed copies a decoded value with every scalar in a heap box of its own,
-// the way Go's conversion boxes it. reflect.New makes the copy addressable,
-// and Interface copies an addressable value; reflect.ValueOf(v).Interface()
-// alone would hand back v's own data word.
-func reboxed(v interface{}) interface{} {
-	switch x := v.(type) {
-	case nil:
-		return nil
-	case pbio.Record:
-		out := make(pbio.Record, len(x))
-		for k, e := range x {
-			out[k] = reboxed(e)
-		}
-		return out
-	case []pbio.Record:
-		out := make([]pbio.Record, len(x))
-		for i, r := range x {
-			out[i] = reboxed(r).(pbio.Record)
-		}
-		return out
-	}
-	c := reflect.New(reflect.TypeOf(v)).Elem()
-	c.Set(reflect.ValueOf(v))
-	return c.Interface()
-}
-
-// checkReboxed fails unless rec and its heap-boxed copy agree under
-// reflect.DeepEqual, fmt.Sprint and encoding/json. NaN is unequal to itself
-// under DeepEqual, so a record that prints one is compared by its printed
-// and marshalled forms alone.
-func checkReboxed(t testing.TB, what string, rec pbio.Record) {
-	t.Helper()
-	ref := reboxed(rec).(pbio.Record)
-	got, want := fmt.Sprint(rec), fmt.Sprint(ref)
-	if got != want {
-		t.Fatalf("%s: fmt.Sprint of the decoded record\n%s\ndiffers from its heap-boxed copy\n%s", what, got, want)
-	}
-	if !strings.Contains(got, "NaN") && !reflect.DeepEqual(rec, ref) {
-		t.Fatalf("%s: decoded record is not DeepEqual to its heap-boxed copy", what)
-	}
-	gj, gerr := json.Marshal(rec)
-	wj, werr := json.Marshal(ref)
-	if (gerr == nil) != (werr == nil) || string(gj) != string(wj) {
-		t.Fatalf("%s: json.Marshal = %s (err %v), heap-boxed copy %s (err %v)", what, gj, gerr, wj, werr)
-	}
-}
 
 func dataWord(x interface{}) unsafe.Pointer {
 	return (*[2]unsafe.Pointer)(unsafe.Pointer(&x))[1]
@@ -112,35 +63,48 @@ func TestSlabRecordMatchesHeapBoxed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: decode: %v", what, err)
 				}
-				checkReboxed(t, what, rec)
+				testutil.CheckReboxed(t, what, rec)
 				if !reflect.DeepEqual(rec, want) {
 					t.Fatalf("%s: decoded %v, want %v", what, rec, want)
 				}
 			}
 		}
 	}
-	// The reference is a real copy: a re-boxed scalar has a data word of
-	// its own.
-	x := pbio.Record{"v": (&pbio.RecordBuilder{}).Float(1.5)}
-	if dataWord(x["v"]) == dataWord(reboxed(x).(pbio.Record)["v"]) {
-		t.Fatal("reboxed shares the decoded value's data word")
+	// The reference is a real copy: a re-boxed number, string or array has a
+	// data word of its own.
+	var b pbio.RecordBuilder
+	x := pbio.Record{"v": b.Float(1.5), "s": b.Str("kept"), "a": b.Ints([]int64{1, 2})}
+	ref := testutil.Reboxed(x).(pbio.Record)
+	for k := range x {
+		if dataWord(x[k]) == dataWord(ref[k]) {
+			t.Fatalf("Reboxed shares the data word of the decoded value %q", k)
+		}
 	}
 }
 
-// TestSlabScalarOutlivesRecord keeps one scalar of a decoded record and
-// drops the rest. Its slab must stay alive, and unchanged, through
-// collections that recycle memory of the slab's size class and through later
+// TestSlabScalarOutlivesRecord keeps a number, a string and an array of a
+// decoded record and drops the rest. Their slabs, the string arena and the
+// array's backing array must stay alive, and unchanged, through collections
+// that recycle memory of the slabs' size classes and through 100 later
 // decodes of other values.
 func TestSlabScalarOutlivesRecord(t *testing.T) {
 	ctx, err := pbio.NewContext(machine.X86_64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []pbio.FieldSpec
-	rec := pbio.Record{}
+	specs := []pbio.FieldSpec{
+		{Name: "arr", Kind: pbio.Float, CType: machine.CDouble, Dynamic: true, CountField: "arr_count"},
+		{Name: "arr_count", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "ia", Kind: pbio.Int, CType: machine.CInt, Count: 3},
+	}
+	rec := pbio.Record{"arr": []float64{0.5, 1.5, 2.5}, "ia": []int64{7, 8, 9}}
 	for i := 0; i < 16; i++ {
 		specs = append(specs, pbio.FieldSpec{Name: fmt.Sprintf("d%d", i), Kind: pbio.Float, CType: machine.CDouble})
 		rec[fmt.Sprintf("d%d", i)] = 1000.125 + float64(i)
+	}
+	for i := 0; i < 4; i++ {
+		specs = append(specs, pbio.FieldSpec{Name: fmt.Sprintf("s%d", i), Kind: pbio.String})
+		rec[fmt.Sprintf("s%d", i)] = fmt.Sprintf("kept string %d", i)
 	}
 	f, err := ctx.RegisterSpec("Kept", specs)
 	if err != nil {
@@ -150,36 +114,53 @@ func TestSlabScalarOutlivesRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range rec {
-		rec[k] = -1.0
+	for k, v := range rec {
+		switch v.(type) {
+		case float64:
+			rec[k] = -1.0
+		case string:
+			rec[k] = "lost string x"
+		}
 	}
+	rec["arr"], rec["ia"] = []float64{-1, -1, -1}, []int64{-1, -1, -1}
 	other, err := f.Encode(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := func() interface{} {
+	var num, str, arr interface{}
+	func() {
 		got, err := f.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got["d7"]
+		num, str, arr = got["d7"], got["s2"], got["arr"]
 	}()
+	// Garbage of each slab's size: 17 numeric words, 4 string headers and
+	// 2 slice headers.
 	var sink [][]uint64
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 100; i++ {
 		runtime.GC()
-		for j := 0; j < 1000; j++ {
-			g := make([]uint64, len(specs))
-			for k := range g {
-				g[k] = ^uint64(0)
+		for j := 0; j < 300; j++ {
+			for _, n := range []int{17, 8, 6} {
+				g := make([]uint64, n)
+				for k := range g {
+					g[k] = ^uint64(0)
+				}
+				sink = append(sink, g)
 			}
-			sink = append(sink, g)
 		}
 		sink = nil
 		if _, err := f.Decode(other); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if kept != 1007.125 {
-		t.Fatalf("kept scalar reads %v after collections, want 1007.125", kept)
+	if num != 1007.125 {
+		t.Errorf("kept number reads %v after collections, want 1007.125", num)
+	}
+	if str != "kept string 2" {
+		t.Errorf("kept string reads %q after collections, want %q", str, "kept string 2")
+	}
+	if !reflect.DeepEqual(arr, []float64{0.5, 1.5, 2.5}) {
+		t.Errorf("kept array reads %v after collections, want [0.5 1.5 2.5]", arr)
 	}
 }

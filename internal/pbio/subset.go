@@ -54,6 +54,7 @@ func DeriveSubset(f *Format, fields []string) (*Format, error) {
 			continue
 		}
 		fl := *src // copies Kind/ElemSize/Count/Dynamic/CountField/Nested
+		fl.isCount = false
 		align := fieldAlign(f.Arch, &fl)
 		offset = alignUp(offset, align)
 		fl.Offset = offset
@@ -65,6 +66,11 @@ func DeriveSubset(f *Format, fields []string) (*Format, error) {
 		sub.Fields = append(sub.Fields, fl)
 	}
 	sub.Size = alignUp(offset, sub.Align)
+	for i := range sub.Fields {
+		if fl := &sub.Fields[i]; fl.Dynamic {
+			sub.Fields[sub.byName[fl.CountField]].isCount = true
+		}
+	}
 	if err := checkMetaWidths(sub); err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func AppendRecord(b []byte, f *pbio.Format, rec pbio.Record) ([]byte, error) {
 	var err error
 	for i := range f.Fields {
 		fl := &f.Fields[i]
-		if skipAsCountField(f, fl) {
+		if fl.IsCount() {
 			continue
 		}
 		val := rec[fl.Name]
@@ -48,17 +48,6 @@ func AppendRecord(b []byte, f *pbio.Format, rec pbio.Record) ([]byte, error) {
 		}
 	}
 	return b, nil
-}
-
-// skipAsCountField reports whether fl only exists to carry a dynamic array
-// length (XDR arrays are self-describing, so the field is redundant).
-func skipAsCountField(f *pbio.Format, fl *pbio.Field) bool {
-	for i := range f.Fields {
-		if f.Fields[i].Dynamic && f.Fields[i].CountField == fl.Name {
-			return true
-		}
-	}
-	return false
 }
 
 func appendScalar(b []byte, f *pbio.Format, fl *pbio.Field, val interface{}) ([]byte, error) {
@@ -174,7 +163,7 @@ func decodeInto(d *Decoder, b *pbio.RecordBuilder, f *pbio.Format) (pbio.Record,
 	rec := b.Record(f)
 	for i := range f.Fields {
 		fl := &f.Fields[i]
-		if skipAsCountField(f, fl) {
+		if fl.IsCount() {
 			continue
 		}
 		switch {
@@ -227,7 +216,8 @@ func decodeScalar(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field) (interface{
 		v, err := d.Bool()
 		return b.Bool(v), err
 	case pbio.String:
-		return d.String()
+		v, err := d.String()
+		return b.Str(v), err
 	case pbio.Nested:
 		return decodeInto(d, b, fl.Nested)
 	default:
@@ -236,19 +226,20 @@ func decodeScalar(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field) (interface{
 }
 
 // decodeArray reads n elements straight into the typed slice of the field's
-// kind; an array of records takes one slab for all of its elements.
+// kind, which the builder boxes; an array of records takes one slab of each
+// kind for all of its elements.
 func decodeArray(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field, n int) (interface{}, error) {
 	switch fl.Kind {
 	case pbio.Int, pbio.Char:
-		return decodeEach(d, fl.ElemSize, n, readInt)
+		return decodeEach(d, fl.ElemSize, n, readInt, b.Ints)
 	case pbio.Uint:
-		return decodeEach(d, fl.ElemSize, n, readUint)
+		return decodeEach(d, fl.ElemSize, n, readUint, b.Uints)
 	case pbio.Float:
-		return decodeEach(d, fl.ElemSize, n, readFloat)
+		return decodeEach(d, fl.ElemSize, n, readFloat, b.Floats)
 	case pbio.Bool:
-		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (bool, error) { return d.Bool() })
+		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (bool, error) { return d.Bool() }, b.Bools)
 	case pbio.String:
-		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (string, error) { return d.String() })
+		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (string, error) { return d.String() }, b.Strings)
 	case pbio.Nested:
 		outer := b.Begin(fl.Nested, n)
 		out := make([]pbio.Record, n)
@@ -259,13 +250,14 @@ func decodeArray(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field, n int) (inte
 			}
 		}
 		b.End(outer)
-		return out, nil
+		return b.Records(out), nil
 	default:
 		return nil, fmt.Errorf("unsupported kind %v", fl.Kind)
 	}
 }
 
-func decodeEach[T any](d *Decoder, size, n int, read func(*Decoder, int) (T, error)) ([]T, error) {
+func decodeEach[T any](d *Decoder, size, n int, read func(*Decoder, int) (T, error),
+	box func([]T) interface{}) (interface{}, error) {
 	out := make([]T, n)
 	for i := range out {
 		var err error
@@ -273,7 +265,7 @@ func decodeEach[T any](d *Decoder, size, n int, read func(*Decoder, int) (T, err
 			return nil, err
 		}
 	}
-	return out, nil
+	return box(out), nil
 }
 
 // readInt, readUint and readFloat read one number of a field whose elements

@@ -12,9 +12,10 @@ import (
 
 // FuzzDecodeXDRRecord throws arbitrary bytes at the XDR decoder, which parses
 // what peers send (openmeta.DecodeXDR), under the all-kinds format, the
-// nested-array Path format and four generated ones. It must never panic, and
-// a record it accepts must re-encode and decode back to itself, with the same
-// bytes both times.
+// nested-array Path format and four generated ones. It must never panic; a
+// record it accepts must match its heap-boxed copy (its values sit in the
+// record builder's slabs), and re-encode and decode back to itself, with the
+// same bytes both times.
 func FuzzDecodeXDRRecord(f *testing.F) {
 	formats := []*pbio.Format{allKindsFormat(f), pathFormat(f)}
 	values := []pbio.Record{allKindsRecord(), {"pts": []pbio.Record{{"x": 1.5, "tag": "a"}}}}
@@ -47,6 +48,7 @@ func FuzzDecodeXDRRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		testutil.CheckReboxed(t, fm.Name, rec)
 		enc, err := EncodeRecord(fm, rec)
 		if err != nil {
 			t.Fatalf("accepted record does not encode: %v\ninput: %x", err, data)

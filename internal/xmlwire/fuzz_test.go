@@ -14,8 +14,10 @@ import (
 // FuzzDecodeXMLRecord throws arbitrary text at the XML-text decoder, which
 // parses what peers send (openmeta.DecodeXMLText, ompub, Table 4's XML-text
 // ping-pong), under the all-kinds format and four generated ones. It must
-// never panic, and a record it accepts must re-encode and decode back to
-// itself, with the same text both times.
+// never panic; a record it accepts must match its heap-boxed copy (its values
+// sit in the record builder's slabs, or on the heap past their end, which
+// only malformed text reaches), and re-encode and decode back to itself, with
+// the same text both times.
 func FuzzDecodeXMLRecord(f *testing.F) {
 	formats := []*pbio.Format{allKindsFormat(f)}
 	values := []pbio.Record{{"s": "a<&>b", "p": pbio.Record{"x": 1.5}, "bools": []bool{true}}}
@@ -47,6 +49,7 @@ func FuzzDecodeXMLRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		testutil.CheckReboxed(t, fm.Name, rec)
 		text, err := EncodeRecord(fm, rec)
 		if err != nil {
 			t.Fatalf("accepted record does not encode: %v\ninput: %q", err, doc)

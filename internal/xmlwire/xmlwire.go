@@ -50,7 +50,7 @@ func AppendRecord(dst []byte, f *pbio.Format, rec pbio.Record) ([]byte, error) {
 	dst = openTag(dst, f.Name)
 	for i := range f.Fields {
 		fl := &f.Fields[i]
-		if isCountField(f, fl) {
+		if fl.IsCount() {
 			continue
 		}
 		var err error
@@ -67,15 +67,6 @@ func openTag(dst []byte, name string) []byte {
 
 func closeTag(dst []byte, name string) []byte {
 	return append(append(append(dst, "</"...), name...), '>')
-}
-
-func isCountField(f *pbio.Format, fl *pbio.Field) bool {
-	for i := range f.Fields {
-		if f.Fields[i].Dynamic && f.Fields[i].CountField == fl.Name {
-			return true
-		}
-	}
-	return false
 }
 
 func appendField(dst []byte, fl *pbio.Field, val interface{}) ([]byte, error) {
@@ -366,7 +357,7 @@ func (d decoder) record(f *pbio.Format, name string) (pbio.Record, error) {
 	rec := d.b.Record(f)
 	for i := range f.Fields {
 		fl, el := &f.Fields[i], &fields[i]
-		if isCountField(f, fl) {
+		if fl.IsCount() {
 			continue
 		}
 		if want := max(fl.Count, 1); !fl.Dynamic && el.n != want {
@@ -379,7 +370,7 @@ func (d decoder) record(f *pbio.Format, name string) (pbio.Record, error) {
 			rec[fl.CountField] = d.b.Int(int64(el.n))
 			fallthrough
 		case fl.Count > 1:
-			rec[fl.Name] = el.array(fl.Kind)
+			rec[fl.Name] = el.array(d.b, fl.Kind)
 		default:
 			rec[fl.Name] = el.val
 		}
@@ -426,7 +417,7 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 	e.n++
 	array := fl.Dynamic || fl.Count > 1
 	if fl.Kind == pbio.Nested {
-		// An element of an array of records takes a slab of its own: the
+		// An element of an array of records takes slabs of its own: the
 		// array's length is known only at its end.
 		var outer pbio.Slab
 		if array {
@@ -461,7 +452,7 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 		v, err = strconv.ParseBool(s)
 		put(e, &e.bools, array, v, d.b.Bool)
 	case pbio.String:
-		put(e, &e.strs, array, text, str)
+		put(e, &e.strs, array, text, d.b.Str)
 	default:
 		e.keep(fmt.Errorf("%w: kind %v", ErrBadValue, fl.Kind))
 	}
@@ -480,8 +471,6 @@ func put[T any](e *elems, vals *[]T, array bool, v T, box func(T) interface{}) {
 	}
 }
 
-func str(s string) interface{} { return s }
-
 func record(r pbio.Record) interface{} { return r }
 
 func (e *elems) keep(err error) {
@@ -490,22 +479,22 @@ func (e *elems) keep(err error) {
 	}
 }
 
-// array returns the field's values as a typed slice, empty rather than nil
-// for none, as Decode gives them.
-func (e *elems) array(k pbio.Kind) interface{} {
+// array returns the field's values as a typed slice boxed by b, empty
+// rather than nil for none, as Decode gives them.
+func (e *elems) array(b *pbio.RecordBuilder, k pbio.Kind) interface{} {
 	switch k {
 	case pbio.Int, pbio.Char:
-		return nonNil(e.ints)
+		return b.Ints(nonNil(e.ints))
 	case pbio.Uint:
-		return nonNil(e.uints)
+		return b.Uints(nonNil(e.uints))
 	case pbio.Float:
-		return nonNil(e.floats)
+		return b.Floats(nonNil(e.floats))
 	case pbio.Bool:
-		return nonNil(e.bools)
+		return b.Bools(nonNil(e.bools))
 	case pbio.String:
-		return nonNil(e.strs)
+		return b.Strings(nonNil(e.strs))
 	}
-	return nonNil(e.recs)
+	return b.Records(nonNil(e.recs))
 }
 
 func nonNil[T any](vals []T) []T {
