@@ -9,12 +9,12 @@
 //	eventbusd -addr :8701
 //	eventbusd -addr :8701 -debug-addr 127.0.0.1:8781 -queue-depth 512
 //
-// With -debug-addr the broker serves live counters (/stats, /debug/vars),
-// the protocol flight recorder (/debug/flight), health endpoints (/healthz,
-// /readyz) and pprof profiles (/debug/pprof/) on a second listener; GET
-// /debug lists every endpoint:
+// With -debug-addr the broker serves its metrics (/metrics), the protocol
+// flight recorder (/debug/flight), health endpoints (/healthz, /readyz) and
+// pprof profiles (/debug/pprof/) on a second listener; GET /debug lists
+// every endpoint, and omtop -addr 127.0.0.1:8781 watches /metrics live:
 //
-//	curl http://127.0.0.1:8781/stats
+//	curl http://127.0.0.1:8781/metrics
 //	curl http://127.0.0.1:8781/debug/flight?n=50
 //	curl http://127.0.0.1:8781/readyz
 //
@@ -57,12 +57,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("eventbusd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8701", "listen address")
-	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/vars, /debug/flight, /healthz, /readyz and /debug/pprof on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/flight, /debug/trace, /healthz, /readyz and /debug/pprof on this address")
 	queueDepth := fs.Int("queue-depth", 0, "per-subscriber outbound queue depth (0 = default)")
 	writeDeadline := fs.Duration("write-deadline", 0, "per-subscriber flush deadline before a stalled peer is dropped (0 = default 2s)")
-	statsInterval := fs.Duration("stats-interval", 0, "log a one-line stats delta this often (0 = off)")
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N traces (1 = all, 0 = tracing off)")
-	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (/stats?exemplars=1, OpenMetrics /metrics)")
+	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (OpenMetrics /metrics)")
 	planCacheMax := fs.Int("plan-cache-max", 0, "bound the scoped-conversion plan cache to this many entries (0 = unbounded)")
 	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate for /debug/pprof/mutex and /debug/pprof/block (N samples ~1-in-N contention events and blocks >= N ns; 0 = off)")
 	logFormat := fs.String("log-format", "text", "diagnostic log format: text or json")
@@ -79,8 +78,8 @@ func run(args []string) error {
 	runtime.SetMutexProfileFraction(*contentionRate)
 	runtime.SetBlockProfileRate(*contentionRate)
 	// Runtime telemetry (GC pauses, scheduler latency, heap, goroutines)
-	// rides the same registry as the broker's own metrics, so /stats and
-	// /metrics carry it with no extra wiring.
+	// rides the same registry as the broker's own metrics, so /metrics carries
+	// it with no extra wiring.
 	stopRuntime := obsv.StartRuntimeMetrics(obsv.Default(), time.Second)
 	defer stopRuntime()
 	var opts []eventbus.BrokerOption
@@ -119,13 +118,7 @@ func run(args []string) error {
 			return err
 		}
 		logger.Info("debug endpoints up", "component", "eventbusd",
-			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /healthz /readyz /debug/pprof")
-	}
-	if *statsInterval > 0 {
-		stop := obsv.StartStatsLogger(obsv.Default(), *statsInterval, func(format string, args ...interface{}) {
-			logger.Info(fmt.Sprintf(format, args...), "component", "stats")
-		})
-		defer stop()
+			"addr", dbg.String(), "paths", "/debug /metrics /debug/flight /debug/trace /healthz /readyz /debug/pprof")
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -9,7 +9,7 @@
 //
 // Documents are validated on load; GET /schemas/ lists names, GET
 // /schemas/<name> returns a document with an ETag for revalidation. With
-// -debug-addr a second listener serves /stats, /metrics, /debug/flight,
+// -debug-addr a second listener serves /metrics, /debug/flight,
 // /debug/trace, /healthz, /readyz and pprof (GET /debug lists everything);
 // -contention-rate turns on the runtime's mutex and block profiles there.
 // Diagnostics go to stderr via log/slog; -log-format selects text or json.
@@ -48,9 +48,8 @@ func run(args []string) error {
 	dir := fs.String("dir", "", "directory of <name>.xsd schema documents to serve")
 	builtin := fs.Bool("builtin", false, "serve the built-in airline scenario schemas")
 	writable := fs.Bool("writable", false, "accept PUT/DELETE so streams can publish their own metadata")
-	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/vars, /healthz, /readyz and /debug/pprof on this address")
-	statsInterval := fs.Duration("stats-interval", 0, "log a one-line stats delta this often (0 = off)")
-	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (/stats?exemplars=1, OpenMetrics /metrics)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/flight, /debug/trace, /healthz, /readyz and /debug/pprof on this address")
+	exemplarsOn := fs.Bool("exemplars", true, "attach trace exemplars to latency histogram buckets (OpenMetrics /metrics)")
 	contentionRate := fs.Int("contention-rate", 0, "runtime mutex/block profiling rate for /debug/pprof/mutex and /debug/pprof/block (0 = off)")
 	logFormat := fs.String("log-format", "text", "diagnostic log format: text or json")
 	if err := fs.Parse(args); err != nil {
@@ -127,13 +126,7 @@ func run(args []string) error {
 			return err
 		}
 		logger.Info("debug endpoints up", "component", "metaserver",
-			"addr", dbg.String(), "paths", "/debug /stats /metrics /debug/flight /debug/trace /healthz /readyz /debug/pprof")
-	}
-	if *statsInterval > 0 {
-		stop := obsv.StartStatsLogger(obsv.Default(), *statsInterval, func(format string, args ...interface{}) {
-			logger.Info(fmt.Sprintf(format, args...), "component", "stats")
-		})
-		defer stop()
+			"addr", dbg.String(), "paths", "/debug /metrics /debug/flight /debug/trace /healthz /readyz /debug/pprof")
 	}
 	for _, n := range repo.Names() {
 		logger.Info("schema loaded", "component", "metaserver", "name", n)

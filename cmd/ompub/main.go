@@ -15,7 +15,7 @@
 // continuing. Demo publishing is paced with -pace (delay between events),
 // useful for feeding a live broker at a steady rate.
 //
-// With -debug-addr the publisher serves its own /stats, /debug/trace and
+// With -debug-addr the publisher serves its own /metrics, /debug/trace and
 // /debug/flight.
 package main
 
@@ -55,7 +55,7 @@ func run(args []string) error {
 	n := fs.Int("n", 10, "number of demo events")
 	pace := fs.Duration("pace", 0, "delay between demo events (0 = publish as fast as possible)")
 	seed := fs.Int64("seed", 1, "demo generator seed")
-	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/vars and /debug/pprof on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/flight, /debug/trace and /debug/pprof on this address")
 	reconnect := fs.Bool("reconnect", false, "redial the broker with backoff when the connection breaks")
 	dialTimeout := fs.Duration("dial-timeout", 0, "per-attempt broker dial timeout (0 = default 10s)")
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N published records (1 = all, 0 = tracing off)")
@@ -72,7 +72,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "ompub: stats and pprof at http://%s/stats\n", dbg)
+		fmt.Fprintf(os.Stderr, "ompub: metrics and pprof at http://%s/metrics\n", dbg)
 	}
 
 	pctx, err := pbio.NewContext(machine.Native)

@@ -13,7 +13,7 @@
 // With -reconnect the subscriber survives broker restarts: it redials with
 // backoff and replays every subscription, field scopes intact.
 //
-// With -debug-addr the subscriber serves its own /stats, /debug/trace and
+// With -debug-addr the subscriber serves its own /metrics, /debug/trace and
 // /debug/flight.
 package main
 
@@ -51,7 +51,7 @@ func run(args []string) error {
 	count := fs.Int("n", 0, "exit after n records (0 = run until killed)")
 	reconnect := fs.Bool("reconnect", false, "redial the broker with backoff when the connection breaks, replaying subscriptions")
 	traceSample := fs.Int("trace-sample", 0, "record spans for 1 in N traced records received (1 = all, 0 = tracing off)")
-	debugAddr := fs.String("debug-addr", "", "serve /stats, /debug/trace, /debug/flight and /debug/pprof on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/trace, /debug/flight and /debug/pprof on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "omsub: stats and pprof at http://%s/stats\n", dbg)
+		fmt.Fprintf(os.Stderr, "omsub: metrics and pprof at http://%s/metrics\n", dbg)
 	}
 	ctx, err := pbio.NewContext(machine.Native)
 	if err != nil {

@@ -1,24 +1,26 @@
-// Command omtop is a live terminal viewer for a daemon's /stats endpoint —
+// Command omtop is a live terminal viewer for a daemon's /metrics endpoint —
 // top for the event backbone. Point it at any openmeta daemon started with
-// -debug-addr (eventbusd, metaserver, ompub) and it polls the JSON snapshot,
-// printing per-second rates for counters and p50/p95/p99 latencies for
-// histograms:
+// -debug-addr (eventbusd, metaserver, ompub) and it polls the OpenMetrics
+// exposition, printing per-second rates for counters and p50/p95/p99
+// latencies for histograms:
 //
 //	omtop -addr 127.0.0.1:8781
 //	omtop -addr http://127.0.0.1:8781 -interval 1s
 //	omtop -addr 127.0.0.1:8781 -once        # one snapshot, no rates
 //	omtop -addr 127.0.0.1:8781 -n 5         # five refreshes, then exit
 //
-// Counters display as rate-per-second computed from consecutive snapshots;
-// gauges display as their current value; a histogram named h collapses the
-// h.count/.sum/.p50/.p95/.p99 keys into one line with the event rate,
-// quantiles and max. A counter that moved backwards between polls (the
-// daemon restarted) shows "reset" for that interval instead of a bogus
-// negative rate.
+// Counters display as rate-per-second computed from consecutive polls;
+// gauges display as their current value. A histogram family h (its h_bucket,
+// h_sum and h_count series, once per label set) collapses into one line with
+// the event rate and quantiles read off the cumulative buckets; when the
+// exposition carries a trace exemplar for it, the line ends with the short
+// TraceID of the highest bucket's exemplar. A counter that moved backwards
+// between polls (the daemon restarted) shows "reset" for that interval
+// instead of a bogus negative rate.
 //
 // With -formats the display pivots to per-format wire accounting instead:
-// one row per format label found in the snapshot's labeled families
-// (pbio.format.* and eventbus.wire.*), with encode/decode rates, bus
+// one row per format label found in the labeled counter families
+// (pbio_format_* and eventbus_wire_*), with encode/decode rates, bus
 // record/byte rates and metadata bytes.
 //
 // Lock contention is not an omtop view: run the daemon with -contention-rate
@@ -28,17 +30,17 @@
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
-
-	"openmeta/internal/obsv"
 )
 
 func main() {
@@ -56,7 +58,6 @@ func run(args []string, out io.Writer) error {
 	once := fs.Bool("once", false, "print one snapshot and exit (no rates)")
 	clear := fs.Bool("clear", true, "clear the terminal between refreshes")
 	formats := fs.Bool("formats", false, "show the per-format wire accounting view")
-	showEx := fs.Bool("exemplars", false, "append each histogram's worst trace exemplar (short TraceID) to its row")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -64,18 +65,14 @@ func run(args []string, out io.Writer) error {
 	if *formats {
 		view = renderFormats
 	}
-	url := baseURL(*addr) + "/stats"
-	getEx := func() exemplars { return nil }
-	if *showEx {
-		getEx = func() exemplars { return fetchExemplars(url) }
-	}
+	url := baseURL(*addr) + "/metrics"
 
 	prev, err := fetchStats(url)
 	if err != nil {
 		return err
 	}
 	if *once {
-		fmt.Fprint(out, view(url, nil, prev, 0, getEx()))
+		fmt.Fprint(out, view(url, nil, prev, 0))
 		return nil
 	}
 	for i := 0; *n == 0 || i < *n; i++ {
@@ -87,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		if *clear {
 			fmt.Fprint(out, "\x1b[2J\x1b[H")
 		}
-		fmt.Fprint(out, view(url, prev, cur, *interval, getEx()))
+		fmt.Fprint(out, view(url, prev, cur, *interval))
 		prev = cur
 	}
 	return nil
@@ -102,8 +99,15 @@ func baseURL(addr string) string {
 	return strings.TrimRight(addr, "/")
 }
 
-func fetchStats(url string) (map[string]int64, error) {
-	resp, err := http.Get(url)
+// fetchStats makes one GET of the exposition at url, asking for the
+// OpenMetrics dialect so histogram buckets carry their trace exemplars.
+func fetchStats(url string) (*snapshot, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", "application/openmetrics-text")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -111,38 +115,136 @@ func fetchStats(url string) (map[string]int64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	var snap map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	snap, err := parse(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("GET %s: %w", url, err)
 	}
 	return snap, nil
 }
 
-// exemplars maps a histogram family (or labeled child) name to its bucket
-// exemplars, lowest bucket first — the shape of /stats?exemplars=1.
-type exemplars map[string][]obsv.Exemplar
+// snapshot is one parsed exposition. Series are keyed by family name plus
+// label block, as in eventbus_wire_bytes{stream="a",format="X"}; counter
+// keys drop OpenMetrics' _total suffix, and a histogram's key drops its le
+// label.
+type snapshot struct {
+	values map[string]int64      // counter and gauge samples
+	hists  map[string]*histogram // one per histogram series
+}
 
-// fetchExemplars pulls the daemon's trace exemplars. Best-effort: a daemon
-// predating exemplar support (or one started with
-// -exemplars=false) simply yields rows without the ex column.
-func fetchExemplars(url string) exemplars {
-	resp, err := http.Get(url + "?exemplars=1")
-	if err != nil {
-		return nil
+// histogram is one histogram series: the cumulative count under each finite
+// le bound, lowest first, the total count, and the TraceID of the exemplar
+// on the highest bucket that carries one.
+type histogram struct {
+	les, cum []int64
+	count    int64
+	exemplar string
+}
+
+// quantile is the le bound of the bucket where the cumulative count crosses
+// q. The exposition carries no max to clamp it to.
+func (h *histogram) quantile(q float64) int64 {
+	target := max(int64(q*float64(h.count)), 1)
+	for i, c := range h.cum {
+		if c >= target {
+			return h.les[i]
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
+	if len(h.les) == 0 {
+		return 0
 	}
-	var body obsv.StatsWithExemplars
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil
+	return h.les[len(h.les)-1]
+}
+
+// parse reads a text exposition, OpenMetrics or Prometheus 0.0.4. Samples
+// of families other than counter, gauge and histogram, and lines it cannot
+// read, are skipped.
+func parse(r io.Reader) (*snapshot, error) {
+	s := &snapshot{values: map[string]int64{}, hists: map[string]*histogram{}}
+	var family, kind string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, kind, _ = strings.Cut(typ, " ")
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		line, ex, _ := strings.Cut(line, " # ")
+		sp := strings.LastIndexByte(line, ' ')
+		v, ok := parseValue(line[sp+1:])
+		if sp < 0 || !ok {
+			continue
+		}
+		name, labels := line[:sp], ""
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name, labels = name[:i], name[i:]
+		}
+		switch {
+		case kind == "counter" && (name == family || name == family+"_total"),
+			kind == "gauge" && name == family:
+			s.values[family+labels] = v
+		case kind == "histogram" && name == family+"_count":
+			s.hist(family + labels).count = v
+		case kind == "histogram" && name == family+"_bucket":
+			le, labels, ok := cutLE(labels)
+			if !ok {
+				continue
+			}
+			h := s.hist(family + labels)
+			if tid, ok := strings.CutPrefix(ex, `{trace_id="`); ok {
+				h.exemplar, _, _ = strings.Cut(tid, `"`)
+			}
+			if bound, ok := parseValue(le); le != "+Inf" && ok {
+				h.les = append(h.les, bound)
+				h.cum = append(h.cum, v)
+			}
+		}
 	}
-	return body.Exemplars
+	return s, sc.Err()
+}
+
+func (s *snapshot) hist(key string) *histogram {
+	h := s.hists[key]
+	if h == nil {
+		h = &histogram{}
+		s.hists[key] = h
+	}
+	return h
+}
+
+// cutLE splits a bucket's le label off its label block. The registry writes
+// le last, so {stream="a",le="127"} gives "127" and {stream="a"}.
+func cutLE(labels string) (le, rest string, ok bool) {
+	i := strings.LastIndex(labels, `le="`)
+	if i < 1 || (labels[i-1] != '{' && labels[i-1] != ',') || !strings.HasSuffix(labels, `"}`) {
+		return "", "", false
+	}
+	le, rest = labels[i+len(`le="`):len(labels)-2], strings.TrimSuffix(labels[:i], ",")
+	if rest == "{" {
+		return le, "", true
+	}
+	return le, rest + "}", true
+}
+
+// parseValue reads a sample value or le bound, clamped to the int64 range.
+func parseValue(s string) (int64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	switch {
+	case err != nil:
+		return 0, false
+	case f >= math.MaxInt64:
+		return math.MaxInt64, true
+	case f <= math.MinInt64:
+		return math.MinInt64, true
+	}
+	return int64(f), true
 }
 
 // shortTrace abbreviates a 32-hex TraceID to its 16-hex prefix for display;
-// the full ID is one curl of /stats?exemplars=1 away.
+// the full ID is on the bucket's exemplar in /metrics.
 func shortTrace(tid string) string {
 	if len(tid) > 16 {
 		return tid[:16]
@@ -160,67 +262,43 @@ func rateCell(cur, prev int64, elapsed time.Duration) string {
 	return fmt.Sprintf("%10.1f/s", perSecond(cur-prev, elapsed))
 }
 
-// histSuffixes are the snapshot keys a histogram named h expands to; their
-// shared base name identifies a histogram family in the flat snapshot.
-var histSuffixes = []string{".count", ".sum", ".max", ".p50", ".p95", ".p99"}
-
 // render formats one refresh. With prev == nil (the -once path) counters
 // print as absolute values; otherwise they print as per-second rates over
-// elapsed. ex (may be nil) adds each histogram family's worst trace exemplar
-// as a short TraceID.
-func render(source string, prev, cur map[string]int64, elapsed time.Duration, ex exemplars) string {
-	hists := map[string]bool{}
-	for k := range cur {
-		if base, ok := histBase(k, cur); ok {
-			hists[base] = true
-		}
-	}
-
-	var scalars []string
-	for k := range cur {
-		if _, ok := histBase(k, cur); ok {
-			continue
-		}
-		scalars = append(scalars, k)
-	}
-	sort.Strings(scalars)
-	families := make([]string, 0, len(hists))
-	for b := range hists {
-		families = append(families, b)
-	}
-	sort.Strings(families)
-
+// elapsed.
+func render(source string, prev, cur *snapshot, elapsed time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "omtop  %s  %s\n\n", source, time.Now().Format("15:04:05"))
-	for _, k := range scalars {
+	for _, k := range sortedKeys(cur.values) {
 		if prev == nil {
-			fmt.Fprintf(&b, "%-44s %12d\n", k, cur[k])
+			fmt.Fprintf(&b, "%-44s %12d\n", k, cur.values[k])
 			continue
 		}
-		fmt.Fprintf(&b, "%-44s %12d %s\n", k, cur[k], rateCell(cur[k], prev[k], elapsed))
+		fmt.Fprintf(&b, "%-44s %12d %s\n", k, cur.values[k], rateCell(cur.values[k], prev.values[k], elapsed))
 	}
-	if len(families) > 0 {
-		fmt.Fprintf(&b, "\n%-44s %10s %10s %10s %10s %10s\n",
-			"histogram", "events/s", "p50", "p95", "p99", "max")
-		for _, base := range families {
-			rate := fmt.Sprintf("%10.1f", float64(cur[base+".count"]))
+	if len(cur.hists) > 0 {
+		fmt.Fprintf(&b, "\n%-44s %10s %10s %10s %10s\n", "histogram", "events/s", "p50", "p95", "p99")
+		for _, k := range sortedKeys(cur.hists) {
+			h := cur.hists[k]
+			rate := fmt.Sprintf("%10.1f", float64(h.count))
 			if prev != nil {
-				rate = strings.TrimSuffix(rateCell(cur[base+".count"], prev[base+".count"], elapsed), "/s")
+				var before int64
+				if p := prev.hists[k]; p != nil {
+					before = p.count
+				}
+				rate = strings.TrimSuffix(rateCell(h.count, before, elapsed), "/s")
 			}
 			exCell := ""
-			// Bucket exemplars come lowest bucket first, so the last one is
-			// the worst traced sample the family has seen.
-			if exs := ex[base]; len(exs) > 0 {
-				exCell = "  ex=" + shortTrace(exs[len(exs)-1].TraceID)
+			if h.exemplar != "" {
+				exCell = "  ex=" + shortTrace(h.exemplar)
 			}
-			fmt.Fprintf(&b, "%-44s %10s %10d %10d %10d %10d%s\n",
-				base, rate, cur[base+".p50"], cur[base+".p95"], cur[base+".p99"], cur[base+".max"], exCell)
+			fmt.Fprintf(&b, "%-44s %10s %10d %10d %10d%s\n",
+				k, rate, h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), exCell)
 		}
 	}
 	return b.String()
 }
 
-// splitLabels splits a labeled snapshot key like `name{k="v",k2="v2"}` into
+// splitLabels splits a labeled series key like `name{k="v",k2="v2"}` into
 // the bare family name and its label values. Keys without a label block
 // return ok = false.
 func splitLabels(key string) (base string, labels map[string]string, ok bool) {
@@ -248,9 +326,9 @@ type fmtRow struct {
 	pbioMeta, busMeta int64
 }
 
-func formatRows(snap map[string]int64) map[string]*fmtRow {
+func formatRows(snap *snapshot) map[string]*fmtRow {
 	rows := make(map[string]*fmtRow)
-	for k, v := range snap {
+	for k, v := range snap.values {
 		base, labels, ok := splitLabels(k)
 		if !ok || labels["format"] == "" {
 			continue
@@ -261,21 +339,21 @@ func formatRows(snap map[string]int64) map[string]*fmtRow {
 			rows[labels["format"]] = r
 		}
 		switch base {
-		case "pbio.format.encoded.records":
+		case "pbio_format_encoded_records":
 			r.encRecs += v
-		case "pbio.format.encoded.bytes":
+		case "pbio_format_encoded_bytes":
 			r.encBytes += v
-		case "pbio.format.decoded.records":
+		case "pbio_format_decoded_records":
 			r.decRecs += v
-		case "pbio.format.decoded.bytes":
+		case "pbio_format_decoded_bytes":
 			r.decBytes += v
-		case "pbio.format.meta.bytes":
+		case "pbio_format_meta_bytes":
 			r.pbioMeta += v
-		case "eventbus.wire.records":
+		case "eventbus_wire_records":
 			r.busRecs += v
-		case "eventbus.wire.bytes":
+		case "eventbus_wire_bytes":
 			r.busBytes += v
-		case "eventbus.wire.meta.bytes":
+		case "eventbus_wire_meta_bytes":
 			r.busMeta += v
 		}
 	}
@@ -286,19 +364,15 @@ func formatRows(snap map[string]int64) map[string]*fmtRow {
 // format label seen in the snapshot. With prev == nil counter columns show
 // absolute totals; otherwise per-second rates over elapsed (clamped at 0
 // across a daemon restart). Metadata bytes come from the codec-side family
-// when present, falling back to the broker's wire.meta.bytes. Exemplars are
+// when present, falling back to the broker's wire_meta_bytes. Exemplars are
 // not shown here.
-func renderFormats(source string, prev, cur map[string]int64, elapsed time.Duration, _ exemplars) string {
+func renderFormats(source string, prev, cur *snapshot, elapsed time.Duration) string {
 	rows := formatRows(cur)
 	var prevRows map[string]*fmtRow
 	if prev != nil {
 		prevRows = formatRows(prev)
 	}
-	names := make([]string, 0, len(rows))
-	for n := range rows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(rows)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "omtop formats  %s  %s\n\n", source, time.Now().Format("15:04:05"))
@@ -344,27 +418,13 @@ func renderFormats(source string, prev, cur map[string]int64, elapsed time.Durat
 	return b.String()
 }
 
-// histBase reports whether key belongs to a histogram family — it carries
-// one of the histogram suffixes and the snapshot holds all six sibling keys
-// for the same base name.
-func histBase(key string, snap map[string]int64) (string, bool) {
-	for _, s := range histSuffixes {
-		if !strings.HasSuffix(key, s) {
-			continue
-		}
-		base := strings.TrimSuffix(key, s)
-		all := true
-		for _, s2 := range histSuffixes {
-			if _, ok := snap[base+s2]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			return base, true
-		}
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return "", false
+	sort.Strings(keys)
+	return keys
 }
 
 func perSecond(delta int64, elapsed time.Duration) float64 {

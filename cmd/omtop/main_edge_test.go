@@ -1,6 +1,6 @@
 package main
 
-// Table-driven edge-case tests for the stats-view parsing and rendering
+// Table-driven edge-case tests for the exposition parsing and rendering
 // helpers: splitLabels on malformed label blocks and reset markers when a
 // counter goes backwards mid-window.
 
@@ -91,27 +91,16 @@ func TestRateCellTable(t *testing.T) {
 	}
 }
 
-// TestRenderHistogramFamilyReset: a histogram family whose .count went
+// TestRenderHistogramFamilyReset: a histogram family whose _count went
 // backwards between polls must show the reset marker in its events/s column,
 // not a negative rate.
 func TestRenderHistogramFamilyReset(t *testing.T) {
-	keys := func(count int64) map[string]int64 {
-		return map[string]int64{
-			"dcg.convert_ns.count": count,
-			"dcg.convert_ns.sum":   count * 100,
-			"dcg.convert_ns.max":   900,
-			"dcg.convert_ns.p50":   100,
-			"dcg.convert_ns.p95":   200,
-			"dcg.convert_ns.p99":   300,
-		}
+	convert := func(count int64) *snapshot {
+		h := &histogram{les: []int64{127}, cum: []int64{count}, count: count}
+		return &snapshot{hists: map[string]*histogram{"dcg_convert_ns": h}}
 	}
-	out := render("test", keys(50000), keys(12), 2*time.Second, nil)
-	line := ""
-	for _, l := range strings.Split(out, "\n") {
-		if strings.HasPrefix(l, "dcg.convert_ns") {
-			line = l
-		}
-	}
+	out := render("test", convert(50000), convert(12), 2*time.Second)
+	line := rowFor(out, "dcg_convert_ns")
 	if line == "" {
 		t.Fatalf("histogram family row missing:\n%s", out)
 	}
@@ -123,7 +112,7 @@ func TestRenderHistogramFamilyReset(t *testing.T) {
 // TestRenderEmptySnapshot: rendering an empty snapshot must not panic and
 // still prints the header.
 func TestRenderEmptySnapshot(t *testing.T) {
-	out := render("test", nil, map[string]int64{}, 0, nil)
+	out := render("test", nil, &snapshot{}, 0)
 	if !strings.Contains(out, "omtop") {
 		t.Fatalf("header missing on empty snapshot:\n%s", out)
 	}

@@ -48,9 +48,9 @@
 //
 // Every layer reports counters and latency histograms into a process-wide
 // registry: Stats returns a snapshot keyed by stable metric names
-// (pbio.encode.calls, dcg.plan_cache.hits, eventbus.delivered, ...),
-// StatsHandler serves the same snapshot as JSON, and DebugHandler adds
-// expvar and pprof — the daemons mount it behind their -debug-addr flag.
+// (pbio.encode.calls, dcg.plan_cache.hits, eventbus.delivered, ...), and
+// DebugHandler serves the registry at /metrics next to traces, health and
+// pprof — the daemons mount it behind their -debug-addr flag.
 // Components accept a private registry via WithObserver (and the broker and
 // plan-cache equivalents) when isolation matters; Broker.Stats gives a
 // typed per-broker view. The hot-path instruments are allocation-free.

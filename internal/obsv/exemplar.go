@@ -1,7 +1,7 @@
 // Exemplars link latency histograms to real traces: alongside its bucket
 // counts, a histogram remembers, per power-of-two bucket, the last sampled
 // observation that arrived with a TraceID — value, TraceID and wall-clock
-// timestamp. A p99 excursion in /stats is then not just a number: the bucket
+// timestamp. A p99 excursion on /metrics is then not just a number: the bucket
 // the p99 falls in carries the ID of an actual request that landed there,
 // resolvable into an assembled span tree from the /debug/trace rings of the
 // processes it crossed (trace.Assemble).
@@ -120,10 +120,10 @@ func (h *Histogram) ObserveExemplar(v int64, tid [16]byte) {
 // Prometheus exposition uses), the sampled value, the hex TraceID and the
 // capture time.
 type Exemplar struct {
-	Bucket     int    `json:"bucket"`
-	Value      int64  `json:"value"`
-	TraceID    string `json:"trace_id"`
-	TimeUnixNS int64  `json:"ts_unix_ns"`
+	Bucket     int
+	Value      int64
+	TraceID    string
+	TimeUnixNS int64
 }
 
 // Exemplars returns every populated bucket exemplar, lowest bucket first.
@@ -166,41 +166,6 @@ func readExemplar(s *exemplarSlot, bucket int) (Exemplar, bool) {
 	binary.BigEndian.PutUint64(tid[0:8], hi)
 	binary.BigEndian.PutUint64(tid[8:16], lo)
 	return Exemplar{Bucket: bucket, Value: v, TraceID: hex.EncodeToString(tid[:]), TimeUnixNS: ts}, true
-}
-
-// Exemplars returns every histogram's populated exemplars, keyed the same
-// way Snapshot keys histograms (name, or name{k="v",...} for labeled vector
-// children). Histograms without exemplars are omitted.
-func (r *Registry) Exemplars() map[string][]Exemplar {
-	out := map[string][]Exemplar{}
-	if r == nil {
-		return out
-	}
-	// Two phases, like Snapshot: copy the maps under the registry lock, walk
-	// vector children after releasing it.
-	r.mu.RLock()
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	histVecs := make(map[string]*HistogramVec, len(r.histVecs))
-	for n, v := range r.histVecs {
-		histVecs[n] = v
-	}
-	r.mu.RUnlock()
-	for n, h := range hists {
-		if ex := h.Exemplars(); len(ex) > 0 {
-			out[n] = ex
-		}
-	}
-	for n, v := range histVecs {
-		for _, c := range v.v.children() {
-			if ex := c.inst.Exemplars(); len(ex) > 0 {
-				out[n+c.labels.String()] = ex
-			}
-		}
-	}
-	return out
 }
 
 // FindHistogram returns the histogram registered under name without creating

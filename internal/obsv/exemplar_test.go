@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"encoding/hex"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -79,14 +80,14 @@ func TestNilHistogramExemplars(t *testing.T) {
 		t.Fatal("nil histogram returned exemplars")
 	}
 	var r *Registry
-	if got := r.Exemplars(); len(got) != 0 {
-		t.Fatalf("nil registry exemplars = %v", got)
-	}
 	if r.FindHistogram("x") != nil {
 		t.Fatal("nil registry found a histogram")
 	}
 }
 
+// TestRegistryExemplarsIncludesLabeledChildren checks the registry's
+// exemplar output covers labeled HistogramVec children as well as plain
+// histograms, and omits histograms that never saw a traced sample.
 func TestRegistryExemplarsIncludesLabeledChildren(t *testing.T) {
 	r := New()
 	r.Histogram("plain.ns").ObserveExemplar(7, testTraceID(2))
@@ -94,16 +95,26 @@ func TestRegistryExemplarsIncludesLabeledChildren(t *testing.T) {
 	hv := r.HistogramVec("rt.ns", "stream")
 	hv.With("orders").ObserveExemplar(300, testTraceID(3))
 
-	got := r.Exemplars()
+	var b strings.Builder
+	r.writePrometheus(&b, true)
+	got := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		series, ex, ok := strings.Cut(line, " # ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(series, " ")
+		got[name] = ex
+	}
 	if len(got) != 2 {
-		t.Fatalf("exemplar keys = %v, want plain.ns and rt.ns{stream=\"orders\"}", got)
+		t.Fatalf("exemplar series = %v, want plain.ns and rt.ns{stream=\"orders\"}", got)
 	}
-	if _, ok := got["plain.ns"]; !ok {
-		t.Fatalf("missing plain.ns in %v", got)
+	if ex, ok := got[`plain_ns_bucket{le="7"}`]; !ok || !strings.Contains(ex, strings.Repeat("02", 16)) {
+		t.Fatalf("plain.ns exemplar missing in %v", got)
 	}
-	ex, ok := got[`rt.ns{stream="orders"}`]
-	if !ok || len(ex) != 1 || ex[0].Value != 300 {
-		t.Fatalf("labeled child exemplars = %+v (ok=%v)", ex, ok)
+	ex, ok := got[`rt_ns_bucket{stream="orders",le="511"}`]
+	if !ok || !strings.HasPrefix(ex, `{trace_id="`+strings.Repeat("03", 16)+`"} 300 `) {
+		t.Fatalf("labeled child exemplar = %q (ok=%v) in %v", ex, ok, got)
 	}
 }
 
@@ -200,9 +211,8 @@ func TestExemplarConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkObserveExemplar is the bench gate's absolute-budget subject
-// (EXEMPLAR_BUDGET_NS in scripts/bench.sh): one traced observation on the
-// steady-state hot path.
+// BenchmarkObserveExemplar times one traced observation on the steady-state
+// hot path, for profiling. TestExemplarHotPathAllocs guards its allocations.
 func BenchmarkObserveExemplar(b *testing.B) {
 	h := New().Histogram("lat.ns")
 	tid := testTraceID(5)

@@ -1,48 +1,15 @@
 package obsv
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"html"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync"
 
 	"openmeta/internal/flight"
 )
-
-// Handler serves the registry snapshot as a sorted JSON object — the stats
-// endpoint mounted at /stats by DebugMux and exposed at the facade as
-// openmeta.StatsHandler(). The default shape stays a flat map so existing
-// scrapers keep parsing it; ?exemplars=1 switches to the rich shape
-// {"metrics": <flat map>, "exemplars": {"<hist name>": [exemplar...]}}
-// carrying each histogram's per-bucket trace exemplars.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if req.URL.Query().Get("exemplars") != "" {
-			_ = enc.Encode(StatsWithExemplars{
-				Metrics:   r.Snapshot(),
-				Exemplars: r.Exemplars(),
-			})
-			return
-		}
-		_ = enc.Encode(r.Snapshot()) // maps marshal with sorted keys
-	})
-}
-
-// StatsWithExemplars is the rich /stats?exemplars=1 response shape: the flat
-// snapshot plus every histogram's populated bucket exemplars, keyed the way
-// Snapshot keys histograms.
-type StatsWithExemplars struct {
-	Metrics   map[string]int64      `json:"metrics"`
-	Exemplars map[string][]Exemplar `json:"exemplars"`
-}
 
 // DebugEndpoint is an extra handler mounted onto DebugMux alongside the
 // built-in endpoints — how the facade and the daemons attach /debug/trace
@@ -58,13 +25,11 @@ type DebugEndpoint struct {
 // -debug-addr flag:
 //
 //	/debug            index of every mounted endpoint
-//	/stats            registry snapshot as JSON
-//	/debug/stats      alias of /stats
-//	/metrics          Prometheus text exposition (see MetricsHandler)
+//	/metrics          Prometheus text exposition of the registry, or
+//	                  OpenMetrics with exemplars (see MetricsHandler)
 //	/debug/flight     flight-recorder dump (see the flight package)
 //	/healthz          liveness: 200 while the server answers
 //	/readyz           readiness: 200 once every registered probe passes
-//	/debug/vars       expvar (includes the registry, see PublishExpvar)
 //	/debug/pprof/...  net/http/pprof profiles (mutex and block are populated
 //	                  once the daemon runs with -contention-rate)
 //
@@ -80,26 +45,19 @@ func DebugMux(r *Registry, extra ...DebugEndpoint) *http.ServeMux {
 // explicit, for processes (and tests) that keep per-component instances
 // instead of the process-wide defaults.
 func DebugMuxFor(r *Registry, h *Health, rec *flight.Recorder, extra ...DebugEndpoint) *http.ServeMux {
-	PublishExpvar("obsv", r)
 	mux := http.NewServeMux()
 	index := []DebugEndpoint{
 		{Path: "/debug", Desc: "this index"},
-		{Path: "/stats", Desc: "instrument registry snapshot as flat JSON (?exemplars=1 adds per-bucket trace exemplars)"},
-		{Path: "/debug/stats", Desc: "alias of /stats"},
 		{Path: "/metrics", Desc: "Prometheus text exposition of the registry (Accept: application/openmetrics-text for exemplars)"},
 		{Path: "/debug/flight", Desc: "protocol flight recorder, newest first (?conn=&stream=&kind=&n=)"},
 		{Path: "/healthz", Desc: "liveness: 200 while the process serves HTTP"},
 		{Path: "/readyz", Desc: "readiness: 200 once every registered probe passes"},
-		{Path: "/debug/vars", Desc: "expvar variables (includes the registry)"},
 		{Path: "/debug/pprof/", Desc: "net/http/pprof profile index (mutex and block profiles need -contention-rate)"},
 	}
-	mux.Handle("/stats", r.Handler())
-	mux.Handle("/debug/stats", r.Handler())
 	mux.Handle("/metrics", r.MetricsHandler())
 	mux.Handle("/debug/flight", flight.Handler(rec))
 	mux.Handle("/healthz", h.LiveHandler())
 	mux.Handle("/readyz", h.ReadyHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -150,17 +108,4 @@ func ListenAndServeDebug(addr string, r *Registry, extra ...DebugEndpoint) (net.
 	srv := &http.Server{Handler: DebugMux(r, extra...)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr(), nil
-}
-
-// expvarPublished guards against expvar.Publish's panic on duplicate names
-// when several components export the same registry.
-var expvarPublished sync.Map
-
-// PublishExpvar exposes the registry under the given expvar name (idempotent
-// per name; later registries publishing an already-used name are ignored).
-func PublishExpvar(name string, r *Registry) {
-	if _, loaded := expvarPublished.LoadOrStore(name, true); loaded {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} { return r.Snapshot() }))
 }

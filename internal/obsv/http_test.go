@@ -1,15 +1,12 @@
 package obsv
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func debugGet(t *testing.T, srv *httptest.Server, path string) (*http.Response, string) {
@@ -24,56 +21,6 @@ func debugGet(t *testing.T, srv *httptest.Server, path string) (*http.Response, 
 		t.Fatalf("read %s: %v", path, err)
 	}
 	return resp, string(body)
-}
-
-func TestDebugMuxStatsEndpoint(t *testing.T) {
-	r := New()
-	r.Counter("evb.published").Add(9)
-	srv := httptest.NewServer(DebugMux(r))
-	defer srv.Close()
-
-	for _, path := range []string{"/stats", "/debug/stats"} {
-		resp, body := debugGet(t, srv, path)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("%s: content type %q", path, ct)
-		}
-		var snap map[string]int64
-		if err := json.Unmarshal([]byte(body), &snap); err != nil {
-			t.Fatalf("%s: bad JSON: %v", path, err)
-		}
-		if snap["evb.published"] != 9 {
-			t.Fatalf("%s: snapshot %v", path, snap)
-		}
-	}
-}
-
-func TestDebugMuxExpvarEndpoint(t *testing.T) {
-	r := New()
-	srv := httptest.NewServer(DebugMux(r))
-	defer srv.Close()
-
-	resp, body := debugGet(t, srv, "/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var vars map[string]interface{}
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("expvar not JSON: %v", err)
-	}
-	if _, ok := vars["obsv"]; !ok {
-		t.Fatalf("expvar missing obsv registry: has %v", keysOf(vars))
-	}
-}
-
-func keysOf(m map[string]interface{}) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 func TestDebugMuxExtraEndpoint(t *testing.T) {
@@ -202,22 +149,71 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestStatsEndpointExemplars checks a histogram's exemplar reaches HTTP
+// only in the dialect that carries exemplars: Prometheus 0.0.4 /metrics has
+// the counts and no exemplar, OpenMetrics adds it on the sample's bucket.
+func TestStatsEndpointExemplars(t *testing.T) {
+	r := New()
+	var tid [16]byte
+	tid[15] = 7
+	r.Histogram("lat.ns").ObserveExemplar(100, tid)
+	srv := httptest.NewServer(DebugMux(r))
+	defer srv.Close()
+
+	_, flat := debugGet(t, srv, "/metrics")
+	if !strings.Contains(flat, "lat_ns_count 1\n") {
+		t.Fatalf("Prometheus /metrics lacks lat_ns_count 1:\n%s", flat)
+	}
+	if strings.Contains(flat, " # {") {
+		t.Fatalf("Prometheus 0.0.4 /metrics carries an exemplar:\n%s", flat)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/openmetrics-text")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rich := string(raw)
+	if !strings.Contains(rich, "lat_ns_count 1\n") {
+		t.Fatalf("OpenMetrics /metrics lacks lat_ns_count 1:\n%s", rich)
+	}
+	want := `lat_ns_bucket{le="127"} 1 # {trace_id="00000000000000000000000000000007"} 100`
+	if !strings.Contains(rich, want) {
+		t.Fatalf("OpenMetrics /metrics lacks exemplar %q:\n%s", want, rich)
+	}
+}
+
 // TestMetricsEndpointOpenMetricsFormat mirrors the Prometheus parse test for
-// the OpenMetrics dialect negotiated via the Accept header: same series, a
-// trailing # EOF, and exemplar suffixes that appear only on histogram
-// _bucket lines — on exactly the bucket whose le bound covers the traced
-// sample, carrying the sample's hex TraceID, value and a wall-clock
-// timestamp.
+// the OpenMetrics dialect negotiated via the Accept header: same series with
+// counter samples suffixed _total under a bare # TYPE family, a trailing
+// # EOF, and exemplar suffixes that appear only on histogram _bucket lines —
+// on exactly the bucket whose le bound covers the traced sample, carrying the
+// sample's hex TraceID, value and a wall-clock timestamp, for plain
+// histograms and labeled vector children alike.
 func TestMetricsEndpointOpenMetricsFormat(t *testing.T) {
 	r := New()
 	r.Counter("pbio.encode.calls").Add(5)
+	r.CounterVec("wire.records", "stream").With("orders").Add(2)
 	h := r.Histogram("lat.ns")
-	var tid [16]byte
-	for i := range tid {
-		tid[i] = 0xab
+	h.ObserveExemplar(100, testTraceID(0xab)) // bucket 7: le="127"
+	h.Observe(3)                              // untraced sample, counts only
+	// A labeled child's exemplar sits on its own bucket (bucket 9: le="511");
+	// a histogram without one gets bare bucket lines.
+	r.HistogramVec("rt.ns", "stream").With("orders").ObserveExemplar(300, testTraceID(0xcd))
+	r.Histogram("silent.ns").Observe(7)
+	wantEx := map[string][2]string{
+		`lat_ns_bucket{le="127"}`:                {strings.Repeat("ab", 16), "100"},
+		`rt_ns_bucket{stream="orders",le="511"}`: {strings.Repeat("cd", 16), "300"},
 	}
-	h.ObserveExemplar(100, tid) // bucket 7: le="127"
-	h.Observe(3)                // untraced sample, counts only
 	srv := httptest.NewServer(DebugMux(r))
 	defer srv.Close()
 
@@ -244,7 +240,15 @@ func TestMetricsEndpointOpenMetricsFormat(t *testing.T) {
 	if last := lines[len(lines)-1]; last != "# EOF" {
 		t.Fatalf("last line %q, want # EOF", last)
 	}
-	exemplarLines := 0
+	for _, want := range []string{
+		"# TYPE pbio_encode_calls counter\npbio_encode_calls_total 5\n",
+		"# TYPE wire_records counter\nwire_records_total{stream=\"orders\"} 2\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("OpenMetrics counter family not as %q:\n%s", want, body)
+		}
+	}
+	gotEx := map[string]bool{}
 	for i, line := range lines[:len(lines)-1] {
 		if line == "" {
 			t.Fatalf("line %d: empty line in exposition", i)
@@ -264,8 +268,13 @@ func TestMetricsEndpointOpenMetricsFormat(t *testing.T) {
 			}
 			continue
 		}
-		exemplarLines++
 		series, ex := line[:idx], line[idx+3:]
+		bucket, _, _ := strings.Cut(series, "} ")
+		want, ok := wantEx[bucket+"}"]
+		if !ok {
+			t.Fatalf("line %d: unexpected exemplar on %q", i, series)
+		}
+		gotEx[bucket+"}"] = true
 		name := series
 		if j := strings.IndexByte(name, '{'); j >= 0 {
 			name = name[:j]
@@ -292,65 +301,29 @@ func TestMetricsEndpointOpenMetricsFormat(t *testing.T) {
 				t.Fatalf("line %d: trace_id %q not hex-escaped", i, gotTid)
 			}
 		}
-		if gotTid != strings.Repeat("ab", 16) {
-			t.Fatalf("line %d: trace_id %q, want %s", i, gotTid, strings.Repeat("ab", 16))
+		if gotTid != want[0] {
+			t.Fatalf("line %d: trace_id %q, want %s", i, gotTid, want[0])
 		}
 		fields := strings.Fields(rest[end+len(`"} `):])
 		if len(fields) != 2 {
 			t.Fatalf("line %d: exemplar tail %q, want value and timestamp", i, ex)
 		}
-		if v, err := strconv.ParseFloat(fields[0], 64); err != nil || v != 100 {
-			t.Fatalf("line %d: exemplar value %q, want 100 (%v)", i, fields[0], err)
+		if fields[0] != want[1] {
+			t.Fatalf("line %d: exemplar value %q, want %s", i, fields[0], want[1])
 		}
 		if ts, err := strconv.ParseFloat(fields[1], 64); err != nil || ts <= 0 {
 			t.Fatalf("line %d: exemplar timestamp %q (%v)", i, fields[1], err)
 		}
-		if !strings.Contains(series, `le="127"`) {
-			t.Fatalf("line %d: exemplar on %q, want the le=\"127\" bucket", i, series)
-		}
 	}
-	if exemplarLines != 1 {
-		t.Fatalf("exemplar lines = %d, want exactly 1", exemplarLines)
+	if len(gotEx) != len(wantEx) {
+		t.Fatalf("exemplars on %v, want one on each of %v", gotEx, wantEx)
 	}
 
-	// The plain Prometheus exposition is unchanged: no exemplars, no EOF.
+	// The plain Prometheus exposition is unchanged: no exemplars, no EOF, and
+	// counter samples keep their bare family names.
 	_, plain := debugGet(t, srv, "/metrics")
-	if strings.Contains(plain, "trace_id") || strings.Contains(plain, "# EOF") {
+	if strings.Contains(plain, "trace_id") || strings.Contains(plain, "# EOF") || strings.Contains(plain, "_total") {
 		t.Fatalf("plain /metrics leaked OpenMetrics syntax:\n%s", plain)
-	}
-}
-
-// TestStatsEndpointExemplars pins the /stats contract both ways: the default
-// response stays a flat map[string]int64 (existing scrapers), and
-// ?exemplars=1 returns the rich {metrics, exemplars} shape.
-func TestStatsEndpointExemplars(t *testing.T) {
-	r := New()
-	var tid [16]byte
-	tid[15] = 7
-	r.Histogram("lat.ns").ObserveExemplar(100, tid)
-	srv := httptest.NewServer(DebugMux(r))
-	defer srv.Close()
-
-	_, flatBody := debugGet(t, srv, "/stats")
-	var flat map[string]int64
-	if err := json.Unmarshal([]byte(flatBody), &flat); err != nil {
-		t.Fatalf("default /stats is no longer a flat map: %v", err)
-	}
-	if flat["lat.ns.count"] != 1 {
-		t.Fatalf("flat snapshot = %v", flat)
-	}
-
-	_, richBody := debugGet(t, srv, "/stats?exemplars=1")
-	var rich StatsWithExemplars
-	if err := json.Unmarshal([]byte(richBody), &rich); err != nil {
-		t.Fatalf("rich /stats: %v", err)
-	}
-	if rich.Metrics["lat.ns.count"] != 1 {
-		t.Fatalf("rich metrics = %v", rich.Metrics)
-	}
-	ex := rich.Exemplars["lat.ns"]
-	if len(ex) != 1 || ex[0].Value != 100 || ex[0].TraceID != "00000000000000000000000000000007" {
-		t.Fatalf("rich exemplars = %+v", rich.Exemplars)
 	}
 }
 
@@ -370,32 +343,4 @@ func TestSnapshotIncludesP95(t *testing.T) {
 		t.Fatalf("quantiles not ordered: p50=%d p95=%d p99=%d",
 			snap["lat.p50"], snap["lat.p95"], snap["lat.p99"])
 	}
-}
-
-func TestStatsLogger(t *testing.T) {
-	r := New()
-	c := r.Counter("evb.published")
-	var mu []string
-	done := make(chan string, 16)
-	logf := func(format string, args ...interface{}) {
-		select {
-		case done <- strings.TrimSpace(fmt.Sprintf(format, args...)):
-		default:
-		}
-	}
-	stop := StartStatsLogger(r, 20*time.Millisecond, logf)
-	defer stop()
-
-	c.Add(7)
-	select {
-	case line := <-done:
-		mu = append(mu, line)
-	case <-time.After(5 * time.Second):
-		t.Fatal("no stats line logged")
-	}
-	if !strings.Contains(mu[0], "evb.published=+7") {
-		t.Fatalf("unexpected stats line %q", mu[0])
-	}
-	stop()
-	stop() // idempotent
 }

@@ -19,6 +19,7 @@
 package obsv
 
 import (
+	"maps"
 	"math/bits"
 	"math/rand/v2"
 	"sort"
@@ -212,7 +213,16 @@ func (v HistogramValue) Quantile(q float64) int64 {
 // again returns the same instrument, so counts survive component restarts.
 // A nil *Registry hands out nil (no-op) instruments.
 type Registry struct {
-	mu          sync.RWMutex
+	mu sync.RWMutex
+	instruments
+	maxVec atomic.Int64 // max children per labeled vector (0 = unlimited)
+}
+
+// instruments is a registry's set of instrument maps, guarded by its mu.
+// Snapshot and the /metrics writer both walk a copy taken under the lock
+// (copyInstruments), reading instruments, vector children and snapshot
+// functions with no registry lock held.
+type instruments struct {
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
 	hists       map[string]*Histogram
@@ -220,7 +230,20 @@ type Registry struct {
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
-	maxVec      atomic.Int64 // max children per labeled vector (0 = unlimited)
+}
+
+func (r *Registry) copyInstruments() instruments {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return instruments{
+		counters:    maps.Clone(r.counters),
+		gauges:      maps.Clone(r.gauges),
+		hists:       maps.Clone(r.hists),
+		funcs:       maps.Clone(r.funcs),
+		counterVecs: maps.Clone(r.counterVecs),
+		gaugeVecs:   maps.Clone(r.gaugeVecs),
+		histVecs:    maps.Clone(r.histVecs),
+	}
 }
 
 // DefaultMaxVecChildren bounds each labeled vector to this many children
@@ -231,7 +254,7 @@ const DefaultMaxVecChildren = 1024
 
 // New returns an empty registry.
 func New() *Registry {
-	r := &Registry{
+	r := &Registry{instruments: instruments{
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
 		hists:       make(map[string]*Histogram),
@@ -239,7 +262,7 @@ func New() *Registry {
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
 		histVecs:    make(map[string]*HistogramVec),
-	}
+	}}
 	r.maxVec.Store(DefaultMaxVecChildren)
 	return r
 }
@@ -371,63 +394,33 @@ func (r *Registry) Snapshot() map[string]int64 {
 	if r == nil {
 		return map[string]int64{}
 	}
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for n, f := range r.funcs {
-		funcs[n] = f
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
-	histVecs := make(map[string]*HistogramVec, len(r.histVecs))
-	for n, v := range r.histVecs {
-		histVecs[n] = v
-	}
-	r.mu.RUnlock()
-
-	out := make(map[string]int64, len(counters)+len(gauges)+6*len(hists)+len(funcs))
-	for n, c := range counters {
+	in := r.copyInstruments()
+	out := make(map[string]int64, len(in.counters)+len(in.gauges)+6*len(in.hists)+len(in.funcs))
+	for n, c := range in.counters {
 		out[n] = c.Load()
 	}
-	for n, g := range gauges {
+	for n, g := range in.gauges {
 		out[n] = g.Load()
 	}
-	for n, h := range hists {
+	for n, h := range in.hists {
 		expandHistogram(out, n, h)
 	}
-	for n, v := range counterVecs {
+	for n, v := range in.counterVecs {
 		for _, c := range v.v.children() {
 			out[n+c.labels.String()] = c.inst.Load()
 		}
 	}
-	for n, v := range gaugeVecs {
+	for n, v := range in.gaugeVecs {
 		for _, c := range v.v.children() {
 			out[n+c.labels.String()] = c.inst.Load()
 		}
 	}
-	for n, v := range histVecs {
+	for n, v := range in.histVecs {
 		for _, c := range v.v.children() {
 			expandHistogram(out, n+c.labels.String(), c.inst)
 		}
 	}
-	for n, f := range funcs {
+	for n, f := range in.funcs {
 		out[n] = f()
 	}
 	return out

@@ -1,8 +1,6 @@
 package obsv
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -78,38 +76,6 @@ func TestHotPathAllocs(t *testing.T) {
 	var nh *Histogram
 	if n := testing.AllocsPerRun(1000, func() { nc.Inc(); nh.Observe(1) }); n != 0 {
 		t.Errorf("nil instrument ops allocate %.1f per op, want 0", n)
-	}
-}
-
-// TestStatsHandlerJSON verifies the HTTP export: valid JSON containing the
-// registered instrument names.
-func TestStatsHandlerJSON(t *testing.T) {
-	r := New()
-	r.Counter("pbio.formats.registered").Add(3)
-	r.Gauge("eventbus.queue_depth").Set(7)
-	r.Histogram("dcg.plan.compile_ns").Observe(1500)
-	r.Func("cache.size", func() int64 { return 42 })
-
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Errorf("content type = %q", ct)
-	}
-	var snap map[string]int64
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("response is not valid JSON: %v\n%s", err, rec.Body.String())
-	}
-	want := map[string]int64{
-		"pbio.formats.registered":   3,
-		"eventbus.queue_depth":      7,
-		"dcg.plan.compile_ns.count": 1,
-		"dcg.plan.compile_ns.sum":   1500,
-		"cache.size":                42,
-	}
-	for k, v := range want {
-		if snap[k] != v {
-			t.Errorf("snapshot[%q] = %d, want %d", k, snap[k], v)
-		}
 	}
 }
 

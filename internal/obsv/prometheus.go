@@ -17,10 +17,11 @@ import (
 // names are sanitized for Prometheus ("." and "-" become "_").
 //
 // Clients that send an Accept header naming application/openmetrics-text get
-// the OpenMetrics dialect instead: the same series, a trailing # EOF marker,
-// and — only on histogram _bucket lines whose bucket holds an exemplar — the
-// OpenMetrics exemplar suffix # {trace_id="<hex>"} <value> <unix seconds>,
-// linking the bucket to a real traced request.
+// the OpenMetrics dialect instead: the same series with counter samples named
+// <family>_total, a trailing # EOF marker, and — only on histogram _bucket
+// lines whose bucket holds an exemplar — the OpenMetrics exemplar suffix
+// # {trace_id="<hex>"} <value> <unix seconds>, linking the bucket to a real
+// traced request.
 func (r *Registry) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		openMetrics := strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text")
@@ -42,72 +43,48 @@ func (r *Registry) writePrometheus(b *strings.Builder, openMetrics bool) {
 	if r == nil {
 		return
 	}
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
+	in := r.copyInstruments()
+	// OpenMetrics names a counter's sample <family>_total; the family name
+	// in # TYPE stays bare. Prometheus 0.0.4 uses the bare name for both.
+	total := ""
+	if openMetrics {
+		total = "_total"
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for n, f := range r.funcs {
-		funcs[n] = f
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
-	histVecs := make(map[string]*HistogramVec, len(r.histVecs))
-	for n, v := range r.histVecs {
-		histVecs[n] = v
-	}
-	r.mu.RUnlock()
-
-	for _, n := range sortedKeys(counters) {
+	for _, n := range sortedKeys(in.counters) {
 		pn := promName(n)
-		fmt.Fprintf(b, "# TYPE %s counter\n%s %d\n", pn, pn, counters[n].Load())
+		fmt.Fprintf(b, "# TYPE %s counter\n%s%s %d\n", pn, pn, total, in.counters[n].Load())
 	}
-	for _, n := range sortedKeys(counterVecs) {
+	for _, n := range sortedKeys(in.counterVecs) {
 		pn := promName(n)
 		fmt.Fprintf(b, "# TYPE %s counter\n", pn)
-		for _, c := range counterVecs[n].v.children() {
-			fmt.Fprintf(b, "%s%s %d\n", pn, c.labels.String(), c.inst.Load())
+		for _, c := range in.counterVecs[n].v.children() {
+			fmt.Fprintf(b, "%s%s%s %d\n", pn, total, c.labels.String(), c.inst.Load())
 		}
 	}
-	for _, n := range sortedKeys(gauges) {
+	for _, n := range sortedKeys(in.gauges) {
 		pn := promName(n)
-		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", pn, pn, gauges[n].Load())
+		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", pn, pn, in.gauges[n].Load())
 	}
-	for _, n := range sortedKeys(gaugeVecs) {
+	for _, n := range sortedKeys(in.gaugeVecs) {
 		pn := promName(n)
 		fmt.Fprintf(b, "# TYPE %s gauge\n", pn)
-		for _, c := range gaugeVecs[n].v.children() {
+		for _, c := range in.gaugeVecs[n].v.children() {
 			fmt.Fprintf(b, "%s%s %d\n", pn, c.labels.String(), c.inst.Load())
 		}
 	}
-	for _, n := range sortedKeys(funcs) {
+	for _, n := range sortedKeys(in.funcs) {
 		pn := promName(n)
-		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", pn, pn, funcs[n]())
+		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", pn, pn, in.funcs[n]())
 	}
-	for _, n := range sortedKeys(hists) {
+	for _, n := range sortedKeys(in.hists) {
 		pn := promName(n)
 		fmt.Fprintf(b, "# TYPE %s histogram\n", pn)
-		writePromHistogram(b, pn, nil, hists[n], openMetrics)
+		writePromHistogram(b, pn, nil, in.hists[n], openMetrics)
 	}
-	for _, n := range sortedKeys(histVecs) {
+	for _, n := range sortedKeys(in.histVecs) {
 		pn := promName(n)
 		fmt.Fprintf(b, "# TYPE %s histogram\n", pn)
-		for _, c := range histVecs[n].v.children() {
+		for _, c := range in.histVecs[n].v.children() {
 			writePromHistogram(b, pn, c.labels, c.inst, openMetrics)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // The runtime/metrics bridge: a sampler that copies the Go runtime's own
 // telemetry into an obsv Registry, so GC pauses, scheduler latency, heap size
 // and goroutine counts ride the exact same rails as application metrics:
-// /stats, /metrics and omtop show them with no extra wiring. The runtime
+// Snapshot, /metrics and omtop show them with no extra wiring. The runtime
 // exposes its histograms as cumulative bucket counts; Sample replays the
 // per-tick count deltas into the striped obsv histograms via
 // Histogram.AddSamples, using each bucket's upper bound (in nanoseconds) as

@@ -51,8 +51,7 @@ func TestRuntimeBridgeSample(t *testing.T) {
 }
 
 // TestRuntimeBridgeFamilies: both runtime histograms expand to the full
-// six-key family and the goroutine gauge is present, the shape /stats and
-// omtop group by suffix.
+// six-key snapshot family and the goroutine gauge is present.
 func TestRuntimeBridgeFamilies(t *testing.T) {
 	r := New()
 	b := NewRuntimeBridge(r)

@@ -69,11 +69,11 @@ func TestVecUnlimitedWhenBoundRemoved(t *testing.T) {
 
 // TestDebugIndexListsEverything: every built-in endpoint and every mounted
 // extra must appear on the /debug index page with its description, and the
-// retired contention endpoint must be neither listed nor served.
+// retired endpoints must be neither listed nor served.
 func TestDebugIndexListsEverything(t *testing.T) {
 	r := New()
 	mux := DebugMux(r,
-		DebugEndpoint{Path: "/debug/trace", Handler: r.Handler(), Desc: "recent spans"},
+		DebugEndpoint{Path: "/debug/trace", Handler: r.MetricsHandler(), Desc: "recent spans"},
 	)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -86,21 +86,22 @@ func TestDebugIndexListsEverything(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		"/stats", "/debug/stats", "/metrics", "/debug/flight", "/debug/trace",
-		"/healthz", "/readyz", "/debug/vars", "/debug/pprof/",
+		"/metrics", "/debug/flight", "/debug/trace",
+		"/healthz", "/readyz", "/debug/pprof/",
 		"recent spans", "Prometheus", "flight recorder", "readiness",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/debug index missing %q:\n%s", want, body)
 		}
 	}
-	retired := "/debug/" + "contention"
-	if strings.Contains(body, `href="`+retired+`"`) {
-		t.Fatalf("/debug index still lists %s:\n%s", retired, body)
-	}
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", retired, nil))
-	if rec.Code != 404 {
-		t.Fatalf("GET %s: %d, want 404", retired, rec.Code)
+	for _, retired := range []string{"/debug/" + "contention", "/stats", "/debug/stats", "/debug/vars"} {
+		if strings.Contains(body, `href="`+retired+`"`) {
+			t.Fatalf("/debug index still lists %s:\n%s", retired, body)
+		}
+		rec = httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", retired, nil))
+		if rec.Code != 404 {
+			t.Fatalf("GET %s: %d, want 404", retired, rec.Code)
+		}
 	}
 }

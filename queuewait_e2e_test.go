@@ -1,18 +1,14 @@
 package openmeta
 
 import (
-	"encoding/json"
 	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"openmeta/internal/eventbus"
 	"openmeta/internal/faultnet"
-	"openmeta/internal/flight"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
@@ -21,17 +17,11 @@ import (
 
 // TestQueueWaitStallEndToEnd is the acceptance scenario for queue-wait
 // observability: a subscriber stalled behind a faultnet-throttled link while
-// several publishers push bulk records. Every assertion is made over HTTP,
-// the way an operator would diagnose the incident: /stats shows the frames
-// that aged in the stalled subscriber's queue before hitting the wire, first
-// as the queue-wait maximum and then in its p99.
+// several publishers push bulk records. The broker's registry snapshot shows
+// the frames that aged in the stalled subscriber's queue before hitting the
+// wire, first as the queue-wait maximum and then in its p99.
 func TestQueueWaitStallEndToEnd(t *testing.T) {
 	reg := obsv.New()
-	health := obsv.NewHealth()
-	rec := flight.New(256)
-
-	srv := httptest.NewServer(obsv.DebugMuxFor(reg, health, rec))
-	defer srv.Close()
 
 	// The broker under observation: small queue so frames age visibly, a long
 	// write deadline so the stall persists for the measurement window.
@@ -105,17 +95,13 @@ func TestQueueWaitStallEndToEnd(t *testing.T) {
 	}
 
 	// Frames dequeued for the stalled subscriber aged in its queue.
-	testutil.WaitFor(t, 15*time.Second, "queue-wait excursion in /stats", func() bool {
-		var snap map[string]int64
-		httpJSON(t, srv.URL+"/stats", &snap)
-		return snap["eventbus.queue_wait_ns.max"] > (10 * time.Millisecond).Nanoseconds()
+	testutil.WaitFor(t, 15*time.Second, "queue-wait excursion in the snapshot", func() bool {
+		return reg.Snapshot()["eventbus.queue_wait_ns.max"] > (10 * time.Millisecond).Nanoseconds()
 	})
 
 	// The excursion reaches the queue-wait p99.
-	testutil.WaitFor(t, 15*time.Second, "queue-wait p99 excursion in /stats", func() bool {
-		var snap map[string]int64
-		httpJSON(t, srv.URL+"/stats", &snap)
-		return snap["eventbus.queue_wait_ns.p99"] > (10 * time.Millisecond).Nanoseconds()
+	testutil.WaitFor(t, 15*time.Second, "queue-wait p99 excursion in the snapshot", func() bool {
+		return reg.Snapshot()["eventbus.queue_wait_ns.p99"] > (10 * time.Millisecond).Nanoseconds()
 	})
 	close(stopPub)
 	pubWG.Wait()
@@ -168,21 +154,5 @@ func stallingProxy(t *testing.T, target string) (addr string, closeProxy func())
 			_ = c.Close()
 		}
 		<-done
-	}
-}
-
-// httpJSON GETs url and decodes the JSON body into v.
-func httpJSON(t *testing.T, url string, v interface{}) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("GET %s: bad JSON: %v", url, err)
 	}
 }

@@ -6,6 +6,8 @@
 #
 #   - the negotiated Content-Type is application/openmetrics-text
 #   - the exposition ends with the mandatory "# EOF" terminator
+#   - every counter sample is named <family>_total under a bare
+#     "# TYPE <family> counter" line
 #   - every exemplar annotation (" # {...}") sits on a _bucket series and
 #     nowhere else — exemplars on counters/gauges are invalid OpenMetrics
 #   - each exemplar labelset is exactly {trace_id="<32 lowercase hex>"}
@@ -14,7 +16,9 @@
 #   - at least one exemplar line exists (the traffic was traced, so the
 #     broker's routing histogram must carry one)
 #   - the plain (Prometheus text) negotiation emits neither exemplars nor
-#     the "# EOF" terminator
+#     the "# EOF" terminator, and its counter samples keep the bare name
+#   - omtop -once reads the exposition back: the broker's routing histogram
+#     has a row with quantiles and an ex=<short TraceID> cell
 #
 # Usage: scripts/openmetrics_check.sh
 # Env:   OM_OUT  file to keep the exposition in (default: temp, removed)
@@ -27,7 +31,7 @@ BIN="$(mktemp -d)"
 OUT="${OM_OUT:-$BIN/metrics.om}"
 
 echo "openmetrics: building binaries"
-go build -o "$BIN" ./cmd/eventbusd ./cmd/ompub
+go build -o "$BIN" ./cmd/eventbusd ./cmd/ompub ./cmd/omtop
 
 PIDS=()
 cleanup() {
@@ -73,13 +77,33 @@ if grep ' # {' "$OUT" | grep -Ev "$GRAMMAR" >&2; then
     echo "openmetrics: malformed exemplar line(s) above" >&2
     FAIL=1
 fi
+# OpenMetrics names every counter sample <family>_total; the family name in
+# the # TYPE line stays bare.
+if ! grep -q '^# TYPE eventbus_published counter$' "$OUT"; then
+    echo "openmetrics: no eventbus_published counter family" >&2
+    FAIL=1
+fi
+if awk '/^# TYPE [^ ]+ counter$/ { fam = $3; next }
+        /^#/ { fam = ""; next }
+        fam != "" { n = $1; sub(/\{.*/, "", n); if (n != fam "_total") print }' "$OUT" | grep . >&2; then
+    echo "openmetrics: counter sample(s) above lack the _total suffix" >&2
+    FAIL=1
+fi
 [ "$FAIL" -eq 0 ] || { echo "openmetrics: FAIL — invalid exposition in $OUT" >&2; exit 1; }
 
 PLAIN="$BIN/metrics.prom"
 curl -sf "http://$DBG/metrics" >"$PLAIN"
-if grep -q 'trace_id=' "$PLAIN" || grep -q '^# EOF$' "$PLAIN"; then
+if grep -q 'trace_id=' "$PLAIN" || grep -q '^# EOF$' "$PLAIN" || ! grep -q '^eventbus_published [0-9]' "$PLAIN"; then
     echo "openmetrics: FAIL — plain Prometheus negotiation leaked OpenMetrics syntax" >&2
     exit 1
 fi
 
-echo "openmetrics: OK — $(grep -c ' # {' "$OUT") exemplar line(s), valid grammar, # EOF terminated"
+TOP="$BIN/omtop.txt"
+"$BIN/omtop" -addr "$DBG" -once >"$TOP"
+if ! grep -Eq '^eventbus_route_ns +[0-9.]+( +[0-9]+){3}  ex=[0-9a-f]{16}$' "$TOP"; then
+    echo "openmetrics: FAIL — omtop -once shows no eventbus_route_ns row with an ex= cell:" >&2
+    cat "$TOP" >&2
+    exit 1
+fi
+
+echo "openmetrics: OK — $(grep -c ' # {' "$OUT") exemplar line(s), valid grammar, _total counters, # EOF terminated, omtop reads it"

@@ -57,14 +57,10 @@ func StatsDelta(before, after map[string]int64) map[string]int64 {
 	return obsv.Delta(before, after)
 }
 
-// StatsHandler returns an http.Handler serving the default observer's
-// snapshot as JSON — mount it wherever the application already serves HTTP.
-func StatsHandler() http.Handler { return obsv.Default().Handler() }
-
 // DebugHandler returns the full debug endpoint the daemons mount behind
-// their -debug-addr flag: /stats (JSON snapshot), /metrics (Prometheus text
-// exposition), /debug/trace (recent spans, see TraceHandler), /debug/flight,
-// /healthz, /readyz, /debug/vars (expvar) and /debug/pprof/...
+// their -debug-addr flag: /metrics (Prometheus text exposition, or
+// OpenMetrics with trace exemplars), /debug/trace (recent spans, see
+// TraceHandler), /debug/flight, /healthz, /readyz and /debug/pprof/...
 // (net/http/pprof; lock contention is its mutex and block profiles). GET
 // /debug lists everything.
 func DebugHandler() http.Handler {

@@ -118,23 +118,18 @@ func TestStatsQuickstartFlow(t *testing.T) {
 	}
 }
 
-// TestStatsHandlerServesJSON checks the HTTP snapshot is valid JSON and
-// carries the documented keys even before any traffic (instruments are
-// created zero-valued at package init).
+// TestStatsHandlerServesJSON pins the in-process snapshot the JSON stats
+// handler used to serve: openmeta.Stats() encodes as one flat JSON object
+// of int64 values carrying the documented families. Over HTTP the same
+// families are on /metrics (TestDebugHandlerEndpoints).
 func TestStatsHandlerServesJSON(t *testing.T) {
-	srv := httptest.NewServer(openmeta.StatsHandler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
+	raw, err := json.Marshal(openmeta.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Errorf("Content-Type = %q", ct)
-	}
 	var m map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("snapshot is not a flat JSON object: %v", err)
 	}
 	for _, key := range []string{
 		"eventbus.delivered",
@@ -148,6 +143,10 @@ func TestStatsHandlerServesJSON(t *testing.T) {
 	}
 }
 
+// TestDebugHandlerEndpoints checks every documented debug endpoint answers
+// and is listed on the /debug index, that /metrics carries the documented
+// families even before any traffic (instruments are created zero-valued at
+// package init), and that retired endpoints are gone.
 func TestDebugHandlerEndpoints(t *testing.T) {
 	srv := httptest.NewServer(openmeta.DebugHandler())
 	defer srv.Close()
@@ -166,20 +165,32 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	}
 	_, index := get("/debug")
 	for _, path := range []string{
-		"/stats", "/stats?exemplars=1", "/debug/stats", "/metrics", "/debug/trace",
-		"/debug/flight", "/debug/vars", "/debug/pprof/",
+		"/metrics", "/debug/trace", "/debug/flight", "/debug/pprof/",
 		"/healthz", "/readyz",
 	} {
 		if code, _ := get(path); code != 200 {
 			t.Errorf("GET %s = %d, want 200", path, code)
 		}
-		if listed, _, _ := strings.Cut(path, "?"); !strings.Contains(index, `href="`+listed+`"`) {
-			t.Errorf("/debug index does not list %s", listed)
+		if !strings.Contains(index, `href="`+path+`"`) {
+			t.Errorf("/debug index does not list %s", path)
+		}
+	}
+	_, metrics := get("/metrics")
+	for _, family := range []string{
+		"eventbus_delivered",
+		"dcg_plan_cache_hits",
+		"pbio_formats_registered",
+		"discovery_fetches",
+	} {
+		if !strings.Contains(metrics, "# TYPE "+family+" ") {
+			t.Errorf("/metrics missing family %q", family)
 		}
 	}
 	// Retired endpoints are gone from the mux and from the index.
-	for _, name := range []string{"history", "alerts", "profiles/", "contention"} {
-		path := "/debug/" + name
+	for _, path := range []string{
+		"/debug/history", "/debug/alerts", "/debug/profiles/", "/debug/contention",
+		"/stats", "/debug/stats", "/debug/vars",
+	} {
 		if code, _ := get(path); code != 404 {
 			t.Errorf("GET %s = %d, want 404", path, code)
 		}

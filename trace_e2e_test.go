@@ -6,12 +6,15 @@ package openmeta
 // with -debug-addr. The tests read each /debug/trace ring over HTTP and
 // stitch one TraceID's fragments back into a single parent-linked tree with
 // trace.Tag, trace.MergeSpans and trace.Assemble; the latency exemplars on
-// /stats?exemplars=1 and /metrics lead to traces that assemble the same way.
+// the OpenMetrics /metrics exposition lead to traces that assemble the same
+// way.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -177,24 +180,45 @@ func (tr *processTrio) assembleAcross(t *testing.T, id trace.TraceID) {
 }
 
 // worstExemplar returns the TraceID on the highest-bucket exemplar of the
-// process's metric histogram, read from /stats?exemplars=1.
+// process's metric histogram (its exposition name, such as
+// eventbus_route_ns), read from the OpenMetrics /metrics exposition, after
+// checking the histogram counted every traced record.
 func (p *debugProc) worstExemplar(t *testing.T, metric string) (string, trace.TraceID) {
 	t.Helper()
-	var rich obsv.StatsWithExemplars
-	httpJSON(t, p.srv.URL+"/stats?exemplars=1", &rich)
-	exs := rich.Exemplars[metric]
-	if len(exs) == 0 {
-		t.Fatalf("no %s exemplars on %s; keys: %d", metric, p.name, len(rich.Exemplars))
+	req, err := http.NewRequest("GET", p.srv.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rich.Metrics[metric+".count"] < tracedRecords {
-		t.Fatalf("%s: %s.count = %d, want >= %d", p.name, metric, rich.Metrics[metric+".count"], tracedRecords)
+	req.Header.Set("Accept", "application/openmetrics-text")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	worst := exs[len(exs)-1] // lowest bucket first, so the last is the worst
-	id, ok := trace.ParseTraceID(worst.TraceID)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worst, count string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, metric+"_bucket{") {
+			// Buckets come lowest first, so the last exemplar is the worst.
+			if _, ex, ok := strings.Cut(line, ` # {trace_id="`); ok {
+				worst, _, _ = strings.Cut(ex, `"`)
+			}
+		}
+		if v, ok := strings.CutPrefix(line, metric+"_count "); ok {
+			count = v
+		}
+	}
+	if n, err := strconv.Atoi(count); err != nil || n < tracedRecords {
+		t.Fatalf("%s: %s_count = %q, want >= %d", p.name, metric, count, tracedRecords)
+	}
+	id, ok := trace.ParseTraceID(worst)
 	if !ok || id.IsZero() {
-		t.Fatalf("%s: %s exemplar TraceID = %q", p.name, metric, worst.TraceID)
+		t.Fatalf("%s: %s exemplar TraceID = %q", p.name, metric, worst)
 	}
-	return worst.TraceID, id
+	return worst, id
 }
 
 func TestTraceAssemblyAcrossProcesses(t *testing.T) {
@@ -216,7 +240,7 @@ func TestTraceAssemblyAcrossProcesses(t *testing.T) {
 
 	// The broker's worst routing exemplar names a traced request, and that
 	// request assembles the same way.
-	_, id := tr.broker.worstExemplar(t, "eventbus.route_ns")
+	_, id := tr.broker.worstExemplar(t, "eventbus_route_ns")
 	tr.assembleAcross(t, id)
 }
 
@@ -255,34 +279,15 @@ func TestFleetTraceAssemblyEndToEnd(t *testing.T) {
 
 // TestFleetExemplarEndToEnd checks that both ends of the journey carry
 // exemplars that lead to whole traces: the subscriber's worst decode
-// exemplar assembles across the three processes, and the broker's worst
-// routing exemplar is on the OpenMetrics wire.
+// exemplar and the broker's worst routing exemplar, each read from that
+// process's /metrics alone, assemble across the three processes.
 func TestFleetExemplarEndToEnd(t *testing.T) {
 	tr := runProcessTrio(t)
 
-	_, decodeID := tr.sub.worstExemplar(t, "pbio.decode_ns")
+	_, decodeID := tr.sub.worstExemplar(t, "pbio_decode_ns")
 	tr.assembleAcross(t, decodeID)
-
-	// The broker's /metrics with content negotiation emits exemplar-suffixed
-	// bucket lines carrying the same TraceID /stats reports.
-	routeTrace, _ := tr.broker.worstExemplar(t, "eventbus.route_ns")
-	req, err := http.NewRequest("GET", tr.broker.srv.URL+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/openmetrics-text")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if om := string(body); !strings.Contains(om, `_bucket{le=`) || !strings.Contains(om, `# {trace_id="`+routeTrace+`"}`) {
-		t.Fatalf("OpenMetrics exposition missing the exemplar for trace %s", routeTrace)
-	}
+	_, routeID := tr.broker.worstExemplar(t, "eventbus_route_ns")
+	tr.assembleAcross(t, routeID)
 }
 
 // checkAssembly requires asm to be one tree rooted at the publisher's
@@ -359,5 +364,21 @@ func checkAssembly(t *testing.T, asm *trace.Assembly) {
 	}
 	if sum < 99.9 || sum > 100.1 {
 		t.Errorf("stage shares sum to %.2f%%, want 100%%", sum)
+	}
+}
+
+// httpJSON GETs url and decodes the JSON body into v.
+func httpJSON(t *testing.T, url string, v interface{}) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: bad JSON: %v", url, err)
 	}
 }
