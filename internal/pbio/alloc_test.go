@@ -176,11 +176,12 @@ func TestMarshalMetaNestedAllocations(t *testing.T) {
 	}
 }
 
-// Format.Decode cuts every string of a record from one allocation, and boxes
-// every string header from one slab whose size the format fixes: the bytes of
-// one string or of all eight cost one allocation, and their headers none
-// beyond what a record with no string set pays. With a header box per string
-// value, one and eight strings cost n+1+1 and n+8+1.
+// Format.Decode takes every string of a record, its bytes and its header,
+// from the record's block, which it allocates whether or not a string is set:
+// one string or all eight cost nothing beyond what a record with no string
+// set pays. With the bytes cut from one arena and the headers from one slab,
+// they cost n+1 and n+1; with a header box per string value, n+1+1 and
+// n+8+1.
 func TestDecodeStringsShareOneAllocation(t *testing.T) {
 	ctx := newCtx(t, machine.X86)
 	var specs []FieldSpec
@@ -203,7 +204,7 @@ func TestDecodeStringsShareOneAllocation(t *testing.T) {
 		return testing.AllocsPerRun(100, func() { _, _ = f.Decode(data) })
 	}
 	none, one, all := allocs(0), allocs(1), allocs(8)
-	if one != none+1 || all != none+1 {
-		t.Errorf("Decode allocations with 0/1/8 strings set = %v/%v/%v, want n, n+1, n+1 (one for all bytes)", none, one, all)
+	if one != none || all != none {
+		t.Errorf("Decode allocations with 0/1/8 strings set = %v/%v/%v, want n, n, n (the bytes in the record's block)", none, one, all)
 	}
 }

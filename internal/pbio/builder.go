@@ -1,26 +1,23 @@
 package pbio
 
-import (
-	"math"
-	"strings"
-)
+import "math"
 
 // A RecordBuilder makes the values of the generic Records that the NDR, XDR
 // and XML-text decoders return, so that the three build the same record the
 // same way and differ only in how they read bytes: a map presized to the
-// format's fields, numeric scalars, strings and array headers boxed from one
-// slab per kind per record (slab.go), bools in the runtime's static boxes
-// and, for NDR, every string of a record cut from one arena. The zero value
-// is ready for use; a builder makes one record and is then dropped.
+// format's fields, bools in the runtime's static boxes, and numeric scalars,
+// strings and array headers boxed from memory the builder owns (slab.go).
+// Format.Decode takes them from one block per record; the exported methods
+// box from one slab per kind, which Begin sizes. The zero value is ready for
+// use; a builder makes one record and is then dropped.
 type RecordBuilder struct {
-	slab  Slab            // the slots of the current slabs not yet handed out
-	arena strings.Builder // NDR: the record's string bytes, grown once to their total
+	slab Slab // the slots of the current slabs (or block) not yet handed out
 }
 
 // Slab is a record's slabs: one per kind of boxed value, each sized by the
 // program. A kind the format has no value of takes no allocation.
 type Slab struct {
-	words  []uint64 // numeric scalars
+	words  []uint64 // numeric scalars; for Format.Decode, the block's words
 	strs   []string // string headers
 	slices [][]byte // slice headers of every element type (slab.go)
 }
@@ -29,10 +26,8 @@ type Slab struct {
 // from: a decode begins them for its root record (n = 1) and for the
 // elements of each array of records. It returns what was left of the slabs
 // it replaces, for End to restore once those n records are built.
-func (b *RecordBuilder) Begin(f *Format, n int) Slab { return b.begin(f.compiled(), n) }
-
-func (b *RecordBuilder) begin(p *program, n int) Slab {
-	outer := b.slab
+func (b *RecordBuilder) Begin(f *Format, n int) Slab {
+	p, outer := f.compiled(), b.slab
 	b.slab = Slab{
 		words:  make([]uint64, n*p.scalars),
 		strs:   make([]string, n*p.strs),
@@ -74,10 +69,3 @@ func (b *RecordBuilder) Bools(s []bool) interface{} { return boxSlice(b, boolsTy
 func (b *RecordBuilder) Strings(s []string) interface{} { return boxSlice(b, stringsType, s) }
 
 func (b *RecordBuilder) Records(s []Record) interface{} { return boxSlice(b, recordsType, s) }
-
-// cut returns raw as a string cut from the arena.
-func (b *RecordBuilder) cut(raw []byte) string {
-	start := b.arena.Len()
-	b.arena.Write(raw)
-	return b.arena.String()[start:]
-}

@@ -14,30 +14,30 @@ import (
 // floats to float64, chars to int64, booleans to bool and strings to string;
 // arrays decode to typed slices of those; nested records decode to Record.
 //
-// The record's values are boxed from one slab per kind: its numeric
-// scalars from one, its string headers from another and its array headers
-// from a third (and each array of records takes one more of each). Its
-// string bytes are cut from one arena. A value kept after the record is
-// dropped keeps what it was cut from alive:
-//   - a held number keeps the numeric slab, 8 bytes per numeric scalar;
-//   - a held string keeps the string-header slab, 16 bytes per string, and
-//     the arena;
-//   - a held array keeps the slice-header slab, 24 bytes per array, and the
-//     backing arrays of all of the record's arrays.
+// A decode allocates the record's maps and one block (slab.go) that holds
+// its numbers, its strings with their bytes, and its numeric and bool arrays
+// with their backing arrays, for the record and every record nested in it.
+// A value kept after the record is dropped keeps the whole block alive:
+// about the record's decoded size, roughly 10.9 KB for a 10 KB record with
+// 1,200 doubles and eight strings. A block array has cap == len, so an append
+// to it copies. []string and []Record arrays, and their headers, are
+// allocated apart.
 func (f *Format) Decode(data []byte) (Record, error) {
 	return f.compiled().decode(data, goRecord{})
 }
 
-// decoder reads one record. All of the record's strings are cut from the
-// builder's arena, which decode grows once to their total, so a record costs
-// one string allocation however many string fields it has.
+// decoder reads one record. Its strings are cut from text, which the
+// pre-pass (need) sizes to their total: a record costs one string
+// allocation, or none beyond its block, however many strings it has.
 type decoder struct {
 	data []byte
+	text []byte // string bytes not yet cut
 	RecordBuilder
 }
 
-// decode is the one decode walk, filling dst from data. A zero dst asks for
-// a generic Record, which decode makes and returns.
+// decode checks data's size, counts what the record takes (need) and fills
+// dst from data. A zero dst asks for a generic Record, which decode makes and
+// returns.
 func (p *program) decode(data []byte, dst goRecord) (Record, error) {
 	if len(data) < p.size {
 		return nil, fmt.Errorf("%w: %d bytes, fixed region needs %d", ErrTruncated, len(data), p.size)
@@ -45,13 +45,22 @@ func (p *program) decode(data []byte, dst goRecord) (Record, error) {
 	if len(data) > MaxRecordSize {
 		return nil, ErrRecordTooBig
 	}
+	var words, text int
+	if dst.b == nil || p.strings {
+		words, text = p.need(data, 0)
+	}
+	return p.fill(data, dst, words, text)
+}
+
+// fill is the one decode walk. A generic record takes its values from a
+// block of words and text bytes; a bound struct takes its strings from text.
+func (p *program) fill(data []byte, dst goRecord, words, text int) (Record, error) {
 	d := decoder{data: data}
 	if dst.b == nil {
-		d.begin(p, 1)
+		d.text = d.block(words, text)
 		dst.rec = d.Record(p.format)
-	}
-	if p.strings {
-		d.arena.Grow(p.stringBytes(data, 0))
+	} else if text > 0 {
+		d.text = make([]byte, text)
 	}
 	if err := d.record(p, 0, dst); err != nil {
 		return nil, err
@@ -104,9 +113,9 @@ func (d *decoder) record(p *program, base int, dst goRecord) error {
 func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
 	switch op.kind {
 	case String:
-		s, err := d.str(p, at)
+		s, cut, err := d.str(p, at)
 		if st.rec != nil {
-			st.rec[op.name] = d.Str(s)
+			st.rec[op.name] = d.blockStr(s, cut)
 		} else {
 			st.fv.SetString(s)
 		}
@@ -125,63 +134,67 @@ func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
 	}
 }
 
-// str reads the string whose pointer slot is at at.
-func (d *decoder) str(p *program, at int) (string, error) {
+// str reads the string whose pointer slot is at at, cut from d.text. Past
+// its end (only a pre-pass that under-counted gets there) it is copied to
+// the heap, and cut is false.
+func (d *decoder) str(p *program, at int) (s string, cut bool, err error) {
 	b, err := p.stringRef(d.data, at)
 	if len(b) == 0 {
-		return "", err
+		return "", true, err
 	}
-	return d.cut(b), nil
+	if s, cut = cutText(&d.text, b); !cut {
+		s = string(b)
+	}
+	return s, cut, nil
 }
 
 // array decodes the n elements at at, which dynamicRef (or the fixed-region
 // check, for a static array) has shown to lie inside the record. A generic
-// record gets a fresh slice of the kind's decoded type; a bound field is cut
-// or grown to n and filled in place. A slice of a 64-bit type is filled whole
-// by a bulk kernel; a bound field of any other numeric type goes through a
-// stack buffer, so order and width are still decided per chunk.
+// record gets a fresh slice of the kind's decoded type, from its block for a
+// numeric or bool array; a bound field is cut or grown to n and filled in
+// place. A slice of a 64-bit type is filled whole by a bulk kernel; a bound
+// field of any other numeric type goes through a stack buffer, so order and
+// width are still decided per chunk.
 func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 	size, src, fv := int(op.size), d.data[at:], st.fv
 	if st.rec != nil {
 		var x interface{}
 		switch op.kind {
 		case Int, Char:
-			s := make([]int64, n)
+			var s []int64
+			s, x = blockSlice[int64](&d.RecordBuilder, int64sType, n)
 			machine.Ints(s, src, p.order, size)
-			x = d.Ints(s)
 		case Uint:
-			s := make([]uint64, n)
+			var s []uint64
+			s, x = blockSlice[uint64](&d.RecordBuilder, uint64sType, n)
 			machine.Ints(s, src, p.order, size)
-			x = d.Uints(s)
 		case Float:
-			s := make([]float64, n)
+			var s []float64
+			s, x = blockSlice[float64](&d.RecordBuilder, float64sType, n)
 			machine.Floats(s, src, p.order, size)
-			x = d.Floats(s)
 		case Bool:
-			s := make([]bool, n)
+			var s []bool
+			s, x = blockSlice[bool](&d.RecordBuilder, boolsType, n)
 			for i := range s {
 				s[i] = src[i] != 0
 			}
-			x = d.Bools(s)
 		case String:
 			s := make([]string, n)
 			for i := range s {
 				var err error
-				if s[i], err = d.str(p, at+i*size); err != nil {
+				if s[i], _, err = d.str(p, at+i*size); err != nil {
 					return err
 				}
 			}
 			x = d.Strings(s)
 		case Nested:
 			s := make([]Record, n)
-			outer := d.begin(op.child, n)
 			for i := range s {
 				s[i] = d.Record(op.child.format)
 				if err := d.record(op.child, at+i*size, goRecord{rec: s[i]}); err != nil {
 					return err
 				}
 			}
-			d.End(outer)
 			x = d.Records(s)
 		default:
 			return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)

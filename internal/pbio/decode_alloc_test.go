@@ -102,14 +102,13 @@ func converted(t *testing.T, src, dst *pbio.Format, rec pbio.Record) []byte {
 // TestFormatDecodeAllocations pins generic Format.Decode on Table 2's
 // records and on the record each workload of the repository benchmark
 // decodes. A decode allocates the record's map (two allocations, four past
-// eight fields, with Go 1.24's maps), one slab for all of its numeric
-// scalars, one for all of its string headers, one for all of its slice
-// headers, one arena for all of its string bytes, and a slice per array; an
-// array of records adds a slab of each kind for all of its elements and a
-// map per element. The comments give the counts with only the numeric
-// scalars in a slab, each string and array boxed on its own, and before
-// that with each numeric scalar outside the runtime's static boxes (0-255)
-// an allocation of its own.
+// eight fields, with Go 1.24's maps) and one block for all of its numbers,
+// strings and numeric arrays (slab.go); an array of records adds its backing,
+// its header and a map per element, whose values come from the same block.
+// The comments give the counts before that: with one slab per kind of boxed
+// value, one arena for the string bytes and a slice per array; with only the
+// numeric scalars in a slab; and with each numeric scalar outside the
+// runtime's static boxes (0-255) an allocation of its own.
 func TestFormatDecodeAllocations(t *testing.T) {
 	got := map[string]float64{}
 	ctx, err := pbio.NewContext(machine.Native)
@@ -154,16 +153,16 @@ func TestFormatDecodeAllocations(t *testing.T) {
 	dst, _ = coldDoc(t, machine.Sparc64)
 	got["cold_bind document"] = decodeAllocs(t, dst, converted(t, src, dst, rec))
 
-	want := map[string]float64{ // numeric slab only, then no slab, in comments
-		"mixed100B":              7,  // 8, 15
-		"mixed1KB":               9,  // 12, 31
-		"mixed10KB":              9,  // 16, 56
-		"mixed100KB":             9,  // 16, 56
-		"small_plain":            7,  // 8, 17
-		"large_convert":          9,  // 16, 58
-		"fanout_mixed scoped":    3,  // 3, 5
-		"fanout_mixed converted": 9,  // 12, 33
-		"cold_bind document":     29, // 39, 58
+	want := map[string]float64{ // per-kind slabs, numeric slab only, then no slab, in comments
+		"mixed100B":              5,  // 7, 8, 15
+		"mixed1KB":               5,  // 9, 12, 31
+		"mixed10KB":              5,  // 9, 16, 56
+		"mixed100KB":             5,  // 9, 16, 56
+		"small_plain":            5,  // 7, 8, 17
+		"large_convert":          5,  // 9, 16, 58
+		"fanout_mixed scoped":    3,  // 3, 3, 5
+		"fanout_mixed converted": 5,  // 9, 12, 33
+		"cold_bind document":     21, // 29, 39, 58
 	}
 	for name, w := range want {
 		if got[name] != w {

@@ -20,8 +20,11 @@ type program struct {
 	// scalars, strs and slices are the numeric scalars, strings and arrays
 	// a generic record of the format boxes: the non-array Int, Uint, Char
 	// and Float fields, the non-array String fields and the array fields,
-	// here and in non-array nested records. A decode sizes its slabs by them.
+	// here and in non-array nested records. Begin sizes its slabs by them.
 	scalars, strs, slices int
+	// words is what the fields without variable data take of a record's
+	// block (slab.go); need adds what the others take.
+	words int
 	// variable: some field, here or in a nested record, puts data in the
 	// variable region; strings: one of them is a string.
 	variable, strings bool
@@ -92,6 +95,15 @@ func compile(f *Format) *program {
 			p.strs++
 		case fl.Kind == Int, fl.Kind == Uint, fl.Kind == Char, fl.Kind == Float:
 			p.scalars++
+		}
+		switch {
+		case op.variable: // need counts it per record
+		case fl.Kind == Nested:
+			p.words += fl.Count * op.child.words
+		case op.array():
+			p.words += 3 + op.backing(fl.Count)
+		case fl.Kind != Bool:
+			p.words++
 		}
 		if fl.Dynamic {
 			op.countIdx = int32(f.byName[fl.CountField])
@@ -165,13 +177,30 @@ func (p *program) stringRef(data []byte, off int) ([]byte, error) {
 	return data[ref : int(ref)+end], nil
 }
 
-// stringBytes totals the string bytes of the record whose fixed region
-// starts at base, so a decode can take them all from one allocation. What it
-// cannot follow it counts as empty; the decode walk rejects the record.
-func (p *program) stringBytes(data []byte, base int) (total int) {
+// backing is the words of a block that the backing array of n elements of a
+// numeric or bool array takes: a decoded number is 8 bytes, a bool 1.
+func (op *fieldOp) backing(n int) int {
+	if op.kind == Bool {
+		return (n + 7) / 8
+	}
+	return n
+}
+
+// need is the one pre-pass of a decode: the words and text bytes of the
+// block (slab.go) that a generic decode of the record whose fixed region
+// starts at base takes. Its text is also the string bytes a bound decode
+// cuts from one []byte. It follows what varies per record, strings and
+// dynamic arrays, into nested records and every element of an array of
+// records. What it cannot follow it counts as empty; the decode walk rejects
+// the record.
+func (p *program) need(data []byte, base int) (words, text int) {
+	words = p.words
+	if !p.variable {
+		return words, 0
+	}
 	for i := range p.ops {
 		op := &p.ops[i]
-		if !op.strings {
+		if !op.variable {
 			continue
 		}
 		at, n := base+int(op.off), int(op.count)
@@ -181,13 +210,23 @@ func (p *program) stringBytes(data []byte, base int) (total int) {
 				continue
 			}
 		}
-		for e := 0; e < n; e++ {
-			if op.child != nil {
-				total += op.child.stringBytes(data, at+e*int(op.size))
-			} else if s, err := p.stringRef(data, at+e*int(op.size)); err == nil {
-				total += len(s)
+		switch op.kind {
+		case Nested:
+			for e := 0; e < n; e++ {
+				w, t := op.child.need(data, at+e*int(op.size))
+				words, text = words+w, text+t
 			}
+		case String:
+			for e := 0; e < n; e++ {
+				s, _ := p.stringRef(data, at+e*int(op.size))
+				text += len(s)
+			}
+			if !op.array() {
+				words += 2 // the header; a []string is not in the block
+			}
+		default:
+			words += 3 + op.backing(n)
 		}
 	}
-	return total
+	return words, text
 }

@@ -83,9 +83,9 @@ func TestSlabRecordMatchesHeapBoxed(t *testing.T) {
 }
 
 // TestSlabScalarOutlivesRecord keeps a number, a string and an array of a
-// decoded record and drops the rest. Their slabs, the string arena and the
-// array's backing array must stay alive, and unchanged, through collections
-// that recycle memory of the slabs' size classes and through 100 later
+// decoded record and drops the rest. The record's block, which holds all
+// three, must stay alive, and unchanged, through collections that recycle
+// memory of the old per-kind slabs' size classes and through 100 later
 // decodes of other values.
 func TestSlabScalarOutlivesRecord(t *testing.T) {
 	ctx, err := pbio.NewContext(machine.X86_64)
