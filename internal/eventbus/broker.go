@@ -1,7 +1,6 @@
 package eventbus
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -483,13 +482,10 @@ func (b *Broker) newConn(conn net.Conn) *brokerConn {
 func (b *Broker) handle(bc *brokerConn) {
 	defer b.wg.Done()
 	defer b.drop(bc)
-	// Read-ahead: one Read surfaces every frame the peer has already sent, up
-	// to readAhead bytes of them. It belongs to this connection and goes with
-	// it; frame lengths are still trusted in readFrame alone.
-	rd := bufio.NewReaderSize(bc.conn, readAhead)
-	var buf []byte
+	// One Read takes in up to a chunk of frames. The reader goes with bc.
+	rd := pbio.NewFrameReader(bc.conn, maxFrame)
 	for {
-		typ, payload, newBuf, err := readFrame(rd, buf)
+		frame, err := rd.Next()
 		if err != nil {
 			// io.EOF is a clean disconnect (at a frame boundary; a frame cut
 			// short is io.ErrUnexpectedEOF) and net.ErrClosed our own
@@ -502,8 +498,7 @@ func (b *Broker) handle(bc *brokerConn) {
 			b.rec.Record(flight.KindConnClose, bc.id, "", 0, 0, detail)
 			return
 		}
-		buf = newBuf
-		if err := b.dispatch(bc, typ, payload); err != nil {
+		if err := b.dispatch(bc, frame); err != nil {
 			b.log.Warn("dispatch failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
 			b.rec.Record(flight.KindBrokerError, bc.id, "", 0, 0, err.Error())
 			_, _ = bc.send(frameError, []byte(err.Error()), droppable)
@@ -512,8 +507,10 @@ func (b *Broker) handle(bc *brokerConn) {
 	}
 }
 
-func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
-	switch typ {
+// dispatch acts on one frame a peer sent. The frame is the broker's to keep:
+// a plain publish is forwarded as it is.
+func (b *Broker) dispatch(bc *brokerConn, frame []byte) error {
+	switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
 	case frameHello:
 		_, caps, err := parseHello(payload)
 		if err != nil {
@@ -539,6 +536,8 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
+		// A copy: an entry that lives as long as the connection must not
+		// keep the chunk its frame was read in.
 		bc.knownFormats[f.ID] = append([]byte(nil), payload...)
 		b.rec.Record(flight.KindFormatRecv, bc.id, "", fid64(f.ID), int64(len(payload)), f.Name)
 		return nil
@@ -567,13 +566,13 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 		return nil
 
 	case framePublish:
-		return b.publish(bc, payload, false)
+		return b.publish(bc, frame, false)
 
 	case framePublishTrace:
 		if bc.caps.Load()&capTrace == 0 {
 			return fmt.Errorf("%w: traced publish without trace capability", ErrBadFrame)
 		}
-		return b.publish(bc, payload, true)
+		return b.publish(bc, frame, true)
 
 	case frameList:
 		_, err := bc.send(frameStreams, []byte(strings.Join(b.Streams(), "\x00")), droppable)
@@ -658,6 +657,7 @@ type delivery struct {
 	st       *stream
 	rf       *routeFormat
 	record   []byte    // NDR record bytes (after the format id)
+	plain    []byte    // an untraced publish's frame, retyped frameEvent: the plain class's image
 	enq      time.Time // the publish's one clock reading, before routing
 	prefix   *[]byte   // the publishing connection's image-prefix buffer
 	isTraced bool
@@ -666,8 +666,8 @@ type delivery struct {
 	route    trace.Ctx    // parents dcg.compile / dcg.convert child spans
 }
 
-func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
-	name, rest, err := getBytes(payload)
+func (b *Broker) publish(bc *brokerConn, frame []byte, isTraced bool) error {
+	name, rest, err := getBytes(frame[pbio.FrameHeaderLen:])
 	if err != nil {
 		return err
 	}
@@ -694,6 +694,9 @@ func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
 		if d.route.Sampled() {
 			d.parent = d.route.Span()
 		}
+	} else {
+		// An event frame is laid out as the publish frame it forwards.
+		frame[0], d.plain = frameEvent, frame
 	}
 	d.enq = time.Now()
 
@@ -733,18 +736,19 @@ func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
 // fanout queues the record to every member of class c, preceded by the
 // metadata of any format a member has not had yet: the same bytes on every
 // queue, one image for the members that get it plain and one for those
-// that get it traced. Deliveries and drops are counted in the labeled
+// that get it traced. The plain class's image of an untraced publish is the
+// publisher's own frame. Deliveries and drops are counted in the labeled
 // (stream, format) family; enqueue counts the aggregate drop.
 func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 	var sf *scopedFormat
+	plain := d.plain
 	if c.fields != nil {
-		sf = c.slices[fi]
+		sf, plain = c.slices[fi], nil
 	}
 	f := outFrame{enq: d.enq}
 	if d.isTraced {
 		f.tid, f.parent, f.stream = d.tid, d.parent, d.st.name
 	}
-	var plain []byte
 	for k, members := range c.subs {
 		if len(members) == 0 {
 			continue
@@ -792,7 +796,7 @@ func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 // converting it straight into the frame. It is one allocation: the prefix is
 // built in the publishing connection's buffer, and the record's append
 // moves it into a fresh one.
-func (d *delivery) image(sf *scopedFormat, traced bool) ([]byte, error) {
+func (d *delivery) image(sf *scopedFormat, traced bool) (wire []byte, err error) {
 	typ, id := frameEvent, d.rf.id
 	if sf != nil {
 		if id = sf.id; sf.err != nil {
@@ -806,19 +810,15 @@ func (d *delivery) image(sf *scopedFormat, traced bool) ([]byte, error) {
 	}
 	p = append(p, id[:]...)
 	*d.prefix = p
-	var wire []byte
-	if sf == nil {
-		wire = append(append(make([]byte, 0, len(p)+len(d.record)), p...), d.record...)
-	} else {
-		var err error
-		// p is full, so the first byte appended reallocates; a conversion
-		// that appended none left the image in the shared buffer.
-		if wire, err = sf.plan.AppendConvertCtx(d.route, p[:len(p):len(p)], d.record); err != nil {
-			return nil, fmt.Errorf("scope projection: %w", err)
-		}
-		if len(wire) == len(p) {
-			wire = slices.Clone(p)
-		}
+	// p is full, so the first byte appended reallocates; an image that
+	// appended none is still in the shared buffer.
+	if wire = p[:len(p):len(p)]; sf == nil {
+		wire = append(wire, d.record...)
+	} else if wire, err = sf.plan.AppendConvertCtx(d.route, wire, d.record); err != nil {
+		return nil, fmt.Errorf("scope projection: %w", err)
+	}
+	if len(wire) == len(p) {
+		wire = slices.Clone(p)
 	}
 	return wire, pbio.EndFrame(wire, typ, maxFrame)
 }

@@ -1,7 +1,6 @@
 package eventbus
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -450,7 +449,9 @@ type Event struct {
 	// Format is the record's format, reconstructed from metadata the broker
 	// delivered ahead of the record.
 	Format *pbio.Format
-	// Data is the NDR record. The slice is owned by the caller.
+	// Data is the NDR record, owned by the caller: an append reallocates. A
+	// record of up to 4 KiB is a slice of the chunk it was read in, which a
+	// held event keeps alive (at most 64 KiB).
 	Data []byte
 	// Trace is the record's trace handle when it arrived in a traced frame
 	// and the subscriber's tracer is enabled: Decode records a pbio.decode
@@ -481,11 +482,10 @@ type Subscriber struct {
 	subs map[string][]string
 
 	// Receive-side state, touched only by the goroutine that calls Streams
-	// and then Next: the frame buffer, the read-ahead over rdConn, and the
-	// last event's stream name, which the next event reuses when it names
-	// the same stream.
-	buf    []byte
-	rd     *bufio.Reader
+	// and then Next: the frame reader over rdConn, and the last event's
+	// stream name, which the next event reuses when it names the same
+	// stream.
+	rd     *pbio.FrameReader
 	rdConn net.Conn
 	stream string
 }
@@ -569,41 +569,34 @@ func (s *Subscriber) Unsubscribe(streamName string) error {
 	return s.control(frameUnsub, putStr(nil, streamName), func() { delete(s.subs, streamName) })
 }
 
-// recvConn returns the connection the receive loop should read from. If
-// broken — the connection a read just failed on, with cause — is still the
-// live one it is torn down first (another goroutine may already have
+// recvConn returns the connection the receive loop should read from and the
+// frame reader over it, which Streams and Next share and which goes, with
+// the frames its chunk still holds, when the link replaces the connection.
+// If broken — the connection a read just failed on, with cause — is still
+// the live one it is torn down first (another goroutine may already have
 // replaced it), and a link left without a connection is redialed and
 // re-subscribed under the retry policy. io.EOF reports a closed subscriber.
-func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, error) {
+func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, *pbio.FrameReader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, io.EOF
+		return nil, nil, io.EOF
 	}
 	if broken != nil && s.conn == broken {
 		s.teardownLocked(cause)
 	}
 	if s.conn == nil {
 		if !s.cfg.reconnect {
-			return nil, fmt.Errorf("eventbus: subscriber connection lost: %w", ErrClosed)
+			return nil, nil, fmt.Errorf("eventbus: subscriber connection lost: %w", ErrClosed)
 		}
 		if err := retry.Do(context.Background(), s.cfg.policy, s.connectLocked); err != nil {
-			return nil, fmt.Errorf("eventbus: reconnect: %w", err)
+			return nil, nil, fmt.Errorf("eventbus: reconnect: %w", err)
 		}
 	}
-	return s.conn, nil
-}
-
-// reader returns the buffered reader over conn, which Streams and Next share
-// because read-ahead fetched for one may hold the frames the other wants.
-// Read-ahead belongs to the connection it came from: when the link has
-// replaced the connection, what the old one's reader still held is dropped
-// with it, the way the kernel drops a closed socket's unread bytes.
-func (s *Subscriber) reader(conn net.Conn) *bufio.Reader {
-	if s.rdConn != conn {
-		s.rd, s.rdConn = bufio.NewReaderSize(conn, readAhead), conn
+	if s.rdConn != s.conn {
+		s.rd, s.rdConn = pbio.NewFrameReader(s.conn, maxFrame), s.conn
 	}
-	return s.rd
+	return s.conn, s.rd, nil
 }
 
 // Streams asks the broker for the current stream list. It must not be
@@ -613,17 +606,16 @@ func (s *Subscriber) Streams() ([]string, error) {
 	if err := s.control(frameList, nil, nil); err != nil {
 		return nil, err
 	}
-	conn, err := s.recvConn(nil, nil)
+	_, rd, err := s.recvConn(nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		typ, payload, buf, err := readFrame(s.reader(conn), s.buf)
+		frame, err := rd.Next()
 		if err != nil {
 			return nil, err
 		}
-		s.buf = buf
-		switch typ {
+		switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
 		case frameStreams:
 			if len(payload) == 0 {
 				return nil, nil
@@ -650,23 +642,22 @@ func (s *Subscriber) Next() (Event, error) {
 	var broken net.Conn
 	var cause error
 	for {
-		conn, err := s.recvConn(broken, cause)
+		conn, rd, err := s.recvConn(broken, cause)
 		if err != nil {
 			return Event{}, err
 		}
-		typ, payload, buf, err := readFrame(s.reader(conn), s.buf)
+		frame, err := rd.Next()
 		if err != nil {
 			if s.cfg.reconnect {
 				broken, cause = conn, err // recvConn redials, or reports a Close that raced the read
 				continue
 			}
-			if _, cerr := s.recvConn(nil, nil); cerr == io.EOF || errors.Is(err, net.ErrClosed) {
+			if _, _, cerr := s.recvConn(nil, nil); cerr == io.EOF || errors.Is(err, net.ErrClosed) {
 				return Event{}, io.EOF // our own Close raced the read
 			}
 			return Event{}, err
 		}
-		s.buf = buf
-		switch typ {
+		switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
 		case frameFormat:
 			if err := s.adoptFormat(payload); err != nil {
 				return Event{}, err
@@ -697,7 +688,7 @@ func (s *Subscriber) Next() (Event, error) {
 			if !ok {
 				return Event{}, fmt.Errorf("eventbus: event references unknown format %s", id)
 			}
-			return Event{Stream: s.stream, Format: f, Data: append([]byte(nil), rest[8:]...), Trace: etc}, nil
+			return Event{Stream: s.stream, Format: f, Data: rest[8:], Trace: etc}, nil
 		case frameError:
 			return Event{}, &BrokerError{Msg: string(payload)}
 		case frameStreams, frameHello:

@@ -524,7 +524,14 @@ func containsStr(haystack, needle string) bool {
 
 func TestEventDataIsOwned(t *testing.T) {
 	// Event.Data must remain valid after the next Next call.
-	b := newBroker(t)
+	const held = 2000
+	// A queue that holds every record, so that none is dropped however far
+	// the subscriber falls behind.
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithQueueDepth(held+8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
 	f := flightFormat(t, machine.X86_64)
 	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
 	if err != nil {
@@ -558,6 +565,45 @@ func TestEventDataIsOwned(t *testing.T) {
 	}
 	if rec["fltNum"] != int64(1) {
 		t.Errorf("first event corrupted by second read: %v", rec["fltNum"])
+	}
+
+	// Data is a slice of the chunk its frame was read in. Held events span
+	// several chunks, and each one's bytes survive every later read and an
+	// append to the event before it.
+	published := make(chan error, 1)
+	go func() {
+		for i := 0; i < held; i++ {
+			if err := pub.PublishRecord("s", f, pbio.Record{"fltNum": i}); err != nil {
+				published <- err
+				return
+			}
+		}
+		published <- nil
+	}()
+	events := make([]Event, held)
+	for i := range events {
+		if events[i], err = sub.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	grown := make([][]byte, held)
+	for i, ev := range events {
+		if cap(ev.Data) != len(ev.Data) {
+			t.Fatalf("event %d: Data has %d bytes of room behind it", i, cap(ev.Data)-len(ev.Data))
+		}
+		grown[i] = append(ev.Data, 0xFF)
+	}
+	for i, ev := range events {
+		rec, err := ev.Decode()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if rec["fltNum"] != int64(i) || grown[i][len(ev.Data)] != 0xFF {
+			t.Fatalf("event %d: fltNum %v after later reads and appends", i, rec["fltNum"])
+		}
 	}
 }
 

@@ -116,19 +116,10 @@ func getTraceCtx(b []byte) (tid trace.TraceID, parent trace.SpanID, rest []byte,
 // rejecting corrupt lengths).
 const maxFrame = 64 << 20
 
-// The two sizes of the wire path. Neither is an option: each is memory per
-// connection, so a broker's is connections times a constant, and there was
-// nothing to tune — 16 KiB of read-ahead measured the same as 64 KiB on every
-// bus workload of the repository benchmark.
-const (
-	// readAhead is the buffered reader between a socket and readFrame in the
-	// broker's and the subscriber's receive loops. A frame that is at least
-	// this large bypasses it and is read straight into the frame buffer.
-	readAhead = 16 << 10
-	// frameChunk is the batch buffer a broker connection's writer gathers
-	// queued frames in.
-	frameChunk = 64 << 10
-)
+// frameChunk is a connection's read chunk and write batch. It is memory per
+// connection, not an option: 16 KiB of read-ahead measured the same as 64 KiB
+// on every bus workload of the repository benchmark.
+const frameChunk = pbio.FrameChunk
 
 // Protocol errors.
 var (
@@ -182,6 +173,7 @@ func writeWire(w io.Writer, frame []byte) error {
 	return nil
 }
 
+// readFrame reads exactly one frame, for a client awaiting a reply.
 func readFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
 	return pbio.ReadFrame(r, buf, maxFrame)
 }

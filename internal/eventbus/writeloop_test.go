@@ -144,22 +144,75 @@ func TestWriteLoopGathersQueuedFrames(t *testing.T) {
 	}
 }
 
-// TestWriteLoopHoldsBoundedBytesForSlowSubscriber states the backpressure
-// bound without instruments: with a subscriber's socket stalled and its queue
-// full, what the broker holds for it is the queue — depth times the largest
-// frame — plus the frame the writer has in hand and one frameChunk of
-// batch, whatever the publisher goes on to send. Measured as live heap.
-func TestWriteLoopHoldsBoundedBytesForSlowSubscriber(t *testing.T) {
-	const depth = 16
+// stallRig is a broker whose writes the test can stall, with a subscriber
+// of one stream and a publisher, for measuring what the broker holds for a
+// subscriber that does not read.
+type stallRig struct {
+	b         *Broker
+	g         *gates
+	pub       *Publisher
+	sub       *Subscriber
+	published int64
+}
+
+func newStallRig(t *testing.T, depth int, stream string) *stallRig {
+	t.Helper()
 	b, _, g := countedBroker(t, WithQueueDepth(depth))
+	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sub.Close() })
+	if err := sub.Subscribe(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitForStream(t, b, stream, 1)
+	pub, err := DialPublisher(b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pub.Close() })
+	return &stallRig{b: b, g: g, pub: pub, sub: sub}
+}
+
+func (rig *stallRig) publish(t *testing.T, stream string, f *pbio.Format, rec []byte) {
+	t.Helper()
+	if err := rig.pub.Publish(stream, f, rec); err != nil {
+		t.Fatal(err)
+	}
+	rig.published++
+}
+
+// next has the subscriber receive n records.
+func (rig *stallRig) next(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := rig.sub.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// liveHeap is read with the broker idle: everything published is routed.
+func (rig *stallRig) liveHeap(t *testing.T) int64 {
+	t.Helper()
+	testutil.WaitFor(t, 10*time.Second, "the broker to finish routing", func() bool { return rig.b.Stats().Published == rig.published })
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// bulkRecord registers a format of n native unsigned longs and returns it
+// with an encoded record.
+func bulkRecord(t *testing.T, n int) (*pbio.Format, []byte) {
+	t.Helper()
 	ctx, err := pbio.NewContext(machine.Native)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := ctx.RegisterSpec("Bulk", []pbio.FieldSpec{
-		// A frame just under 48 KiB, so that what the allocator hands out
-		// for one is what the bound counts for one.
-		{Name: "payload", Kind: pbio.Uint, CType: machine.CULong, Count: 6<<10 - 8},
+		{Name: "payload", Kind: pbio.Uint, CType: machine.CULong, Count: n},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,59 +221,40 @@ func TestWriteLoopHoldsBoundedBytesForSlowSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if err := sub.Subscribe("bulk"); err != nil {
-		t.Fatal(err)
-	}
-	waitForStream(t, b, "bulk", 1)
-	pub, err := DialPublisher(b.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	published := int64(0)
-	publish := func() {
-		t.Helper()
-		if err := pub.Publish("bulk", f, rec); err != nil {
-			t.Fatal(err)
-		}
-		published++
-	}
-	// liveHeap is read with the broker idle: everything published is routed.
-	liveHeap := func() int64 {
-		t.Helper()
-		testutil.WaitFor(t, 10*time.Second, "the broker to finish routing", func() bool { return b.Stats().Published == published })
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
+	return f, rec
+}
+
+// TestWriteLoopHoldsBoundedBytesForSlowSubscriber states the backpressure
+// bound without instruments: with a subscriber's socket stalled and its queue
+// full, what the broker holds for it is the queue — depth times the largest
+// frame — plus the frame the writer has in hand and one frameChunk of
+// batch, whatever the publisher goes on to send. Measured as live heap.
+// Frames this large are copied out of the broker's read chunk, so each holds
+// only itself.
+func TestWriteLoopHoldsBoundedBytesForSlowSubscriber(t *testing.T) {
+	const depth = 16
+	rig := newStallRig(t, depth, "bulk")
+	// A frame just under 48 KiB, so that what the allocator hands out for one
+	// is what the bound counts for one.
+	f, rec := bulkRecord(t, 6<<10-8)
 
 	// Warm every buffer on the path (the publisher's scratch, the broker's
-	// frame buffer, the subscriber's, the batch buffer) before the baseline.
+	// read chunk, the subscriber's, the batch buffer) before the baseline.
 	for i := 0; i < 4; i++ {
-		publish()
+		rig.publish(t, "bulk", f, rec)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := sub.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := liveHeap()
+	rig.next(t, 4)
+	before := rig.liveHeap(t)
 
 	// Stall the subscriber's socket and publish until the queue has been full
 	// for a while: three times its depth dropped.
-	g.writes.shut()
-	defer g.writes.open()
-	for b.Stats().Dropped < 3*depth {
-		publish()
+	rig.g.writes.shut()
+	defer rig.g.writes.open()
+	for rig.b.Stats().Dropped < 3*depth {
+		rig.publish(t, "bulk", f, rec)
 	}
-	held := liveHeap() - before
-	g.writes.open()
+	held := rig.liveHeap(t) - before
+	rig.g.writes.open()
 
 	frame := int64(pbio.FrameHeaderLen + 2 + len("bulk") + 8 + len(rec))
 	bound := depth*frame + frame + frameChunk
@@ -232,5 +266,54 @@ func TestWriteLoopHoldsBoundedBytesForSlowSubscriber(t *testing.T) {
 	}
 	if held < depth*frame/2 {
 		t.Errorf("broker holds %d bytes with a full queue of %d x %d: the measurement is not seeing the queue", held, depth, frame)
+	}
+}
+
+// TestWriteLoopHoldsBoundedChunksForSparseSlowSubscriber is the same bound
+// where it is worst for read chunks: a small frame is a slice of the chunk
+// the broker read it in and keeps that chunk alive while it is queued, and
+// the stalled subscriber's stream is sparse — a chunk's worth of another
+// stream's frames comes between two of its records — so each queued frame
+// holds a chunk of its own. What the broker holds is then the queue and the
+// frame in the writer's hand at a chunk each, plus one frameChunk of batch.
+func TestWriteLoopHoldsBoundedChunksForSparseSlowSubscriber(t *testing.T) {
+	const depth = 16
+	rig := newStallRig(t, depth, countedStream)
+	small := flightFormat(t, machine.X86_64)
+	rec := encodeFlight(t, small, 1)
+	// Frames of the other stream just under the largest a chunk is sliced
+	// for, enough of them to fill a chunk between two small frames.
+	bulk, filler := bulkRecord(t, 500)
+	between := frameChunk/(pbio.FrameHeaderLen+2+len("other")+8+len(filler)) + 1
+	round := func() {
+		for i := 0; i < between; i++ {
+			rig.publish(t, "other", bulk, filler)
+		}
+		rig.publish(t, countedStream, small, rec)
+	}
+
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	rig.next(t, 4)
+	before := rig.liveHeap(t)
+
+	rig.g.writes.shut()
+	defer rig.g.writes.open()
+	for rig.b.Stats().Dropped < 3*depth {
+		round()
+	}
+	held := rig.liveHeap(t) - before
+	rig.g.writes.open()
+
+	bound := int64((depth+1)*frameChunk + frameChunk)
+	const slack = 64 << 10
+	t.Logf("held %d KiB for a stalled subscriber of a sparse stream; bound %d KiB ((queue %d + one frame) x frameChunk + frameChunk)",
+		held>>10, bound>>10, depth)
+	if held > bound+slack {
+		t.Errorf("broker holds %d bytes for one stalled subscriber, want at most %d", held, bound+slack)
+	}
+	if held < depth*frameChunk/2 {
+		t.Errorf("broker holds %d bytes with a full queue of %d frames from %d chunks: the measurement is not seeing the chunks", held, depth, depth)
 	}
 }

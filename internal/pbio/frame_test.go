@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/iotest"
 
@@ -57,6 +58,43 @@ type frameSource struct {
 	wrap func(io.Reader) io.Reader
 }
 
+// frameReaders are the two readers of a stream of frames: ReadFrame over one
+// reused buffer, as Reader and record files use it, and a FrameReader, as
+// the event backbone's receive loops do. Each call of next returns a whole
+// frame, header included; held is the memory the reader keeps for itself,
+// which must stay within bound of an input of n bytes: a length field buys
+// no memory.
+var frameReaders = []struct {
+	name  string
+	open  func(r io.Reader, limit int) (next func() ([]byte, error), held func() int)
+	bound func(n int) int
+}{
+	{"ReadFrame", func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
+		var buf []byte
+		return func() ([]byte, error) {
+				_, _, newBuf, err := ReadFrame(r, buf, limit)
+				if buf = newBuf; err != nil {
+					return nil, err
+				}
+				return buf, nil // the whole frame: its payload is buf[FrameHeaderLen:]
+			},
+			func() int { return cap(buf) }
+	}, func(n int) int { return 2 * (n + FrameChunk) }},
+	// The chunk is held, and the frames copied out of it were the input's.
+	{"FrameReader", func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
+		fr := NewFrameReader(r, limit)
+		copied := 0
+		return func() ([]byte, error) {
+				frame, err := fr.Next()
+				if len(frame) > maxSliced {
+					copied += cap(frame)
+				}
+				return frame, err
+			},
+			func() int { return cap(fr.chunk) + copied }
+	}, func(n int) int { return n + FrameChunk }},
+}
+
 // header returns a frame header of type 2 claiming n payload bytes.
 func header(n int) []byte {
 	return binary.BigEndian.AppendUint32([]byte{frameRecord}, uint32(n))
@@ -64,7 +102,7 @@ func header(n int) []byte {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var stream []byte
-	payloads := [][]byte{nil, []byte("x"), bytes.Repeat([]byte{7}, 3*frameChunk+11), []byte("tail")}
+	payloads := [][]byte{nil, []byte("x"), bytes.Repeat([]byte{7}, 3*FrameChunk+11), []byte("tail")}
 	for i, p := range payloads {
 		var err error
 		if stream, err = AppendFrame(stream, byte(i+1), p, MaxFrameSize); err != nil {
@@ -73,20 +111,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for _, src := range frameSources {
 		t.Run(src.name, func(t *testing.T) {
-			r := src.wrap(bytes.NewReader(stream))
-			var buf []byte
-			for i, want := range payloads {
-				typ, got, newBuf, err := ReadFrame(r, buf, MaxFrameSize)
-				if err != nil {
-					t.Fatalf("frame %d: %v", i, err)
+			for _, rd := range frameReaders {
+				next, _ := rd.open(src.wrap(bytes.NewReader(stream)), MaxFrameSize)
+				for i, want := range payloads {
+					frame, err := next()
+					if err != nil {
+						t.Fatalf("%s, frame %d: %v", rd.name, i, err)
+					}
+					if typ, got := frame[0], frame[FrameHeaderLen:]; typ != byte(i+1) || !bytes.Equal(got, want) {
+						t.Fatalf("%s, frame %d: type %d, %d bytes; want type %d, %d bytes", rd.name, i, typ, len(got), i+1, len(want))
+					}
 				}
-				buf = newBuf
-				if typ != byte(i+1) || !bytes.Equal(got, want) {
-					t.Fatalf("frame %d: type %d, %d bytes; want type %d, %d bytes", i, typ, len(got), i+1, len(want))
+				if _, err := next(); err != io.EOF {
+					t.Fatalf("%s: at the frame boundary err = %v, want io.EOF verbatim", rd.name, err)
 				}
-			}
-			if _, _, _, err := ReadFrame(r, buf, MaxFrameSize); err != io.EOF {
-				t.Fatalf("at the frame boundary err = %v, want io.EOF verbatim", err)
 			}
 		})
 	}
@@ -103,20 +141,25 @@ func TestHeaderOnlyAllocatesLittle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			hdr := header(tc.limit)
 			for _, src := range frameSources {
-				r := src.wrap(bytes.NewReader(hdr)) // a source's own buffer is not ReadFrame's doing
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				_, _, _, err := ReadFrame(r, nil, tc.limit)
-				runtime.ReadMemStats(&after)
-				if !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Errorf("%s: err = %v, want io.ErrUnexpectedEOF", src.name, err)
-				}
-				if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-					t.Errorf("%s: a bare header claiming %d bytes made ReadFrame allocate %d bytes, want < 1 MiB", src.name, tc.limit, got)
+				for _, rd := range frameReaders {
+					next, _ := rd.open(src.wrap(bytes.NewReader(hdr)), tc.limit) // a source's own buffer is not the reader's doing
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					_, err := next()
+					runtime.ReadMemStats(&after)
+					if !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Errorf("%s, %s: err = %v, want io.ErrUnexpectedEOF", src.name, rd.name, err)
+					}
+					if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+						t.Errorf("%s: a bare header claiming %d bytes made %s allocate %d bytes, want < 1 MiB", src.name, tc.limit, rd.name, got)
+					}
 				}
 			}
-			if _, _, _, err := ReadFrame(bytes.NewReader(header(tc.limit+1)), nil, tc.limit); !errors.Is(err, ErrFrameTooBig) {
-				t.Errorf("claim one over the limit: err = %v, want ErrFrameTooBig", err)
+			for _, rd := range frameReaders {
+				next, _ := rd.open(bytes.NewReader(header(tc.limit+1)), tc.limit)
+				if _, err := next(); !errors.Is(err, ErrFrameTooBig) {
+					t.Errorf("%s: claim one over the limit: err = %v, want ErrFrameTooBig", rd.name, err)
+				}
 			}
 		})
 	}
@@ -154,12 +197,14 @@ func TestFileTruncatedAfterHeader(t *testing.T) {
 }
 
 // FuzzReadFrame reads arbitrary bytes as a stream of frames under both
-// limits, reusing the buffer as a connection does, from every frame source.
-// The decoder must never panic, never return bytes it was not given, never
-// hold more than twice (the input plus one chunk) — a length field buys no
-// memory — and report io.EOF only where a frame ends; and what it returns
-// through a buffered reader, however the stream is split underneath, is what
-// it returns reading the stream directly: the same frames, the same error.
+// limits, from every frame source, with both readers. Neither may panic,
+// return bytes it was not given, hold more than its bound — a length field
+// buys no memory — or report io.EOF anywhere but where a frame ends; and
+// whatever the reader, however the stream is split underneath, what comes
+// out is what ReadFrame returns reading the stream directly: the same
+// frames, the same error. The frames a FrameReader hands out are the
+// caller's: once the stream is exhausted every one still holds its input
+// bytes, so the reader never wrote over a byte it had handed out.
 func FuzzReadFrame(f *testing.F) {
 	two, _ := AppendFrame(nil, frameFormat, []byte("meta"), MaxFrameSize)
 	two, _ = AppendFrame(two, frameRecord, bytes.Repeat([]byte{1}, 300), MaxFrameSize)
@@ -167,9 +212,21 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(two[:len(two)-1], true)
 	f.Add(header(MaxFrameSize), false)
 	f.Add(header(64<<20), true)
-	f.Add(append(header(2*frameChunk), make([]byte, frameChunk+1)...), true)
+	f.Add(append(header(2*FrameChunk), make([]byte, FrameChunk+1)...), true)
 	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF}, false)
 	f.Add([]byte{}, false)
+	// Frames of 1000 bytes, one of them across the end of the first chunk.
+	var straddle []byte
+	for len(straddle) < FrameChunk+1000 {
+		straddle, _ = AppendFrame(straddle, frameRecord, make([]byte, 1000-FrameHeaderLen), MaxFrameSize)
+	}
+	f.Add(straddle, false)
+	// The largest frame sliced from a chunk, and one byte either side of it.
+	for _, size := range []int{maxSliced - 1, maxSliced, maxSliced + 1} {
+		frames, _ := AppendFrame(nil, frameRecord, make([]byte, size-FrameHeaderLen), MaxFrameSize)
+		frames, _ = AppendFrame(frames, frameFormat, []byte("behind"), MaxFrameSize)
+		f.Add(frames, true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, bus bool) {
 		limit := frameLimits[0].limit
 		if bus {
@@ -177,33 +234,102 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		var direct string // the direct read's frames and final error, to compare the others with
 		for _, src := range frameSources {
-			r := src.wrap(bytes.NewReader(data))
-			var buf []byte
-			var story []byte
-			for off := 0; ; {
-				typ, payload, newBuf, err := ReadFrame(r, buf, limit)
-				buf = newBuf
-				if cap(buf) > 2*(len(data)+frameChunk) {
-					t.Fatalf("%s: buffer of %d bytes for %d bytes of input", src.name, cap(buf), len(data))
-				}
-				if err != nil {
-					if err == io.EOF && off != len(data) {
-						t.Fatalf("%s: io.EOF at offset %d of a %d-byte stream, inside a frame", src.name, off, len(data))
+			for _, rd := range frameReaders {
+				name := src.name + "/" + rd.name
+				next, held := rd.open(src.wrap(bytes.NewReader(data)), limit)
+				var story []byte
+				var frames [][]byte
+				off := 0
+				for {
+					frame, err := next()
+					if n := held(); n > rd.bound(len(data)) {
+						t.Fatalf("%s: holds %d bytes for %d bytes of input", name, n, len(data))
 					}
-					story = fmt.Appendf(story, "%v", err)
-					break
+					if err != nil {
+						if err == io.EOF && off != len(data) {
+							t.Fatalf("%s: io.EOF at offset %d of a %d-byte stream, inside a frame", name, off, len(data))
+						}
+						story = fmt.Appendf(story, "%v", err)
+						break
+					}
+					if off+len(frame) > len(data) || !bytes.Equal(frame, data[off:off+len(frame)]) {
+						t.Fatalf("%s: frame of %d bytes at offset %d is not what the %d-byte stream holds", name, len(frame), off, len(data))
+					}
+					off += len(frame)
+					frames = append(frames, frame)
+					story = fmt.Appendf(story, "%d:%d ", frame[0], len(frame)-FrameHeaderLen)
 				}
-				off += FrameHeaderLen
-				if off+len(payload) > len(data) || !bytes.Equal(payload, data[off:off+len(payload)]) {
-					t.Fatalf("%s: payload of %d bytes at offset %d is not what the %d-byte stream holds", src.name, len(payload), off, len(data))
+				if name == "direct/ReadFrame" {
+					direct = string(story)
+				} else if string(story) != direct {
+					t.Fatalf("%s read %q, the direct read %q", name, story, direct)
 				}
-				off += len(payload)
-				story = fmt.Appendf(story, "%d:%d ", typ, len(payload))
+				if rd.name != "FrameReader" {
+					continue
+				}
+				off = 0
+				for i, frame := range frames {
+					if !bytes.Equal(frame, data[off:off+len(frame)]) {
+						t.Fatalf("%s: frame %d changed after it was handed out", name, i)
+					}
+					if cap(frame) != len(frame) {
+						t.Fatalf("%s: frame %d has %d bytes of room behind it: an append would write into the reader's chunk", name, i, cap(frame)-len(frame))
+					}
+					off += len(frame)
+				}
 			}
-			if src.name == "direct" {
-				direct = string(story)
-			} else if string(story) != direct {
-				t.Fatalf("%s read %q, the direct read %q", src.name, story, direct)
+		}
+	})
+}
+
+// TestFrameReaderSlicesSmallFrames pins the chunked reader's cost for small
+// frames at its chunks: 10,000 frames of 118 bytes share 19 of them.
+func TestFrameReaderSlicesSmallFrames(t *testing.T) {
+	const frames, size = 10000, 118
+	stream := frameRun(t, frames, size)
+	allocs := readAllocs(t, stream, frames)
+	t.Logf("%d frames of %d bytes: %.0f allocations", frames, size, allocs)
+	if want := (frames*size+FrameChunk-1)/FrameChunk + 1; allocs > float64(want) {
+		t.Errorf("%d frames of %d bytes: %.0f allocations, want at most %d", frames, size, allocs, want)
+	}
+}
+
+// TestFrameReaderCopiesLargeFrames: a frame over maxSliced costs the one
+// allocation it is copied into, and the chunk is reused under the copies.
+func TestFrameReaderCopiesLargeFrames(t *testing.T) {
+	const frames, size = 1000, 10220
+	allocs := readAllocs(t, frameRun(t, frames, size), frames)
+	t.Logf("%d frames of %d bytes: %.0f allocations", frames, size, allocs)
+	if allocs < frames || allocs > frames+1 {
+		t.Errorf("%d frames of %d bytes: %.0f allocations, want %d plus at most one chunk", frames, size, allocs, frames)
+	}
+}
+
+// frameRun returns n frames of size bytes each, header included.
+func frameRun(t *testing.T, n, size int) []byte {
+	t.Helper()
+	var stream []byte
+	for i := 0; i < n; i++ {
+		var err error
+		if stream, err = AppendFrame(stream, frameRecord, make([]byte, size-FrameHeaderLen), MaxFrameSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return stream
+}
+
+// readAllocs is the allocations a FrameReader makes reading the n frames of
+// stream, with the collector off so that nothing it starts is counted.
+func readAllocs(t *testing.T, stream []byte, n int) float64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	src := bytes.NewReader(stream)
+	return testing.AllocsPerRun(1, func() {
+		src.Reset(stream)
+		fr := NewFrameReader(src, MaxFrameSize)
+		for i := 0; i < n; i++ {
+			if _, err := fr.Next(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

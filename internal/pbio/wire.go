@@ -21,11 +21,10 @@ import (
 // Connections, record files (file.go) and the event backbone
 // (internal/eventbus, which assigns its own frame types) all share the one
 // header codec below: BeginFrame/EndFrame/AppendFrame build a frame in a
-// single buffer so it leaves in one Write, and ReadFrame is the only place
-// a length field read off the wire is trusted. Its allocation rule: the
-// claimed length is never allocated up front; the buffer grows at most
-// frameChunk past the bytes that have actually arrived, and is handed back
-// to the caller so the steady state allocates nothing.
+// single buffer so it leaves in one Write, and frameSize is the only place
+// a length field read off the wire is trusted. ReadFrame and FrameReader
+// never allocate the claimed length up front: a buffer grows at most
+// FrameChunk past the bytes that have actually arrived.
 const (
 	frameFormat byte = 1
 	frameRecord byte = 2
@@ -39,9 +38,12 @@ const FrameHeaderLen = 5
 // corruption.
 const MaxFrameSize = MaxRecordSize
 
-// frameChunk is how far past the bytes already received ReadFrame will
-// allocate on the word of a length field.
-const frameChunk = 64 << 10
+// FrameChunk is FrameReader's chunk, the most a frame buffer grows past the
+// bytes received, and the event broker's write batch.
+const FrameChunk = 64 << 10
+
+// maxSliced, the largest frame sliced from a chunk, bounds a chunk's waste.
+const maxSliced = FrameChunk / 16
 
 // Wire protocol errors.
 var (
@@ -84,31 +86,106 @@ func AppendFrame(dst []byte, typ byte, payload []byte, limit int) ([]byte, error
 // at a frame boundary; a stream cut inside a frame is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte, limit int) (typ byte, payload, newBuf []byte, err error) {
 	buf = slices.Grow(buf[:0], FrameHeaderLen)[:FrameHeaderLen]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			return 0, nil, buf, io.EOF
-		}
-		return 0, nil, buf, fmt.Errorf("pbio: read frame header: %w", err)
+	_, err = io.ReadFull(r, buf)
+	size, err := frameSize(buf, err, limit)
+	if err == nil {
+		buf, err = readRest(r, buf, size)
 	}
-	n := binary.BigEndian.Uint32(buf[1:])
-	if uint64(n) > uint64(limit) {
-		return 0, nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	for end := FrameHeaderLen + int(n); len(buf) < end; {
-		// Make room for what is still missing, but for no more than one
-		// chunk of it beyond what the peer has really sent. A buffer already
-		// big enough (the steady state) is left alone and filled in one read.
-		buf = slices.Grow(buf, min(end-len(buf), frameChunk))
-		m, err := io.ReadFull(r, buf[len(buf):min(end, cap(buf))])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, buf, fmt.Errorf("pbio: read frame payload: %w", err)
-		}
+	if err != nil {
+		return 0, nil, buf, err
 	}
 	return buf[0], buf[FrameHeaderLen:], buf, nil
+}
+
+// frameSize is the size, header included, of the frame hdr starts, read
+// with err, if its payload is within limit. io.EOF is passed on verbatim.
+func frameSize(hdr []byte, err error, limit int) (int, error) {
+	if err == io.EOF {
+		return 0, err
+	} else if err != nil {
+		return 0, fmt.Errorf("pbio: read frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if uint64(n) > uint64(limit) {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+	}
+	return FrameHeaderLen + int(n), nil
+}
+
+// readRest reads from r until buf holds size bytes.
+func readRest(r io.Reader, buf []byte, size int) ([]byte, error) {
+	for len(buf) < size {
+		// Room for what is missing, but for at most a chunk more than has
+		// arrived. A buffer big enough already is filled in one read.
+		buf = slices.Grow(buf, min(size-len(buf), FrameChunk))
+		m, err := io.ReadFull(r, buf[len(buf):min(size, cap(buf))])
+		if buf = buf[:len(buf)+m]; err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, fmt.Errorf("pbio: read frame payload: %w", err)
+		}
+	}
+	return buf, nil
+}
+
+// FrameReader reads frames under ReadFrame's rules into FrameChunk-sized
+// chunks, as many as each read brings. A frame it returns, header included,
+// is the caller's: up to maxSliced bytes, a full-capacity slice of a chunk
+// that is never written again and that it keeps alive; else a copy.
+type FrameReader struct {
+	r              io.Reader
+	limit          int
+	chunk          []byte
+	held, off, end int // chunk[:held] is handed out, chunk[off:end] buffered
+}
+
+// NewFrameReader returns a FrameReader over r for payloads of at most limit.
+func NewFrameReader(r io.Reader, limit int) *FrameReader {
+	return &FrameReader{r: r, limit: limit}
+}
+
+// Next returns the next frame, or io.EOF at a frame boundary.
+func (fr *FrameReader) Next() ([]byte, error) {
+	err := fr.fill(FrameHeaderLen)
+	size, err := frameSize(fr.chunk[fr.off:], err, fr.limit)
+	if err != nil {
+		return nil, err
+	}
+	if size > maxSliced { // the bytes buffered, then the rest read straight in
+		have := min(fr.end-fr.off, size)
+		frame := make([]byte, have, min(size, have+FrameChunk))
+		fr.off += copy(frame, fr.chunk[fr.off:])
+		if frame, err = readRest(fr.r, frame, size); err != nil {
+			return nil, err
+		}
+		return slices.Clip(frame), nil
+	}
+	if err := fr.fill(size); err != nil {
+		return nil, fmt.Errorf("pbio: read frame payload: %w", err)
+	}
+	frame := fr.chunk[fr.off : fr.off+size : fr.off+size]
+	fr.off, fr.held = fr.off+size, fr.off+size
+	return frame, nil
+}
+
+// fill reads until need bytes (at most maxSliced) are buffered. Bytes copied
+// out are reused once nothing is buffered behind them; buffered bytes with
+// no room behind them move to a new chunk.
+func (fr *FrameReader) fill(need int) error {
+	if fr.off == fr.end {
+		fr.off, fr.end = fr.held, fr.held
+	}
+	if len(fr.chunk)-fr.off < need {
+		next := make([]byte, FrameChunk)
+		fr.end = copy(next, fr.chunk[fr.off:fr.end])
+		fr.chunk, fr.off, fr.held = next, 0, 0
+	}
+	m, err := io.ReadAtLeast(fr.r, fr.chunk[fr.end:], need-(fr.end-fr.off))
+	if fr.end += m; err == io.EOF && fr.end > fr.off {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Writer sends formats and records over a byte stream. It remembers which
