@@ -18,7 +18,6 @@ import (
 
 	"openmeta"
 	"openmeta/internal/airline"
-	"openmeta/internal/testutil"
 )
 
 func TestFullSystemIntegration(t *testing.T) {
@@ -79,30 +78,21 @@ func TestFullSystemIntegration(t *testing.T) {
 	}
 	defer pub.Close()
 
-	// Publish until both subscribers have their first event (subscription
+	// Publish until both subscribers have their events (subscription
 	// registration races the first publish).
 	gen := airline.NewFlightGen(11)
 	rec := gen.Next()
 	const wantEach = 3
-	fullEvents := collectAsync(fullSub, wantEach)
-	scopedEvents := collectAsync(scopedSub, wantEach)
-	published := 0
-	testutil.Poll(10*time.Second, func() bool {
+	publish := func() {
 		if err := pub.PublishRecord(airline.FlightStream, flightFmt, rec); err != nil {
 			t.Fatal(err)
 		}
-		published++
-		fullEvents.drain()
-		scopedEvents.drain()
-		return len(fullEvents.got) >= wantEach && len(scopedEvents.got) >= wantEach
-	})
-	if len(fullEvents.got) < wantEach || len(scopedEvents.got) < wantEach {
-		t.Fatalf("full=%d scoped=%d after %d publishes",
-			len(fullEvents.got), len(scopedEvents.got), published)
 	}
+	fullEvents := openmeta.ReceiveEvents(t, fullSub, wantEach, publish)
+	scopedEvents := openmeta.ReceiveEvents(t, scopedSub, wantEach, publish)
 
 	// Full consumer sees the complete record, cross-architecture.
-	fr, err := fullEvents.got[0].Decode()
+	fr, err := fullEvents[0].Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +100,7 @@ func TestFullSystemIntegration(t *testing.T) {
 		t.Errorf("full record = %v", fr)
 	}
 	// Scoped consumer sees only its slice.
-	sr, err := scopedEvents.got[0].Decode()
+	sr, err := scopedEvents[0].Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +117,7 @@ func TestFullSystemIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range fullEvents.got {
+	for _, ev := range fullEvents {
 		if err := fw.WriteRecord(ev.Format, ev.Data); err != nil {
 			t.Fatal(err)
 		}
@@ -195,36 +185,6 @@ func mustCtx(t *testing.T) *openmeta.Context {
 		t.Fatal(err)
 	}
 	return ctx
-}
-
-type collector struct {
-	ch  chan openmeta.Event
-	got []openmeta.Event
-}
-
-func collectAsync(sub *openmeta.Subscriber, n int) *collector {
-	c := &collector{ch: make(chan openmeta.Event, n)}
-	go func() {
-		for i := 0; i < n; i++ {
-			ev, err := sub.Next()
-			if err != nil {
-				return
-			}
-			c.ch <- ev
-		}
-	}()
-	return c
-}
-
-func (c *collector) drain() {
-	for {
-		select {
-		case ev := <-c.ch:
-			c.got = append(c.got, ev)
-		default:
-			return
-		}
-	}
 }
 
 type noopWriteCloser struct{ w io.Writer }

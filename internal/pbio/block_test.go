@@ -1,6 +1,7 @@
 package pbio_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -10,7 +11,21 @@ import (
 	"openmeta/internal/machine"
 	"openmeta/internal/pbio"
 	"openmeta/internal/testutil"
+	"openmeta/internal/xdr"
+	"openmeta/internal/xmlwire"
 )
+
+// codecs are the three decoders whose records pbio.RecordBuilder makes, each
+// with its encoder.
+var codecs = []struct {
+	name   string
+	encode func(*pbio.Format, pbio.Record) ([]byte, error)
+	decode func(*pbio.Format, []byte) (pbio.Record, error)
+}{
+	{"ndr", (*pbio.Format).Encode, (*pbio.Format).Decode},
+	{"xdr", xdr.EncodeRecord, xdr.DecodeRecord},
+	{"xml", xmlwire.EncodeRecord, xmlwire.DecodeRecord},
+}
 
 // blockFormat has a value of every kind a block holds, and of the two array
 // kinds it does not: numbers, strings, a dynamic []float64, a []bool, a
@@ -84,17 +99,17 @@ func garbage(sizes ...int) {
 }
 
 // TestBlockValuesOutliveRecord keeps a number, a string, a []float64, a
-// []bool or a []string of a decoded record, one at a time, and drops the
-// rest. The block it points into must stay alive, and unchanged, through
-// collections that recycle memory of the block's size class and through 100
-// later decodes of other values.
+// []bool or a []string of a record decoded by each codec, one at a time, and
+// drops the rest. The block it points into must stay alive, and unchanged,
+// through collections that recycle memory of the block's size class and
+// through 100 later decodes of other values.
 func TestBlockValuesOutliveRecord(t *testing.T) {
 	f, rec := blockFormat(t)
-	data, err := f.Encode(rec)
+	ndr, err := f.Encode(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	words, text := pbio.Need(f, data)
+	words, text := pbio.Need(f, ndr)
 	other := pbio.Record{}
 	for k, v := range rec {
 		switch v.(type) {
@@ -106,55 +121,70 @@ func TestBlockValuesOutliveRecord(t *testing.T) {
 	}
 	other["arr"], other["flags"] = []float64{-1, -1, -1, -1}, []bool{false, true, false, false, true}
 	other["names"] = []string{"lost name number 1", "x", "lost name number 3"}
-	otherData, err := f.Encode(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"d3", "s2", "arr", "flags", "names"} {
-		var kept interface{}
-		func() {
-			got, err := f.Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept = got[key]
-		}()
-		for i := 0; i < 100; i++ {
-			runtime.GC()
-			garbage(8 * (words + (text+7)/8))
-			if _, err := f.Decode(otherData); err != nil {
-				t.Fatal(err)
-			}
+	for _, c := range codecs {
+		data, err := c.encode(f, rec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(kept, rec[key]) {
-			t.Errorf("kept %s reads %v after collections, want %v", key, kept, rec[key])
+		otherData, err := c.encode(f, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// XDR counts its block as NDR does; XML text's holds a word per tag
+		// and a copy of the document.
+		size := 8 * (words + (text+7)/8)
+		if c.name == "xml" {
+			size = 8 * (bytes.Count(data, []byte("<")) + (len(data)+7)/8)
+		}
+		for _, key := range []string{"d3", "s2", "arr", "flags", "names"} {
+			var kept interface{}
+			func() {
+				got, err := c.decode(f, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = got[key]
+			}()
+			for i := 0; i < 100; i++ {
+				runtime.GC()
+				garbage(size)
+				if _, err := c.decode(f, otherData); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(kept, rec[key]) {
+				t.Errorf("%s: kept %s reads %v after collections, want %v", c.name, key, kept, rec[key])
+			}
 		}
 	}
 }
 
-// TestBlockArrayAppendLeavesRecord holds the block arrays of a decoded
-// record: each has cap == len, so an append to it moves it to fresh memory
-// and leaves every other value of the record as it was.
+// TestBlockArrayAppendLeavesRecord holds the numeric and bool arrays of a
+// record decoded by each codec: each has cap == len, so an append to it
+// moves it to fresh memory and leaves every other value of the record as it
+// was.
 func TestBlockArrayAppendLeavesRecord(t *testing.T) {
 	f, rec := blockFormat(t)
-	data, err := f.Encode(rec)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range codecs {
+		data, err := c.encode(f, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.decode(f, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := testutil.Reboxed(got).(pbio.Record)
+		kid := got["kids"].([]pbio.Record)[0]
+		checkAppend(t, c.name+" arr", got["arr"].([]float64), 99)
+		checkAppend(t, c.name+" flags", got["flags"].([]bool), true)
+		checkAppend(t, c.name+" ia", got["ia"].([]int64), 99)
+		checkAppend(t, c.name+" kids[0].v", kid["v"].([]uint64), 99)
+		if !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: appending to the record's arrays changed it:\n%v\nwant\n%v", c.name, got, before)
+		}
+		testutil.CheckReboxed(t, c.name+" after appends", got)
 	}
-	got, err := f.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := testutil.Reboxed(got).(pbio.Record)
-	kid := got["kids"].([]pbio.Record)[0]
-	checkAppend(t, "arr", got["arr"].([]float64), 99)
-	checkAppend(t, "flags", got["flags"].([]bool), true)
-	checkAppend(t, "ia", got["ia"].([]int64), 99)
-	checkAppend(t, "kids[0].v", kid["v"].([]uint64), 99)
-	if !reflect.DeepEqual(got, before) {
-		t.Errorf("appending to the record's arrays changed it:\n%v\nwant\n%v", got, before)
-	}
-	testutil.CheckReboxed(t, "after appends", got)
 }
 
 // checkAppend checks that s has cap == len and that appending v to it moves
@@ -162,7 +192,7 @@ func TestBlockArrayAppendLeavesRecord(t *testing.T) {
 func checkAppend[T any](t *testing.T, name string, s []T, v T) {
 	t.Helper()
 	if cap(s) != len(s) {
-		t.Errorf("%s: cap %d, len %d; a block array must have cap == len", name, cap(s), len(s))
+		t.Errorf("%s: cap %d, len %d; a decoded array must have cap == len", name, cap(s), len(s))
 	}
 	if a := append(s, v); unsafe.SliceData(a) == unsafe.SliceData(s) {
 		t.Errorf("%s: append wrote in place", name)
@@ -170,11 +200,12 @@ func checkAppend[T any](t *testing.T, name string, s []T, v T) {
 }
 
 // TestBlockShortFallsBackToHeap decodes a record from every block shorter
-// than the pre-pass counts, as an under-count would leave it. The values the
-// walk makes past the block's end go to memory the collector scans: after
-// collections that recycle every small size class, each record still equals
-// its heap-boxed copy. A value kept only by a header in the block would have
-// been freed and overwritten.
+// than the pre-pass counts, as an under-count would leave it, and XML text
+// whose empty dynamic arrays have counts but no tags to bound their words by.
+// The values the walk makes past the block's end go to memory the collector
+// scans: after collections that recycle every small size class, each record
+// still equals its heap-boxed copy. A value kept only by a header in the
+// block would have been freed and overwritten.
 func TestBlockShortFallsBackToHeap(t *testing.T) {
 	f, rec := blockFormat(t)
 	data, err := f.Encode(rec)
@@ -186,7 +217,7 @@ func TestBlockShortFallsBackToHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, text := pbio.Need(f, data)
-	var got []pbio.Record
+	var got, wants []pbio.Record
 	var what []string
 	for w := 0; w <= words; w++ {
 		for _, x := range []int{0, 1, text / 2, text - 1, text} {
@@ -197,9 +228,22 @@ func TestBlockShortFallsBackToHeap(t *testing.T) {
 			if err != nil {
 				t.Fatalf("block of %d words and %d text bytes: %v", w, x, err)
 			}
-			got = append(got, r)
+			got, wants = append(got, r), append(wants, want)
 			what = append(what, fmt.Sprintf("block of %d of %d words and %d of %d text bytes", w, words, x, text))
 		}
+	}
+	ef, erec := emptyArraysFormat(t)
+	doc, err := xmlwire.EncodeRecord(ef, erec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		r, err := xmlwire.DecodeRecord(ef, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, wants = append(got, r), append(wants, erec)
+		what = append(what, fmt.Sprintf("XML text %s, decode %d", doc, i))
 	}
 	for i := 0; i < 20; i++ {
 		runtime.GC()
@@ -207,8 +251,33 @@ func TestBlockShortFallsBackToHeap(t *testing.T) {
 	}
 	for i, r := range got {
 		testutil.CheckReboxed(t, what[i], r)
-		if !reflect.DeepEqual(r, want) {
-			t.Fatalf("%s: decoded %v, want %v", what[i], r, want)
+		if !reflect.DeepEqual(r, wants[i]) {
+			t.Fatalf("%s: decoded %v, want %v", what[i], r, wants[i])
 		}
 	}
+}
+
+// emptyArraysFormat has two strings and six dynamic arrays. Their record's
+// XML text, with the arrays empty, has six tags, so its block has six words.
+// String a has a reference to expand, so it is not in the block; b takes two
+// words and the counts the other four, so two counts run past the block.
+func emptyArraysFormat(t *testing.T) (*pbio.Format, pbio.Record) {
+	t.Helper()
+	ctx, err := pbio.NewContext(machine.X86_64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []pbio.FieldSpec{{Name: "a", Kind: pbio.String}, {Name: "b", Kind: pbio.String}}
+	rec := pbio.Record{"a": "kept a < b", "b": "kept b"}
+	for _, name := range []string{"u", "v", "w", "x", "y", "z"} {
+		specs = append(specs,
+			pbio.FieldSpec{Name: name, Kind: pbio.Float, CType: machine.CDouble, Dynamic: true, CountField: name + "_n"},
+			pbio.FieldSpec{Name: name + "_n", Kind: pbio.Int, CType: machine.CInt})
+		rec[name], rec[name+"_n"] = []float64{}, int64(0)
+	}
+	f, err := ctx.RegisterSpec("E", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, rec
 }

@@ -26,12 +26,11 @@ func (f *Format) Decode(data []byte) (Record, error) {
 	return f.compiled().decode(data, goRecord{})
 }
 
-// decoder reads one record. Its strings are cut from text, which the
-// pre-pass (need) sizes to their total: a record costs one string
+// decoder reads one record. Its strings are cut from the builder's text,
+// which the pre-pass (need) sizes to their total: a record costs one string
 // allocation, or none beyond its block, however many strings it has.
 type decoder struct {
 	data []byte
-	text []byte // string bytes not yet cut
 	RecordBuilder
 }
 
@@ -57,7 +56,7 @@ func (p *program) decode(data []byte, dst goRecord) (Record, error) {
 func (p *program) fill(data []byte, dst goRecord, words, text int) (Record, error) {
 	d := decoder{data: data}
 	if dst.b == nil {
-		d.text = d.block(words, text)
+		d.Start(words, text)
 		dst.rec = d.Record(p.format)
 	} else if text > 0 {
 		d.text = make([]byte, text)
@@ -113,9 +112,9 @@ func (d *decoder) record(p *program, base int, dst goRecord) error {
 func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
 	switch op.kind {
 	case String:
-		s, cut, err := d.str(p, at)
+		s, err := d.str(p, at)
 		if st.rec != nil {
-			st.rec[op.name] = d.blockStr(s, cut)
+			st.rec[op.name] = d.Str(s)
 		} else {
 			st.fv.SetString(s)
 		}
@@ -134,18 +133,11 @@ func (d *decoder) scalar(p *program, op *fieldOp, at int, st *slot) error {
 	}
 }
 
-// str reads the string whose pointer slot is at at, cut from d.text. Past
-// its end (only a pre-pass that under-counted gets there) it is copied to
-// the heap, and cut is false.
-func (d *decoder) str(p *program, at int) (s string, cut bool, err error) {
+// str reads the string whose pointer slot is at at, cut from the block's
+// text (Text).
+func (d *decoder) str(p *program, at int) (string, error) {
 	b, err := p.stringRef(d.data, at)
-	if len(b) == 0 {
-		return "", true, err
-	}
-	if s, cut = cutText(&d.text, b); !cut {
-		s = string(b)
-	}
-	return s, cut, nil
+	return d.Text(b), err
 }
 
 // array decodes the n elements at at, which dynamicRef (or the fixed-region
@@ -162,19 +154,19 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 		switch op.kind {
 		case Int, Char:
 			var s []int64
-			s, x = blockSlice[int64](&d.RecordBuilder, int64sType, n)
+			s, x = Array[int64](&d.RecordBuilder, n)
 			machine.Ints(s, src, p.order, size)
 		case Uint:
 			var s []uint64
-			s, x = blockSlice[uint64](&d.RecordBuilder, uint64sType, n)
+			s, x = Array[uint64](&d.RecordBuilder, n)
 			machine.Ints(s, src, p.order, size)
 		case Float:
 			var s []float64
-			s, x = blockSlice[float64](&d.RecordBuilder, float64sType, n)
+			s, x = Array[float64](&d.RecordBuilder, n)
 			machine.Floats(s, src, p.order, size)
 		case Bool:
 			var s []bool
-			s, x = blockSlice[bool](&d.RecordBuilder, boolsType, n)
+			s, x = Array[bool](&d.RecordBuilder, n)
 			for i := range s {
 				s[i] = src[i] != 0
 			}
@@ -182,11 +174,11 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 			s := make([]string, n)
 			for i := range s {
 				var err error
-				if s[i], _, err = d.str(p, at+i*size); err != nil {
+				if s[i], err = d.str(p, at+i*size); err != nil {
 					return err
 				}
 			}
-			x = d.Strings(s)
+			x = s
 		case Nested:
 			s := make([]Record, n)
 			for i := range s {
@@ -195,7 +187,7 @@ func (d *decoder) array(p *program, op *fieldOp, at, n int, st *slot) error {
 					return err
 				}
 			}
-			x = d.Records(s)
+			x = s
 		default:
 			return fmt.Errorf("%w: unknown kind %v", ErrBadValue, op.kind)
 		}
@@ -278,7 +270,7 @@ func (d *decoder) number(op *fieldOp, raw uint64) interface{} {
 	case Float:
 		return d.Float(op.float(raw))
 	}
-	return d.Bool(raw != 0)
+	return raw != 0
 }
 
 // setBits stores a numeric or boolean value, given as the raw, zero-extended

@@ -17,11 +17,6 @@ type program struct {
 	ptr    int // pointer-slot size
 	size   int // fixed-region size
 	ops    []fieldOp
-	// scalars, strs and slices are the numeric scalars, strings and arrays
-	// a generic record of the format boxes: the non-array Int, Uint, Char
-	// and Float fields, the non-array String fields and the array fields,
-	// here and in non-array nested records. Begin sizes its slabs by them.
-	scalars, strs, slices int
 	// words is what the fields without variable data take of a record's
 	// block (slab.go); need adds what the others take.
 	words int
@@ -85,25 +80,11 @@ func compile(f *Format) *program {
 			op.variable = op.variable || op.child.variable
 		}
 		switch {
-		case op.array():
-			p.slices++
-		case fl.Kind == Nested:
-			p.scalars += op.child.scalars
-			p.strs += op.child.strs
-			p.slices += op.child.slices
-		case fl.Kind == String:
-			p.strs++
-		case fl.Kind == Int, fl.Kind == Uint, fl.Kind == Char, fl.Kind == Float:
-			p.scalars++
-		}
-		switch {
 		case op.variable: // need counts it per record
 		case fl.Kind == Nested:
 			p.words += fl.Count * op.child.words
-		case op.array():
-			p.words += 3 + op.backing(fl.Count)
-		case fl.Kind != Bool:
-			p.words++
+		default:
+			p.words += blockWords(fl.Kind, op.array(), fl.Count)
 		}
 		if fl.Dynamic {
 			op.countIdx = int32(f.byName[fl.CountField])
@@ -177,15 +158,6 @@ func (p *program) stringRef(data []byte, off int) ([]byte, error) {
 	return data[ref : int(ref)+end], nil
 }
 
-// backing is the words of a block that the backing array of n elements of a
-// numeric or bool array takes: a decoded number is 8 bytes, a bool 1.
-func (op *fieldOp) backing(n int) int {
-	if op.kind == Bool {
-		return (n + 7) / 8
-	}
-	return n
-}
-
 // need is the one pre-pass of a decode: the words and text bytes of the
 // block (slab.go) that a generic decode of the record whose fixed region
 // starts at base takes. Its text is also the string bytes a bound decode
@@ -221,12 +193,8 @@ func (p *program) need(data []byte, base int) (words, text int) {
 				s, _ := p.stringRef(data, at+e*int(op.size))
 				text += len(s)
 			}
-			if !op.array() {
-				words += 2 // the header; a []string is not in the block
-			}
-		default:
-			words += 3 + op.backing(n)
 		}
+		words += blockWords(op.kind, op.array(), n)
 	}
 	return words, text
 }

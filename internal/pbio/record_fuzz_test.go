@@ -128,8 +128,8 @@ func fuzzFormats(tb testing.TB) []fuzzFormat {
 // FuzzDecodeRecord mutates NDR bytes under valid metadata. Neither decoder
 // may panic; the generic and the bound decoder must agree on whether the
 // record is acceptable (they share the program's one validation); a generic
-// record that decodes must match its heap-boxed copy (its scalars sit in a
-// slab); and it must re-encode, to a canonical form that is stable under a
+// record that decodes must match its heap-boxed copy (its values sit in a
+// block); and it must re-encode, to a canonical form that is stable under a
 // further decode and encode.
 func FuzzDecodeRecord(f *testing.F) {
 	formats := fuzzFormats(f)

@@ -8,56 +8,38 @@ import "unsafe"
 // allocation of its own. The builder points the data word into memory it
 // owns instead. reflect cannot do this: Value.Interface copies to a new box.
 //
-// Format.Decode takes a record's values from one block, a []uint64 sized by
-// one pre-pass (program.need): its numeric scalars, its strings' headers and
-// bytes, and the headers and backing arrays of its numeric and bool arrays.
-// A []uint64 is noscan, so the collector never looks inside the block, and
-// the invariant is: a header may be written into the block only if what it
-// points at is inside the same block (or nil). Everything else goes to
-// memory the collector scans: a string or array the pre-pass did not count
-// (only a malformed record gets there); []string and []Record backings and
-// their headers, since a caller may store any string in a []string it holds
-// and a []Record holds maps; and every value boxed by the exported Str and
-// Ints to Records. A block array has cap == len, so an append to it copies.
+// A decode takes a record's values from one block, a []uint64 of words and
+// then text bytes, which its decoder sizes: its numeric scalars, its
+// strings' headers and bytes, and the headers and backing arrays of its
+// numeric and bool arrays. A []uint64 is noscan, so the collector never
+// looks inside the block, and the invariant is: a header may be written into
+// the block only if what it points at is inside the same block. The builder
+// checks that by address, against the block's range, when it boxes a string;
+// an array it boxes in the block has its backing taken from the block with
+// it. Everything else goes to memory the collector scans: a value past the
+// block's end (a block sized short), a string whose bytes are elsewhere (an
+// XML value with expanded references, or a join of split text), every
+// []string and []Record with its header, since a caller may store any
+// string in a []string it holds and a []Record holds maps, and XML text's
+// arrays, which grow by append. A block array has cap == len, so an append
+// to it copies.
 //
-// The XDR and XML-text decoders box through the exported methods from three
-// slabs per record, which Begin sizes: []uint64 for numbers, []string for
-// string headers and [][]byte for slice headers. Every slice header has its
-// data pointer in word 0, so the collector scans a []int64 header written in
-// a []byte slot as it scans a []byte's.
-//
-// Each slot, of a block or a slab, is written before its interface escapes
-// and never after. A pointer into a block keeps all of it alive: a value
-// kept after its record is dropped keeps the record's whole block, about its
-// decoded size. A value from a slab keeps that slab and what it points at.
+// Each word of a block is written before its interface escapes and never
+// after. A pointer into a block keeps all of it alive: a value kept after
+// its record is dropped keeps the record's whole block, about its decoded
+// size.
 
 // eface is the runtime's layout of an interface{}.
 type eface struct{ typ, data unsafe.Pointer }
 
 var (
-	int64Type    = typeWord(int64(0))
-	uint64Type   = typeWord(uint64(0))
-	float64Type  = typeWord(float64(0))
-	stringType   = typeWord("")
-	int64sType   = typeWord([]int64(nil))
-	uint64sType  = typeWord([]uint64(nil))
-	float64sType = typeWord([]float64(nil))
-	boolsType    = typeWord([]bool(nil))
-	stringsType  = typeWord([]string(nil))
-	recordsType  = typeWord([]Record(nil))
+	int64Type   = typeWord(int64(0))
+	uint64Type  = typeWord(uint64(0))
+	float64Type = typeWord(float64(0))
+	stringType  = typeWord("")
 )
 
 func typeWord(x interface{}) unsafe.Pointer { return (*eface)(unsafe.Pointer(&x)).typ }
-
-// next hands out the next slot of a slab, or a fresh heap one past its end.
-func next[T any](slab *[]T) *T {
-	if len(*slab) == 0 {
-		return new(T)
-	}
-	p := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return p
-}
 
 // iface returns the interface{} whose type word is typ and whose data word
 // is p.
@@ -66,84 +48,106 @@ func iface(typ, p unsafe.Pointer) (x interface{}) {
 	return x
 }
 
-// box returns bits as an interface{} of the type whose type word is typ,
-// stored in the next word of the numeric slab (the block's words, for NDR).
-func (b *RecordBuilder) box(typ unsafe.Pointer, bits uint64) interface{} {
-	w := next(&b.slab.words)
-	*w = bits
-	return iface(typ, unsafe.Pointer(w))
-}
-
-// Str boxes s in the next header of the string slab.
-func (b *RecordBuilder) Str(s string) interface{} {
-	h := next(&b.slab.strs)
-	*h = s
-	return iface(stringType, unsafe.Pointer(h))
-}
-
-// boxSlice returns s as an interface{} of the slice type whose type word is
-// typ, its header stored in the next slot of the slice slab.
-func boxSlice[T any](b *RecordBuilder, typ unsafe.Pointer, s []T) interface{} {
-	h := next(&b.slab.slices)
-	*(*[]T)(unsafe.Pointer(h)) = s
-	return iface(typ, unsafe.Pointer(h))
-}
-
-// block allocates one record's block, words for the numeric slab and text
-// bytes for its strings, and returns the text.
-func (b *RecordBuilder) block(words, text int) []byte {
-	blk := make([]uint64, words+(text+7)/8)
-	b.slab.words = blk[:words]
-	if text == 0 {
-		return nil
+// Start allocates the record's block: words for numbers and headers, then
+// text bytes for strings.
+func (b *RecordBuilder) Start(words, text int) {
+	b.blk = make([]uint64, words+(text+7)/8)
+	b.words = b.blk[:words]
+	if text > 0 {
+		b.text = unsafe.Slice((*byte)(unsafe.Pointer(&b.blk[words])), text)
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&blk[words])), text)
+}
+
+// inBlock reports whether p points into the block.
+func (b *RecordBuilder) inBlock(p unsafe.Pointer) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b.blk)))
+	return uintptr(p)-lo < uintptr(len(b.blk))*8
 }
 
 // take hands out the next n words of the block, or nil if fewer are left.
 func (b *RecordBuilder) take(n int) []uint64 {
-	if len(b.slab.words) < n {
+	if len(b.words) < n {
 		return nil
 	}
-	w := b.slab.words[:n:n]
-	b.slab.words = b.slab.words[n:]
+	w := b.words[:n:n]
+	b.words = b.words[n:]
 	return w
 }
 
-// cutText copies raw, which is not empty, to the front of text and returns
-// it as a string, or ok == false if text is shorter than raw.
-func cutText(text *[]byte, raw []byte) (s string, ok bool) {
-	if len(raw) > len(*text) {
-		return "", false
+// box returns bits as an interface{} of the type whose type word is typ,
+// stored in the next word of the block.
+func (b *RecordBuilder) box(typ unsafe.Pointer, bits uint64) interface{} {
+	w := b.take(1)
+	if w == nil {
+		w = make([]uint64, 1)
 	}
-	s = unsafe.String(&(*text)[0], copy(*text, raw))
-	*text = (*text)[len(raw):]
-	return s, true
+	w[0] = bits
+	return iface(typ, unsafe.Pointer(&w[0]))
 }
 
-// blockStr boxes s with its header in the next two words of the block. A
-// string whose bytes are not in the block (cut false) goes to Str.
-func (b *RecordBuilder) blockStr(s string, cut bool) interface{} {
-	if s == "" {
-		return s // the runtime's static box
+// Text returns raw as a string cut from the block's text, or copied to the
+// heap past its end.
+func (b *RecordBuilder) Text(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
 	}
-	if !cut || len(b.slab.words) < 2 {
-		return b.Str(s)
+	if len(raw) > len(b.text) {
+		return string(raw)
+	}
+	s := unsafe.String(&b.text[0], copy(b.text, raw))
+	b.text = b.text[len(raw):]
+	return s
+}
+
+// Str boxes s with its header in the next two words of the block if its
+// bytes are in the block (cut by Text), and on the heap if not.
+func (b *RecordBuilder) Str(s string) interface{} {
+	if s == "" || !b.inBlock(unsafe.Pointer(unsafe.StringData(s))) {
+		return s // "" is the runtime's static box
 	}
 	w := b.take(2)
+	if w == nil {
+		return s
+	}
 	*(*string)(unsafe.Pointer(&w[0])) = s
 	return iface(stringType, unsafe.Pointer(&w[0]))
 }
 
-// blockSlice returns a slice of n Ts (8-byte numbers or bools) and its boxed
-// interface{} of the type whose type word is typ, the header and the backing
-// array taken from the block (as many words as fieldOp.backing counts).
-// Past its end both go to the heap.
-func blockSlice[T any](b *RecordBuilder, typ unsafe.Pointer, n int) ([]T, interface{}) {
-	w := b.take(3 + (n*int(unsafe.Sizeof(*new(T)))+7)/8)
+// BlockWords is the words of a record's block that a value of the field
+// takes with n elements (1 for a scalar): a number 1, a string's header 2,
+// a numeric or bool array its header and backing array. A bool, a []string
+// and a []Record take none, and a nested record's values count as its own
+// fields do.
+func (fl *Field) BlockWords(n int) int {
+	return blockWords(fl.Kind, fl.Dynamic || fl.Count > 1, n)
+}
+
+func blockWords(k Kind, array bool, n int) int {
+	switch {
+	case k == Nested, k == Bool && !array, k == String && array:
+		return 0
+	case k == Bool:
+		return arrayWords(n, 1)
+	case array:
+		return arrayWords(n, 8)
+	case k == String:
+		return 2
+	}
+	return 1
+}
+
+// arrayWords is the words of a block that an array of n elements of size
+// bytes takes: its header, then its backing array.
+func arrayWords(n, size int) int { return 3 + (n*size+7)/8 }
+
+// Array returns a slice of n Ts (8-byte numbers or bools) and its boxed
+// interface{}, the header and the backing array taken from the block, as
+// many words as Field.BlockWords counts.
+func Array[T int64 | uint64 | float64 | bool](b *RecordBuilder, n int) ([]T, interface{}) {
+	w := b.take(arrayWords(n, int(unsafe.Sizeof(*new(T)))))
 	if w == nil {
 		s := make([]T, n)
-		return s, boxSlice(b, typ, s)
+		return s, s
 	}
 	h := unsafe.Pointer(&w[0])
 	s := unsafe.Slice((*T)(h), 0) // an empty array points at its own header
@@ -151,5 +155,5 @@ func blockSlice[T any](b *RecordBuilder, typ unsafe.Pointer, n int) ([]T, interf
 		s = unsafe.Slice((*T)(unsafe.Pointer(&w[3])), n)
 	}
 	*(*[]T)(h) = s
-	return s, iface(typ, h)
+	return s, iface(typeWord([]T(nil)), h)
 }

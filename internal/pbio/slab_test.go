@@ -10,8 +10,6 @@ import (
 	"openmeta/internal/machine"
 	"openmeta/internal/pbio"
 	"openmeta/internal/testutil"
-	"openmeta/internal/xdr"
-	"openmeta/internal/xmlwire"
 )
 
 func dataWord(x interface{}) unsafe.Pointer {
@@ -20,7 +18,7 @@ func dataWord(x interface{}) unsafe.Pointer {
 
 // TestSlabRecordMatchesHeapBoxed decodes every schema TestCodecOracle
 // generates, on every simulated architecture, with each of the three decoders
-// that box through pbio.RecordBuilder, and holds the slab-backed record to
+// that box through pbio.RecordBuilder, and holds the block-backed record to
 // its heap-boxed copy.
 func TestSlabRecordMatchesHeapBoxed(t *testing.T) {
 	seeds := int64(60)
@@ -43,17 +41,7 @@ func TestSlabRecordMatchesHeapBoxed(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := schema.Value(seed)
-			decoders := []struct {
-				name   string
-				encode func(*pbio.Format, pbio.Record) ([]byte, error)
-				decode func(*pbio.Format, []byte) (pbio.Record, error)
-			}{
-				{"ndr", func(f *pbio.Format, r pbio.Record) ([]byte, error) { return f.Encode(r) },
-					func(f *pbio.Format, b []byte) (pbio.Record, error) { return f.Decode(b) }},
-				{"xdr", xdr.EncodeRecord, xdr.DecodeRecord},
-				{"xml", xmlwire.EncodeRecord, xmlwire.DecodeRecord},
-			}
-			for _, c := range decoders {
+			for _, c := range codecs {
 				what := fmt.Sprintf("seed %d %s %s", seed, name, c.name)
 				data, err := c.encode(f, want)
 				if err != nil {
@@ -72,10 +60,17 @@ func TestSlabRecordMatchesHeapBoxed(t *testing.T) {
 	}
 	// The reference is a real copy: a re-boxed number, string or array has a
 	// data word of its own.
-	var b pbio.RecordBuilder
-	x := pbio.Record{"v": b.Float(1.5), "s": b.Str("kept"), "a": b.Ints([]int64{1, 2})}
+	f, rec := blockFormat(t)
+	data, err := f.Encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := f.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref := testutil.Reboxed(x).(pbio.Record)
-	for k := range x {
+	for _, k := range []string{"d0", "s0", "ia"} {
 		if dataWord(x[k]) == dataWord(ref[k]) {
 			t.Fatalf("Reboxed shares the data word of the decoded value %q", k)
 		}

@@ -37,7 +37,7 @@ func Reboxed(v interface{}) interface{} {
 }
 
 // CheckReboxed fails unless rec, a record whose values a decoder boxed from
-// its slabs, and its heap-boxed copy agree under reflect.DeepEqual, fmt.Sprint
+// its block, and its heap-boxed copy agree under reflect.DeepEqual, fmt.Sprint
 // and encoding/json. NaN is unequal to itself under DeepEqual, so a record
 // that prints one is compared by its printed and marshalled forms alone.
 func CheckReboxed(t testing.TB, what string, rec pbio.Record) {

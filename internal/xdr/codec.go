@@ -57,7 +57,7 @@ func appendScalar(b []byte, f *pbio.Format, fl *pbio.Field, val interface{}) ([]
 		if err != nil {
 			return nil, err
 		}
-		if fl.ElemSize == 8 {
+		if width(fl) == 8 {
 			return AppendInt64(b, v), nil
 		}
 		return AppendInt32(b, int32(v)), nil
@@ -66,7 +66,7 @@ func appendScalar(b []byte, f *pbio.Format, fl *pbio.Field, val interface{}) ([]
 		if err != nil {
 			return nil, err
 		}
-		if fl.ElemSize == 8 {
+		if width(fl) == 8 {
 			return AppendUint64(b, v), nil
 		}
 		return AppendUint32(b, uint32(v)), nil
@@ -75,7 +75,7 @@ func appendScalar(b []byte, f *pbio.Format, fl *pbio.Field, val interface{}) ([]
 		if err != nil {
 			return nil, err
 		}
-		if fl.ElemSize == 4 {
+		if width(fl) == 4 {
 			return AppendFloat32(b, float32(v)), nil
 		}
 		return AppendFloat64(b, v), nil
@@ -144,11 +144,13 @@ func appendDynamic(b []byte, f *pbio.Format, fl *pbio.Field, val interface{}) ([
 
 // DecodeRecord unmarshals an XDR record of format f, producing the same
 // canonical value types as pbio.Format.Decode so results are comparable. The
-// record is made by a pbio.RecordBuilder, as Format.Decode's is.
+// record is made by a pbio.RecordBuilder, as Format.Decode's is, from one
+// block that a pre-pass (need) sizes exactly.
 func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
-	d := NewDecoder(data)
 	var b pbio.RecordBuilder
-	b.Begin(f, 1)
+	words, text, _ := need(NewDecoder(data), f)
+	b.Start(words, text)
+	d := NewDecoder(data)
 	rec, err := decodeInto(d, &b, f)
 	if err != nil {
 		return nil, err
@@ -157,6 +159,59 @@ func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// need is DecodeRecord's pre-pass: the words and text bytes of the block
+// that the record at d takes, each value priced by pbio (BlockWords). It
+// reads only the lengths of strings and dynamic arrays (and checks a
+// string's padding) and steps over everything else. Where it cannot go on
+// (ok false) the decode walk fails too, with the reason.
+func need(d *Decoder, f *pbio.Format) (words, text int, ok bool) {
+	for i := range f.Fields {
+		fl := &f.Fields[i]
+		if fl.IsCount() {
+			continue
+		}
+		n := fl.Count
+		if fl.Dynamic {
+			c, err := d.Uint32()
+			if err != nil || int(c)*4 > d.Remaining() {
+				return words, text, false
+			}
+			cf, _ := f.FieldByName(fl.CountField)
+			n, words = int(c), words+cf.BlockWords(1)
+		}
+		words += fl.BlockWords(n)
+		for e := 0; e < n && fl.Kind == pbio.Nested; e++ {
+			w, t, ok := need(d, fl.Nested)
+			if words, text = words+w, text+t; !ok {
+				return words, text, false
+			}
+		}
+		for e := 0; e < n && fl.Kind == pbio.String; e++ {
+			s, err := d.Opaque()
+			if err != nil {
+				return words, text, false
+			}
+			text += len(s)
+		}
+		if fl.Kind != pbio.Nested && fl.Kind != pbio.String {
+			if _, err := d.FixedOpaque(n * width(fl)); err != nil {
+				return words, text, false
+			}
+		}
+	}
+	return words, text, true
+}
+
+// width is the bytes one element of a numeric or bool field takes in XDR:
+// 8 for a hyper or a double, else 4. The encoder, need and the readers all
+// go by it.
+func width(fl *pbio.Field) int {
+	if fl.Kind == pbio.Float && fl.ElemSize != 4 || fl.Kind != pbio.Bool && fl.ElemSize == 8 {
+		return 8
+	}
+	return 4
 }
 
 func decodeInto(d *Decoder, b *pbio.RecordBuilder, f *pbio.Format) (pbio.Record, error) {
@@ -202,22 +257,21 @@ func decodeInto(d *Decoder, b *pbio.RecordBuilder, f *pbio.Format) (pbio.Record,
 }
 
 func decodeScalar(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field) (interface{}, error) {
-	switch fl.Kind {
+	switch w := width(fl); fl.Kind {
 	case pbio.Int, pbio.Char:
-		v, err := readInt(d, fl.ElemSize)
+		v, err := readInt(d, w)
 		return b.Int(v), err
 	case pbio.Uint:
-		v, err := readUint(d, fl.ElemSize)
+		v, err := readUint(d, w)
 		return b.Uint(v), err
 	case pbio.Float:
-		v, err := readFloat(d, fl.ElemSize)
+		v, err := readFloat(d, w)
 		return b.Float(v), err
 	case pbio.Bool:
-		v, err := d.Bool()
-		return b.Bool(v), err
+		return d.Bool()
 	case pbio.String:
-		v, err := d.String()
-		return b.Str(v), err
+		s, err := d.Opaque()
+		return b.Str(b.Text(s)), err
 	case pbio.Nested:
 		return decodeInto(d, b, fl.Nested)
 	default:
@@ -225,69 +279,65 @@ func decodeScalar(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field) (interface{
 	}
 }
 
-// decodeArray reads n elements straight into the typed slice of the field's
-// kind, which the builder boxes; an array of records takes one slab of each
-// kind for all of its elements.
+// decodeArray reads n elements straight into a typed slice of the field's
+// kind, from the block for a numeric or bool array.
 func decodeArray(d *Decoder, b *pbio.RecordBuilder, fl *pbio.Field, n int) (interface{}, error) {
-	switch fl.Kind {
+	switch w := width(fl); fl.Kind {
 	case pbio.Int, pbio.Char:
-		return decodeEach(d, fl.ElemSize, n, readInt, b.Ints)
+		s, x := pbio.Array[int64](b, n)
+		return x, fill(s, func() (int64, error) { return readInt(d, w) })
 	case pbio.Uint:
-		return decodeEach(d, fl.ElemSize, n, readUint, b.Uints)
+		s, x := pbio.Array[uint64](b, n)
+		return x, fill(s, func() (uint64, error) { return readUint(d, w) })
 	case pbio.Float:
-		return decodeEach(d, fl.ElemSize, n, readFloat, b.Floats)
+		s, x := pbio.Array[float64](b, n)
+		return x, fill(s, func() (float64, error) { return readFloat(d, w) })
 	case pbio.Bool:
-		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (bool, error) { return d.Bool() }, b.Bools)
+		s, x := pbio.Array[bool](b, n)
+		return x, fill(s, d.Bool)
 	case pbio.String:
-		return decodeEach(d, fl.ElemSize, n, func(d *Decoder, _ int) (string, error) { return d.String() }, b.Strings)
+		s := make([]string, n)
+		return s, fill(s, func() (string, error) {
+			raw, err := d.Opaque()
+			return b.Text(raw), err
+		})
 	case pbio.Nested:
-		outer := b.Begin(fl.Nested, n)
-		out := make([]pbio.Record, n)
-		for i := range out {
-			var err error
-			if out[i], err = decodeInto(d, b, fl.Nested); err != nil {
-				return nil, err
-			}
-		}
-		b.End(outer)
-		return b.Records(out), nil
-	default:
-		return nil, fmt.Errorf("unsupported kind %v", fl.Kind)
+		s := make([]pbio.Record, n)
+		return s, fill(s, func() (pbio.Record, error) { return decodeInto(d, b, fl.Nested) })
 	}
+	return nil, fmt.Errorf("unsupported kind %v", fl.Kind)
 }
 
-func decodeEach[T any](d *Decoder, size, n int, read func(*Decoder, int) (T, error),
-	box func([]T) interface{}) (interface{}, error) {
-	out := make([]T, n)
-	for i := range out {
-		var err error
-		if out[i], err = read(d, size); err != nil {
-			return nil, err
+// fill reads the elements of s in order, stopping at the first error.
+func fill[T any](s []T, read func() (T, error)) (err error) {
+	for i := range s {
+		if s[i], err = read(); err != nil {
+			return err
 		}
 	}
-	return box(out), nil
+	return nil
 }
 
-// readInt, readUint and readFloat read one number of a field whose elements
-// are size bytes.
-func readInt(d *Decoder, size int) (int64, error) {
-	if size == 8 {
+// readInt, readUint and readFloat read one number of a field whose width
+// is w.
+func readInt(d *Decoder, w int) (int64, error) {
+	if w == 8 {
 		return d.Int64()
 	}
 	v, err := d.Int32()
 	return int64(v), err
 }
 
-func readUint(d *Decoder, size int) (uint64, error) {
-	if size == 8 {
+func readUint(d *Decoder, w int) (uint64, error) {
+	if w == 8 {
 		return d.Uint64()
 	}
 	v, err := d.Uint32()
 	return uint64(v), err
 }
 
-func readFloat(d *Decoder, size int) (float64, error) {
-	if size == 4 {
+func readFloat(d *Decoder, w int) (float64, error) {
+	if w == 4 {
 		v, err := d.Float32()
 		return float64(v), err
 	}

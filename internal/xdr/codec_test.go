@@ -8,6 +8,7 @@ import (
 
 	"openmeta/internal/machine"
 	"openmeta/internal/pbio"
+	"openmeta/internal/testutil"
 )
 
 func structureB(t *testing.T) *pbio.Format {
@@ -217,5 +218,28 @@ func TestRecordTypeErrors(t *testing.T) {
 	}
 	if _, err := EncodeRecord(f, pbio.Record{"off": []uint64{1, 2, 3, 4, 5, 6}}); err == nil {
 		t.Error("oversized static array accepted")
+	}
+}
+
+// TestDecodeRecordIsLinear holds DecodeRecord, pre-pass and walk, to linear
+// time and bytes on every shape of testutil.LinearShapes.
+func TestDecodeRecordIsLinear(t *testing.T) {
+	for _, shape := range testutil.LinearShapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			var f *pbio.Format
+			testutil.AssertLinear(t, func(n int) []byte {
+				var rec pbio.Record
+				f, rec = shape.Make(t, n)
+				data, err := EncodeRecord(f, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}, func(data []byte) {
+				if _, err := DecodeRecord(f, data); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -15,9 +15,8 @@ import (
 // TestXDRDecodeAllocations pins the XDR decoder on Table 2's records, the
 // ones xmlwire's TestDecodeRecordAllocations and pbio's
 // TestFormatDecodeAllocations pin. Its record is made by the same
-// pbio.RecordBuilder as Format.Decode's, so it differs from NDR only in its
-// strings: two allocations each (the opaque bytes, then the string) where NDR
-// cuts all of a record's from one.
+// pbio.RecordBuilder as Format.Decode's, from one block that a pre-pass sizes
+// exactly, so it allocates what NDR's does: the map and the block.
 func TestXDRDecodeAllocations(t *testing.T) {
 	ctx, err := pbio.NewContext(machine.Native)
 	if err != nil {
@@ -27,10 +26,11 @@ func TestXDRDecodeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Boxing only the numeric scalars from a slab took 11 / 19 / 31 / 31;
-	// boxing every array element through interface{} 18 / 138 / 1,271 /
-	// 12,571.
-	want := map[string]float64{"mixed100B": 10, "mixed1KB": 16, "mixed10KB": 24, "mixed100KB": 24}
+	// Boxing from three per-kind slabs, with two allocations per string,
+	// took 10 / 16 / 24 / 24; boxing only the numeric scalars from a slab
+	// 11 / 19 / 31 / 31; boxing every array element through interface{}
+	// 18 / 138 / 1,271 / 12,571.
+	want := map[string]float64{"mixed100B": 5, "mixed1KB": 5, "mixed10KB": 5, "mixed100KB": 5}
 	for _, w := range works {
 		data, err := xdr.EncodeRecord(w.Format, w.Record)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // what peers send (openmeta.DecodeXDR), under the all-kinds format, the
 // nested-array Path format and four generated ones. It must never panic; a
 // record it accepts must match its heap-boxed copy (its values sit in the
-// record builder's slabs), and re-encode and decode back to itself, with the
+// record builder's block), and re-encode and decode back to itself, with the
 // same bytes both times.
 func FuzzDecodeXDRRecord(f *testing.F) {
 	formats := []*pbio.Format{allKindsFormat(f), pathFormat(f)}

@@ -171,7 +171,8 @@ func (d *Decoder) Float64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// Opaque reads variable-length opaque data.
+// Opaque reads variable-length opaque data in place: the bytes returned are
+// the decoder's input, not a copy.
 func (d *Decoder) Opaque() ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
@@ -183,7 +184,7 @@ func (d *Decoder) Opaque() ([]byte, error) {
 	return d.FixedOpaque(int(n))
 }
 
-// FixedOpaque reads n opaque bytes plus padding.
+// FixedOpaque reads n opaque bytes plus padding in place, as Opaque does.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, ErrBadLength
@@ -192,15 +193,14 @@ func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if d.pos+total > len(d.data) {
 		return nil, ErrTruncated
 	}
-	out := make([]byte, n)
-	copy(out, d.data[d.pos:])
 	for i := d.pos + n; i < d.pos+total; i++ {
 		if d.data[i] != 0 {
 			return nil, fmt.Errorf("xdr: nonzero padding byte")
 		}
 	}
+	b := d.data[d.pos : d.pos+n]
 	d.pos += total
-	return out, nil
+	return b, nil
 }
 
 // String reads an XDR string.

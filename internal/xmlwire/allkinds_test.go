@@ -8,6 +8,7 @@ import (
 
 	"openmeta/internal/machine"
 	"openmeta/internal/pbio"
+	"openmeta/internal/testutil"
 )
 
 func allKindsFormat(t testing.TB) *pbio.Format {
@@ -185,5 +186,28 @@ func TestDecodeSplitTextIsLinear(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(doc)) {
 		t.Errorf("decoding %d bytes allocated %d bytes, want at most %d", len(doc), alloc, 8*len(doc))
+	}
+}
+
+// TestDecodeRecordIsLinear holds DecodeRecord to linear time and bytes on
+// every shape of testutil.LinearShapes.
+func TestDecodeRecordIsLinear(t *testing.T) {
+	for _, shape := range testutil.LinearShapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			var f *pbio.Format
+			testutil.AssertLinear(t, func(n int) []byte {
+				var rec pbio.Record
+				f, rec = shape.Make(t, n)
+				data, err := EncodeRecord(f, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}, func(data []byte) {
+				if _, err := DecodeRecord(f, data); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -15,9 +15,8 @@ import (
 // parses what peers send (openmeta.DecodeXMLText, ompub, Table 4's XML-text
 // ping-pong), under the all-kinds format and four generated ones. It must
 // never panic; a record it accepts must match its heap-boxed copy (its values
-// sit in the record builder's slabs, or on the heap past their end, which
-// only malformed text reaches), and re-encode and decode back to itself, with
-// the same text both times.
+// sit in the record builder's block, or on the heap past its end), and
+// re-encode and decode back to itself, with the same text both times.
 func FuzzDecodeXMLRecord(f *testing.F) {
 	formats := []*pbio.Format{allKindsFormat(f)}
 	values := []pbio.Record{{"s": "a<&>b", "p": pbio.Record{"x": 1.5}, "bools": []bool{true}}}

@@ -14,6 +14,7 @@
 package xmlwire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -246,7 +247,13 @@ func appendString(dst []byte, fl *pbio.Field, v string) ([]byte, error) {
 // from the token text and array elements appended to typed slices. The count
 // fields of dynamic arrays are reconstructed from the number of repeated
 // elements. The record is made by a pbio.RecordBuilder, as Format.Decode's
-// is. Decoded strings may share one copy of data, never data itself.
+// is, from one block whose text is a copy of data and whose words are
+// bounded by the format (blockWords) or, where it has an array of records,
+// by data's count of '<': every word a value takes has a tag of its own (a
+// string's two words its start and end tags), except the count of an empty
+// dynamic array, which goes to the heap once the words run out. Decoded
+// strings may share that copy of data, never data itself; arrays grow by
+// append, outside the block.
 //
 // A document that is not well-formed is reported as that, whatever else is
 // wrong with it. Otherwise the first of these is: a root that is not the
@@ -255,8 +262,13 @@ func appendString(dst []byte, fl *pbio.Field, v string) ([]byte, error) {
 // field's first value that does not parse. A nested record is held to the
 // same order at its field's turn.
 func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
-	d := decoder{xmltext.NewTokenizer(string(data)), new(pbio.RecordBuilder)}
-	d.b.Begin(f, 1)
+	var b pbio.RecordBuilder
+	words, ok := blockWords(f)
+	if tags := bytes.Count(data, []byte("<")); !ok || tags < words {
+		words = tags
+	}
+	b.Start(words, len(data))
+	d := decoder{xmltext.NewTokenizer(b.Text(data)), &b}
 	var rec pbio.Record
 	var bad error
 	for {
@@ -270,6 +282,28 @@ func DecodeRecord(f *pbio.Format, data []byte) (pbio.Record, error) {
 			rec, bad = d.record(f, tok.Name.Local)
 		}
 	}
+}
+
+// blockWords is the most block words a record of f takes here, where arrays
+// stay outside the block: each numeric scalar and count field 1 and each
+// string 2 (Field.BlockWords). An array of records has no bound (ok false).
+func blockWords(f *pbio.Format) (words int, ok bool) {
+	for i := range f.Fields {
+		fl := &f.Fields[i]
+		switch array := fl.Dynamic || fl.Count > 1; {
+		case fl.Kind == pbio.Nested && array:
+			return 0, false
+		case fl.Kind == pbio.Nested:
+			w, ok := blockWords(fl.Nested)
+			if !ok {
+				return 0, false
+			}
+			words += w
+		case !array:
+			words += fl.BlockWords(1)
+		}
+	}
+	return words, true
 }
 
 // decoder reads one message. Each method consumes the element whose start
@@ -370,7 +404,7 @@ func (d decoder) record(f *pbio.Format, name string) (pbio.Record, error) {
 			rec[fl.CountField] = d.b.Int(int64(el.n))
 			fallthrough
 		case fl.Count > 1:
-			rec[fl.Name] = el.array(d.b, fl.Kind)
+			rec[fl.Name] = el.array(fl.Kind)
 		default:
 			rec[fl.Name] = el.val
 		}
@@ -417,17 +451,8 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 	e.n++
 	array := fl.Dynamic || fl.Count > 1
 	if fl.Kind == pbio.Nested {
-		// An element of an array of records takes slabs of its own: the
-		// array's length is known only at its end.
-		var outer pbio.Slab
-		if array {
-			outer = d.b.Begin(fl.Nested, 1)
-		}
 		rec, err := d.nested(fl)
-		if array {
-			d.b.End(outer)
-		}
-		put(e, &e.recs, array, rec, record)
+		put(e, &e.recs, array, rec, boxed)
 		e.keep(err)
 		return
 	}
@@ -450,7 +475,7 @@ func (e *elems) read(d decoder, fl *pbio.Field) {
 	case pbio.Bool:
 		var v bool
 		v, err = strconv.ParseBool(s)
-		put(e, &e.bools, array, v, d.b.Bool)
+		put(e, &e.bools, array, v, boxed)
 	case pbio.String:
 		put(e, &e.strs, array, text, d.b.Str)
 	default:
@@ -471,7 +496,7 @@ func put[T any](e *elems, vals *[]T, array bool, v T, box func(T) interface{}) {
 	}
 }
 
-func record(r pbio.Record) interface{} { return r }
+func boxed[T any](v T) interface{} { return v }
 
 func (e *elems) keep(err error) {
 	if e.bad == nil {
@@ -479,27 +504,27 @@ func (e *elems) keep(err error) {
 	}
 }
 
-// array returns the field's values as a typed slice boxed by b, empty
-// rather than nil for none, as Decode gives them.
-func (e *elems) array(b *pbio.RecordBuilder, k pbio.Kind) interface{} {
+// array returns the field's values as a typed slice, empty rather than nil
+// for none and with cap == len, as Decode gives them.
+func (e *elems) array(k pbio.Kind) interface{} {
 	switch k {
 	case pbio.Int, pbio.Char:
-		return b.Ints(nonNil(e.ints))
+		return clip(e.ints)
 	case pbio.Uint:
-		return b.Uints(nonNil(e.uints))
+		return clip(e.uints)
 	case pbio.Float:
-		return b.Floats(nonNil(e.floats))
+		return clip(e.floats)
 	case pbio.Bool:
-		return b.Bools(nonNil(e.bools))
+		return clip(e.bools)
 	case pbio.String:
-		return b.Strings(nonNil(e.strs))
+		return clip(e.strs)
 	}
-	return b.Records(nonNil(e.recs))
+	return clip(e.recs)
 }
 
-func nonNil[T any](vals []T) []T {
+func clip[T any](vals []T) []T {
 	if vals == nil {
 		return []T{}
 	}
-	return vals
+	return vals[:len(vals):len(vals)]
 }

@@ -220,39 +220,19 @@ func TestFacadeScopedSubscription(t *testing.T) {
 	defer pub.Close()
 
 	rec := openmeta.Record{"cntrID": "ZME", "fltNum": 4242}
-	got := make(chan openmeta.Event, 1)
-	errc := make(chan error, 1)
-	go func() {
-		ev, err := sub.Next()
-		if err != nil {
-			errc <- err
-			return
-		}
-		got <- ev
-	}()
-	deadline := time.After(5 * time.Second)
-	for {
+	ev := openmeta.ReceiveEvents(t, sub, 1, func() {
 		if err := pub.PublishRecord(airline.FlightStream, f, rec); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case ev := <-got:
-			out, err := ev.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out["cntrID"] != "ZME" {
-				t.Errorf("cntrID = %v", out["cntrID"])
-			}
-			if _, present := out["fltNum"]; present {
-				t.Error("hidden field delivered")
-			}
-			return
-		case err := <-errc:
-			t.Fatal(err)
-		case <-deadline:
-			t.Fatal("no scoped event")
-		case <-time.After(2 * time.Millisecond):
-		}
+	})[0]
+	out, err := ev.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["cntrID"] != "ZME" {
+		t.Errorf("cntrID = %v", out["cntrID"])
+	}
+	if _, present := out["fltNum"]; present {
+		t.Error("hidden field delivered")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"openmeta"
 	"openmeta/internal/airline"
@@ -154,43 +153,20 @@ func TestFacadeEventBackbone(t *testing.T) {
 
 	gen := airline.NewFlightGen(5)
 	rec := gen.Next()
-	// Subscribe is fire-and-forget, so keep publishing until the first
-	// event comes back (bounded by a deadline).
-	type result struct {
-		ev  openmeta.Event
-		err error
-	}
-	got := make(chan result, 1)
-	go func() {
-		ev, err := sub.Next()
-		got <- result{ev, err}
-	}()
-	deadline := time.After(5 * time.Second)
-	for {
+	ev := openmeta.ReceiveEvents(t, sub, 1, func() {
 		if err := pub.PublishRecord(airline.FlightStream, f, rec); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case r := <-got:
-			if r.err != nil {
-				t.Fatal(r.err)
-			}
-			if r.ev.Stream != airline.FlightStream {
-				t.Errorf("stream = %q", r.ev.Stream)
-			}
-			out, err := r.ev.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out["cntrID"] != rec["cntrID"] {
-				t.Errorf("cntrID = %v, want %v", out["cntrID"], rec["cntrID"])
-			}
-			return
-		case <-deadline:
-			t.Fatal("no event within deadline")
-		case <-time.After(2 * time.Millisecond):
-			// subscription not yet registered; publish again
-		}
+	})[0]
+	if ev.Stream != airline.FlightStream {
+		t.Errorf("stream = %q", ev.Stream)
+	}
+	out, err := ev.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["cntrID"] != rec["cntrID"] {
+		t.Errorf("cntrID = %v, want %v", out["cntrID"], rec["cntrID"])
 	}
 }
 

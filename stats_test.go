@@ -23,28 +23,11 @@ import (
 // single publish can be delivered to no one.
 func publishUntilReceived(t *testing.T, pub *openmeta.Publisher, sub *openmeta.Subscriber, f *openmeta.Format, rec openmeta.Record) {
 	t.Helper()
-	got := make(chan error, 1)
-	go func() {
-		_, err := sub.Next()
-		got <- err
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	openmeta.ReceiveEvents(t, sub, 1, func() {
 		if err := pub.PublishRecord(airline.FlightStream, f, rec); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case err := <-got:
-			if err != nil {
-				t.Fatal(err)
-			}
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no event received after 10s of publishing")
-		}
-	}
+	})
 }
 
 // TestStatsQuickstartFlow runs the README quickstart plus a broker round

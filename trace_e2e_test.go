@@ -148,11 +148,7 @@ func runProcessTrio(t *testing.T) *processTrio {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < tracedRecords; i++ {
-		ev, err := sub.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ev := range ReceiveEvents(t, sub, tracedRecords, nil) {
 		if _, err := ev.Decode(); err != nil { // decode records the pbio.decode span
 			t.Fatal(err)
 		}
