@@ -1,399 +1,23 @@
 package openmeta
 
-// One testing.B benchmark per evaluation artifact. The same measurements,
-// with medians and table formatting, are produced by cmd/benchtab; these
-// benchmarks expose the raw per-operation numbers to `go test -bench`.
-//
-//	Table 1  BenchmarkTable1Registration    native PBIO vs xml2wire registration
-//	Table 2  BenchmarkTable2WireFormats     NDR vs XDR vs XML-text marshal/unmarshal
-//	Table 3  BenchmarkTable3Pipeline        sender+receiver cost, homo/heterogeneous
-//	Table 4  BenchmarkTable4EndToEnd        loopback TCP round trips per wire format
-//	Table 5  BenchmarkTable5Amortization    registration + N messages
-//	Table 6  BenchmarkTable6Receive         identity vs compiled plan vs naive receive
-//	Table 7  BenchmarkTable7WireBytes       format-cache ablation (bytes/msg metric)
+// The paper's tables are benchmarked in internal/bench (BenchmarkTable*),
+// on the operations cmd/benchtab times. The root keeps what no table
+// measures: struct binding against the generic record (here) and the
+// repository benchmark's 10 KB record stage by stage (bench_codec_test.go).
 
 import (
-	"fmt"
 	"testing"
 
 	"openmeta/internal/bench"
-	"openmeta/internal/core"
-	"openmeta/internal/dcg"
-	"openmeta/internal/machine"
-	"openmeta/internal/pbio"
-	"openmeta/internal/xdr"
-	"openmeta/internal/xmlwire"
 )
-
-func mustContext(b *testing.B, arch *machine.Arch) *pbio.Context {
-	b.Helper()
-	ctx, err := pbio.NewContext(arch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ctx
-}
-
-func mustSweep(b *testing.B, arch *machine.Arch) []bench.Workload {
-	b.Helper()
-	works, err := bench.SizeSweep(mustContext(b, arch), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return works
-}
-
-// BenchmarkTable1Registration measures format registration from native PBIO
-// metadata and through xml2wire, per Appendix A structure.
-func BenchmarkTable1Registration(b *testing.B) {
-	for _, c := range bench.RegistrationCases() {
-		c := c
-		b.Run("PBIO/"+c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ctx, err := pbio.NewContext(machine.Sparc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, nf := range c.Formats {
-					if _, err := ctx.Register(nf.Name, nf.Fields); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run("xml2wire/"+c.Name, func(b *testing.B) {
-			doc := []byte(c.Schema)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ctx, err := pbio.NewContext(machine.Sparc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.RegisterDocument(ctx, doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable2WireFormats measures marshal and unmarshal cost per wire
-// format over the size sweep.
-func BenchmarkTable2WireFormats(b *testing.B) {
-	works := mustSweep(b, machine.Native)
-	for _, w := range works {
-		w := w
-		ndr, err := w.Format.Encode(w.Record)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xdrData, err := xdr.EncodeRecord(w.Format, w.Record)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xmlData, err := xmlwire.EncodeRecord(w.Format, w.Record)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("NDR/encode/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(ndr)))
-			buf := make([]byte, 0, len(ndr))
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = w.Format.AppendEncode(buf[:0], w.Record)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("NDR/decode/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(ndr)))
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Format.Decode(ndr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("XDR/encode/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(xdrData)))
-			for i := 0; i < b.N; i++ {
-				if _, err := xdr.EncodeRecord(w.Format, w.Record); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("XDR/decode/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(xdrData)))
-			for i := 0; i < b.N; i++ {
-				if _, err := xdr.DecodeRecord(w.Format, xdrData); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("XMLtext/encode/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(xmlData)))
-			for i := 0; i < b.N; i++ {
-				if _, err := xmlwire.EncodeRecord(w.Format, w.Record); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("XMLtext/decode/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(xmlData)))
-			for i := 0; i < b.N; i++ {
-				if _, err := xmlwire.DecodeRecord(w.Format, xmlData); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable3Pipeline measures the full sender-marshal + receiver-
-// make-right pipeline: NDR between identical machines, NDR across
-// architectures, and XDR (which canonicalizes on both sides regardless).
-func BenchmarkTable3Pipeline(b *testing.B) {
-	srcWorks := mustSweep(b, machine.Native)
-	dstWorks := mustSweep(b, machine.Sparc64)
-	cache := dcg.NewCache()
-	for i, w := range srcWorks {
-		w := w
-		homo, err := cache.Plan(w.Format, w.Format)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hetero, err := cache.Plan(w.Format, dstWorks[i].Format)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("NDRhomo/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			buf := make([]byte, 0, 1<<16)
-			out := make([]byte, 0, 1<<16)
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = w.Format.AppendEncode(buf[:0], w.Record)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out, err = homo.AppendConvert(out[:0], buf)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("NDRhetero/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			buf := make([]byte, 0, 1<<16)
-			out := make([]byte, 0, 1<<16)
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = w.Format.AppendEncode(buf[:0], w.Record)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out, err = hetero.AppendConvert(out[:0], buf)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("XDR/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				enc, err := xdr.EncodeRecord(w.Format, w.Record)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := xdr.DecodeRecord(w.Format, enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable4EndToEnd measures request/ack round trips over loopback
-// TCP per wire format (the paper's promised end-to-end latency comparison).
-func BenchmarkTable4EndToEnd(b *testing.B) {
-	cfg := bench.Quick()
-	cfg.Messages = 100
-	cfg.Trials = 1
-	// The table generator encapsulates the socket choreography (one TCP
-	// session per pipeline, request/ack per message); benchmark it wholesale.
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table4(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable5Amortization measures registration + N messages for the
-// two registration paths.
-func BenchmarkTable5Amortization(b *testing.B) {
-	c := bench.StructureBCase()
-	doc := []byte(c.Schema)
-	for _, n := range []int{1, 100, 10000} {
-		n := n
-		b.Run(fmt.Sprintf("xml2wire/N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx, err := pbio.NewContext(machine.Sparc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				set, err := core.RegisterDocument(ctx, doc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f := set.Root()
-				var buf []byte
-				for j := 0; j < n; j++ {
-					buf, err = f.AppendEncode(buf[:0], c.Record)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := f.Decode(buf); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("PBIO/N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx, err := pbio.NewContext(machine.Sparc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, err := ctx.Register(c.Formats[0].Name, c.Formats[0].Fields)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var buf []byte
-				for j := 0; j < n; j++ {
-					buf, err = f.AppendEncode(buf[:0], c.Record)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := f.Decode(buf); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable6Receive measures receiver-side conversion: the identity
-// fast path, the compiled conversion plan, and naive per-message
-// interpretation (the DCG ablation).
-func BenchmarkTable6Receive(b *testing.B) {
-	srcWorks := mustSweep(b, machine.Sparc64)
-	dstWorks := mustSweep(b, machine.Native)
-	cache := dcg.NewCache()
-	for i, w := range srcWorks {
-		w := w
-		data, err := w.Format.Encode(w.Record)
-		if err != nil {
-			b.Fatal(err)
-		}
-		identity, err := cache.Plan(w.Format, w.Format)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := cache.Plan(w.Format, dstWorks[i].Format)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := dstWorks[i].Format
-		b.Run("identity/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			out := make([]byte, 0, len(data)+64)
-			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = identity.AppendConvert(out[:0], data)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("plan/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			out := make([]byte, 0, len(data)+64)
-			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = plan.AppendConvert(out[:0], data)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("naive/"+w.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := dcg.Naive(w.Format, dst, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable7WireBytes reports wire bytes per message with and without
-// the once-per-connection format cache.
-func BenchmarkTable7WireBytes(b *testing.B) {
-	works := mustSweep(b, machine.Native)
-	for _, w := range works {
-		w := w
-		data, err := w.Format.Encode(w.Record)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, resend := range []bool{false, true} {
-			resend := resend
-			name := "cached/" + w.Name
-			if resend {
-				name = "uncached/" + w.Name
-			}
-			b.Run(name, func(b *testing.B) {
-				var sink discard
-				pw := pbio.NewWriter(&sink)
-				pw.SetResendMetadata(resend)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := pw.WriteRecord(w.Format, data); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(sink.n)/float64(b.N), "wirebytes/msg")
-			})
-		}
-	}
-}
-
-type discard struct{ n int }
-
-func (d *discard) Write(p []byte) (int, error) {
-	d.n += len(p)
-	return len(p), nil
-}
 
 // BenchmarkBindingVsGeneric quantifies what struct binding buys over the
 // generic record path (an implementation ablation beyond the paper).
 func BenchmarkBindingVsGeneric(b *testing.B) {
 	c := bench.StructureBCase()
-	// The case's IOField offsets are the paper's 32-bit SPARC layout.
-	ctx := mustContext(b, machine.Sparc)
-	f, err := ctx.Register(c.Formats[0].Name, c.Formats[0].Fields)
+	// The case's IOField offsets are the paper's 32-bit SPARC layout, on
+	// which Native registers it.
+	f, err := c.Native()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Command benchtab regenerates the paper's evaluation artifacts as printed
 // tables: Table 1 (format registration costs) plus the quantitative claims
-// of §1, §5 and §6 expressed as Tables 2-7 (wire-format comparison, NDR vs
-// XDR, end-to-end latency, discovery amortization, receiver conversion, and
-// the format-cache ablation). See EXPERIMENTS.md for the paper-vs-measured
-// discussion of every table.
+// of §1, §5 and §6 expressed as Tables 2, 3, 6, 7 and 9 (wire-format
+// comparison, NDR vs XDR, receiver conversion, the format cache on the wire
+// and registration scaling). See EXPERIMENTS.md for the paper-vs-measured
+// discussion of every table, and for where Tables 4, 5 and 8 went.
 //
 // Usage:
 //
@@ -31,8 +31,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	table := fs.Int("table", 0, "table number to run (0 = all)")
 	full := fs.Bool("full", false, "use the slower, tighter configuration")
-	trials := fs.Int("trials", 0, "override trial count")
-	msgs := fs.Int("messages", 0, "override message count for end-to-end tables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -40,17 +38,11 @@ func run(args []string) error {
 	if *full {
 		cfg = bench.Full()
 	}
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
-	if *msgs > 0 {
-		cfg.Messages = *msgs
-	}
 
 	if *table != 0 {
-		gen, ok := bench.ByID(*table)
-		if !ok {
-			return fmt.Errorf("no such table %d (1-7)", *table)
+		gen, err := bench.ByID(*table)
+		if err != nil {
+			return err
 		}
 		tbl, err := gen(cfg)
 		if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 
 // tinyConfig keeps experiment smoke tests fast on CI hardware.
 func tinyConfig() Config {
-	return Config{Trials: 2, Inner: 3, Messages: 10, Seed: 1}
+	return Config{Trials: 2, Inner: 3, Seed: 1}
 }
 
 func TestAllExperimentsProduceTables(t *testing.T) {
@@ -19,7 +20,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 9 {
+	if len(tables) != 6 {
 		t.Fatalf("tables = %d", len(tables))
 	}
 	for _, tbl := range tables {
@@ -135,8 +136,8 @@ func TestFormatDuration(t *testing.T) {
 }
 
 func TestTimeOpPropagatesError(t *testing.T) {
-	wantErr := errSkipRow
-	if _, err := TimeOp(0, 0, func() error { return wantErr }); err != wantErr {
+	wantErr := errors.New("op failed")
+	if _, err := TimeOp(0, 0, func() error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Errorf("err = %v", err)
 	}
 	n := 0
@@ -145,5 +146,50 @@ func TestTimeOpPropagatesError(t *testing.T) {
 	}
 	if n != 6 {
 		t.Errorf("fn called %d times, want 6", n)
+	}
+}
+
+func TestByIDNamesTheTables(t *testing.T) {
+	if _, err := ByID(9); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ByID(4)
+	if err == nil || !strings.Contains(err.Error(), "1, 2, 3, 6, 7, 9") {
+		t.Errorf("ByID(4) = %v, want an error naming tables 1, 2, 3, 6, 7, 9", err)
+	}
+}
+
+// The benchmarks run the ops that cmd/benchtab times, one sub-benchmark per
+// op, on the sweep's seed 1.
+
+func BenchmarkTable1Registration(b *testing.B) { runOps(b, table1Ops()) }
+
+func BenchmarkTable2WireFormats(b *testing.B) { runBuiltOps(b, table2Ops) }
+
+func BenchmarkTable3Pipeline(b *testing.B) { runBuiltOps(b, table3Ops) }
+
+func BenchmarkTable6Receive(b *testing.B) { runBuiltOps(b, table6Ops) }
+
+func BenchmarkTable9RegistrationScaling(b *testing.B) { runOps(b, table9Ops()) }
+
+func runBuiltOps(b *testing.B, build func(seed int64) ([]Op, error)) {
+	ops, err := build(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runOps(b, ops)
+}
+
+func runOps(b *testing.B, ops []Op) {
+	for _, op := range ops {
+		b.Run(op.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(op.Bytes))
+			for i := 0; i < b.N; i++ {
+				if err := op.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"openmeta/internal/core"
 	"openmeta/internal/dcg"
 	"openmeta/internal/machine"
-	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
 	"openmeta/internal/xdr"
 	"openmeta/internal/xmlwire"
@@ -20,17 +18,15 @@ type Config struct {
 	Trials int
 	// Inner is the number of operations per repetition.
 	Inner int
-	// Messages is the message count for end-to-end experiments.
-	Messages int
 	// Seed drives all workload generation.
 	Seed int64
 }
 
 // Quick returns a configuration sized for interactive runs.
-func Quick() Config { return Config{Trials: 5, Inner: 50, Messages: 200, Seed: 1} }
+func Quick() Config { return Config{Trials: 5, Inner: 50, Seed: 1} }
 
 // Full returns a configuration sized for stable numbers.
-func Full() Config { return Config{Trials: 15, Inner: 200, Messages: 2000, Seed: 1} }
+func Full() Config { return Config{Trials: 15, Inner: 200, Seed: 1} }
 
 // --- Table 1: format registration costs ------------------------------------
 
@@ -163,6 +159,53 @@ func RegistrationCases() []RegistrationCase {
 	return []RegistrationCase{StructureACase(), StructureBCase(), StructureCDCase()}
 }
 
+// Native registers the case's native PBIO metadata on a fresh context for
+// the paper's SPARC and returns the structure's format. A fresh context per
+// call keeps the catalog's fast path out of a timed registration.
+func (c RegistrationCase) Native() (*pbio.Format, error) {
+	ctx, err := pbio.NewContext(machine.Sparc)
+	if err != nil {
+		return nil, err
+	}
+	var f *pbio.Format
+	for _, nf := range c.Formats {
+		if f, err = ctx.Register(nf.Name, nf.Fields); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// RegisterXML is xml2wire on a fresh SPARC context: it parses the schema
+// document, registers its types and returns the last one's format. As the
+// paper measures it, this "includes the time necessary to parse the XML
+// description of the format and register the format with PBIO".
+func RegisterXML(doc []byte) (*pbio.Format, error) {
+	ctx, err := pbio.NewContext(machine.Sparc)
+	if err != nil {
+		return nil, err
+	}
+	set, err := core.RegisterDocument(ctx, doc)
+	if err != nil {
+		return nil, err
+	}
+	return set.Root(), nil
+}
+
+// table1Ops builds Table 1's operations: per structure, registration from
+// native metadata, then through xml2wire.
+func table1Ops() []Op {
+	var ops []Op
+	for _, c := range RegistrationCases() {
+		doc := []byte(c.Schema)
+		ops = append(ops,
+			Op{Name: "PBIO/" + c.Name, Run: func() error { _, err := c.Native(); return err }},
+			Op{Name: "xml2wire/" + c.Name, Run: func() error { _, err := RegisterXML(doc); return err }},
+		)
+	}
+	return ops
+}
+
 // Table1 reproduces the paper's Table 1: structure size, encoded size under
 // both registration paths, and format registration time for native PBIO
 // metadata versus xml2wire.
@@ -172,98 +215,79 @@ func Table1(cfg Config) (*Table, error) {
 		Caption: "Format registration costs using xml2wire and PBIO (arch: sparc, as in the paper)",
 		Headers: []string{"Structure", "Struct Size (B)",
 			"Encoded PBIO (B)", "Encoded xml2wire (B)",
-			"Reg Time PBIO", "Reg Time xml2wire", "xml2wire/PBIO", "Allocs PBIO / xml2wire", "Live Counters Δ"},
+			"Reg Time PBIO", "Reg Time xml2wire", "xml2wire/PBIO", "Allocs PBIO / xml2wire"},
 		Notes: []string{
 			"paper reports 32/52/180 struct bytes and identical encoded sizes for both paths",
 			"paper's C+D row reports the unpadded extent (180); conforming sizeof is 184",
 			"expected shape: xml2wire ~2-3x PBIO registration, both growing with field count",
 			"allocations repeat exactly where times do not; TestTable1RegistrationRatio asserts their ratio",
-			"Live Counters Δ cross-checks each row against the obsv registry: pbio.formats.registered and pbio.encode.calls deltas over the row's work (timing loops included)",
 		},
 	}
-	for _, c := range RegistrationCases() {
-		statsBefore := obsv.Default().Snapshot()
-		// Resolve once for sizes and encoded sizes.
-		ctx, err := pbio.NewContext(machine.Sparc)
+	res, err := measure(cfg, table1Ops())
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range RegistrationCases() {
+		native, err := c.Native()
 		if err != nil {
 			return nil, err
 		}
-		var last *pbio.Format
-		for _, nf := range c.Formats {
-			if last, err = ctx.Register(nf.Name, nf.Fields); err != nil {
-				return nil, fmt.Errorf("table1 %s: %w", c.Name, err)
-			}
-		}
-		encNative, err := last.Encode(c.Record)
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", c.Name, err)
-		}
-		xctx, err := pbio.NewContext(machine.Sparc)
+		viaXML, err := RegisterXML([]byte(c.Schema))
 		if err != nil {
 			return nil, err
 		}
-		set, err := core.RegisterDocument(xctx, []byte(c.Schema))
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", c.Name, err)
-		}
-		encXML, err := set.Root().Encode(c.Record)
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", c.Name, err)
-		}
-
-		// Native registration timing: fresh context per inner op so the
-		// catalog fast path cannot short-circuit.
-		caseCopy := c
-		native := func() error {
-			ctx, err := pbio.NewContext(machine.Sparc)
-			if err != nil {
-				return err
-			}
-			for _, nf := range caseCopy.Formats {
-				if _, err := ctx.Register(nf.Name, nf.Fields); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		tPBIO, err := TimeOp(cfg.Trials, cfg.Inner, native)
+		encNative, err := native.Encode(c.Record)
 		if err != nil {
 			return nil, err
 		}
-		// xml2wire: parse the XML description and register, as the paper
-		// measures ("includes the time necessary to parse the XML
-		// description of the format and register the format with PBIO").
-		doc := []byte(c.Schema)
-		viaXML := func() error {
-			ctx, err := pbio.NewContext(machine.Sparc)
-			if err != nil {
-				return err
-			}
-			_, err = core.RegisterDocument(ctx, doc)
-			return err
-		}
-		tXML, err := TimeOp(cfg.Trials, cfg.Inner, viaXML)
+		encXML, err := viaXML.Encode(c.Record)
 		if err != nil {
 			return nil, err
 		}
-		aPBIO, err := AllocsOp(native)
-		if err != nil {
-			return nil, err
-		}
-		aXML, err := AllocsOp(viaXML)
-		if err != nil {
-			return nil, err
-		}
-		sd := obsv.Delta(statsBefore, obsv.Default().Snapshot())
-		statsCol := fmt.Sprintf("regs +%d, encodes +%d",
-			sd["pbio.formats.registered"], sd["pbio.encode.calls"])
-		t.AddRow(c.Name, last.Size, len(encNative), len(encXML), tPBIO, tXML,
-			Ratio(tXML, tPBIO), fmt.Sprintf("%d / %d (%.1fx)", aPBIO, aXML, float64(aXML)/float64(aPBIO)), statsCol)
+		p, x := res[2*i], res[2*i+1]
+		t.AddRow(c.Name, native.Size, len(encNative), len(encXML), p.T, x.T, Ratio(x.T, p.T),
+			fmt.Sprintf("%d / %d (%.1fx)", p.Allocs, x.Allocs, float64(x.Allocs)/float64(p.Allocs)))
 	}
 	return t, nil
 }
 
 // --- Table 2: wire format comparison (NDR vs XDR vs XML text) --------------
+
+// table2Ops builds Table 2's operations: per workload of the size sweep,
+// encode then decode in NDR, XDR and XML text, each op's Bytes the size of
+// its encoding.
+func table2Ops(seed int64) ([]Op, error) {
+	works, err := sweep(machine.Native, seed)
+	if err != nil {
+		return nil, err
+	}
+	var ops []Op
+	for _, w := range works {
+		f, rec := w.Format, w.Record
+		ndr, err := f.Encode(rec)
+		if err != nil {
+			return nil, err
+		}
+		x, err := xdr.EncodeRecord(f, rec)
+		if err != nil {
+			return nil, err
+		}
+		xml, err := xmlwire.EncodeRecord(f, rec)
+		if err != nil {
+			return nil, err
+		}
+		buf := make([]byte, 0, len(ndr))
+		ops = append(ops,
+			Op{"NDR/encode/" + w.Name, len(ndr), func() (err error) { buf, err = f.AppendEncode(buf[:0], rec); return err }},
+			Op{"NDR/decode/" + w.Name, len(ndr), func() error { _, err := f.Decode(ndr); return err }},
+			Op{"XDR/encode/" + w.Name, len(x), func() error { _, err := xdr.EncodeRecord(f, rec); return err }},
+			Op{"XDR/decode/" + w.Name, len(x), func() error { _, err := xdr.DecodeRecord(f, x); return err }},
+			Op{"XMLtext/encode/" + w.Name, len(xml), func() error { _, err := xmlwire.EncodeRecord(f, rec); return err }},
+			Op{"XMLtext/decode/" + w.Name, len(xml), func() error { _, err := xmlwire.DecodeRecord(f, xml); return err }},
+		)
+	}
+	return ops, nil
+}
 
 // Table2 quantifies the paper's headline comparison: per-message marshal +
 // unmarshal cost and encoded size for NDR, XDR and XML-text wire formats
@@ -279,86 +303,79 @@ func Table2(cfg Config) (*Table, error) {
 			"paper cites 6-8x ASCII expansion for numeric data (mixed workloads include strings)",
 		},
 	}
-	ctx, err := pbio.NewContext(machine.Native)
+	ops, err := table2Ops(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	works, err := SizeSweep(ctx, cfg.Seed)
+	res, err := measure(cfg, ops)
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range works {
-		ndrData, err := w.Format.Encode(w.Record)
-		if err != nil {
-			return nil, err
-		}
-		xdrData, err := xdr.EncodeRecord(w.Format, w.Record)
-		if err != nil {
-			return nil, err
-		}
-		xmlData, err := xmlwire.EncodeRecord(w.Format, w.Record)
-		if err != nil {
-			return nil, err
-		}
-
-		type fmtCase struct {
-			name string
-			enc  func() error
-			dec  func() error
-			size int
-		}
-		buf := make([]byte, 0, len(ndrData)*2)
-		cases := []fmtCase{
-			{"NDR", func() error {
-				var err error
-				buf, err = w.Format.AppendEncode(buf[:0], w.Record)
-				return err
-			}, func() error {
-				_, err := w.Format.Decode(ndrData)
-				return err
-			}, len(ndrData)},
-			{"XDR", func() error {
-				_, err := xdr.EncodeRecord(w.Format, w.Record)
-				return err
-			}, func() error {
-				_, err := xdr.DecodeRecord(w.Format, xdrData)
-				return err
-			}, len(xdrData)},
-			{"XML", func() error {
-				_, err := xmlwire.EncodeRecord(w.Format, w.Record)
-				return err
-			}, func() error {
-				_, err := xmlwire.DecodeRecord(w.Format, xmlData)
-				return err
-			}, len(xmlData)},
-		}
-		var ndrTotal time.Duration
-		for _, fc := range cases {
-			encT, err := TimeOp(cfg.Trials, cfg.Inner, fc.enc)
-			if err != nil {
-				return nil, err
-			}
-			decT, err := TimeOp(cfg.Trials, cfg.Inner, fc.dec)
-			if err != nil {
-				return nil, err
-			}
-			decA, err := AllocsOp(fc.dec)
-			if err != nil {
-				return nil, err
-			}
-			total := encT + decT
-			if fc.name == "NDR" {
-				ndrTotal = total
-			}
-			t.AddRow(w.Name, fc.name, encT, decT, total, fc.size,
-				Ratio(total, ndrTotal),
-				fmt.Sprintf("%.1fx", float64(fc.size)/float64(len(ndrData))), decA)
+	for i := 0; i < len(res); i += 6 {
+		ndr := res[i]
+		ndrTotal := ndr.T + res[i+1].T
+		for j := i; j < i+6; j += 2 {
+			enc, dec := res[j], res[j+1]
+			codec, work := nameParts(enc.Name)
+			total := enc.T + dec.T
+			t.AddRow(work, codec, enc.T, dec.T, total, enc.Bytes, Ratio(total, ndrTotal),
+				fmt.Sprintf("%.1fx", float64(enc.Bytes)/float64(ndr.Bytes)), dec.Allocs)
 		}
 	}
 	return t, nil
 }
 
 // --- Table 3: NDR vs XDR with hetero/homogeneous receivers ------------------
+
+// table3Ops builds Table 3's operations: per workload, an NDR encode and
+// its receiver's make-right on the same machine (NDRhomo) and on a
+// big-endian one (NDRhetero), and an XDR encode and decode.
+func table3Ops(seed int64) ([]Op, error) {
+	works, err := sweep(machine.Native, seed)
+	if err != nil {
+		return nil, err
+	}
+	recvWorks, err := sweep(machine.Sparc64, seed)
+	if err != nil {
+		return nil, err
+	}
+	cache := dcg.NewCache()
+	var ops []Op
+	for i, w := range works {
+		f, rec := w.Format, w.Record
+		homo, err := cache.Plan(f, f)
+		if err != nil {
+			return nil, err
+		}
+		hetero, err := cache.Plan(f, recvWorks[i].Format)
+		if err != nil {
+			return nil, err
+		}
+		var buf, out []byte
+		sendAndReceive := func(plan *dcg.Plan) func() error {
+			return func() (err error) {
+				if buf, err = f.AppendEncode(buf[:0], rec); err != nil {
+					return err
+				}
+				out, err = plan.AppendConvert(out[:0], buf)
+				return err
+			}
+		}
+		ops = append(ops,
+			Op{Name: "NDRhomo/" + w.Name, Run: sendAndReceive(homo)},
+			Op{Name: "NDRhetero/" + w.Name, Run: sendAndReceive(hetero)},
+			Op{Name: "XDR/" + w.Name, Run: func() error {
+				enc, err := xdr.EncodeRecord(f, rec)
+				if err != nil {
+					return err
+				}
+				_, err = xdr.DecodeRecord(f, enc)
+				return err
+			}},
+		)
+	}
+	return ops, nil
+}
 
 // Table3 isolates the transmission-pipeline comparison: sender marshal plus
 // receiver make-right cost, for NDR between identical machines (no
@@ -374,82 +391,29 @@ func Table3(cfg Config) (*Table, error) {
 			"expected shape: NDR-homo >> XDR; NDR-hetero still ahead (single conversion, no wire canonicalization)",
 		},
 	}
-	sender, err := pbio.NewContext(machine.Native)
+	ops, err := table3Ops(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	works, err := SizeSweep(ctx64(sender), cfg.Seed)
+	res, err := measure(cfg, ops)
 	if err != nil {
 		return nil, err
 	}
-	// A big-endian receiver context with the same formats.
-	recvCtx, err := pbio.NewContext(machine.Sparc64)
-	if err != nil {
-		return nil, err
-	}
-	recvWorks, err := SizeSweep(recvCtx, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cache := dcg.NewCache()
-	for i, w := range works {
-		data, err := w.Format.Encode(w.Record)
-		if err != nil {
-			return nil, err
+	for i := 0; i < len(res); i += 3 {
+		xdrBoth := res[i+2].T
+		for _, r := range res[i : i+3] {
+			pipeline, work := nameParts(r.Name)
+			t.AddRow(work, pipeline, r.T, Ratio(xdrBoth, r.T))
 		}
-		homoPlan, err := cache.Plan(w.Format, w.Format)
-		if err != nil {
-			return nil, err
-		}
-		heteroPlan, err := cache.Plan(w.Format, recvWorks[i].Format)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, 0, len(data)+64)
-		buf := make([]byte, 0, len(data))
-
-		ndrHomo, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
-			var err error
-			buf, err = w.Format.AppendEncode(buf[:0], w.Record)
-			if err != nil {
-				return err
-			}
-			out, err = homoPlan.AppendConvert(out[:0], buf)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		ndrHetero, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
-			var err error
-			buf, err = w.Format.AppendEncode(buf[:0], w.Record)
-			if err != nil {
-				return err
-			}
-			out, err = heteroPlan.AppendConvert(out[:0], buf)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		xdrBoth, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
-			enc, err := xdr.EncodeRecord(w.Format, w.Record)
-			if err != nil {
-				return err
-			}
-			_, err = xdr.DecodeRecord(w.Format, enc)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name, "NDR homogeneous", ndrHomo, Ratio(xdrBoth, ndrHomo))
-		t.AddRow(w.Name, "NDR heterogeneous", ndrHetero, Ratio(xdrBoth, ndrHetero))
-		t.AddRow(w.Name, "XDR (both sides)", xdrBoth, "1.0x")
 	}
 	return t, nil
 }
 
-// ctx64 returns its argument; it exists to keep call sites explicit about
-// which context a sweep was built in.
-func ctx64(c *pbio.Context) *pbio.Context { return c }
+// sweep builds the size sweep on a fresh context for arch.
+func sweep(arch *machine.Arch, seed int64) ([]Workload, error) {
+	ctx, err := pbio.NewContext(arch)
+	if err != nil {
+		return nil, err
+	}
+	return SizeSweep(ctx, seed)
+}

@@ -2,344 +2,55 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"net"
-	"runtime"
-	"time"
+	"strings"
 
-	"openmeta/internal/core"
 	"openmeta/internal/dcg"
 	"openmeta/internal/machine"
 	"openmeta/internal/pbio"
-	"openmeta/internal/xdr"
-	"openmeta/internal/xmlwire"
 )
 
-// --- Table 4: end-to-end latency over loopback TCP -------------------------
-
-// Table4 supplies the measurement the paper promised for its final version:
-// end-to-end latency of communication between two endpoints, per wire
-// format, including the xml2wire variant to show that XML-based metadata
-// adds no per-message cost.
-func Table4(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "Table 4",
-		Caption: fmt.Sprintf("End-to-end round-trip per message over loopback TCP (%d messages)", cfg.Messages),
-		Headers: []string{"Workload", "Pipeline", "RTT/msg", "vs NDR"},
-		Notes: []string{
-			"NDR+xml2wire uses a format registered from XML metadata: per-message cost must equal plain NDR",
-			"the XML-text pipeline pays ASCII conversion and 6-8x larger messages on the same socket",
-		},
-	}
-	ctx, err := pbio.NewContext(machine.Native)
-	if err != nil {
-		return nil, err
-	}
-	works, err := SizeSweep(ctx, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// An xml2wire-registered flavor of the 1KB workload: same shape, format
-	// discovered from an XML document instead of compiled-in specs.
-	xmlCtx, err := pbio.NewContext(machine.Native)
-	if err != nil {
-		return nil, err
-	}
-	xmlSet, err := core.RegisterDocument(xmlCtx, []byte(mixed1KBSchema))
-	if err != nil {
-		return nil, err
-	}
-	xmlRegistered := xmlSet.Root()
-
-	for _, w := range works[:2] { // 100B and 1KB keep the table fast
-		var ndrRTT time.Duration
-		pipelines := []struct {
-			name string
-			run  func() (time.Duration, error)
-		}{
-			{"NDR", func() (time.Duration, error) {
-				return runNDRPingPong(w.Format, w.Record, cfg.Messages, false)
-			}},
-			{"NDR + xml2wire metadata", func() (time.Duration, error) {
-				if w.Name != "mixed1KB" {
-					return 0, errSkipRow
-				}
-				rec, err := recordFor(xmlRegistered, w.Record)
-				if err != nil {
-					return 0, err
-				}
-				return runNDRPingPong(xmlRegistered, rec, cfg.Messages, false)
-			}},
-			{"NDR, metadata every msg", func() (time.Duration, error) {
-				return runNDRPingPong(w.Format, w.Record, cfg.Messages, true)
-			}},
-			{"XDR", func() (time.Duration, error) {
-				return runCodecPingPong(w.Format, w.Record, cfg.Messages,
-					xdr.EncodeRecord, xdr.DecodeRecord)
-			}},
-			{"XML text", func() (time.Duration, error) {
-				return runCodecPingPong(w.Format, w.Record, cfg.Messages,
-					xmlwire.EncodeRecord, xmlwire.DecodeRecord)
-			}},
-		}
-		for _, p := range pipelines {
-			rtt, err := p.run()
-			if err == errSkipRow {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("table4 %s/%s: %w", w.Name, p.name, err)
-			}
-			if p.name == "NDR" {
-				ndrRTT = rtt
-			}
-			t.AddRow(w.Name, p.name, rtt, Ratio(rtt, ndrRTT))
-		}
-	}
-	return t, nil
-}
-
-var errSkipRow = fmt.Errorf("bench: skip row")
-
-// mixed1KBSchema is the XML metadata equivalent of the mixed1KB workload.
-var mixed1KBSchema = func() string {
-	doc := `<?xml version="1.0"?>
-<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema">
-  <xsd:complexType name="mixed1KB">`
-	for i := 0; i < 10; i++ {
-		doc += fmt.Sprintf("\n    <xsd:element name=\"i%d\" type=\"xsd:integer\" />", i)
-	}
-	for i := 0; i < 10; i++ {
-		doc += fmt.Sprintf("\n    <xsd:element name=\"d%d\" type=\"xsd:double\" />", i)
-	}
-	for i := 0; i < 4; i++ {
-		doc += fmt.Sprintf("\n    <xsd:element name=\"s%d\" type=\"xsd:string\" />", i)
-	}
-	doc += `
-    <xsd:element name="samples" type="xsd:double" minOccurs="0" maxOccurs="n" />
-    <xsd:element name="n" type="xsd:integer" />
-  </xsd:complexType>
-</xsd:schema>`
-	return doc
-}()
-
-// recordFor re-keys a workload record onto another format with the same
-// field names (dropping fields the format lacks).
-func recordFor(f *pbio.Format, rec pbio.Record) (pbio.Record, error) {
-	out := make(pbio.Record, len(rec))
-	for k, v := range rec {
-		if _, ok := f.FieldByName(k); ok {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
-// runNDRPingPong measures request/ack round trips using the PBIO wire
-// protocol; resend forces format metadata onto every message (the
-// format-cache ablation).
-func runNDRPingPong(f *pbio.Format, rec pbio.Record, msgs int, resend bool) (time.Duration, error) {
-	data, err := f.Encode(rec)
-	if err != nil {
-		return 0, err
-	}
-	return pingPong(msgs, func(conn net.Conn) (func() error, error) {
-		w := pbio.NewWriter(conn)
-		w.SetResendMetadata(resend)
-		return func() error { return w.WriteRecord(f, data) }, nil
-	}, func(conn net.Conn) func() error {
-		rctx, err := pbio.NewContext(machine.Native)
-		if err != nil {
-			return func() error { return err }
-		}
-		r := pbio.NewReader(conn, rctx)
-		return func() error {
-			gf, gdata, err := r.ReadRecord()
-			if err != nil {
-				return err
-			}
-			_, err = gf.Decode(gdata)
-			return err
-		}
-	})
-}
-
-// runCodecPingPong measures round trips for a plain framed codec (XDR or
-// XML text): length-prefixed messages, full decode on the receiver.
-func runCodecPingPong(f *pbio.Format, rec pbio.Record, msgs int,
-	enc func(*pbio.Format, pbio.Record) ([]byte, error),
-	dec func(*pbio.Format, []byte) (pbio.Record, error),
-) (time.Duration, error) {
-	return pingPong(msgs, func(conn net.Conn) (func() error, error) {
-		var hdr [4]byte
-		return func() error {
-			payload, err := enc(f, rec)
-			if err != nil {
-				return err
-			}
-			n := len(payload)
-			hdr[0], hdr[1], hdr[2], hdr[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-			if _, err := conn.Write(hdr[:]); err != nil {
-				return err
-			}
-			_, err = conn.Write(payload)
-			return err
-		}, nil
-	}, func(conn net.Conn) func() error {
-		var hdr [4]byte
-		var buf []byte
-		return func() error {
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-				return err
-			}
-			n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-			if cap(buf) < n {
-				buf = make([]byte, n)
-			}
-			if _, err := io.ReadFull(conn, buf[:n]); err != nil {
-				return err
-			}
-			_, err := dec(f, buf[:n])
-			return err
-		}
-	})
-}
-
-// pingPong wires a sender and receiver over loopback TCP: the sender emits
-// one message, the receiver processes it and acks one byte; the reported
-// duration is the mean round trip.
-func pingPong(msgs int,
-	mkSend func(net.Conn) (func() error, error),
-	mkRecv func(net.Conn) func() error,
-) (time.Duration, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer ln.Close()
-	srvErr := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		defer conn.Close()
-		recv := mkRecv(conn)
-		ack := []byte{0}
-		for i := 0; i < msgs; i++ {
-			if err := recv(); err != nil {
-				srvErr <- err
-				return
-			}
-			if _, err := conn.Write(ack); err != nil {
-				srvErr <- err
-				return
-			}
-		}
-		srvErr <- nil
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	send, err := mkSend(conn)
-	if err != nil {
-		return 0, err
-	}
-	ack := make([]byte, 1)
-	start := time.Now()
-	for i := 0; i < msgs; i++ {
-		if err := send(); err != nil {
-			return 0, err
-		}
-		if _, err := io.ReadFull(conn, ack); err != nil {
-			return 0, err
-		}
-	}
-	elapsed := time.Since(start)
-	if err := <-srvErr; err != nil {
-		return 0, err
-	}
-	return elapsed / time.Duration(msgs), nil
-}
-
-// --- Table 5: discovery cost amortization ----------------------------------
-
-// Table5 quantifies the paper's amortization argument (§5): discovery and
-// registration happen once per format, so the extra cost of XML metadata
-// vanishes as message count grows.
-func Table5(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "Table 5",
-		Caption: "xml2wire discovery overhead amortized over message count (Structure B)",
-		Headers: []string{"Messages", "PBIO total", "xml2wire total", "Overhead/msg", "Overhead %"},
-		Notes: []string{
-			"total = registration + N x (encode + decode); overhead = xml2wire total - PBIO total",
-			"expected shape: overhead per message decays ~1/N toward zero",
-		},
-	}
-	c := StructureBCase()
-	doc := []byte(c.Schema)
-	for _, n := range []int{1, 10, 100, 1000, 10000} {
-		nMsgs := n
-		regAndRun := func(register func(ctx *pbio.Context) (*pbio.Format, error)) (time.Duration, error) {
-			samples := make([]time.Duration, 0, cfg.Trials)
-			for trial := 0; trial < cfg.Trials; trial++ {
-				// The measured loops allocate per message; start each trial
-				// from a clean heap so GC debt from one path is not billed
-				// to the other.
-				runtime.GC()
-				start := time.Now()
-				ctx, err := pbio.NewContext(machine.Sparc)
-				if err != nil {
-					return 0, err
-				}
-				f, err := register(ctx)
-				if err != nil {
-					return 0, err
-				}
-				var buf []byte
-				for i := 0; i < nMsgs; i++ {
-					buf, err = f.AppendEncode(buf[:0], c.Record)
-					if err != nil {
-						return 0, err
-					}
-					if _, err := f.Decode(buf); err != nil {
-						return 0, err
-					}
-				}
-				samples = append(samples, time.Since(start))
-			}
-			return Median(samples), nil
-		}
-		tPBIO, err := regAndRun(func(ctx *pbio.Context) (*pbio.Format, error) {
-			return ctx.Register(c.Formats[0].Name, c.Formats[0].Fields)
-		})
-		if err != nil {
-			return nil, err
-		}
-		tXML, err := regAndRun(func(ctx *pbio.Context) (*pbio.Format, error) {
-			set, err := core.RegisterDocument(ctx, doc)
-			if err != nil {
-				return nil, err
-			}
-			return set.Root(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		overhead := tXML - tPBIO
-		perMsg := overhead / time.Duration(nMsgs)
-		pct := 100 * float64(overhead) / float64(tPBIO)
-		t.AddRow(nMsgs, tPBIO, tXML, FormatDuration(perMsg), fmt.Sprintf("%.1f%%", pct))
-	}
-	return t, nil
-}
-
 // --- Table 6: receiver-side conversion -------------------------------------
+
+// table6Ops builds Table 6's operations on big-endian records received by
+// this machine: the identity plan (as if the sender matched), the compiled
+// conversion plan, and naive per-message interpretation.
+func table6Ops(seed int64) ([]Op, error) {
+	srcWorks, err := sweep(machine.Sparc64, seed)
+	if err != nil {
+		return nil, err
+	}
+	dstWorks, err := sweep(machine.Native, seed)
+	if err != nil {
+		return nil, err
+	}
+	cache := dcg.NewCache()
+	var ops []Op
+	for i, w := range srcWorks {
+		src, dst := w.Format, dstWorks[i].Format
+		data, err := src.Encode(w.Record)
+		if err != nil {
+			return nil, err
+		}
+		identity, err := cache.Plan(src, src)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := cache.Plan(src, dst)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]byte, 0, len(data)+64)
+		convert := func(p *dcg.Plan) func() error {
+			return func() (err error) { out, err = p.AppendConvert(out[:0], data); return err }
+		}
+		ops = append(ops,
+			Op{"identity/" + w.Name, len(data), convert(identity)},
+			Op{"plan/" + w.Name, len(data), convert(plan)},
+			Op{"naive/" + w.Name, len(data), func() error { _, err := dcg.Naive(src, dst, data); return err }},
+		)
+	}
+	return ops, nil
+}
 
 // Table6 reproduces the reader-makes-right discussion (§6): receive cost
 // when representations match (NDR's no-op), when they differ (compiled
@@ -357,87 +68,41 @@ func Table6(cfg Config) (*Table, error) {
 			"naive: full generic decode + re-encode per message (no plan compilation)",
 		},
 	}
-	srcCtx, err := pbio.NewContext(machine.Sparc64)
+	ops, err := table6Ops(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	srcWorks, err := SizeSweep(srcCtx, cfg.Seed)
+	res, err := measure(cfg, ops)
 	if err != nil {
 		return nil, err
 	}
-	dstCtx, err := pbio.NewContext(machine.Native)
-	if err != nil {
-		return nil, err
-	}
-	dstWorks, err := SizeSweep(dstCtx, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cache := dcg.NewCache()
-	for i, sw := range srcWorks {
-		data, err := sw.Format.Encode(sw.Record)
-		if err != nil {
-			return nil, err
+	for i := 0; i < len(res); i += 3 {
+		identity := res[i].T
+		for _, r := range res[i : i+3] {
+			path, work := nameParts(r.Name)
+			t.AddRow(work, path, r.T, Ratio(r.T, identity))
 		}
-		idPlan, err := cache.Plan(sw.Format, sw.Format)
-		if err != nil {
-			return nil, err
-		}
-		convPlan, err := cache.Plan(sw.Format, dstWorks[i].Format)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, 0, len(data)+64)
-
-		tIdentity, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
-			var err error
-			out, err = idPlan.AppendConvert(out[:0], data)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		tPlan, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
-			var err error
-			out, err = convPlan.AppendConvert(out[:0], data)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		tNaive, err := TimeOp(cfg.Trials, cfg.Inner, func() error {
-			_, err := dcg.Naive(sw.Format, dstWorks[i].Format, data)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sw.Name, "identity (homogeneous)", tIdentity, "1.0x")
-		t.AddRow(sw.Name, "compiled plan (heterogeneous)", tPlan, Ratio(tPlan, tIdentity))
-		t.AddRow(sw.Name, "naive interpretation", tNaive, Ratio(tNaive, tIdentity))
 	}
 	return t, nil
 }
 
-// --- Table 7: format-cache ablation on the wire -----------------------------
+// --- Table 7: the format cache on the wire ---------------------------------
 
-// Table7 measures what the once-per-connection format cache saves in bytes
-// on the wire — the design choice that makes self-describing NDR streams
-// affordable.
+// Table7 counts what the once-per-connection format cache saves on the
+// wire: each record travels as its own frame, and the metadata frame goes
+// before the first record of its format on a connection only. Without the
+// cache every record would carry both. The counts are exact.
 func Table7(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "Table 7",
-		Caption: fmt.Sprintf("Wire bytes per message with and without the format cache (%d messages)", cfg.Messages),
-		Headers: []string{"Workload", "Cached B/msg", "Uncached B/msg", "Metadata tax"},
+		Caption: "Wire bytes per record, and the format metadata sent once per connection",
+		Headers: []string{"Workload", "Record frame (B)", "Metadata frame (B)", "Metadata tax"},
 		Notes: []string{
-			"cached: metadata once per connection; uncached: metadata with every record",
+			"metadata tax: what sending the metadata with every record would add to each record's frame",
+			"TestClaimMetadataOncePerConnection pins these counts",
 		},
 	}
-	ctx, err := pbio.NewContext(machine.Native)
-	if err != nil {
-		return nil, err
-	}
-	works, err := SizeSweep(ctx, cfg.Seed)
+	works, err := sweep(machine.Native, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -446,27 +111,20 @@ func Table7(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		count := func(resend bool) (int, error) {
-			var sink countWriter
-			pw := pbio.NewWriter(&sink)
-			pw.SetResendMetadata(resend)
-			for i := 0; i < cfg.Messages; i++ {
-				if err := pw.WriteRecord(w.Format, data); err != nil {
-					return 0, err
-				}
-			}
-			return sink.n / cfg.Messages, nil
-		}
-		cached, err := count(false)
-		if err != nil {
+		// A fresh writer is a fresh connection: its first record brings the
+		// metadata, its second does not.
+		var sink countWriter
+		pw := pbio.NewWriter(&sink)
+		if err := pw.WriteRecord(w.Format, data); err != nil {
 			return nil, err
 		}
-		uncached, err := count(true)
-		if err != nil {
+		first := sink.n
+		if err := pw.WriteRecord(w.Format, data); err != nil {
 			return nil, err
 		}
-		t.AddRow(w.Name, cached, uncached,
-			fmt.Sprintf("+%.1f%%", 100*float64(uncached-cached)/float64(cached)))
+		frame := sink.n - first
+		meta := first - frame
+		t.AddRow(w.Name, frame, meta, fmt.Sprintf("+%.1f%%", 100*float64(meta)/float64(frame)))
 	}
 	return t, nil
 }
@@ -478,50 +136,37 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// tables are the generators benchtab prints, by table number, in paper
+// order.
+var tables = []struct {
+	n   int
+	gen func(Config) (*Table, error)
+}{
+	{1, Table1}, {2, Table2}, {3, Table3}, {6, Table6}, {7, Table7}, {9, Table9},
+}
+
 // All runs every experiment in paper order.
 func All(cfg Config) ([]*Table, error) {
-	type gen struct {
-		name string
-		fn   func(Config) (*Table, error)
-	}
-	gens := []gen{
-		{"table1", Table1}, {"table2", Table2}, {"table3", Table3},
-		{"table4", Table4}, {"table5", Table5}, {"table6", Table6},
-		{"table7", Table7}, {"table8", Table8}, {"table9", Table9},
-	}
-	out := make([]*Table, 0, len(gens))
-	for _, g := range gens {
-		tbl, err := g.fn(cfg)
+	out := make([]*Table, 0, len(tables))
+	for _, g := range tables {
+		tbl, err := g.gen(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", g.name, err)
+			return nil, fmt.Errorf("table %d: %w", g.n, err)
 		}
 		out = append(out, tbl)
 	}
 	return out, nil
 }
 
-// ByID returns the experiment generator for a table number (1-7).
-func ByID(n int) (func(Config) (*Table, error), bool) {
-	switch n {
-	case 1:
-		return Table1, true
-	case 2:
-		return Table2, true
-	case 3:
-		return Table3, true
-	case 4:
-		return Table4, true
-	case 5:
-		return Table5, true
-	case 6:
-		return Table6, true
-	case 7:
-		return Table7, true
-	case 8:
-		return Table8, true
-	case 9:
-		return Table9, true
-	default:
-		return nil, false
+// ByID returns the experiment generator for a table number, or an error
+// that names the tables there are.
+func ByID(n int) (func(Config) (*Table, error), error) {
+	ids := make([]string, len(tables))
+	for i, g := range tables {
+		if g.n == n {
+			return g.gen, nil
+		}
+		ids[i] = fmt.Sprint(g.n)
 	}
+	return nil, fmt.Errorf("no such table %d (tables: %s)", n, strings.Join(ids, ", "))
 }

@@ -152,6 +152,51 @@ func AllocsOp(fn func() error) (int, error) {
 	return int(after.Mallocs-before.Mallocs) / runs, nil
 }
 
+// Op is one measured operation of a table: the call cmd/benchtab times and
+// the package's benchmarks run, under the name both report it by.
+type Op struct {
+	// Name is the sub-benchmark name: the operation ("NDR/decode",
+	// "plan", ...), a slash and the workload.
+	Name string
+	// Bytes is the size of the message the call handles, for b.SetBytes;
+	// 0 where there is none.
+	Bytes int
+	Run   func() error
+}
+
+// result is an Op measured: its median time per call and its allocations
+// per call.
+type result struct {
+	Op
+	T      time.Duration
+	Allocs int
+}
+
+// measure times each op with TimeOp and counts its allocations with
+// AllocsOp, keeping the order of ops.
+func measure(cfg Config, ops []Op) ([]result, error) {
+	res := make([]result, len(ops))
+	for i, op := range ops {
+		t, err := TimeOp(cfg.Trials, cfg.Inner, op.Run)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", op.Name, err)
+		}
+		allocs, err := AllocsOp(op.Run)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", op.Name, err)
+		}
+		res[i] = result{op, t, allocs}
+	}
+	return res, nil
+}
+
+// nameParts returns the first and the last element of an op's name: the
+// codec or path ("NDR", "plan", ...) and the workload.
+func nameParts(name string) (op, workload string) {
+	op, _, _ = strings.Cut(name, "/")
+	return op, name[strings.LastIndexByte(name, '/')+1:]
+}
+
 // Ratio formats a speedup factor ("9.8x").
 func Ratio(slow, fast time.Duration) string {
 	if fast <= 0 {

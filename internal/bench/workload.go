@@ -1,7 +1,8 @@
 // Package bench is the harness that regenerates the paper's evaluation:
 // workload generators, parameter sweeps, timing helpers and table
-// formatting shared by cmd/benchtab (which prints the paper's tables) and
-// the repository's testing.B benchmarks.
+// formatting. Each timed table builds its measured operations once, as a
+// list of Ops; cmd/benchtab times that list and prints the table, and the
+// package's BenchmarkTable* functions run the same list under testing.B.
 package bench
 
 import (

@@ -192,27 +192,15 @@ func (fr *FrameReader) fill(need int) error {
 // format IDs the peer has already seen so metadata travels at most once.
 // Writer is safe for concurrent use.
 type Writer struct {
-	mu   sync.Mutex
-	w    io.Writer
-	sent map[FormatID]bool
-	// resendMeta disables the format cache: metadata is retransmitted with
-	// every record. Exists for the ablation benchmark; always false in
-	// normal operation.
-	resendMeta bool
-	scratch    []byte
+	mu      sync.Mutex
+	w       io.Writer
+	sent    map[FormatID]bool
+	scratch []byte
 }
 
 // NewWriter returns a Writer over w.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, sent: make(map[FormatID]bool)}
-}
-
-// SetResendMetadata controls whether format metadata is retransmitted with
-// every record (true) or sent once per connection (false, the default).
-func (w *Writer) SetResendMetadata(resend bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.resendMeta = resend
 }
 
 // WriteRecord sends one encoded record of format f, preceding it with the
@@ -235,7 +223,7 @@ func (w *Writer) WriteFormat(f *Format) error {
 }
 
 func (w *Writer) writeFormatLocked(f *Format) error {
-	if w.sent[f.ID] && !w.resendMeta {
+	if w.sent[f.ID] {
 		return nil
 	}
 	if err := w.writeFrame(frameFormat, nil, MarshalMeta(f)); err != nil {

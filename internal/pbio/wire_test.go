@@ -65,11 +65,10 @@ func TestWireFormatSentOnce(t *testing.T) {
 		}
 	}
 
+	// Metadata with every record is a fresh connection per record.
 	var every bytes.Buffer
-	w2 := NewWriter(&every)
-	w2.SetResendMetadata(true)
 	for i := 0; i < 10; i++ {
-		if err := w2.WriteRecord(f, data); err != nil {
+		if err := NewWriter(&every).WriteRecord(f, data); err != nil {
 			t.Fatal(err)
 		}
 	}

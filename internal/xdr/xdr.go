@@ -8,7 +8,8 @@
 // conversion and copy costs even when the machines are identical. That
 // double conversion is exactly the overhead NDR eliminates, which makes this
 // package the baseline for the paper's ">50% over XDR-based platforms"
-// claim (reproduced in BenchmarkNDRvsXDR and cmd/benchtab -table 3).
+// claim (reproduced in internal/bench's BenchmarkTable3Pipeline and
+// cmd/benchtab -table 3).
 package xdr
 
 import (

@@ -51,8 +51,8 @@ func DefaultObserver() *Observer { return obsv.Default() }
 //	obsv.labels.dropped        label combinations clamped into the overflow child
 func Stats() map[string]int64 { return obsv.Default().Snapshot() }
 
-// StatsDelta returns after-minus-before for two Stats snapshots — the form
-// cmd/benchtab uses to line live counters up with Table-1 rows.
+// StatsDelta returns after-minus-before for two Stats snapshots: what the
+// counters moved over the work between them.
 func StatsDelta(before, after map[string]int64) map[string]int64 {
 	return obsv.Delta(before, after)
 }

@@ -4,20 +4,13 @@ import (
 	"testing"
 
 	"openmeta/internal/bench"
-	"openmeta/internal/core"
-	"openmeta/internal/machine"
-	"openmeta/internal/pbio"
 )
 
 // registerAllocs counts the allocations of registering doc through xml2wire
 // on a fresh context.
 func registerAllocs(t *testing.T, doc []byte) float64 {
 	return testing.AllocsPerRun(20, func() {
-		ctx, err := pbio.NewContext(machine.Sparc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.RegisterDocument(ctx, doc); err != nil {
+		if _, err := bench.RegisterXML(doc); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -31,14 +24,8 @@ func registerAllocs(t *testing.T, doc []byte) float64 {
 func TestTable1RegistrationRatio(t *testing.T) {
 	for _, c := range bench.RegistrationCases() {
 		native := testing.AllocsPerRun(20, func() {
-			ctx, err := pbio.NewContext(machine.Sparc)
-			if err != nil {
+			if _, err := c.Native(); err != nil {
 				t.Fatal(err)
-			}
-			for _, nf := range c.Formats {
-				if _, err := ctx.Register(nf.Name, nf.Fields); err != nil {
-					t.Fatal(err)
-				}
 			}
 		})
 		xml := registerAllocs(t, []byte(c.Schema))
