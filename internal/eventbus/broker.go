@@ -51,6 +51,10 @@ type Broker struct {
 	// plans memoizes conversion programs for format scoping (§4.4 of the
 	// paper: exposing "slices" of a stream to particular subscribers).
 	plans *dcg.Cache
+
+	// spares holds the chunks publishes are read into and frame images
+	// built in, once every frame queued from them has been written.
+	spares *pbio.Spares
 }
 
 // brokerMetrics bundles the broker-wide instruments. Brokers sharing a
@@ -229,10 +233,10 @@ type brokerConn struct {
 	sentFormats map[pbio.FormatID]bool
 
 	// Publisher side, only for the connection's reader goroutine: formats
-	// announced, streams published to, and the frame-image prefix buffer.
+	// announced, streams published to, and where frame images are built.
 	knownFormats map[pbio.FormatID][]byte
 	streams      map[string]*stream
-	prefix       []byte
+	images       images
 
 	// queueWait is this connection's child of the broker's
 	// subscriber.queue_wait_ns vec, resolved once at accept so the writer
@@ -245,6 +249,9 @@ type brokerConn struct {
 // writer issues a single Write) plus what the dequeue side observes.
 type outFrame struct {
 	wire []byte
+	// chunk is the spare-list chunk wire lies in, or nil. The frame holds a
+	// reference to it from enqueue until it is written or copied out.
+	chunk *pbio.Chunk
 	// enq stamps when the frame entered the queue; the writer loop turns it
 	// into the enqueue→wire queue-wait observation at dequeue.
 	enq time.Time
@@ -359,6 +366,7 @@ func NewBroker(ln net.Listener, opts ...BrokerOption) *Broker {
 		conns:         make(map[*brokerConn]bool),
 		streams:       make(map[string]*stream),
 		plans:         dcg.NewCache(),
+		spares:        pbio.NewSpares(spareChunks, chunkReturned),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -476,16 +484,20 @@ func (b *Broker) newConn(conn net.Conn) *brokerConn {
 		sentFormats:  make(map[pbio.FormatID]bool),
 		knownFormats: make(map[pbio.FormatID][]byte),
 		streams:      make(map[string]*stream),
+		images:       images{spares: b.spares},
 	}
 }
 
 func (b *Broker) handle(bc *brokerConn) {
 	defer b.wg.Done()
 	defer b.drop(bc)
-	// One Read takes in up to a chunk of frames. The reader goes with bc.
-	rd := pbio.NewFrameReader(bc.conn, maxFrame)
+	// One Read takes in up to a chunk of frames. The reader goes with bc,
+	// and its chunk and bc's image chunk go back once their frames are out.
+	rd := pbio.NewFrameReader(bc.conn, maxFrame, b.spares)
+	defer bc.images.release()
+	defer rd.Release()
 	for {
-		frame, err := rd.Next()
+		frame, c, err := rd.Next()
 		if err != nil {
 			// io.EOF is a clean disconnect (at a frame boundary; a frame cut
 			// short is io.ErrUnexpectedEOF) and net.ErrClosed our own
@@ -498,7 +510,7 @@ func (b *Broker) handle(bc *brokerConn) {
 			b.rec.Record(flight.KindConnClose, bc.id, "", 0, 0, detail)
 			return
 		}
-		if err := b.dispatch(bc, frame); err != nil {
+		if err := b.dispatch(bc, frame, c); err != nil {
 			b.log.Warn("dispatch failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
 			b.rec.Record(flight.KindBrokerError, bc.id, "", 0, 0, err.Error())
 			_, _ = bc.send(frameError, []byte(err.Error()), droppable)
@@ -507,9 +519,10 @@ func (b *Broker) handle(bc *brokerConn) {
 	}
 }
 
-// dispatch acts on one frame a peer sent. The frame is the broker's to keep:
-// a plain publish is forwarded as it is.
-func (b *Broker) dispatch(bc *brokerConn, frame []byte) error {
+// dispatch acts on one frame a peer sent, a slice of chunk c unless that is
+// nil. A plain publish is forwarded as it is, each queued copy holding a
+// reference to c; nothing else keeps the frame's bytes past the call.
+func (b *Broker) dispatch(bc *brokerConn, frame []byte, c *pbio.Chunk) error {
 	switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
 	case frameHello:
 		_, caps, err := parseHello(payload)
@@ -566,13 +579,13 @@ func (b *Broker) dispatch(bc *brokerConn, frame []byte) error {
 		return nil
 
 	case framePublish:
-		return b.publish(bc, frame, false)
+		return b.publish(bc, frame, c, false)
 
 	case framePublishTrace:
 		if bc.caps.Load()&capTrace == 0 {
 			return fmt.Errorf("%w: traced publish without trace capability", ErrBadFrame)
 		}
-		return b.publish(bc, frame, true)
+		return b.publish(bc, frame, c, true)
 
 	case frameList:
 		_, err := bc.send(frameStreams, []byte(strings.Join(b.Streams(), "\x00")), droppable)
@@ -656,22 +669,23 @@ func (b *Broker) slice(fm formatMeta, fields []string, tc trace.Ctx) *scopedForm
 type delivery struct {
 	st       *stream
 	rf       *routeFormat
-	record   []byte    // NDR record bytes (after the format id)
-	plain    []byte    // an untraced publish's frame, retyped frameEvent: the plain class's image
-	enq      time.Time // the publish's one clock reading, before routing
-	prefix   *[]byte   // the publishing connection's image-prefix buffer
+	record   []byte      // NDR record bytes (after the format id)
+	plain    []byte      // an untraced publish's frame, retyped frameEvent: the plain class's image
+	chunk    *pbio.Chunk // the chunk the publish frame lies in, or nil
+	enq      time.Time   // the publish's one clock reading, before routing
+	images   *images     // the publishing connection's, where class images are built
 	isTraced bool
 	tid      trace.TraceID
 	parent   trace.SpanID // outgoing parent: broker route span, or upstream's
 	route    trace.Ctx    // parents dcg.compile / dcg.convert child spans
 }
 
-func (b *Broker) publish(bc *brokerConn, frame []byte, isTraced bool) error {
+func (b *Broker) publish(bc *brokerConn, frame []byte, c *pbio.Chunk, isTraced bool) error {
 	name, rest, err := getBytes(frame[pbio.FrameHeaderLen:])
 	if err != nil {
 		return err
 	}
-	d := delivery{isTraced: isTraced, prefix: &bc.prefix}
+	d := delivery{isTraced: isTraced, chunk: c, images: &bc.images}
 	if isTraced {
 		if d.tid, d.parent, rest, err = getTraceCtx(rest); err != nil {
 			return err
@@ -737,11 +751,12 @@ func (b *Broker) publish(bc *brokerConn, frame []byte, isTraced bool) error {
 // metadata of any format a member has not had yet: the same bytes on every
 // queue, one image for the members that get it plain and one for those
 // that get it traced. The plain class's image of an untraced publish is the
-// publisher's own frame. Deliveries and drops are counted in the labeled
+// publisher's own frame. Each queued frame holds a reference to the chunk
+// its image lies in. Deliveries and drops are counted in the labeled
 // (stream, format) family; enqueue counts the aggregate drop.
 func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 	var sf *scopedFormat
-	plain := d.plain
+	plain, plainChunk := d.plain, d.chunk
 	if c.fields != nil {
 		sf, plain = c.slices[fi], nil
 	}
@@ -755,11 +770,11 @@ func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 		}
 		traced := k == 1 && d.isTraced
 		var imageErr error
-		if f.wire = plain; traced || plain == nil {
-			f.wire, imageErr = d.image(sf, traced)
+		if f.wire, f.chunk = plain, plainChunk; traced || plain == nil {
+			f.wire, f.chunk, imageErr = d.image(sf, traced)
 		}
 		if !traced {
-			plain = f.wire
+			plain, plainChunk = f.wire, f.chunk
 		}
 		for _, m := range members {
 			err, queued := imageErr, false
@@ -772,7 +787,10 @@ func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 				err = b.sendFormats(r, c, m)
 			}
 			if err == nil {
-				queued, err = m.bc.enqueue(f, droppable)
+				f.chunk.Retain() // before the writer can see the frame
+				if queued, err = m.bc.enqueue(f, droppable); !queued {
+					f.chunk.Release()
+				}
 			}
 			switch {
 			case err != nil:
@@ -793,34 +811,80 @@ func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 
 // image builds a class's frame: header, stream name, the trace context when
 // traced, format id, and the record, projected onto sf for a scoped class by
-// converting it straight into the frame. It is one allocation: the prefix is
-// built in the publishing connection's buffer, and the record's append
-// moves it into a fresh one.
-func (d *delivery) image(sf *scopedFormat, traced bool) (wire []byte, err error) {
+// converting it straight into the frame. An image of up to MaxChunkFrame
+// bytes is carved from the publishing connection's image chunk, which it
+// returns; a larger one, or a projection that outgrew the room left, is an
+// allocation of its own.
+func (d *delivery) image(sf *scopedFormat, traced bool) (wire []byte, c *pbio.Chunk, err error) {
 	typ, id := frameEvent, d.rf.id
 	if sf != nil {
 		if id = sf.id; sf.err != nil {
-			return nil, sf.err
+			return nil, nil, sf.err
 		}
 	}
-	p := putStr(pbio.BeginFrame((*d.prefix)[:0]), d.st.name)
+	// The image's size when the record is copied; a projection is sized by
+	// the same measure.
+	n := pbio.FrameHeaderLen + 2 + len(d.st.name) + 8 + len(d.record)
+	if traced {
+		n += traceCtxLen
+	}
+	var room []byte
+	if n <= pbio.MaxChunkFrame {
+		room = d.images.room(n)
+	} else {
+		room = make([]byte, 0, n)
+	}
+	p := putStr(pbio.BeginFrame(room), d.st.name)
 	if traced {
 		typ = frameEventTrace
 		p = putTraceCtx(p, d.tid, d.parent)
 	}
-	p = append(p, id[:]...)
-	*d.prefix = p
-	// p is full, so the first byte appended reallocates; an image that
-	// appended none is still in the shared buffer.
-	if wire = p[:len(p):len(p)]; sf == nil {
+	if wire = append(p, id[:]...); sf == nil {
 		wire = append(wire, d.record...)
 	} else if wire, err = sf.plan.AppendConvertCtx(d.route, wire, d.record); err != nil {
-		return nil, fmt.Errorf("scope projection: %w", err)
+		return nil, nil, fmt.Errorf("scope projection: %w", err)
 	}
-	if len(wire) == len(p) {
-		wire = slices.Clone(p)
+	if err := pbio.EndFrame(wire, typ, maxFrame); err != nil {
+		return nil, nil, err
 	}
-	return wire, pbio.EndFrame(wire, typ, maxFrame)
+	// An append past room's capacity moved the image to a larger one.
+	if n <= pbio.MaxChunkFrame && cap(wire) == cap(room) {
+		return d.images.carve(len(wire)), d.images.c, nil
+	}
+	return wire, nil, nil
+}
+
+// images is where a publishing connection builds the frame images it
+// queues: carved one after another from a chunk of the broker's spare list,
+// to which images holds a reference until it moves to the next. Only the
+// connection's reader goroutine touches it.
+type images struct {
+	spares *pbio.Spares
+	c      *pbio.Chunk
+	off    int // c's bytes before off are carved
+}
+
+// room returns the chunk's uncarved bytes, at least n of them, as an empty
+// slice: a chunk with fewer left is given up for a fresh one.
+func (im *images) room(n int) []byte {
+	if im.c == nil || len(im.c.Bytes())-im.off < n {
+		im.release()
+		im.c = im.spares.Get()
+	}
+	return im.c.Bytes()[im.off:im.off]
+}
+
+// carve marks the first n bytes of the room as one image and returns them.
+func (im *images) carve(n int) []byte {
+	image := im.c.Bytes()[im.off : im.off+n : im.off+n]
+	im.off += n
+	return image
+}
+
+// release gives back the reference to the current chunk.
+func (im *images) release() {
+	im.c.Release()
+	im.c, im.off = nil, 0
 }
 
 // sendFormats queues to m, in route order and once per connection, the
@@ -885,7 +949,7 @@ func (b *Broker) writeLoop(bc *brokerConn) {
 			}
 		}
 		b.observeQueueWait(bc, &f)
-		if err := b.writeQueued(bc, f.wire); err != nil {
+		if err := b.writeQueued(bc, f); err != nil {
 			// Socket is dead: unregister and let the reader notice.
 			b.unregister(bc)
 			_ = bc.conn.Close()
@@ -894,39 +958,42 @@ func (b *Broker) writeLoop(bc *brokerConn) {
 	}
 }
 
-// writeQueued sends wire, the frame just dequeued, and with it the frames
+// writeQueued sends f, the frame just dequeued, and with it the frames
 // queued behind it right now: they are taken without blocking, copied into
 // the connection's batch buffer while they fit, and leave in one Write. A
 // frame with nothing behind it, and a frame the buffer has no room left for,
 // is written as it is — so the buffer never grows, a large frame is never
-// copied, and order on the wire is queue order.
-func (b *Broker) writeQueued(bc *brokerConn, wire []byte) error {
+// copied, and order on the wire is queue order. Each frame gives back its
+// chunk reference once it is copied or written.
+func (b *Broker) writeQueued(bc *brokerConn, f outFrame) error {
 	batch := bc.batch[:0]
 gather:
-	for len(batch)+len(wire) <= frameChunk {
+	for len(batch)+len(f.wire) <= frameChunk {
 		select {
-		case f := <-bc.out:
-			b.observeQueueWait(bc, &f)
+		case next := <-bc.out:
+			b.observeQueueWait(bc, &next)
 			if cap(batch) == 0 {
 				batch = make([]byte, 0, frameChunk)
 				bc.batch = batch
 			}
-			batch = append(batch, wire...)
-			wire = f.wire
+			batch = append(batch, f.wire...)
+			f.chunk.Release()
+			f = next
 		default:
 			break gather
 		}
 	}
+	defer f.chunk.Release()
 	if len(batch) == 0 {
-		return writeWire(bc.conn, wire)
+		return writeWire(bc.conn, f.wire)
 	}
-	if len(batch)+len(wire) <= frameChunk {
-		return writeWire(bc.conn, append(batch, wire...))
+	if len(batch)+len(f.wire) <= frameChunk {
+		return writeWire(bc.conn, append(batch, f.wire...))
 	}
 	if err := writeWire(bc.conn, batch); err != nil {
 		return err
 	}
-	return writeWire(bc.conn, wire)
+	return writeWire(bc.conn, f.wire)
 }
 
 // observeQueueWait turns a dequeued frame's enqueue timestamp into the

@@ -594,7 +594,7 @@ func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, *pbio.Fra
 		}
 	}
 	if s.rdConn != s.conn {
-		s.rd, s.rdConn = pbio.NewFrameReader(s.conn, maxFrame), s.conn
+		s.rd, s.rdConn = pbio.NewFrameReader(s.conn, maxFrame, nil), s.conn
 	}
 	return s.conn, s.rd, nil
 }
@@ -611,7 +611,7 @@ func (s *Subscriber) Streams() ([]string, error) {
 		return nil, err
 	}
 	for {
-		frame, err := rd.Next()
+		frame, _, err := rd.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -646,7 +646,7 @@ func (s *Subscriber) Next() (Event, error) {
 		if err != nil {
 			return Event{}, err
 		}
-		frame, err := rd.Next()
+		frame, _, err := rd.Next()
 		if err != nil {
 			if s.cfg.reconnect {
 				broken, cause = conn, err // recvConn redials, or reports a Close that raced the read

@@ -478,10 +478,9 @@ func TestFrameHelpers(t *testing.T) {
 	if _, _, err := getStr([]byte{0, 5, 'a'}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated getStr err = %v", err)
 	}
-	// The encoder is pbio's; its error matches under this package's name as
-	// well as its own.
+	// The encoder is pbio's, and so is its error.
 	err = writeFrame(io.Discard, 1, make([]byte, maxFrame+1))
-	if !errors.Is(err, ErrFrameTooBig) || !errors.Is(err, pbio.ErrFrameTooBig) {
+	if !errors.Is(err, pbio.ErrFrameTooBig) {
 		t.Errorf("oversize writeFrame err = %v", err)
 	}
 }

@@ -54,7 +54,7 @@ func (rig *routeRig) dispatch(t *testing.T, bc *brokerConn, typ byte, payload []
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rig.b.dispatch(bc, frame); err != nil {
+	if err := rig.b.dispatch(bc, frame, nil); err != nil {
 		t.Fatalf("dispatch of frame type %d: %v", typ, err)
 	}
 }
@@ -73,11 +73,12 @@ func (rig *routeRig) subscribers(t *testing.T, n int, scope ...string) []*broker
 	return subs
 }
 
-// drainQueues empties every connection's outbound queue, counting frames.
+// drainQueues empties every connection's outbound queue as its writer
+// would, giving back each frame's chunk reference, and counts the frames.
 func drainQueues(conns []*brokerConn) (frames int) {
 	for _, bc := range conns {
 		for len(bc.out) > 0 {
-			<-bc.out
+			(<-bc.out).chunk.Release()
 			frames++
 		}
 	}
@@ -88,22 +89,24 @@ func drainQueues(conns []*brokerConn) (frames int) {
 // fill a few read chunks, whose allocations the count then includes.
 const chunkRuns = 2000
 
-// publishAllocs is the allocations one routed publish costs, queues drained
-// between publishes. The publish frames come through the broker's read path,
-// a chunked reader over a connection that sends them over and over.
-func (rig *routeRig) publishAllocs(t *testing.T, subs []*brokerConn) float64 {
+// publishAllocs is the allocations one routed publish of payload costs,
+// queues drained between publishes. The publish frames come through the
+// broker's read path, its recycling chunked reader over a connection that
+// sends them over and over.
+func (rig *routeRig) publishAllocs(t *testing.T, subs []*brokerConn, payload []byte) float64 {
 	t.Helper()
-	publish, err := newFrame(framePublish, rig.publish)
+	publish, err := newFrame(framePublish, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := pbio.NewFrameReader(&feedConn{loop: publish}, maxFrame)
+	rd := pbio.NewFrameReader(&feedConn{loop: publish}, maxFrame, rig.b.spares)
+	defer rd.Release()
 	return testing.AllocsPerRun(chunkRuns, func() {
-		frame, err := rd.Next()
+		frame, c, err := rd.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rig.b.dispatch(rig.pub, frame); err != nil {
+		if err := rig.b.dispatch(rig.pub, frame, c); err != nil {
 			t.Fatal(err)
 		}
 		if got := drainQueues(subs); got != len(subs) {
@@ -113,43 +116,80 @@ func (rig *routeRig) publishAllocs(t *testing.T, subs []*brokerConn) float64 {
 }
 
 // TestRoutePlainPublishAllocsFlat pins the broker's cost of a plain publish
-// at its share of a read chunk, whatever the fan-out: every plain subscriber
-// is queued the publisher's own frame. Before route snapshots it was 2+N
-// (the subscriber list, a frame copy per subscriber, and the stream name),
-// and then one frame image.
+// at nothing, whatever the fan-out and for a small frame and a 10,220-byte
+// one alike: every plain subscriber is queued the publisher's own frame, a
+// slice of a read chunk that goes back to the spare list once the queues
+// are drained. Before route snapshots it was 2+N (the subscriber list, a
+// frame copy per subscriber, and the stream name), then one frame image,
+// then a share of a read chunk, and for a frame over 4 KiB a copy.
 func TestRoutePlainPublishAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts need a build without the race detector")
 	}
-	var first float64
-	for _, n := range []int{1, 2, 4, 8} {
-		rig := newRouteRig(t)
-		allocs := rig.publishAllocs(t, rig.subscribers(t, n))
-		t.Logf("%d plain subscribers: %.2f allocations per publish", n, allocs)
-		if allocs > 0.1 {
-			t.Errorf("%d plain subscribers: %.2f allocations per publish, want at most 0.1", n, allocs)
-		}
-		if n == 1 {
-			first = allocs
-		} else if allocs != first {
-			t.Errorf("%d plain subscribers: %.2f allocations per publish, %.2f for one: not flat", n, allocs, first)
+	for _, size := range []int{0, 10220} {
+		var first float64
+		for _, n := range []int{1, 2, 4, 8} {
+			rig := newRouteRig(t)
+			subs := rig.subscribers(t, n)
+			payload := rig.publish
+			if size > 0 { // the first publish takes the format's metadata along
+				payload = rig.bytesPublish(t, size)
+				rig.dispatch(t, rig.pub, framePublish, payload)
+				drainQueues(subs)
+			}
+			allocs := rig.publishAllocs(t, subs, payload)
+			t.Logf("%d plain subscribers, %d-byte frames: %.2f allocations per publish", n, pbio.FrameHeaderLen+len(payload), allocs)
+			if allocs > 0.1 {
+				t.Errorf("%d plain subscribers: %.2f allocations per publish, want at most 0.1", n, allocs)
+			}
+			if n == 1 {
+				first = allocs
+			} else if allocs != first {
+				t.Errorf("%d plain subscribers: %.2f allocations per publish, %.2f for one: not flat", n, allocs, first)
+			}
 		}
 	}
 }
 
-// TestRouteScopedClassAllocsFlat pins a scoped class at one allocation per
-// publish however many subscribers share the scope: the record is projected
-// once, straight into the frame every member is sent.
+// bytesPublish announces a format of one byte array and returns a publish
+// payload on countedStream whose frame is size bytes, header included.
+func (rig *routeRig) bytesPublish(t *testing.T, size int) []byte {
+	t.Helper()
+	ctx, err := pbio.NewContext(machine.X86_64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := append(putStr(nil, countedStream), make([]byte, 8)...)
+	n := size - pbio.FrameHeaderLen - len(p)
+	f, err := ctx.RegisterSpec("Bytes", []pbio.FieldSpec{{Name: "b", Kind: pbio.Uint, CType: machine.CUChar, Count: n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := f.Encode(pbio.Record{})
+	if err != nil || len(rec) != n {
+		t.Fatalf("encoded %d bytes, want %d: %v", len(rec), n, err)
+	}
+	rig.dispatch(t, rig.pub, frameFormat, pbio.MarshalMeta(f))
+	copy(p[len(p)-8:], f.ID[:])
+	return append(p, rec...)
+}
+
+// TestRouteScopedClassAllocsFlat pins a scoped class at nothing per publish
+// however many subscribers share the scope: the record is projected once,
+// straight into the frame every member is sent, carved from the publishing
+// connection's image chunk, which goes back to the spare list once the
+// queues are drained. It was one allocation, the image, before images were
+// carved.
 func TestRouteScopedClassAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts need a build without the race detector")
 	}
 	for _, n := range []int{1, 2, 4, 8} {
 		rig := newRouteRig(t)
-		allocs := rig.publishAllocs(t, rig.subscribers(t, n, "cntrID", "eta"))
+		allocs := rig.publishAllocs(t, rig.subscribers(t, n, "cntrID", "eta"), rig.publish)
 		t.Logf("%d subscribers of one scope: %.2f allocations per publish", n, allocs)
-		if allocs != 1 {
-			t.Errorf("%d subscribers of one scope: %.2f allocations per publish, want 1", n, allocs)
+		if allocs > 0.1 {
+			t.Errorf("%d subscribers of one scope: %.2f allocations per publish, want at most 0.1", n, allocs)
 		}
 	}
 }
@@ -207,8 +247,8 @@ func TestRoutePlainImageIsPublishFrame(t *testing.T) {
 	rig.b.mu.Lock()
 	st := rig.b.streams[countedStream]
 	rig.b.mu.Unlock()
-	d := delivery{st: st, rf: st.route.Load().formats[0], record: encodeFlight(t, rig.f, 7), prefix: new([]byte)}
-	want, err := d.image(nil, false)
+	d := delivery{st: st, rf: st.route.Load().formats[0], record: encodeFlight(t, rig.f, 7), images: &images{spares: rig.b.spares}}
+	want, _, err := d.image(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +264,7 @@ func TestRoutePlainImageIsPublishFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rig.b.dispatch(rig.pub, publish); err != nil {
+	if err := rig.b.dispatch(rig.pub, publish, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, bc := range append(plain, traced) {

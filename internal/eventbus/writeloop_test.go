@@ -317,3 +317,77 @@ func TestWriteLoopHoldsBoundedChunksForSparseSlowSubscriber(t *testing.T) {
 		t.Errorf("broker holds %d bytes with a full queue of %d frames from %d chunks: the measurement is not seeing the chunks", held, depth, depth)
 	}
 }
+
+// TestStalledSubscriberDropFreesHeap: a subscriber the broker drops for
+// stalling gives back what it held. Its queue is full of frames from a
+// sparse stream, each keeping a read chunk of its own out of the spare list,
+// and its socket stays stalled until the broker has closed it, so none of
+// them is ever written or released. Once the connection is gone the live
+// heap is back at its level before the stall, give or take the spare list,
+// which may have filled meanwhile.
+func TestStalledSubscriberDropFreesHeap(t *testing.T) {
+	const depth = 16
+	rig := newStallRig(t, depth, countedStream)
+	small := flightFormat(t, machine.X86_64)
+	rec := encodeFlight(t, small, 1)
+	bulk, filler := bulkRecord(t, 500)
+	between := frameChunk/(pbio.FrameHeaderLen+2+len("other")+8+len(filler)) + 1
+	round := func() {
+		for i := 0; i < between; i++ {
+			rig.publish(t, "other", bulk, filler)
+		}
+		rig.publish(t, countedStream, small, rec)
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	rig.next(t, 4)
+	var bc *brokerConn
+	rig.b.mu.Lock()
+	for c := range rig.b.conns {
+		if c.conn.RemoteAddr().String() == rig.sub.conn.LocalAddr().String() {
+			bc = c
+		}
+	}
+	rig.b.mu.Unlock()
+	before := rig.liveHeap(t)
+
+	rig.g.writes.shut()
+	defer rig.g.writes.open()
+	for rig.b.Stats().Dropped < 3*depth {
+		round()
+	}
+	stalled := rig.liveHeap(t) - before
+	// A format new to the stream cannot be queued: the broker waits
+	// mustSendStall and drops the subscriber, then closes its connection.
+	rig.publish(t, countedStream, flightFormat(t, machine.Sparc64), rec)
+	gone := make(chan error, 1)
+	go func() {
+		_, err := rig.sub.Next()
+		gone <- err
+	}()
+	select {
+	case err := <-gone:
+		if err == nil {
+			t.Fatal("the stalled subscriber received a record")
+		}
+	case <-time.After(3 * mustSendStall):
+		t.Fatal("the broker did not drop the stalled subscriber")
+	}
+	if n := rig.b.Stats().SlowSubscriberStalls; n != 1 {
+		t.Fatalf("%d slow-subscriber stalls, want 1", n)
+	}
+	rig.g.writes.open() // the writer's write fails on the closed socket
+	<-bc.writerDone
+	held := rig.liveHeap(t) - before
+
+	bound := int64(spareChunks * frameChunk)
+	const slack = 64 << 10
+	t.Logf("held %d KiB while stalled, %d KiB once dropped; bound %d KiB (the spare list)", stalled>>10, held>>10, bound>>10)
+	if stalled < depth*frameChunk/2 {
+		t.Errorf("broker holds %d bytes with a full queue of %d frames from %d chunks: the measurement is not seeing the chunks", stalled, depth, depth)
+	}
+	if held > bound+slack {
+		t.Errorf("broker holds %d bytes more than before a subscriber it dropped stalled, want at most %d", held, bound+slack)
+	}
+}

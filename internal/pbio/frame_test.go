@@ -58,16 +58,21 @@ type frameSource struct {
 	wrap func(io.Reader) io.Reader
 }
 
-// frameReaders are the two readers of a stream of frames: ReadFrame over one
+// frameReaders are the readers of a stream of frames: ReadFrame over one
 // reused buffer, as Reader and record files use it, and a FrameReader, as
-// the event backbone's receive loops do. Each call of next returns a whole
-// frame, header included; held is the memory the reader keeps for itself,
-// which must stay within bound of an input of n bytes: a length field buys
-// no memory.
+// the event backbone's receive loops do: without a spare list, as a
+// subscriber reads, and with one, as the broker does, both keeping every
+// frame (a queued frame holds a reference) and letting each go at once, with
+// every chunk that goes back to the list poisoned. Each call of next returns
+// a whole frame, header included; held is the memory the reader keeps for
+// itself, which must stay within bound of an input of n bytes: a length
+// field buys no memory. A reader that keeps its frames must find every one
+// unchanged at the end.
 var frameReaders = []struct {
 	name  string
 	open  func(r io.Reader, limit int) (next func() ([]byte, error), held func() int)
 	bound func(n int) int
+	keeps bool
 }{
 	{"ReadFrame", func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
 		var buf []byte
@@ -79,20 +84,38 @@ var frameReaders = []struct {
 				return buf, nil // the whole frame: its payload is buf[FrameHeaderLen:]
 			},
 			func() int { return cap(buf) }
-	}, func(n int) int { return 2 * (n + FrameChunk) }},
+	}, func(n int) int { return 2 * (n + FrameChunk) }, false},
 	// The chunk is held, and the frames copied out of it were the input's.
-	{"FrameReader", func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
-		fr := NewFrameReader(r, limit)
+	{"FrameReader", chunkReader(nil, false), func(n int) int { return n + FrameChunk }, true},
+	{"FrameReader/kept", chunkReader(poisonedSpares, true), func(n int) int { return n + FrameChunk }, true},
+	{"FrameReader/recycled", chunkReader(poisonedSpares, false), func(n int) int { return n + FrameChunk }, false},
+}
+
+// poisonedSpares is a spare list that overwrites each chunk put back on it.
+var poisonedSpares = NewSpares(2, func(chunk []byte) {
+	for i := range chunk {
+		chunk[i] = 0xA5
+	}
+})
+
+// chunkReader opens a FrameReader over spares, whose frames' chunks are
+// retained when keep is set.
+func chunkReader(spares *Spares, keep bool) func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
+	return func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
+		fr := NewFrameReader(r, limit, spares)
 		copied := 0
 		return func() ([]byte, error) {
-				frame, err := fr.Next()
-				if len(frame) > maxSliced {
+				frame, c, err := fr.Next()
+				if len(frame) > fr.sliced {
 					copied += cap(frame)
+				}
+				if keep {
+					c.Retain()
 				}
 				return frame, err
 			},
 			func() int { return cap(fr.chunk) + copied }
-	}, func(n int) int { return n + FrameChunk }},
+	}
 }
 
 // header returns a frame header of type 2 claiming n payload bytes.
@@ -203,8 +226,10 @@ func TestFileTruncatedAfterHeader(t *testing.T) {
 // whatever the reader, however the stream is split underneath, what comes
 // out is what ReadFrame returns reading the stream directly: the same
 // frames, the same error. The frames a FrameReader hands out are the
-// caller's: once the stream is exhausted every one still holds its input
-// bytes, so the reader never wrote over a byte it had handed out.
+// caller's, or with a spare list the holder's of a reference: once the
+// stream is exhausted every one still holds its input bytes, so the reader
+// never wrote over a byte it had handed out, and no chunk still referenced
+// went back to the list.
 func FuzzReadFrame(f *testing.F) {
 	two, _ := AppendFrame(nil, frameFormat, []byte("meta"), MaxFrameSize)
 	two, _ = AppendFrame(two, frameRecord, bytes.Repeat([]byte{1}, 300), MaxFrameSize)
@@ -221,8 +246,9 @@ func FuzzReadFrame(f *testing.F) {
 		straddle, _ = AppendFrame(straddle, frameRecord, make([]byte, 1000-FrameHeaderLen), MaxFrameSize)
 	}
 	f.Add(straddle, false)
-	// The largest frame sliced from a chunk, and one byte either side of it.
-	for _, size := range []int{maxSliced - 1, maxSliced, maxSliced + 1} {
+	// The largest frame sliced from a chunk, with a spare list and without,
+	// and one byte either side of it.
+	for _, size := range []int{maxSliced - 1, maxSliced, maxSliced + 1, MaxChunkFrame - 1, MaxChunkFrame, MaxChunkFrame + 1} {
 		frames, _ := AppendFrame(nil, frameRecord, make([]byte, size-FrameHeaderLen), MaxFrameSize)
 		frames, _ = AppendFrame(frames, frameFormat, []byte("behind"), MaxFrameSize)
 		f.Add(frames, true)
@@ -264,7 +290,7 @@ func FuzzReadFrame(f *testing.F) {
 				} else if string(story) != direct {
 					t.Fatalf("%s read %q, the direct read %q", name, story, direct)
 				}
-				if rd.name != "FrameReader" {
+				if !rd.keeps {
 					continue
 				}
 				off = 0
@@ -287,7 +313,7 @@ func FuzzReadFrame(f *testing.F) {
 func TestFrameReaderSlicesSmallFrames(t *testing.T) {
 	const frames, size = 10000, 118
 	stream := frameRun(t, frames, size)
-	allocs := readAllocs(t, stream, frames)
+	allocs := readAllocs(t, stream, frames, nil)
 	t.Logf("%d frames of %d bytes: %.0f allocations", frames, size, allocs)
 	if want := (frames*size+FrameChunk-1)/FrameChunk + 1; allocs > float64(want) {
 		t.Errorf("%d frames of %d bytes: %.0f allocations, want at most %d", frames, size, allocs, want)
@@ -298,10 +324,27 @@ func TestFrameReaderSlicesSmallFrames(t *testing.T) {
 // allocation it is copied into, and the chunk is reused under the copies.
 func TestFrameReaderCopiesLargeFrames(t *testing.T) {
 	const frames, size = 1000, 10220
-	allocs := readAllocs(t, frameRun(t, frames, size), frames)
+	allocs := readAllocs(t, frameRun(t, frames, size), frames, nil)
 	t.Logf("%d frames of %d bytes: %.0f allocations", frames, size, allocs)
 	if allocs < frames || allocs > frames+1 {
 		t.Errorf("%d frames of %d bytes: %.0f allocations, want %d plus at most one chunk", frames, size, allocs, frames)
+	}
+}
+
+// TestFrameReaderRecyclesChunks: with a spare list, a reader whose frames
+// are let go as they come takes each next chunk from the list and puts the
+// one before back, so once the list is warm reading costs the reader itself
+// and nothing per frame: small frames, frames a reader without the list
+// copies, and the largest it slices.
+func TestFrameReaderRecyclesChunks(t *testing.T) {
+	const frames = 2000
+	spares := NewSpares(2, nil)
+	for _, size := range []int{118, 10220, MaxChunkFrame} {
+		allocs := readAllocs(t, frameRun(t, frames, size), frames, spares)
+		t.Logf("%d frames of %d bytes: %.0f allocations", frames, size, allocs)
+		if allocs > 1 {
+			t.Errorf("%d frames of %d bytes: %.0f allocations, want the reader's one", frames, size, allocs)
+		}
 	}
 }
 
@@ -318,17 +361,19 @@ func frameRun(t *testing.T, n, size int) []byte {
 	return stream
 }
 
-// readAllocs is the allocations a FrameReader makes reading the n frames of
-// stream, with the collector off so that nothing it starts is counted.
-func readAllocs(t *testing.T, stream []byte, n int) float64 {
+// readAllocs is the allocations a FrameReader over spares makes reading the
+// n frames of stream, after one read that warms the list, with the collector
+// off so that nothing it starts is counted.
+func readAllocs(t *testing.T, stream []byte, n int, spares *Spares) float64 {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	src := bytes.NewReader(stream)
 	return testing.AllocsPerRun(1, func() {
 		src.Reset(stream)
-		fr := NewFrameReader(src, MaxFrameSize)
+		fr := NewFrameReader(src, MaxFrameSize, spares)
+		defer fr.Release()
 		for i := 0; i < n; i++ {
-			if _, err := fr.Next(); err != nil {
+			if _, _, err := fr.Next(); err != nil {
 				t.Fatal(err)
 			}
 		}

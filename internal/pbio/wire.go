@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // The connection protocol frames messages over any reliable byte stream.
@@ -25,6 +26,12 @@ import (
 // a length field read off the wire is trusted. ReadFrame and FrameReader
 // never allocate the claimed length up front: a buffer grows at most
 // FrameChunk past the bytes that have actually arrived.
+//
+// FrameReader hands out frames as slices of its chunks. A reader without a
+// spare list (a subscriber's) never writes a chunk again, so a frame is the
+// caller's for good. A reader given a Spares (the broker's) takes its chunks
+// from that list, and a Chunk's reference count says who still holds bytes
+// in it: the last Release puts it back on the list, to be read into again.
 const (
 	frameFormat byte = 1
 	frameRecord byte = 2
@@ -42,8 +49,14 @@ const MaxFrameSize = MaxRecordSize
 // bytes received, and the event broker's write batch.
 const FrameChunk = 64 << 10
 
-// maxSliced, the largest frame sliced from a chunk, bounds a chunk's waste.
+// maxSliced, the largest frame sliced from a chunk that is never reused,
+// bounds the waste such a chunk keeps alive.
 const maxSliced = FrameChunk / 16
+
+// MaxChunkFrame is the largest frame a chunk from a spare list holds. A
+// chunk given up because the next frame does not fit is reused once it is
+// released, so the larger bound wastes nothing for long.
+const MaxChunkFrame = FrameChunk / 4
 
 // Wire protocol errors.
 var (
@@ -129,57 +142,158 @@ func readRest(r io.Reader, buf []byte, size int) ([]byte, error) {
 	return buf, nil
 }
 
+// Chunk is a FrameChunk-sized buffer from a spare list, shared by reference
+// count: whoever keeps bytes in it holds a reference, and the last Release
+// puts it back on its list. Retain and Release do nothing on a nil Chunk,
+// which stands for memory no list owns.
+type Chunk struct {
+	buf    []byte
+	refs   atomic.Int32
+	spares *Spares
+}
+
+// Bytes returns the chunk's FrameChunk bytes.
+func (c *Chunk) Bytes() []byte { return c.buf }
+
+// Retain takes one more reference to c.
+func (c *Chunk) Retain() {
+	if c != nil {
+		c.refs.Add(1)
+	}
+}
+
+// Release gives back one reference to c. The last one returns c to its
+// spare list, or leaves it to the collector when the list is full.
+func (c *Chunk) Release() {
+	if c == nil {
+		return
+	}
+	switch n := c.refs.Add(-1); {
+	case n == 0:
+		c.spares.put(c)
+	case n < 0:
+		panic("pbio: chunk released more often than retained")
+	}
+}
+
+// Spares is a bounded list of chunks free to be written again. It is safe
+// for concurrent use.
+type Spares struct {
+	free     chan *Chunk // buffered to the list's capacity
+	returned func([]byte)
+}
+
+// NewSpares returns an empty spare list that keeps at most capacity chunks.
+// returned, unless nil, is called with each chunk's bytes as its last
+// reference is released, before the chunk can be reused.
+func NewSpares(capacity int, returned func(chunk []byte)) *Spares {
+	return &Spares{free: make(chan *Chunk, capacity), returned: returned}
+}
+
+// Get returns a chunk holding one reference, the caller's: a spare, or a new
+// chunk when the list is empty.
+func (s *Spares) Get() *Chunk {
+	var c *Chunk
+	select {
+	case c = <-s.free:
+	default:
+		c = &Chunk{buf: make([]byte, FrameChunk), spares: s}
+	}
+	c.refs.Store(1)
+	return c
+}
+
+func (s *Spares) put(c *Chunk) {
+	if s.returned != nil {
+		s.returned(c.buf)
+	}
+	select {
+	case s.free <- c:
+	default:
+	}
+}
+
 // FrameReader reads frames under ReadFrame's rules into FrameChunk-sized
-// chunks, as many as each read brings. A frame it returns, header included,
-// is the caller's: up to maxSliced bytes, a full-capacity slice of a chunk
-// that is never written again and that it keeps alive; else a copy.
+// chunks, as many as each read brings. A frame up to its slice bound is
+// handed out as a full-capacity slice of a chunk, header included, and a
+// larger one as a copy, which is the caller's.
+//
+// Without a spare list the bound is maxSliced, and a chunk is never written
+// again once a frame has been sliced from it: the frame is the caller's, and
+// keeps the chunk alive. With one the bound is MaxChunkFrame, chunks come
+// from the list, and Next returns the chunk a frame lies in. The frame is
+// valid until the next call of Next; a caller that keeps it longer takes a
+// reference with Retain and gives it back with Release.
 type FrameReader struct {
 	r              io.Reader
-	limit          int
+	limit, sliced  int
+	spares         *Spares
+	c              *Chunk // chunk's, holding the reader's reference, when it came from spares
 	chunk          []byte
 	held, off, end int // chunk[:held] is handed out, chunk[off:end] buffered
 }
 
-// NewFrameReader returns a FrameReader over r for payloads of at most limit.
-func NewFrameReader(r io.Reader, limit int) *FrameReader {
-	return &FrameReader{r: r, limit: limit}
+// NewFrameReader returns a FrameReader over r for payloads of at most limit,
+// taking its chunks from spares unless that is nil.
+func NewFrameReader(r io.Reader, limit int, spares *Spares) *FrameReader {
+	fr := &FrameReader{r: r, limit: limit, sliced: maxSliced, spares: spares}
+	if spares != nil {
+		fr.sliced = MaxChunkFrame
+	}
+	return fr
 }
 
-// Next returns the next frame, or io.EOF at a frame boundary.
-func (fr *FrameReader) Next() ([]byte, error) {
+// Next returns the next frame, or io.EOF at a frame boundary, with the chunk
+// it is a slice of: nil for a copy, and always without a spare list.
+func (fr *FrameReader) Next() ([]byte, *Chunk, error) {
 	err := fr.fill(FrameHeaderLen)
 	size, err := frameSize(fr.chunk[fr.off:], err, fr.limit)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if size > maxSliced { // the bytes buffered, then the rest read straight in
+	if size > fr.sliced { // the bytes buffered, then the rest read straight in
 		have := min(fr.end-fr.off, size)
 		frame := make([]byte, have, min(size, have+FrameChunk))
 		fr.off += copy(frame, fr.chunk[fr.off:])
 		if frame, err = readRest(fr.r, frame, size); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return slices.Clip(frame), nil
+		return slices.Clip(frame), nil, nil
 	}
 	if err := fr.fill(size); err != nil {
-		return nil, fmt.Errorf("pbio: read frame payload: %w", err)
+		return nil, nil, fmt.Errorf("pbio: read frame payload: %w", err)
 	}
 	frame := fr.chunk[fr.off : fr.off+size : fr.off+size]
 	fr.off, fr.held = fr.off+size, fr.off+size
-	return frame, nil
+	return frame, fr.c, nil
 }
 
-// fill reads until need bytes (at most maxSliced) are buffered. Bytes copied
-// out are reused once nothing is buffered behind them; buffered bytes with
-// no room behind them move to a new chunk.
+// Release gives back the reader's reference to its chunk. The reader is not
+// used after.
+func (fr *FrameReader) Release() {
+	fr.c.Release()
+	fr.c, fr.chunk = nil, nil
+}
+
+// fill reads until need bytes (at most the slice bound) are buffered. Bytes
+// copied out are reused once nothing is buffered behind them; buffered bytes
+// with no room behind them move to a fresh chunk.
 func (fr *FrameReader) fill(need int) error {
 	if fr.off == fr.end {
 		fr.off, fr.end = fr.held, fr.held
 	}
 	if len(fr.chunk)-fr.off < need {
-		next := make([]byte, FrameChunk)
+		var c *Chunk
+		var next []byte
+		if fr.spares != nil {
+			c = fr.spares.Get()
+			next = c.buf
+		} else {
+			next = make([]byte, FrameChunk)
+		}
 		fr.end = copy(next, fr.chunk[fr.off:fr.end])
-		fr.chunk, fr.off, fr.held = next, 0, 0
+		fr.c.Release() // only now: the chunk may be written again at once
+		fr.chunk, fr.c, fr.off, fr.held = next, c, 0, 0
 	}
 	m, err := io.ReadAtLeast(fr.r, fr.chunk[fr.end:], need-(fr.end-fr.off))
 	if fr.end += m; err == io.EOF && fr.end > fr.off {
