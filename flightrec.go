@@ -9,9 +9,9 @@ import (
 )
 
 // FlightRecorder is a fixed-capacity ring of protocol events — a black box
-// that is always on: connection churn, hello outcomes, format metadata,
-// slow-subscriber stalls, reconnect attempts, discovery fetch outcomes and
-// retry give-ups. It keeps connection history, not traffic: no event fires
+// that is always on: connection churn, format metadata, slow-subscriber
+// stalls, reconnect attempts, discovery fetch outcomes and retry give-ups.
+// It keeps connection history, not traffic: no event fires
 // once per record (record counts are the eventbus.wire.* metrics), so the
 // history survives any amount of traffic. Every component records into the
 // process-wide default recorder unless handed its own via

@@ -116,14 +116,14 @@ type route struct {
 }
 
 // class is the subscribers that share a scope, the full format being one. A
-// publish builds one frame image per (class, trace capability) pair with
-// members and queues those same bytes on each of them. A scoped class's
-// slices of the stream's formats live as long as it has members.
+// publish builds one frame image per class and queues those same bytes on
+// each member. A scoped class's slices of the stream's formats live as long
+// as it has members.
 type class struct {
 	scope  string // interned: the field list as subscribe frames encode it; "" is the full format
 	fields []string
 	slices []*scopedFormat // by route format index
-	subs   [2][]*member    // [1]: negotiated capTrace when subscribing
+	subs   []*member
 }
 
 // scopedFormat is a derived subset format with the conversion plan that
@@ -150,7 +150,7 @@ func (r *route) format(id pbio.FormatID) int {
 // members lists the route's subscribers.
 func (r *route) members() (out []*member) {
 	for _, c := range r.classes {
-		out = append(append(out, c.subs[0]...), c.subs[1]...)
+		out = append(out, c.subs...)
 	}
 	return out
 }
@@ -161,10 +161,8 @@ func (r *route) without(bc *brokerConn) *route {
 	next := &route{formats: r.formats}
 	for _, c := range r.classes {
 		nc := *c
-		for k, ms := range c.subs {
-			nc.subs[k] = slices.DeleteFunc(slices.Clone(ms), func(m *member) bool { return m.bc == bc })
-		}
-		if len(nc.subs[0])+len(nc.subs[1]) > 0 {
+		nc.subs = slices.DeleteFunc(slices.Clone(c.subs), func(m *member) bool { return m.bc == bc })
+		if len(nc.subs) > 0 {
 			next.classes = append(next.classes, &nc)
 		}
 	}
@@ -220,11 +218,6 @@ type brokerConn struct {
 	// first time two frames are found queued, never grown. Only the writer
 	// goroutine touches it.
 	batch []byte
-
-	// caps holds the capabilities negotiated in the connection's hello
-	// exchange (0 until one happens). Written by the connection's reader
-	// goroutine, read when it subscribes.
-	caps atomic.Uint32
 
 	wmu sync.Mutex // guards sentFormats ordering decisions
 
@@ -285,7 +278,7 @@ func WithSlog(l *slog.Logger) BrokerOption {
 }
 
 // WithFlightRecorder directs the broker's protocol events (connection churn,
-// hello outcomes, format metadata, slow-subscriber stalls, errors) into r
+// format metadata, slow-subscriber stalls, errors) into r
 // instead of the process-default recorder served at /debug/flight.
 func WithFlightRecorder(r *flight.Recorder) BrokerOption {
 	return func(b *Broker) {
@@ -524,16 +517,6 @@ func (b *Broker) handle(bc *brokerConn) {
 // reference to c; nothing else keeps the frame's bytes past the call.
 func (b *Broker) dispatch(bc *brokerConn, frame []byte, c *pbio.Chunk) error {
 	switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
-	case frameHello:
-		_, caps, err := parseHello(payload)
-		if err != nil {
-			return err
-		}
-		bc.caps.Store(caps & localCaps)
-		b.rec.Record(flight.KindHello, bc.id, "", 0, int64(caps&localCaps), "negotiated")
-		_, err = bc.send(frameHello, helloPayload(localCaps), mustSend)
-		return err
-
 	case frameAnnounce:
 		name, _, err := getStr(payload)
 		if err != nil {
@@ -563,8 +546,13 @@ func (b *Broker) dispatch(bc *brokerConn, frame []byte, c *pbio.Chunk) error {
 		b.mu.Lock()
 		r, c, m := b.subscribe(b.ensureStream(name), bc, scope, fields)
 		b.mu.Unlock()
-		// The stream's known formats (sliced if scoped) go out at once.
-		return b.sendFormats(r, c, m)
+		// The stream's known formats (sliced if scoped) go out at once, and
+		// the answer behind them.
+		if err := b.sendFormats(r, c, m); err != nil {
+			return err
+		}
+		_, err = bc.send(frameSubscribed, putStr(nil, name), mustSend)
+		return err
 
 	case frameUnsub:
 		name, _, err := getStr(payload)
@@ -582,9 +570,6 @@ func (b *Broker) dispatch(bc *brokerConn, frame []byte, c *pbio.Chunk) error {
 		return b.publish(bc, frame, c, false)
 
 	case framePublishTrace:
-		if bc.caps.Load()&capTrace == 0 {
-			return fmt.Errorf("%w: traced publish without trace capability", ErrBadFrame)
-		}
 		return b.publish(bc, frame, c, true)
 
 	case frameList:
@@ -624,8 +609,7 @@ func (b *Broker) subscribe(st *stream, bc *brokerConn, scope string, fields []st
 		r.classes = append(r.classes, c)
 	}
 	m := &member{bc: bc}
-	k := bc.caps.Load() & capTrace // capTrace is bit 0: 1 when traced
-	c.subs[k] = append(c.subs[k], m)
+	c.subs = append(c.subs, m)
 	st.route.Store(r)
 	return r, c, m
 }
@@ -749,62 +733,60 @@ func (b *Broker) publish(bc *brokerConn, frame []byte, c *pbio.Chunk, isTraced b
 
 // fanout queues the record to every member of class c, preceded by the
 // metadata of any format a member has not had yet: the same bytes on every
-// queue, one image for the members that get it plain and one for those
-// that get it traced. The plain class's image of an untraced publish is the
-// publisher's own frame. Each queued frame holds a reference to the chunk
-// its image lies in. Deliveries and drops are counted in the labeled
-// (stream, format) family; enqueue counts the aggregate drop.
+// queue. The plain class's image of an untraced publish is the
+// publisher's own frame; every other image is built once per class, and a
+// traced publish's carries its trace context to every member. Each queued
+// frame holds a reference to the chunk its image lies in. Deliveries and
+// drops are counted in the labeled (stream, format) family; enqueue counts
+// the aggregate drop.
 func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
-	var sf *scopedFormat
-	plain, plainChunk := d.plain, d.chunk
-	if c.fields != nil {
-		sf, plain = c.slices[fi], nil
-	}
 	f := outFrame{enq: d.enq}
+	var sf *scopedFormat
+	if c.fields != nil {
+		sf = c.slices[fi]
+	} else {
+		f.wire, f.chunk = d.plain, d.chunk
+	}
+	var imageErr error
+	if f.wire == nil {
+		f.wire, f.chunk, imageErr = d.image(sf)
+	}
 	if d.isTraced {
 		f.tid, f.parent, f.stream = d.tid, d.parent, d.st.name
 	}
-	for k, members := range c.subs {
-		if len(members) == 0 {
-			continue
+	for _, m := range c.subs {
+		err, queued := imageErr, false
+		// An enqueue readies the queue's writer onto this processor, so a
+		// queue past half full may be waiting for it: yield it first.
+		if 2*len(m.bc.out) > cap(m.bc.out) {
+			runtime.Gosched()
 		}
-		traced := k == 1 && d.isTraced
-		var imageErr error
-		if f.wire, f.chunk = plain, plainChunk; traced || plain == nil {
-			f.wire, f.chunk, imageErr = d.image(sf, traced)
+		if err == nil && int(m.sent.Load()) <= fi {
+			err = b.sendFormats(r, c, m)
 		}
-		if !traced {
-			plain, plainChunk = f.wire, f.chunk
+		if err == nil {
+			f.chunk.Retain() // before the writer can see the frame
+			if queued, err = m.bc.enqueue(f, droppable); !queued {
+				f.chunk.Release()
+			}
 		}
-		for _, m := range members {
-			err, queued := imageErr, false
-			// An enqueue readies the queue's writer onto this processor, so a
-			// queue past half full may be waiting for it: yield it first.
-			if 2*len(m.bc.out) > cap(m.bc.out) {
-				runtime.Gosched()
+		switch {
+		case err != nil:
+			b.log.Warn("dropping subscriber", "conn", m.bc.id,
+				"remote", m.bc.conn.RemoteAddr().String(), "stream", d.st.name, "err", err)
+			b.rec.Record(flight.KindBrokerError, m.bc.id, d.st.name, fid64(d.rf.id), 0, err.Error())
+			if errors.Is(err, ErrSlowSubscriber) {
+				// Its queue has shown that nothing in it can be delivered:
+				// no flush, so its writer stops now and drop does not wait.
+				_ = m.bc.conn.Close()
 			}
-			if err == nil && int(m.sent.Load()) <= fi {
-				err = b.sendFormats(r, c, m)
-			}
-			if err == nil {
-				f.chunk.Retain() // before the writer can see the frame
-				if queued, err = m.bc.enqueue(f, droppable); !queued {
-					f.chunk.Release()
-				}
-			}
-			switch {
-			case err != nil:
-				b.log.Warn("dropping subscriber", "conn", m.bc.id,
-					"remote", m.bc.conn.RemoteAddr().String(), "stream", d.st.name, "err", err)
-				b.rec.Record(flight.KindBrokerError, m.bc.id, d.st.name, fid64(d.rf.id), 0, err.Error())
-				b.drop(m.bc)
-			case queued:
-				b.m.delivered.Add(1)
-				d.rf.delRecs.Add(1)
-				d.rf.delBytes.Add(int64(len(f.wire) - pbio.FrameHeaderLen))
-			default:
-				d.rf.dropRecs.Add(1)
-			}
+			b.drop(m.bc)
+		case queued:
+			b.m.delivered.Add(1)
+			d.rf.delRecs.Add(1)
+			d.rf.delBytes.Add(int64(len(f.wire) - pbio.FrameHeaderLen))
+		default:
+			d.rf.dropRecs.Add(1)
 		}
 	}
 }
@@ -815,7 +797,7 @@ func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 // bytes is carved from the publishing connection's image chunk, which it
 // returns; a larger one, or a projection that outgrew the room left, is an
 // allocation of its own.
-func (d *delivery) image(sf *scopedFormat, traced bool) (wire []byte, c *pbio.Chunk, err error) {
+func (d *delivery) image(sf *scopedFormat) (wire []byte, c *pbio.Chunk, err error) {
 	typ, id := frameEvent, d.rf.id
 	if sf != nil {
 		if id = sf.id; sf.err != nil {
@@ -825,7 +807,7 @@ func (d *delivery) image(sf *scopedFormat, traced bool) (wire []byte, c *pbio.Ch
 	// The image's size when the record is copied; a projection is sized by
 	// the same measure.
 	n := pbio.FrameHeaderLen + 2 + len(d.st.name) + 8 + len(d.record)
-	if traced {
+	if d.isTraced {
 		n += traceCtxLen
 	}
 	var room []byte
@@ -835,7 +817,7 @@ func (d *delivery) image(sf *scopedFormat, traced bool) (wire []byte, c *pbio.Ch
 		room = make([]byte, 0, n)
 	}
 	p := putStr(pbio.BeginFrame(room), d.st.name)
-	if traced {
+	if d.isTraced {
 		typ = frameEventTrace
 		p = putTraceCtx(p, d.tid, d.parent)
 	}
@@ -925,8 +907,8 @@ func (b *Broker) sendFormats(r *route, c *class, m *member) error {
 // writeLoop drains the outbound queue onto the socket. It blocks for one
 // frame and then sends it with whatever else is already queued (see
 // writeQueued), so nothing is held back waiting for company. On teardown it
-// flushes frames already queued (bounded by a write deadline) so error
-// frames and final events reach the peer.
+// flushes frames already queued (bounded by the write deadline drop sets)
+// so error frames and final events reach the peer.
 func (b *Broker) writeLoop(bc *brokerConn) {
 	defer b.wg.Done()
 	defer close(bc.writerDone)
@@ -943,7 +925,6 @@ func (b *Broker) writeLoop(bc *brokerConn) {
 			select {
 			case f = <-bc.out:
 			case <-bc.outClose:
-				_ = bc.conn.SetWriteDeadline(time.Now().Add(b.writeDeadline))
 				draining = true
 				continue
 			}
@@ -1013,15 +994,15 @@ func (b *Broker) observeQueueWait(bc *brokerConn, f *outFrame) {
 // Enqueue modes. A droppable frame (events, stream listings, errors) is
 // discarded and counted when the subscriber's queue is full — a slow
 // consumer loses records, never stalls the bus. A must-send frame (format
-// metadata, hello) waits for queue space up to mustSendStall, because later
+// metadata, a subscribe's answer) waits for queue space up to mustSendStall, because later
 // frames are meaningless without it.
 const (
 	droppable = false
 	mustSend  = true
 )
 
-// send queues payload as a frame of its own, stamped now: the way hello,
-// format, stream-list and error frames reach the writer loop.
+// send queues payload as a frame of its own, stamped now: the way format,
+// subscribe-answer, stream-list and error frames reach the writer loop.
 func (bc *brokerConn) send(typ byte, payload []byte, must bool) (bool, error) {
 	wire, err := newFrame(typ, payload)
 	if err != nil {
@@ -1075,7 +1056,7 @@ func (b *Broker) unregister(bc *brokerConn) bool {
 }
 
 // drop tears a connection down: unregisters it, lets the writer flush its
-// queued frames, then closes the socket.
+// queued frames within the broker's write deadline, then closes the socket.
 func (b *Broker) drop(bc *brokerConn) {
 	first := b.unregister(bc)
 	select {
@@ -1085,10 +1066,8 @@ func (b *Broker) drop(bc *brokerConn) {
 			close(bc.outClose)
 		}
 	}
-	select {
-	case <-bc.writerDone:
-	case <-time.After(3 * time.Second):
-	}
+	_ = bc.conn.SetWriteDeadline(time.Now().Add(b.writeDeadline))
+	<-bc.writerDone
 	_ = bc.conn.Close()
 }
 

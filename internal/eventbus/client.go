@@ -62,33 +62,6 @@ func defaultClientConfig() clientConfig {
 	}
 }
 
-// helloTimeout bounds how long a client waits for the broker's frameHello
-// reply.
-const helloTimeout = 3 * time.Second
-
-// helloExchange negotiates capabilities on a fresh connection: it sends a
-// frameHello and waits for the broker's, returning the capabilities both
-// sides have. Anything else is a failed dial; a frameError answer is
-// returned as the *BrokerError it carries.
-func helloExchange(conn net.Conn) (caps uint32, err error) {
-	if err := writeFrame(conn, frameHello, helloPayload(localCaps)); err != nil {
-		return 0, err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
-	typ, payload, _, err := readFrame(conn, nil)
-	switch {
-	case err != nil:
-		return 0, fmt.Errorf("eventbus: hello: %w", err)
-	case typ == frameError:
-		return 0, &BrokerError{Msg: string(payload)}
-	case typ != frameHello:
-		return 0, fmt.Errorf("%w: frame %d answering hello", ErrBadFrame, typ)
-	}
-	_, caps, err = parseHello(payload)
-	return caps & localCaps, err
-}
-
 // brokerReason passes a publisher's write result through, first making a
 // bounded attempt to read the frameError the broker sends before closing on
 // a publisher it rejects — so a rejected publish surfaces as a typed
@@ -143,9 +116,8 @@ func WithDialTimeout(d time.Duration) ClientOption {
 }
 
 // WithClientTracer directs the client's spans (pub.publish, pbio.encode,
-// pbio.decode) into t instead of the process default tracer. While t is
-// enabled, connections negotiate the trace capability with the broker so
-// sampled records carry their trace context across the wire.
+// pbio.decode) into t instead of the process default tracer. A record t
+// samples carries its trace context across the wire.
 func WithClientTracer(t *trace.Tracer) ClientOption {
 	return func(c *clientConfig) {
 		if t != nil {
@@ -180,9 +152,9 @@ func WithReconnect(p retry.Policy) ClientOption {
 }
 
 // link is the client half of one broker connection — everything Publisher
-// and Subscriber have in common: dialing, the hello exchange, replaying the
-// owner's state onto a fresh connection, teardown, and retry under the
-// reconnect policy, with the counters and flight events that go with them.
+// and Subscriber have in common: dialing, replaying the owner's state onto a
+// fresh connection, teardown, and retry under the reconnect policy, with the
+// counters and flight events that go with them.
 type link struct {
 	role *clientRole
 	addr string
@@ -196,9 +168,6 @@ type link struct {
 	conn    net.Conn
 	closed  bool
 	lastErr error
-	// caps holds the capabilities the current connection negotiated (0
-	// without a hello).
-	caps uint32
 	// connID is the flight connection id of the live conn. Atomic because a
 	// subscriber's receive loop reads it while control calls may be
 	// reconnecting.
@@ -233,9 +202,8 @@ func (l *link) retry(ctx context.Context, attempt func(context.Context) error) e
 	return retry.Do(ctx, l.cfg.policy, attempt)
 }
 
-// connectLocked dials a fresh broker connection, negotiates capabilities
-// when the tracer wants them, and replays the owner's state onto it. Caller
-// holds l.mu.
+// connectLocked dials a fresh broker connection and replays the owner's
+// state onto it. Caller holds l.mu.
 func (l *link) connectLocked(ctx context.Context) error {
 	reconnecting := l.conn != nil || l.lastErr != nil
 	if l.conn != nil {
@@ -243,11 +211,6 @@ func (l *link) connectLocked(ctx context.Context) error {
 		l.conn = nil
 	}
 	conn, err := l.cfg.dialContext(ctx, l.addr)
-	hello := err == nil && l.cfg.tracer.Enabled()
-	l.caps = 0
-	if hello {
-		l.caps, err = helloExchange(conn)
-	}
 	if err == nil {
 		err = l.replay(conn)
 	}
@@ -264,9 +227,6 @@ func (l *link) connectLocked(ctx context.Context) error {
 	l.conn = conn
 	l.connID.Store(flight.NextConnID())
 	l.record(flight.KindConnOpen, "", 0, 0, l.role.name+" "+l.addr)
-	if hello {
-		l.record(flight.KindHello, "", 0, int64(l.caps), "negotiated")
-	}
 	l.lastErr = nil
 	if reconnecting {
 		l.role.reconnects.Add(1)
@@ -387,9 +347,8 @@ func (p *Publisher) Announce(streamName string) error {
 // Publish sends one encoded record of format f onto the stream, announcing
 // the format's metadata to the broker the first time (and again after any
 // reconnect — the fresh broker connection has no memory of it). When the
-// client's tracer samples the record and the connection negotiated the
-// trace capability, the record travels with its trace context so every
-// downstream stage links into one span tree.
+// client's tracer samples the record, it travels with its trace context so
+// every downstream stage links into one span tree.
 func (p *Publisher) Publish(streamName string, f *pbio.Format, record []byte) error {
 	tc := p.cfg.tracer.Start("pub.publish")
 	defer tc.FinishDetail(streamName)
@@ -417,7 +376,7 @@ func (p *Publisher) send(conn net.Conn, tc trace.Ctx, streamName string, f *pbio
 	}
 	typ := framePublish
 	frame := putStr(pbio.BeginFrame(p.scratch[:0]), streamName)
-	if tc.Sampled() && p.caps&capTrace != 0 {
+	if tc.Sampled() {
 		typ = framePublishTrace
 		frame = putTraceCtx(frame, tc.Trace(), tc.Span())
 	}
@@ -467,12 +426,13 @@ func (e *Event) Decode() (pbio.Record, error) { return e.Format.DecodeCtx(e.Trac
 
 // Subscriber is a data access or display point: it subscribes to streams
 // and receives their records together with the metadata needed to decode
-// them. Next must be called from a single goroutine; control methods
-// (Subscribe, Unsubscribe, Streams issued before the Next loop starts) and
-// Close are safe to call from others. With WithReconnect a subscriber
-// whose broker connection breaks redials with backoff and re-subscribes to
-// every stream (scopes intact); the broker re-sends format metadata on the
-// new connection, so Next keeps delivering decodable events.
+// them. Next, Subscribe, SubscribeFields and Streams read the connection, so
+// they must be called from one goroutine and never interleaved: subscribe
+// before the Next loop starts, or from the goroutine that runs it.
+// Unsubscribe and Close are safe to call from others. With WithReconnect a
+// subscriber whose broker connection breaks redials with backoff and
+// re-subscribes to every stream (scopes intact); the broker re-sends format
+// metadata on the new connection, so Next keeps delivering decodable events.
 type Subscriber struct {
 	link
 	ctx *pbio.Context
@@ -481,13 +441,15 @@ type Subscriber struct {
 	// link.mu.
 	subs map[string][]string
 
-	// Receive-side state, touched only by the goroutine that calls Streams
-	// and then Next: the frame reader over rdConn, and the last event's
+	// Receive-side state, touched only by the goroutine that reads: the
+	// frame reader over rdConn, the event frames that arrived while an
+	// answer was awaited, which Next returns first, and the last event's
 	// stream name, which the next event reuses when it names the same
 	// stream.
-	rd     *pbio.FrameReader
-	rdConn net.Conn
-	stream string
+	rd      *pbio.FrameReader
+	rdConn  net.Conn
+	pending [][]byte
+	stream  string
 }
 
 // DialSubscriber connects a subscriber to the broker at addr, adopting
@@ -510,7 +472,8 @@ func DialSubscriberContext(dialCtx context.Context, addr string, ctx *pbio.Conte
 func (s *Subscriber) Context() *pbio.Context { return s.ctx }
 
 // resubscribe replays every subscription (with its scope) onto a fresh
-// connection.
+// connection. The broker's answers to them are stale when they arrive, and
+// the receive loop skips them.
 func (s *Subscriber) resubscribe(conn net.Conn) error {
 	for name, scope := range s.subs {
 		if err := writeFrame(conn, frameSubscribe, subscribePayload(name, scope)); err != nil {
@@ -546,22 +509,34 @@ func (s *Subscriber) control(typ byte, payload []byte, applied func()) error {
 	})
 }
 
-// Subscribe joins a stream. Records published after the subscription (and
-// the formats needed to decode them) will be delivered via Next.
-// Subscriptions are replayed automatically after a reconnect.
+// Subscribe joins a stream and returns once the broker routes it to this
+// subscriber: every record published after it returns (and the formats
+// needed to decode it) will be delivered via Next. Subscriptions are
+// replayed automatically after a reconnect.
 func (s *Subscriber) Subscribe(streamName string) error { return s.SubscribeFields(streamName) }
 
 // SubscribeFields joins a stream scoped to a slice of its fields — the
 // paper's §4.4 format-scoping. The broker derives a subset format, converts
 // every record before delivery, and the hidden fields never reach this
 // subscriber. Count fields of kept dynamic arrays are included
-// automatically. With no fields it is Subscribe.
+// automatically. With no fields it is Subscribe. Like Subscribe it returns
+// once the broker routes the subscription; a scope the broker cannot cut
+// from a format the stream already carries is its *BrokerError.
 func (s *Subscriber) SubscribeFields(streamName string, fields ...string) error {
 	if len(fields) > 255 {
 		return fmt.Errorf("eventbus: scope of %d fields exceeds protocol limit", len(fields))
 	}
 	scope := append([]string(nil), fields...) // nil = the full format
-	return s.control(frameSubscribe, subscribePayload(streamName, scope), func() { s.subs[streamName] = scope })
+	if err := s.control(frameSubscribe, subscribePayload(streamName, scope), func() { s.subs[streamName] = scope }); err != nil {
+		return err
+	}
+	// A redial replays the subscription, so the answer comes on the new
+	// connection too.
+	_, err := s.receive(s.cfg.reconnect, func(typ byte, payload []byte) bool {
+		name, _, err := getBytes(payload)
+		return typ == frameSubscribed && err == nil && string(name) == streamName
+	})
+	return err
 }
 
 // Unsubscribe leaves a stream. Records already in flight may still arrive.
@@ -570,12 +545,12 @@ func (s *Subscriber) Unsubscribe(streamName string) error {
 }
 
 // recvConn returns the connection the receive loop should read from and the
-// frame reader over it, which Streams and Next share and which goes, with
-// the frames its chunk still holds, when the link replaces the connection.
-// If broken — the connection a read just failed on, with cause — is still
-// the live one it is torn down first (another goroutine may already have
-// replaced it), and a link left without a connection is redialed and
-// re-subscribed under the retry policy. io.EOF reports a closed subscriber.
+// frame reader over it, which goes, with the frames its chunk still holds,
+// when the link replaces the connection. If broken — the connection a read
+// just failed on, with cause — is still the live one it is torn down first
+// (another goroutine may already have replaced it), and a link left without
+// a connection is redialed and re-subscribed under the retry policy. io.EOF
+// reports a closed subscriber.
 func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, *pbio.FrameReader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -599,39 +574,83 @@ func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, *pbio.Fra
 	return s.conn, s.rd, nil
 }
 
-// Streams asks the broker for the current stream list. It must not be
-// interleaved with Next (both read from the connection); call it before
-// entering the receive loop.
-func (s *Subscriber) Streams() ([]string, error) {
-	if err := s.control(frameList, nil, nil); err != nil {
-		return nil, err
-	}
-	_, rd, err := s.recvConn(nil, nil)
-	if err != nil {
-		return nil, err
-	}
+// read returns the next frame off the connection. When redial is set a
+// failed read redials under the retry policy, which replays every
+// subscription, and reading goes on on the new connection. io.EOF reports a
+// closed subscriber — or, without redial, a connection the broker closed.
+func (s *Subscriber) read(redial bool) ([]byte, error) {
+	var broken net.Conn
+	var cause error
 	for {
-		frame, _, err := rd.Next()
+		conn, rd, err := s.recvConn(broken, cause)
 		if err != nil {
 			return nil, err
 		}
-		switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
-		case frameStreams:
-			if len(payload) == 0 {
-				return nil, nil
-			}
-			return strings.Split(string(payload), "\x00"), nil
+		frame, _, err := rd.Next()
+		if err == nil {
+			return frame, nil
+		}
+		if redial {
+			broken, cause = conn, err // recvConn redials, or reports a Close that raced the read
+			continue
+		}
+		if _, _, cerr := s.recvConn(nil, nil); cerr == io.EOF || errors.Is(err, net.ErrClosed) {
+			return nil, io.EOF // our own Close raced the read
+		}
+		return nil, err
+	}
+}
+
+// receive reads frames until one that want accepts, and returns it. On the
+// way it adopts formats, keeps event frames in order for Next, skips answers
+// nobody awaits (those to replayed subscriptions, or a stale stream list),
+// and returns a frameError as the *BrokerError it carries.
+func (s *Subscriber) receive(redial bool, want func(typ byte, payload []byte) bool) ([]byte, error) {
+	for {
+		frame, err := s.read(redial)
+		if err != nil {
+			return nil, err
+		}
+		typ, payload := frame[0], frame[pbio.FrameHeaderLen:]
+		if want(typ, payload) {
+			return frame, nil
+		}
+		switch typ {
 		case frameFormat:
 			if err := s.adoptFormat(payload); err != nil {
 				return nil, err
 			}
+		case frameEvent, frameEventTrace:
+			s.pending = append(s.pending, frame)
 		case frameError:
 			return nil, &BrokerError{Msg: string(payload)}
+		case frameStreams, frameSubscribed:
 		default:
-			return nil, fmt.Errorf("%w: unexpected frame %d awaiting stream list", ErrBadFrame, typ)
+			return nil, fmt.Errorf("%w: unexpected frame %d", ErrBadFrame, typ)
 		}
 	}
 }
+
+// Streams asks the broker for the current stream list. Like Subscribe it
+// reads the connection for its answer, so it must not be interleaved with
+// Next.
+func (s *Subscriber) Streams() ([]string, error) {
+	if err := s.control(frameList, nil, nil); err != nil {
+		return nil, err
+	}
+	// A redial would not repeat the request: the read error is returned.
+	frame, err := s.receive(false, func(typ byte, _ []byte) bool { return typ == frameStreams })
+	if err != nil {
+		return nil, err
+	}
+	if len(frame) == pbio.FrameHeaderLen {
+		return nil, nil
+	}
+	return strings.Split(string(frame[pbio.FrameHeaderLen:]), "\x00"), nil
+}
+
+// isEvent is what Next waits for.
+func isEvent(typ byte, _ []byte) bool { return typ == frameEvent || typ == frameEventTrace }
 
 // Next blocks until the next record arrives and returns it. Format frames
 // are absorbed transparently. Returns io.EOF when the subscriber is closed
@@ -639,64 +658,43 @@ func (s *Subscriber) Streams() ([]string, error) {
 // reconnect enabled a broken connection is redialed under the retry policy
 // and the receive loop continues on the new connection.
 func (s *Subscriber) Next() (Event, error) {
-	var broken net.Conn
-	var cause error
-	for {
-		conn, rd, err := s.recvConn(broken, cause)
-		if err != nil {
+	var frame []byte
+	if len(s.pending) > 0 {
+		frame, s.pending[0] = s.pending[0], nil
+		s.pending = s.pending[1:]
+	} else {
+		var err error
+		if frame, err = s.receive(s.cfg.reconnect, isEvent); err != nil {
 			return Event{}, err
-		}
-		frame, _, err := rd.Next()
-		if err != nil {
-			if s.cfg.reconnect {
-				broken, cause = conn, err // recvConn redials, or reports a Close that raced the read
-				continue
-			}
-			if _, _, cerr := s.recvConn(nil, nil); cerr == io.EOF || errors.Is(err, net.ErrClosed) {
-				return Event{}, io.EOF // our own Close raced the read
-			}
-			return Event{}, err
-		}
-		switch typ, payload := frame[0], frame[pbio.FrameHeaderLen:]; typ {
-		case frameFormat:
-			if err := s.adoptFormat(payload); err != nil {
-				return Event{}, err
-			}
-		case frameEvent, frameEventTrace:
-			name, rest, err := getBytes(payload)
-			if err != nil {
-				return Event{}, err
-			}
-			if string(name) != s.stream {
-				s.stream = string(name)
-			}
-			var etc trace.Ctx
-			if typ == frameEventTrace {
-				var tid trace.TraceID
-				var parent trace.SpanID
-				if tid, parent, rest, err = getTraceCtx(rest); err != nil {
-					return Event{}, err
-				}
-				etc = s.cfg.tracer.Join(tid, parent)
-			}
-			if len(rest) < 8 {
-				return Event{}, fmt.Errorf("%w: event without format id", ErrBadFrame)
-			}
-			var id pbio.FormatID
-			copy(id[:], rest)
-			f, ok := s.ctx.LookupID(id)
-			if !ok {
-				return Event{}, fmt.Errorf("eventbus: event references unknown format %s", id)
-			}
-			return Event{Stream: s.stream, Format: f, Data: rest[8:], Trace: etc}, nil
-		case frameError:
-			return Event{}, &BrokerError{Msg: string(payload)}
-		case frameStreams, frameHello:
-			// Stale answer to a Streams call, or a late hello; ignore.
-		default:
-			return Event{}, fmt.Errorf("%w: unexpected frame %d", ErrBadFrame, typ)
 		}
 	}
+	typ, payload := frame[0], frame[pbio.FrameHeaderLen:]
+	name, rest, err := getBytes(payload)
+	if err != nil {
+		return Event{}, err
+	}
+	if string(name) != s.stream {
+		s.stream = string(name)
+	}
+	var etc trace.Ctx
+	if typ == frameEventTrace {
+		var tid trace.TraceID
+		var parent trace.SpanID
+		if tid, parent, rest, err = getTraceCtx(rest); err != nil {
+			return Event{}, err
+		}
+		etc = s.cfg.tracer.Join(tid, parent)
+	}
+	if len(rest) < 8 {
+		return Event{}, fmt.Errorf("%w: event without format id", ErrBadFrame)
+	}
+	var id pbio.FormatID
+	copy(id[:], rest)
+	f, ok := s.ctx.LookupID(id)
+	if !ok {
+		return Event{}, fmt.Errorf("eventbus: event references unknown format %s", id)
+	}
+	return Event{Stream: s.stream, Format: f, Data: rest[8:], Trace: etc}, nil
 }
 
 func (s *Subscriber) adoptFormat(meta []byte) error {

@@ -99,8 +99,8 @@ func peerFrames(t *testing.T, data []byte, formats []*pbio.Format) (frames [][]b
 		var typ byte
 		var p []byte
 		switch op % 10 {
-		case 0:
-			typ, p = frameHello, helloPayload(uint32(arg))
+		case 0: // a subscribe's answer, sent the wrong way
+			typ, p = frameSubscribed, putStr(nil, streams[int(arg)%len(streams)])
 		case 1:
 			typ, p = frameFormat, pbio.MarshalMeta(formats[int(arg)%len(formats)])
 		case 2:
@@ -132,7 +132,7 @@ func peerFrames(t *testing.T, data []byte, formats []*pbio.Format) (frames [][]b
 		case 7:
 			typ = frameList
 		case 8:
-			typ = frameEventTrace + 1 + arg%64 // no such frame type
+			typ = frameSubscribed + 1 + arg%64 // no such frame type
 		case 9:
 			// Any type byte but a publish, whose raw bytes might spell out
 			// the well-behaved stream, with raw bytes for a payload.
@@ -161,7 +161,7 @@ func FuzzDispatch(f *testing.F) {
 	for op := byte(0); op < 10; op++ {
 		f.Add([]byte{op, 1, 3, 200})
 	}
-	f.Add([]byte{0, 1, 1, 0, 3, 0, 6, 4, 0, 9, 5, 0, 9})  // hello, format, scoped subscribe, publishes
+	f.Add([]byte{1, 0, 3, 0, 6, 4, 0, 9, 5, 5, 0, 9, 2})  // format, scoped subscribe, publish, traced publish
 	f.Add([]byte{1, 2, 3, 0, 3, 4, 2, 7, 6, 0, 8, 3})     // a scope the format cannot satisfy
 	f.Add([]byte{1, 0, 4, 0x80, 9, 3, 9, 11, 4, 0, 0, 0}) // truncated publish, raw frames
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -185,7 +185,6 @@ func FuzzDispatch(f *testing.F) {
 			}
 			subs = append(subs, sub)
 		}
-		waitForStream(t, b, "flights", 2)
 		pub, err := DialPublisher("pipe", dial)
 		if err != nil {
 			t.Fatal(err)

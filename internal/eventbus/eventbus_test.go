@@ -75,10 +75,6 @@ func TestPublishSubscribe(t *testing.T) {
 	}
 	defer pub.Close()
 
-	// Give the broker a moment to register the subscription before the
-	// first publish (subscribe is fire-and-forget).
-	waitForStream(t, b, "flights", 1)
-
 	want := pbio.Record{"cntrID": "ZTL", "fltNum": 1842, "eta": []uint64{10, 20}}
 	for i := 0; i < 3; i++ {
 		if err := pub.PublishRecord("flights", f, want); err != nil {
@@ -102,6 +98,47 @@ func TestPublishSubscribe(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rec["eta"], []uint64{10, 20}) {
 			t.Errorf("eta = %v", rec["eta"])
+		}
+	}
+}
+
+// TestSubscribeIsLive: a record published on another connection the moment
+// Subscribe returns is delivered, to a plain subscriber and a scoped one
+// alike, with nothing waited for in between.
+func TestSubscribeIsLive(t *testing.T) {
+	const rounds = 20
+	b := newBroker(t)
+	f := flightFormat(t, machine.X86_64)
+	pub, err := DialPublisher(b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	for round := 0; round < rounds; round++ {
+		stream := fmt.Sprintf("live%d", round)
+		for _, scope := range [][]string{nil, {"fltNum"}} {
+			sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.SubscribeFields(stream, scope...); err != nil {
+				t.Fatal(err)
+			}
+			if err := pub.Publish(stream, f, encodeFlight(t, f, round)); err != nil {
+				t.Fatal(err)
+			}
+			lost := time.AfterFunc(10*time.Second, func() { _ = sub.Close() })
+			ev, err := sub.Next()
+			lost.Stop()
+			if err != nil {
+				t.Fatalf("round %d, scope %v: the record published after Subscribe returned: %v", round, scope, err)
+			}
+			rec, err := ev.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFlt(t, rec, round)
+			_ = sub.Close()
 		}
 	}
 }
@@ -150,7 +187,6 @@ func TestLateSubscriberGetsFormats(t *testing.T) {
 	if err := sub.Subscribe("flights"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 1)
 	if err := pub.PublishRecord("flights", f, pbio.Record{"fltNum": 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +240,6 @@ func TestMultipleSubscribersAndStreams(t *testing.T) {
 	if err := subBoth.Subscribe("weather"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 2)
-	waitForStream(t, b, "weather", 1)
 
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
@@ -260,7 +294,6 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	if err := sub.Subscribe("flights"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 1)
 
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
@@ -417,7 +450,6 @@ func TestConcurrentPublishers(t *testing.T) {
 	if err := sub.Subscribe("flights"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 1)
 
 	const pubs, per = 4, 25
 	var wg sync.WaitGroup
@@ -507,10 +539,8 @@ func TestSubscriberErrorSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := sub.Subscribe("x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sub.Next(); err == nil || !containsStr(err.Error(), "nope") {
+	// The answer to the subscribe is the error.
+	if err := sub.Subscribe("x"); !errors.Is(err, ErrBroker) || !containsStr(err.Error(), "nope") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -540,7 +570,6 @@ func TestEventDataIsOwned(t *testing.T) {
 	if err := sub.Subscribe("s"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "s", 1)
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -9,32 +9,21 @@
 // final consumers pay conversion, and only when their representation
 // actually differs.
 //
-// # Capability negotiation (frameHello)
+// # One protocol
 //
-// The base protocol (frames 1-9) is what every peer speaks. Extensions ride
-// behind an explicit capability exchange: a client that wants one sends a
-// frameHello — version(1) || caps(u32 BE) — as the first frame of the
-// connection and waits for the broker's frameHello reply before sending
-// anything else. The broker answers with its own capabilities and remembers
-// the client's; the intersection governs the connection. A client that
-// wants no extensions (tracing off, or a build that predates the hello)
-// never sends one and speaks the base protocol untouched.
+// Every peer speaks the same frames, and nothing is negotiated: a
+// connection's first frame is whatever its owner has to say. The broker
+// answers each subscribe with frameSubscribed once the subscription is in
+// its route and the formats the subscriber needs are queued ahead of the
+// answer, so a record published after Subscribe returns is delivered.
 //
-// A hello that is not answered with a hello is a failed dial, not a cue to
-// guess at the peer: a frameError reply surfaces as a *BrokerError carrying
-// the broker's reason, a closed connection or a reply that does not arrive
-// within helloTimeout as the read error. Under WithReconnect it is retried
-// with backoff like any other dial failure; without, DialPublisher /
-// DialSubscriber return it.
-//
-// The only capability so far is capTrace: sampled records travel in
-// framePublishTrace/frameEventTrace variants that prepend a 24-byte trace
-// context — TraceID(16) || parent SpanID(8) — to the standard payload, so a
-// record's journey (publisher encode, broker route, subscriber decode,
-// conversions) is recoverable as one parent-linked span tree from
-// /debug/trace on each hop. Untraced subscribers of a traced publish
-// receive plain frameEvent frames; the trace context never reaches peers
-// that did not negotiate it.
+// A record the publisher's tracer samples travels in framePublishTrace and
+// reaches every subscriber as frameEventTrace, with a 24-byte trace context
+// — TraceID(16) || parent SpanID(8) — ahead of the standard payload, so its
+// journey (publisher encode, broker route, subscriber decode, conversions)
+// is recoverable as one parent-linked span tree from /debug/trace on each
+// hop. A subscriber whose tracer is off drops the context: Tracer.Join
+// returns the zero Ctx when the tracer is disabled.
 package eventbus
 
 import (
@@ -60,41 +49,14 @@ const (
 	frameList      byte = 7 // subscriber -> broker: empty
 	frameStreams   byte = 8 // broker -> subscriber: stream names, NUL-separated
 	frameError     byte = 9 // broker -> any: message(str)
-
-	// Negotiated extension frames (see the package comment). A peer may only
-	// send these after a successful frameHello exchange.
-	frameHello        byte = 10 // both ways: version(1) || caps(u32 BE)
+	// 10 is left unused: a peer that sends the retired hello gets a frameError.
 	framePublishTrace byte = 11 // publisher -> broker: stream(str) || TraceID(16) || SpanID(8) || id(8) || record
 	frameEventTrace   byte = 12 // broker -> subscriber: same layout as framePublishTrace
+	frameSubscribed   byte = 13 // broker -> subscriber: stream(str), once the subscription is routed
 )
-
-// protoVersion is the hello frame's version byte.
-const protoVersion byte = 1
-
-// Capability bits exchanged in frameHello.
-const (
-	capTrace uint32 = 1 << 0 // trace-context-bearing publish/event frames
-)
-
-// localCaps is the full capability set this build supports.
-const localCaps = capTrace
 
 // traceCtxLen is the wire size of a trace context: TraceID || parent SpanID.
 const traceCtxLen = 16 + 8
-
-// helloPayload encodes a frameHello body.
-func helloPayload(caps uint32) []byte {
-	return binary.BigEndian.AppendUint32([]byte{protoVersion}, caps)
-}
-
-// parseHello decodes a frameHello body. Unknown future versions are accepted
-// (capabilities are a bit set; unknown bits are ignored by both sides).
-func parseHello(payload []byte) (version byte, caps uint32, err error) {
-	if len(payload) < 5 {
-		return 0, 0, fmt.Errorf("%w: hello of %d bytes", ErrBadFrame, len(payload))
-	}
-	return payload[0], binary.BigEndian.Uint32(payload[1:]), nil
-}
 
 // putTraceCtx appends the 24-byte wire trace context.
 func putTraceCtx(b []byte, tid trace.TraceID, parent trace.SpanID) []byte {
@@ -151,9 +113,10 @@ var (
 )
 
 // BrokerError is a broker-reported protocol failure, carried to the client
-// in a frameError payload. It surfaces from Subscriber.Next/Streams and —
-// when the broker rejects a publish and the error frame arrives before the
-// connection dies — from Publisher operations. errors.Is(err, ErrBroker)
+// in a frameError payload. It surfaces from the Subscriber's Next,
+// SubscribeFields and Streams and — when the broker rejects a publish and
+// the error frame arrives before the connection dies — from Publisher
+// operations. errors.Is(err, ErrBroker)
 // matches it.
 type BrokerError struct {
 	// Msg is the broker's diagnostic, e.g. `publish on "s" references

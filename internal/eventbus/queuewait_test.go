@@ -39,7 +39,6 @@ func TestQueueWaitObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = pub.Close() })
-	waitForStream(t, b, "flights", 1)
 
 	f := flightFormat(t, machine.Sparc)
 	rec := pbio.Record{"cntrID": "ZTL", "fltNum": 7, "eta": []uint64{1, 2}}

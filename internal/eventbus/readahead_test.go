@@ -23,11 +23,12 @@ func TestSubscriberReconnectDropsReadAhead(t *testing.T) {
 	b, ln, _ := countedBroker(t)
 	f := flightFormat(t, machine.Sparc)
 
-	// The subscriber's first connection lives for three operations: the
-	// subscribe frame goes out, one read takes in everything the broker has
-	// sent, and the next write — a control call — finds the connection reset.
+	// The subscriber's first connection lives for four operations: the
+	// subscribe frame goes out, a read takes in its answer, one read takes in
+	// everything the broker has sent since, and the next write — a control
+	// call — finds the connection reset.
 	dialFn, dials := faultyFirstDial(faultnet.NewSchedule(
-		faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{Kind: faultnet.Reset}))
+		faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{Kind: faultnet.Reset}))
 	rec := flight.New(512)
 	sub, err := DialSubscriberContext(context.Background(), b.Addr().String(), subCtx(t),
 		WithDialFunc(dialFn), WithReconnect(fastReconnect()), WithClientFlightRecorder(rec))
@@ -38,7 +39,6 @@ func TestSubscriberReconnectDropsReadAhead(t *testing.T) {
 	if err := sub.Subscribe(countedStream); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, countedStream, 1)
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -76,16 +76,15 @@ func TestSubscriberReconnectDropsReadAhead(t *testing.T) {
 		t.Fatalf("first record is flight %d, want 1", got)
 	}
 
-	// The control call hits the reset, redials and replays the subscription;
-	// the frames 2..burst the old reader still holds go with the old
-	// connection.
+	// The control call hits the reset, redials and replays the subscription,
+	// and its answer comes after the replayed one's; the frames 2..burst the
+	// old reader still holds go with the old connection.
 	if err := sub.Subscribe("other"); err != nil {
 		t.Fatalf("Subscribe across the reset = %v", err)
 	}
 	if got := dials.Load(); got != 2 {
 		t.Fatalf("dials = %d, want 2", got)
 	}
-	waitForStream(t, b, countedStream, 1)
 	publish(burst+1, burst+3)
 	if got := next(); got != burst+1 {
 		t.Fatalf("after the reconnect: flight %d, want %d (a frame of the dead connection?)", got, burst+1)

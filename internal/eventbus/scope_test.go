@@ -29,7 +29,6 @@ func TestScopedSubscription(t *testing.T) {
 	if err := full.Subscribe("flights"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 2)
 
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
@@ -97,7 +96,6 @@ func TestScopedSubscriptionBadField(t *testing.T) {
 	if err := sub.SubscribeFields("flights", "noSuchField"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 1)
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,6 @@ func TestSubscribeFieldsEmptyFallsBack(t *testing.T) {
 	if err := sub.SubscribeFields("flights"); err != nil { // no fields = full
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 1)
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +159,6 @@ func TestScopedLateSubscriberGetsScopedFormat(t *testing.T) {
 	if err := sub.SubscribeFields("flights", "cntrID"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "flights", 1)
 	if err := pub.PublishRecord("flights", f, pbio.Record{"cntrID": "ZNY"}); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +228,6 @@ func TestScopedSubscriptionKeepsNestedString(t *testing.T) {
 	if err := sub.SubscribeFields("nested", "in"); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, "nested", 1)
 
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {

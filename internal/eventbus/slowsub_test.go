@@ -179,3 +179,67 @@ func TestDroppedCountSurvivesDisconnect(t *testing.T) {
 		return reg.Snapshot()[labeled] == b.Stats().Dropped
 	})
 }
+
+// TestStalledSubscriberDropKeepsRouting: the broker drops a subscriber whose
+// format frame stalled on the reader goroutine of the connection that
+// published it, and that connection's next publish is routed at once. The
+// dropped subscriber's writer is blocked in a write nothing will complete,
+// so its socket is closed rather than flushed.
+func TestStalledSubscriberDropKeepsRouting(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(obsv.New()), WithQueueDepth(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	bulk, rec := bulkRecord(t, 4096) // 32 KiB records fill the socket fast
+
+	// The stuck subscriber reads the answer to its subscribe, then nothing.
+	// Its receive buffer is held small.
+	stuck, err := net.Dial("tcp", b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stuck.Close()
+	if err := stuck.(*net.TCPConn).SetReadBuffer(16 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(stuck, frameSubscribe, putStr(nil, "bulk")); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := readFrame(stuck, nil); err != nil || typ != frameSubscribed {
+		t.Fatalf("answer to a subscribe: frame %d, %v", typ, err)
+	}
+	pub, err := DialPublisher(b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	// 16 MiB is past both ends' socket buffers (the broker's grows to 4 MiB
+	// at most on a default Linux), so by then the writer is blocked in a
+	// write, and a drop says the queue is full behind it.
+	published := int64(0)
+	for deadline := time.Now().Add(20 * time.Second); published < 512 || b.Stats().Dropped == 0; published++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no drops observed before deadline")
+		}
+		if err := pub.Publish("bulk", bulk, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A format new to the stream stalls mustSendStall on the stuck queue;
+	// the record behind it, on another stream, waits for the drop.
+	f := flightFormat(t, machine.X86_64)
+	for _, stream := range []string{"bulk", "after"} {
+		if err := pub.Publish(stream, f, encodeFlight(t, f, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.WaitFor(t, 3*mustSendStall, "the format frame to stall", func() bool { return b.Stats().SlowSubscriberStalls == 1 })
+	stalled := time.Now()
+	testutil.WaitFor(t, 10*time.Second, "the next publish to be routed", func() bool { return b.Stats().Published == published+2 })
+	if d := time.Since(stalled); d > time.Second {
+		t.Errorf("the publish behind the stall was routed %v after it, want under 1s", d)
+	}
+}

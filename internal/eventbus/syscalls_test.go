@@ -130,7 +130,6 @@ func newCountedBus(t *testing.T, subscribers int) *countedBus {
 		}
 		bus.subs, bus.client = append(bus.subs, sub), append(bus.client, counts)
 	}
-	waitForStream(t, b, countedStream, subscribers)
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -153,13 +152,19 @@ func (bus *countedBus) wireBytes(n int) int64 {
 	return int64(meta + n*record)
 }
 
+// subscriberBytes is what the broker writes to each subscriber for n
+// records: the answer to its subscribe, then the records' bytes.
+func (bus *countedBus) subscriberBytes(n int) int64 {
+	return int64(pbio.FrameHeaderLen+2+len(countedStream)) + bus.wireBytes(n)
+}
+
 // check holds every counted connection to at most perRecord calls per record
 // (plus the handful a connection spends on subscribing and on its one format
 // frame) and to exactly the bytes the records take.
 func (bus *countedBus) check(t *testing.T, n int, perRecord float64) {
 	t.Helper()
 	limit := int64(perRecord*float64(n)) + 4
-	want := bus.wireBytes(n)
+	want, wantSub := bus.wireBytes(n), bus.subscriberBytes(n)
 	if got := bus.pubIn.Reads.Load(); got > limit {
 		t.Errorf("broker reads on the publisher's connection: %d for %d records (%.2f each), want at most %.2f each",
 			got, n, float64(got)/float64(n), perRecord)
@@ -170,7 +175,7 @@ func (bus *countedBus) check(t *testing.T, n int, perRecord float64) {
 	for i := range bus.subs {
 		// A write is counted when it returns, which the subscriber's read of
 		// the bytes can beat.
-		testutil.Poll(time.Second, func() bool { return bus.broker[i].WrittenBytes.Load() >= want })
+		testutil.Poll(time.Second, func() bool { return bus.broker[i].WrittenBytes.Load() >= wantSub })
 		if got := bus.broker[i].Writes.Load(); got > limit {
 			t.Errorf("broker writes to subscriber %d: %d for %d records (%.2f each), want at most %.2f each",
 				i, got, n, float64(got)/float64(n), perRecord)
@@ -179,8 +184,8 @@ func (bus *countedBus) check(t *testing.T, n int, perRecord float64) {
 			t.Errorf("subscriber %d reads: %d for %d records (%.2f each), want at most %.2f each",
 				i, got, n, float64(got)/float64(n), perRecord)
 		}
-		if w, r := bus.broker[i].WrittenBytes.Load(), bus.client[i].ReadBytes.Load(); w != want || r != want {
-			t.Errorf("subscriber %d: broker wrote %d bytes, subscriber read %d, want %d", i, w, r, want)
+		if w, r := bus.broker[i].WrittenBytes.Load(), bus.client[i].ReadBytes.Load(); w != wantSub || r != wantSub {
+			t.Errorf("subscriber %d: broker wrote %d bytes, subscriber read %d, want %d", i, w, r, wantSub)
 		}
 	}
 	t.Logf("%d records: %.2f broker reads, %.2f broker writes, %.2f subscriber reads per record",
@@ -220,7 +225,7 @@ func (bus *countedBus) burst(t *testing.T, n int) {
 		return bus.b.Stats().Delivered == int64(n*len(bus.subs))
 	})
 	bus.gates.writes.open()
-	delivered := bus.wireBytes(n)
+	delivered := bus.subscriberBytes(n)
 	testutil.WaitFor(t, 10*time.Second, "the broker to write the burst out", func() bool {
 		for _, c := range bus.broker {
 			if c.WrittenBytes.Load() != delivered {

@@ -1,14 +1,12 @@
 package eventbus
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,7 +52,6 @@ func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, 
 	}
 	t.Cleanup(func() { _ = pub.Close() })
 
-	waitForStream(t, b, "flights", 2)
 	return tr, b, pub, full, scoped
 }
 
@@ -190,8 +187,8 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceUnsampledRecordsNothing proves the 1-in-N contract end to end: a
-// tracer that samples nothing negotiates the capability but never emits
-// traced frames, and no spans are recorded anywhere.
+// tracer that is enabled but samples nothing never emits traced frames, and
+// no spans are recorded anywhere.
 func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1 << 30) // enabled, but effectively never samples
@@ -214,7 +211,6 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	waitForStream(t, b, "flights", 1)
 
 	f := flightFormat(t, machine.Sparc)
 	rec := pbio.Record{"cntrID": "ZTL", "fltNum": 7, "eta": []uint64{1}}
@@ -236,91 +232,10 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	}
 }
 
-// refusingDial returns a DialFunc whose first `refuse` connections land on a
-// peer that answers the hello with a frameError and closes; later dials
-// reach the address asked for. It also reports how many dials happened.
-func refusingDial(t *testing.T, refuse int64) (DialFunc, *atomic.Int64) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			_, _, _, _ = readFrame(conn, nil) // the hello
-			_ = writeFrame(conn, frameError, []byte("hello refused"))
-			_ = conn.Close()
-		}
-	}()
-	var dials atomic.Int64
-	return func(ctx context.Context, network, addr string) (net.Conn, error) {
-		if dials.Add(1) <= refuse {
-			addr = ln.Addr().String()
-		}
-		var d net.Dialer
-		return d.DialContext(ctx, network, addr)
-	}, &dials
-}
-
-// TestHelloRefusedIsDialError: a hello the peer refuses is an ordinary dial
-// failure carrying the broker's reason — returned as a *BrokerError without
-// reconnect, retried under the policy with it — never a silent redial
-// speaking another protocol.
-func TestHelloRefusedIsDialError(t *testing.T) {
-	tr := trace.NewTracer(64)
-	tr.SetSampling(1)
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	addr := b.Addr().String()
-
-	dial, dials := refusingDial(t, 1)
-	_, err = DialPublisher(addr, WithClientTracer(tr), WithDialFunc(dial))
-	var be *BrokerError
-	if !errors.Is(err, ErrBroker) || !errors.As(err, &be) || be.Msg != "hello refused" {
-		t.Fatalf("DialPublisher against a refusing peer: err = %v, want *BrokerError(hello refused)", err)
-	}
-	dial, _ = refusingDial(t, 1)
-	if _, err = DialSubscriber(addr, subCtx(t), WithClientTracer(tr), WithDialFunc(dial)); !errors.Is(err, ErrBroker) {
-		t.Fatalf("DialSubscriber against a refusing peer: err = %v, want ErrBroker", err)
-	}
-	if n := dials.Load(); n != 1 {
-		t.Fatalf("%d dials without reconnect, want 1 (no second, hello-less dial)", n)
-	}
-
-	// With reconnect the refusals are retried like any dial failure, and the
-	// connection that finally opens has negotiated tracing.
-	dial, dials = refusingDial(t, 2)
-	pub, err := DialPublisher(addr, WithClientTracer(tr), WithDialFunc(dial), WithReconnect(fastReconnect()))
-	if err != nil {
-		t.Fatalf("DialPublisher with reconnect: %v", err)
-	}
-	defer pub.Close()
-	if n := dials.Load(); n != 3 || pub.caps&capTrace == 0 {
-		t.Fatalf("dials = %d, caps = %b; want 3 dials ending in a traced connection", n, pub.caps)
-	}
-	dial, dials = refusingDial(t, 2)
-	sub, err := DialSubscriber(addr, subCtx(t), WithClientTracer(tr), WithDialFunc(dial), WithReconnect(fastReconnect()))
-	if err != nil {
-		t.Fatalf("DialSubscriber with reconnect: %v", err)
-	}
-	defer sub.Close()
-	if n := dials.Load(); n != 3 || sub.caps&capTrace == 0 {
-		t.Fatalf("dials = %d, caps = %b; want 3 dials ending in a traced connection", n, sub.caps)
-	}
-}
-
-// TestTraceInteropLegacyClient proves the other direction: an old-protocol
-// client (tracer disabled, so it never sends a hello) works unchanged
-// against a tracing broker.
-func TestTraceInteropLegacyClient(t *testing.T) {
+// TestTraceUntracedClientsAgainstTracingBroker: clients whose tracer is
+// disabled publish and receive through a broker that traces, and the
+// record arrives intact and without trace context.
+func TestTraceUntracedClientsAgainstTracingBroker(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1)
 	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
@@ -329,8 +244,7 @@ func TestTraceInteropLegacyClient(t *testing.T) {
 	}
 	defer b.Close()
 
-	// Default client tracer is the process tracer, which is disabled in
-	// tests — exactly an old client's wire behaviour.
+	// The default client tracer is the process tracer, disabled in tests.
 	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +258,6 @@ func TestTraceInteropLegacyClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	waitForStream(t, b, "flights", 1)
 
 	f := flightFormat(t, machine.Sparc)
 	rec := pbio.Record{"cntrID": "ZTL", "fltNum": 11, "eta": []uint64{4}}
@@ -362,12 +275,15 @@ func TestTraceInteropLegacyClient(t *testing.T) {
 	if got["fltNum"] != int64(11) {
 		t.Fatalf("record corrupted: %v", got)
 	}
+	if ev.Trace.Sampled() {
+		t.Fatal("an untraced record arrived with trace context")
+	}
 }
 
 // TestBrokerErrorTypedOnSubscriber proves a broker rejection reaches the
 // subscriber as a typed *BrokerError instead of a silent disconnect: a
-// scope naming a field the stream's format does not have fails at
-// subscribe time (the format is already known on the stream).
+// scope naming a field the stream's format does not have fails in
+// SubscribeFields (the format is already known on the stream).
 func TestBrokerErrorTypedOnSubscriber(t *testing.T) {
 	b := newBroker(t)
 	f := flightFormat(t, machine.Sparc)
@@ -386,7 +302,6 @@ func TestBrokerErrorTypedOnSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	waitForStream(t, b, "flights", 1)
 	rec := pbio.Record{"cntrID": "A", "fltNum": 1, "eta": []uint64{1}}
 	if err := pub.PublishRecord("flights", f, rec); err != nil {
 		t.Fatal(err)
@@ -400,10 +315,7 @@ func TestBrokerErrorTypedOnSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	if err := bad.SubscribeFields("flights", "no_such_field"); err != nil {
-		t.Fatal(err)
-	}
-	_, err = bad.Next()
+	err = bad.SubscribeFields("flights", "no_such_field")
 	if err == nil {
 		t.Fatal("expected broker error for impossible scope")
 	}

@@ -166,7 +166,6 @@ func newStallRig(t *testing.T, depth int, stream string) *stallRig {
 	if err := sub.Subscribe(stream); err != nil {
 		t.Fatal(err)
 	}
-	waitForStream(t, b, stream, 1)
 	pub, err := DialPublisher(b.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -379,10 +378,17 @@ func TestStalledSubscriberDropFreesHeap(t *testing.T) {
 	}
 	rig.g.writes.open() // the writer's write fails on the closed socket
 	<-bc.writerDone
-	held := rig.liveHeap(t) - before
 
 	bound := int64(spareChunks * frameChunk)
 	const slack = 64 << 10
+	// The connection's reader goroutine holds its queue until it returns, a
+	// moment after the writer: the heap is read until it is within the
+	// bound, or until that goroutine has had ample time to go.
+	var held int64
+	testutil.Poll(5*time.Second, func() bool {
+		held = rig.liveHeap(t) - before
+		return held <= bound+slack
+	})
 	t.Logf("held %d KiB while stalled, %d KiB once dropped; bound %d KiB (the spare list)", stalled>>10, held>>10, bound>>10)
 	if stalled < depth*frameChunk/2 {
 		t.Errorf("broker holds %d bytes with a full queue of %d frames from %d chunks: the measurement is not seeing the chunks", stalled, depth, depth)

@@ -6,9 +6,9 @@
 // logging was turned up beforehand.
 //
 // The recorder keeps connection history, not traffic: no event fires once
-// per record. Connection churn, hello outcomes, format metadata, errors,
-// reconnects, stalled must-send frames, discovery fetches and retry give-ups
-// are recorded; record and byte counts live in the eventbus.wire.* counters.
+// per record. Connection churn, format metadata, errors, reconnects,
+// stalled must-send frames, discovery fetches and retry give-ups are
+// recorded; record and byte counts live in the eventbus.wire.* counters.
 // At that rate the ring is a plain mutex over a slice of slots. Record
 // performs no allocations (guarded by testing.AllocsPerRun in the package
 // tests): stream and detail are copied into fixed inline arrays and
@@ -31,7 +31,6 @@ type Kind uint8
 const (
 	KindConnOpen    Kind = iota + 1 // connection established (detail: remote addr / role)
 	KindConnClose                   // connection torn down (detail: cause)
-	KindHello                       // frameHello negotiation outcome (bytes: peer caps, detail: outcome)
 	KindFormatSend                  // format metadata sent (format, meta bytes)
 	KindFormatRecv                  // format metadata received (format, meta bytes)
 	KindBrokerError                 // broker-side protocol error (detail: error)
@@ -45,7 +44,6 @@ const (
 var kindNames = [kindMax]string{
 	KindConnOpen:    "conn_open",
 	KindConnClose:   "conn_close",
-	KindHello:       "hello",
 	KindFormatSend:  "format_send",
 	KindFormatRecv:  "format_recv",
 	KindBrokerError: "broker_error",

@@ -32,7 +32,7 @@ var frameLimits = []struct {
 // readers that split the stream every way a socket can: a byte at a time,
 // half of what is asked for, and the last bytes arriving with the error.
 var frameSources = func() []frameSource {
-	sources := []frameSource{{"direct", func(r io.Reader) io.Reader { return r }}}
+	sources := []frameSource{{"direct", func(r io.Reader) io.Reader { return r }, false}}
 	splits := []struct {
 		name string
 		wrap func(io.Reader) io.Reader
@@ -47,6 +47,7 @@ var frameSources = func() []frameSource {
 			sources = append(sources, frameSource{
 				fmt.Sprintf("bufio%d/%s", size, split.name),
 				func(r io.Reader) io.Reader { return bufio.NewReaderSize(split.wrap(r), size) },
+				split.name == "onebyte",
 			})
 		}
 	}
@@ -54,8 +55,9 @@ var frameSources = func() []frameSource {
 }()
 
 type frameSource struct {
-	name string
-	wrap func(io.Reader) io.Reader
+	name    string
+	wrap    func(io.Reader) io.Reader
+	oneByte bool // a read per byte: the slowest source by far
 }
 
 // frameReaders are the readers of a stream of frames: ReadFrame over one
@@ -219,93 +221,146 @@ func TestFileTruncatedAfterHeader(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame reads arbitrary bytes as a stream of frames under both
-// limits, from every frame source, with both readers. Neither may panic,
-// return bytes it was not given, hold more than its bound — a length field
-// buys no memory — or report io.EOF anywhere but where a frame ends; and
-// whatever the reader, however the stream is split underneath, what comes
-// out is what ReadFrame returns reading the stream directly: the same
-// frames, the same error. The frames a FrameReader hands out are the
-// caller's, or with a spare list the holder's of a reference: once the
-// stream is exhausted every one still holds its input bytes, so the reader
-// never wrote over a byte it had handed out, and no chunk still referenced
-// went back to the list.
+// oneByteMax bounds the fuzzed inputs read a byte at a time, so that the
+// fuzzer's time goes on many inputs rather than on the reads of a few large
+// ones.
+const oneByteMax = 4 << 10
+
+// checkFrameStream reads data as a stream of frames under the limit bus
+// picks, from every frame source (the one-byte ones only when oneByte is
+// set), with every reader. Neither may panic, return bytes it was not
+// given, hold more than its bound — a length field buys no memory — or
+// report io.EOF anywhere but where a frame ends; and whatever the reader,
+// however the stream is split underneath, what comes out is what ReadFrame
+// returns reading the stream directly: the same frames, the same error. The
+// frames a FrameReader hands out are the caller's, or with a spare list the
+// holder's of a reference: once the stream is exhausted every one still
+// holds its input bytes, so the reader never wrote over a byte it had
+// handed out, and no chunk still referenced went back to the list.
+func checkFrameStream(t *testing.T, data []byte, bus, oneByte bool) {
+	t.Helper()
+	limit := frameLimits[0].limit
+	if bus {
+		limit = frameLimits[1].limit
+	}
+	var direct string // the direct read's frames and final error, to compare the others with
+	for _, src := range frameSources {
+		if src.oneByte && !oneByte {
+			continue
+		}
+		for _, rd := range frameReaders {
+			name := src.name + "/" + rd.name
+			next, held := rd.open(src.wrap(bytes.NewReader(data)), limit)
+			var story []byte
+			var frames [][]byte
+			off := 0
+			for {
+				frame, err := next()
+				if n := held(); n > rd.bound(len(data)) {
+					t.Fatalf("%s: holds %d bytes for %d bytes of input", name, n, len(data))
+				}
+				if err != nil {
+					if err == io.EOF && off != len(data) {
+						t.Fatalf("%s: io.EOF at offset %d of a %d-byte stream, inside a frame", name, off, len(data))
+					}
+					story = fmt.Appendf(story, "%v", err)
+					break
+				}
+				if off+len(frame) > len(data) || !bytes.Equal(frame, data[off:off+len(frame)]) {
+					t.Fatalf("%s: frame of %d bytes at offset %d is not what the %d-byte stream holds", name, len(frame), off, len(data))
+				}
+				off += len(frame)
+				frames = append(frames, frame)
+				story = fmt.Appendf(story, "%d:%d ", frame[0], len(frame)-FrameHeaderLen)
+			}
+			if name == "direct/ReadFrame" {
+				direct = string(story)
+			} else if string(story) != direct {
+				t.Fatalf("%s read %q, the direct read %q", name, story, direct)
+			}
+			if !rd.keeps {
+				continue
+			}
+			off = 0
+			for i, frame := range frames {
+				if !bytes.Equal(frame, data[off:off+len(frame)]) {
+					t.Fatalf("%s: frame %d changed after it was handed out", name, i)
+				}
+				if cap(frame) != len(frame) {
+					t.Fatalf("%s: frame %d has %d bytes of room behind it: an append would write into the reader's chunk", name, i, cap(frame)-len(frame))
+				}
+				off += len(frame)
+			}
+		}
+	}
+}
+
+// FuzzReadFrame runs checkFrameStream on arbitrary bytes. Its seeds are a
+// few hundred bytes at most, and only inputs of up to oneByteMax are read a
+// byte at a time: a large input makes every run, and the minimizing of
+// every input it finds, slow. TestReadFrameLargeStreams runs the streams
+// that sit on the readers' size boundaries.
 func FuzzReadFrame(f *testing.F) {
 	two, _ := AppendFrame(nil, frameFormat, []byte("meta"), MaxFrameSize)
-	two, _ = AppendFrame(two, frameRecord, bytes.Repeat([]byte{1}, 300), MaxFrameSize)
+	two, _ = AppendFrame(two, frameRecord, bytes.Repeat([]byte{1}, 30), MaxFrameSize)
 	f.Add(two, false)
 	f.Add(two[:len(two)-1], true)
 	f.Add(header(MaxFrameSize), false)
 	f.Add(header(64<<20), true)
-	f.Add(append(header(2*FrameChunk), make([]byte, FrameChunk+1)...), true)
 	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF}, false)
 	f.Add([]byte{}, false)
-	// Frames of 1000 bytes, one of them across the end of the first chunk.
+	// A length one past the smaller limit, under each.
+	f.Add(append(header(MaxFrameSize+1), 0), false)
+	f.Add(append(header(MaxFrameSize+1), 0), true)
+	f.Add(two, true)
+	f.Add(header(0), false)                        // an empty payload
+	f.Add([]byte{2, 0, 0}, true)                   // cut inside the header
+	f.Add(append(header(0), 3, 0, 0, 0, 1), false) // an empty frame, then one cut short
+	var tiny []byte
+	for i := 0; i < 20; i++ {
+		tiny, _ = AppendFrame(tiny, byte(i), []byte{byte(i)}, MaxFrameSize)
+	}
+	f.Add(tiny, false)
+	f.Add(tiny, true)
+	f.Fuzz(func(t *testing.T, data []byte, bus bool) {
+		checkFrameStream(t, data, bus, len(data) <= oneByteMax)
+	})
+}
+
+// framesAround returns a frame of size bytes, header included, and a small
+// one behind it.
+func framesAround(size int) []byte {
+	frames, _ := AppendFrame(nil, frameRecord, make([]byte, size-FrameHeaderLen), MaxFrameSize)
+	frames, _ = AppendFrame(frames, frameFormat, []byte("behind"), MaxFrameSize)
+	return frames
+}
+
+// TestReadFrameLargeStreams runs checkFrameStream, one-byte sources and
+// all, on the streams too large to seed the fuzzer with: the largest frame
+// a reader slices from a chunk, without a spare list and with one, and one
+// byte either side of each, under both limits; a frame of FrameChunk+1
+// bytes cut short; and frames of 1000 bytes, one of them across the end of
+// the first chunk.
+func TestReadFrameLargeStreams(t *testing.T) {
 	var straddle []byte
 	for len(straddle) < FrameChunk+1000 {
 		straddle, _ = AppendFrame(straddle, frameRecord, make([]byte, 1000-FrameHeaderLen), MaxFrameSize)
 	}
-	f.Add(straddle, false)
-	// The largest frame sliced from a chunk, with a spare list and without,
-	// and one byte either side of it.
-	for _, size := range []int{maxSliced - 1, maxSliced, maxSliced + 1, MaxChunkFrame - 1, MaxChunkFrame, MaxChunkFrame + 1} {
-		frames, _ := AppendFrame(nil, frameRecord, make([]byte, size-FrameHeaderLen), MaxFrameSize)
-		frames, _ = AppendFrame(frames, frameFormat, []byte("behind"), MaxFrameSize)
-		f.Add(frames, true)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		bus  bool
+	}{
+		{"FrameChunk+1 cut", append(header(2*FrameChunk), make([]byte, FrameChunk+1)...), true},
+		{"straddle", straddle, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkFrameStream(t, tc.data, tc.bus, true) })
 	}
-	f.Fuzz(func(t *testing.T, data []byte, bus bool) {
-		limit := frameLimits[0].limit
-		if bus {
-			limit = frameLimits[1].limit
+	for _, size := range []int{maxSliced - 1, maxSliced, maxSliced + 1, MaxChunkFrame - 1, MaxChunkFrame, MaxChunkFrame + 1} {
+		for _, bus := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d/bus=%v", size, bus), func(t *testing.T) { checkFrameStream(t, framesAround(size), bus, true) })
 		}
-		var direct string // the direct read's frames and final error, to compare the others with
-		for _, src := range frameSources {
-			for _, rd := range frameReaders {
-				name := src.name + "/" + rd.name
-				next, held := rd.open(src.wrap(bytes.NewReader(data)), limit)
-				var story []byte
-				var frames [][]byte
-				off := 0
-				for {
-					frame, err := next()
-					if n := held(); n > rd.bound(len(data)) {
-						t.Fatalf("%s: holds %d bytes for %d bytes of input", name, n, len(data))
-					}
-					if err != nil {
-						if err == io.EOF && off != len(data) {
-							t.Fatalf("%s: io.EOF at offset %d of a %d-byte stream, inside a frame", name, off, len(data))
-						}
-						story = fmt.Appendf(story, "%v", err)
-						break
-					}
-					if off+len(frame) > len(data) || !bytes.Equal(frame, data[off:off+len(frame)]) {
-						t.Fatalf("%s: frame of %d bytes at offset %d is not what the %d-byte stream holds", name, len(frame), off, len(data))
-					}
-					off += len(frame)
-					frames = append(frames, frame)
-					story = fmt.Appendf(story, "%d:%d ", frame[0], len(frame)-FrameHeaderLen)
-				}
-				if name == "direct/ReadFrame" {
-					direct = string(story)
-				} else if string(story) != direct {
-					t.Fatalf("%s read %q, the direct read %q", name, story, direct)
-				}
-				if !rd.keeps {
-					continue
-				}
-				off = 0
-				for i, frame := range frames {
-					if !bytes.Equal(frame, data[off:off+len(frame)]) {
-						t.Fatalf("%s: frame %d changed after it was handed out", name, i)
-					}
-					if cap(frame) != len(frame) {
-						t.Fatalf("%s: frame %d has %d bytes of room behind it: an append would write into the reader's chunk", name, i, cap(frame)-len(frame))
-					}
-					off += len(frame)
-				}
-			}
-		}
-	})
+	}
 }
 
 // TestFrameReaderSlicesSmallFrames pins the chunked reader's cost for small

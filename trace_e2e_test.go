@@ -96,8 +96,8 @@ func runProcessTrio(t *testing.T) *processTrio {
 	t.Helper()
 	tr := &processTrio{pub: newDebugProc(t, "pub"), broker: newDebugProc(t, "broker"), sub: newDebugProc(t, "sub")}
 
-	// The trace context travels on the wire (the traced protocol extension),
-	// so the three rings record fragments of the same TraceIDs.
+	// The trace context travels on the wire (the traced publish and event
+	// frames), so the three rings record fragments of the same TraceIDs.
 	broker, err := eventbus.Listen("127.0.0.1:0",
 		eventbus.WithTracer(tr.broker.trc),
 		eventbus.WithObserver(tr.broker.reg),

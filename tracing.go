@@ -55,8 +55,8 @@ func MetricsHandler() http.Handler { return obsv.Default().MetricsHandler() }
 func WithTracing(t *Tracer) BrokerOption { return eventbus.WithTracer(t) }
 
 // WithBusTracing directs a publisher's or subscriber's spans (pub.publish,
-// pbio.encode, pbio.decode) into t instead of the default tracer. A
-// publisher or subscriber whose tracer is enabled negotiates the traced
-// protocol extension with the broker at dial time; against an old broker it
-// falls back to the base protocol automatically.
+// pbio.encode, pbio.decode) into t instead of the default tracer. A record
+// the publisher's tracer samples carries its trace context to the broker
+// and on to every subscriber; nothing is negotiated at dial time, and a
+// subscriber whose tracer is disabled ignores the context.
 func WithBusTracing(t *Tracer) BusClientOption { return eventbus.WithClientTracer(t) }
