@@ -27,37 +27,9 @@
 //	wire, _ := f.Encode(openmeta.Record{"fltNum": 1842, "dest": "MCO"})
 //	rec, _ := f.Decode(wire)
 //
-// Constructors take functional options: New(WithArch(ArchSparc64)) lays
-// formats out for a simulated peer, ListenBroker(addr, WithQueueDepth(64))
-// bounds subscriber queues, NewPlanCache(WithPlanCacheLimit(128)) bounds
-// plan memoization.
-//
-// # Registering formats
-//
-// A Context accepts formats from three metadata sources:
-//
-//   - RegisterIOFields: explicit PBIO field descriptors (name, type, size,
-//     offset), for layouts already known byte-for-byte.
-//   - RegisterSpecs: portable field declarations laid out for the context's
-//     architecture, the way a compiler would.
-//   - RegisterSchema / RegisterSchemaDocument / RegisterSchemaFile /
-//     RegisterSchemaURL: XML Schema documents through the xml2wire pipeline
-//     — the paper's open-metadata path.
-//
-// # Observability
-//
-// Every layer reports counters and latency histograms into a process-wide
-// registry: Stats returns a snapshot keyed by stable metric names
-// (pbio.encode.calls, dcg.plan_cache.hits, eventbus.delivered, ...), and
-// DebugHandler serves the registry at /metrics next to traces, health and
-// pprof — the daemons mount it behind their -debug-addr flag.
-// Components accept a private registry via WithObserver (and the broker and
-// plan-cache equivalents) when isolation matters; Broker.Stats gives a
-// typed per-broker view. The hot-path instruments are allocation-free.
-//
-// Failures surface as wrapped sentinel errors (ErrUnknownFormat,
-// ErrFieldMismatch, ErrSlowSubscriber, ...) so callers branch with
-// errors.Is.
+// New(WithArch(ArchSparc)) lays formats out for a simulated peer. The
+// package holds only what the programs in examples/ call; the daemons and
+// tools under cmd/ use the internal packages directly.
 //
 // See examples/ for runnable programs: a quickstart, the paper's airline
 // operational information system on the event backbone, format evolution

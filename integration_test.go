@@ -18,6 +18,7 @@ import (
 
 	"openmeta"
 	"openmeta/internal/airline"
+	"openmeta/internal/pbio"
 )
 
 func TestFullSystemIntegration(t *testing.T) {
@@ -113,7 +114,7 @@ func TestFullSystemIntegration(t *testing.T) {
 
 	// --- Archive the received events to a self-describing file ------------
 	var archive strings.Builder
-	fw, err := openmeta.NewRecordFileWriter(noopWriteCloser{&archive})
+	fw, err := pbio.NewFileWriter(noopWriteCloser{&archive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFullSystemIntegration(t *testing.T) {
 		}
 	}
 	// --- Replay on the local architecture, no prior format knowledge ------
-	rdr, err := openmeta.NewRecordFileReader(strings.NewReader(archive.String()), mustCtx(t))
+	rdr, err := pbio.NewFileReader(strings.NewReader(archive.String()), mustCtx(t))
 	if err != nil {
 		t.Fatal(err)
 	}

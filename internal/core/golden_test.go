@@ -11,7 +11,7 @@ import (
 	"openmeta/internal/testutil"
 )
 
-// schemaCorpusDigest is the SHA-256 of the schema text SchemaDocumentForFormats
+// schemaCorpusDigest is the SHA-256 of the schema text SchemaForFormats
 // generates, or of its error, for schemagen seeds 1-400 on each architecture.
 // About two in five are errors: a 64-bit integer has no xsd spelling on an
 // architecture whose long is 32 bits, and legacy16 lacks more.
@@ -38,7 +38,7 @@ func TestSchemaDocumentForFormatsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			doc, err := SchemaDocumentForFormats("urn:gen", root)
+			doc, err := schemaDocument("urn:gen", root)
 			if err != nil {
 				doc, failed = "error: "+err.Error(), failed+1
 			}

@@ -59,16 +59,6 @@ func SchemaForFormats(targetNamespace string, formats ...*pbio.Format) (*xmlsche
 	return xmlschema.ParseString(xmlschema.MarshalString(s))
 }
 
-// SchemaDocumentForFormats is SchemaForFormats rendered to XML text, ready
-// for a Repository.Put.
-func SchemaDocumentForFormats(targetNamespace string, formats ...*pbio.Format) (string, error) {
-	s, err := SchemaForFormats(targetNamespace, formats...)
-	if err != nil {
-		return "", err
-	}
-	return xmlschema.MarshalString(s), nil
-}
-
 func complexTypeForFormat(f *pbio.Format) (*xmlschema.ComplexType, error) {
 	ct := &xmlschema.ComplexType{Name: f.Name}
 	// Count fields that only exist to size a dynamic array are implicit in

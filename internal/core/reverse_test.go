@@ -9,6 +9,16 @@ import (
 	"openmeta/internal/xmlschema"
 )
 
+// schemaDocument is SchemaForFormats rendered as XML text, the form a
+// repository serves.
+func schemaDocument(targetNamespace string, formats ...*pbio.Format) (string, error) {
+	s, err := SchemaForFormats(targetNamespace, formats...)
+	if err != nil {
+		return "", err
+	}
+	return xmlschema.MarshalString(s), nil
+}
+
 func TestSchemaForFormatsRoundTrip(t *testing.T) {
 	// register (XML) -> generate (XML') -> register (XML') must reproduce
 	// identical formats, on every architecture.
@@ -19,7 +29,7 @@ func TestSchemaForFormatsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			doc, err := SchemaDocumentForFormats("urn:test", set.Formats...)
+			doc, err := schemaDocument("urn:test", set.Formats...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +128,7 @@ func TestSchemaForFormatsAdoptedRemoteFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := SchemaDocumentForFormats("urn:adopted", remote)
+	doc, err := schemaDocument("urn:adopted", remote)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,22 +197,3 @@ func MapPrimitive(p xmlschema.Primitive) (pbio.Kind, machine.CType, error) {
 		return 0, 0, fmt.Errorf("%w: primitive %v", ErrUnsupportedSchema, p)
 	}
 }
-
-// DumpIOFields renders the paper-style IOField lists (Figures 5, 8, 11) for
-// every type in a schema without touching the caller's context; cmd/xml2wire
-// uses it for its -dump mode.
-func DumpIOFields(arch *machine.Arch, s *xmlschema.Schema) (map[string][]pbio.IOField, error) {
-	scratch, err := pbio.NewContext(arch)
-	if err != nil {
-		return nil, err
-	}
-	set, err := RegisterSchema(scratch, s)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]pbio.IOField, len(set.Formats))
-	for _, f := range set.Formats {
-		out[f.Name] = f.IOFields()
-	}
-	return out, nil
-}

@@ -289,9 +289,14 @@ func TestDumpIOFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := DumpIOFields(machine.Sparc, s)
+	ctx, _ := pbio.NewContext(machine.Sparc)
+	set, err := RegisterSchema(ctx, s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	dump := make(map[string][]pbio.IOField)
+	for _, f := range set.Formats {
+		dump[f.Name] = f.IOFields()
 	}
 	asd := dump["ASDOffEvent"]
 	if len(asd) != 9 { // 8 elements + synthesized eta_count

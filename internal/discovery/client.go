@@ -72,11 +72,10 @@ type Source interface {
 // caching them with ETag revalidation so repeated discovery of an unchanged
 // format costs one conditional request (or nothing, within the TTL).
 type Client struct {
-	base    *url.URL
-	http    *http.Client
-	ttl     time.Duration
-	timeout time.Duration
-	retry   retry.Policy
+	base  *url.URL
+	http  *http.Client
+	ttl   time.Duration
+	retry retry.Policy
 	// staleFor is how far past the TTL a cached schema may still be served
 	// when every fetch attempt fails (0 disables stale serving; negative
 	// serves stale entries of any age).
@@ -100,34 +99,27 @@ var _ Source = (*Client)(nil)
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithHTTPClient substitutes the HTTP client (tests, timeouts).
-func WithHTTPClient(h *http.Client) ClientOption {
+// withHTTPClient substitutes the HTTP client (tests, timeouts).
+func withHTTPClient(h *http.Client) ClientOption {
 	return func(c *Client) { c.http = h }
 }
 
-// WithTTL sets how long a fetched document is reused without revalidation.
+// withTTL sets how long a fetched document is reused without revalidation.
 // Zero revalidates on every Fetch.
-func WithTTL(ttl time.Duration) ClientOption {
+func withTTL(ttl time.Duration) ClientOption {
 	return func(c *Client) { c.ttl = ttl }
 }
 
-// WithTimeout bounds each HTTP request (default 10s). It applies to the
-// default HTTP client or one supplied with WithHTTPClient, regardless of
-// option order.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.timeout = d }
-}
-
-// WithRetry makes every fetch retry transport errors and 5xx responses
+// withRetry makes every fetch retry transport errors and 5xx responses
 // under the given policy (exponential backoff with jitter; see
 // retry.Policy). The default performs no retries, preserving one-request-
 // per-fetch semantics. 4xx responses and unparseable documents are
 // permanent and never retried.
-func WithRetry(p retry.Policy) ClientOption {
+func withRetry(p retry.Policy) ClientOption {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithStaleServe enables graceful degradation: when the repository is
+// withStaleServe enables graceful degradation: when the repository is
 // unreachable (every attempt failed) but a previously fetched schema is
 // cached, the client serves the stale schema — counting it in
 // discovery.stale_served — as long as the entry is no more than max past
@@ -135,7 +127,7 @@ func WithRetry(p retry.Policy) ClientOption {
 // older than the window fail with an error wrapping ErrStale. This is the
 // paper's §3.3 degraded mode, applied to the cache instead of compiled-in
 // metadata.
-func WithStaleServe(max time.Duration) ClientOption {
+func withStaleServe(max time.Duration) ClientOption {
 	return func(c *Client) { c.staleFor = max }
 }
 
@@ -144,21 +136,10 @@ func withClock(now func() time.Time) ClientOption {
 	return func(c *Client) { c.now = now }
 }
 
-// WithObserver directs the client's metrics (fetches, cache hits,
+// withObserver directs the client's metrics (fetches, cache hits,
 // revalidations, fetch latency) into r instead of the default registry.
-func WithObserver(r *obsv.Registry) ClientOption {
+func withObserver(r *obsv.Registry) ClientOption {
 	return func(c *Client) { c.obs = newClientMetrics(r) }
-}
-
-// WithFlightRecorder directs the client's flight events (fetch outcomes,
-// stale serves) into r instead of the process-default recorder served at
-// /debug/flight.
-func WithFlightRecorder(r *flight.Recorder) ClientOption {
-	return func(c *Client) {
-		if r != nil {
-			c.rec = r
-		}
-	}
 }
 
 // NewClient returns a client for the repository rooted at baseURL (e.g.
@@ -184,13 +165,11 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	for _, opt := range opts {
 		opt(c)
 	}
-	// Apply the request timeout without mutating a caller-owned client.
-	if c.timeout == 0 && c.http.Timeout == 0 {
-		c.timeout = 10 * time.Second
-	}
-	if c.timeout > 0 && c.http.Timeout != c.timeout {
+	// Bound each request (10s unless a substituted client sets its own)
+	// without mutating a caller-owned client.
+	if c.http.Timeout == 0 {
 		clone := *c.http
-		clone.Timeout = c.timeout
+		clone.Timeout = 10 * time.Second
 		c.http = &clone
 	}
 	return c, nil
@@ -200,7 +179,7 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 func (c *Client) Describe() string { return c.base.String() + SchemaPathPrefix }
 
 // Schema implements Source with caching, ETag revalidation, optional
-// retries (WithRetry) and optional stale-serve degradation (WithStaleServe).
+// retries (withRetry) and optional stale-serve degradation (withStaleServe).
 func (c *Client) Schema(ctx context.Context, name string) (*xmlschema.Schema, error) {
 	c.mu.Lock()
 	entry := c.cache[name]
@@ -216,9 +195,9 @@ func (c *Client) Schema(ctx context.Context, name string) (*xmlschema.Schema, er
 	}
 	c.mu.Unlock()
 
-	// A sampled caller (trace.NewContext) sees the whole fetch — retries and
-	// all — as one discovery.fetch child span; cache hits above record
-	// nothing.
+	// A caller whose ctx carries a sampled span sees the whole fetch —
+	// retries and all — as one discovery.fetch child span; cache hits above
+	// record nothing.
 	sp := trace.FromContext(ctx).Child("discovery.fetch")
 	var out *xmlschema.Schema
 	err := retry.Do(ctx, c.retry, func(ctx context.Context) error {

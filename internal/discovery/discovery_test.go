@@ -138,7 +138,7 @@ func TestClientCachingAndRevalidation(t *testing.T) {
 	defer srv.Close()
 
 	now := time.Unix(1000, 0)
-	c, err := NewClient(srv.URL, WithTTL(time.Minute), withClock(func() time.Time { return now }))
+	c, err := NewClient(srv.URL, withTTL(time.Minute), withClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestResolverFallback(t *testing.T) {
 	// Primary remote source is down; the compiled-in fallback must serve —
 	// the degraded mode of §3.3.
 	dead, err := NewClient("http://127.0.0.1:1",
-		WithHTTPClient(&http.Client{Timeout: 200 * time.Millisecond}))
+		withHTTPClient(&http.Client{Timeout: 200 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

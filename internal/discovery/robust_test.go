@@ -50,7 +50,7 @@ func TestClientRetriesOn5xx(t *testing.T) {
 	srv := httptest.NewServer(fr)
 	defer srv.Close()
 
-	c, err := NewClient(srv.URL, WithRetry(fastRetry(4)))
+	c, err := NewClient(srv.URL, withRetry(fastRetry(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestClientRetriesExhaustedSurfaced(t *testing.T) {
 	srv := httptest.NewServer(fr)
 	defer srv.Close()
 
-	c, err := NewClient(srv.URL, WithRetry(fastRetry(3)))
+	c, err := NewClient(srv.URL, withRetry(fastRetry(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestClientDoesNotRetryNotFound(t *testing.T) {
 	srv := httptest.NewServer(fr)
 	defer srv.Close()
 
-	c, err := NewClient(srv.URL, WithRetry(fastRetry(5)))
+	c, err := NewClient(srv.URL, withRetry(fastRetry(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestClientStaleServe(t *testing.T) {
 	reg := obsv.New()
 	now := time.Unix(1000, 0)
 	c, err := NewClient(srv.URL,
-		WithTTL(time.Minute),
-		WithRetry(fastRetry(2)),
-		WithStaleServe(time.Hour),
-		WithObserver(reg),
+		withTTL(time.Minute),
+		withRetry(fastRetry(2)),
+		withStaleServe(time.Hour),
+		withObserver(reg),
 		withClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestClientStaleServe(t *testing.T) {
 		t.Errorf("discovery.fetch_errors = %d, want >= 1", snap["discovery.fetch_errors"])
 	}
 	// The acceptance criterion: retry.attempts and discovery.stale_served
-	// are visible in the default registry openmeta.Stats() snapshots.
+	// are visible in the default registry.
 	defaultSnap := obsv.Default().Snapshot()
 	if _, ok := defaultSnap["discovery.stale_served"]; !ok {
 		t.Error("discovery.stale_served missing from the default registry snapshot")
@@ -181,9 +181,9 @@ func TestClientStaleWindowExceeded(t *testing.T) {
 
 	now := time.Unix(1000, 0)
 	c, err := NewClient(srv.URL,
-		WithTTL(time.Minute),
-		WithStaleServe(10*time.Minute),
-		WithObserver(obsv.New()),
+		withTTL(time.Minute),
+		withStaleServe(10*time.Minute),
+		withObserver(obsv.New()),
 		withClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +207,9 @@ func TestClientStaleServeUnlimitedWindow(t *testing.T) {
 	now := time.Unix(1000, 0)
 	reg := obsv.New()
 	c, err := NewClient(srv.URL,
-		WithTTL(time.Minute),
-		WithStaleServe(-1),
-		WithObserver(reg),
+		withTTL(time.Minute),
+		withStaleServe(-1),
+		withObserver(reg),
 		withClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +240,9 @@ func TestClientFaultnetTransport(t *testing.T) {
 	)
 	h := &http.Client{Transport: &faultnet.Transport{Sched: sched}}
 	c, err := NewClient(srv.URL,
-		WithHTTPClient(h),
-		WithRetry(fastRetry(4)),
-		WithObserver(obsv.New()))
+		withHTTPClient(h),
+		withRetry(fastRetry(4)),
+		withObserver(obsv.New()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestWatcherDeliversInitialAndChangedVersions(t *testing.T) {
 	repo := newRepo(t)
 	srv := httptest.NewServer(repo.Handler())
 	defer srv.Close()
-	client, err := NewClient(srv.URL, WithTTL(0)) // revalidate every poll
+	client, err := NewClient(srv.URL, withTTL(0)) // revalidate every poll
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWatcherDeliversInitialAndChangedVersions(t *testing.T) {
 func TestWatcherReportsFailuresOnce(t *testing.T) {
 	repo := newRepo(t)
 	srv := httptest.NewServer(repo.Handler())
-	client, err := NewClient(srv.URL, WithTTL(0))
+	client, err := NewClient(srv.URL, withTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 }
 
 // Package-level default instruments, created at init so the eventbus.*
-// metric names exist (zero-valued) in openmeta.Stats() from process start.
+// metric names exist (zero-valued) in the default registry from process start.
 var defaultBrokerMetrics = newBrokerMetrics(obsv.Default().Scope("eventbus"))
 
 // stream is one named stream. Its route is the one record of who gets what.
@@ -267,9 +267,9 @@ const outQueueDepth = 256
 // BrokerOption configures a Broker.
 type BrokerOption func(*Broker)
 
-// WithSlog directs broker diagnostics to l (default: slog.Default()). A
+// withSlog directs broker diagnostics to l (default: slog.Default()). A
 // component=eventbus.broker attribute is appended either way.
-func WithSlog(l *slog.Logger) BrokerOption {
+func withSlog(l *slog.Logger) BrokerOption {
 	return func(b *Broker) {
 		if l != nil {
 			b.log = l

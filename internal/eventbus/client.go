@@ -21,7 +21,7 @@ import (
 // clientRole is what tells a publisher's link from a subscriber's: the label
 // its errors and flight events carry, and its reconnect instruments on the
 // default registry — created at init so the eventbus.pub.* / eventbus.sub.*
-// names exist (zero-valued) in openmeta.Stats() from process start.
+// names exist (zero-valued) in the default registry from process start.
 type clientRole struct {
 	name         string
 	reconnects   *obsv.Counter

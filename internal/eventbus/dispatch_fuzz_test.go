@@ -170,7 +170,7 @@ func FuzzDispatch(f *testing.F) {
 		peer := peerFrames(t, data, formats)
 
 		ln := newPipeListener()
-		b := NewBroker(ln, WithSlog(quietLogger), WithObserver(obsv.New()))
+		b := NewBroker(ln, withSlog(quietLogger), WithObserver(obsv.New()))
 		defer b.Close()
 		dial := WithDialFunc(ln.dial)
 		var subs []*Subscriber

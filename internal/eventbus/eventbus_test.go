@@ -21,7 +21,7 @@ var quietLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 func newBroker(t *testing.T) *Broker {
 	t.Helper()
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestEventDataIsOwned(t *testing.T) {
 	const held = 2000
 	// A queue that holds every record, so that none is dropped however far
 	// the subscriber falls behind.
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithQueueDepth(held+8))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithQueueDepth(held+8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func chronological(evs []flight.Event) []flight.Event {
 // the records the subscriber reads, not in the ring.
 func TestFlightRecordsReconnectSequence(t *testing.T) {
 	rec := flight.New(512)
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithFlightRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 // conn_open outlives them even in a small ring.
 func TestFlightRecordsNoTraffic(t *testing.T) {
 	rec := flight.New(256)
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithFlightRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFlightRecordsNoTraffic(t *testing.T) {
 // labeled wire.* families, whose children are bounded.
 func TestAnnouncedStreamsAddNoRegistryKeys(t *testing.T) {
 	reg := obsv.New()
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(reg))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestAnnouncedStreamsAddNoRegistryKeys(t *testing.T) {
 // empty conn_close a clean disconnect leaves.
 func TestBrokerRecordsCutAfterHeader(t *testing.T) {
 	rec := flight.New(64)
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithFlightRecorder(rec))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithFlightRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestBrokerRecordsCutAfterHeader(t *testing.T) {
 // metadata bytes must land under {stream, format} children.
 func TestBrokerWireAccounting(t *testing.T) {
 	reg := obsv.New()
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(reg))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

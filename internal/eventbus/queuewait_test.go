@@ -20,7 +20,7 @@ func TestQueueWaitObservability(t *testing.T) {
 	tr.SetSampling(1)
 	reg := obsv.New()
 
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr), WithObserver(reg))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr), WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -423,7 +423,7 @@ func TestPublisherNoReconnectStaysDown(t *testing.T) {
 // TestBrokerWriteDeadlineOption exercises the new option end to end: a
 // broker with a short flush deadline still delivers cleanly.
 func TestBrokerWriteDeadlineOption(t *testing.T) {
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithWriteDeadline(50*time.Millisecond))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithWriteDeadline(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

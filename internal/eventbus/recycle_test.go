@@ -88,7 +88,7 @@ func TestPoisonedSparesDeliverIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := new(gates)
-	b := NewBroker(&firstGated{Listener: ln, g: g}, WithSlog(quietLogger), WithObserver(obsv.New()), WithTracer(tr), WithQueueDepth(16))
+	b := NewBroker(&firstGated{Listener: ln, g: g}, withSlog(quietLogger), WithObserver(obsv.New()), WithTracer(tr), WithQueueDepth(16))
 	defer b.Close()
 	addr := b.Addr().String()
 	const stream = "poison"

@@ -25,7 +25,7 @@ type routeRig struct {
 
 func newRouteRig(t *testing.T, opts ...BrokerOption) *routeRig {
 	t.Helper()
-	b, err := Listen("127.0.0.1:0", append([]BrokerOption{WithSlog(quietLogger), WithObserver(obsv.New())}, opts...)...)
+	b, err := Listen("127.0.0.1:0", append([]BrokerOption{withSlog(quietLogger), WithObserver(obsv.New())}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func permutation(fields []string, i int) []string {
 // A plain and a scoped subscriber of the stream get every record, in order.
 func TestRouteSwapsRacePublishes(t *testing.T) {
 	const records = 400
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(obsv.New()), WithQueueDepth(2*records))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithObserver(obsv.New()), WithQueueDepth(2*records))
 	if err != nil {
 		t.Fatal(err)
 	}

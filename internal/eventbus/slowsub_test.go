@@ -117,7 +117,7 @@ func TestSlowSubscriberDoesNotStallBus(t *testing.T) {
 // against its stream and format in wire.dropped.records.
 func TestDroppedCountSurvivesDisconnect(t *testing.T) {
 	reg := obsv.New()
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(reg))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDroppedCountSurvivesDisconnect(t *testing.T) {
 // so its socket is closed rather than flushed.
 func TestStalledSubscriberDropKeepsRouting(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithObserver(obsv.New()), WithQueueDepth(4))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithObserver(obsv.New()), WithQueueDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}

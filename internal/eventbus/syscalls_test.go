@@ -74,7 +74,7 @@ func countedBroker(t *testing.T, opts ...BrokerOption) (*Broker, *testutil.Count
 	}
 	cl, g := testutil.CountListener(ln), new(gates)
 	// Counters of its own: the tests wait on Stats.
-	opts = append([]BrokerOption{WithSlog(quietLogger), WithObserver(obsv.New())}, opts...)
+	opts = append([]BrokerOption{withSlog(quietLogger), WithObserver(obsv.New())}, opts...)
 	b := NewBroker(gatedListener{cl, g}, opts...)
 	t.Cleanup(func() { _ = b.Close() })
 	return b, cl, g

@@ -22,7 +22,7 @@ func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, 
 	tr := trace.NewTracer(1024)
 	tr.SetSampling(1)
 
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1 << 30) // enabled, but effectively never samples
 
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 func TestTraceUntracedClientsAgainstTracingBroker(t *testing.T) {
 	tr := trace.NewTracer(64)
 	tr.SetSampling(1)
-	b, err := Listen("127.0.0.1:0", WithSlog(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

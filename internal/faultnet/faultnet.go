@@ -1,15 +1,12 @@
 // Package faultnet is a deterministic fault-injection harness for the
-// repo's network layers. It wraps net.Conn, net.Listener and
-// http.RoundTripper so tests can subject the discovery client and the event
-// backbone to the failure modes real links exhibit — added latency, partial
-// writes, short reads, connection resets, and connections that die after N
-// more bytes — from a seeded, reproducible schedule. The same seed always
-// yields the same fault sequence, so a failure seen in CI replays exactly on
-// a laptop.
+// repo's network layers. It wraps net.Conn and http.RoundTripper so tests
+// can subject the discovery client and the event backbone to the failure
+// modes real links exhibit — added latency, partial writes, short reads,
+// connection resets, and connections that die after N more bytes — from a
+// scripted schedule, so a failure seen in CI replays exactly on a laptop.
 //
 // A Schedule is a queue of Faults consumed one per I/O operation (or HTTP
-// round trip). Build one explicitly with NewSchedule for scripted scenarios,
-// or pseudo-randomly with Generate(seed, n, profile) for soak-style tests.
+// round trip). Build one with NewSchedule.
 package faultnet
 
 import (
@@ -133,10 +130,10 @@ func (s *Schedule) next() Fault {
 	return f
 }
 
-// Profile weights Generate's pseudo-random fault mix. Probabilities are
+// profile weights generate's pseudo-random fault mix. Probabilities are
 // per-operation and the remainder passes through cleanly; they are
 // normalized if they sum past 1.
-type Profile struct {
+type profile struct {
 	PLatency, PShortRead, PPartialWrite, PReset, PDropAfter float64
 	// MaxDelay bounds injected latency (default 5ms).
 	MaxDelay time.Duration
@@ -145,10 +142,10 @@ type Profile struct {
 	MaxBytes int
 }
 
-// DefaultProfile is a mildly hostile network: mostly clean operations with
+// defaultProfile is a mildly hostile network: mostly clean operations with
 // occasional latency, truncation and the odd reset.
-func DefaultProfile() Profile {
-	return Profile{
+func defaultProfile() profile {
+	return profile{
 		PLatency:      0.10,
 		PShortRead:    0.10,
 		PPartialWrite: 0.05,
@@ -159,10 +156,10 @@ func DefaultProfile() Profile {
 	}
 }
 
-// Generate produces n faults pseudo-randomly from seed under the profile.
+// generate produces n faults pseudo-randomly from seed under the profile.
 // The sequence is a pure function of (seed, n, profile): the determinism
 // the ISSUE's property test asserts.
-func Generate(seed int64, n int, p Profile) []Fault {
+func generate(seed int64, n int, p profile) []Fault {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 5 * time.Millisecond
 	}
@@ -358,20 +355,20 @@ func (c *Conn) Broken() bool {
 	return c.broken
 }
 
-// Listener wraps a net.Listener so every accepted connection shares (and
+// listener wraps a net.Listener so every accepted connection shares (and
 // consumes from) one schedule.
-type Listener struct {
+type listener struct {
 	net.Listener
 	sched *Schedule
 }
 
-// WrapListener attaches the schedule to ln.
-func WrapListener(ln net.Listener, s *Schedule) *Listener {
-	return &Listener{Listener: ln, sched: s}
+// wrapListener attaches the schedule to ln.
+func wrapListener(ln net.Listener, s *Schedule) *listener {
+	return &listener{Listener: ln, sched: s}
 }
 
 // Accept wraps each accepted connection.
-func (l *Listener) Accept() (net.Conn, error) {
+func (l *listener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err

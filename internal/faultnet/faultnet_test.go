@@ -128,10 +128,10 @@ func TestScheduleExhaustionAndLoop(t *testing.T) {
 // TestGenerateDeterministic is the ISSUE's property test: the same seed
 // yields byte-identical fault sequences; different seeds diverge.
 func TestGenerateDeterministic(t *testing.T) {
-	p := DefaultProfile()
+	p := defaultProfile()
 	for _, seed := range []int64{1, 42, -7, 1 << 40} {
-		a := Generate(seed, 500, p)
-		b := Generate(seed, 500, p)
+		a := generate(seed, 500, p)
+		b := generate(seed, 500, p)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: lengths differ", seed)
 		}
@@ -141,8 +141,8 @@ func TestGenerateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	a := Generate(1, 500, p)
-	c := Generate(2, 500, p)
+	a := generate(1, 500, p)
+	c := generate(2, 500, p)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -156,14 +156,14 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateRespectsProfileBounds(t *testing.T) {
-	p := Profile{PReset: 1} // all resets
-	for _, f := range Generate(3, 100, p) {
+	p := profile{PReset: 1} // all resets
+	for _, f := range generate(3, 100, p) {
 		if f.Kind != Reset {
 			t.Fatalf("all-reset profile produced %v", f.Kind)
 		}
 	}
-	p = Profile{PLatency: 1, MaxDelay: time.Millisecond}
-	for _, f := range Generate(3, 100, p) {
+	p = profile{PLatency: 1, MaxDelay: time.Millisecond}
+	for _, f := range generate(3, 100, p) {
 		if f.Kind != Latency || f.Delay <= 0 || f.Delay > time.Millisecond {
 			t.Fatalf("latency profile produced %+v", f)
 		}
@@ -175,7 +175,7 @@ func TestWrapListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := WrapListener(ln, NewSchedule(Fault{Kind: Reset}))
+	fl := wrapListener(ln, NewSchedule(Fault{Kind: Reset}))
 	defer fl.Close()
 	done := make(chan error, 1)
 	go func() {

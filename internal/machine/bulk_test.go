@@ -24,12 +24,12 @@ func TestIntKernelsMatchScalarHelpers(t *testing.T) {
 		for _, size := range []int{1, 2, 4, 8} {
 			want := make([]byte, len(signed)*size)
 			for i, v := range signed {
-				PutUint(want[i*size:], order, size, TruncInt(v, size))
+				PutUint(want[i*size:], order, size, truncInt(v, size))
 			}
 			got := make([]byte, len(want))
 			PutInts(got, order, size, signed)
 			if !bytes.Equal(got, want) {
-				t.Errorf("PutInts[int64] %v/%d differs from PutUint∘TruncInt", order, size)
+				t.Errorf("PutInts[int64] %v/%d differs from PutUint∘truncInt", order, size)
 			}
 			back := make([]int64, len(signed))
 			Ints(back, got, order, size)
@@ -67,12 +67,12 @@ func TestFloatKernelsMatchScalarHelpers(t *testing.T) {
 		for _, size := range []int{4, 8} {
 			want := make([]byte, len(vals)*size)
 			for i, v := range vals {
-				PutFloat(want[i*size:], order, size, v)
+				putFloat(want[i*size:], order, size, v)
 			}
 			got := make([]byte, len(want))
 			PutFloats(got, order, size, vals)
 			if !bytes.Equal(got, want) {
-				t.Errorf("PutFloats %v/%d differs from PutFloat", order, size)
+				t.Errorf("PutFloats %v/%d differs from putFloat", order, size)
 			}
 			back := make([]float64, len(vals))
 			Floats(back, got, order, size)
@@ -116,7 +116,7 @@ func TestResizeKernelsMatchScalarHelpers(t *testing.T) {
 						for i := 0; i < n; i++ {
 							raw := Uint(src[i*ss:], so, ss)
 							if signed {
-								raw = TruncInt(SignExtend(raw, ss), ds)
+								raw = truncInt(SignExtend(raw, ss), ds)
 							}
 							PutUint(want[i*ds:], do, ds, raw)
 						}
@@ -138,7 +138,7 @@ func TestResizeKernelsMatchScalarHelpers(t *testing.T) {
 				for _, ds := range []int{4, 8} {
 					want := make([]byte, n*ds)
 					for i := 0; i < n; i++ {
-						PutFloat(want[i*ds:], do, ds, Float(src[i*ss:], so, ss))
+						putFloat(want[i*ds:], do, ds, Float(src[i*ss:], so, ss))
 					}
 					got := make([]byte, n*ds)
 					ResizeFloats(got, do, ds, src, so, ss)
@@ -200,7 +200,7 @@ func BenchmarkKernels(b *testing.B) {
 			}
 			run("PutFloats", func() { PutFloats(buf, order, size, floats) }, func() {
 				for i, v := range floats {
-					PutFloat(buf[i*size:], order, size, v)
+					putFloat(buf[i*size:], order, size, v)
 				}
 			})
 			run("Floats", func() { Floats(floats, buf, order, size) }, func() {
@@ -210,7 +210,7 @@ func BenchmarkKernels(b *testing.B) {
 			})
 			run("PutInts", func() { PutInts(buf, order, size, ints) }, func() {
 				for i, v := range ints {
-					PutUint(buf[i*size:], order, size, TruncInt(v, size))
+					PutUint(buf[i*size:], order, size, truncInt(v, size))
 				}
 			})
 			run("Ints", func() { Ints(ints, buf, order, size) }, func() {

@@ -70,10 +70,10 @@ func SignExtend(v uint64, size int) int64 {
 	return int64(v<<shift) >> shift
 }
 
-// TruncInt returns the low `size` bytes of the two's-complement
+// truncInt returns the low `size` bytes of the two's-complement
 // representation of v, as an unsigned value suitable for PutUint. Values out
 // of range wrap, matching C integer conversion semantics.
-func TruncInt(v int64, size int) uint64 {
+func truncInt(v int64, size int) uint64 {
 	if size >= 8 {
 		return uint64(v)
 	}
@@ -81,16 +81,16 @@ func TruncInt(v int64, size int) uint64 {
 	return uint64(v) & mask
 }
 
-// PutFloat stores a floating-point value of the given size (4 or 8 bytes) in
+// putFloat stores a floating-point value of the given size (4 or 8 bytes) in
 // IEEE 754 format. 4-byte stores convert through float32.
-func PutFloat(b []byte, order ByteOrder, size int, v float64) {
+func putFloat(b []byte, order ByteOrder, size int, v float64) {
 	switch size {
 	case 4:
 		PutUint(b, order, 4, uint64(math.Float32bits(float32(v))))
 	case 8:
 		PutUint(b, order, 8, math.Float64bits(v))
 	default:
-		panic("machine: PutFloat size must be 4 or 8")
+		panic("machine: putFloat size must be 4 or 8")
 	}
 }
 

@@ -107,8 +107,8 @@ func TestTruncInt(t *testing.T) {
 		{42, 4, 42},
 	}
 	for _, tt := range tests {
-		if got := TruncInt(tt.v, tt.size); got != tt.want {
-			t.Errorf("TruncInt(%d, %d) = %#x, want %#x", tt.v, tt.size, got, tt.want)
+		if got := truncInt(tt.v, tt.size); got != tt.want {
+			t.Errorf("truncInt(%d, %d) = %#x, want %#x", tt.v, tt.size, got, tt.want)
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestSignRoundTripProperty(t *testing.T) {
 		sizes := []int{1, 2, 4, 8}
 		size := sizes[int(sizeSel)%4]
 		// Clamp v into range for the size, then round-trip.
-		tr := TruncInt(v, size)
+		tr := truncInt(v, size)
 		got := SignExtend(tr, size)
 		want := v
 		if size < 8 {
@@ -138,11 +138,11 @@ func TestFloatRoundTrip(t *testing.T) {
 	for _, order := range []ByteOrder{LittleEndian, BigEndian} {
 		for _, v := range values {
 			var b [8]byte
-			PutFloat(b[:], order, 8, v)
+			putFloat(b[:], order, 8, v)
 			if got := Float(b[:], order, 8); got != v {
 				t.Errorf("double %s round trip: %v != %v", order, got, v)
 			}
-			PutFloat(b[:], order, 4, v)
+			putFloat(b[:], order, 4, v)
 			want := float64(float32(v))
 			if got := Float(b[:], order, 4); got != want {
 				t.Errorf("float %s round trip: %v != %v", order, got, want)
@@ -153,7 +153,7 @@ func TestFloatRoundTrip(t *testing.T) {
 
 func TestFloatNaN(t *testing.T) {
 	var b [8]byte
-	PutFloat(b[:], BigEndian, 8, math.NaN())
+	putFloat(b[:], BigEndian, 8, math.NaN())
 	if !math.IsNaN(Float(b[:], BigEndian, 8)) {
 		t.Error("NaN did not round trip")
 	}
@@ -162,11 +162,11 @@ func TestFloatNaN(t *testing.T) {
 func TestPutFloatPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("PutFloat with size 2 should panic")
+			t.Error("putFloat with size 2 should panic")
 		}
 	}()
 	var b [8]byte
-	PutFloat(b[:], BigEndian, 2, 1)
+	putFloat(b[:], BigEndian, 2, 1)
 }
 
 func TestFloatPanicsOnBadSize(t *testing.T) {

@@ -62,12 +62,12 @@ type Layout struct {
 // forbids empty structs and an empty message format is always a caller bug.
 var ErrEmptyRecord = errors.New("machine: record has no members")
 
-// LayOut computes the C layout of a record with the given members on
+// layOut computes the C layout of a record with the given members on
 // architecture a, applying the conventional algorithm: each field is placed
 // at the next offset aligned to the field's alignment; the record's own
 // alignment is the maximum field alignment; the total size is padded up to a
 // multiple of the record alignment (so arrays of the record tile correctly).
-func LayOut(a *Arch, members []Member) (*Layout, error) {
+func layOut(a *Arch, members []Member) (*Layout, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func asdOffMembers() []Member {
 
 func TestLayoutStructureA32(t *testing.T) {
 	// On a 32-bit ILP32 arch everything is 4 bytes: no padding at all.
-	l, err := LayOut(X86, asdOffMembers())
+	l, err := layOut(X86, asdOffMembers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestLayoutStructureA32(t *testing.T) {
 func TestLayoutStructureA64(t *testing.T) {
 	// On LP64: pointers 8, int 4, unsigned long 8. fltNum at 16, then 4 bytes
 	// of padding before the next pointer.
-	l, err := LayOut(X86_64, asdOffMembers())
+	l, err := layOut(X86_64, asdOffMembers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLayoutStructureA64(t *testing.T) {
 
 func TestLayoutPaddingBeforeDouble(t *testing.T) {
 	// struct { char c; double d; } — the classic padding case.
-	l, err := LayOut(X86_64, []Member{
+	l, err := layOut(X86_64, []Member{
 		{Name: "c", Type: CChar},
 		{Name: "d", Type: CDouble},
 	})
@@ -75,7 +75,7 @@ func TestLayoutPaddingBeforeDouble(t *testing.T) {
 		t.Errorf("size = %d, want 16", l.Size)
 	}
 	// On i386 the double aligns to 4.
-	l32, err := LayOut(X86, []Member{
+	l32, err := layOut(X86, []Member{
 		{Name: "c", Type: CChar},
 		{Name: "d", Type: CDouble},
 	})
@@ -92,7 +92,7 @@ func TestLayoutPaddingBeforeDouble(t *testing.T) {
 
 func TestLayoutTailPadding(t *testing.T) {
 	// struct { double d; char c; } must pad the tail so arrays tile.
-	l, err := LayOut(X86_64, []Member{
+	l, err := layOut(X86_64, []Member{
 		{Name: "d", Type: CDouble},
 		{Name: "c", Type: CChar},
 	})
@@ -106,7 +106,7 @@ func TestLayoutTailPadding(t *testing.T) {
 
 func TestLayoutStaticArray(t *testing.T) {
 	// unsigned long off[5] from Structure B.
-	l, err := LayOut(X86, []Member{
+	l, err := layOut(X86, []Member{
 		{Name: "off", Type: CULong, Count: 5},
 		{Name: "tail", Type: CChar},
 	})
@@ -122,7 +122,7 @@ func TestLayoutStaticArray(t *testing.T) {
 }
 
 func TestLayoutNestedRecord(t *testing.T) {
-	inner, err := LayOut(X86_64, []Member{
+	inner, err := layOut(X86_64, []Member{
 		{Name: "x", Type: CInt},
 		{Name: "y", Type: CDouble},
 	})
@@ -132,7 +132,7 @@ func TestLayoutNestedRecord(t *testing.T) {
 	if inner.Size != 16 {
 		t.Fatalf("inner size = %d, want 16", inner.Size)
 	}
-	outer, err := LayOut(X86_64, []Member{
+	outer, err := layOut(X86_64, []Member{
 		{Name: "tag", Type: CChar},
 		{Name: "in", Record: inner},
 		{Name: "z", Type: CChar},
@@ -153,41 +153,41 @@ func TestLayoutNestedRecord(t *testing.T) {
 }
 
 func TestLayoutNestedArchMismatch(t *testing.T) {
-	inner, err := LayOut(X86, []Member{{Name: "x", Type: CInt}})
+	inner, err := layOut(X86, []Member{{Name: "x", Type: CInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = LayOut(X86_64, []Member{{Name: "in", Record: inner}})
+	_, err = layOut(X86_64, []Member{{Name: "in", Record: inner}})
 	if err == nil {
 		t.Fatal("nested layout from a different arch should be rejected")
 	}
 }
 
 func TestLayoutErrors(t *testing.T) {
-	if _, err := LayOut(X86_64, nil); !errors.Is(err, ErrEmptyRecord) {
+	if _, err := layOut(X86_64, nil); !errors.Is(err, ErrEmptyRecord) {
 		t.Errorf("empty record err = %v, want ErrEmptyRecord", err)
 	}
-	if _, err := LayOut(X86_64, []Member{{Name: "bad"}}); err == nil {
+	if _, err := layOut(X86_64, []Member{{Name: "bad"}}); err == nil {
 		t.Error("member with no type: want error")
 	}
-	if _, err := LayOut(X86_64, []Member{{Name: "bad", Type: CInt, Count: -1}}); err == nil {
+	if _, err := layOut(X86_64, []Member{{Name: "bad", Type: CInt, Count: -1}}); err == nil {
 		t.Error("negative count: want error")
 	}
-	if _, err := LayOut(X86_64, []Member{{Name: "bad", Type: CType(99)}}); err == nil {
+	if _, err := layOut(X86_64, []Member{{Name: "bad", Type: CType(99)}}); err == nil {
 		t.Error("unknown CType: want error")
 	}
-	inner, _ := LayOut(X86_64, []Member{{Name: "x", Type: CInt}})
-	if _, err := LayOut(X86_64, []Member{{Name: "bad", Type: CInt, Record: inner}}); err == nil {
+	inner, _ := layOut(X86_64, []Member{{Name: "x", Type: CInt}})
+	if _, err := layOut(X86_64, []Member{{Name: "bad", Type: CInt, Record: inner}}); err == nil {
 		t.Error("both Type and Record set: want error")
 	}
 	bad := &Arch{Name: "bad"}
-	if _, err := LayOut(bad, []Member{{Name: "x", Type: CInt}}); err == nil {
+	if _, err := layOut(bad, []Member{{Name: "x", Type: CInt}}); err == nil {
 		t.Error("invalid arch: want error")
 	}
 }
 
 func TestFieldByName(t *testing.T) {
-	l, err := LayOut(X86_64, asdOffMembers())
+	l, err := layOut(X86_64, asdOffMembers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestLayoutInvariantsProperty(t *testing.T) {
 				Count: rng.Intn(4), // 0..3
 			}
 		}
-		l, err := LayOut(arch, members)
+		l, err := layOut(arch, members)
 		if err != nil {
 			return false
 		}

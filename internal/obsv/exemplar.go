@@ -34,9 +34,6 @@ func init() { exemplarsEnabled.Store(true) }
 // counts are updated.
 func SetExemplars(on bool) { exemplarsEnabled.Store(on) }
 
-// ExemplarsEnabled reports whether exemplar capture is on.
-func ExemplarsEnabled() bool { return exemplarsEnabled.Load() }
-
 // exemplarSlot is one bucket's seqlocked exemplar: an odd seq means a write
 // is in flight, and seq==0 means the slot has never been written. The TraceID
 // is split across two words so the whole record stays plain atomics.

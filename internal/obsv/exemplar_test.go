@@ -56,9 +56,6 @@ func TestObserveExemplarZeroTraceIDAndDisabled(t *testing.T) {
 		t.Fatalf("zero TraceID recorded an exemplar: %+v", ex)
 	}
 	SetExemplars(false)
-	if ExemplarsEnabled() {
-		t.Fatal("ExemplarsEnabled() after SetExemplars(false)")
-	}
 	h.ObserveExemplar(100, testTraceID(1))
 	if ex := h.Exemplars(); ex != nil {
 		t.Fatalf("disabled capture recorded an exemplar: %+v", ex)

@@ -12,7 +12,7 @@ import (
 )
 
 // DebugEndpoint is an extra handler mounted onto DebugMux alongside the
-// built-in endpoints — how the facade and the daemons attach /debug/trace
+// built-in endpoints — how the daemons attach /debug/trace
 // without obsv importing the trace package. Desc is the one-line description
 // shown on the /debug index page.
 type DebugEndpoint struct {

@@ -336,7 +336,7 @@ func TestSnapshotIncludesP95(t *testing.T) {
 	snap := r.Snapshot()
 	for _, k := range []string{"lat.p50", "lat.p95", "lat.p99"} {
 		if _, ok := snap[k]; !ok {
-			t.Fatalf("snapshot missing %s: %v", k, Names(snap))
+			t.Fatalf("snapshot missing %s: %v", k, snap)
 		}
 	}
 	if snap["lat.p50"] > snap["lat.p95"] || snap["lat.p95"] > snap["lat.p99"] {

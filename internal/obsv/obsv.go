@@ -6,8 +6,8 @@
 // registration ≈ 2x native PBIO, NDR ≫ XML-text per message), so the hot
 // layers — pbio registration and codec paths, dcg plan compilation and
 // caching, the event backbone, and metadata discovery — expose their costs
-// here as named instruments. openmeta.Stats() snapshots the default
-// registry, and DebugMux serves it over HTTP next to net/http/pprof so every
+// here as named instruments. Default().Snapshot() reads the default
+// registry in process, and DebugMux serves it over HTTP next to net/http/pprof so every
 // later performance PR can prove its win against live counters.
 //
 // Hot-path contract: Counter.Add, Gauge.Set and Histogram.Observe perform no
@@ -22,7 +22,6 @@ import (
 	"maps"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -284,7 +283,7 @@ func (r *Registry) SetMaxLabelChildren(n int) {
 
 var defaultRegistry = New()
 
-// Default returns the process-wide registry that openmeta.Stats() snapshots
+// Default returns the process-wide registry that DebugMux serves on /metrics
 // and that components use unless given a registry of their own.
 func Default() *Registry { return defaultRegistry }
 
@@ -435,17 +434,6 @@ func expandHistogram(out map[string]int64, name string, h *Histogram) {
 	out[name+".p50"] = v.Quantile(0.50)
 	out[name+".p95"] = v.Quantile(0.95)
 	out[name+".p99"] = v.Quantile(0.99)
-}
-
-// Names returns the sorted instrument names of a snapshot — a convenience
-// for stable diagnostic output.
-func Names(snap map[string]int64) []string {
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Delta returns after-minus-before for every key in after. Keys missing from

@@ -27,7 +27,7 @@ func TestVecCardinalityClamp(t *testing.T) {
 		}
 	}
 	if distinct != 3 {
-		t.Fatalf("distinct children = %d, want 3 (clamped)\nsnapshot: %v", distinct, Names(snap))
+		t.Fatalf("distinct children = %d, want 3 (clamped)\nsnapshot: %v", distinct, snap)
 	}
 	over := snap[`eventbus.wire.records{stream="overflow"}`]
 	if over != 7 {

@@ -362,7 +362,7 @@ func TestDecodeErrors(t *testing.T) {
 	t.Run("negative dynamic count", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		cf, _ := f.FieldByName("eta_count")
-		machine.PutUint(bad[cf.Offset:], machine.LittleEndian, 4, machine.TruncInt(-5, 4))
+		machine.PutUint(bad[cf.Offset:], machine.LittleEndian, 4, 0xfffffffb) // -5 in 4 bytes
 		if _, err := f.Decode(bad); !errors.Is(err, ErrCountMismatch) {
 			t.Errorf("err = %v", err)
 		}

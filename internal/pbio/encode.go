@@ -20,7 +20,6 @@ type Record map[string]interface{}
 
 // Encoding errors.
 var (
-	ErrMissingField  = errors.New("pbio: record missing field")
 	ErrBadValue      = errors.New("pbio: value has wrong type for field")
 	ErrBadCount      = errors.New("pbio: array length does not match count field")
 	ErrRecordTooBig  = errors.New("pbio: encoded record exceeds size limit")

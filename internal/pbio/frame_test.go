@@ -31,6 +31,10 @@ var frameLimits = []struct {
 // smallest, where every frame is larger than the buffer and bypasses it — over
 // readers that split the stream every way a socket can: a byte at a time,
 // half of what is asked for, and the last bytes arriving with the error.
+// Each bufio source resets one reader of its own for every stream it wraps,
+// so a source serves one stream at a time: the fuzzer runs every source on
+// every input, and a fresh buffer per stream was most of what a run
+// allocated.
 var frameSources = func() []frameSource {
 	sources := []frameSource{{"direct", func(r io.Reader) io.Reader { return r }, false}}
 	splits := []struct {
@@ -44,9 +48,10 @@ var frameSources = func() []frameSource {
 	}
 	for _, size := range []int{16, 16 << 10} {
 		for _, split := range splits {
+			br := bufio.NewReaderSize(nil, size)
 			sources = append(sources, frameSource{
 				fmt.Sprintf("bufio%d/%s", size, split.name),
-				func(r io.Reader) io.Reader { return bufio.NewReaderSize(split.wrap(r), size) },
+				func(r io.Reader) io.Reader { br.Reset(split.wrap(r)); return br },
 				split.name == "onebyte",
 			})
 		}
@@ -69,14 +74,15 @@ type frameSource struct {
 // a whole frame, header included; held is the memory the reader keeps for
 // itself, which must stay within bound of an input of n bytes: a length
 // field buys no memory. A reader that keeps its frames must find every one
-// unchanged at the end.
+// unchanged at the end; done then gives back every reference the reader and
+// its caller hold, so the chunks go back to the list for the next stream.
 var frameReaders = []struct {
 	name  string
-	open  func(r io.Reader, limit int) (next func() ([]byte, error), held func() int)
+	open  func(r io.Reader, limit int) (next func() ([]byte, error), held func() int, done func())
 	bound func(n int) int
 	keeps bool
 }{
-	{"ReadFrame", func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
+	{"ReadFrame", func(r io.Reader, limit int) (func() ([]byte, error), func() int, func()) {
 		var buf []byte
 		return func() ([]byte, error) {
 				_, _, newBuf, err := ReadFrame(r, buf, limit)
@@ -85,7 +91,8 @@ var frameReaders = []struct {
 				}
 				return buf, nil // the whole frame: its payload is buf[FrameHeaderLen:]
 			},
-			func() int { return cap(buf) }
+			func() int { return cap(buf) },
+			func() {}
 	}, func(n int) int { return 2 * (n + FrameChunk) }, false},
 	// The chunk is held, and the frames copied out of it were the input's.
 	{"FrameReader", chunkReader(nil, false), func(n int) int { return n + FrameChunk }, true},
@@ -95,28 +102,37 @@ var frameReaders = []struct {
 
 // poisonedSpares is a spare list that overwrites each chunk put back on it.
 var poisonedSpares = NewSpares(2, func(chunk []byte) {
-	for i := range chunk {
-		chunk[i] = 0xA5
+	chunk[0] = 0xA5
+	for n := 1; n < len(chunk); n *= 2 {
+		copy(chunk[n:], chunk[:n])
 	}
 })
 
 // chunkReader opens a FrameReader over spares, whose frames' chunks are
 // retained when keep is set.
-func chunkReader(spares *Spares, keep bool) func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
-	return func(r io.Reader, limit int) (func() ([]byte, error), func() int) {
+func chunkReader(spares *Spares, keep bool) func(r io.Reader, limit int) (func() ([]byte, error), func() int, func()) {
+	return func(r io.Reader, limit int) (func() ([]byte, error), func() int, func()) {
 		fr := NewFrameReader(r, limit, spares)
 		copied := 0
+		var kept []*Chunk
 		return func() ([]byte, error) {
 				frame, c, err := fr.Next()
 				if len(frame) > fr.sliced {
 					copied += cap(frame)
 				}
-				if keep {
+				if keep && c != nil {
 					c.Retain()
+					kept = append(kept, c)
 				}
 				return frame, err
 			},
-			func() int { return cap(fr.chunk) + copied }
+			func() int { return cap(fr.chunk) + copied },
+			func() {
+				for _, c := range kept {
+					c.Release()
+				}
+				fr.Release()
+			}
 	}
 }
 
@@ -137,7 +153,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, src := range frameSources {
 		t.Run(src.name, func(t *testing.T) {
 			for _, rd := range frameReaders {
-				next, _ := rd.open(src.wrap(bytes.NewReader(stream)), MaxFrameSize)
+				next, _, _ := rd.open(src.wrap(bytes.NewReader(stream)), MaxFrameSize)
 				for i, want := range payloads {
 					frame, err := next()
 					if err != nil {
@@ -167,7 +183,7 @@ func TestHeaderOnlyAllocatesLittle(t *testing.T) {
 			hdr := header(tc.limit)
 			for _, src := range frameSources {
 				for _, rd := range frameReaders {
-					next, _ := rd.open(src.wrap(bytes.NewReader(hdr)), tc.limit) // a source's own buffer is not the reader's doing
+					next, _, _ := rd.open(src.wrap(bytes.NewReader(hdr)), tc.limit) // a source's own buffer is not the reader's doing
 					var before, after runtime.MemStats
 					runtime.ReadMemStats(&before)
 					_, err := next()
@@ -181,7 +197,7 @@ func TestHeaderOnlyAllocatesLittle(t *testing.T) {
 				}
 			}
 			for _, rd := range frameReaders {
-				next, _ := rd.open(bytes.NewReader(header(tc.limit+1)), tc.limit)
+				next, _, _ := rd.open(bytes.NewReader(header(tc.limit+1)), tc.limit)
 				if _, err := next(); !errors.Is(err, ErrFrameTooBig) {
 					t.Errorf("%s: claim one over the limit: err = %v, want ErrFrameTooBig", rd.name, err)
 				}
@@ -250,7 +266,7 @@ func checkFrameStream(t *testing.T, data []byte, bus, oneByte bool) {
 		}
 		for _, rd := range frameReaders {
 			name := src.name + "/" + rd.name
-			next, held := rd.open(src.wrap(bytes.NewReader(data)), limit)
+			next, held, done := rd.open(src.wrap(bytes.NewReader(data)), limit)
 			var story []byte
 			var frames [][]byte
 			off := 0
@@ -278,19 +294,19 @@ func checkFrameStream(t *testing.T, data []byte, bus, oneByte bool) {
 			} else if string(story) != direct {
 				t.Fatalf("%s read %q, the direct read %q", name, story, direct)
 			}
-			if !rd.keeps {
-				continue
-			}
-			off = 0
-			for i, frame := range frames {
-				if !bytes.Equal(frame, data[off:off+len(frame)]) {
-					t.Fatalf("%s: frame %d changed after it was handed out", name, i)
+			if rd.keeps {
+				off = 0
+				for i, frame := range frames {
+					if !bytes.Equal(frame, data[off:off+len(frame)]) {
+						t.Fatalf("%s: frame %d changed after it was handed out", name, i)
+					}
+					if cap(frame) != len(frame) {
+						t.Fatalf("%s: frame %d has %d bytes of room behind it: an append would write into the reader's chunk", name, i, cap(frame)-len(frame))
+					}
+					off += len(frame)
 				}
-				if cap(frame) != len(frame) {
-					t.Fatalf("%s: frame %d has %d bytes of room behind it: an append would write into the reader's chunk", name, i, cap(frame)-len(frame))
-				}
-				off += len(frame)
 			}
+			done()
 		}
 	}
 }

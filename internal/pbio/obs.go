@@ -86,8 +86,8 @@ func contextMetrics(r *obsv.Registry) obsMetrics {
 }
 
 // Package-level instruments on the default registry. Created at init so the
-// metric names are present (zero-valued) in openmeta.Stats() from process
-// start, and shared by every Context that does not bring its own registry.
+// metric names are present (zero-valued) in the default registry from
+// process start, and shared by every Context that does not bring its own registry.
 var (
 	defaultMetrics = contextMetrics(obsv.Default())
 

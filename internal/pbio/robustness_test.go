@@ -220,7 +220,7 @@ func TestHostileDynamicArraySameVerdict(t *testing.T) {
 		damage func(rec []byte)
 		want   error
 	}{
-		{"negative count", false, put(count.Offset, 4, machine.TruncInt(-5, 4)), ErrCountMismatch},
+		{"negative count", false, put(count.Offset, 4, 0xfffffffb) /* -5 in 4 bytes */, ErrCountMismatch},
 		{"count x size past the record", false, put(count.Offset, 4, 1<<28), ErrBadReference},
 		{"nil pointer with non-zero count", false, put(slot.Offset, 4, 0), ErrCountMismatch},
 		{"reference at len(data)", false, put(slot.Offset, 4, uint64(len(good))), ErrBadReference},

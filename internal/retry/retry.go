@@ -1,7 +1,7 @@
 // Package retry is a small context-aware retry engine for the transport
 // layers: exponential backoff with deterministic jitter, per-attempt
-// timeouts, optional cross-call retry budgets, and a Permanent escape hatch
-// for errors no amount of retrying can fix.
+// timeouts, and a Permanent escape hatch for errors no amount of retrying
+// can fix.
 //
 // The paper's discovery and event-backbone designs both assume metadata and
 // records travel over real networks ("a Uniform Resource Locator can be
@@ -9,7 +9,7 @@
 // repo's transports acquire the corresponding tolerance for transient
 // failure. Every attempt and every give-up is counted in the default obsv
 // registry (retry.attempts, retry.retries, retry.giveups) so the cost of a
-// flaky link shows up in openmeta.Stats().
+// flaky link shows up on /metrics.
 package retry
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"openmeta/internal/flight"
@@ -30,12 +29,8 @@ import (
 // callers can branch on either.
 var ErrExhausted = errors.New("retry: retries exhausted")
 
-// ErrBudgetExhausted reports a retry suppressed because the shared Budget
-// had no tokens left; it is wrapped alongside the last attempt error.
-var ErrBudgetExhausted = errors.New("retry: retry budget exhausted")
-
 // Package-level instruments on the default registry, created at init so the
-// retry.* metric names exist (zero-valued) in openmeta.Stats() from process
+// retry.* metric names exist (zero-valued) in the registry from process
 // start.
 var (
 	attemptsCounter = obsv.Default().Counter("retry.attempts")
@@ -67,10 +62,6 @@ type Policy struct {
 	// AttemptTimeout bounds each attempt with a child context deadline
 	// (0 = attempts share the caller's context deadline only).
 	AttemptTimeout time.Duration
-	// Budget, when non-nil, is consulted before every retry; exhausted
-	// budgets convert retryable failures into immediate give-ups so retry
-	// storms cannot amplify an outage.
-	Budget *Budget
 	// Seed makes the jittered schedule deterministic (tests). Zero seeds
 	// from the global random source.
 	Seed int64
@@ -159,15 +150,8 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err (or anything it wraps) was marked with
-// Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Do runs op until it succeeds, is marked Permanent, exhausts the policy's
-// attempts or budget, or ctx is done. Each attempt receives a child context
+// attempts, or ctx is done. Each attempt receives a child context
 // carrying the policy's per-attempt timeout. The returned error wraps
 // ErrExhausted (plus the final attempt's error) on give-up, or the
 // permanent/context error directly.
@@ -199,11 +183,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 			giveupsCounter.Add(1)
 			flight.Default().Record(flight.KindRetryGiveUp, 0, "", 0, int64(attempt+1), lastErr.Error())
 			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt+1, lastErr)
-		}
-		if p.Budget != nil && !p.Budget.withdraw() {
-			giveupsCounter.Add(1)
-			flight.Default().Record(flight.KindRetryGiveUp, 0, "", 0, int64(attempt+1), "budget exhausted: "+lastErr.Error())
-			return fmt.Errorf("%w: %w: %w", ErrExhausted, ErrBudgetExhausted, lastErr)
 		}
 		sleep := p.jittered(attempt, rng)
 		if p.Notify != nil {
@@ -238,66 +217,4 @@ func ctxError(ctxErr, lastErr error) error {
 		return ctxErr
 	}
 	return fmt.Errorf("%w (last attempt: %w)", ctxErr, lastErr)
-}
-
-// Budget is a token bucket shared between many Do calls: each retry (not
-// first attempts) withdraws one token, and tokens refill at a steady rate.
-// Under a hard outage the budget drains and callers fail fast instead of
-// multiplying load on the struggling peer. The zero value is unusable; use
-// NewBudget. Budget is safe for concurrent use.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	burst  float64
-	rate   float64 // tokens per second
-	last   time.Time
-	now    func() time.Time
-}
-
-// NewBudget returns a budget holding at most burst tokens, refilling at
-// perSecond tokens per second. A nil *Budget (no budget) never suppresses a
-// retry.
-func NewBudget(burst int, perSecond float64) *Budget {
-	if burst < 1 {
-		burst = 1
-	}
-	b := &Budget{tokens: float64(burst), burst: float64(burst), rate: perSecond, now: time.Now}
-	b.last = b.now()
-	return b
-}
-
-// withdraw takes one token, reporting false when the bucket is empty.
-func (b *Budget) withdraw() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Remaining reports the whole tokens currently available (diagnostics).
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return math.MaxInt
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-	return int(b.tokens)
 }

@@ -100,11 +100,9 @@ func TestPermanentStopsImmediately(t *testing.T) {
 	if !errors.Is(err, base) || errors.Is(err, ErrExhausted) {
 		t.Fatalf("err = %v, want the permanent error without ErrExhausted", err)
 	}
-	if IsPermanent(err) {
+	var pe *permanentError
+	if errors.As(err, &pe) {
 		t.Errorf("returned error should be unwrapped from the permanent marker")
-	}
-	if !IsPermanent(Permanent(base)) {
-		t.Errorf("IsPermanent(Permanent(err)) = false")
 	}
 	if Permanent(nil) != nil {
 		t.Errorf("Permanent(nil) != nil")
@@ -142,44 +140,6 @@ func TestAttemptTimeout(t *testing.T) {
 	}
 	if !errors.Is(err, ErrExhausted) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrExhausted wrapping DeadlineExceeded", err)
-	}
-}
-
-func TestBudgetSuppressesRetries(t *testing.T) {
-	b := NewBudget(1, 0) // one token, never refills
-	p := fastPolicy()
-	p.Budget = b
-	calls := 0
-	err := Do(context.Background(), p, func(context.Context) error {
-		calls++
-		return errors.New("down")
-	})
-	// First attempt free, one budgeted retry, then the empty budget stops it.
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
-	}
-	if !errors.Is(err, ErrBudgetExhausted) || !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted wrapping ErrBudgetExhausted", err)
-	}
-}
-
-func TestBudgetRefills(t *testing.T) {
-	b := NewBudget(2, 1000)
-	now := time.Unix(0, 0)
-	b.now = func() time.Time { return now }
-	b.last = now
-	if !b.withdraw() || !b.withdraw() {
-		t.Fatal("fresh budget should allow burst withdrawals")
-	}
-	if b.withdraw() {
-		t.Fatal("empty budget should refuse")
-	}
-	now = now.Add(10 * time.Millisecond) // 10 tokens at 1000/s, capped at burst 2
-	if !b.withdraw() {
-		t.Fatal("refilled budget should allow a withdrawal")
-	}
-	if b.Remaining() != 1 {
-		t.Fatalf("Remaining = %d, want 1", b.Remaining())
 	}
 }
 

@@ -53,9 +53,9 @@ func Poll(timeout time.Duration, cond func() bool) bool {
 	}
 }
 
-// Eventually polls cond and calls fail with a message when it never held —
+// eventually polls cond and calls fail with a message when it never held —
 // the non-fatal sibling of WaitFor for use with t.Errorf-style reporting.
-func Eventually(timeout time.Duration, cond func() bool, fail func(msg string)) {
+func eventually(timeout time.Duration, cond func() bool, fail func(msg string)) {
 	if !Poll(timeout, cond) {
 		fail("condition did not hold within " + timeout.String())
 	}

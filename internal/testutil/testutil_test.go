@@ -57,14 +57,14 @@ func TestWaitForPasses(t *testing.T) {
 
 func TestEventually(t *testing.T) {
 	var msg string
-	Eventually(10*time.Millisecond, func() bool { return false }, func(m string) { msg = m })
+	eventually(10*time.Millisecond, func() bool { return false }, func(m string) { msg = m })
 	if msg == "" {
-		t.Fatal("Eventually must report failure")
+		t.Fatal("eventually must report failure")
 	}
 	msg = ""
-	Eventually(time.Second, func() bool { return true }, func(m string) { msg = m })
+	eventually(time.Second, func() bool { return true }, func(m string) { msg = m })
 	if msg != "" {
-		t.Fatalf("Eventually reported failure on success: %s", msg)
+		t.Fatalf("eventually reported failure on success: %s", msg)
 	}
 }
 

@@ -4,9 +4,9 @@ import "context"
 
 type ctxKey struct{}
 
-// NewContext returns a context carrying the span handle, for layers (like
+// newContext returns a context carrying the span handle, for layers (like
 // discovery) whose APIs already thread a context.Context.
-func NewContext(ctx context.Context, c Ctx) context.Context {
+func newContext(ctx context.Context, c Ctx) context.Context {
 	if !c.Sampled() {
 		return ctx
 	}

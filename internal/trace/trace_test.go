@@ -291,13 +291,13 @@ func TestContextCarriesCtx(t *testing.T) {
 	tr := NewTracer(8)
 	tr.SetSampling(1)
 	root := tr.Start("root")
-	ctx := NewContext(context.Background(), root)
+	ctx := newContext(context.Background(), root)
 	got := FromContext(ctx)
 	if !got.Sampled() || got.Trace() != root.Trace() || got.Span() != root.Span() {
 		t.Fatal("context round-trip lost the span handle")
 	}
 	// Unsampled handles are not stored.
-	if NewContext(context.Background(), Ctx{}) != context.Background() {
+	if newContext(context.Background(), Ctx{}) != context.Background() {
 		t.Fatal("unsampled ctx should return the parent context unchanged")
 	}
 	if FromContext(context.Background()).Sampled() {

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzDecodeXDRRecord throws arbitrary bytes at the XDR decoder, which parses
-// what peers send (openmeta.DecodeXDR), under the all-kinds format, the
+// what peers send (Table 2's XDR decode), under the all-kinds format, the
 // nested-array Path format and four generated ones. It must never panic; a
 // record it accepts must match its heap-boxed copy (its values sit in the
 // record builder's block), and re-encode and decode back to itself, with the

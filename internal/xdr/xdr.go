@@ -67,16 +67,16 @@ func AppendFloat64(b []byte, v float64) []byte {
 // pad returns the number of padding bytes to reach 4-byte alignment.
 func pad(n int) int { return (4 - n%4) % 4 }
 
-// AppendOpaque appends variable-length opaque data (length + bytes + pad).
-func AppendOpaque(b, data []byte) []byte {
+// appendOpaque appends variable-length opaque data (length + bytes + pad).
+func appendOpaque(b, data []byte) []byte {
 	b = AppendUint32(b, uint32(len(data)))
 	b = append(b, data...)
 	return append(b, make([]byte, pad(len(data)))...)
 }
 
-// AppendFixedOpaque appends fixed-length opaque data (bytes + pad, no
+// appendFixedOpaque appends fixed-length opaque data (bytes + pad, no
 // length).
-func AppendFixedOpaque(b, data []byte) []byte {
+func appendFixedOpaque(b, data []byte) []byte {
 	b = append(b, data...)
 	return append(b, make([]byte, pad(len(data)))...)
 }

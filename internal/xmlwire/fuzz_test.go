@@ -12,7 +12,7 @@ import (
 )
 
 // FuzzDecodeXMLRecord throws arbitrary text at the XML-text decoder, which
-// parses what peers send (openmeta.DecodeXMLText, ompub, Table 4's XML-text
+// parses what peers send (omsub, ompub, Table 4's XML-text
 // ping-pong), under the all-kinds format and four generated ones. It must
 // never panic; a record it accepts must match its heap-boxed copy (its values
 // sit in the record builder's block, or on the heap past its end), and

@@ -2,11 +2,9 @@ package openmeta
 
 import (
 	"context"
-	"net"
-	"net/http"
+	"time"
 
 	"openmeta/internal/core"
-	"openmeta/internal/dcg"
 	"openmeta/internal/discovery"
 	"openmeta/internal/eventbus"
 	"openmeta/internal/machine"
@@ -31,18 +29,10 @@ type (
 	Record = pbio.Record
 	// Binding pairs a Format with a Go struct type.
 	Binding = pbio.Binding
-	// IOField is the paper-style explicit field descriptor.
-	IOField = pbio.IOField
-	// FieldSpec declares a field whose layout is computed per architecture.
-	FieldSpec = pbio.FieldSpec
 	// FormatSet is the result of registering one schema document.
 	FormatSet = core.FormatSet
 	// Schema is a parsed XML Schema metadata document.
 	Schema = xmlschema.Schema
-	// ConversionPlan converts records between two formats.
-	ConversionPlan = dcg.Plan
-	// PlanCache memoizes conversion plans per format pair.
-	PlanCache = dcg.Cache
 	// Repository stores schema documents for remote discovery.
 	Repository = discovery.Repository
 	// DiscoveryClient fetches schema documents from a repository.
@@ -51,83 +41,22 @@ type (
 	DiscoverySource = discovery.Source
 	// Resolver chains discovery sources with fallback.
 	Resolver = discovery.Resolver
-	// Broker is the event backbone.
-	Broker = eventbus.Broker
+	// SchemaWatcher polls a discovery source and reports schema changes.
+	SchemaWatcher = discovery.Watcher
+	// SchemaUpdate is one change notification from a SchemaWatcher.
+	SchemaUpdate = discovery.Update
 	// Publisher publishes records onto backbone streams.
 	Publisher = eventbus.Publisher
 	// Subscriber receives records from backbone streams.
 	Subscriber = eventbus.Subscriber
-	// Event is one delivered record.
-	Event = eventbus.Event
-)
-
-// Field kinds for FieldSpec declarations.
-const (
-	Int    = pbio.Int
-	Uint   = pbio.Uint
-	Float  = pbio.Float
-	Char   = pbio.Char
-	String = pbio.String
-	Bool   = pbio.Bool
-	Nested = pbio.Nested
-)
-
-// C element types for FieldSpec declarations.
-const (
-	CChar      = machine.CChar
-	CUChar     = machine.CUChar
-	CShort     = machine.CShort
-	CUShort    = machine.CUShort
-	CInt       = machine.CInt
-	CUInt      = machine.CUInt
-	CLong      = machine.CLong
-	CULong     = machine.CULong
-	CLongLong  = machine.CLongLong
-	CULongLong = machine.CULongLong
-	CFloat     = machine.CFloat
-	CDouble    = machine.CDouble
 )
 
 // Predefined architectures. NativeArch is the profile used when encoding on
-// this machine; the others simulate heterogeneous peers.
+// this machine; ArchSparc simulates a heterogeneous peer.
 var (
-	NativeArch  = machine.Native
-	ArchX86     = machine.X86
-	ArchX86_64  = machine.X86_64
-	ArchSparc   = machine.Sparc
-	ArchSparc64 = machine.Sparc64
+	NativeArch = machine.Native
+	ArchSparc  = machine.Sparc
 )
-
-// ArchByName resolves a predefined architecture name ("x86", "sparc", ...).
-func ArchByName(name string) (*Arch, error) { return machine.ArchByName(name) }
-
-// ArchNames lists the predefined architecture names.
-func ArchNames() []string { return machine.ArchNames() }
-
-// ParseSchema parses an XML Schema metadata document.
-func ParseSchema(doc string) (*Schema, error) { return xmlschema.ParseString(doc) }
-
-// The Register family: three ways to put a format into a Context, one per
-// metadata source. RegisterIOFields takes the paper's explicit descriptors,
-// RegisterSpecs computes layout for the context's architecture, and
-// RegisterSchema (with its Document/File/URL variants) runs the xml2wire
-// pipeline over an XML Schema. All of them return formats that encode,
-// decode and convert identically.
-
-// RegisterIOFields registers a format from paper-style explicit IOField
-// descriptors — name, type string, size and offset exactly as they would
-// appear in a PBIO field list. Use it when the layout is already known,
-// e.g. when mirroring a C struct byte-for-byte.
-func RegisterIOFields(ctx *Context, name string, fields []IOField) (*Format, error) {
-	return ctx.Register(name, fields)
-}
-
-// RegisterSpecs registers a format from portable FieldSpec declarations;
-// sizes, alignment and offsets are computed for the context's architecture,
-// the way a compiler would lay out the equivalent struct.
-func RegisterSpecs(ctx *Context, name string, specs []FieldSpec) (*Format, error) {
-	return ctx.RegisterSpec(name, specs)
-}
 
 // RegisterSchema binds a parsed schema's types to the context architecture
 // and registers them (the xml2wire pipeline).
@@ -138,21 +67,6 @@ func RegisterSchema(ctx *Context, s *Schema) (*FormatSet, error) {
 // RegisterSchemaDocument parses and registers schema text.
 func RegisterSchemaDocument(ctx *Context, doc string) (*FormatSet, error) {
 	return core.RegisterDocument(ctx, []byte(doc))
-}
-
-// RegisterSchemaFile loads and registers a schema from the file system.
-func RegisterSchemaFile(ctx *Context, path string) (*FormatSet, error) {
-	return core.RegisterFile(ctx, path)
-}
-
-// RegisterSchemaURL retrieves a schema document from an arbitrary URL and
-// registers it — the paper's "a URL can be used instead" mode.
-func RegisterSchemaURL(ctx context.Context, pctx *Context, url string) (*FormatSet, error) {
-	s, err := discovery.FetchURL(ctx, nil, url)
-	if err != nil {
-		return nil, err
-	}
-	return core.RegisterSchema(pctx, s)
 }
 
 // MarshalFormatMeta serializes a format (and its nested dependencies) for
@@ -174,18 +88,13 @@ func NewWireReader(r interface{ Read([]byte) (int, error) }, ctx *Context) *pbio
 	return pbio.NewReader(r, ctx)
 }
 
-// CompilePlan builds a conversion program from src records to dst records.
-func CompilePlan(src, dst *Format) (*ConversionPlan, error) { return dcg.Compile(src, dst) }
-
 // NewRepository returns an empty metadata repository; serve it with
 // (*Repository).Handler and net/http.
 func NewRepository() *Repository { return discovery.NewRepository() }
 
 // NewDiscoveryClient returns a caching client for a repository base URL.
-// Options configure timeouts, retries and stale-serve degradation (see
-// WithDiscoveryRetry and friends in options.go).
-func NewDiscoveryClient(baseURL string, opts ...DiscoveryClientOption) (*DiscoveryClient, error) {
-	return discovery.NewClient(baseURL, opts...)
+func NewDiscoveryClient(baseURL string) (*DiscoveryClient, error) {
+	return discovery.NewClient(baseURL)
 }
 
 // NewResolver chains discovery sources, primary first, with fallback — the
@@ -200,9 +109,6 @@ func StaticSchemas(docs map[string]string) DiscoverySource {
 	return discovery.StaticSource(docs)
 }
 
-// DirSchemas builds a discovery source over a directory of <name>.xsd files.
-func DirSchemas(dir string) DiscoverySource { return discovery.DirSource{Dir: dir} }
-
 // DiscoverAndRegister resolves a format name through a discovery source and
 // registers the schema's types.
 func DiscoverAndRegister(ctx context.Context, src DiscoverySource, pctx *Context, name string) (*FormatSet, error) {
@@ -213,47 +119,27 @@ func DiscoverAndRegister(ctx context.Context, src DiscoverySource, pctx *Context
 	return core.RegisterSchema(pctx, s)
 }
 
-// DialPublisher connects a publisher to a broker. Options configure dial
-// timeouts and automatic reconnection (see WithBusReconnect in options.go).
-func DialPublisher(addr string, opts ...BusClientOption) (*Publisher, error) {
-	return eventbus.DialPublisher(addr, opts...)
+// WatchSchemas polls a discovery source for schema changes; add names with
+// Add and drain Updates. Close when done.
+func WatchSchemas(src DiscoverySource, interval time.Duration) *SchemaWatcher {
+	return discovery.NewWatcher(src, interval)
 }
 
-// DialPublisherContext is DialPublisher under a context governing the
-// initial dial.
-func DialPublisherContext(ctx context.Context, addr string, opts ...BusClientOption) (*Publisher, error) {
-	return eventbus.DialPublisherContext(ctx, addr, opts...)
+// DialPublisher connects a publisher to a broker.
+func DialPublisher(addr string) (*Publisher, error) {
+	return eventbus.DialPublisher(addr)
 }
 
 // DialSubscriber connects a subscriber to a broker, adopting stream formats
 // into ctx.
-func DialSubscriber(addr string, ctx *Context, opts ...BusClientOption) (*Subscriber, error) {
-	return eventbus.DialSubscriber(addr, ctx, opts...)
-}
-
-// DialSubscriberContext is DialSubscriber under a context governing the
-// initial dial.
-func DialSubscriberContext(dialCtx context.Context, addr string, ctx *Context, opts ...BusClientOption) (*Subscriber, error) {
-	return eventbus.DialSubscriberContext(dialCtx, addr, ctx, opts...)
+func DialSubscriber(addr string, ctx *Context) (*Subscriber, error) {
+	return eventbus.DialSubscriber(addr, ctx)
 }
 
 // EncodeXDR marshals a record in canonical XDR (RFC 1014) — the baseline
 // wire format the paper compares against.
 func EncodeXDR(f *Format, rec Record) ([]byte, error) { return xdr.EncodeRecord(f, rec) }
 
-// DecodeXDR unmarshals a canonical XDR record.
-func DecodeXDR(f *Format, data []byte) (Record, error) { return xdr.DecodeRecord(f, data) }
-
 // EncodeXMLText marshals a record as an XML text message — the wire format
 // of XML-RPC-era systems, provided as the measured baseline.
 func EncodeXMLText(f *Format, rec Record) ([]byte, error) { return xmlwire.EncodeRecord(f, rec) }
-
-// DecodeXMLText unmarshals an XML text message.
-func DecodeXMLText(f *Format, data []byte) (Record, error) { return xmlwire.DecodeRecord(f, data) }
-
-// ServeRepository serves a metadata repository over HTTP until the listener
-// closes; a convenience for examples and tools.
-func ServeRepository(ln net.Listener, repo *Repository) error {
-	srv := &http.Server{Handler: repo.Handler()}
-	return srv.Serve(ln)
-}

@@ -10,6 +10,11 @@ import (
 
 	"openmeta"
 	"openmeta/internal/airline"
+	"openmeta/internal/core"
+	"openmeta/internal/dcg"
+	"openmeta/internal/gen"
+	"openmeta/internal/pbio"
+	"openmeta/internal/xmlschema"
 )
 
 func TestFacadeRecordFiles(t *testing.T) {
@@ -22,7 +27,7 @@ func TestFacadeRecordFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	fw, err := openmeta.NewRecordFileWriter(&buf)
+	fw, err := pbio.NewFileWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +41,7 @@ func TestFacadeRecordFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := openmeta.NewRecordFileReader(&buf, rctx)
+	fr, err := pbio.NewFileReader(&buf, rctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +70,11 @@ func TestFacadeSchemaGenerationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := openmeta.SchemaDocumentForFormats("urn:rt", set.Formats...)
+	s, err := core.SchemaForFormats("urn:rt", set.Formats...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc := xmlschema.MarshalString(s)
 	ctx2, err := openmeta.New(openmeta.WithArch(openmeta.NativeArch))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +102,7 @@ func TestFacadeMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := openmeta.MatchBinary([]*openmeta.Format{f}, record)
+	scores, err := core.MatchBinary([]*openmeta.Format{f}, record)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestFacadeMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, err := openmeta.MatchXML([]*openmeta.Format{f}, msg)
+	xs, err := core.MatchXML([]*openmeta.Format{f}, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +131,14 @@ func TestFacadeDeriveSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := openmeta.DeriveSubset(set.Root(), []string{"cntrID", "dest"})
+	sub, err := pbio.DeriveSubset(set.Root(), []string{"cntrID", "dest"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sub.Fields) != 2 {
 		t.Errorf("fields = %d", len(sub.Fields))
 	}
-	plan, err := openmeta.CompilePlan(set.Root(), sub)
+	plan, err := dcg.Compile(set.Root(), sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +181,7 @@ func TestFacadeWatcher(t *testing.T) {
 }
 
 func TestFacadeGenerateGo(t *testing.T) {
-	src, err := openmeta.GenerateGo(flightSchema, openmeta.GenOptions{Package: "msgs"})
+	src, err := gen.GoSource(flightSchema, gen.Options{Package: "msgs"})
 	if err != nil {
 		t.Fatal(err)
 	}

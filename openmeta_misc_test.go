@@ -3,16 +3,22 @@ package openmeta_test
 import (
 	"context"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"openmeta"
 	"openmeta/internal/airline"
+	"openmeta/internal/core"
+	"openmeta/internal/discovery"
+	"openmeta/internal/eventbus"
+	"openmeta/internal/pbio"
+	"openmeta/internal/xmlschema"
 )
 
 func TestFacadeParseSchemaAndRegister(t *testing.T) {
-	s, err := openmeta.ParseSchema(flightSchema)
+	s, err := xmlschema.ParseString(flightSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +30,7 @@ func TestFacadeParseSchemaAndRegister(t *testing.T) {
 	if set.Root().Name != "ASDOffEvent" {
 		t.Errorf("root = %q", set.Root().Name)
 	}
-	if _, err := openmeta.ParseSchema("<junk/>"); err == nil {
+	if _, err := xmlschema.ParseString("<junk/>"); err == nil {
 		t.Error("junk schema accepted")
 	}
 }
@@ -39,19 +45,24 @@ func TestFacadeServeRepositoryAndURLRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- openmeta.ServeRepository(ln, repo) }()
+	go func() { done <- http.Serve(ln, repo.Handler()) }()
 
 	pctx := mustCtx(t)
-	set, err := openmeta.RegisterSchemaURL(context.Background(), pctx,
-		"http://"+ln.Addr().String()+"/schemas/ASDOffEvent")
+	registerURL := func(url string) (*openmeta.FormatSet, error) {
+		s, err := discovery.FetchURL(context.Background(), nil, url)
+		if err != nil {
+			return nil, err
+		}
+		return core.RegisterSchema(pctx, s)
+	}
+	set, err := registerURL("http://" + ln.Addr().String() + "/schemas/ASDOffEvent")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.Root().Size == 0 {
 		t.Error("empty format from URL registration")
 	}
-	if _, err := openmeta.RegisterSchemaURL(context.Background(), pctx,
-		"http://"+ln.Addr().String()+"/schemas/NoSuch"); err == nil {
+	if _, err := registerURL("http://" + ln.Addr().String() + "/schemas/NoSuch"); err == nil {
 		t.Error("missing schema URL accepted")
 	}
 	ln.Close()
@@ -64,7 +75,7 @@ func TestFacadeRegisterSchemaFileAndDirSource(t *testing.T) {
 	if err := os.WriteFile(path, []byte(airline.WeatherSchema), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	set, err := openmeta.RegisterSchemaFile(mustCtx(t), path)
+	set, err := core.RegisterFile(mustCtx(t), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +83,7 @@ func TestFacadeRegisterSchemaFileAndDirSource(t *testing.T) {
 		t.Errorf("root = %q", set.Root().Name)
 	}
 
-	src := openmeta.DirSchemas(dir)
+	src := discovery.DirSource{Dir: dir}
 	set2, err := openmeta.DiscoverAndRegister(context.Background(), src, mustCtx(t), "WeatherObs")
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +98,7 @@ func TestFacadeNewBrokerOnListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := openmeta.NewBroker(ln)
+	b := eventbus.NewBroker(ln)
 	defer b.Close()
 	pub, err := openmeta.DialPublisher(b.Addr().String())
 	if err != nil {
@@ -101,7 +112,7 @@ func TestFacadeNewBrokerOnListener(t *testing.T) {
 
 func TestFacadeCreateAndOpenRecordFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.pbio")
-	fw, err := openmeta.CreateRecordFile(path)
+	fw, err := pbio.CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +126,7 @@ func TestFacadeCreateAndOpenRecordFile(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := openmeta.OpenRecordFile(path, mustCtx(t))
+	fr, err := pbio.OpenFile(path, mustCtx(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +149,14 @@ func TestFacadeValidateRecord(t *testing.T) {
 	    <xsd:element name="gate" type="Gate"/>
 	  </xsd:complexType>
 	</xsd:schema>`
-	s, err := openmeta.ParseSchema(doc)
+	s, err := xmlschema.ParseString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := openmeta.ValidateRecord(s, "GateEvent", openmeta.Record{"gate": "B23"}); err != nil {
+	if err := core.ValidateRecord(s, "GateEvent", openmeta.Record{"gate": "B23"}); err != nil {
 		t.Errorf("conforming record rejected: %v", err)
 	}
-	if err := openmeta.ValidateRecord(s, "GateEvent", openmeta.Record{"gate": "B23-REMOTE"}); err == nil {
+	if err := core.ValidateRecord(s, "GateEvent", openmeta.Record{"gate": "B23-REMOTE"}); err == nil {
 		t.Error("over-length gate accepted")
 	}
 }

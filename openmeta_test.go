@@ -9,6 +9,10 @@ import (
 
 	"openmeta"
 	"openmeta/internal/airline"
+	"openmeta/internal/dcg"
+	"openmeta/internal/machine"
+	"openmeta/internal/xdr"
+	"openmeta/internal/xmlwire"
 )
 
 const flightSchema = airline.FlightSchema
@@ -47,7 +51,7 @@ func TestFacadeCrossArchPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x64, err := openmeta.New(openmeta.WithArch(openmeta.ArchX86_64))
+	x64, err := openmeta.New(openmeta.WithArch(machine.X86_64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestFacadeCrossArchPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := openmeta.CompilePlan(setS.Root(), setX.Root())
+	plan, err := dcg.Compile(setS.Root(), setX.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func TestFacadeBaselineCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := openmeta.DecodeXDR(f, xdrData)
+	back, err := xdr.DecodeRecord(f, xdrData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestFacadeBaselineCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back2, err := openmeta.DecodeXMLText(f, xmlData)
+	back2, err := xmlwire.DecodeRecord(f, xmlData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,18 +256,5 @@ func TestFacadeMetaRoundTripAndWire(t *testing.T) {
 	}
 	if rec["cntrID"] != "ZNY" {
 		t.Errorf("cntrID = %v", rec["cntrID"])
-	}
-}
-
-func TestFacadeArchHelpers(t *testing.T) {
-	if len(openmeta.ArchNames()) < 5 {
-		t.Error("too few predefined arches")
-	}
-	a, err := openmeta.ArchByName("sparc")
-	if err != nil || a != openmeta.ArchSparc {
-		t.Errorf("ArchByName(sparc) = %v, %v", a, err)
-	}
-	if _, err := openmeta.ArchByName("vax"); err == nil {
-		t.Error("unknown arch accepted")
 	}
 }

@@ -3,6 +3,8 @@ package openmeta
 import (
 	"testing"
 	"time"
+
+	"openmeta/internal/eventbus"
 )
 
 // The end-to-end tests of both test packages read a subscriber's events
@@ -18,10 +20,10 @@ const receiveDeadline = 10 * time.Second
 // once and then every 10 ms until all n have arrived. If they have not within
 // receiveDeadline, ReceiveEvents closes sub, which ends its Next, and fails
 // the test, reporting how many arrived.
-func ReceiveEvents(t *testing.T, sub *Subscriber, n int, publish func()) []Event {
+func ReceiveEvents(t *testing.T, sub *Subscriber, n int, publish func()) []eventbus.Event {
 	t.Helper()
 	type result struct {
-		ev  Event
+		ev  eventbus.Event
 		err error
 	}
 	results := make(chan result, n)
@@ -41,7 +43,7 @@ func ReceiveEvents(t *testing.T, sub *Subscriber, n int, publish func()) []Event
 		publish = func() {}
 	}
 	publish()
-	var got []Event
+	var got []eventbus.Event
 	for len(got) < n {
 		select {
 		case r := <-results:

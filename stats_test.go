@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,8 +12,15 @@ import (
 
 	"openmeta"
 	"openmeta/internal/airline"
+	"openmeta/internal/dcg"
+	"openmeta/internal/discovery"
+	"openmeta/internal/eventbus"
 	"openmeta/internal/flight"
+	"openmeta/internal/machine"
+	"openmeta/internal/obsv"
+	"openmeta/internal/pbio"
 	"openmeta/internal/testutil"
+	"openmeta/internal/trace"
 )
 
 // publishUntilReceived publishes rec repeatedly until sub receives an event
@@ -31,11 +36,11 @@ func publishUntilReceived(t *testing.T, pub *openmeta.Publisher, sub *openmeta.S
 }
 
 // TestStatsQuickstartFlow runs the README quickstart plus a broker round
-// trip and checks the process-wide Stats snapshot moved for every layer the
+// trip and checks the process-wide registry's snapshot moved for every layer the
 // flow touched. The default registry is shared across tests in the binary,
 // so all assertions are on before/after deltas.
 func TestStatsQuickstartFlow(t *testing.T) {
-	before := openmeta.Stats()
+	before := obsv.Default().Snapshot()
 
 	ctx, err := openmeta.New()
 	if err != nil {
@@ -85,7 +90,7 @@ func TestStatsQuickstartFlow(t *testing.T) {
 	defer pub.Close()
 	publishUntilReceived(t, pub, sub, f, rec)
 
-	delta := openmeta.StatsDelta(before, openmeta.Stats())
+	delta := obsv.Delta(before, obsv.Default().Snapshot())
 	for _, key := range []string{
 		"pbio.formats.registered",
 		"pbio.encode.calls",
@@ -102,11 +107,11 @@ func TestStatsQuickstartFlow(t *testing.T) {
 }
 
 // TestStatsHandlerServesJSON pins the in-process snapshot the JSON stats
-// handler used to serve: openmeta.Stats() encodes as one flat JSON object
+// handler used to serve: the default registry's Snapshot encodes as one flat JSON object
 // of int64 values carrying the documented families. Over HTTP the same
 // families are on /metrics (TestDebugHandlerEndpoints).
 func TestStatsHandlerServesJSON(t *testing.T) {
-	raw, err := json.Marshal(openmeta.Stats())
+	raw, err := json.Marshal(obsv.Default().Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +131,14 @@ func TestStatsHandlerServesJSON(t *testing.T) {
 	}
 }
 
-// TestDebugHandlerEndpoints checks every documented debug endpoint answers
+// TestDebugHandlerEndpoints checks every documented debug endpoint of the
+// mux the daemons serve behind -debug-addr answers
 // and is listed on the /debug index, that /metrics carries the documented
 // families even before any traffic (instruments are created zero-valued at
 // package init), and that retired endpoints are gone.
 func TestDebugHandlerEndpoints(t *testing.T) {
-	srv := httptest.NewServer(openmeta.DebugHandler())
+	srv := httptest.NewServer(obsv.DebugMux(obsv.Default(),
+		obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()), Desc: "recent trace spans"}))
 	defer srv.Close()
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -183,11 +190,11 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	}
 }
 
-// TestWithObserverIsolation checks a private Observer captures a context's
+// TestWithObserverIsolation checks a private registry captures a context's
 // traffic without polluting other registries.
 func TestWithObserverIsolation(t *testing.T) {
-	obs := openmeta.NewObserver()
-	ctx, err := openmeta.New(openmeta.WithObserver(obs))
+	obs := obsv.New()
+	ctx, err := pbio.NewContext(machine.Native, pbio.WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +219,11 @@ func TestWithObserverIsolation(t *testing.T) {
 }
 
 func TestBrokerOptionsAndStats(t *testing.T) {
-	obs := openmeta.NewObserver()
-	broker, err := openmeta.ListenBroker("127.0.0.1:0",
-		openmeta.WithQueueDepth(8),
-		openmeta.WithBrokerObserver(obs),
-		openmeta.WithPlanCache(openmeta.NewPlanCache()),
-		openmeta.WithBrokerSlog(slog.New(slog.NewTextHandler(io.Discard, nil))),
+	obs := obsv.New()
+	broker, err := eventbus.Listen("127.0.0.1:0",
+		eventbus.WithQueueDepth(8),
+		eventbus.WithObserver(obs),
+		eventbus.WithPlanCache(dcg.NewCache()),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +259,7 @@ func TestBrokerOptionsAndStats(t *testing.T) {
 	}
 	publishUntilReceived(t, pub, sub, f, rec)
 
-	var st openmeta.BrokerStats
+	var st eventbus.BrokerStats
 	testutil.Poll(2*time.Second, func() bool {
 		st = broker.Stats()
 		return st.Delivered >= 1
@@ -273,42 +279,40 @@ func TestBrokerOptionsAndStats(t *testing.T) {
 	}
 }
 
-// TestNewFlightRecorderDefaultCapacity: a capacity <= 0 keeps the default
+// TestNewFlightRecorderDefaultCapacity: a recorder made with a capacity <= 0
+// keeps the default
 // 2048 events, as documented, not one.
 func TestNewFlightRecorderDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		r := openmeta.NewFlightRecorder(capacity)
+		r := flight.New(capacity)
 		for i := 0; i < 3000; i++ {
 			r.Record(flight.KindDiscovery, 0, "", 0, int64(i), "")
 		}
 		if got := r.Len(); got != 2048 {
-			t.Errorf("NewFlightRecorder(%d) keeps %d events, want 2048", capacity, got)
+			t.Errorf("flight.New(%d) keeps %d events, want 2048", capacity, got)
 		}
 	}
 }
 
 func TestPlanCacheOptions(t *testing.T) {
-	obs := openmeta.NewObserver()
-	cache := openmeta.NewPlanCache(
-		openmeta.WithPlanCacheLimit(1),
-		openmeta.WithPlanCacheObserver(obs),
-	)
+	obs := obsv.New()
+	cache := dcg.NewCache(dcg.WithMaxEntries(1), dcg.WithObserver(obs))
 
-	mk := func(arch *openmeta.Arch) *openmeta.Format {
+	mk := func(arch *machine.Arch) *pbio.Format {
 		ctx, err := openmeta.New(openmeta.WithArch(arch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := openmeta.RegisterSpecs(ctx, "P", []openmeta.FieldSpec{
-			{Name: "a", Kind: openmeta.Int, CType: openmeta.CInt},
-			{Name: "b", Kind: openmeta.Float, CType: openmeta.CDouble},
+		f, err := ctx.RegisterSpec("P", []pbio.FieldSpec{
+			{Name: "a", Kind: pbio.Int, CType: machine.CInt},
+			{Name: "b", Kind: pbio.Float, CType: machine.CDouble},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	src, d1, d2 := mk(openmeta.ArchSparc), mk(openmeta.ArchX86_64), mk(openmeta.ArchX86)
+	src, d1, d2 := mk(machine.Sparc), mk(machine.X86_64), mk(machine.X86)
 
 	if _, err := cache.Plan(src, d1); err != nil {
 		t.Fatal(err)
@@ -339,14 +343,14 @@ func TestRegistrationFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := openmeta.RegisterSpecs(ctx, "SpecFmt", []openmeta.FieldSpec{
-		{Name: "x", Kind: openmeta.Int, CType: openmeta.CInt},
+	fs, err := ctx.RegisterSpec("SpecFmt", []pbio.FieldSpec{
+		{Name: "x", Kind: pbio.Int, CType: machine.CInt},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Mirror the computed layout through the explicit-IOField path.
-	fi, err := openmeta.RegisterIOFields(ctx, "IOFmt", fs.IOFields())
+	fi, err := ctx.Register("IOFmt", fs.IOFields())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,80 +367,59 @@ func TestRegistrationFamily(t *testing.T) {
 	}
 }
 
-// TestSentinelErrors checks each facade sentinel is reachable with errors.Is
-// from the operation that produces it.
+// TestSentinelErrors checks each sentinel is reachable with errors.Is from
+// the operation that produces it.
 func TestSentinelErrors(t *testing.T) {
 	ctx, err := openmeta.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = openmeta.RegisterSpecs(ctx, "Bad", []openmeta.FieldSpec{
-		{Name: "n", Kind: openmeta.Nested, NestedName: "NoSuchFormat"},
+	_, err = ctx.RegisterSpec("Bad", []pbio.FieldSpec{
+		{Name: "n", Kind: pbio.Nested, NestedName: "NoSuchFormat"},
 	})
-	if !errors.Is(err, openmeta.ErrUnknownFormat) {
+	if !errors.Is(err, pbio.ErrUnknownFormat) {
 		t.Errorf("nested unknown type: err = %v, want ErrUnknownFormat", err)
 	}
 
-	_, err = openmeta.RegisterSpecs(ctx, "Dup", []openmeta.FieldSpec{
-		{Name: "a", Kind: openmeta.Int, CType: openmeta.CInt},
-		{Name: "a", Kind: openmeta.Int, CType: openmeta.CInt},
+	_, err = ctx.RegisterSpec("Dup", []pbio.FieldSpec{
+		{Name: "a", Kind: pbio.Int, CType: machine.CInt},
+		{Name: "a", Kind: pbio.Int, CType: machine.CInt},
 	})
-	if !errors.Is(err, openmeta.ErrDuplicateField) {
+	if !errors.Is(err, pbio.ErrDuplicateField) {
 		t.Errorf("duplicate field: err = %v, want ErrDuplicateField", err)
 	}
 
-	f, err := openmeta.RegisterSpecs(ctx, "One", []openmeta.FieldSpec{
-		{Name: "x", Kind: openmeta.Int, CType: openmeta.CInt},
+	f, err := ctx.RegisterSpec("One", []pbio.FieldSpec{
+		{Name: "x", Kind: pbio.Int, CType: machine.CInt},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Encode(openmeta.Record{"x": "nope"}); !errors.Is(err, openmeta.ErrBadValue) {
+	if _, err := f.Encode(openmeta.Record{"x": "nope"}); !errors.Is(err, pbio.ErrBadValue) {
 		t.Errorf("bad value: err = %v, want ErrBadValue", err)
 	}
-	if _, err := f.Decode([]byte{1}); !errors.Is(err, openmeta.ErrTruncated) {
+	if _, err := f.Decode([]byte{1}); !errors.Is(err, pbio.ErrTruncated) {
 		t.Errorf("truncated: err = %v, want ErrTruncated", err)
 	}
 
-	g, err := openmeta.RegisterSpecs(ctx, "Other", []openmeta.FieldSpec{
-		{Name: "x", Kind: openmeta.String},
+	g, err := ctx.RegisterSpec("Other", []pbio.FieldSpec{
+		{Name: "x", Kind: pbio.String},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openmeta.CompilePlan(f, g); !errors.Is(err, openmeta.ErrFieldMismatch) {
-		t.Errorf("incompatible formats: err = %v, want ErrFieldMismatch", err)
+	if _, err := dcg.Compile(f, g); !errors.Is(err, dcg.ErrIncompatible) {
+		t.Errorf("incompatible formats: err = %v, want dcg.ErrIncompatible", err)
 	}
 
-	if _, err := openmeta.UnmarshalFormatMeta([]byte("garbage")); !errors.Is(err, openmeta.ErrBadMetadata) {
-		t.Errorf("bad metadata: err = %v, want ErrBadMetadata", err)
+	if _, err := openmeta.UnmarshalFormatMeta([]byte("garbage")); !errors.Is(err, pbio.ErrBadMeta) {
+		t.Errorf("bad metadata: err = %v, want pbio.ErrBadMeta", err)
 	}
 
 	src := openmeta.StaticSchemas(map[string]string{})
-	if _, err := openmeta.DiscoverAndRegister(context.Background(), src, ctx, "missing"); !errors.Is(err, openmeta.ErrSchemaNotFound) {
-		t.Errorf("schema not found: err = %v, want ErrSchemaNotFound", err)
+	if _, err := openmeta.DiscoverAndRegister(context.Background(), src, ctx, "missing"); !errors.Is(err, discovery.ErrNotFound) {
+		t.Errorf("schema not found: err = %v, want discovery.ErrNotFound", err)
 	}
 
-	// Sentinels produced deeper in the stack than this test reaches: check
-	// they survive wrapping the way the producing layers wrap them.
-	for name, sentinel := range map[string]error{
-		"ErrSlowSubscriber": openmeta.ErrSlowSubscriber,
-		"ErrMissingField":   openmeta.ErrMissingField,
-		"ErrBusClosed":      openmeta.ErrBusClosed,
-		"ErrInvalidRecord":  openmeta.ErrInvalidRecord,
-	} {
-		wrapped := fmt.Errorf("delivering: %w", sentinel)
-		if !errors.Is(wrapped, sentinel) {
-			t.Errorf("%s does not survive wrapping", name)
-		}
-	}
-}
-
-// TestDeprecatedConstructorsStillWork keeps the pre-options signature that
-// remains, NewPlanCache without options, compiling and behaving.
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	if c := openmeta.NewPlanCache(); c == nil {
-		t.Fatal("NewPlanCache() = nil")
-	}
 }
