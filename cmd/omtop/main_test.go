@@ -50,14 +50,14 @@ func traceID(b byte) [16]byte {
 }
 
 // TestFetchStats reads every kind of series off a live DebugMux: counters
-// (with OpenMetrics' _total stripped), gauges, and a labeled histogram child
-// keyed without its le label, carrying its highest bucket's exemplar.
+// (with OpenMetrics' _total stripped), gauges, and a histogram keyed without
+// its le label, carrying its highest bucket's exemplar.
 func TestFetchStats(t *testing.T) {
 	r := obsv.New()
 	r.Counter("evb.published").Add(42)
 	r.Gauge("evb.queue_depth").Set(7)
 	r.CounterVec("evb.wire.records", "stream").With("flights").Add(3)
-	h := r.HistogramVec("rt.ns", "stream").With("orders")
+	h := r.Histogram("rt.ns")
 	h.ObserveExemplar(100, traceID(0xaa)) // le="127"
 	h.ObserveExemplar(300, traceID(0xbc)) // le="511"
 	h.Observe(3)
@@ -71,9 +71,9 @@ func TestFetchStats(t *testing.T) {
 		snap.values[`evb_wire_records{stream="flights"}`] != 3 {
 		t.Fatalf("unexpected values: %v", snap.values)
 	}
-	got := snap.hists[`rt_ns{stream="orders"}`]
+	got := snap.hists["rt_ns"]
 	if got == nil || len(snap.hists) != 1 {
-		t.Fatalf("histograms = %v, want one keyed rt_ns{stream=\"orders\"}", snap.hists)
+		t.Fatalf("histograms = %v, want one keyed rt_ns", snap.hists)
 	}
 	if got.count != 3 || got.exemplar != strings.Repeat("bc", 16) {
 		t.Fatalf("histogram count %d exemplar %q", got.count, got.exemplar)

@@ -128,9 +128,9 @@ func run() error {
 	return nil
 }
 
-// noCacheSource forces the discovery client to revalidate on every poll so
-// the demo reacts immediately; the ETag conditional request keeps that
-// cheap.
+// noCacheSource drops the discovery client's cache entry before every poll
+// so the demo reacts immediately. The entry's ETag goes with it, so every
+// poll is a full GET of the document.
 type noCacheSource struct {
 	c *openmeta.DiscoveryClient
 }

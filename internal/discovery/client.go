@@ -15,16 +15,8 @@ import (
 
 	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
-	"openmeta/internal/retry"
-	"openmeta/internal/trace"
 	"openmeta/internal/xmlschema"
 )
-
-// ErrStale reports a schema that exists in the client's cache but is older
-// than the configured stale-serve window while the repository is
-// unreachable: the client refuses to serve it, and the error wraps both
-// ErrStale and the underlying fetch failure.
-var ErrStale = errors.New("discovery: cached schema too stale to serve")
 
 // clientMetrics bundles the discovery client's instruments.
 type clientMetrics struct {
@@ -32,7 +24,6 @@ type clientMetrics struct {
 	cacheHits     *obsv.Counter   // served from cache within the TTL
 	revalidations *obsv.Counter   // 304 Not Modified responses
 	fetchErrors   *obsv.Counter   // failed fetches (network or HTTP status)
-	staleServed   *obsv.Counter   // stale cache entries served while the repo was down
 	fetchNS       *obsv.Histogram // HTTP round-trip latency
 }
 
@@ -43,7 +34,6 @@ func newClientMetrics(r *obsv.Registry) clientMetrics {
 		cacheHits:     s.Counter("cache_hits"),
 		revalidations: s.Counter("revalidations"),
 		fetchErrors:   s.Counter("fetch_errors"),
-		staleServed:   s.Counter("stale_served"),
 		fetchNS:       s.Histogram("fetch_ns"),
 	}
 }
@@ -72,17 +62,12 @@ type Source interface {
 // caching them with ETag revalidation so repeated discovery of an unchanged
 // format costs one conditional request (or nothing, within the TTL).
 type Client struct {
-	base  *url.URL
-	http  *http.Client
-	ttl   time.Duration
-	retry retry.Policy
-	// staleFor is how far past the TTL a cached schema may still be served
-	// when every fetch attempt fails (0 disables stale serving; negative
-	// serves stale entries of any age).
-	staleFor time.Duration
-	now      func() time.Time
-	obs      clientMetrics
-	rec      *flight.Recorder
+	base *url.URL
+	http *http.Client
+	ttl  time.Duration
+	now  func() time.Time
+	obs  clientMetrics
+	rec  *flight.Recorder
 
 	mu    sync.Mutex
 	cache map[string]*clientEntry
@@ -110,27 +95,6 @@ func withTTL(ttl time.Duration) ClientOption {
 	return func(c *Client) { c.ttl = ttl }
 }
 
-// withRetry makes every fetch retry transport errors and 5xx responses
-// under the given policy (exponential backoff with jitter; see
-// retry.Policy). The default performs no retries, preserving one-request-
-// per-fetch semantics. 4xx responses and unparseable documents are
-// permanent and never retried.
-func withRetry(p retry.Policy) ClientOption {
-	return func(c *Client) { c.retry = p }
-}
-
-// withStaleServe enables graceful degradation: when the repository is
-// unreachable (every attempt failed) but a previously fetched schema is
-// cached, the client serves the stale schema — counting it in
-// discovery.stale_served — as long as the entry is no more than max past
-// its TTL. A negative max serves stale entries regardless of age. Entries
-// older than the window fail with an error wrapping ErrStale. This is the
-// paper's §3.3 degraded mode, applied to the cache instead of compiled-in
-// metadata.
-func withStaleServe(max time.Duration) ClientOption {
-	return func(c *Client) { c.staleFor = max }
-}
-
 // withClock substitutes the time source in tests.
 func withClock(now func() time.Time) ClientOption {
 	return func(c *Client) { c.now = now }
@@ -156,7 +120,6 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 		base:  u,
 		http:  &http.Client{},
 		ttl:   time.Minute,
-		retry: retry.Policy{MaxAttempts: 1},
 		now:   time.Now,
 		obs:   defaultClientMetrics,
 		rec:   flight.Default(),
@@ -178,8 +141,10 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 // Describe implements Source.
 func (c *Client) Describe() string { return c.base.String() + SchemaPathPrefix }
 
-// Schema implements Source with caching, ETag revalidation, optional
-// retries (withRetry) and optional stale-serve degradation (withStaleServe).
+// Schema implements Source: a cache hit within the TTL, or else one
+// conditional GET. A client that cannot reach the repository fails; the
+// §3.3 fallback to compiled-in metadata is a Resolver whose chain ends in a
+// StaticSource.
 func (c *Client) Schema(ctx context.Context, name string) (*xmlschema.Schema, error) {
 	c.mu.Lock()
 	entry := c.cache[name]
@@ -195,70 +160,23 @@ func (c *Client) Schema(ctx context.Context, name string) (*xmlschema.Schema, er
 	}
 	c.mu.Unlock()
 
-	// A caller whose ctx carries a sampled span sees the whole fetch —
-	// retries and all — as one discovery.fetch child span; cache hits above
-	// record nothing.
-	sp := trace.FromContext(ctx).Child("discovery.fetch")
-	var out *xmlschema.Schema
-	err := retry.Do(ctx, c.retry, func(ctx context.Context) error {
-		s, ferr := c.fetchOnce(ctx, name, etag, sp.Trace())
-		if ferr != nil {
-			return ferr
-		}
-		out = s
-		return nil
-	})
-	sp.FinishDetail(name)
-	if err == nil {
-		c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "fetch "+name+" ok")
-		return out, nil
-	}
-	c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "fetch "+name+" failed: "+err.Error())
-	if errors.Is(err, ErrNotFound) {
-		// Absence is an answer, not an outage; never mask it with a stale
-		// copy (the repository may have deliberately unpublished it).
+	s, err := c.fetch(ctx, name, etag)
+	if err != nil {
+		c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "fetch "+name+" failed: "+err.Error())
 		return nil, err
 	}
-	return c.serveStale(name, err)
-}
-
-// serveStale is the degraded path after every fetch attempt failed: serve
-// the cached schema if stale serving is enabled and the entry is within the
-// window, otherwise surface the fetch error (wrapping ErrStale when a
-// too-old entry exists).
-func (c *Client) serveStale(name string, fetchErr error) (*xmlschema.Schema, error) {
-	if c.staleFor == 0 {
-		return nil, fetchErr
-	}
-	c.mu.Lock()
-	entry := c.cache[name]
-	if entry == nil {
-		c.mu.Unlock()
-		return nil, fetchErr
-	}
-	age := c.now().Sub(entry.fetched)
-	s := entry.schema
-	c.mu.Unlock()
-	if c.staleFor > 0 && age > c.ttl+c.staleFor {
-		return nil, fmt.Errorf("%w: %q cached %v ago (window %v): %w",
-			ErrStale, name, age.Round(time.Millisecond), c.ttl+c.staleFor, fetchErr)
-	}
-	c.obs.staleServed.Add(1)
-	c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "stale served: "+name)
+	c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "fetch "+name+" ok")
 	return s, nil
 }
 
-// fetchOnce performs one conditional GET for name. Errors marked
-// retry.Permanent (4xx, unparseable documents) stop a retrying caller
-// immediately; everything else (transport errors, 5xx) is retryable. tid is
-// the caller's TraceID (zero when unsampled), stamped onto the fetch-latency
-// histogram bucket as its exemplar.
-func (c *Client) fetchOnce(ctx context.Context, name, etag string, tid trace.TraceID) (*xmlschema.Schema, error) {
+// fetch performs one conditional GET for name, revalidating etag when the
+// cache holds an entry.
+func (c *Client) fetch(ctx context.Context, name, etag string) (*xmlschema.Schema, error) {
 	u := *c.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + SchemaPathPrefix + url.PathEscape(name)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
-		return nil, retry.Permanent(fmt.Errorf("discovery: %w", err))
+		return nil, fmt.Errorf("discovery: %w", err)
 	}
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
@@ -266,7 +184,7 @@ func (c *Client) fetchOnce(ctx context.Context, name, etag string, tid trace.Tra
 	c.obs.fetches.Add(1)
 	start := c.now()
 	resp, err := c.http.Do(req)
-	c.obs.fetchNS.ObserveExemplar(c.now().Sub(start).Nanoseconds(), tid)
+	c.obs.fetchNS.Observe(c.now().Sub(start).Nanoseconds())
 	if err != nil {
 		c.obs.fetchErrors.Add(1)
 		return nil, fmt.Errorf("discovery: fetch %q: %w", name, err)
@@ -285,19 +203,15 @@ func (c *Client) fetchOnce(ctx context.Context, name, etag string, tid trace.Tra
 			entry.fetched = c.now()
 			return entry.schema, nil
 		}
-		return nil, retry.Permanent(fmt.Errorf("discovery: fetch %q: 304 without cache entry", name))
+		return nil, fmt.Errorf("discovery: fetch %q: 304 without cache entry", name)
 	case http.StatusNotFound:
 		c.obs.fetchErrors.Add(1)
-		return nil, retry.Permanent(fmt.Errorf("%w: %q at %s", ErrNotFound, name, c.Describe()))
+		return nil, fmt.Errorf("%w: %q at %s", ErrNotFound, name, c.Describe())
 	case http.StatusOK:
 		// fall through
 	default:
 		c.obs.fetchErrors.Add(1)
-		err := fmt.Errorf("discovery: fetch %q: HTTP %d", name, resp.StatusCode)
-		if resp.StatusCode >= 500 {
-			return nil, err // server-side trouble: worth retrying
-		}
-		return nil, retry.Permanent(err)
+		return nil, fmt.Errorf("discovery: fetch %q: HTTP %d", name, resp.StatusCode)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
@@ -305,9 +219,7 @@ func (c *Client) fetchOnce(ctx context.Context, name, etag string, tid trace.Tra
 	}
 	s, err := xmlschema.ParseString(string(body))
 	if err != nil {
-		// A document the parser rejects will be rejected again; don't
-		// hammer the repository for it.
-		return nil, retry.Permanent(fmt.Errorf("discovery: fetch %q: %w", name, err))
+		return nil, fmt.Errorf("discovery: fetch %q: %w", name, err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"openmeta/internal/obsv"
 )
 
 const docB = `<?xml version="1.0"?>
@@ -184,6 +186,26 @@ func TestClientCachingAndRevalidation(t *testing.T) {
 	c.Invalidate("")
 	if _, err := c.Schema(ctx, "Weather"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientDoesNotRetryNotFound: absence is an answer, given after one
+// request.
+func TestClientDoesNotRetryNotFound(t *testing.T) {
+	srv := httptest.NewServer(newRepo(t).Handler())
+	defer srv.Close()
+	reg := obsv.New()
+	c, err := NewClient(srv.URL, withObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Schema(context.Background(), "NoSuchFormat"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	snap := reg.Snapshot()
+	if snap["discovery.fetches"] != 1 || snap["discovery.fetch_errors"] != 1 {
+		t.Errorf("fetches, fetch_errors = %d, %d, want 1, 1",
+			snap["discovery.fetches"], snap["discovery.fetch_errors"])
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,25 +72,20 @@ type brokerMetrics struct {
 	routeNS *obsv.Histogram // route_ns
 
 	// queueWaitNS times enqueue→wire per outbound frame across all
-	// subscribers, exemplar-stamped for traced frames; queueWaitVec splits
-	// the same measurement per subscriber connection (label "conn"), so one
-	// stalled subscriber is distinguishable from fleet-wide backpressure.
-	// Connection ids churn with reconnects; the registry's label-children
-	// bound clamps runaway cardinality onto the overflow child.
-	queueWaitNS  *obsv.Histogram    // queue_wait_ns
-	queueWaitVec *obsv.HistogramVec // subscriber.queue_wait_ns{conn}
+	// subscribers, exemplar-stamped for traced frames. A subscriber dropped
+	// for stalling is named by its slow_sub_drop flight event.
+	queueWaitNS *obsv.Histogram // queue_wait_ns
 }
 
 func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 	return brokerMetrics{
-		published:    s.Counter("published"),
-		delivered:    s.Counter("delivered"),
-		dropped:      s.Counter("dropped"),
-		formatsSent:  s.Counter("formats_sent"),
-		slowStalls:   s.Counter("slow_subscriber_stalls"),
-		routeNS:      s.Histogram("route_ns"),
-		queueWaitNS:  s.Histogram("queue_wait_ns"),
-		queueWaitVec: s.HistogramVec("subscriber.queue_wait_ns", "conn"),
+		published:   s.Counter("published"),
+		delivered:   s.Counter("delivered"),
+		dropped:     s.Counter("dropped"),
+		formatsSent: s.Counter("formats_sent"),
+		slowStalls:  s.Counter("slow_subscriber_stalls"),
+		routeNS:     s.Histogram("route_ns"),
+		queueWaitNS: s.Histogram("queue_wait_ns"),
 	}
 }
 
@@ -230,11 +224,6 @@ type brokerConn struct {
 	knownFormats map[pbio.FormatID][]byte
 	streams      map[string]*stream
 	images       images
-
-	// queueWait is this connection's child of the broker's
-	// subscriber.queue_wait_ns vec, resolved once at accept so the writer
-	// loop's dequeue path never touches the label map.
-	queueWait *obsv.Histogram
 }
 
 // outFrame is one queued outbound frame: the complete wire image (header
@@ -465,11 +454,9 @@ func (b *Broker) acceptLoop() {
 
 // newConn returns the broker's side of an accepted connection.
 func (b *Broker) newConn(conn net.Conn) *brokerConn {
-	id := flight.NextConnID()
 	return &brokerConn{
 		conn:         conn,
-		id:           id,
-		queueWait:    b.m.queueWaitVec.With(strconv.FormatUint(id, 10)),
+		id:           flight.NextConnID(),
 		out:          make(chan outFrame, b.queueDepth),
 		outClose:     make(chan struct{}),
 		writerDone:   make(chan struct{}),
@@ -979,15 +966,14 @@ gather:
 
 // observeQueueWait turns a dequeued frame's enqueue timestamp into the
 // queue-wait observations: the broker-wide histogram (exemplar-stamped when
-// the frame is traced), the per-subscriber labeled child, and — for traced
-// event frames — a retroactive broker.queue span starting at the enqueue, so
-// an assembled trace shows the queue as its own stage. Measured
+// the frame is traced) and — for traced event frames — a retroactive
+// broker.queue span starting at the enqueue, so the trace shows the queue
+// as its own stage. Measured
 // at dequeue, before the socket write, so a stalled-but-draining subscriber
 // still records its waits.
 func (b *Broker) observeQueueWait(bc *brokerConn, f *outFrame) {
 	wait := time.Since(f.enq)
 	b.m.queueWaitNS.ObserveExemplar(wait.Nanoseconds(), f.tid)
-	bc.queueWait.Observe(wait.Nanoseconds())
 	b.tracer.RecordSpan(f.tid, f.parent, "broker.queue", f.stream, f.enq, wait)
 }
 

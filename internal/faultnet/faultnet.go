@@ -1,12 +1,11 @@
 // Package faultnet is a deterministic fault-injection harness for the
-// repo's network layers. It wraps net.Conn and http.RoundTripper so tests
-// can subject the discovery client and the event backbone to the failure
-// modes real links exhibit — added latency, partial writes, short reads,
+// repo's network layers. It wraps net.Conn so tests can subject the event
+// backbone to the failure modes real links exhibit — added latency, partial writes, short reads,
 // connection resets, and connections that die after N more bytes — from a
 // scripted schedule, so a failure seen in CI replays exactly on a laptop.
 //
-// A Schedule is a queue of Faults consumed one per I/O operation (or HTTP
-// round trip). Build one with NewSchedule.
+// A Schedule is a queue of Faults consumed one per I/O operation. Build one
+// with NewSchedule.
 package faultnet
 
 import (
@@ -20,7 +19,7 @@ import (
 )
 
 // ErrInjected is the root of every error this package injects; wrapped
-// errors carry the fault kind for diagnostics. Transports should treat it
+// errors carry the fault kind for diagnostics. Callers should treat it
 // like any transient network error.
 var ErrInjected = errors.New("faultnet: injected fault")
 
@@ -45,10 +44,6 @@ const (
 	// DropAfter lets Fault.N more bytes flow (reads + writes combined),
 	// then behaves like Reset on the operation that crosses the limit.
 	DropAfter
-	// HTTPStatus makes a Transport return a synthetic response with status
-	// Fault.N and an empty body instead of performing the round trip. It
-	// has no effect on Conn I/O.
-	HTTPStatus
 )
 
 // String names the kind for diagnostics.
@@ -66,8 +61,6 @@ func (k Kind) String() string {
 		return "reset"
 	case DropAfter:
 		return "drop-after"
-	case HTTPStatus:
-		return "http-status"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -77,11 +70,11 @@ func (k Kind) String() string {
 type Fault struct {
 	Kind  Kind
 	Delay time.Duration // Latency only
-	N     int           // ShortRead/PartialWrite/DropAfter byte count; HTTPStatus code
+	N     int           // ShortRead/PartialWrite/DropAfter byte count
 }
 
-// Schedule is a concurrency-safe queue of faults. Wrapped connections and
-// transports consume one entry per operation; when the queue is exhausted
+// Schedule is a concurrency-safe queue of faults. Wrapped connections
+// consume one entry per operation; when the queue is exhausted
 // operations pass through cleanly (or the queue loops, with Loop).
 type Schedule struct {
 	mu     sync.Mutex

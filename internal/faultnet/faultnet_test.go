@@ -4,8 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -194,37 +192,5 @@ func TestWrapListener(t *testing.T) {
 	defer client.Close()
 	if err := <-done; !errors.Is(err, ErrInjected) {
 		t.Fatalf("accepted conn write err = %v, want ErrInjected", err)
-	}
-}
-
-func TestTransportFaults(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("ok"))
-	}))
-	defer srv.Close()
-
-	sched := NewSchedule(
-		Fault{Kind: Reset},
-		Fault{Kind: HTTPStatus, N: 503},
-		Fault{Kind: None},
-	)
-	client := &http.Client{Transport: &Transport{Sched: sched}}
-
-	if _, err := client.Get(srv.URL); !errors.Is(err, ErrInjected) {
-		t.Fatalf("first round trip err = %v, want ErrInjected", err)
-	}
-	resp, err := client.Get(srv.URL)
-	if err != nil || resp.StatusCode != 503 {
-		t.Fatalf("second round trip = %v, %v; want synthetic 503", resp, err)
-	}
-	resp.Body.Close()
-	resp, err = client.Get(srv.URL)
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("third round trip = %v, %v; want clean 200", resp, err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok" {
-		t.Fatalf("clean body = %q", body)
 	}
 }

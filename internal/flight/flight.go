@@ -37,7 +37,7 @@ const (
 	KindReconnect                   // client reconnect attempt (detail: outcome or redial error)
 	KindSlowSubDrop                 // subscriber declared slow: a must-send format frame stalled (format)
 	KindDiscovery                   // discovery fetch outcome (stream: schema name, detail: outcome)
-	KindRetryGiveUp                 // retry.Do exhausted its attempts or budget (detail: last error)
+	KindRetryGiveUp                 // retry.Do exhausted its attempts (detail: last error)
 	kindMax
 )
 

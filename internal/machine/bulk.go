@@ -9,7 +9,7 @@ import (
 // Bulk kernels move whole arrays between Go slices and NDR bytes. Byte order
 // and element width are decided once per array, and every inner loop is the
 // encoding/binary load or store form the compiler turns into one machine
-// instruction — which is what PutUint/Uint/putFloat/Float, with their two
+// instruction — which is what PutUint/Uint/Float, with their two
 // nested switches per call, cannot be when called once per element. Sizes
 // other than 1, 2, 4, 8 (4, 8 for floats) panic like the scalar helpers.
 

@@ -6,6 +6,32 @@ import (
 	"testing/quick"
 )
 
+// truncInt is the scalar reference the integer kernels are checked
+// against: it returns the low `size` bytes of the two's-complement
+// representation of v, as an unsigned value suitable for PutUint. Values out
+// of range wrap, matching C integer conversion semantics.
+func truncInt(v int64, size int) uint64 {
+	if size >= 8 {
+		return uint64(v)
+	}
+	mask := uint64(1)<<(uint(size)*8) - 1
+	return uint64(v) & mask
+}
+
+// putFloat is the scalar reference the float kernels are checked against:
+// it stores a floating-point value of the given size (4 or 8 bytes) in
+// IEEE 754 format. 4-byte stores convert through float32.
+func putFloat(b []byte, order ByteOrder, size int, v float64) {
+	switch size {
+	case 4:
+		PutUint(b, order, 4, uint64(math.Float32bits(float32(v))))
+	case 8:
+		PutUint(b, order, 8, math.Float64bits(v))
+	default:
+		panic("machine: putFloat size must be 4 or 8")
+	}
+}
+
 func TestPutUintUintRoundTrip(t *testing.T) {
 	f := func(v uint64, big bool, sizeSel uint8) bool {
 		sizes := []int{1, 2, 4, 8}

@@ -95,6 +95,3 @@ func (a *Arch) SizeOf(t CType) int {
 		return 0
 	}
 }
-
-// AlignOf returns the ABI alignment of t on architecture a.
-func (a *Arch) AlignOf(t CType) int { return a.Align(a.SizeOf(t)) }

@@ -3,8 +3,8 @@
 // observation that arrived with a TraceID — value, TraceID and wall-clock
 // timestamp. A p99 excursion on /metrics is then not just a number: the bucket
 // the p99 falls in carries the ID of an actual request that landed there,
-// resolvable into an assembled span tree from the /debug/trace rings of the
-// processes it crossed (trace.Assemble).
+// whose spans the /debug/trace rings of the processes it crossed hold under
+// that id.
 //
 // The recording path shares the histogram hot-path contract: ObserveExemplar
 // performs no allocation after the slot array exists (it is created once, on
@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -166,32 +165,14 @@ func readExemplar(s *exemplarSlot, bucket int) (Exemplar, bool) {
 }
 
 // FindHistogram returns the histogram registered under name without creating
-// it — nil if the name is unknown. name may be a labeled vector child in its
-// snapshot form, name{k="v",...}.
+// it — nil if the name is unknown.
 func (r *Registry) FindHistogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	base, labels := name, ""
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		base, labels = name[:i], name[i:]
-	}
 	r.mu.RLock()
-	h := r.hists[base]
-	v := r.histVecs[base]
-	r.mu.RUnlock()
-	if labels == "" {
-		return h
-	}
-	if v == nil {
-		return nil
-	}
-	for _, c := range v.v.children() {
-		if c.labels.String() == labels {
-			return c.inst
-		}
-	}
-	return nil
+	defer r.mu.RUnlock()
+	return r.hists[name]
 }
 
 // bucketIndex returns the histogram bucket a (non-negative) sample lands in —

@@ -197,8 +197,7 @@ func TestStatsEndpointExemplars(t *testing.T) {
 // counter samples suffixed _total under a bare # TYPE family, a trailing
 // # EOF, and exemplar suffixes that appear only on histogram _bucket lines —
 // on exactly the bucket whose le bound covers the traced sample, carrying the
-// sample's hex TraceID, value and a wall-clock timestamp, for plain
-// histograms and labeled vector children alike.
+// sample's hex TraceID, value and a wall-clock timestamp.
 func TestMetricsEndpointOpenMetricsFormat(t *testing.T) {
 	r := New()
 	r.Counter("pbio.encode.calls").Add(5)
@@ -206,13 +205,13 @@ func TestMetricsEndpointOpenMetricsFormat(t *testing.T) {
 	h := r.Histogram("lat.ns")
 	h.ObserveExemplar(100, testTraceID(0xab)) // bucket 7: le="127"
 	h.Observe(3)                              // untraced sample, counts only
-	// A labeled child's exemplar sits on its own bucket (bucket 9: le="511");
-	// a histogram without one gets bare bucket lines.
-	r.HistogramVec("rt.ns", "stream").With("orders").ObserveExemplar(300, testTraceID(0xcd))
+	// A second traced histogram's exemplar sits on its own bucket (bucket 9:
+	// le="511"); a histogram without one gets bare bucket lines.
+	r.Histogram("rt.ns").ObserveExemplar(300, testTraceID(0xcd))
 	r.Histogram("silent.ns").Observe(7)
 	wantEx := map[string][2]string{
-		`lat_ns_bucket{le="127"}`:                {strings.Repeat("ab", 16), "100"},
-		`rt_ns_bucket{stream="orders",le="511"}`: {strings.Repeat("cd", 16), "300"},
+		`lat_ns_bucket{le="127"}`: {strings.Repeat("ab", 16), "100"},
+		`rt_ns_bucket{le="511"}`:  {strings.Repeat("cd", 16), "300"},
 	}
 	srv := httptest.NewServer(DebugMux(r))
 	defer srv.Close()

@@ -59,7 +59,7 @@ const overflowLabel = "overflow"
 // counts label combinations clamped onto a vector's overflow child.
 const DroppedLabelsCounter = "obsv.labels.dropped"
 
-// vec is the shared child-management core of the three vector kinds. reg
+// vec is the shared child-management core of the two vector kinds. reg
 // points back at the owning registry for the cardinality bound and the
 // labels-dropped counter.
 type vec[T any] struct {
@@ -170,20 +170,6 @@ func (gv *GaugeVec) With(values ...string) *Gauge {
 	return gv.v.with(values)
 }
 
-// HistogramVec is a family of histograms sharing a name. A nil *HistogramVec
-// hands out nil histograms.
-type HistogramVec struct {
-	v *vec[Histogram]
-}
-
-// With returns the histogram for the given label values.
-func (hv *HistogramVec) With(values ...string) *Histogram {
-	if hv == nil {
-		return nil
-	}
-	return hv.v.with(values)
-}
-
 // CounterVec returns the labeled counter family registered under name,
 // creating it with the given label keys if new. Looking the name up again
 // returns the same family (the original key declaration wins).
@@ -226,26 +212,6 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 	return gv
 }
 
-// HistogramVec returns the labeled histogram family registered under name.
-func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	hv := r.histVecs[name]
-	r.mu.RUnlock()
-	if hv != nil {
-		return hv
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if hv = r.histVecs[name]; hv == nil {
-		hv = &HistogramVec{v: newVec[Histogram](r, name, keys)}
-		r.histVecs[name] = hv
-	}
-	return hv
-}
-
 // CounterVec returns the scoped labeled counter family.
 func (s Scope) CounterVec(name string, keys ...string) *CounterVec {
 	return s.r.CounterVec(s.prefix+name, keys...)
@@ -254,9 +220,4 @@ func (s Scope) CounterVec(name string, keys ...string) *CounterVec {
 // GaugeVec returns the scoped labeled gauge family.
 func (s Scope) GaugeVec(name string, keys ...string) *GaugeVec {
 	return s.r.GaugeVec(s.prefix+name, keys...)
-}
-
-// HistogramVec returns the scoped labeled histogram family.
-func (s Scope) HistogramVec(name string, keys ...string) *HistogramVec {
-	return s.r.HistogramVec(s.prefix+name, keys...)
 }

@@ -34,7 +34,7 @@ func TestCounterVecChildren(t *testing.T) {
 func TestGaugeAndHistogramVecSnapshot(t *testing.T) {
 	r := New()
 	r.GaugeVec("ratio", "format").With("f1").Set(642)
-	h := r.HistogramVec("lat", "op").With("enc")
+	h := r.Histogram("lat")
 	h.Observe(100)
 	h.Observe(200)
 
@@ -42,12 +42,8 @@ func TestGaugeAndHistogramVecSnapshot(t *testing.T) {
 	if snap[`ratio{format="f1"}`] != 642 {
 		t.Fatalf("gauge child missing: %v", snap)
 	}
-	if snap[`lat{op="enc"}.count`] != 2 || snap[`lat{op="enc"}.sum`] != 300 {
-		t.Fatalf("hist child missing: %v", snap)
-	}
-	// The .count suffix stays terminal so suffix-driven tools group the family.
-	if !strings.HasSuffix(`lat{op="enc"}.count`, ".count") {
-		t.Fatal("suffix not terminal")
+	if snap["lat.count"] != 2 || snap["lat.sum"] != 300 {
+		t.Fatalf("histogram missing: %v", snap)
 	}
 }
 
@@ -55,7 +51,6 @@ func TestVecNilSafe(t *testing.T) {
 	var r *Registry
 	r.CounterVec("x", "k").With("v").Add(1) // all no-ops
 	r.GaugeVec("x", "k").With("v").Set(1)
-	r.HistogramVec("x", "k").With("v").Observe(1)
 }
 
 func TestVecMissingAndExtraValues(t *testing.T) {
@@ -84,11 +79,9 @@ func TestVecChildHotPathAllocationFree(t *testing.T) {
 	r := New()
 	c := r.CounterVec("c", "k").With("v")
 	g := r.GaugeVec("g", "k").With("v")
-	h := r.HistogramVec("h", "k").With("v")
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.Add(1)
 		g.Set(2)
-		h.Observe(3)
 	}); allocs != 0 {
 		t.Fatalf("labeled child hot path allocates %.1f per run", allocs)
 	}
@@ -106,9 +99,6 @@ func TestPrometheusLabeledSeries(t *testing.T) {
 	r := New()
 	r.CounterVec("pbio.wire.bytes", "format", "dir").With("point3d", "enc").Add(4096)
 	r.GaugeVec("pbio.xml.expansion", "format").With("point3d").Set(700)
-	hv := r.HistogramVec("bus.frame.bytes", "stream")
-	hv.With("orders").Observe(100)
-	hv.With("orders").Observe(3)
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
@@ -120,17 +110,9 @@ func TestPrometheusLabeledSeries(t *testing.T) {
 		`pbio_wire_bytes{format="point3d",dir="enc"} 4096` + "\n",
 		"# TYPE pbio_xml_expansion gauge\n",
 		`pbio_xml_expansion{format="point3d"} 700` + "\n",
-		"# TYPE bus_frame_bytes histogram\n",
-		`bus_frame_bytes_bucket{stream="orders",le="+Inf"} 2` + "\n",
-		`bus_frame_bytes_sum{stream="orders"} 103` + "\n",
-		`bus_frame_bytes_count{stream="orders"} 2` + "\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n---\n%s", want, body)
 		}
-	}
-	// Labeled buckets must carry both the stream label and a le bound.
-	if !strings.Contains(body, `bus_frame_bytes_bucket{stream="orders",le="127"}`) {
-		t.Errorf("labeled bucket with le bound missing\n---\n%s", body)
 	}
 }

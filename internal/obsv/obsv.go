@@ -228,7 +228,6 @@ type instruments struct {
 	funcs       map[string]func() int64
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
 }
 
 func (r *Registry) copyInstruments() instruments {
@@ -241,7 +240,6 @@ func (r *Registry) copyInstruments() instruments {
 		funcs:       maps.Clone(r.funcs),
 		counterVecs: maps.Clone(r.counterVecs),
 		gaugeVecs:   maps.Clone(r.gaugeVecs),
-		histVecs:    maps.Clone(r.histVecs),
 	}
 }
 
@@ -260,7 +258,6 @@ func New() *Registry {
 		funcs:       make(map[string]func() int64),
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
-		histVecs:    make(map[string]*HistogramVec),
 	}}
 	r.maxVec.Store(DefaultMaxVecChildren)
 	return r
@@ -384,11 +381,9 @@ func (s Scope) Func(name string, fn func() int64) { s.r.Func(s.prefix+name, fn) 
 // Snapshot returns a point-in-time flattened view of every instrument.
 // Counters and gauges appear under their names; a histogram named h expands
 // to h.count, h.sum, h.max, h.p50, h.p95 and h.p99; snapshot functions appear
-// under their names. Labeled instruments appear once per child under
-// name{k="v",...} keys (a labeled histogram child expands to
-// name{...}.count and friends, keeping the suffix terminal so tools that
-// group histogram families by suffix keep working). Functions are evaluated
-// with no registry locks held.
+// under their names. Labeled counters and gauges appear once per child
+// under name{k="v",...} keys. Functions are evaluated with no registry locks
+// held.
 func (r *Registry) Snapshot() map[string]int64 {
 	if r == nil {
 		return map[string]int64{}
@@ -402,7 +397,13 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[n] = g.Load()
 	}
 	for n, h := range in.hists {
-		expandHistogram(out, n, h)
+		v := h.Value()
+		out[n+".count"] = v.Count
+		out[n+".sum"] = v.Sum
+		out[n+".max"] = v.Max
+		out[n+".p50"] = v.Quantile(0.50)
+		out[n+".p95"] = v.Quantile(0.95)
+		out[n+".p99"] = v.Quantile(0.99)
 	}
 	for n, v := range in.counterVecs {
 		for _, c := range v.v.children() {
@@ -414,26 +415,10 @@ func (r *Registry) Snapshot() map[string]int64 {
 			out[n+c.labels.String()] = c.inst.Load()
 		}
 	}
-	for n, v := range in.histVecs {
-		for _, c := range v.v.children() {
-			expandHistogram(out, n+c.labels.String(), c.inst)
-		}
-	}
 	for n, f := range in.funcs {
 		out[n] = f()
 	}
 	return out
-}
-
-// expandHistogram flattens one histogram into the six derived snapshot keys.
-func expandHistogram(out map[string]int64, name string, h *Histogram) {
-	v := h.Value()
-	out[name+".count"] = v.Count
-	out[name+".sum"] = v.Sum
-	out[name+".max"] = v.Max
-	out[name+".p50"] = v.Quantile(0.50)
-	out[name+".p95"] = v.Quantile(0.95)
-	out[name+".p99"] = v.Quantile(0.99)
 }
 
 // Delta returns after-minus-before for every key in after. Keys missing from

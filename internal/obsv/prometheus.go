@@ -79,31 +79,17 @@ func (r *Registry) writePrometheus(b *strings.Builder, openMetrics bool) {
 	for _, n := range sortedKeys(in.hists) {
 		pn := promName(n)
 		fmt.Fprintf(b, "# TYPE %s histogram\n", pn)
-		writePromHistogram(b, pn, nil, in.hists[n], openMetrics)
-	}
-	for _, n := range sortedKeys(in.histVecs) {
-		pn := promName(n)
-		fmt.Fprintf(b, "# TYPE %s histogram\n", pn)
-		for _, c := range in.histVecs[n].v.children() {
-			writePromHistogram(b, pn, c.labels, c.inst, openMetrics)
-		}
+		writePromHistogram(b, pn, in.hists[n], openMetrics)
 	}
 }
 
-// writePromHistogram emits one histogram series (optionally labeled) in the
+// writePromHistogram emits one histogram series in the
 // text exposition format: cumulative _bucket lines with power-of-two le
 // bounds up to the highest populated bucket, +Inf, then _sum and _count. In
 // OpenMetrics mode, a bucket line whose bucket holds an exemplar carries the
 // exemplar suffix (exemplars attach to _bucket series only).
-func writePromHistogram(b *strings.Builder, pn string, labels LabelSet, h *Histogram, openMetrics bool) {
+func writePromHistogram(b *strings.Builder, pn string, h *Histogram, openMetrics bool) {
 	v := h.Value()
-	// prefix opens the label braces for bucket lines so le can be appended;
-	// plain renders the labels alone for the _sum/_count lines.
-	prefix, plain := "{", ""
-	if len(labels) > 0 {
-		plain = labels.String()
-		prefix = plain[:len(plain)-1] + ","
-	}
 	last := 0
 	for i, c := range v.Buckets {
 		if c > 0 {
@@ -117,7 +103,7 @@ func writePromHistogram(b *strings.Builder, pn string, labels LabelSet, h *Histo
 		// computed in floating point because bucket 64's bound overflows
 		// int64.
 		le := math.Ldexp(1, i) - 1
-		fmt.Fprintf(b, "%s%sle=\"%g\"} %d", pn+"_bucket", prefix, le, cum)
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d", pn, le, cum)
 		if openMetrics {
 			if ex, ok := h.exemplarFor(i); ok {
 				fmt.Fprintf(b, " # {trace_id=\"%s\"} %d %d.%09d",
@@ -127,9 +113,9 @@ func writePromHistogram(b *strings.Builder, pn string, labels LabelSet, h *Histo
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(b, "%s%sle=\"+Inf\"} %d\n", pn+"_bucket", prefix, v.Count)
-	fmt.Fprintf(b, "%s_sum%s %d\n", pn, plain, v.Sum)
-	fmt.Fprintf(b, "%s_count%s %d\n", pn, plain, v.Count)
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", pn, v.Count)
+	fmt.Fprintf(b, "%s_sum %d\n", pn, v.Sum)
+	fmt.Fprintf(b, "%s_count %d\n", pn, v.Count)
 }
 
 // promName maps a registry instrument name onto the Prometheus metric-name

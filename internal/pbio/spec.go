@@ -51,9 +51,9 @@ func (c *Context) ResolveSpecs(name string, specs []FieldSpec) ([]IOField, error
 	return f.IOFields(), nil
 }
 
-// layOut builds the finished format the specs describe: each field placed at
-// the next offset aligned for it, the rule of machine.LayOut with the
-// alignments finishFormat checks every format against.
+// layOut builds the finished format the specs describe, laying the fields
+// out as a C compiler would: each field placed at the next offset aligned
+// for it, with the alignments finishFormat checks every format against.
 func (c *Context) layOut(name string, specs []FieldSpec) (*Format, error) {
 	f, err := c.newFormat(name, len(specs))
 	if err != nil {

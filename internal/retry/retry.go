@@ -1,15 +1,12 @@
-// Package retry is a small context-aware retry engine for the transport
-// layers: exponential backoff with deterministic jitter, per-attempt
-// timeouts, and a Permanent escape hatch for errors no amount of retrying
-// can fix.
+// Package retry is the event backbone's dial and reconnect loop: a
+// context-aware retry with exponential backoff and deterministic jitter.
 //
-// The paper's discovery and event-backbone designs both assume metadata and
-// records travel over real networks ("a Uniform Resource Locator can be
-// used instead" of compiled-in metadata, §3.3); this package is where the
-// repo's transports acquire the corresponding tolerance for transient
-// failure. Every attempt and every give-up is counted in the default obsv
-// registry (retry.attempts, retry.retries, retry.giveups) so the cost of a
-// flaky link shows up on /metrics.
+// The paper's event backbone assumes records travel over real networks;
+// eventbus's dial and WithReconnect redial are where the repo's transports
+// acquire the corresponding tolerance for transient failure. Every attempt
+// and every give-up is counted in the default obsv registry (retry.attempts,
+// retry.retries, retry.giveups) so the cost of a flaky link shows up on
+// /metrics.
 package retry
 
 import (
@@ -39,9 +36,16 @@ var (
 	sleepNS         = obsv.Default().Histogram("retry.sleep_ns")
 )
 
+// jitter is the fraction of the base backoff added as randomness: each sleep
+// is drawn uniformly from [base, base*(1+jitter)]. The base doubles per
+// retry, and 2 >= 1+jitter keeps the jittered schedule monotone
+// non-decreasing below the cap.
+const jitter = 0.5
+
 // Policy describes how Do retries an operation. The zero value is usable
 // and means "four attempts, 50ms initial backoff doubling to a 5s cap, half
 // a backoff of jitter"; set MaxAttempts to 1 to disable retries entirely.
+// Attempts share the caller's context deadline.
 type Policy struct {
 	// MaxAttempts is the total number of attempts, including the first
 	// (default 4; 1 disables retries; negative is treated as 1).
@@ -50,24 +54,9 @@ type Policy struct {
 	Initial time.Duration
 	// Max caps the un-jittered backoff (default 5s).
 	Max time.Duration
-	// Multiplier grows the backoff between retries (default 2). For the
-	// jittered schedule to stay monotone non-decreasing below the cap,
-	// keep Multiplier >= 1+Jitter (the defaults satisfy this).
-	Multiplier float64
-	// Jitter is the fraction of the base backoff added as randomness: each
-	// sleep is drawn uniformly from [base, base*(1+Jitter)] (default 0.5).
-	// Zero Jitter with a non-zero Multiplier still jitters by the default;
-	// set Jitter negative for a fully deterministic schedule.
-	Jitter float64
-	// AttemptTimeout bounds each attempt with a child context deadline
-	// (0 = attempts share the caller's context deadline only).
-	AttemptTimeout time.Duration
 	// Seed makes the jittered schedule deterministic (tests). Zero seeds
 	// from the global random source.
 	Seed int64
-	// Notify, when non-nil, observes each scheduled retry: the error that
-	// caused it and the sleep about to be taken.
-	Notify func(err error, sleep time.Duration)
 }
 
 // withDefaults returns p with zero fields replaced by the documented
@@ -85,28 +74,16 @@ func (p Policy) withDefaults() Policy {
 	if p.Max <= 0 {
 		p.Max = 5 * time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	switch {
-	case p.Jitter < 0:
-		p.Jitter = 0
-	case p.Jitter == 0:
-		p.Jitter = 0.5
-	}
 	return p
 }
 
 // Backoff returns the un-jittered base backoff before retry number retry
-// (0-based): min(Initial * Multiplier^retry, Max). The base schedule is
-// monotone non-decreasing and saturates at Max.
+// (0-based): min(Initial * 2^retry, Max). The base schedule is monotone
+// non-decreasing and saturates at Max.
 func (p Policy) Backoff(retry int) time.Duration {
 	p = p.withDefaults()
-	if retry < 0 {
-		retry = 0
-	}
-	b := float64(p.Initial) * math.Pow(p.Multiplier, float64(retry))
-	if b > float64(p.Max) || math.IsInf(b, 1) || math.IsNaN(b) {
+	b := math.Ldexp(float64(p.Initial), max(retry, 0))
+	if b > float64(p.Max) {
 		return p.Max
 	}
 	return time.Duration(b)
@@ -125,36 +102,15 @@ func (p Policy) Schedule(seed int64, n int) []time.Duration {
 	return out
 }
 
-// jittered draws the sleep before retry i from [base, base*(1+Jitter)].
+// jittered draws the sleep before retry i from [base, base*(1+jitter)].
 func (p Policy) jittered(retry int, rng *rand.Rand) time.Duration {
 	base := p.Backoff(retry)
-	if p.Jitter <= 0 {
-		return base
-	}
-	span := float64(base) * p.Jitter
-	return base + time.Duration(rng.Float64()*span)
+	return base + time.Duration(rng.Float64()*float64(base)*jitter)
 }
 
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Do stops immediately and returns it unwrapped-able
-// via errors.Is/As as usual. A nil err returns nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// Do runs op until it succeeds, is marked Permanent, exhausts the policy's
-// attempts, or ctx is done. Each attempt receives a child context
-// carrying the policy's per-attempt timeout. The returned error wraps
-// ErrExhausted (plus the final attempt's error) on give-up, or the
-// permanent/context error directly.
+// Do runs op until it succeeds, exhausts the policy's attempts, or ctx is
+// done. The returned error wraps ErrExhausted (plus the final attempt's
+// error) on give-up, or the context error.
 func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
 	p = p.withDefaults()
 	seed := p.Seed
@@ -168,13 +124,9 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 			return ctxError(err, lastErr)
 		}
 		attemptsCounter.Add(1)
-		lastErr = runAttempt(ctx, p.AttemptTimeout, op)
+		lastErr = op(ctx)
 		if lastErr == nil {
 			return nil
-		}
-		var pe *permanentError
-		if errors.As(lastErr, &pe) {
-			return pe.err
 		}
 		if errors.Is(lastErr, context.Canceled) && ctx.Err() != nil {
 			return ctxError(ctx.Err(), lastErr)
@@ -185,9 +137,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt+1, lastErr)
 		}
 		sleep := p.jittered(attempt, rng)
-		if p.Notify != nil {
-			p.Notify(lastErr, sleep)
-		}
 		retriesCounter.Add(1)
 		sleepNS.Observe(sleep.Nanoseconds())
 		t := time.NewTimer(sleep)
@@ -198,16 +147,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 		case <-t.C:
 		}
 	}
-}
-
-// runAttempt invokes op under the per-attempt timeout, if any.
-func runAttempt(ctx context.Context, timeout time.Duration, op func(ctx context.Context) error) error {
-	if timeout <= 0 {
-		return op(ctx)
-	}
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	return op(actx)
 }
 
 // ctxError folds the context error together with the last attempt error so

@@ -38,9 +38,10 @@ type chromeEvent struct {
 //	                                 chrome://tracing / Perfetto
 //
 // The JSON response also carries now_unix_ns (the server clock at snapshot
-// time, a coarse cross-process skew hint) and recorded (spans recorded over
-// the tracer's lifetime, so a scraper can tell when the ring wrapped past
-// history it wanted).
+// time, against which a reader places the span timestamps) and recorded
+// (spans recorded over the tracer's lifetime, so a scraper can tell when
+// the ring wrapped past history it wanted). Spans from several processes
+// join on their hex trace ids; no collector in this repository does so.
 //
 // The chrome export groups spans by trace: each distinct TraceID becomes one
 // "thread" row so concurrent record journeys stack instead of interleaving.

@@ -50,53 +50,6 @@ func (id TraceID) String() string { return string(appendHex(nil, id[:])) }
 // String renders the span ID as 16 lowercase hex digits.
 func (id SpanID) String() string { return string(appendHex(nil, id[:])) }
 
-// parseHex decodes exactly len(dst)*2 lowercase/uppercase hex digits.
-func parseHex(dst []byte, s string) bool {
-	if len(s) != len(dst)*2 {
-		return false
-	}
-	for i := range dst {
-		hi := hexVal(s[2*i])
-		lo := hexVal(s[2*i+1])
-		if hi < 0 || lo < 0 {
-			return false
-		}
-		dst[i] = byte(hi<<4 | lo)
-	}
-	return true
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
-}
-
-// ParseTraceID parses the 32-hex-digit form produced by TraceID.String —
-// the inverse needed by collectors reading /debug/trace JSON back into IDs.
-func ParseTraceID(s string) (TraceID, bool) {
-	var id TraceID
-	ok := parseHex(id[:], s)
-	return id, ok
-}
-
-// ParseSpanID parses the 16-hex-digit form produced by SpanID.String. An
-// empty string parses as the zero (root-parent) ID.
-func ParseSpanID(s string) (SpanID, bool) {
-	var id SpanID
-	if s == "" {
-		return id, true
-	}
-	ok := parseHex(id[:], s)
-	return id, ok
-}
-
 // Span is one completed, recorded stage of a trace.
 type Span struct {
 	Trace  TraceID

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"sync"
@@ -287,20 +286,29 @@ func TestHandlerJSONAndChrome(t *testing.T) {
 	}
 }
 
-func TestContextCarriesCtx(t *testing.T) {
-	tr := NewTracer(8)
+// TestHandlerFullScrape checks the /debug/trace body: every span in the
+// ring, the server clock in now_unix_ns and the lifetime recorded count.
+func TestHandlerFullScrape(t *testing.T) {
+	tr := NewTracer(16)
 	tr.SetSampling(1)
-	root := tr.Start("root")
-	ctx := newContext(context.Background(), root)
-	got := FromContext(ctx)
-	if !got.Sampled() || got.Trace() != root.Trace() || got.Span() != root.Span() {
-		t.Fatal("context round-trip lost the span handle")
+	for i := 0; i < 3; i++ {
+		c := tr.Start("stage")
+		c.Finish()
 	}
-	// Unsampled handles are not stored.
-	if newContext(context.Background(), Ctx{}) != context.Background() {
-		t.Fatal("unsampled ctx should return the parent context unchanged")
+	rec := httptest.NewRecorder()
+	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	var body struct {
+		NowUnixNS int64             `json:"now_unix_ns"`
+		Recorded  int64             `json:"recorded"`
+		Spans     []json.RawMessage `json:"spans"`
 	}
-	if FromContext(context.Background()).Sampled() {
-		t.Fatal("empty context produced a sampled handle")
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if body.NowUnixNS == 0 {
+		t.Fatal("now_unix_ns missing")
+	}
+	if len(body.Spans) != 3 || body.Recorded != 3 {
+		t.Fatalf("full scrape: %d spans, recorded %d, want 3/3", len(body.Spans), body.Recorded)
 	}
 }

@@ -67,21 +67,8 @@ func AppendFloat64(b []byte, v float64) []byte {
 // pad returns the number of padding bytes to reach 4-byte alignment.
 func pad(n int) int { return (4 - n%4) % 4 }
 
-// appendOpaque appends variable-length opaque data (length + bytes + pad).
-func appendOpaque(b, data []byte) []byte {
-	b = AppendUint32(b, uint32(len(data)))
-	b = append(b, data...)
-	return append(b, make([]byte, pad(len(data)))...)
-}
-
-// appendFixedOpaque appends fixed-length opaque data (bytes + pad, no
-// length).
-func appendFixedOpaque(b, data []byte) []byte {
-	b = append(b, data...)
-	return append(b, make([]byte, pad(len(data)))...)
-}
-
-// AppendString appends an XDR string (same encoding as opaque).
+// AppendString appends an XDR string: length, bytes, zero padding to a
+// multiple of 4 (the encoding of variable-length opaque data too).
 func AppendString(b []byte, s string) []byte {
 	b = AppendUint32(b, uint32(len(s)))
 	b = append(b, s...)

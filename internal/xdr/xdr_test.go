@@ -18,8 +18,8 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 	b = AppendFloat32(b, 1.5)
 	b = AppendFloat64(b, -2.25)
 	b = AppendString(b, "hello")
-	b = appendOpaque(b, []byte{1, 2, 3})
-	b = appendFixedOpaque(b, []byte{9, 8})
+	b = AppendString(b, "\x01\x02\x03") // opaque data shares the string encoding
+	b = append(b, 9, 8, 0, 0)           // fixed-length opaque: bytes and padding
 
 	d := NewDecoder(b)
 	if v, err := d.Int32(); err != nil || v != -42 {
@@ -70,8 +70,6 @@ func TestAlignment(t *testing.T) {
 		{AppendString(nil, "a"), 8},
 		{AppendString(nil, "abcd"), 8},
 		{AppendString(nil, "abcde"), 12},
-		{appendOpaque(nil, make([]byte, 5)), 12},
-		{appendFixedOpaque(nil, make([]byte, 5)), 8},
 	}
 	for i, tt := range cases {
 		if len(tt.b) != tt.want {
@@ -120,7 +118,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		b = AppendUint64(b, u)
 		b = AppendFloat64(b, fl)
 		b = AppendString(b, s)
-		b = appendOpaque(b, raw)
+		b = AppendString(b, string(raw))
 		d := NewDecoder(b)
 		gi, err1 := d.Int64()
 		gu, err2 := d.Uint64()

@@ -114,6 +114,27 @@ func findAttr(attrs []Attr, local string) (string, bool) {
 
 type nsBinding struct{ prefix, uri string }
 
+// indexMin is how many attributes of one tag, or namespace bindings in
+// scope, the tokenizer compares one by one. Past it a map takes over, so
+// that a hostile tag or nesting costs linear time.
+const indexMin = 32
+
+// nsIndex finds the innermost binding of a prefix once more than indexMin
+// bindings are in scope.
+type nsIndex struct {
+	innermost map[string]int // prefix → index of its innermost binding in Tokenizer.ns
+	hidden    []int          // per binding, the index of the binding it hides, or -1
+}
+
+func (x *nsIndex) add(prefix string, i int) {
+	h, ok := x.innermost[prefix]
+	if !ok {
+		h = -1
+	}
+	x.hidden = append(x.hidden[:i], h)
+	x.innermost[prefix] = i
+}
+
 // openElement is an element whose end tag has not been read.
 type openElement struct {
 	raw  string // name as written, which the end tag must repeat
@@ -135,6 +156,7 @@ type Tokenizer struct {
 
 	attrs []Attr
 	ns    []nsBinding
+	nsIdx *nsIndex // nil until more than indexMin bindings were in scope
 	open  []openElement
 
 	// Position's cursor: the last offset resolved, its line, and the offset
@@ -270,9 +292,44 @@ func splitQName(q string) (prefix, local string, ok bool) {
 	return q[:i], q[i+1:], i > 0 && i < len(q)-1
 }
 
+// bind puts a namespace binding in scope.
+func (t *Tokenizer) bind(prefix, uri string) {
+	t.ns = append(t.ns, nsBinding{prefix, uri})
+	switch {
+	case t.nsIdx != nil:
+		t.nsIdx.add(prefix, len(t.ns)-1)
+	case len(t.ns) > indexMin:
+		t.nsIdx = &nsIndex{innermost: make(map[string]int, 2*indexMin)}
+		for i, b := range t.ns {
+			t.nsIdx.add(b.prefix, i)
+		}
+	}
+}
+
+// unbind drops the bindings from the n-th on.
+func (t *Tokenizer) unbind(n int) {
+	if x := t.nsIdx; x != nil {
+		for i := len(t.ns) - 1; i >= n; i-- {
+			if h := x.hidden[i]; h >= 0 {
+				x.innermost[t.ns[i].prefix] = h
+			} else {
+				delete(x.innermost, t.ns[i].prefix)
+			}
+		}
+		x.hidden = x.hidden[:n]
+	}
+	t.ns = t.ns[:n]
+}
+
 // lookup resolves a namespace prefix ("" for the default namespace, which
 // defaults to none) against the innermost binding.
 func (t *Tokenizer) lookup(prefix string) (string, bool) {
+	if t.nsIdx != nil {
+		if i, ok := t.nsIdx.innermost[prefix]; ok {
+			return t.ns[i].uri, true
+		}
+		return "", prefix == ""
+	}
 	for i := len(t.ns) - 1; i >= 0; i-- {
 		if t.ns[i].prefix == prefix {
 			return t.ns[i].uri, true
@@ -303,6 +360,7 @@ func (t *Tokenizer) startTag() (Token, error) {
 		return Token{}, t.errf("malformed name <%s>", raw)
 	}
 	t.attrs = t.attrs[:0]
+	var seen map[string]bool // the attribute names past the first indexMin
 	for {
 		t.skipSpace()
 		if t.pos >= len(t.src) {
@@ -335,10 +393,23 @@ func (t *Tokenizer) startTag() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		for _, a := range t.attrs {
-			if sameAttr(a.Name, aName) {
+		if len(t.attrs) < indexMin {
+			for _, a := range t.attrs {
+				if sameAttr(a.Name, aName) {
+					return Token{}, t.errf("duplicate attribute %q in <%s>", aName, raw)
+				}
+			}
+		} else {
+			if seen == nil {
+				seen = make(map[string]bool, 2*indexMin)
+				for _, a := range t.attrs {
+					seen[a.Name.String()] = true
+				}
+			}
+			if seen[aName] {
 				return Token{}, t.errf("duplicate attribute %q in <%s>", aName, raw)
 			}
+			seen[aName] = true
 		}
 		t.attrs = append(t.attrs, Attr{Name: Name{Prefix: pre, Local: loc}, Value: val})
 	}
@@ -349,11 +420,11 @@ func (t *Tokenizer) startTag() (Token, error) {
 	for _, a := range t.attrs {
 		switch {
 		case a.Name.Prefix == "" && a.Name.Local == "xmlns":
-			t.ns = append(t.ns, nsBinding{"", a.Value})
+			t.bind("", a.Value)
 		case a.Name.Prefix == "xmlns" && a.Value == "":
 			return Token{}, t.errf("namespace prefix %q bound to empty URI", a.Name.Local)
 		case a.Name.Prefix == "xmlns":
-			t.ns = append(t.ns, nsBinding{a.Name.Local, a.Value})
+			t.bind(a.Name.Local, a.Value)
 		}
 	}
 	for i := range t.attrs {
@@ -396,7 +467,7 @@ func (t *Tokenizer) endTag() (Token, error) {
 func (t *Tokenizer) pop() Token {
 	el := t.open[len(t.open)-1]
 	t.open = t.open[:len(t.open)-1]
-	t.ns = t.ns[:el.ns]
+	t.unbind(el.ns)
 	t.root = len(t.open) == 0
 	return Token{Kind: EndTag, Name: el.name}
 }

@@ -1,13 +1,12 @@
 package openmeta
 
-// Cross-process trace assembly without a collector: a publisher, a broker
-// and a subscriber, each with its own registry, tracer and flight recorder
-// served on its own debug listener, exactly like three processes started
-// with -debug-addr. The tests read each /debug/trace ring over HTTP and
-// stitch one TraceID's fragments back into a single parent-linked tree with
-// trace.Tag, trace.MergeSpans and trace.Assemble; the latency exemplars on
-// the OpenMetrics /metrics exposition lead to traces that assemble the same
-// way.
+// One trace across three processes: a publisher, a broker and a
+// subscriber, each with its own registry, tracer and flight recorder served
+// on its own debug listener, exactly like three processes started with
+// -debug-addr. The tests read each /debug/trace ring over HTTP, join the
+// fragments on their hex trace ids and check that each trace is one
+// parent-linked tree over the three processes; the latency exemplars on the
+// OpenMetrics /metrics exposition lead to traces that hold the same way.
 
 import (
 	"encoding/json"
@@ -50,36 +49,24 @@ func newDebugProc(t *testing.T, name string) *debugProc {
 	return p
 }
 
-// spans reads the process's /debug/trace ring back into spans attributed to
-// the process.
-func (p *debugProc) spans(t *testing.T) []trace.TaggedSpan {
+// scrapedSpan is one span of a /debug/trace body, with the process that
+// served it.
+type scrapedSpan struct {
+	proc                      string
+	Trace, Span, Parent, Name string
+}
+
+// spans reads the process's /debug/trace ring.
+func (p *debugProc) spans(t *testing.T) []scrapedSpan {
 	t.Helper()
 	var body struct {
-		Spans []struct {
-			Trace   string `json:"trace"`
-			Span    string `json:"span"`
-			Parent  string `json:"parent"`
-			Name    string `json:"name"`
-			Detail  string `json:"detail"`
-			StartNS int64  `json:"start_unix_ns"`
-			DurNS   int64  `json:"dur_ns"`
-		} `json:"spans"`
+		Spans []scrapedSpan `json:"spans"`
 	}
 	httpJSON(t, p.srv.URL+"/debug/trace", &body)
-	out := make([]trace.Span, 0, len(body.Spans))
-	for _, js := range body.Spans {
-		tid, ok1 := trace.ParseTraceID(js.Trace)
-		sid, ok2 := trace.ParseSpanID(js.Span)
-		pid, ok3 := trace.ParseSpanID(js.Parent)
-		if !ok1 || !ok2 || !ok3 {
-			t.Fatalf("%s: unparseable span %+v", p.name, js)
-		}
-		out = append(out, trace.Span{
-			Trace: tid, ID: sid, Parent: pid, Name: js.Name, Detail: js.Detail,
-			Start: time.Unix(0, js.StartNS), Dur: time.Duration(js.DurNS),
-		})
+	for i := range body.Spans {
+		body.Spans[i].proc = p.name
 	}
-	return trace.Tag(p.name, out)
+	return body.Spans
 }
 
 // tracedRecords is how many records each test publishes; every publish
@@ -156,30 +143,44 @@ func runProcessTrio(t *testing.T) *processTrio {
 	return tr
 }
 
-// scrape merges the three processes' /debug/trace rings.
-func (tr *processTrio) scrape(t *testing.T) []trace.TaggedSpan {
+// scrape reads the three processes' /debug/trace rings, keyed by trace id.
+func (tr *processTrio) scrape(t *testing.T) map[string][]scrapedSpan {
 	t.Helper()
-	return trace.MergeSpans(tr.pub.spans(t), tr.broker.spans(t), tr.sub.spans(t))
+	byTrace := map[string][]scrapedSpan{}
+	for _, p := range []*debugProc{tr.pub, tr.broker, tr.sub} {
+		for _, sp := range p.spans(t) {
+			byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+		}
+	}
+	return byTrace
 }
 
-// assembleAcross waits until the trace id has fragments from all three
-// processes (spans finish asynchronously with delivery), then checks its
-// assembly.
-func (tr *processTrio) assembleAcross(t *testing.T, id trace.TraceID) {
+// procs counts the processes that recorded spans of a trace.
+func procs(spans []scrapedSpan) int {
+	seen := map[string]bool{}
+	for _, sp := range spans {
+		seen[sp.proc] = true
+	}
+	return len(seen)
+}
+
+// checkAcross waits until the trace has spans from all three processes
+// (spans finish asynchronously with delivery), then checks it.
+func (tr *processTrio) checkAcross(t *testing.T, id string) {
 	t.Helper()
-	var asm *trace.Assembly
-	testutil.WaitFor(t, 5*time.Second, "trace "+id.String()+" spanning all three processes", func() bool {
-		asm = trace.Assemble(id, tr.scrape(t))
-		return len(asm.Instances) == 3
+	var spans []scrapedSpan
+	testutil.WaitFor(t, 5*time.Second, "trace "+id+" spanning all three processes", func() bool {
+		spans = tr.scrape(t)[id]
+		return procs(spans) == 3
 	})
-	checkAssembly(t, asm)
+	checkTrace(t, id, spans)
 }
 
 // worstExemplar returns the TraceID on the highest-bucket exemplar of the
 // process's metric histogram (its exposition name, such as
 // eventbus_route_ns), read from the OpenMetrics /metrics exposition, after
 // checking the histogram counted every traced record.
-func (p *debugProc) worstExemplar(t *testing.T, metric string) (string, trace.TraceID) {
+func (p *debugProc) worstExemplar(t *testing.T, metric string) string {
 	t.Helper()
 	req, err := http.NewRequest("GET", p.srv.URL+"/metrics", nil)
 	if err != nil {
@@ -210,156 +211,122 @@ func (p *debugProc) worstExemplar(t *testing.T, metric string) (string, trace.Tr
 	if n, err := strconv.Atoi(count); err != nil || n < tracedRecords {
 		t.Fatalf("%s: %s_count = %q, want >= %d", p.name, metric, count, tracedRecords)
 	}
-	id, ok := trace.ParseTraceID(worst)
-	if !ok || id.IsZero() {
+	if len(worst) != 32 || strings.Trim(worst, "0") == "" {
 		t.Fatalf("%s: %s exemplar TraceID = %q", p.name, metric, worst)
 	}
-	return worst, id
+	return worst
 }
 
 func TestTraceAssemblyAcrossProcesses(t *testing.T) {
 	tr := runProcessTrio(t)
 
-	// Some trace spans all three processes and assembles into one tree.
-	var asm *trace.Assembly
+	// Some trace spans all three processes and forms one tree.
+	var id string
+	var spans []scrapedSpan
 	testutil.WaitFor(t, 5*time.Second, "a trace spanning all three processes", func() bool {
-		spans := tr.scrape(t)
-		for _, sp := range spans {
-			if a := trace.Assemble(sp.Trace, spans); len(a.Instances) == 3 && a.Spans >= 4 {
-				asm = a
+		for id, spans = range tr.scrape(t) {
+			if procs(spans) == 3 && len(spans) >= 4 {
 				return true
 			}
 		}
 		return false
 	})
-	checkAssembly(t, asm)
+	checkTrace(t, id, spans)
 
 	// The broker's worst routing exemplar names a traced request, and that
-	// request assembles the same way.
-	_, id := tr.broker.worstExemplar(t, "eventbus_route_ns")
-	tr.assembleAcross(t, id)
+	// request forms the same tree.
+	tr.checkAcross(t, tr.broker.worstExemplar(t, "eventbus_route_ns"))
 }
 
 // TestFleetTraceAssemblyEndToEnd checks that no request is lost between the
 // rings: every published record is its own trace, rooted at its
-// pub.publish span, and every one of them assembles across the three
-// processes.
+// pub.publish span, and every one of them spans the three processes.
 func TestFleetTraceAssemblyEndToEnd(t *testing.T) {
 	tr := runProcessTrio(t)
 
-	var roots []trace.TraceID
+	var roots []string
 	testutil.WaitFor(t, 5*time.Second, "every published trace spanning all three processes", func() bool {
-		spans := tr.scrape(t)
+		byTrace := tr.scrape(t)
 		roots = roots[:0]
 		complete := 0
-		for _, sp := range spans {
-			if sp.Name != "pub.publish" {
-				continue
+		for id, spans := range byTrace {
+			for _, sp := range spans {
+				if sp.Name == "pub.publish" {
+					roots = append(roots, id)
+				}
 			}
-			roots = append(roots, sp.Trace)
-			if len(trace.Assemble(sp.Trace, spans).Instances) == 3 {
+			if procs(spans) == 3 {
 				complete++
 			}
 		}
 		return len(roots) == tracedRecords && complete == tracedRecords
 	})
-	seen := map[trace.TraceID]bool{}
+	seen := map[string]bool{}
 	for _, id := range roots {
 		if seen[id] {
 			t.Fatalf("trace %s has two pub.publish roots", id)
 		}
 		seen[id] = true
-		tr.assembleAcross(t, id)
+		tr.checkAcross(t, id)
 	}
 }
 
 // TestFleetExemplarEndToEnd checks that both ends of the journey carry
 // exemplars that lead to whole traces: the subscriber's worst decode
 // exemplar and the broker's worst routing exemplar, each read from that
-// process's /metrics alone, assemble across the three processes.
+// process's /metrics alone, span the three processes as one tree.
 func TestFleetExemplarEndToEnd(t *testing.T) {
 	tr := runProcessTrio(t)
 
-	_, decodeID := tr.sub.worstExemplar(t, "pbio_decode_ns")
-	tr.assembleAcross(t, decodeID)
-	_, routeID := tr.broker.worstExemplar(t, "eventbus_route_ns")
-	tr.assembleAcross(t, routeID)
+	tr.checkAcross(t, tr.sub.worstExemplar(t, "pbio_decode_ns"))
+	tr.checkAcross(t, tr.broker.worstExemplar(t, "eventbus_route_ns"))
 }
 
-// checkAssembly requires asm to be one tree rooted at the publisher's
-// pub.publish span, reaching every span with its parent link intact, with
-// each stage on the process that runs it, the subscriber's queue wait as a
-// broker.queue span under broker.route, clock skew anchored for every other
-// process, and stage self-time shares summing to 100%.
-func checkAssembly(t *testing.T, asm *trace.Assembly) {
+// checkTrace requires the spans of one trace to come from all three
+// processes and to form one tree: a single span without a parent, the
+// publisher's pub.publish, and every other span's parent among the trace's
+// spans. Each stage runs on its own process, and the subscriber's queue
+// wait is a broker.queue span under broker.route.
+func checkTrace(t *testing.T, id string, spans []scrapedSpan) {
 	t.Helper()
-	if len(asm.Instances) != 3 || asm.Orphans != 0 {
-		t.Fatalf("trace %s covers processes %v with %d orphans, want 3 processes and 0 orphans",
-			asm.Trace, asm.Instances, asm.Orphans)
+	if n := procs(spans); n != 3 {
+		t.Fatalf("trace %s covers %d processes, want 3", id, n)
 	}
-	if len(asm.Roots) != 1 {
-		t.Fatalf("trace %s has %d roots, want 1: fragments did not stitch", asm.Trace, len(asm.Roots))
+	byID := map[string]scrapedSpan{}
+	for _, sp := range spans {
+		byID[sp.Span] = sp
 	}
-	root := asm.Roots[0]
-	if root.Name != "pub.publish" || root.Instance != "pub" {
-		t.Fatalf("root span = %s on %s, want pub.publish on pub", root.Name, root.Instance)
-	}
-	if asm.Reference != "pub" {
-		t.Errorf("skew reference = %q, want pub", asm.Reference)
-	}
-
-	instOf := map[string]string{}
-	var flat []trace.Span
+	var roots []scrapedSpan
 	queueUnderRoute := false
-	asm.Walk(func(n *trace.Node, _ int) {
-		flat = append(flat, n.Span)
-		for _, c := range n.Children {
-			if c.Parent != n.ID {
-				t.Errorf("span %s parent = %s, want %s", c.Name, c.Parent, n.ID)
-			}
-			if c.Name == "broker.queue" && n.Name == "broker.route" {
-				queueUnderRoute = true
-			}
+	procOf := map[string]string{}
+	for _, sp := range spans {
+		parent, ok := byID[sp.Parent]
+		switch {
+		case sp.Parent == "":
+			roots = append(roots, sp)
+		case !ok:
+			t.Errorf("trace %s: span %s (%s on %s) is an orphan", id, sp.Span, sp.Name, sp.proc)
+		case sp.Name == "broker.queue" && parent.Name == "broker.route":
+			queueUnderRoute = true
 		}
-		if prev, seen := instOf[n.Name]; seen && prev != n.Instance {
-			t.Errorf("stage %s on two processes: %s and %s", n.Name, prev, n.Instance)
+		if prev, seen := procOf[sp.Name]; seen && prev != sp.proc {
+			t.Errorf("stage %s on two processes: %s and %s", sp.Name, prev, sp.proc)
 		}
-		instOf[n.Name] = n.Instance
-	})
-	if len(flat) != asm.Spans {
-		t.Errorf("tree links %d of %d spans", len(flat), asm.Spans)
+		procOf[sp.Name] = sp.proc
+	}
+	if len(roots) != 1 || roots[0].Name != "pub.publish" || roots[0].proc != "pub" {
+		t.Fatalf("trace %s has roots %+v, want one: pub.publish on pub", id, roots)
 	}
 	for stage, want := range map[string]string{
 		"pub.publish": "pub", "pbio.encode": "pub",
 		"broker.route": "broker", "broker.queue": "broker", "pbio.decode": "sub",
 	} {
-		if got := instOf[stage]; got != want {
+		if got := procOf[stage]; got != want {
 			t.Errorf("stage %s attributed to %q, want %q", stage, got, want)
 		}
 	}
 	if !queueUnderRoute {
-		t.Errorf("trace %s has no broker.queue span under broker.route", asm.Trace)
-	}
-	for _, sk := range asm.Skew {
-		if sk.Instance != "pub" && sk.Edges == 0 {
-			t.Errorf("skew for %s has no anchoring edges", sk.Instance)
-		}
-	}
-
-	self := trace.SelfTimes(flat)
-	var total time.Duration
-	for _, d := range self {
-		total += d
-	}
-	if total <= 0 {
-		t.Fatalf("trace %s has no self time: %v", asm.Trace, self)
-	}
-	var sum float64
-	for _, d := range self {
-		sum += 100 * float64(d) / float64(total)
-	}
-	if sum < 99.9 || sum > 100.1 {
-		t.Errorf("stage shares sum to %.2f%%, want 100%%", sum)
+		t.Errorf("trace %s has no broker.queue span under broker.route", id)
 	}
 }
 
