@@ -162,10 +162,10 @@ func (c *Client) Schema(ctx context.Context, name string) (*xmlschema.Schema, er
 
 	s, err := c.fetch(ctx, name, etag)
 	if err != nil {
-		c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "fetch "+name+" failed: "+err.Error())
+		c.rec.Record(flight.KindDiscovery, 0, name, 0, 0, "fetch failed: "+err.Error())
 		return nil, err
 	}
-	c.rec.Record(flight.KindDiscovery, 0, "", 0, 0, "fetch "+name+" ok")
+	c.rec.Record(flight.KindDiscovery, 0, name, 0, 0, "fetch ok")
 	return s, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
 )
 
@@ -206,6 +207,35 @@ func TestClientDoesNotRetryNotFound(t *testing.T) {
 	if snap["discovery.fetches"] != 1 || snap["discovery.fetch_errors"] != 1 {
 		t.Errorf("fetches, fetch_errors = %d, %d, want 1, 1",
 			snap["discovery.fetches"], snap["discovery.fetch_errors"])
+	}
+}
+
+// TestClientFlightEventsNameTheSchema: a fetch's flight event carries the
+// schema name as its stream, so /debug/flight?stream=<schema> finds it.
+func TestClientFlightEventsNameTheSchema(t *testing.T) {
+	srv := httptest.NewServer(newRepo(t).Handler())
+	defer srv.Close()
+	c, err := NewClient(srv.URL, withObserver(obsv.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.rec = flight.New(16)
+	if _, err := c.Schema(context.Background(), "Weather"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Schema(context.Background(), "NoSuchFormat"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	for stream, want := range map[string]string{"Weather": "fetch ok", "NoSuchFormat": "fetch failed: "} {
+		var got []flight.Event
+		for _, e := range c.rec.Snapshot() {
+			if e.Stream == stream {
+				got = append(got, e)
+			}
+		}
+		if len(got) != 1 || got[0].Kind != "discovery" || !strings.HasPrefix(got[0].Detail, want) {
+			t.Errorf("events for stream %q = %+v, want one discovery event %q", stream, got, want)
+		}
 	}
 }
 

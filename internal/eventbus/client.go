@@ -2,6 +2,7 @@ package eventbus
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -168,6 +169,8 @@ type link struct {
 	conn    net.Conn
 	closed  bool
 	lastErr error
+	// unreported is a failed batched write's error, until a call returns it.
+	unreported error
 	// connID is the flight connection id of the live conn. Atomic because a
 	// subscriber's receive loop reads it while control calls may be
 	// reconnecting.
@@ -194,9 +197,10 @@ func (l *link) open(ctx context.Context, role *clientRole, addr string, opts []C
 	return nil
 }
 
-// retry runs attempt once, or under the retry policy when reconnect is on.
+// retry runs attempt once, or under the retry policy when reconnect is on
+// and the link is open.
 func (l *link) retry(ctx context.Context, attempt func(context.Context) error) error {
-	if !l.cfg.reconnect {
+	if !l.cfg.reconnect || l.closed {
 		return attempt(ctx)
 	}
 	return retry.Do(ctx, l.cfg.policy, attempt)
@@ -227,7 +231,7 @@ func (l *link) connectLocked(ctx context.Context) error {
 	l.conn = conn
 	l.connID.Store(flight.NextConnID())
 	l.record(flight.KindConnOpen, "", 0, 0, l.role.name+" "+l.addr)
-	l.lastErr = nil
+	l.lastErr, l.unreported = nil, nil
 	if reconnecting {
 		l.role.reconnects.Add(1)
 		l.record(flight.KindReconnect, "", 0, 0, l.role.name+" reconnected")
@@ -235,20 +239,20 @@ func (l *link) connectLocked(ctx context.Context) error {
 	return nil
 }
 
-// withConn runs op against a healthy connection, holding l.mu across the
-// network write (frames from concurrent calls must not interleave). On
-// failure the connection is torn down; with reconnect enabled the link
-// redials under its retry policy and re-runs op.
+// withConn runs op against a healthy connection, holding l.mu (frames from
+// concurrent calls must not interleave; an op that releases it still has the
+// connection to itself). On failure the connection is torn down; with
+// reconnect enabled the link redials under its retry policy and re-runs op.
 func (l *link) withConn(op func(conn net.Conn) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("eventbus: %s: %w", l.role.name, ErrClosed)
-	}
 	return l.retry(context.Background(), func(ctx context.Context) error {
+		if l.closed {
+			return fmt.Errorf("eventbus: %s: %w", l.role.name, ErrClosed)
+		}
 		if l.conn == nil {
 			if !l.cfg.reconnect {
-				return fmt.Errorf("eventbus: %s connection lost: %w (%v)", l.role.name, ErrClosed, l.lastErr)
+				return l.lostLocked()
 			}
 			if err := l.connectLocked(ctx); err != nil {
 				return err
@@ -260,6 +264,15 @@ func (l *link) withConn(op func(conn net.Conn) error) error {
 		}
 		return err
 	})
+}
+
+// lostLocked is the error of a call that finds no connection: a failed
+// batched write's, once, then ErrClosed. Caller holds l.mu.
+func (l *link) lostLocked() (err error) {
+	if err, l.unreported = l.unreported, nil; err == nil {
+		err = fmt.Errorf("eventbus: %s connection lost: %w (%v)", l.role.name, ErrClosed, l.lastErr)
+	}
+	return err
 }
 
 // teardownLocked abandons the current connection after a failure; a
@@ -279,6 +292,11 @@ func (l *link) teardownLocked(err error) {
 func (l *link) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.closeLocked()
+}
+
+// closeLocked is Close for a caller that holds l.mu.
+func (l *link) closeLocked() error {
 	l.closed = true
 	if l.conn == nil {
 		return nil
@@ -293,13 +311,23 @@ func (l *link) Close() error {
 // records onto them. Publisher is safe for concurrent use. With
 // WithReconnect it transparently survives broken broker connections,
 // re-sending stream announcements and format metadata on the new
-// connection.
+// connection. A call writes its frames itself while the link is idle, and
+// otherwise queues them for the link's writer (DESIGN.md §5).
 type Publisher struct {
 	link
-	// Guarded by link.mu.
+	// Guarded by link.mu, as is everything below.
 	sentFormats map[pbio.FormatID]bool
+	formats     map[pbio.FormatID]*pbio.Format // every format published
 	announced   map[string]bool
-	scratch     []byte
+
+	batch, spare []byte // frames queued, in one frameChunk; the chunk the last write took
+	tail         []byte // frames a failed write left unsent, for resend
+	took         time.Duration
+	ended        time.Time // when the last write ended, and how long it took
+	fast         bool      // the last call to find the link idle came sooner after a write than it took
+	writing      bool      // a write is in flight
+	stop, exited bool      // the writer is to return; it has
+	wake, room   sync.Cond // the writer waits on wake; calls, for room in the batch and for the writer
 }
 
 // DialPublisher connects a publisher to the broker at addr.
@@ -310,19 +338,22 @@ func DialPublisher(addr string, opts ...ClientOption) (*Publisher, error) {
 // DialPublisherContext connects a publisher to the broker at addr under
 // ctx. With WithReconnect the initial dial also retries under the policy.
 func DialPublisherContext(ctx context.Context, addr string, opts ...ClientOption) (*Publisher, error) {
-	p := &Publisher{announced: make(map[string]bool)}
+	p := &Publisher{announced: make(map[string]bool), formats: make(map[pbio.FormatID]*pbio.Format)}
+	p.wake.L, p.room.L = &p.mu, &p.mu
 	if err := p.open(ctx, rolePublisher, addr, opts, p.reannounce); err != nil {
 		return nil, err
 	}
+	go p.writeLoop()
 	return p, nil
 }
 
 // reannounce replays the publisher's announced streams onto a fresh
-// connection. The format-metadata dedup map is reset so the next Publish of
-// each format re-sends its metadata — the new broker connection has never
-// seen it.
+// connection and adds what was queued to the tail resend writes. The
+// format-metadata dedup map is reset so the next Publish of each format
+// re-sends its metadata — the new broker connection has never seen it.
 func (p *Publisher) reannounce(conn net.Conn) error {
 	p.sentFormats = make(map[pbio.FormatID]bool)
+	p.tail, p.batch = append(p.tail, p.batch...), p.batch[:0]
 	for name := range p.announced {
 		if err := writeFrame(conn, frameAnnounce, putStr(nil, name)); err != nil {
 			return err
@@ -331,16 +362,183 @@ func (p *Publisher) reannounce(conn net.Conn) error {
 	return nil
 }
 
+// resend writes the tail on a fresh connection behind the metadata of every
+// format published, which the tail's records may need. Caller holds mu.
+func (p *Publisher) resend(conn net.Conn) error {
+	if len(p.tail) == 0 {
+		return nil
+	}
+	var b []byte
+	for _, f := range p.formats {
+		meta := pbio.MarshalMeta(f)
+		b, _ = pbio.AppendFrame(b, frameFormat, meta, maxFrame)
+		p.sentFormats[f.ID] = true
+		p.record(flight.KindFormatSend, "", fid64(f.ID), int64(len(meta)), f.Name)
+	}
+	if err := writeWire(conn, append(b, p.tail...)); err != nil {
+		return err
+	}
+	p.tail = nil
+	return nil
+}
+
+// reserve waits until frames of n bytes, behind f's metadata if this
+// connection has not carried it, can be queued, and returns what to append
+// them to: the batch, or for more than it holds a buffer of their own once
+// nothing is queued or in flight. The caller writes them itself (inline)
+// when the link is idle, unless the last two calls to find it idle both came
+// sooner after a write than that write took. Caller holds mu, which waiting
+// releases.
+func (p *Publisher) reserve(n int, f *pbio.Format) (b, meta []byte, inline bool, err error) {
+	if err := p.resend(p.conn); err != nil {
+		return nil, nil, false, err
+	}
+	for {
+		need := n
+		if meta = nil; f != nil && !p.sentFormats[f.ID] {
+			meta = pbio.MarshalMeta(f)
+			need += pbio.FrameHeaderLen + len(meta)
+		}
+		idle := !p.writing && len(p.batch) == 0
+		if idle && need > frameChunk {
+			return make([]byte, 0, need), meta, true, nil
+		}
+		if idle || len(p.batch)+need <= frameChunk {
+			if cap(p.batch) == 0 {
+				p.batch = make([]byte, 0, frameChunk)
+			}
+			if idle {
+				fast := time.Since(p.ended) <= p.took
+				inline, p.fast = !fast || !p.fast, fast
+			}
+			return p.batch, meta, inline, nil
+		}
+		if p.room.Wait(); p.conn == nil || p.exited {
+			return nil, nil, false, p.lostLocked()
+		}
+	}
+}
+
+// put writes b, the batch with the caller's frames appended or a buffer of
+// their own, when inline; else it leaves them queued, and wakes the writer
+// unless the write in flight will. Caller holds mu.
+func (p *Publisher) put(b []byte, inline bool) error {
+	if len(b) <= frameChunk {
+		if p.batch, b = b, nil; !inline {
+			if !p.writing {
+				p.wake.Signal()
+			}
+			return nil
+		}
+	}
+	_, err := p.write(b)
+	return err
+}
+
+// write sends b, or the batch when b is nil, with mu released, as the one
+// write in flight, and times it. A failure, folded through brokerReason,
+// tears the connection down. Caller holds mu and a live connection.
+func (p *Publisher) write(b []byte) (int, error) {
+	if b == nil { // the batch goes, and the other chunk takes its place
+		b, p.batch, p.spare = p.batch, p.spare[:0], p.batch
+	}
+	conn := p.conn
+	p.writing = true
+	p.mu.Unlock()
+	start := time.Now()
+	n, err := conn.Write(b)
+	end := time.Now()
+	if err != nil {
+		err = brokerReason(conn, fmt.Errorf("eventbus: write frame: %w", err))
+	}
+	p.mu.Lock()
+	p.writing, p.took, p.ended = false, end.Sub(start), end
+	p.room.Broadcast()
+	if err != nil {
+		p.teardownLocked(err)
+	}
+	if len(p.batch) > 0 || p.stop {
+		p.wake.Signal()
+	}
+	return n, err
+}
+
+// writeLoop is the link's writer: whenever no other write is in flight it
+// sends everything queued in one Write, through withConn like any call
+// (after Close, without redialing), and it waits while there is nothing to
+// send. Once stopped, it returns when nothing is left that it can send.
+func (p *Publisher) writeLoop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		switch {
+		case len(p.batch) > 0 && !p.writing && p.conn != nil && p.closed:
+			_ = p.flush(p.conn)
+		case len(p.batch) > 0 && !p.writing && p.conn != nil:
+			p.mu.Unlock()
+			_ = p.withConn(p.flush)
+			p.mu.Lock()
+		case p.stop && !p.writing:
+			p.exited = true
+			p.room.Broadcast()
+			return
+		default:
+			p.wake.Wait()
+		}
+	}
+}
+
+// flush sends the tail, if a redial left one, and then the batch. A failed
+// write leaves the frames it did not wholly send as the tail and its error
+// for the next call; with reconnect, withConn redials and runs flush again.
+// Caller holds mu.
+func (p *Publisher) flush(conn net.Conn) error {
+	if err := p.resend(conn); err != nil || len(p.batch) == 0 {
+		return err
+	}
+	b := p.batch
+	n, err := p.write(nil)
+	if err != nil {
+		sent := 0 // the frames wholly inside the n bytes written
+		for sent < len(b) && sent+frameLen(b[sent:]) <= n {
+			sent += frameLen(b[sent:])
+		}
+		p.tail, p.unreported = b[sent:], err
+	}
+	return err
+}
+
+// frameLen is the length of the frame at the front of b.
+func frameLen(b []byte) int { return pbio.FrameHeaderLen + int(binary.BigEndian.Uint32(b[1:])) }
+
+// Close has the writer send what is queued and return, then closes the
+// connection. It returns a failed batched write's error that no call has
+// returned. Further operations return ErrClosed.
+func (p *Publisher) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed, p.stop = true, true
+	for p.wake.Signal(); !p.exited; {
+		p.room.Wait()
+	}
+	err := p.unreported
+	p.unreported = nil
+	return errors.Join(err, p.closeLocked())
+}
+
 // Announce declares a stream so it appears in broker listings before the
 // first record is published. Announced streams are re-announced
 // automatically after a reconnect.
 func (p *Publisher) Announce(streamName string) error {
-	return p.withConn(func(conn net.Conn) error {
-		err := brokerReason(conn, writeFrame(conn, frameAnnounce, putStr(nil, streamName)))
-		if err == nil {
-			p.announced[streamName] = true
+	return p.withConn(func(net.Conn) error {
+		payload := putStr(nil, streamName)
+		b, _, inline, err := p.reserve(pbio.FrameHeaderLen+len(payload), nil)
+		if err != nil {
+			return err
 		}
-		return err
+		b, _ = pbio.AppendFrame(b, frameAnnounce, payload, maxFrame)
+		p.announced[streamName] = true
+		return p.put(b, inline)
 	})
 }
 
@@ -349,44 +547,47 @@ func (p *Publisher) Announce(streamName string) error {
 // reconnect — the fresh broker connection has no memory of it). When the
 // client's tracer samples the record, it travels with its trace context so
 // every downstream stage links into one span tree.
+//
+// Publish returns once the record is written when the link is idle. When
+// records come faster than the socket takes them, it returns once the
+// record is queued, and the link's writer sends it: an error of that write
+// is returned by the next call, and Close sends what is still queued.
 func (p *Publisher) Publish(streamName string, f *pbio.Format, record []byte) error {
 	tc := p.cfg.tracer.Start("pub.publish")
 	defer tc.FinishDetail(streamName)
 	return p.publish(tc, streamName, f, record)
 }
 
-// publish sends one publish frame under the given root span.
+// publish writes or queues one publish frame, behind its format's metadata
+// frame if the connection has not carried it, under the given root span.
 func (p *Publisher) publish(tc trace.Ctx, streamName string, f *pbio.Format, record []byte) error {
-	return p.withConn(func(conn net.Conn) error {
-		return brokerReason(conn, p.send(conn, tc, streamName, f, record))
-	})
-}
-
-// send writes the format frame if this connection has not carried it, then
-// the publish frame, built in the publisher's scratch buffer behind its own
-// header so it leaves in one Write. Caller holds p.mu.
-func (p *Publisher) send(conn net.Conn, tc trace.Ctx, streamName string, f *pbio.Format, record []byte) error {
-	if !p.sentFormats[f.ID] {
-		meta := pbio.MarshalMeta(f)
-		if err := writeFrame(conn, frameFormat, meta); err != nil {
+	return p.withConn(func(net.Conn) error {
+		typ, n := framePublish, pbio.FrameHeaderLen+2+len(streamName)+8+len(record)
+		if tc.Sampled() {
+			typ, n = framePublishTrace, n+traceCtxLen
+		}
+		b, meta, inline, err := p.reserve(n, f)
+		if err != nil {
 			return err
 		}
-		p.sentFormats[f.ID] = true
-		p.record(flight.KindFormatSend, streamName, fid64(f.ID), int64(len(meta)), f.Name)
-	}
-	typ := framePublish
-	frame := putStr(pbio.BeginFrame(p.scratch[:0]), streamName)
-	if tc.Sampled() {
-		typ = framePublishTrace
-		frame = putTraceCtx(frame, tc.Trace(), tc.Span())
-	}
-	frame = append(frame, f.ID[:]...)
-	frame = append(frame, record...)
-	p.scratch = frame
-	if err := pbio.EndFrame(frame, typ, maxFrame); err != nil {
-		return err
-	}
-	return writeWire(conn, frame)
+		if meta != nil {
+			b, _ = pbio.AppendFrame(b, frameFormat, meta, maxFrame)
+		}
+		start := len(b)
+		b = putStr(pbio.BeginFrame(b), streamName)
+		if tc.Sampled() {
+			b = putTraceCtx(b, tc.Trace(), tc.Span())
+		}
+		b = append(append(b, f.ID[:]...), record...)
+		if err := pbio.EndFrame(b[start:], typ, maxFrame); err != nil {
+			return err
+		}
+		if meta != nil {
+			p.sentFormats[f.ID], p.formats[f.ID] = true, f
+			p.record(flight.KindFormatSend, streamName, fid64(f.ID), int64(len(meta)), f.Name)
+		}
+		return p.put(b, inline)
+	})
 }
 
 // PublishRecord encodes a generic record and publishes it. A sampled record

@@ -61,7 +61,7 @@ func (pipeAddr) String() string  { return "pipe" }
 // fuzzFormats are the formats a fuzzed peer announces and publishes in: the
 // well-behaved publisher's, the same record laid out for another machine,
 // and one the well-behaved subscribers' scope cannot slice.
-func fuzzFormats(t *testing.T) []*pbio.Format {
+func fuzzFormats(t testing.TB) []*pbio.Format {
 	ctx, err := pbio.NewContext(machine.X86_64)
 	if err != nil {
 		t.Fatal(err)

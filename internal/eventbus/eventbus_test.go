@@ -29,7 +29,7 @@ func newBroker(t *testing.T) *Broker {
 	return b
 }
 
-func flightFormat(t *testing.T, arch *machine.Arch) *pbio.Format {
+func flightFormat(t testing.TB, arch *machine.Arch) *pbio.Format {
 	t.Helper()
 	ctx, err := pbio.NewContext(arch)
 	if err != nil {
@@ -47,7 +47,7 @@ func flightFormat(t *testing.T, arch *machine.Arch) *pbio.Format {
 	return f
 }
 
-func subCtx(t *testing.T) *pbio.Context {
+func subCtx(t testing.TB) *pbio.Context {
 	t.Helper()
 	ctx, err := pbio.NewContext(machine.X86_64)
 	if err != nil {

@@ -80,15 +80,16 @@ func countedBroker(t *testing.T, opts ...BrokerOption) (*Broker, *testutil.Count
 	return b, cl, g
 }
 
-// countedDial dials TCP and counts the client side of the connection.
-func countedDial(counts *testutil.IOCounts) DialFunc {
+// countedDial dials TCP and counts the client side of the connection, the
+// calls that got past g.
+func countedDial(counts *testutil.IOCounts, g *gates) DialFunc {
 	return func(ctx context.Context, network, addr string) (net.Conn, error) {
 		var d net.Dialer
 		c, err := d.DialContext(ctx, network, addr)
 		if err != nil {
 			return nil, err
 		}
-		return testutil.CountConn(c, counts), nil
+		return gatedConn{testutil.CountConn(c, counts), g}, nil
 	}
 }
 
@@ -96,15 +97,17 @@ func countedDial(counts *testutil.IOCounts) DialFunc {
 // counted broker. The subscribers connect first, one at a time, so the
 // broker's connection i is subscriber i's and its last one the publisher's.
 type countedBus struct {
-	b      *Broker
-	gates  *gates
-	f      *pbio.Format
-	rec    []byte
-	pub    *Publisher
-	subs   []*Subscriber
-	client []*testutil.IOCounts // subscriber i's side of its connection
-	broker []*testutil.IOCounts // the broker's side of it
-	pubIn  *testutil.IOCounts   // the broker's side of the publisher's connection
+	b        *Broker
+	gates    *gates
+	f        *pbio.Format
+	rec      []byte
+	pub      *Publisher
+	subs     []*Subscriber
+	client   []*testutil.IOCounts // subscriber i's side of its connection
+	broker   []*testutil.IOCounts // the broker's side of it
+	pubIn    *testutil.IOCounts   // the broker's side of the publisher's connection
+	pubOut   *testutil.IOCounts   // the publisher's side of it
+	pubGates *gates               // the publisher's calls go through these
 }
 
 const countedStream = "flights"
@@ -119,7 +122,7 @@ func newCountedBus(t *testing.T, subscribers int) *countedBus {
 	}
 	for i := 0; i < subscribers; i++ {
 		counts := new(testutil.IOCounts)
-		sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithDialFunc(countedDial(counts)))
+		sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithDialFunc(countedDial(counts, new(gates))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +133,8 @@ func newCountedBus(t *testing.T, subscribers int) *countedBus {
 		}
 		bus.subs, bus.client = append(bus.subs, sub), append(bus.client, counts)
 	}
-	pub, err := DialPublisher(b.Addr().String())
+	bus.pubOut, bus.pubGates = new(testutil.IOCounts), new(gates)
+	pub, err := DialPublisher(b.Addr().String(), WithDialFunc(countedDial(bus.pubOut, bus.pubGates)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +169,13 @@ func (bus *countedBus) check(t *testing.T, n int, perRecord float64) {
 	t.Helper()
 	limit := int64(perRecord*float64(n)) + 4
 	want, wantSub := bus.wireBytes(n), bus.subscriberBytes(n)
+	if got := bus.pubOut.Writes.Load(); got > limit {
+		t.Errorf("publisher writes: %d for %d records (%.2f each), want at most %.2f each",
+			got, n, float64(got)/float64(n), perRecord)
+	}
+	if got := bus.pubOut.WrittenBytes.Load(); got != want {
+		t.Errorf("publisher wrote %d bytes, want %d", got, want)
+	}
 	if got := bus.pubIn.Reads.Load(); got > limit {
 		t.Errorf("broker reads on the publisher's connection: %d for %d records (%.2f each), want at most %.2f each",
 			got, n, float64(got)/float64(n), perRecord)
@@ -188,8 +199,8 @@ func (bus *countedBus) check(t *testing.T, n int, perRecord float64) {
 			t.Errorf("subscriber %d: broker wrote %d bytes, subscriber read %d, want %d", i, w, r, wantSub)
 		}
 	}
-	t.Logf("%d records: %.2f broker reads, %.2f broker writes, %.2f subscriber reads per record",
-		n, float64(bus.pubIn.Reads.Load())/float64(n),
+	t.Logf("%d records: %.2f publisher writes, %.2f broker reads, %.2f broker writes, %.2f subscriber reads per record",
+		n, float64(bus.pubOut.Writes.Load())/float64(n), float64(bus.pubIn.Reads.Load())/float64(n),
 		float64(bus.broker[0].Writes.Load())/float64(n), float64(bus.client[0].Reads.Load())/float64(n))
 }
 
@@ -206,20 +217,24 @@ func (bus *countedBus) drain(t *testing.T, n int) {
 }
 
 // burst moves n records one hop at a time, so that each hop finds the whole
-// burst waiting for it: the publisher sends them while the broker is kept
-// from reading, the broker routes them while it is kept from writing, and
-// the subscribers read once the broker has written every one out.
+// burst waiting for it: the publisher's first record is held in its write
+// while the rest are published behind it, the broker is kept from reading
+// until the publisher has sent them all and from writing until it has routed
+// them, and the subscribers read once the broker has written every one out.
 func (bus *countedBus) burst(t *testing.T, n int) {
 	t.Helper()
 	bus.gates.reads.shut()
 	defer bus.gates.reads.open()
 	bus.gates.writes.shut()
 	defer bus.gates.writes.open()
-	for i := 0; i < n; i++ {
-		if err := bus.pub.Publish(countedStream, bus.f, bus.rec); err != nil {
-			t.Fatal(err)
-		}
+	fs, recs := make([]*pbio.Format, n), make([][]byte, n)
+	for i := range fs {
+		fs[i], recs[i] = bus.f, bus.rec
 	}
+	holdAndQueue(t, bus.pub, bus.pubGates, countedStream, fs, recs)
+	testutil.WaitFor(t, 10*time.Second, "the publisher to write the burst", func() bool {
+		return bus.pubOut.WrittenBytes.Load() == bus.wireBytes(n)
+	})
 	bus.gates.reads.open()
 	testutil.WaitFor(t, 10*time.Second, "the broker to route the burst", func() bool {
 		return bus.b.Stats().Delivered == int64(n*len(bus.subs))
@@ -238,9 +253,10 @@ func (bus *countedBus) burst(t *testing.T, n int) {
 }
 
 // TestSyscallsPerRecordOneInFlight pins the cost of a record that travels
-// alone — published, delivered, then the next: one read at the broker, one
-// write, one read at the subscriber. There is nothing to batch, and the
-// header and the payload of a frame no longer take a read each.
+// alone — published, delivered, then the next: one write at the publisher,
+// on the caller, one read at the broker, one write, one read at the
+// subscriber. There is nothing to batch, and the header and the payload of a
+// frame no longer take a read each.
 func TestSyscallsPerRecordOneInFlight(t *testing.T) {
 	const n = 1000
 	bus := newCountedBus(t, 1)
@@ -254,8 +270,8 @@ func TestSyscallsPerRecordOneInFlight(t *testing.T) {
 }
 
 // TestSyscallsPerRecordBurst pins the cost of records that travel together:
-// when 200 are sent before the subscriber reads, each side moves many of
-// them per call.
+// when 200 are published while the publisher's first write is in flight and
+// sent before the subscriber reads, each side moves many of them per call.
 func TestSyscallsPerRecordBurst(t *testing.T) {
 	const n = 200
 	bus := newCountedBus(t, 1)
