@@ -9,13 +9,15 @@
 //	eventbusd -addr :8701
 //	eventbusd -addr :8701 -debug-addr 127.0.0.1:8781 -queue-depth 512
 //
-// With -debug-addr the broker serves its metrics (/metrics), the protocol
-// flight recorder (/debug/flight), health endpoints (/healthz, /readyz) and
-// pprof profiles (/debug/pprof/) on a second listener; GET /debug lists
-// every endpoint, and omtop -addr 127.0.0.1:8781 watches /metrics live:
+// With -debug-addr the broker serves its metrics (/metrics), the two views
+// of its recorder (spans sampled by -trace-sample at /debug/trace, protocol
+// events at /debug/flight), health endpoints (/healthz, /readyz) and pprof
+// profiles (/debug/pprof/) on a second listener; GET /debug lists every
+// endpoint, and omtop -addr 127.0.0.1:8781 watches /metrics live:
 //
 //	curl http://127.0.0.1:8781/metrics
 //	curl http://127.0.0.1:8781/debug/flight?n=50
+//	curl http://127.0.0.1:8781/debug/trace?format=chrome
 //	curl http://127.0.0.1:8781/readyz
 //
 // Runtime telemetry is always on: the Go runtime's GC-pause/scheduler-
@@ -111,9 +113,7 @@ func run(args []string) error {
 	}
 
 	if *debugAddr != "" {
-		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
-			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?format=chrome)"})
+		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default())
 		if err != nil {
 			return err
 		}

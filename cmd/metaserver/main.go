@@ -9,8 +9,9 @@
 //
 // Documents are validated on load; GET /schemas/ lists names, GET
 // /schemas/<name> returns a document with an ETag for revalidation. With
-// -debug-addr a second listener serves /metrics, /debug/flight,
-// /debug/trace, /healthz, /readyz and pprof (GET /debug lists everything);
+// -debug-addr a second listener serves /metrics, the recorder's protocol
+// events (/debug/flight) and spans (/debug/trace), /healthz, /readyz and
+// pprof (GET /debug lists everything);
 // -contention-rate turns on the runtime's mutex and block profiles there.
 // Diagnostics go to stderr via log/slog; -log-format selects text or json.
 package main
@@ -32,7 +33,6 @@ import (
 	"openmeta/internal/airline"
 	"openmeta/internal/discovery"
 	"openmeta/internal/obsv"
-	"openmeta/internal/trace"
 )
 
 func main() {
@@ -119,9 +119,7 @@ func run(args []string) error {
 	})
 
 	if *debugAddr != "" {
-		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
-			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?format=chrome)"})
+		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default())
 		if err != nil {
 			return err
 		}

@@ -15,8 +15,9 @@
 // continuing. Demo publishing is paced with -pace (delay between events),
 // useful for feeding a live broker at a steady rate.
 //
-// With -debug-addr the publisher serves its own /metrics, /debug/trace and
-// /debug/flight.
+// With -debug-addr the publisher serves its own /metrics and the two views
+// of its recorder: the spans -trace-sample keeps at /debug/trace and the
+// protocol events, a reconnect's give-up among them, at /debug/flight.
 package main
 
 import (
@@ -66,9 +67,7 @@ func run(args []string) error {
 	stopRuntime := obsv.StartRuntimeMetrics(obsv.Default(), time.Second)
 	defer stopRuntime()
 	if *debugAddr != "" {
-		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
-			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?format=chrome)"})
+		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default())
 		if err != nil {
 			return err
 		}

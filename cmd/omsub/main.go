@@ -13,8 +13,9 @@
 // With -reconnect the subscriber survives broker restarts: it redials with
 // backoff and replays every subscription, field scopes intact.
 //
-// With -debug-addr the subscriber serves its own /metrics, /debug/trace and
-// /debug/flight.
+// With -debug-addr the subscriber serves its own /metrics and the two views
+// of its recorder: the spans -trace-sample keeps at /debug/trace and the
+// protocol events at /debug/flight.
 package main
 
 import (
@@ -59,9 +60,7 @@ func run(args []string) error {
 	stopRuntime := obsv.StartRuntimeMetrics(obsv.Default(), time.Second)
 	defer stopRuntime()
 	if *debugAddr != "" {
-		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default(),
-			obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()),
-				Desc: "recent trace spans, oldest first (?format=chrome)"})
+		dbg, err := obsv.ListenAndServeDebug(*debugAddr, obsv.Default())
 		if err != nil {
 			return err
 		}

@@ -68,23 +68,21 @@ func TestNoUnusedExports(t *testing.T) {
 // testOnlySeams are the names under internal/ that only tests reference,
 // each with the reason it stays.
 var testOnlySeams = map[string]string{
-	"openmeta/internal/discovery.withClock":               "gives the client a fake clock",
-	"openmeta/internal/discovery.withHTTPClient":          "gives the client a fake transport",
-	"openmeta/internal/discovery.withObserver":            "gives the client a private registry",
-	"openmeta/internal/discovery.withTTL":                 "gives the client a test's cache lifetime",
-	"openmeta/internal/eventbus.withSlog":                 "gives the broker a quiet logger",
-	"openmeta/internal/eventbus.WithObserver":             "gives the broker a private registry",
-	"openmeta/internal/eventbus.WithTracer":               "gives the broker a private tracer",
-	"openmeta/internal/eventbus.WithFlightRecorder":       "gives the broker a private recorder",
-	"openmeta/internal/eventbus.WithClientTracer":         "gives a client a private tracer",
-	"openmeta/internal/eventbus.WithClientFlightRecorder": "gives a client a private recorder",
-	"openmeta/internal/pbio.WithObserver":                 "gives a context a private registry",
-	"openmeta/internal/dcg.WithObserver":                  "gives a plan cache a private registry",
-	"openmeta/internal/obsv.Delta":                        "reads registry movement in tests of several packages",
-	"openmeta/internal/core.MatchXML":                     "§4.1.1 instance matching, tested as a paper row",
-	"openmeta/internal/core.MatchBinary":                  "§4.1.1 instance matching, tested as a paper row",
-	"openmeta/internal/core.ValidateRecord":               "§4.1.1 footnote 1 record validation, tested as a paper row",
-	"openmeta/internal/core.SchemaForFormats":             "schema generation from formats, tested as a paper row",
+	"openmeta/internal/discovery.withClock":         "gives the client a fake clock",
+	"openmeta/internal/discovery.withHTTPClient":    "gives the client a fake transport",
+	"openmeta/internal/discovery.withObserver":      "gives the client a private registry",
+	"openmeta/internal/discovery.withTTL":           "gives the client a test's cache lifetime",
+	"openmeta/internal/eventbus.withSlog":           "gives the broker a quiet logger",
+	"openmeta/internal/eventbus.WithObserver":       "gives the broker a private registry",
+	"openmeta/internal/eventbus.WithRecorder":       "gives the broker a private recorder",
+	"openmeta/internal/eventbus.WithClientRecorder": "gives a client a private recorder",
+	"openmeta/internal/pbio.WithObserver":           "gives a context a private registry",
+	"openmeta/internal/dcg.WithObserver":            "gives a plan cache a private registry",
+	"openmeta/internal/obsv.Delta":                  "reads registry movement in tests of several packages",
+	"openmeta/internal/core.MatchXML":               "§4.1.1 instance matching, tested as a paper row",
+	"openmeta/internal/core.MatchBinary":            "§4.1.1 instance matching, tested as a paper row",
+	"openmeta/internal/core.ValidateRecord":         "§4.1.1 footnote 1 record validation, tested as a paper row",
+	"openmeta/internal/core.SchemaForFormats":       "schema generation from formats, tested as a paper row",
 }
 
 // topDecl is one top-level name declared in a non-test file.

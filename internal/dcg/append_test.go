@@ -61,19 +61,19 @@ func TestAppendConvertCtxRecordsSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.NewTracer(16)
+	tr := trace.New(0, 16)
 	if _, err := plan.AppendConvertCtx(trace.Ctx{}, nil, record); err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.Recorded(); n != 0 {
+	if _, n := tr.Spans(); n != 0 {
 		t.Fatalf("unsampled conversion recorded %d spans", n)
 	}
 	tr.SetSampling(1)
-	root := tr.Start("route")
+	root := tr.Start(trace.KindRoute)
 	if _, err := plan.AppendConvertCtx(root, []byte("prefix"), record); err != nil {
 		t.Fatal(err)
 	}
-	spans := tr.Snapshot()
+	spans, _ := tr.Spans()
 	if len(spans) != 1 || spans[0].Name != "dcg.convert" || spans[0].Parent != root.Span() ||
 		spans[0].Detail != "ASDOffEvent->ASDOffEvent" {
 		t.Fatalf("spans = %+v, want one dcg.convert under the route", spans)

@@ -108,14 +108,14 @@ func (c *Cache) PlanCtx(tc trace.Ctx, src, dst *pbio.Format) (*Plan, error) {
 		return p, nil
 	}
 	c.obs.misses.Add(1)
-	sp := tc.Child("dcg.compile")
+	sp := tc.Child(trace.KindCompile)
 	start := time.Now()
 	p, err := Compile(src, dst)
 	if err != nil {
 		return nil, err
 	}
 	c.obs.compileNS.Observe(time.Since(start).Nanoseconds())
-	sp.FinishDetail(src.Name + "->" + dst.Name)
+	sp.Finish(src.Name + "->" + dst.Name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.plans[key]; ok {

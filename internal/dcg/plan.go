@@ -294,11 +294,11 @@ func (p *Plan) AppendConvertCtx(tc trace.Ctx, out, src []byte) ([]byte, error) {
 	if !tc.Sampled() {
 		return p.AppendConvert(out, src)
 	}
-	sp := tc.Child("dcg.convert")
+	sp := tc.Child(trace.KindConvert)
 	start := time.Now()
 	out, err := p.AppendConvert(out, src)
 	convertNS.ObserveExemplar(time.Since(start).Nanoseconds(), tc.Trace())
-	sp.FinishDetail(p.Src.Name + "->" + p.Dst.Name)
+	sp.Finish(p.Src.Name + "->" + p.Dst.Name)
 	return out, err
 }
 

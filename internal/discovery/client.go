@@ -13,8 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
+	"openmeta/internal/trace"
 	"openmeta/internal/xmlschema"
 )
 
@@ -67,7 +67,7 @@ type Client struct {
 	ttl  time.Duration
 	now  func() time.Time
 	obs  clientMetrics
-	rec  *flight.Recorder
+	rec  *trace.Recorder
 
 	mu    sync.Mutex
 	cache map[string]*clientEntry
@@ -122,7 +122,7 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 		ttl:   time.Minute,
 		now:   time.Now,
 		obs:   defaultClientMetrics,
-		rec:   flight.Default(),
+		rec:   trace.Default(),
 		cache: make(map[string]*clientEntry),
 	}
 	for _, opt := range opts {
@@ -162,10 +162,10 @@ func (c *Client) Schema(ctx context.Context, name string) (*xmlschema.Schema, er
 
 	s, err := c.fetch(ctx, name, etag)
 	if err != nil {
-		c.rec.Record(flight.KindDiscovery, 0, name, 0, 0, "fetch failed: "+err.Error())
+		c.rec.Record(trace.KindDiscovery, 0, name, 0, 0, "fetch failed: "+err.Error())
 		return nil, err
 	}
-	c.rec.Record(flight.KindDiscovery, 0, name, 0, 0, "fetch ok")
+	c.rec.Record(trace.KindDiscovery, 0, name, 0, 0, "fetch ok")
 	return s, nil
 }
 

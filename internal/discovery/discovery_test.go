@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
+	"openmeta/internal/trace"
 )
 
 const docB = `<?xml version="1.0"?>
@@ -219,7 +219,7 @@ func TestClientFlightEventsNameTheSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.rec = flight.New(16)
+	c.rec = trace.New(16, 0)
 	if _, err := c.Schema(context.Background(), "Weather"); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,9 @@ func TestClientFlightEventsNameTheSchema(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	for stream, want := range map[string]string{"Weather": "fetch ok", "NoSuchFormat": "fetch failed: "} {
-		var got []flight.Event
-		for _, e := range c.rec.Snapshot() {
+		var got []trace.Event
+		events, _ := c.rec.Events()
+		for _, e := range events {
 			if e.Stream == stream {
 				got = append(got, e)
 			}

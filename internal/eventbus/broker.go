@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"openmeta/internal/dcg"
-	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
 	"openmeta/internal/trace"
@@ -35,10 +34,9 @@ type Broker struct {
 	queueDepth    int
 	writeDeadline time.Duration
 
-	obs    obsv.Scope
-	m      brokerMetrics
-	tracer *trace.Tracer
-	rec    *flight.Recorder
+	obs obsv.Scope
+	m   brokerMetrics
+	rec *trace.Recorder
 
 	// mu is the control plane: it guards conns and streams and serializes
 	// every route rebuild. A publish to a stream and format the broker
@@ -73,7 +71,7 @@ type brokerMetrics struct {
 
 	// queueWaitNS times enqueue→wire per outbound frame across all
 	// subscribers, exemplar-stamped for traced frames. A subscriber dropped
-	// for stalling is named by its slow_sub_drop flight event.
+	// for stalling is named by its slow_sub_drop event.
 	queueWaitNS *obsv.Histogram // queue_wait_ns
 }
 
@@ -184,7 +182,7 @@ func newRouteFormat(s obsv.Scope, stream string, fm formatMeta) *routeFormat {
 		wire("delivered.records"), wire("delivered.bytes"), wire("dropped.records"), wire("meta.bytes")}
 }
 
-// fid64 renders a format ID as the uint64 flight events and filters use.
+// fid64 renders a format ID as the uint64 protocol events carry.
 func fid64(id pbio.FormatID) uint64 { return binary.BigEndian.Uint64(id[:]) }
 
 type formatMeta struct {
@@ -194,7 +192,7 @@ type formatMeta struct {
 
 type brokerConn struct {
 	conn net.Conn
-	// id is the process-unique connection id flight events carry, allocated
+	// id is the process-unique connection id protocol events carry, allocated
 	// from the same sequence clients use so /debug/flight never aliases.
 	id uint64
 
@@ -266,10 +264,12 @@ func withSlog(l *slog.Logger) BrokerOption {
 	}
 }
 
-// WithFlightRecorder directs the broker's protocol events (connection churn,
-// format metadata, slow-subscriber stalls, errors) into r
-// instead of the process-default recorder served at /debug/flight.
-func WithFlightRecorder(r *flight.Recorder) BrokerOption {
+// WithRecorder directs the broker's protocol events (connection churn,
+// format metadata, slow-subscriber stalls, errors) and spans (broker.route,
+// broker.queue, dcg.compile, dcg.convert) into r instead of the process
+// default recorder. Spans are only recorded for records whose publisher
+// sampled them and while r samples at all.
+func WithRecorder(r *trace.Recorder) BrokerOption {
 	return func(b *Broker) {
 		if r != nil {
 			b.rec = r
@@ -321,17 +321,6 @@ func WithPlanCache(c *dcg.Cache) BrokerOption {
 	}
 }
 
-// WithTracer directs the broker's spans (broker.route, dcg.compile,
-// dcg.convert) into t instead of the process default tracer. Spans are only
-// recorded for records whose publisher sampled them and while t is enabled.
-func WithTracer(t *trace.Tracer) BrokerOption {
-	return func(b *Broker) {
-		if t != nil {
-			b.tracer = t
-		}
-	}
-}
-
 // NewBroker starts a broker on the given listener. The broker owns the
 // listener and closes it on Close.
 func NewBroker(ln net.Listener, opts ...BrokerOption) *Broker {
@@ -343,8 +332,7 @@ func NewBroker(ln net.Listener, opts ...BrokerOption) *Broker {
 		writeDeadline: 2 * time.Second,
 		obs:           obsv.Default().Scope("eventbus"),
 		m:             defaultBrokerMetrics,
-		tracer:        trace.Default(),
-		rec:           flight.Default(),
+		rec:           trace.Default(),
 		conns:         make(map[*brokerConn]bool),
 		streams:       make(map[string]*stream),
 		plans:         dcg.NewCache(),
@@ -441,11 +429,18 @@ func (b *Broker) acceptLoop() {
 			b.log.Error("accept failed", "err", err)
 			return
 		}
+		// A connection accepted while Close runs is closed here if Close has
+		// already closed the ones it found, or else is among them.
 		bc := b.newConn(conn)
 		b.mu.Lock()
+		if b.Healthy() != nil {
+			b.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
 		b.conns[bc] = true
 		b.mu.Unlock()
-		b.rec.Record(flight.KindConnOpen, bc.id, "", 0, 0, conn.RemoteAddr().String())
+		b.rec.Record(trace.KindConnOpen, bc.id, "", 0, 0, conn.RemoteAddr().String())
 		b.wg.Add(2)
 		go b.writeLoop(bc)
 		go b.handle(bc)
@@ -456,7 +451,7 @@ func (b *Broker) acceptLoop() {
 func (b *Broker) newConn(conn net.Conn) *brokerConn {
 	return &brokerConn{
 		conn:         conn,
-		id:           flight.NextConnID(),
+		id:           trace.NextConnID(),
 		out:          make(chan outFrame, b.queueDepth),
 		outClose:     make(chan struct{}),
 		writerDone:   make(chan struct{}),
@@ -487,12 +482,12 @@ func (b *Broker) handle(bc *brokerConn) {
 				b.log.Warn("read failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
 				detail = err.Error()
 			}
-			b.rec.Record(flight.KindConnClose, bc.id, "", 0, 0, detail)
+			b.rec.Record(trace.KindConnClose, bc.id, "", 0, 0, detail)
 			return
 		}
 		if err := b.dispatch(bc, frame, c); err != nil {
 			b.log.Warn("dispatch failed", "conn", bc.id, "remote", bc.conn.RemoteAddr().String(), "err", err)
-			b.rec.Record(flight.KindBrokerError, bc.id, "", 0, 0, err.Error())
+			b.rec.Record(trace.KindBrokerError, bc.id, "", 0, 0, err.Error())
 			_, _ = bc.send(frameError, []byte(err.Error()), droppable)
 			return
 		}
@@ -522,7 +517,7 @@ func (b *Broker) dispatch(bc *brokerConn, frame []byte, c *pbio.Chunk) error {
 		// A copy: an entry that lives as long as the connection must not
 		// keep the chunk its frame was read in.
 		bc.knownFormats[f.ID] = append([]byte(nil), payload...)
-		b.rec.Record(flight.KindFormatRecv, bc.id, "", fid64(f.ID), int64(len(payload)), f.Name)
+		b.rec.Record(trace.KindFormatRecv, bc.id, "", fid64(f.ID), int64(len(payload)), f.Name)
 		return nil
 
 	case frameSubscribe:
@@ -672,10 +667,10 @@ func (b *Broker) publish(bc *brokerConn, frame []byte, c *pbio.Chunk, isTraced b
 	}
 	d.record = rest[8:]
 	if isTraced {
-		// Record this hop's routing span. If the broker's tracer is off the
-		// record still carries the upstream context downstream, so
-		// subscriber-side spans keep linking into the trace.
-		d.route = b.tracer.Join(d.tid, d.parent).Child("broker.route")
+		// Record this hop's routing span. If the broker's recorder does not
+		// sample, the record still carries the upstream context downstream,
+		// so subscriber-side spans keep linking into the trace.
+		d.route = b.rec.Join(d.tid, d.parent).Child(trace.KindRoute)
 		if d.route.Sampled() {
 			d.parent = d.route.Span()
 		}
@@ -711,7 +706,7 @@ func (b *Broker) publish(bc *brokerConn, frame []byte, c *pbio.Chunk, isTraced b
 	for _, c := range r.classes {
 		b.fanout(r, c, fi, &d)
 	}
-	d.route.FinishDetail(d.st.name)
+	d.route.Finish(d.st.name)
 	// Traced publishes stamp their TraceID onto the routing histogram bucket;
 	// untraced ones still count (trace.TraceID zero value short-circuits).
 	b.m.routeNS.ObserveExemplar(time.Since(d.enq).Nanoseconds(), d.tid)
@@ -761,7 +756,7 @@ func (b *Broker) fanout(r *route, c *class, fi int, d *delivery) {
 		case err != nil:
 			b.log.Warn("dropping subscriber", "conn", m.bc.id,
 				"remote", m.bc.conn.RemoteAddr().String(), "stream", d.st.name, "err", err)
-			b.rec.Record(flight.KindBrokerError, m.bc.id, d.st.name, fid64(d.rf.id), 0, err.Error())
+			b.rec.Record(trace.KindBrokerError, m.bc.id, d.st.name, fid64(d.rf.id), 0, err.Error())
 			if errors.Is(err, ErrSlowSubscriber) {
 				// Its queue has shown that nothing in it can be delivered:
 				// no flush, so its writer stops now and drop does not wait.
@@ -877,13 +872,13 @@ func (b *Broker) sendFormats(r *route, c *class, m *member) error {
 			if _, err := sub.send(frameFormat, fm.meta, mustSend); err != nil {
 				if errors.Is(err, ErrSlowSubscriber) {
 					b.m.slowStalls.Add(1)
-					b.rec.Record(flight.KindSlowSubDrop, sub.id, "", fid64(fm.id), int64(len(fm.meta)), "format frame stalled")
+					b.rec.Record(trace.KindSlowSubDrop, sub.id, "", fid64(fm.id), int64(len(fm.meta)), "format frame stalled")
 				}
 				return err
 			}
 			b.m.formatsSent.Add(1)
 			rf.metaBytes.Add(int64(len(fm.meta)))
-			b.rec.Record(flight.KindFormatSend, sub.id, rf.stream, fid64(fm.id), int64(len(fm.meta)), rf.fname)
+			b.rec.Record(trace.KindFormatSend, sub.id, rf.stream, fid64(fm.id), int64(len(fm.meta)), rf.fname)
 			sub.sentFormats[fm.id] = true
 		}
 		m.sent.Store(int32(i + 1))
@@ -974,7 +969,7 @@ gather:
 func (b *Broker) observeQueueWait(bc *brokerConn, f *outFrame) {
 	wait := time.Since(f.enq)
 	b.m.queueWaitNS.ObserveExemplar(wait.Nanoseconds(), f.tid)
-	b.tracer.RecordSpan(f.tid, f.parent, "broker.queue", f.stream, f.enq, wait)
+	b.rec.RecordSpan(f.tid, f.parent, trace.KindQueue, f.stream, f.enq, wait)
 }
 
 // Enqueue modes. A droppable frame (events, stream listings, errors) is

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
 	"openmeta/internal/retry"
@@ -20,7 +19,7 @@ import (
 )
 
 // clientRole is what tells a publisher's link from a subscriber's: the label
-// its errors and flight events carry, and its reconnect instruments on the
+// its errors and protocol events carry, and its reconnect instruments on the
 // default registry — created at init so the eventbus.pub.* / eventbus.sub.*
 // names exist (zero-valued) in the default registry from process start.
 type clientRole struct {
@@ -46,8 +45,7 @@ type clientConfig struct {
 	dialTimeout time.Duration
 	reconnect   bool
 	policy      retry.Policy
-	tracer      *trace.Tracer
-	rec         *flight.Recorder
+	rec         *trace.Recorder
 }
 
 func defaultClientConfig() clientConfig {
@@ -58,8 +56,7 @@ func defaultClientConfig() clientConfig {
 			Initial:     100 * time.Millisecond,
 			Max:         5 * time.Second,
 		},
-		tracer: trace.Default(),
-		rec:    flight.Default(),
+		rec: trace.Default(),
 	}
 }
 
@@ -116,21 +113,12 @@ func WithDialTimeout(d time.Duration) ClientOption {
 	return func(c *clientConfig) { c.dialTimeout = d }
 }
 
-// WithClientTracer directs the client's spans (pub.publish, pbio.encode,
-// pbio.decode) into t instead of the process default tracer. A record t
-// samples carries its trace context across the wire.
-func WithClientTracer(t *trace.Tracer) ClientOption {
-	return func(c *clientConfig) {
-		if t != nil {
-			c.tracer = t
-		}
-	}
-}
-
-// WithClientFlightRecorder directs the client's flight events (connection
-// churn, reconnect attempts, format metadata) into r instead of the
-// process-default recorder served at /debug/flight.
-func WithClientFlightRecorder(r *flight.Recorder) ClientOption {
+// WithClientRecorder directs the client's protocol events (connection
+// churn, reconnect attempts and give-ups, format metadata) and spans
+// (pub.publish, pbio.encode, pbio.decode) into r instead of the process
+// default recorder. A record r samples carries its trace context across the
+// wire.
+func WithClientRecorder(r *trace.Recorder) ClientOption {
 	return func(c *clientConfig) {
 		if r != nil {
 			c.rec = r
@@ -155,7 +143,7 @@ func WithReconnect(p retry.Policy) ClientOption {
 // link is the client half of one broker connection — everything Publisher
 // and Subscriber have in common: dialing, replaying the owner's state onto a
 // fresh connection, teardown, and retry under the reconnect policy, with the
-// counters and flight events that go with them.
+// counters and protocol events that go with them.
 type link struct {
 	role *clientRole
 	addr string
@@ -171,14 +159,14 @@ type link struct {
 	lastErr error
 	// unreported is a failed batched write's error, until a call returns it.
 	unreported error
-	// connID is the flight connection id of the live conn. Atomic because a
+	// connID is the live conn's id in protocol events. Atomic because a
 	// subscriber's receive loop reads it while control calls may be
 	// reconnecting.
 	connID atomic.Uint64
 }
 
-// record files one flight event against the link's current connection id.
-func (l *link) record(kind flight.Kind, stream string, format uint64, bytes int64, detail string) {
+// record files one protocol event against the link's current connection id.
+func (l *link) record(kind trace.Kind, stream string, format uint64, bytes int64, detail string) {
 	l.cfg.rec.Record(kind, l.connID.Load(), stream, format, bytes, detail)
 }
 
@@ -198,12 +186,21 @@ func (l *link) open(ctx context.Context, role *clientRole, addr string, opts []C
 }
 
 // retry runs attempt once, or under the retry policy when reconnect is on
-// and the link is open.
+// and the link is open. A give-up is a reconnect event carrying the number
+// of attempts, filed against the link's last connection.
 func (l *link) retry(ctx context.Context, attempt func(context.Context) error) error {
 	if !l.cfg.reconnect || l.closed {
 		return attempt(ctx)
 	}
-	return retry.Do(ctx, l.cfg.policy, attempt)
+	attempts := 0
+	err := retry.Do(ctx, l.cfg.policy, func(ctx context.Context) error {
+		attempts++
+		return attempt(ctx)
+	})
+	if errors.Is(err, retry.ErrExhausted) {
+		l.record(trace.KindReconnect, "", 0, int64(attempts), l.role.name+" gave up: "+err.Error())
+	}
+	return err
 }
 
 // connectLocked dials a fresh broker connection and replays the owner's
@@ -224,17 +221,17 @@ func (l *link) connectLocked(ctx context.Context) error {
 		}
 		if reconnecting {
 			l.role.redialErrors.Add(1)
-			l.record(flight.KindReconnect, "", 0, 0, l.role.name+" redial failed: "+err.Error())
+			l.record(trace.KindReconnect, "", 0, 0, l.role.name+" redial failed: "+err.Error())
 		}
 		return err
 	}
 	l.conn = conn
-	l.connID.Store(flight.NextConnID())
-	l.record(flight.KindConnOpen, "", 0, 0, l.role.name+" "+l.addr)
+	l.connID.Store(trace.NextConnID())
+	l.record(trace.KindConnOpen, "", 0, 0, l.role.name+" "+l.addr)
 	l.lastErr, l.unreported = nil, nil
 	if reconnecting {
 		l.role.reconnects.Add(1)
-		l.record(flight.KindReconnect, "", 0, 0, l.role.name+" reconnected")
+		l.record(trace.KindReconnect, "", 0, 0, l.role.name+" reconnected")
 	}
 	return nil
 }
@@ -282,7 +279,7 @@ func (l *link) teardownLocked(err error) {
 	if l.conn != nil {
 		_ = l.conn.Close()
 		l.conn = nil
-		l.record(flight.KindConnClose, "", 0, 0, err.Error())
+		l.record(trace.KindConnClose, "", 0, 0, err.Error())
 	}
 	l.lastErr = err
 }
@@ -303,7 +300,7 @@ func (l *link) closeLocked() error {
 	}
 	err := l.conn.Close()
 	l.conn = nil
-	l.record(flight.KindConnClose, "", 0, 0, "closed")
+	l.record(trace.KindConnClose, "", 0, 0, "closed")
 	return err
 }
 
@@ -373,7 +370,7 @@ func (p *Publisher) resend(conn net.Conn) error {
 		meta := pbio.MarshalMeta(f)
 		b, _ = pbio.AppendFrame(b, frameFormat, meta, maxFrame)
 		p.sentFormats[f.ID] = true
-		p.record(flight.KindFormatSend, "", fid64(f.ID), int64(len(meta)), f.Name)
+		p.record(trace.KindFormatSend, "", fid64(f.ID), int64(len(meta)), f.Name)
 	}
 	if err := writeWire(conn, append(b, p.tail...)); err != nil {
 		return err
@@ -545,7 +542,7 @@ func (p *Publisher) Announce(streamName string) error {
 // Publish sends one encoded record of format f onto the stream, announcing
 // the format's metadata to the broker the first time (and again after any
 // reconnect — the fresh broker connection has no memory of it). When the
-// client's tracer samples the record, it travels with its trace context so
+// client's recorder samples the record, it travels with its trace context so
 // every downstream stage links into one span tree.
 //
 // Publish returns once the record is written when the link is idle. When
@@ -553,8 +550,8 @@ func (p *Publisher) Announce(streamName string) error {
 // record is queued, and the link's writer sends it: an error of that write
 // is returned by the next call, and Close sends what is still queued.
 func (p *Publisher) Publish(streamName string, f *pbio.Format, record []byte) error {
-	tc := p.cfg.tracer.Start("pub.publish")
-	defer tc.FinishDetail(streamName)
+	tc := p.cfg.rec.Start(trace.KindPublish)
+	defer tc.Finish(streamName)
 	return p.publish(tc, streamName, f, record)
 }
 
@@ -584,7 +581,7 @@ func (p *Publisher) publish(tc trace.Ctx, streamName string, f *pbio.Format, rec
 		}
 		if meta != nil {
 			p.sentFormats[f.ID], p.formats[f.ID] = true, f
-			p.record(flight.KindFormatSend, streamName, fid64(f.ID), int64(len(meta)), f.Name)
+			p.record(trace.KindFormatSend, streamName, fid64(f.ID), int64(len(meta)), f.Name)
 		}
 		return p.put(b, inline)
 	})
@@ -593,8 +590,8 @@ func (p *Publisher) publish(tc trace.Ctx, streamName string, f *pbio.Format, rec
 // PublishRecord encodes a generic record and publishes it. A sampled record
 // gets a pbio.encode child span around the encode.
 func (p *Publisher) PublishRecord(streamName string, f *pbio.Format, rec pbio.Record) error {
-	tc := p.cfg.tracer.Start("pub.publish")
-	defer tc.FinishDetail(streamName)
+	tc := p.cfg.rec.Start(trace.KindPublish)
+	defer tc.Finish(streamName)
 	data, err := f.EncodeCtx(tc, rec)
 	if err != nil {
 		return err
@@ -614,7 +611,7 @@ type Event struct {
 	// held event keeps alive (at most 64 KiB).
 	Data []byte
 	// Trace is the record's trace handle when it arrived in a traced frame
-	// and the subscriber's tracer is enabled: Decode records a pbio.decode
+	// and the subscriber's recorder samples: Decode records a pbio.decode
 	// child span, and callers can hang their own processing spans off it
 	// with Trace.Child. The zero value (untraced record) is a no-op.
 	Trace trace.Ctx
@@ -765,7 +762,7 @@ func (s *Subscriber) recvConn(broken net.Conn, cause error) (net.Conn, *pbio.Fra
 		if !s.cfg.reconnect {
 			return nil, nil, fmt.Errorf("eventbus: subscriber connection lost: %w", ErrClosed)
 		}
-		if err := retry.Do(context.Background(), s.cfg.policy, s.connectLocked); err != nil {
+		if err := s.retry(context.Background(), s.connectLocked); err != nil {
 			return nil, nil, fmt.Errorf("eventbus: reconnect: %w", err)
 		}
 	}
@@ -884,7 +881,7 @@ func (s *Subscriber) Next() (Event, error) {
 		if tid, parent, rest, err = getTraceCtx(rest); err != nil {
 			return Event{}, err
 		}
-		etc = s.cfg.tracer.Join(tid, parent)
+		etc = s.cfg.rec.Join(tid, parent)
 	}
 	if len(rest) < 8 {
 		return Event{}, fmt.Errorf("%w: event without format id", ErrBadFrame)
@@ -903,7 +900,7 @@ func (s *Subscriber) adoptFormat(meta []byte) error {
 	if err != nil {
 		return err
 	}
-	s.record(flight.KindFormatRecv, "", fid64(f.ID), int64(len(meta)), f.Name)
+	s.record(trace.KindFormatRecv, "", fid64(f.ID), int64(len(meta)), f.Name)
 	_, err = s.ctx.Adopt(f)
 	return err
 }

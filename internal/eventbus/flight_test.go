@@ -13,16 +13,23 @@ import (
 	"time"
 
 	"openmeta/internal/faultnet"
-	"openmeta/internal/flight"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
+	"openmeta/internal/retry"
 	"openmeta/internal/testutil"
+	"openmeta/internal/trace"
 )
 
+// events is the recorder's protocol events, newest first.
+func events(r *trace.Recorder) []trace.Event {
+	evs, _ := r.Events()
+	return evs
+}
+
 // chronological reverses a newest-first snapshot.
-func chronological(evs []flight.Event) []flight.Event {
-	out := make([]flight.Event, len(evs))
+func chronological(evs []trace.Event) []trace.Event {
+	out := make([]trace.Event, len(evs))
 	for i, e := range evs {
 		out[len(evs)-1-i] = e
 	}
@@ -35,15 +42,15 @@ func chronological(evs []flight.Event) []flight.Event {
 // retrievable through the /debug/flight handler. The record retry shows in
 // the records the subscriber reads, not in the ring.
 func TestFlightRecordsReconnectSequence(t *testing.T) {
-	rec := flight.New(512)
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithFlightRecorder(rec))
+	rec := trace.New(512, 0)
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	f := flightFormat(t, machine.Sparc)
 
-	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientFlightRecorder(rec))
+	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 		faultnet.Fault{Kind: faultnet.DropAfter, N: budget}))
 
 	pub, err := DialPublisherContext(context.Background(), b.Addr().String(),
-		WithDialFunc(dialFn), WithReconnect(fastReconnect()), WithClientFlightRecorder(rec))
+		WithDialFunc(dialFn), WithReconnect(fastReconnect()), WithClientRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +101,7 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 
 	// Reduce the black box to the publisher's own story: find its connection
 	// ids from the conn_open events, then keep only events on those ids.
-	evs := chronological(rec.Snapshot())
+	evs := chronological(events(rec))
 	pubConns := make(map[uint64]bool)
 	for _, e := range evs {
 		if e.Kind == "conn_open" && strings.HasPrefix(e.Detail, "publisher ") {
@@ -127,12 +134,12 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 	}
 	req := httptest.NewRequest("GET", fmt.Sprintf("/debug/flight?conn=%d", newConn), nil)
 	w := httptest.NewRecorder()
-	flight.Handler(rec).ServeHTTP(w, req)
+	trace.EventHandler(rec).ServeHTTP(w, req)
 	if w.Code != 200 {
 		t.Fatalf("/debug/flight = HTTP %d: %s", w.Code, w.Body.String())
 	}
 	var resp struct {
-		Events []flight.Event `json:"events"`
+		Events []trace.Event `json:"events"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -151,8 +158,8 @@ func TestFlightRecordsReconnectSequence(t *testing.T) {
 // their first records, thousands more add no event, so every connection's
 // conn_open outlives them even in a small ring.
 func TestFlightRecordsNoTraffic(t *testing.T) {
-	rec := flight.New(256)
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithFlightRecorder(rec))
+	rec := trace.New(256, 0)
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,7 @@ func TestFlightRecordsNoTraffic(t *testing.T) {
 
 	var subs []*Subscriber
 	for _, scope := range [][]string{nil, {"cntrID", "eta"}} {
-		sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientFlightRecorder(rec))
+		sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +178,7 @@ func TestFlightRecordsNoTraffic(t *testing.T) {
 		}
 		subs = append(subs, sub)
 	}
-	pub, err := DialPublisher(b.Addr().String(), WithClientFlightRecorder(rec))
+	pub, err := DialPublisher(b.Addr().String(), WithClientRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestFlightRecordsNoTraffic(t *testing.T) {
 	total := func() uint64 {
 		t.Helper()
 		w := httptest.NewRecorder()
-		flight.Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/flight?n=1", nil))
+		trace.EventHandler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/flight?n=1", nil))
 		var resp struct {
 			Total uint64 `json:"total"`
 		}
@@ -212,7 +219,7 @@ func TestFlightRecordsNoTraffic(t *testing.T) {
 	}
 	opened := func() map[uint64]bool {
 		ids := make(map[uint64]bool)
-		for _, e := range rec.Snapshot() {
+		for _, e := range events(rec) {
 			if e.Kind == "conn_open" {
 				ids[e.Conn] = true
 			}
@@ -234,6 +241,109 @@ func TestFlightRecordsNoTraffic(t *testing.T) {
 		if !still[id] {
 			t.Errorf("conn_open of connection %d evicted by traffic", id)
 		}
+	}
+}
+
+// TestReconnectGiveUpInOwnRecorder: a reconnecting publisher whose broker is
+// gone gives up after its policy's two attempts, and the give-up is a
+// reconnect event in the publisher's own recorder, on its last connection
+// and with the attempt count, beside the link's redial failures. The
+// process recorder gets nothing of that connection.
+func TestReconnectGiveUpInOwnRecorder(t *testing.T) {
+	rec := trace.New(64, 0)
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger))
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := fastReconnect()
+	policy.MaxAttempts = 2
+	pub, err := DialPublisher(b.Addr().String(), WithReconnect(policy), WithClientRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	f := flightFormat(t, machine.Sparc)
+	data := encodeFlight(t, f, 1)
+	b.Close()
+	testutil.WaitFor(t, 5*time.Second, "a Publish that gives up", func() bool {
+		return errors.Is(pub.Publish("flights", f, data), retry.ErrExhausted)
+	})
+
+	var conn uint64
+	giveUps, redials := 0, 0
+	for _, e := range chronological(events(rec)) {
+		switch {
+		case e.Kind == "conn_open":
+			conn = e.Conn
+		case e.Kind == "reconnect" && strings.HasPrefix(e.Detail, "publisher gave up: "):
+			if e.Conn != conn || e.Bytes != 2 {
+				t.Errorf("give-up on conn %d with %d attempts, want conn %d and 2", e.Conn, e.Bytes, conn)
+			}
+			giveUps++
+		case e.Kind == "reconnect" && strings.HasPrefix(e.Detail, "publisher redial failed: "):
+			redials++
+		}
+	}
+	if conn == 0 || giveUps == 0 || redials == 0 {
+		t.Fatalf("publisher's recorder: conn %d, %d give-ups, %d redial failures; want all three", conn, giveUps, redials)
+	}
+	for _, e := range events(trace.Default()) {
+		if e.Conn == conn {
+			t.Errorf("process recorder holds an event of the publisher's connection: %+v", e)
+		}
+	}
+}
+
+// TestTracedBurstKeepsConnectionHistory: spans and protocol events have
+// rings of their own, so a traced burst of many more spans than the span
+// ring holds leaves the publisher's conn_open and format_send in place.
+func TestTracedBurstKeepsConnectionHistory(t *testing.T) {
+	const spanRing = 16
+	rec := trace.New(64, spanRing)
+	rec.SetSampling(1)
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := sub.Subscribe("flights"); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := DialPublisher(b.Addr().String(), WithClientRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	f := flightFormat(t, machine.Sparc)
+	data := encodeFlight(t, f, 7)
+	for i := 0; i < 10*spanRing; i++ {
+		if err := pub.Publish("flights", f, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sub.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spans, n := rec.Spans(); len(spans) != spanRing || n < 20*spanRing {
+		t.Fatalf("span ring holds %d of %d spans, want %d of at least %d", len(spans), n, spanRing, 20*spanRing)
+	}
+	var conn uint64
+	kinds := map[string]bool{}
+	for _, e := range chronological(events(rec)) {
+		if e.Kind == "conn_open" && strings.HasPrefix(e.Detail, "publisher ") {
+			conn = e.Conn
+		}
+		if conn != 0 && e.Conn == conn {
+			kinds[e.Kind] = true
+		}
+	}
+	if !kinds["conn_open"] || !kinds["format_send"] {
+		t.Fatalf("publisher's events after the burst: %v, want conn_open and format_send", kinds)
 	}
 }
 
@@ -283,8 +393,8 @@ func TestAnnouncedStreamsAddNoRegistryKeys(t *testing.T) {
 // closed — an io.ErrUnexpectedEOF from the shared decoder — instead of the
 // empty conn_close a clean disconnect leaves.
 func TestBrokerRecordsCutAfterHeader(t *testing.T) {
-	rec := flight.New(64)
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithFlightRecorder(rec))
+	rec := trace.New(64, 0)
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +413,7 @@ func TestBrokerRecordsCutAfterHeader(t *testing.T) {
 
 	var detail string
 	testutil.WaitFor(t, 2*time.Second, "the broker's conn_close event", func() bool {
-		for _, e := range rec.Snapshot() {
+		for _, e := range events(rec) {
 			if e.Kind == "conn_close" {
 				detail = e.Detail
 				return true

@@ -17,13 +17,13 @@
 // its route and the formats the subscriber needs are queued ahead of the
 // answer, so a record published after Subscribe returns is delivered.
 //
-// A record the publisher's tracer samples travels in framePublishTrace and
+// A record the publisher's recorder samples travels in framePublishTrace and
 // reaches every subscriber as frameEventTrace, with a 24-byte trace context
 // — TraceID(16) || parent SpanID(8) — ahead of the standard payload, so its
 // journey (publisher encode, broker route, subscriber decode, conversions)
 // is recoverable as one parent-linked span tree from /debug/trace on each
-// hop. A subscriber whose tracer is off drops the context: Tracer.Join
-// returns the zero Ctx when the tracer is disabled.
+// hop. A subscriber whose recorder does not sample drops the context:
+// Recorder.Join returns the zero Ctx when sampling is disabled.
 package eventbus
 
 import (

@@ -17,17 +17,17 @@ import (
 // lands in the broker-wide queue_wait_ns histogram and in a broker.queue
 // span under the publish's trace.
 func TestQueueWaitObservability(t *testing.T) {
-	tr := trace.NewTracer(1024)
+	tr := trace.New(0, 1024)
 	tr.SetSampling(1)
 	reg := obsv.New()
 
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr), WithObserver(reg))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(tr), WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = b.Close() })
 
-	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientTracer(tr))
+	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestQueueWaitObservability(t *testing.T) {
 	if err := sub.Subscribe("flights"); err != nil {
 		t.Fatal(err)
 	}
-	pub, err := DialPublisher(b.Addr().String(), WithClientTracer(tr))
+	pub, err := DialPublisher(b.Addr().String(), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

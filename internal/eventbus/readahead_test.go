@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"openmeta/internal/faultnet"
-	"openmeta/internal/flight"
 	"openmeta/internal/machine"
 	"openmeta/internal/testutil"
+	"openmeta/internal/trace"
 )
 
 // TestSubscriberReconnectDropsReadAhead cuts a subscriber's connection while
@@ -29,9 +29,9 @@ func TestSubscriberReconnectDropsReadAhead(t *testing.T) {
 	// call — finds the connection reset.
 	dialFn, dials := faultyFirstDial(faultnet.NewSchedule(
 		faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{}, faultnet.Fault{Kind: faultnet.Reset}))
-	rec := flight.New(512)
+	rec := trace.New(512, 0)
 	sub, err := DialSubscriberContext(context.Background(), b.Addr().String(), subCtx(t),
-		WithDialFunc(dialFn), WithReconnect(fastReconnect()), WithClientFlightRecorder(rec))
+		WithDialFunc(dialFn), WithReconnect(fastReconnect()), WithClientRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSubscriberReconnectDropsReadAhead(t *testing.T) {
 	// everything read before it.
 	var conns []uint64
 	story := make(map[uint64][]string)
-	for _, e := range chronological(rec.Snapshot()) {
+	for _, e := range chronological(events(rec)) {
 		if e.Kind == "conn_open" {
 			conns = append(conns, e.Conn)
 		}

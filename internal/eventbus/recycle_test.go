@@ -81,14 +81,14 @@ var poisonSizes = []int{
 func TestPoisonedSparesDeliverIntact(t *testing.T) {
 	poisonSpares(t)
 	const records = 140
-	tr := trace.NewTracer(64)
+	tr := trace.New(0, 64)
 	tr.SetSampling(1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := new(gates)
-	b := NewBroker(&firstGated{Listener: ln, g: g}, withSlog(quietLogger), WithObserver(obsv.New()), WithTracer(tr), WithQueueDepth(16))
+	b := NewBroker(&firstGated{Listener: ln, g: g}, withSlog(quietLogger), WithObserver(obsv.New()), WithRecorder(tr), WithQueueDepth(16))
 	defer b.Close()
 	addr := b.Addr().String()
 	const stream = "poison"
@@ -123,7 +123,7 @@ func TestPoisonedSparesDeliverIntact(t *testing.T) {
 	} {
 		var opts []ClientOption
 		if c.traced {
-			opts = append(opts, WithClientTracer(tr))
+			opts = append(opts, WithClientRecorder(tr))
 		}
 		s, err := DialSubscriber(addr, subCtx(t), opts...)
 		if err != nil {
@@ -155,7 +155,7 @@ func TestPoisonedSparesDeliverIntact(t *testing.T) {
 
 	dial := func() [2]*Publisher {
 		var pubs [2]*Publisher
-		for k, opts := range [][]ClientOption{nil, {WithClientTracer(tr)}} {
+		for k, opts := range [][]ClientOption{nil, {WithClientRecorder(tr)}} {
 			if pubs[k], err = DialPublisher(addr, opts...); err != nil {
 				t.Fatal(err)
 			}

@@ -17,18 +17,18 @@ import (
 
 // tracedTrio dials a broker, publisher, a full subscriber and a scoped
 // subscriber, all recording into one tracer sampling every trace.
-func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, *Subscriber) {
+func tracedTrio(t *testing.T) (*trace.Recorder, *Broker, *Publisher, *Subscriber, *Subscriber) {
 	t.Helper()
-	tr := trace.NewTracer(1024)
+	tr := trace.New(0, 1024)
 	tr.SetSampling(1)
 
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = b.Close() })
 
-	full, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientTracer(tr))
+	full, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, 
 		t.Fatal(err)
 	}
 
-	scoped, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientTracer(tr))
+	scoped, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, 
 		t.Fatal(err)
 	}
 
-	pub, err := DialPublisher(b.Addr().String(), WithClientTracer(tr))
+	pub, err := DialPublisher(b.Addr().String(), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,13 @@ func tracedTrio(t *testing.T) (*trace.Tracer, *Broker, *Publisher, *Subscriber, 
 
 // spansByName waits until the tracer has recorded at least one span per
 // wanted name and returns the latest span for each.
-func spansByName(t *testing.T, tr *trace.Tracer, names ...string) map[string]trace.Span {
+func spansByName(t *testing.T, tr *trace.Recorder, names ...string) map[string]trace.Span {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got := map[string]trace.Span{}
-		for _, sp := range tr.Snapshot() {
+		spans, _ := tr.Spans()
+		for _, sp := range spans {
 			got[sp.Name] = sp
 		}
 		missing := ""
@@ -146,7 +147,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// The same tree must be recoverable over HTTP the way an operator sees
 	// it: GET /debug/trace, one trace id, >= 4 parent-linked spans.
-	srv := httptest.NewServer(trace.Handler(tr))
+	srv := httptest.NewServer(trace.SpanHandler(tr))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
 	if err != nil {
@@ -190,15 +191,15 @@ func TestTraceEndToEnd(t *testing.T) {
 // tracer that is enabled but samples nothing never emits traced frames, and
 // no spans are recorded anywhere.
 func TestTraceUnsampledRecordsNothing(t *testing.T) {
-	tr := trace.NewTracer(64)
+	tr := trace.New(0, 64)
 	tr.SetSampling(1 << 30) // enabled, but effectively never samples
 
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientTracer(tr))
+	sub, err := DialSubscriber(b.Addr().String(), subCtx(t), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	if err := sub.Subscribe("flights"); err != nil {
 		t.Fatal(err)
 	}
-	pub, err := DialPublisher(b.Addr().String(), WithClientTracer(tr))
+	pub, err := DialPublisher(b.Addr().String(), WithClientRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 	if _, err := ev.Decode(); err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.Recorded(); n != 0 {
+	if _, n := tr.Spans(); n != 0 {
 		t.Fatalf("recorded %d spans for unsampled traffic", n)
 	}
 }
@@ -236,15 +237,15 @@ func TestTraceUnsampledRecordsNothing(t *testing.T) {
 // disabled publish and receive through a broker that traces, and the
 // record arrives intact and without trace context.
 func TestTraceUntracedClientsAgainstTracingBroker(t *testing.T) {
-	tr := trace.NewTracer(64)
+	tr := trace.New(0, 64)
 	tr.SetSampling(1)
-	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithTracer(tr))
+	b, err := Listen("127.0.0.1:0", withSlog(quietLogger), WithRecorder(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	// The default client tracer is the process tracer, disabled in tests.
+	// The default client recorder is the process recorder, which samples nothing in tests.
 	sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
 	if err != nil {
 		t.Fatal(err)

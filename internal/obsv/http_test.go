@@ -23,23 +23,6 @@ func debugGet(t *testing.T, srv *httptest.Server, path string) (*http.Response, 
 	return resp, string(body)
 }
 
-func TestDebugMuxExtraEndpoint(t *testing.T) {
-	r := New()
-	extra := DebugEndpoint{
-		Path: "/debug/trace",
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			w.Write([]byte(`{"spans":[]}`))
-		}),
-	}
-	srv := httptest.NewServer(DebugMux(r, extra))
-	defer srv.Close()
-
-	resp, body := debugGet(t, srv, "/debug/trace")
-	if resp.StatusCode != http.StatusOK || body != `{"spans":[]}` {
-		t.Fatalf("extra endpoint not mounted: %d %q", resp.StatusCode, body)
-	}
-}
-
 // TestMetricsEndpointPrometheusFormat parses /metrics line by line against
 // the text exposition format: every series line is "name value" or
 // "name{le=\"bound\"} value", histogram buckets are cumulative and end at

@@ -67,14 +67,12 @@ func TestVecUnlimitedWhenBoundRemoved(t *testing.T) {
 	}
 }
 
-// TestDebugIndexListsEverything: every built-in endpoint and every mounted
-// extra must appear on the /debug index page with its description, and the
-// retired endpoints must be neither listed nor served.
+// TestDebugIndexListsEverything: every built-in endpoint, the recorder's
+// two views among them, must appear on the /debug index page with its
+// description, and the retired endpoints must be neither listed nor served.
 func TestDebugIndexListsEverything(t *testing.T) {
 	r := New()
-	mux := DebugMux(r,
-		DebugEndpoint{Path: "/debug/trace", Handler: r.MetricsHandler(), Desc: "recent spans"},
-	)
+	mux := DebugMux(r)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -20,10 +20,10 @@ func (f *Format) EncodeCtx(tc trace.Ctx, rec Record) ([]byte, error) {
 		f.obs.encNS.Observe(time.Since(start).Nanoseconds())
 		return data, err
 	}
-	sp := tc.Child("pbio.encode")
+	sp := tc.Child(trace.KindEncode)
 	data, err := f.Encode(rec)
 	f.obs.encNS.ObserveExemplar(time.Since(start).Nanoseconds(), tc.Trace())
-	sp.FinishDetail(f.Name)
+	sp.Finish(f.Name)
 	return data, err
 }
 
@@ -38,9 +38,9 @@ func (f *Format) DecodeCtx(tc trace.Ctx, data []byte) (Record, error) {
 		f.obs.decNS.Observe(time.Since(start).Nanoseconds())
 		return rec, err
 	}
-	sp := tc.Child("pbio.decode")
+	sp := tc.Child(trace.KindDecode)
 	rec, err := f.Decode(data)
 	f.obs.decNS.ObserveExemplar(time.Since(start).Nanoseconds(), tc.Trace())
-	sp.FinishDetail(f.Name)
+	sp.Finish(f.Name)
 	return rec, err
 }

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"time"
 
-	"openmeta/internal/flight"
 	"openmeta/internal/obsv"
 )
 
@@ -133,7 +132,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 		}
 		if attempt+1 >= p.MaxAttempts {
 			giveupsCounter.Add(1)
-			flight.Default().Record(flight.KindRetryGiveUp, 0, "", 0, int64(attempt+1), lastErr.Error())
 			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt+1, lastErr)
 		}
 		sleep := p.jittered(attempt, rng)

@@ -1,24 +1,23 @@
-// Package trace is the repo's distributed-tracing layer: a dependency-free
-// span recorder that follows one record from Publish through the broker to
-// subscriber decode, turning the paper's hand-built per-stage cost
-// decomposition (Tables 1-2) into live flamegraphs.
-//
-// A Tracer samples 1-in-N root spans into a fixed-size lock-free ring buffer
-// of completed spans. Span identity follows the W3C shape: a 128-bit TraceID
-// names the whole end-to-end record journey and a 64-bit SpanID names each
-// stage; parent links reconstruct the tree. The sampling decision is made
-// once at the root (the publisher); downstream processes Join the trace from
-// wire-carried IDs and record their stages against the same TraceID.
-//
-// Hot-path contract (same as internal/obsv): when tracing is disabled or a
-// root is not sampled, Start/Child/Finish perform no allocation and take no
-// locks — guarded by testing.AllocsPerRun in the package tests. Sampled
-// spans allocate once at Finish (the ring slot store).
+// Package trace is the repo's recorder: bounded rings of fixed, timestamped
+// slots. Spans follow one record from Publish through the broker to
+// subscriber decode, one per stage, turning the paper's per-stage cost
+// breakdown (Tables 1-2) into live flamegraphs: the publisher samples 1-in-N
+// roots and downstream processes Join the trace from W3C-shaped IDs carried
+// on the wire. Protocol events keep each connection's history (churn, format
+// metadata, errors, reconnects, stalls, discovery fetches), always, and
+// none fires once per record. Both share one pointer-free slot, copied in
+// under a ring's mutex with stream and detail truncated inline, so recording
+// allocates nothing; each has its own ring, so a traced burst cannot evict a
+// connection's history. Unsampled span calls cost one atomic load.
 package trace
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand/v2"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -35,22 +34,203 @@ func (id TraceID) IsZero() bool { return id == TraceID{} }
 // IsZero reports whether the ID is unset.
 func (id SpanID) IsZero() bool { return id == SpanID{} }
 
-const hexDigits = "0123456789abcdef"
-
-func appendHex(dst []byte, b []byte) []byte {
-	for _, c := range b {
-		dst = append(dst, hexDigits[c>>4], hexDigits[c&0xf])
-	}
-	return dst
-}
-
 // String renders the trace ID as 32 lowercase hex digits.
-func (id TraceID) String() string { return string(appendHex(nil, id[:])) }
+func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 
 // String renders the span ID as 16 lowercase hex digits.
-func (id SpanID) String() string { return string(appendHex(nil, id[:])) }
+func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
 
-// Span is one completed, recorded stage of a trace.
+// Kind is what a slot records: a protocol event or a span's stage.
+type Kind uint8
+
+// The protocol event kinds, then the span stages. Zero is never recorded.
+const (
+	KindConnOpen    Kind = iota + 1 // connection established (detail: remote addr / role)
+	KindConnClose                   // connection torn down (detail: cause)
+	KindFormatSend                  // format metadata sent (format, meta bytes)
+	KindFormatRecv                  // format metadata received (format, meta bytes)
+	KindBrokerError                 // broker-side protocol error (detail: error)
+	KindReconnect                   // client redial outcome, or its give-up (bytes: attempts)
+	KindSlowSubDrop                 // subscriber declared slow: a must-send format frame stalled (format)
+	KindDiscovery                   // discovery fetch outcome (stream: schema name, detail: outcome)
+	KindPublish                     // span: the publisher's root, one per published record
+	KindEncode                      // span: pbio encode at the publisher
+	KindDecode                      // span: pbio decode at the subscriber
+	KindRoute                       // span: the broker's routing of one publish
+	KindQueue                       // span: a frame's wait in a subscriber's queue
+	KindCompile                     // span: a dcg plan compilation (cache miss)
+	KindConvert                     // span: a dcg conversion
+	kindMax
+)
+
+var kindNames = [kindMax]string{"unknown", "conn_open", "conn_close", "format_send", "format_recv",
+	"broker_error", "reconnect", "slow_sub_drop", "discovery", "pub.publish", "pbio.encode", "pbio.decode",
+	"broker.route", "broker.queue", "dcg.compile", "dcg.convert"}
+
+// String returns the wire-stable name: snake_case for protocol events, as
+// /debug/flight serves and filters them, and the dotted stage name for spans.
+func (k Kind) String() string {
+	if k >= kindMax {
+		return "unknown"
+	}
+	return kindNames[k]
+}
+
+// kindsWithPrefix returns the protocol event kinds named with prefix: a family
+// like "conn", or one exact name, since no name is a prefix of another.
+func kindsWithPrefix(prefix string) (out []Kind) {
+	if prefix == "" {
+		return nil
+	}
+	for k := KindConnOpen; k < KindPublish; k++ {
+		if strings.HasPrefix(kindNames[k], prefix) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// slot is one ring entry, protocol event and span alike. It holds no
+// pointers, so the collector never scans a ring. Streams beyond 32 bytes and
+// details beyond 64 are truncated.
+type slot struct {
+	unixNS, dur  int64
+	conn, format uint64
+	bytes        int64
+	trace        TraceID
+	span, parent SpanID
+	kind         Kind
+	slen, dlen   uint8
+	stream       [32]byte
+	detail       [64]byte
+}
+
+// ring keeps the newest size slots written to it, allocated by the first.
+type ring struct {
+	mu    sync.Mutex
+	size  int
+	slots []slot
+	n     uint64 // slots ever written; write n is in slots[(n-1)%size]
+}
+
+// put writes s, with stream and detail copied into its inline arrays.
+func (g *ring) put(s slot, stream, detail string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.slots == nil {
+		g.slots = make([]slot, g.size)
+	}
+	g.n++
+	d := &g.slots[(g.n-1)%uint64(len(g.slots))]
+	*d = s
+	d.slen = uint8(copy(d.stream[:], stream))
+	d.dlen = uint8(copy(d.detail[:], detail))
+}
+
+// read calls fn on every slot the ring holds, newest first, and returns how
+// many slots were ever written (more than it holds once it wrapped).
+func (g *ring) read(fn func(seq uint64, s *slot)) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	size := uint64(len(g.slots))
+	for seq := g.n; seq > 0 && g.n-seq < size; seq-- {
+		fn(seq, &g.slots[(seq-1)%size])
+	}
+	return g.n
+}
+
+// Recorder holds protocol events and sampled spans; a nil one records nothing.
+type Recorder struct {
+	every  atomic.Int64 // span sampling: 0 = disabled, n = 1-in-n roots
+	ctr    atomic.Uint64
+	events ring
+	spans  ring
+}
+
+// The default ring sizes: 2048 events hold the connection history of a
+// mid-frame failure and the reconnect storm after it, 4096 spans the stages
+// of several hundred traced records. At 176 bytes a slot, that is 352 KiB
+// and 704 KiB; a process that never traces never allocates its span ring.
+const (
+	defaultEvents = 2048
+	defaultSpans  = 4096
+)
+
+// New returns a recorder keeping the newest events protocol events and spans
+// spans (a size below 1 takes the default), sampling no span.
+func New(events, spans int) *Recorder {
+	if events < 1 {
+		events = defaultEvents
+	}
+	if spans < 1 {
+		spans = defaultSpans
+	}
+	return &Recorder{events: ring{size: events, slots: make([]slot, events)}, spans: ring{size: spans}}
+}
+
+var defaultRecorder = New(0, 0)
+
+// Default returns the process-wide recorder components record into by default.
+func Default() *Recorder { return defaultRecorder }
+
+// connIDs hands out process-unique connection ids so broker-side and
+// client-side events about different sockets never collide in a ring.
+var connIDs atomic.Uint64
+
+// NextConnID allocates a fresh process-unique connection id.
+func NextConnID() uint64 { return connIDs.Add(1) }
+
+// Record appends one protocol event. It is safe from any goroutine and
+// allocates nothing; stream and detail are truncated to their inline sizes.
+func (r *Recorder) Record(k Kind, conn uint64, stream string, format uint64, bytes int64, detail string) {
+	if r == nil || k == 0 || k >= KindPublish {
+		return
+	}
+	r.events.put(slot{unixNS: time.Now().UnixNano(), kind: k, conn: conn, format: format, bytes: bytes}, stream, detail)
+}
+
+// SetSampling sets the span sampling rate: n <= 0 disables tracing, n
+// records every n-th root span (1 = every root).
+func (r *Recorder) SetSampling(n int) {
+	if r != nil {
+		r.every.Store(int64(max(n, 0)))
+	}
+}
+
+// Start begins a root span of stage k, making the 1-in-N sampling decision.
+// When not sampled it returns the zero Ctx.
+func (r *Recorder) Start(k Kind) Ctx {
+	if r == nil {
+		return Ctx{}
+	}
+	if n := r.every.Load(); n != 1 && (n < 1 || r.ctr.Add(1)%uint64(n) != 0) {
+		return Ctx{}
+	}
+	return Ctx{r: r, trace: randTraceID(), span: randSpanID(), kind: k, start: time.Now()}
+}
+
+// Join adopts a trace whose IDs arrived over the wire: the returned Ctx's
+// children record into r under the remote span, which Finish does not record.
+// When r is disabled or the trace ID is zero, Join returns the zero Ctx.
+func (r *Recorder) Join(trace TraceID, parent SpanID) Ctx {
+	if r == nil || trace.IsZero() || r.every.Load() <= 0 {
+		return Ctx{}
+	}
+	return Ctx{r: r, trace: trace, span: parent}
+}
+
+// RecordSpan records a span of stage k under a sampled trace, with the start
+// and duration the caller measured: the broker's queue wait is known only at
+// dequeue. No-op when tracing is disabled or id is zero, as an unsampled
+// publish's is, so call sites need no sampling check of their own.
+func (r *Recorder) RecordSpan(id TraceID, parent SpanID, k Kind, detail string, start time.Time, dur time.Duration) {
+	if r == nil || id.IsZero() || r.every.Load() <= 0 {
+		return
+	}
+	r.spans.put(slot{unixNS: start.UnixNano(), dur: int64(dur), kind: k, trace: id, span: randSpanID(), parent: parent}, "", detail)
+}
+
+// Span is the decoded view of one recorded span.
 type Span struct {
 	Trace  TraceID
 	ID     SpanID
@@ -61,242 +241,96 @@ type Span struct {
 	Dur    time.Duration
 }
 
-// Tracer samples and records spans. A nil *Tracer never samples and all its
-// operations are no-ops, so optional tracing can be left nil at call sites.
-type Tracer struct {
-	// every is the sampling rate: 0 = disabled, n = record 1-in-n roots.
-	every atomic.Int64
-	ctr   atomic.Uint64
-	// ring is the fixed-size buffer of completed spans; cursor allocates
-	// slots monotonically and wraps, so the newest DefaultCapacity spans
-	// survive. Slots hold immutable *Span values, making concurrent
-	// record/snapshot safe without locks.
-	ring   []atomic.Pointer[Span]
-	cursor atomic.Uint64
-}
-
-// DefaultCapacity is the ring size of tracers built by NewTracer(0) and of
-// the process default tracer: the newest 4096 completed spans are kept.
-const DefaultCapacity = 4096
-
-// NewTracer returns a disabled tracer keeping the newest capacity completed
-// spans (capacity <= 0 uses DefaultCapacity). Enable it with SetSampling.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
+// Spans returns the spans the recorder holds, oldest first (by start time),
+// and how many were recorded over its lifetime.
+func (r *Recorder) Spans() ([]Span, uint64) {
+	if r == nil {
+		return nil, 0
 	}
-	return &Tracer{ring: make([]atomic.Pointer[Span], capacity)}
-}
-
-var defaultTracer = NewTracer(0)
-
-// Default returns the process-wide tracer every component records into
-// unless handed one of its own. It starts disabled.
-func Default() *Tracer { return defaultTracer }
-
-// SetSampling sets the sampling rate: n <= 0 disables tracing, n records
-// every n-th root span (1 = every root).
-func (t *Tracer) SetSampling(n int) {
-	if t == nil {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	t.every.Store(int64(n))
-}
-
-// Enabled reports whether the tracer currently samples at all.
-func (t *Tracer) Enabled() bool { return t != nil && t.every.Load() > 0 }
-
-// sample makes the root-level 1-in-N decision.
-func (t *Tracer) sample() bool {
-	if t == nil {
-		return false
-	}
-	n := t.every.Load()
-	if n <= 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	return t.ctr.Add(1)%uint64(n) == 0
-}
-
-// record stores one completed span in the ring.
-func (t *Tracer) record(sp *Span) {
-	if len(t.ring) == 0 { // zero-value Tracer; use NewTracer
-		return
-	}
-	idx := t.cursor.Add(1) - 1
-	t.ring[idx%uint64(len(t.ring))].Store(sp)
-}
-
-// RecordSpan records a retroactive span under an already-sampled trace: the
-// caller supplies the start and duration it measured itself, for stages whose
-// timing is only known after the fact (the broker's queue wait is measured at
-// dequeue, long after the enqueue that started it). No-op when the tracer is
-// disabled or id is zero — an unsampled publish carries a zero TraceID, so
-// call sites need no sampling check of their own.
-func (t *Tracer) RecordSpan(id TraceID, parent SpanID, name, detail string, start time.Time, dur time.Duration) {
-	if t == nil || t.every.Load() <= 0 || id.IsZero() {
-		return
-	}
-	t.record(&Span{
-		Trace:  id,
-		ID:     randSpanID(),
-		Parent: parent,
-		Name:   name,
-		Detail: detail,
-		Start:  start,
-		Dur:    dur,
+	var out []Span
+	n := r.spans.read(func(_ uint64, s *slot) {
+		out = append(out, Span{Trace: s.trace, ID: s.span, Parent: s.parent, Name: s.kind.String(),
+			Detail: string(s.detail[:s.dlen]), Start: time.Unix(0, s.unixNS), Dur: time.Duration(s.dur)})
 	})
-}
-
-// Recorded reports how many spans have been recorded over the tracer's
-// lifetime (recorded minus capacity spans have been overwritten).
-func (t *Tracer) Recorded() int64 {
-	if t == nil {
-		return 0
-	}
-	return int64(t.cursor.Load())
-}
-
-// Snapshot returns the completed spans currently in the ring, oldest first
-// (by start time). The spans are copies; mutating them is safe.
-func (t *Tracer) Snapshot() []Span {
-	if t == nil {
-		return nil
-	}
-	out := make([]Span, 0, len(t.ring))
-	for i := range t.ring {
-		if sp := t.ring[i].Load(); sp != nil {
-			out = append(out, *sp)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
+	return out, n
 }
 
-// Reset drops every recorded span (tests, or between benchmark runs).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for i := range t.ring {
-		t.ring[i].Store(nil)
-	}
+// Event is the decoded view of one protocol event, as /debug/flight serves it.
+type Event struct {
+	Seq    uint64    `json:"seq"`
+	Time   time.Time `json:"time"`
+	Kind   string    `json:"kind"`
+	Conn   uint64    `json:"conn,omitempty"`
+	Stream string    `json:"stream,omitempty"`
+	Format uint64    `json:"format,omitempty"`
+	Bytes  int64     `json:"bytes,omitempty"`
+	Detail string    `json:"detail,omitempty"`
 }
 
-// Ctx is a live span handle, passed by value so the unsampled path never
-// allocates. The zero Ctx is "not sampled": every method is a cheap no-op,
-// letting call sites thread tracing unconditionally.
+// Events returns the protocol events the recorder holds, newest first, and
+// how many were recorded over its lifetime.
+func (r *Recorder) Events() ([]Event, uint64) {
+	if r == nil {
+		return nil, 0
+	}
+	var out []Event
+	n := r.events.read(func(seq uint64, s *slot) {
+		out = append(out, Event{Seq: seq, Time: time.Unix(0, s.unixNS), Kind: s.kind.String(), Conn: s.conn,
+			Stream: string(s.stream[:s.slen]), Format: s.format, Bytes: s.bytes, Detail: string(s.detail[:s.dlen])})
+	})
+	return out, n
+}
+
+// Ctx is a live span handle, passed by value so neither path allocates. The
+// zero Ctx is "not sampled": every method is a cheap no-op. A joined Ctx has
+// no kind: its children record, it does not.
 type Ctx struct {
-	t      *Tracer
-	trace  TraceID
-	span   SpanID
-	parent SpanID
-	name   string
-	start  time.Time
-	// foreign marks a joined remote span: its children record here, but
-	// Finish must not re-record the remote stage itself.
-	foreign bool
+	r            *Recorder
+	trace        TraceID
+	span, parent SpanID
+	kind         Kind
+	start        time.Time
 }
 
-func randSpanID() SpanID {
-	var id SpanID
-	v := rand.Uint64()
-	for v == 0 {
-		v = rand.Uint64()
-	}
-	for i := range id {
-		id[i] = byte(v >> (8 * uint(i)))
+func randSpanID() (id SpanID) {
+	for id.IsZero() {
+		binary.LittleEndian.PutUint64(id[:], rand.Uint64())
 	}
 	return id
 }
 
-func randTraceID() TraceID {
-	var id TraceID
-	hi, lo := rand.Uint64(), rand.Uint64()
-	for hi == 0 && lo == 0 {
-		hi, lo = rand.Uint64(), rand.Uint64()
-	}
-	for i := 0; i < 8; i++ {
-		id[i] = byte(hi >> (8 * uint(i)))
-		id[8+i] = byte(lo >> (8 * uint(i)))
+func randTraceID() (id TraceID) {
+	for id.IsZero() {
+		binary.LittleEndian.PutUint64(id[:8], rand.Uint64())
+		binary.LittleEndian.PutUint64(id[8:], rand.Uint64())
 	}
 	return id
-}
-
-// Start begins a root span named name, making the 1-in-N sampling decision.
-// When not sampled it returns the zero Ctx and performs no allocation.
-func (t *Tracer) Start(name string) Ctx {
-	if !t.sample() {
-		return Ctx{}
-	}
-	return Ctx{
-		t:     t,
-		trace: randTraceID(),
-		span:  randSpanID(),
-		name:  name,
-		start: time.Now(),
-	}
-}
-
-// Join adopts a trace whose IDs arrived over the wire: children created from
-// the returned Ctx record into t with parent set to the remote span. Finish
-// on the joined Ctx itself is a no-op (the remote process owns that span).
-// When t is disabled or the trace ID is zero, Join returns the zero Ctx.
-func (t *Tracer) Join(trace TraceID, parent SpanID) Ctx {
-	if t == nil || t.every.Load() <= 0 || trace.IsZero() {
-		return Ctx{}
-	}
-	return Ctx{t: t, trace: trace, span: parent, foreign: true}
 }
 
 // Sampled reports whether this span is being recorded.
-func (c Ctx) Sampled() bool { return c.t != nil }
+func (c Ctx) Sampled() bool { return c.r != nil }
 
 // Trace returns the span's trace ID (zero when not sampled).
 func (c Ctx) Trace() TraceID { return c.trace }
 
-// Span returns this span's ID — the value downstream stages use as their
-// parent link (zero when not sampled).
+// Span returns this span's ID, downstream stages' parent (zero if unsampled).
 func (c Ctx) Span() SpanID { return c.span }
 
-// Child begins a sub-span of c. On an unsampled Ctx it returns the zero Ctx
-// with no allocation.
-func (c Ctx) Child(name string) Ctx {
-	if c.t == nil {
+// Child begins a sub-span of stage k (the zero Ctx when c is unsampled).
+func (c Ctx) Child(k Kind) Ctx {
+	if c.r == nil {
 		return Ctx{}
 	}
-	return Ctx{
-		t:      c.t,
-		trace:  c.trace,
-		span:   randSpanID(),
-		parent: c.span,
-		name:   name,
-		start:  time.Now(),
-	}
+	return Ctx{r: c.r, trace: c.trace, span: randSpanID(), parent: c.span, kind: k, start: time.Now()}
 }
 
-// Finish completes the span and records it. No-op when unsampled or joined.
-func (c Ctx) Finish() { c.FinishDetail("") }
-
-// FinishDetail completes the span, attaching a detail string (stream name,
-// schema name) to the recorded span.
-func (c Ctx) FinishDetail(detail string) {
-	if c.t == nil || c.foreign {
+// Finish completes the span and records it with detail (stream name, format
+// name), truncated to 64 bytes. No-op when unsampled or joined.
+func (c Ctx) Finish(detail string) {
+	if c.r == nil || c.kind == 0 {
 		return
 	}
-	c.t.record(&Span{
-		Trace:  c.trace,
-		ID:     c.span,
-		Parent: c.parent,
-		Name:   c.name,
-		Detail: detail,
-		Start:  c.start,
-		Dur:    time.Since(c.start),
-	})
+	c.r.spans.put(slot{unixNS: c.start.UnixNano(), dur: int64(time.Since(c.start)), kind: c.kind,
+		trace: c.trace, span: c.span, parent: c.parent}, "", detail)
 }

@@ -3,71 +3,69 @@ package trace
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestDisabledTracerNeverSamples(t *testing.T) {
-	tr := NewTracer(8)
-	if tr.Enabled() {
-		t.Fatal("new tracer should start disabled")
-	}
-	c := tr.Start("x")
+	tr := New(0, 8)
+	c := tr.Start(KindPublish)
 	if c.Sampled() {
 		t.Fatal("disabled tracer sampled a root")
 	}
-	c.Finish()
-	if got := tr.Snapshot(); len(got) != 0 {
+	c.Finish("")
+	if got, _ := tr.Spans(); len(got) != 0 {
 		t.Fatalf("recorded %d spans while disabled", len(got))
 	}
 }
 
 func TestNilTracerIsNoop(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer enabled")
-	}
-	c := tr.Start("x")
-	c.Child("y").Finish()
-	c.Finish()
+	var tr *Recorder
 	tr.SetSampling(1)
-	tr.Reset()
-	if tr.Snapshot() != nil || tr.Recorded() != 0 {
+	c := tr.Start(KindPublish)
+	if c.Sampled() {
+		t.Fatal("nil tracer sampled a root")
+	}
+	c.Child(KindEncode).Finish("")
+	c.Finish("")
+	tr.RecordSpan(TraceID{1}, SpanID{2}, KindQueue, "", time.Now(), time.Second)
+	if spans, n := tr.Spans(); spans != nil || n != 0 {
 		t.Fatal("nil tracer recorded spans")
 	}
 }
 
 func TestSamplingOneInN(t *testing.T) {
-	tr := NewTracer(1024)
+	tr := New(0, 1024)
 	tr.SetSampling(4)
 	sampled := 0
 	for i := 0; i < 100; i++ {
-		c := tr.Start("s")
+		c := tr.Start(KindPublish)
 		if c.Sampled() {
 			sampled++
 		}
-		c.Finish()
+		c.Finish("")
 	}
 	if sampled != 25 {
 		t.Fatalf("1-in-4 sampling recorded %d of 100", sampled)
 	}
-	if got := len(tr.Snapshot()); got != 25 {
-		t.Fatalf("snapshot has %d spans, want 25", got)
+	if got, _ := tr.Spans(); len(got) != 25 {
+		t.Fatalf("snapshot has %d spans, want 25", len(got))
 	}
 }
 
 func TestParentLinksAndIdentity(t *testing.T) {
-	tr := NewTracer(16)
+	tr := New(0, 16)
 	tr.SetSampling(1)
-	root := tr.Start("root")
-	child := root.Child("child")
-	grand := child.Child("grand")
-	grand.Finish()
-	child.FinishDetail("d1")
-	root.Finish()
+	root := tr.Start(KindPublish)
+	child := root.Child(KindRoute)
+	grand := child.Child(KindConvert)
+	grand.Finish("")
+	child.Finish("d1")
+	root.Finish("")
 
-	spans := tr.Snapshot()
+	spans, _ := tr.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
@@ -78,22 +76,23 @@ func TestParentLinksAndIdentity(t *testing.T) {
 			t.Fatalf("span %s has trace %s, want %s", sp.Name, sp.Trace, root.Trace())
 		}
 	}
-	if !byName["root"].Parent.IsZero() {
+	rootSp, childSp, grandSp := byName["pub.publish"], byName["broker.route"], byName["dcg.convert"]
+	if !rootSp.Parent.IsZero() {
 		t.Fatal("root span has a parent")
 	}
-	if byName["child"].Parent != byName["root"].ID {
+	if childSp.Parent != rootSp.ID {
 		t.Fatal("child's parent is not root")
 	}
-	if byName["grand"].Parent != byName["child"].ID {
+	if grandSp.Parent != childSp.ID {
 		t.Fatal("grandchild's parent is not child")
 	}
-	if byName["child"].Detail != "d1" {
-		t.Fatalf("detail = %q, want d1", byName["child"].Detail)
+	if childSp.Detail != "d1" {
+		t.Fatalf("detail = %q, want d1", childSp.Detail)
 	}
 }
 
 func TestJoinRecordsChildrenNotSelf(t *testing.T) {
-	tr := NewTracer(16)
+	tr := New(0, 16)
 	tr.SetSampling(1)
 	var tid TraceID
 	var parent SpanID
@@ -103,11 +102,11 @@ func TestJoinRecordsChildrenNotSelf(t *testing.T) {
 	if !jc.Sampled() {
 		t.Fatal("join on enabled tracer not sampled")
 	}
-	jc.Finish() // foreign span: must not record
-	ch := jc.Child("stage")
-	ch.Finish()
+	jc.Finish("") // foreign span: must not record
+	ch := jc.Child(KindDecode)
+	ch.Finish("")
 
-	spans := tr.Snapshot()
+	spans, _ := tr.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1 (joined span itself must not record)", len(spans))
 	}
@@ -127,13 +126,13 @@ func TestJoinRecordsChildrenNotSelf(t *testing.T) {
 }
 
 func TestRingWraparoundKeepsNewest(t *testing.T) {
-	tr := NewTracer(4)
+	tr := New(0, 4)
 	tr.SetSampling(1)
 	for i := 0; i < 10; i++ {
-		tr.Start("s").FinishDetail(string(rune('a' + i)))
+		tr.Start(KindPublish).Finish(string(rune('a' + i)))
 		time.Sleep(time.Millisecond) // distinct start times for ordering
 	}
-	spans := tr.Snapshot()
+	spans, recorded := tr.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("ring holds %d spans, want 4", len(spans))
 	}
@@ -142,13 +141,13 @@ func TestRingWraparoundKeepsNewest(t *testing.T) {
 			t.Fatalf("slot %d = %q, want %q (oldest-first, newest kept)", i, spans[i].Detail, want)
 		}
 	}
-	if tr.Recorded() != 10 {
-		t.Fatalf("Recorded() = %d, want 10", tr.Recorded())
+	if recorded != 10 {
+		t.Fatalf("recorded = %d, want 10", recorded)
 	}
 }
 
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	tr := NewTracer(64)
+	tr := New(0, 64)
 	tr.SetSampling(1)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -156,9 +155,9 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c := tr.Start("hot")
-				c.Child("inner").Finish()
-				c.Finish()
+				c := tr.Start(KindPublish)
+				c.Child(KindEncode).Finish("")
+				c.Finish("")
 			}
 		}()
 	}
@@ -166,34 +165,34 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			_ = tr.Snapshot()
+			_, _ = tr.Spans()
 		}
 	}()
 	wg.Wait()
 	<-done
-	if got := len(tr.Snapshot()); got != 64 {
-		t.Fatalf("full ring snapshot has %d spans, want 64", got)
+	if got, _ := tr.Spans(); len(got) != 64 {
+		t.Fatalf("full ring snapshot has %d spans, want 64", len(got))
 	}
 }
 
 // TestUntracedPathAllocationFree is the hot-path contract: with tracing off,
 // or with a root that was not sampled, start/finish must not allocate.
 func TestUntracedPathAllocationFree(t *testing.T) {
-	tr := NewTracer(8)
+	tr := New(0, 8)
 
 	if n := testing.AllocsPerRun(100, func() {
-		c := tr.Start("off")
-		c.Child("inner").Finish()
-		c.Finish()
+		c := tr.Start(KindPublish)
+		c.Child(KindEncode).Finish("")
+		c.Finish("")
 	}); n != 0 {
 		t.Fatalf("disabled tracer allocates %v per span", n)
 	}
 
-	var nilT *Tracer
+	var nilT *Recorder
 	if n := testing.AllocsPerRun(100, func() {
-		c := nilT.Start("off")
-		c.Child("inner").Finish()
-		c.Finish()
+		c := nilT.Start(KindPublish)
+		c.Child(KindEncode).Finish("")
+		c.Finish("")
 	}); n != 0 {
 		t.Fatalf("nil tracer allocates %v per span", n)
 	}
@@ -203,12 +202,47 @@ func TestUntracedPathAllocationFree(t *testing.T) {
 	// never land on the sampled tick.
 	tr.SetSampling(1 << 30)
 	if n := testing.AllocsPerRun(100, func() {
-		c := tr.Start("unsampled")
-		c.Child("inner").Finish()
-		c.Finish()
+		c := tr.Start(KindPublish)
+		c.Child(KindEncode).Finish("")
+		c.Finish("")
 	}); n != 0 {
 		t.Fatalf("unsampled root allocates %v per span", n)
 	}
+}
+
+// TestSampledSpanAllocationFree: a sampled span is copied into a slot of
+// the ring, so starting, finishing and recording spans allocates nothing,
+// however long the detail.
+func TestSampledSpanAllocationFree(t *testing.T) {
+	tr := New(0, 64)
+	tr.SetSampling(1)
+	detail := strings.Repeat("ASDOffEvent->ASDOffEvent ", 4)
+	start := time.Now()
+	if n := testing.AllocsPerRun(100, func() {
+		c := tr.Start(KindPublish)
+		c.Child(KindEncode).Finish(detail)
+		tr.RecordSpan(c.Trace(), c.Span(), KindQueue, detail, start, time.Microsecond)
+		c.Finish(detail)
+	}); n != 0 {
+		t.Fatalf("sampled spans allocate %v per root", n)
+	}
+	if spans, _ := tr.Spans(); len(spans) != 64 || len(spans[0].Detail) != 64 {
+		t.Fatalf("ring holds %d spans, want 64 with 64-byte details", len(spans))
+	}
+}
+
+// BenchmarkSampledSpan times a sampled root span, started and finished into
+// the span ring, from GOMAXPROCS goroutines at once: the cost of the ring's
+// mutex where spans are recorded from several goroutines.
+func BenchmarkSampledSpan(b *testing.B) {
+	tr := New(0, 0)
+	tr.SetSampling(1)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tr.Start(KindPublish).Finish("flights")
+		}
+	})
 }
 
 func TestIDStrings(t *testing.T) {
@@ -225,15 +259,15 @@ func TestIDStrings(t *testing.T) {
 }
 
 func TestHandlerJSONAndChrome(t *testing.T) {
-	tr := NewTracer(16)
+	tr := New(0, 16)
 	tr.SetSampling(1)
-	root := tr.Start("root")
-	root.Child("child").Finish()
-	root.FinishDetail("stream-x")
+	root := tr.Start(KindPublish)
+	root.Child(KindEncode).Finish("")
+	root.Finish("stream-x")
 
 	// Default JSON form.
 	rec := httptest.NewRecorder()
-	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	SpanHandler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
 		t.Fatalf("content type %q", ct)
 	}
@@ -261,7 +295,7 @@ func TestHandlerJSONAndChrome(t *testing.T) {
 
 	// Chrome trace_event form.
 	rec = httptest.NewRecorder()
-	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?format=chrome", nil))
+	SpanHandler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?format=chrome", nil))
 	var chrome struct {
 		TraceEvents []struct {
 			Name string            `json:"name"`
@@ -289,14 +323,14 @@ func TestHandlerJSONAndChrome(t *testing.T) {
 // TestHandlerFullScrape checks the /debug/trace body: every span in the
 // ring, the server clock in now_unix_ns and the lifetime recorded count.
 func TestHandlerFullScrape(t *testing.T) {
-	tr := NewTracer(16)
+	tr := New(0, 16)
 	tr.SetSampling(1)
 	for i := 0; i < 3; i++ {
-		c := tr.Start("stage")
-		c.Finish()
+		c := tr.Start(KindRoute)
+		c.Finish("")
 	}
 	rec := httptest.NewRecorder()
-	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	SpanHandler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
 	var body struct {
 		NowUnixNS int64             `json:"now_unix_ns"`
 		Recorded  int64             `json:"recorded"`

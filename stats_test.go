@@ -15,7 +15,6 @@ import (
 	"openmeta/internal/dcg"
 	"openmeta/internal/discovery"
 	"openmeta/internal/eventbus"
-	"openmeta/internal/flight"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
@@ -137,8 +136,7 @@ func TestStatsHandlerServesJSON(t *testing.T) {
 // families even before any traffic (instruments are created zero-valued at
 // package init), and that retired endpoints are gone.
 func TestDebugHandlerEndpoints(t *testing.T) {
-	srv := httptest.NewServer(obsv.DebugMux(obsv.Default(),
-		obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(trace.Default()), Desc: "recent trace spans"}))
+	srv := httptest.NewServer(obsv.DebugMux(obsv.Default()))
 	defer srv.Close()
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -279,17 +277,21 @@ func TestBrokerOptionsAndStats(t *testing.T) {
 	}
 }
 
-// TestNewFlightRecorderDefaultCapacity: a recorder made with a capacity <= 0
-// keeps the default
-// 2048 events, as documented, not one.
+// TestNewFlightRecorderDefaultCapacity: a recorder made with capacities
+// <= 0 keeps the default 2048 events and 4096 spans, as documented, not one.
 func TestNewFlightRecorderDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		r := flight.New(capacity)
-		for i := 0; i < 3000; i++ {
-			r.Record(flight.KindDiscovery, 0, "", 0, int64(i), "")
+		r := trace.New(capacity, capacity)
+		r.SetSampling(1)
+		for i := 0; i < 5000; i++ {
+			r.Record(trace.KindDiscovery, 0, "", 0, int64(i), "")
+			r.Start(trace.KindPublish).Finish("")
 		}
-		if got := r.Len(); got != 2048 {
-			t.Errorf("flight.New(%d) keeps %d events, want 2048", capacity, got)
+		if got, _ := r.Events(); len(got) != 2048 {
+			t.Errorf("trace.New(%d, %d) keeps %d events, want 2048", capacity, capacity, len(got))
+		}
+		if got, _ := r.Spans(); len(got) != 4096 {
+			t.Errorf("trace.New(%d, %d) keeps %d spans, want 4096", capacity, capacity, len(got))
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package openmeta
 
 // One trace across three processes: a publisher, a broker and a
-// subscriber, each with its own registry, tracer and flight recorder served
+// subscriber, each with its own registry and recorder served
 // on its own debug listener, exactly like three processes started with
 // -debug-addr. The tests read each /debug/trace ring over HTTP, join the
 // fragments on their hex trace ids and check that each trace is one
@@ -21,7 +21,6 @@ import (
 	"openmeta/internal/airline"
 	"openmeta/internal/core"
 	"openmeta/internal/eventbus"
-	"openmeta/internal/flight"
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
@@ -34,17 +33,15 @@ import (
 type debugProc struct {
 	name string
 	reg  *obsv.Registry
-	trc  *trace.Tracer
-	rec  *flight.Recorder
+	rec  *trace.Recorder
 	srv  *httptest.Server
 }
 
 func newDebugProc(t *testing.T, name string) *debugProc {
 	t.Helper()
-	p := &debugProc{name: name, reg: obsv.New(), trc: trace.NewTracer(0), rec: flight.New(256)}
-	p.trc.SetSampling(1)
-	p.srv = httptest.NewServer(obsv.DebugMuxFor(p.reg, obsv.NewHealth(), p.rec,
-		obsv.DebugEndpoint{Path: "/debug/trace", Handler: trace.Handler(p.trc), Desc: "trace"}))
+	p := &debugProc{name: name, reg: obsv.New(), rec: trace.New(256, 0)}
+	p.rec.SetSampling(1)
+	p.srv = httptest.NewServer(obsv.DebugMuxFor(p.reg, obsv.NewHealth(), p.rec))
 	t.Cleanup(p.srv.Close)
 	return p
 }
@@ -86,9 +83,8 @@ func runProcessTrio(t *testing.T) *processTrio {
 	// The trace context travels on the wire (the traced publish and event
 	// frames), so the three rings record fragments of the same TraceIDs.
 	broker, err := eventbus.Listen("127.0.0.1:0",
-		eventbus.WithTracer(tr.broker.trc),
 		eventbus.WithObserver(tr.broker.reg),
-		eventbus.WithFlightRecorder(tr.broker.rec))
+		eventbus.WithRecorder(tr.broker.rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +95,7 @@ func runProcessTrio(t *testing.T) *processTrio {
 		t.Fatal(err)
 	}
 	sub, err := eventbus.DialSubscriber(broker.Addr().String(), subCtx,
-		eventbus.WithClientTracer(tr.sub.trc),
-		eventbus.WithClientFlightRecorder(tr.sub.rec))
+		eventbus.WithClientRecorder(tr.sub.rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +105,7 @@ func runProcessTrio(t *testing.T) *processTrio {
 	}
 
 	pub, err := eventbus.DialPublisher(broker.Addr().String(),
-		eventbus.WithClientTracer(tr.pub.trc),
-		eventbus.WithClientFlightRecorder(tr.pub.rec))
+		eventbus.WithClientRecorder(tr.pub.rec))
 	if err != nil {
 		t.Fatal(err)
 	}
